@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/telemetry"
 )
@@ -58,7 +57,6 @@ func main() {
 	opt := dist.WorkerOptions{
 		ID:        *id,
 		Resolve:   cli.Resolve,
-		Golden:    core.NewGoldenCache(),
 		Heartbeat: *heartbeat,
 		Poll:      *poll,
 		Telemetry: tel,

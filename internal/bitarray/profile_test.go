@@ -7,6 +7,16 @@ type fakeClock struct{ c uint64 }
 
 func (f *fakeClock) now() uint64 { return f.c }
 
+// entryEvents drains the iterator of one entry.
+func entryEvents(p *Profile, entry int) []ProfileEvent {
+	var out []ProfileEvent
+	it := p.Events(entry)
+	for ev, ok := it.Next(); ok; ev, ok = it.Next() {
+		out = append(out, ev)
+	}
+	return out
+}
+
 func TestProfileRecordsAccessRanges(t *testing.T) {
 	a := New("l1d.data", 4, 512)
 	clk := &fakeClock{}
@@ -49,12 +59,13 @@ func TestProfileRecordsAccessRanges(t *testing.T) {
 		},
 	}
 	for e, evs := range want {
-		if got := p.Events[e]; len(got) != len(evs) {
+		got := entryEvents(p, e)
+		if len(got) != len(evs) {
 			t.Fatalf("entry %d: %d events, want %d: %v", e, len(got), len(evs), got)
 		}
 		for i, ev := range evs {
-			if p.Events[e][i] != ev {
-				t.Errorf("entry %d event %d = %+v, want %+v", e, i, p.Events[e][i], ev)
+			if got[i] != ev {
+				t.Errorf("entry %d event %d = %+v, want %+v", e, i, got[i], ev)
 			}
 		}
 	}
@@ -69,24 +80,21 @@ func TestProfileReadBitRoutesThroughWord(t *testing.T) {
 	a.StartProfile(clk.now)
 	a.ReadBit(3, 0)
 	p := a.StopProfile()
-	evs := p.Events[3]
+	evs := entryEvents(p, 3)
 	if len(evs) != 1 || evs[0].Kind != AccessRead || evs[0].NBits != 64 {
 		t.Fatalf("ReadBit events = %v", evs)
 	}
 }
 
 func TestNextCovering(t *testing.T) {
-	p := &Profile{
-		Name: "x", Entries: 2, BitsPerEntry: 128,
-		Events: [][]ProfileEvent{
-			{
-				{Cycle: 10, FirstBit: 0, NBits: 64, Kind: AccessWrite},
-				{Cycle: 20, FirstBit: 64, NBits: 64, Kind: AccessRead},
-				{Cycle: 30, FirstBit: 0, NBits: 128, Kind: AccessEvict},
-			},
-			nil,
+	p := NewProfile("x", 128, [][]ProfileEvent{
+		{
+			{Cycle: 10, FirstBit: 0, NBits: 64, Kind: AccessWrite},
+			{Cycle: 20, FirstBit: 64, NBits: 64, Kind: AccessRead},
+			{Cycle: 30, FirstBit: 0, NBits: 128, Kind: AccessEvict},
 		},
-	}
+		nil,
+	})
 	// Injection before the first event of the word: the write covers it.
 	if i, ev, ok := p.NextCovering(0, 5, 0); !ok || i != 0 || ev.Kind != AccessWrite {
 		t.Fatalf("bit 5 cycle 0: i=%d ev=%+v ok=%v", i, ev, ok)

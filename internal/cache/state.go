@@ -12,6 +12,11 @@ type State struct {
 	Stats             Stats
 }
 
+// SizeBytes estimates the heap the state retains.
+func (s *State) SizeBytes() int {
+	return 8*(len(s.Tags)+len(s.Valid)+len(s.Data)+len(s.LRU)) + len(s.Dirty)
+}
+
 // State captures the cache.
 func (c *Cache) State() *State {
 	s := &State{

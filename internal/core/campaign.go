@@ -124,8 +124,8 @@ func Golden(f Factory) (GoldenInfo, error) {
 }
 
 // goldenRun performs the fault-free reference run and also returns the
-// finished machine, which the GoldenCache keeps for live-entry probing
-// and geometry lookups.
+// finished machine, from which the GoldenCache reads the live entries
+// and the geometry of every structure before letting it go.
 func goldenRun(f Factory) (GoldenInfo, Simulator, error) {
 	sim := f()
 	res := sim.Run(1 << 62)

@@ -36,15 +36,17 @@ type ffLadder struct {
 	quantum  uint64 // steps between rung points; 0 disables the ladder
 	noDecode bool   // build rungs with the decode cache disabled too
 	// hits and builds alias the owning GoldenCache's matrix-wide
-	// counters (the ff_rung telemetry gauges).
+	// counters (the ff_rung telemetry gauges), bytes its row's estimate
+	// of retained heap.
 	hits, builds *atomic.Uint64
+	bytes        *atomic.Int64
 
 	mu    sync.Mutex
 	rungs map[uint64]*handoff.State // step → capture; nil = prefix ends before step
 }
 
-func newFFLadder(quantum uint64, noDecode bool, hits, builds *atomic.Uint64) *ffLadder {
-	return &ffLadder{quantum: quantum, noDecode: noDecode, hits: hits, builds: builds,
+func newFFLadder(quantum uint64, noDecode bool, hits, builds *atomic.Uint64, bytes *atomic.Int64) *ffLadder {
+	return &ffLadder{quantum: quantum, noDecode: noDecode, hits: hits, builds: builds, bytes: bytes,
 		rungs: make(map[uint64]*handoff.State)}
 }
 
@@ -111,5 +113,6 @@ func (l *ffLadder) rung(img *asm.Image, step uint64) *handoff.State {
 	fm.Release()
 	l.rungs[step] = st
 	l.builds.Add(1)
+	l.bytes.Add(int64(st.SizeBytes()))
 	return st
 }

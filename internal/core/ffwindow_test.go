@@ -50,7 +50,8 @@ func TestWindowEntryRungStateIdentity(t *testing.T) {
 				// pins exact step points.
 				golden := GoldenInfo{Cycles: total, Committed: total}
 				var hits, builds atomic.Uint64
-				ladder := newFFLadder(total/8, false, &hits, &builds)
+				var bytes atomic.Int64
+				ladder := newFFLadder(total/8, false, &hits, &builds, &bytes)
 
 				for _, entry := range []uint64{total / 3, total / 2, 3 * total / 4} {
 					for pass := 0; pass < 2; pass++ {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/adaptive"
@@ -17,299 +16,6 @@ import (
 	"repro/internal/prune"
 	"repro/internal/telemetry"
 )
-
-// GoldenCache memoizes fault-free reference runs per {tool, benchmark}.
-// A figure matrix shares one golden run across every structure campaign
-// of a row (the pre-scheduler path simulated it 2× per structure: once
-// in the report layer and once in the campaign controller), and the
-// finished machine is kept so LiveOnly entry probing and mask-geometry
-// lookups reuse it instead of simulating a twin. Safe for concurrent
-// use.
-type GoldenCache struct {
-	mu      sync.Mutex
-	entries map[goldenKey]*goldenEntry
-	runs    int
-	calls   int
-
-	// ffHits and ffBuilds aggregate the functional fast-forward rung
-	// ladder activity across the cache's rows — the ff_rung telemetry
-	// gauges. Atomics: windowEntry touches them on the run path.
-	ffHits, ffBuilds atomic.Uint64
-}
-
-type goldenKey struct{ tool, bench string }
-
-type goldenEntry struct {
-	once   sync.Once
-	golden GoldenInfo
-	sim    Simulator
-	err    error
-
-	mu   sync.Mutex
-	live map[string][]int // structure → entries live at end of golden run
-
-	// ladderMu guards the memoized checkpoint ladder separately from mu:
-	// capturing a ladder simulates most of a golden run, and geometry or
-	// live-entry lookups must not block behind it.
-	ladderMu sync.Mutex
-	ladderK  int
-	ladder   []LadderRung
-
-	// profMu guards the memoized liveness profiles (see Profiles), keyed
-	// by rung placement and profiled-structure set. Separate from mu for
-	// the same reason as ladderMu: a profiled replay simulates a whole
-	// golden run.
-	profMu   sync.Mutex
-	profiles map[string][]prune.Profiles
-
-	// sigMu guards the memoized commit-stream signature (see
-	// CommitSignature); building one simulates a whole golden run.
-	sigMu sync.Mutex
-	sig   *divergence.Signature
-
-	// ffMu guards the memoized functional fast-forward rung ladder (see
-	// FFLadder); its rungs fill lazily on the run path under the
-	// ladder's own lock.
-	ffMu      sync.Mutex
-	ffQuantum uint64
-	ff        *ffLadder
-}
-
-// NewGoldenCache returns an empty memoizer.
-func NewGoldenCache() *GoldenCache {
-	return &GoldenCache{entries: make(map[goldenKey]*goldenEntry)}
-}
-
-func (c *GoldenCache) entry(tool, bench string) *goldenEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[goldenKey{tool, bench}]
-	if !ok {
-		e = &goldenEntry{}
-		c.entries[goldenKey{tool, bench}] = e
-	}
-	return e
-}
-
-// Golden returns the memoized fault-free reference of the {tool, bench}
-// row, simulating it on f's machine only on the first call. The returned
-// GoldenInfo carries Benchmark but no Structure; campaign code copies it
-// and fills the cell-specific fields.
-func (c *GoldenCache) Golden(tool, bench string, f Factory) (GoldenInfo, error) {
-	e := c.entry(tool, bench)
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.golden, e.sim, e.err = goldenRun(f)
-		e.golden.Benchmark = bench
-		c.mu.Lock()
-		c.runs++
-		c.mu.Unlock()
-	})
-	if e.err != nil {
-		return GoldenInfo{}, e.err
-	}
-	g := e.golden
-	// Hand out a private stats map: cells of a matrix must not alias.
-	g.Stats = make(map[string]uint64, len(e.golden.Stats))
-	for k, v := range e.golden.Stats {
-		g.Stats[k] = v
-	}
-	return g, nil
-}
-
-// Runs reports how many golden simulations the cache actually performed
-// (as opposed to served from memory) — the figure tests assert exactly
-// one per {tool, benchmark} row.
-func (c *GoldenCache) Runs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
-}
-
-// Stats reports the golden lookups split into performed simulations and
-// memoized hits — the golden-cache hit-rate gauge of the telemetry
-// snapshot. (Geometry and LiveEntries lookups route through Golden, so
-// their reuse of the memoized machine counts as hits too.)
-func (c *GoldenCache) Stats() (runs, hits int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	hits = c.calls - c.runs
-	if hits < 0 {
-		hits = 0
-	}
-	return c.runs, hits
-}
-
-// Geometry returns the {entries, bitsPerEntry} geometry of one structure
-// on the row's machine, reusing the memoized golden simulator. ok is
-// false when the tool has no such structure.
-func (c *GoldenCache) Geometry(tool, bench string, f Factory, structure string) (entries, bits int, ok bool, err error) {
-	e := c.entry(tool, bench)
-	if _, gerr := c.Golden(tool, bench, f); gerr != nil {
-		return 0, 0, false, gerr
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	arr, found := e.sim.Structures()[structure]
-	if !found {
-		return 0, 0, false, nil
-	}
-	return arr.Entries(), arr.BitsPerEntry(), true, nil
-}
-
-// LiveEntries returns the entries of structure holding live data at the
-// end of the row's golden run — the LiveOnly fault population. The probe
-// reuses the memoized golden machine (the pre-scheduler path simulated a
-// twin from boot for every campaign) and is itself memoized per
-// structure.
-func (c *GoldenCache) LiveEntries(tool, bench string, f Factory, structure string) ([]int, error) {
-	e := c.entry(tool, bench)
-	if _, gerr := c.Golden(tool, bench, f); gerr != nil {
-		return nil, gerr
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if live, ok := e.live[structure]; ok {
-		return live, nil
-	}
-	arr, found := e.sim.Structures()[structure]
-	if !found {
-		return nil, fmt.Errorf("core: %s has no structure %q", e.golden.Tool, structure)
-	}
-	var live []int
-	for i := 0; i < arr.Entries(); i++ {
-		if arr.EntryValid(i) {
-			live = append(live, i)
-		}
-	}
-	if e.live == nil {
-		e.live = make(map[string][]int)
-	}
-	e.live[structure] = live
-	return live, nil
-}
-
-// Ladder returns the memoized K-rung checkpoint ladder of the {tool,
-// bench} row, capturing it on first use (or when a different K is
-// requested) by chaining RunTo/Checkpoint on one machine. An empty
-// ladder means the simulator cannot checkpoint; runs boot from scratch.
-func (c *GoldenCache) Ladder(tool, bench string, f Factory, k int) ([]LadderRung, error) {
-	e := c.entry(tool, bench)
-	if _, err := c.Golden(tool, bench, f); err != nil {
-		return nil, err
-	}
-	e.ladderMu.Lock()
-	defer e.ladderMu.Unlock()
-	if e.ladderK != k {
-		e.ladder = makeLadder(f, e.golden, k)
-		e.ladderK = k
-	}
-	return e.ladder, nil
-}
-
-// Profiles returns the memoized liveness profiles of the row's replay
-// trajectories (boot plus one per rung) for one profiled-structure set,
-// running the profiled replays only on the first call. Memoization is
-// keyed by the rung capture cycles and the structure names: a shard
-// worker re-planning the same campaign hits the memo instead of
-// re-simulating 1+len(rungs) golden replays per shard. A nil result (no
-// error) means the simulator cannot be profiled and pruning is off for
-// the row.
-func (c *GoldenCache) Profiles(tool, bench string, f Factory, rungs []LadderRung, structures []string) ([]prune.Profiles, error) {
-	e := c.entry(tool, bench)
-	if _, err := c.Golden(tool, bench, f); err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("%v|%q", rungCycles(rungs), structures)
-	e.profMu.Lock()
-	defer e.profMu.Unlock()
-	if p, ok := e.profiles[key]; ok {
-		return p, nil
-	}
-	p, err := buildRowProfiles(f, rungs, structures, e.golden)
-	if err != nil {
-		return nil, err
-	}
-	if e.profiles == nil {
-		e.profiles = make(map[string][]prune.Profiles)
-	}
-	e.profiles[key] = p
-	return p, nil
-}
-
-// CommitSignature returns the memoized golden commit-stream signature
-// of the {tool, bench} row — the per-block hash sequence of fault-free
-// committed-instruction PCs that divergence probes compare injected
-// runs against — building it on first use with one probed golden
-// replay. A nil signature (no error) means the simulator exposes no
-// commit probe; divergence records for the row then carry the
-// corruption footprint but no divergence verdict.
-func (c *GoldenCache) CommitSignature(tool, bench string, f Factory) (*divergence.Signature, error) {
-	e := c.entry(tool, bench)
-	e.sigMu.Lock()
-	defer e.sigMu.Unlock()
-	if e.sig != nil {
-		return e.sig, nil
-	}
-	sim := f()
-	cp, ok := sim.(CommitProbed)
-	if !ok {
-		return nil, nil
-	}
-	b := divergence.NewSignatureBuilder()
-	cp.SetCommitProbe(b)
-	res := sim.Run(1 << 62)
-	if res.Status != RunCompleted {
-		return nil, fmt.Errorf("core: signature replay for %s/%s did not complete: %v (%s)", tool, bench, res.Status, res.AssertMsg)
-	}
-	sig := b.Signature()
-	e.sig = &sig
-	return e.sig, nil
-}
-
-// FFLadder returns the memoized functional fast-forward rung ladder of
-// the {tool, bench} row for the given rung count, creating it (empty)
-// on first use. Unlike the detailed checkpoint ladder, creation costs
-// nothing: rungs are captured lazily on the run path, each from the
-// nearest lower rung. golden supplies the committed count the rung
-// quantum is derived from, so supplied-golden specs resolve without a
-// cache-side reference run.
-func (c *GoldenCache) FFLadder(tool, bench string, golden GoldenInfo, rungs int, noDecode bool) *ffLadder {
-	if rungs <= 0 || golden.Committed == 0 {
-		return nil
-	}
-	quantum := golden.Committed / uint64(rungs) //nolint:gosec // rungs > 0
-	if quantum == 0 {
-		return nil
-	}
-	e := c.entry(tool, bench)
-	e.ffMu.Lock()
-	defer e.ffMu.Unlock()
-	if e.ff == nil || e.ffQuantum != quantum || e.ff.noDecode != noDecode {
-		e.ff = newFFLadder(quantum, noDecode, &c.ffHits, &c.ffBuilds)
-		e.ffQuantum = quantum
-	}
-	return e.ff
-}
-
-// FFStats reports the matrix-wide functional fast-forward ladder
-// activity: window entries seeded from a memoized rung vs. rung
-// captures built. The telemetry snapshot polls it as a lazy source.
-func (c *GoldenCache) FFStats() (hits, builds uint64) {
-	return c.ffHits.Load(), c.ffBuilds.Load()
-}
-
-// rungCycles projects a ladder onto its capture cycles — the part of a
-// rung that identifies the replay trajectory it induces.
-func rungCycles(rungs []LadderRung) []uint64 {
-	out := make([]uint64, len(rungs))
-	for i, r := range rungs {
-		out[i] = r.Cycle
-	}
-	return out
-}
 
 // MatrixOptions configures RunMatrix.
 type MatrixOptions struct {
@@ -557,7 +263,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// the bitarray, so a typo in a hand-edited mask file must be named up
 	// front (mask ID and site) rather than surface as a contained panic
 	// halfway through a long campaign. Geometry comes from the memoized
-	// golden machine; a supplied golden bypasses the cache, so one
+	// golden row; a supplied golden bypasses the cache, so one
 	// boot-only probe instance answers instead.
 	for i := range specs {
 		spec := &specs[i]
@@ -879,11 +585,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	tel := opt.Telemetry
 	var camps []*telemetry.CampaignStats
 	if tel != nil {
-		tel.SetGoldenSource(func() (uint64, uint64) {
-			r, h := cache.Stats()
-			return uint64(r), uint64(h) //nolint:gosec // counters are non-negative
-		})
-		tel.SetFFRungSource(cache.FFStats)
+		tel.SetCacheSource(cache.Observe)
 		tel.SetDecodeSource(interp.DecodeCacheStats)
 		tel.Start(workers)
 		// Queue accounting counts masks, not queue slots: pruned and

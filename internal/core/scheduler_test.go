@@ -166,7 +166,7 @@ func TestRunCampaignSuppliedGoldenSkipsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 calls: one boot-only probe for plan-time mask validation (a
-	// supplied golden bypasses the cache's memoized machine, so geometry
+	// supplied golden bypasses the cache's memoized row, so geometry
 	// must come from somewhere) plus one per injection run — but no
 	// golden simulation.
 	if calls != 4 {

@@ -37,14 +37,16 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 
 	const workers = 2
 	collectors := make([]*telemetry.Collector, workers)
+	caches := make([]*core.GoldenCache, workers)
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		collectors[w] = telemetry.New()
+		caches[w] = core.NewGoldenCache()
 		go func(w int) {
 			errs <- dist.RunWorker(context.Background(), srv.URL, dist.WorkerOptions{
 				ID:        fmt.Sprintf("w%d", w),
 				Resolve:   cli.Resolve,
-				Golden:    core.NewGoldenCache(),
+				Golden:    caches[w],
 				Telemetry: collectors[w],
 			})
 		}(w)
@@ -81,6 +83,16 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	if len(fleet.Campaigns) != len(cfg.Campaigns) {
 		t.Fatalf("fleet has %d campaign rows, want %d", len(fleet.Campaigns), len(cfg.Campaigns))
 	}
+	// The workers' golden caches surface in the fleet view: which worker
+	// simulated what, and what it holds, is answerable from the snapshot.
+	goldenRuns := 0
+	for _, c := range caches {
+		goldenRuns += c.Runs()
+	}
+	if goldenRuns == 0 || fleet.GoldenRuns != uint64(goldenRuns) || fleet.CacheRows == 0 || fleet.CacheBytes == 0 {
+		t.Fatalf("fleet cache view: %d golden runs (worker caches ran %d), %d rows, %d bytes",
+			fleet.GoldenRuns, goldenRuns, fleet.CacheRows, fleet.CacheBytes)
+	}
 
 	// The HTTP plane serves the same aggregate.
 	resp, err := http.Get(srv.URL + "/snapshot.json")
@@ -111,8 +123,10 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	if !strings.Contains(metrics.String(), want) {
 		t.Fatalf("/metrics lacks %q", want)
 	}
-	if !strings.Contains(metrics.String(), "# HELP faultinject_runs_done_total") {
-		t.Fatal("/metrics lacks HELP lines")
+	for _, name := range []string{"runs_done_total", "cache_rows", "cache_bytes", "profile_builds_total"} {
+		if !strings.Contains(metrics.String(), "# HELP faultinject_"+name+" ") {
+			t.Fatalf("/metrics lacks the HELP line of faultinject_%s", name)
+		}
 	}
 
 	resp, err = http.Get(srv.URL + "/fleet.json")

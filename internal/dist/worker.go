@@ -20,12 +20,11 @@ type WorkerOptions struct {
 	// Resolve materializes simulator factories for the config's cells;
 	// required (cli.Resolve in production, fakes in tests).
 	Resolve core.Resolver
-	// Golden shares golden runs, ladders and liveness profiles across
-	// the worker's shards; nil uses a private cache (still shared across
-	// shards — the point of running a worker process). Applies to the
-	// single-campaign mode only: a fleet worker keeps one private cache
-	// per service campaign, since equal cell keys in different campaigns
-	// may carry different configs.
+	// Golden is the worker's golden-artifact cache: reference runs,
+	// ladders, liveness profiles and fast-forward rungs, shared by every
+	// shard of every campaign the worker serves for as long as it lives.
+	// nil makes the worker build its own (reporting cold builds on Logf);
+	// pass one to read its counters from outside.
 	Golden *core.GoldenCache
 	// Heartbeat overrides the lease-extension period; 0 derives TTL/3
 	// from the coordinator's lease terms.
@@ -50,17 +49,23 @@ type WorkerOptions struct {
 	Drain <-chan struct{}
 }
 
-// workerCampaign is a fleet worker's cached view of one service
-// campaign: its validated config, telemetry rows, and a private golden
-// cache (two campaigns may share a cell key with different configs, so
-// golden runs never cross campaign boundaries).
+// maxWorkerCampaigns bounds the campaign configs a worker keeps: a
+// config is dropped when its campaign ends, and past the bound (a fleet
+// serving many long campaigns at once) the least recently leased one
+// goes and is fetched again if the campaign comes back.
+const maxWorkerCampaigns = 8
+
+// workerCampaign is a worker's cached view of one campaign: its
+// validated config and telemetry rows. Golden artifacts live in the
+// worker's one cache, not here: they are keyed by what determines them,
+// not by campaign.
 type workerCampaign struct {
-	id     string
-	cfg    core.CampaignConfig
-	keys   []string
-	camps  map[int]*telemetry.CampaignStats
-	golden *core.GoldenCache
-	ttl    time.Duration
+	id    string
+	cfg   core.CampaignConfig
+	keys  []string
+	camps map[int]*telemetry.CampaignStats
+	ttl   time.Duration
+	used  uint64 // lease sequence number of the last use
 }
 
 // RunWorker executes shards from the coordinator (or campaign service)
@@ -71,14 +76,16 @@ type workerCampaign struct {
 // config up front and exits with the campaign's terminal state. Against
 // the multi-campaign service (detected by /v1/config answering 404) the
 // worker is fleet-level: leases carry campaign IDs, per-campaign
-// configs are fetched and cached on first contact, one campaign's
-// failure or completion never stops the worker, and transient service
-// outages (a daemon restart) are ridden out by polling.
+// configs are fetched once per campaign and kept until it ends, one
+// campaign's failure or completion never stops the worker, and
+// transient service outages (a daemon restart) are ridden out by
+// polling.
 //
-// The worker is stateless between shards: each shard rebuilds its
-// campaign cell deterministically from the config via core.RunShard,
-// with the golden cache carrying the only cross-shard state (memoized
-// fault-free runs and plan-time artifacts).
+// Each shard rebuilds its campaign cell deterministically from the
+// config via core.RunShard. What the worker carries from shard to shard
+// is a cache and nothing a result depends on: the campaign configs, and
+// one golden cache whose memoized fault-free runs and plan-time
+// artifacts are identical to what a rebuild would produce.
 func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 	if opt.ID == "" {
 		return fmt.Errorf("dist: worker needs an ID")
@@ -95,15 +102,26 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 		logf = func(string, ...any) {}
 	}
 
+	if opt.Golden == nil {
+		opt.Golden = core.NewGoldenCache()
+		opt.Golden.Logf = opt.Logf
+	}
+	if opt.Telemetry != nil {
+		opt.Telemetry.SetCacheSource(opt.Golden.Observe)
+	}
+
 	camps := make(map[string]*workerCampaign)
+	var leases uint64
 	fleet := false
 	started := false
 
-	// loadCampaign fetches, validates and caches the config behind a
-	// lease: the service's per-campaign config when the lease names one,
-	// the single /v1/config otherwise.
+	// loadCampaign returns the config behind a lease, fetching and
+	// validating it on first contact: the service's per-campaign config
+	// when the lease names one, the single /v1/config otherwise.
 	loadCampaign := func(id string) (*workerCampaign, error) {
+		leases++
 		if wc, ok := camps[id]; ok {
+			wc.used = leases
 			return wc, nil
 		}
 		var (
@@ -128,12 +146,17 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 			id: id, cfg: resp.Config, keys: resp.Config.Keys(),
 			camps: make(map[int]*telemetry.CampaignStats),
 			ttl:   time.Duration(resp.LeaseTTLMS) * time.Millisecond,
+			used:  leases,
 		}
-		if id == "" {
-			wc.golden = opt.Golden
-		}
-		if wc.golden == nil {
-			wc.golden = core.NewGoldenCache()
+		camps[id] = wc
+		if len(camps) > maxWorkerCampaigns {
+			oldest := wc
+			for _, c := range camps {
+				if c.used < oldest.used {
+					oldest = c
+				}
+			}
+			delete(camps, oldest.id)
 		}
 		if opt.Telemetry != nil && !started {
 			// The worker's own collector mirrors a single-node run of its
@@ -282,6 +305,10 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 				}
 				return err
 			}
+			if resp.Done || resp.Failed != "" {
+				// The campaign is over; its config has no further use.
+				delete(camps, wc.id)
+			}
 			if resp.Error != "" {
 				if fleet {
 					logf("worker %s: completing shard %d of %s: %s", opt.ID, sh.ID, wc.id, resp.Error)
@@ -392,7 +419,7 @@ func runLeased(ctx context.Context, opt WorkerOptions, cl *client.Client, wc *wo
 			}
 		}
 	}()
-	att := core.Attach{Golden: wc.golden}
+	att := core.Attach{Golden: opt.Golden}
 	var buf *telemetry.SpanBuffer
 	if sh.TraceID != "" {
 		tracer := telemetry.NewTracer(sh.TraceID, opt.ID+"-s"+strconv.Itoa(sh.ID))

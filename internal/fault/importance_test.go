@@ -16,18 +16,15 @@ import (
 //	entry 1, bit 0:    read at 25              → [1,25] live, [26,100] dead
 //	entry 1, bit 1:    no access               → [1,100] dead
 func testProfile() *bitarray.Profile {
-	return &bitarray.Profile{
-		Name: "rob", Entries: 2, BitsPerEntry: 2,
-		Events: [][]bitarray.ProfileEvent{
-			{
-				{Cycle: 10, FirstBit: 0, NBits: 2, Kind: bitarray.AccessWrite},
-				{Cycle: 40, FirstBit: 0, NBits: 2, Kind: bitarray.AccessRead},
-			},
-			{
-				{Cycle: 25, FirstBit: 0, NBits: 1, Kind: bitarray.AccessRead},
-			},
+	return bitarray.NewProfile("rob", 2, [][]bitarray.ProfileEvent{
+		{
+			{Cycle: 10, FirstBit: 0, NBits: 2, Kind: bitarray.AccessWrite},
+			{Cycle: 40, FirstBit: 0, NBits: 2, Kind: bitarray.AccessRead},
 		},
-	}
+		{
+			{Cycle: 25, FirstBit: 0, NBits: 1, Kind: bitarray.AccessRead},
+		},
+	})
 }
 
 func testGenSpec(count int) GeneratorSpec {
@@ -157,7 +154,7 @@ func TestGenerateImportanceWeights(t *testing.T) {
 // Degenerate strata collapse to uniform sampling of the other with unit
 // weights — no NaN, no Inf.
 func TestGenerateImportanceDegenerateStrata(t *testing.T) {
-	dead := &bitarray.Profile{Name: "rob", Entries: 1, BitsPerEntry: 1, Events: [][]bitarray.ProfileEvent{{}}}
+	dead := bitarray.NewProfile("rob", 1, [][]bitarray.ProfileEvent{{}})
 	spec := testGenSpec(50)
 	spec.Entries, spec.BitsPerEntry = 1, 1
 	masks, err := GenerateImportance(spec, dead, 0)
@@ -170,9 +167,9 @@ func TestGenerateImportanceDegenerateStrata(t *testing.T) {
 		}
 	}
 
-	live := &bitarray.Profile{Name: "rob", Entries: 1, BitsPerEntry: 1, Events: [][]bitarray.ProfileEvent{
+	live := bitarray.NewProfile("rob", 1, [][]bitarray.ProfileEvent{
 		{{Cycle: 100, FirstBit: 0, NBits: 1, Kind: bitarray.AccessRead}},
-	}}
+	})
 	masks, err = GenerateImportance(spec, live, 0)
 	if err != nil {
 		t.Fatal(err)

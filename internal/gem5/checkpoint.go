@@ -37,6 +37,13 @@ type Checkpoint struct {
 	IntRF, FPRF  *pipeline.RegFileState
 }
 
+// SizeBytes estimates the heap the checkpoint retains: RAM pages not
+// shared with the previous rung and the cache contents. The TLB,
+// predictor and register-file states are kilobytes and left out.
+func (cp *Checkpoint) SizeBytes() int {
+	return cp.Mem.SizeBytes() + cp.L1I.SizeBytes() + cp.L1D.SizeBytes() + cp.L2.SizeBytes()
+}
+
 // drained reports whether no speculative state is in flight.
 func (c *CPU) drained() bool {
 	return c.rob.Empty() && len(c.fetchQ) == 0 && len(c.inflight) == 0 &&

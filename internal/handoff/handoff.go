@@ -41,6 +41,12 @@ type State struct {
 	Committed uint64
 }
 
+// SizeBytes estimates the heap the state retains: RAM pages not shared
+// with the snapshot it resumed from, and the kernel's output so far.
+func (s *State) SizeBytes() int {
+	return s.Mem.SizeBytes() + len(s.Kern.Output)
+}
+
 // numPages is the page count of the simulated RAM.
 const numPages = int(mem.Size / mem.PageSize)
 

@@ -248,6 +248,13 @@ func (m *Memory) RestoreSnapshot(s []byte) {
 // snapshot may seed many machines concurrently.
 type PagedSnapshot struct {
 	pages [numPages][]byte
+	own   int // pages copied for this snapshot rather than shared with its base
+}
+
+// SizeBytes estimates the heap this snapshot adds to what its sharing
+// base already holds: the pages it copied plus its page table.
+func (s *PagedSnapshot) SizeBytes() int {
+	return s.own*int(PageSize) + len(s.pages)*24 // a slice header per page
 }
 
 // markDirty flags the pages of [addr, addr+n) as written. Out-of-range
@@ -286,6 +293,7 @@ func (m *Memory) SnapshotPaged() *PagedSnapshot {
 			pg := make([]byte, PageSize)
 			copy(pg, m.ram[uint64(p)*PageSize:])
 			s.pages[p] = pg
+			s.own++
 		}
 	}
 	for i := range m.dirty {

@@ -10,10 +10,7 @@ import (
 // prof builds a single-structure profile set around a fixed event list
 // for entry 0 of a 2×128 structure named "s".
 func prof(events ...bitarray.ProfileEvent) Profiles {
-	return Profiles{"s": {
-		Name: "s", Entries: 2, BitsPerEntry: 128,
-		Events: [][]bitarray.ProfileEvent{events, nil},
-	}}
+	return Profiles{"s": bitarray.NewProfile("s", 128, [][]bitarray.ProfileEvent{events, nil})}
 }
 
 func mask(id int, cycle uint64) fault.Mask {

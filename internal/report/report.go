@@ -304,8 +304,8 @@ func campaignSpecFor(tool, bench, structure string, opt Options, cache *core.Gol
 	}
 	if opt.LiveOnly {
 		// Remap every mask entry onto the set of entries holding live
-		// data at the end of the golden run, probed on the memoized
-		// golden machine instead of a fresh twin replay.
+		// data at the end of the golden run, read off the memoized golden
+		// run's machine instead of a fresh twin replay.
 		live, err := cache.LiveEntries(tool, bench, factory, structure)
 		if err != nil {
 			return core.CampaignSpec{}, err

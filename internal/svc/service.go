@@ -111,6 +111,11 @@ type Service struct {
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 
+	// golden serves the mask populations the daemon itself has to
+	// generate (adaptive and resumed campaigns) for as long as it lives:
+	// two campaigns on one row simulate its golden run once.
+	golden *core.GoldenCache
+
 	mu      sync.Mutex
 	seq     int64
 	camps   map[string]*campaign
@@ -141,9 +146,11 @@ func New(opt Options) (*Service, error) {
 		byName:  make(map[string]*Tenant),
 		byToken: make(map[string]*Tenant),
 		stopCh:  make(chan struct{}),
+		golden:  core.NewGoldenCache(),
 		camps:   make(map[string]*campaign),
 		workers: make(map[string]*workerView),
 	}
+	s.golden.Logf = opt.Logf
 	for i := range opt.Tenants {
 		t := &opt.Tenants[i]
 		if t.Name == "" || t.Token == "" {
@@ -527,7 +534,7 @@ func (s *Service) run(c *campaign) {
 	)
 	masksFor := func(i int) ([]fault.Mask, error) {
 		specsOnce.Do(func() {
-			specs, specsErr = cfg.BuildSpecs(s.opt.Resolve, core.NewGoldenCache())
+			specs, specsErr = cfg.BuildSpecs(s.opt.Resolve, s.golden)
 		})
 		if specsErr != nil {
 			return nil, specsErr

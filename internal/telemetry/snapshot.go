@@ -41,16 +41,31 @@ type Snapshot struct {
 	McyclesPerSec     float64 `json:"mcycles_per_sec"`
 	WorkerUtilization float64 `json:"worker_utilization"`
 
-	GoldenRuns    uint64  `json:"golden_runs"`
-	GoldenHits    uint64  `json:"golden_hits"`
-	GoldenHitRate float64 `json:"golden_hit_rate"`
+	// Golden-artifact cache (filled by the cache source): the rows it
+	// holds, the heap they are estimated to retain, rows dropped by the
+	// recency bound, and per artifact kind — reference run, checkpoint
+	// ladder, liveness profiles, commit signature, functional
+	// fast-forward rung — the lookups served from memory against those
+	// that had to build. A shard that was slow because it built shows up
+	// as a step in the build counters.
+	CacheRows       uint64  `json:"cache_rows"`
+	CacheBytes      uint64  `json:"cache_bytes"`
+	CacheEvictions  uint64  `json:"cache_evictions"`
+	GoldenRuns      uint64  `json:"golden_runs"`
+	GoldenHits      uint64  `json:"golden_hits"`
+	GoldenHitRate   float64 `json:"golden_hit_rate"`
+	LadderBuilds    uint64  `json:"ladder_builds"`
+	LadderHits      uint64  `json:"ladder_hits"`
+	ProfileBuilds   uint64  `json:"profile_builds"`
+	ProfileHits     uint64  `json:"profile_hits"`
+	SignatureBuilds uint64  `json:"signature_builds"`
+	SignatureHits   uint64  `json:"signature_hits"`
+	FFRungHits      uint64  `json:"ff_rung_hits"`
+	FFRungBuilds    uint64  `json:"ff_rung_builds"`
 
-	// Functional-tier turbo gauges: window entries seeded from a
-	// memoized fast-forward rung vs. rung captures built, and dynamic
-	// dispatches served from the predecoded-instruction cache vs. pushed
-	// through the byte-level decoder.
-	FFRungHits    uint64  `json:"ff_rung_hits"`
-	FFRungBuilds  uint64  `json:"ff_rung_builds"`
+	// Dynamic functional-tier dispatches served from the
+	// predecoded-instruction cache vs. pushed through the byte-level
+	// decoder.
 	DecodeHits    uint64  `json:"decode_hits"`
 	DecodeMisses  uint64  `json:"decode_misses"`
 	DecodeHitRate float64 `json:"decode_hit_rate"`
@@ -125,8 +140,17 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 		s.FastSteps += o.FastSteps
 		s.DetailCycles += o.DetailCycles
 		s.SimCycles += o.SimCycles
+		s.CacheRows += o.CacheRows
+		s.CacheBytes += o.CacheBytes
+		s.CacheEvictions += o.CacheEvictions
 		s.GoldenRuns += o.GoldenRuns
 		s.GoldenHits += o.GoldenHits
+		s.LadderBuilds += o.LadderBuilds
+		s.LadderHits += o.LadderHits
+		s.ProfileBuilds += o.ProfileBuilds
+		s.ProfileHits += o.ProfileHits
+		s.SignatureBuilds += o.SignatureBuilds
+		s.SignatureHits += o.SignatureHits
 		s.FFRungHits += o.FFRungHits
 		s.FFRungBuilds += o.FFRungBuilds
 		s.DecodeHits += o.DecodeHits
@@ -341,8 +365,17 @@ var metricDefs = []metricDef{
 	{"RunsPerSec", "runs_per_second", "gauge", "Finished runs per wall-clock second."},
 	{"McyclesPerSec", "mcycles_per_second", "gauge", "Simulated megacycles per wall-clock second."},
 	{"WorkerUtilization", "worker_utilization", "gauge", "Fraction of worker time spent inside runs."},
+	{"CacheRows", "cache_rows", "gauge", "Tool/benchmark rows resident in the golden-artifact cache."},
+	{"CacheBytes", "cache_bytes", "gauge", "Estimated heap retained by the golden-artifact cache."},
+	{"CacheEvictions", "cache_evictions_total", "counter", "Rows dropped from the golden-artifact cache by its recency bound."},
 	{"GoldenRuns", "golden_runs_total", "counter", "Golden reference simulations performed."},
 	{"GoldenHits", "golden_hits_total", "counter", "Golden references served from the memoizer."},
+	{"LadderBuilds", "ladder_builds_total", "counter", "Checkpoint ladders captured."},
+	{"LadderHits", "ladder_hits_total", "counter", "Checkpoint ladders served from the memoizer."},
+	{"ProfileBuilds", "profile_builds_total", "counter", "Liveness profile sets built by profiled golden replays."},
+	{"ProfileHits", "profile_hits_total", "counter", "Liveness profile sets served from the memoizer."},
+	{"SignatureBuilds", "signature_builds_total", "counter", "Golden commit-stream signatures built."},
+	{"SignatureHits", "signature_hits_total", "counter", "Golden commit-stream signatures served from the memoizer."},
 	{"FFRungHits", "ff_rung_hits_total", "counter", "Window entries seeded from a memoized fast-forward rung."},
 	{"FFRungBuilds", "ff_rung_builds_total", "counter", "Functional fast-forward rung captures built."},
 	{"DecodeHits", "decode_hits_total", "counter", "Functional dispatches served from the predecoded-instruction cache."},

@@ -186,8 +186,7 @@ type Collector struct {
 	statuses counterMap
 	classes  counterMap
 
-	goldenSource atomic.Value // func() (runs, hits uint64)
-	ffSource     atomic.Value // func() (hits, builds uint64)
+	cacheSource  atomic.Value // func(*Snapshot)
 	decodeSource atomic.Value // func() (hits, misses uint64)
 	sinks        atomic.Value // []Sink, copy-on-write
 
@@ -274,24 +273,18 @@ func (c *Collector) Campaign(key, tool, bench, structure string) *CampaignStats 
 	return cs
 }
 
-// SetGoldenSource attaches a live reader of golden-cache statistics
-// (performed runs, memoized hits); the snapshot pulls it lazily so the
-// cache needs no back-reference to the collector.
-func (c *Collector) SetGoldenSource(f func() (runs, hits uint64)) {
-	c.goldenSource.Store(f)
-}
-
-// SetFFRungSource attaches a live reader of the functional fast-forward
-// rung ladder statistics (window entries seeded from a memoized rung,
-// rung captures built); pulled lazily like the golden source.
-func (c *Collector) SetFFRungSource(f func() (hits, builds uint64)) {
-	c.ffSource.Store(f)
+// SetCacheSource attaches a live reader of the golden-artifact cache:
+// f fills the snapshot's cache fields (rows resident, estimated bytes,
+// evictions, and hits and builds per artifact kind). The snapshot pulls
+// it lazily so the cache needs no back-reference to the collector.
+func (c *Collector) SetCacheSource(f func(*Snapshot)) {
+	c.cacheSource.Store(f)
 }
 
 // SetDecodeSource attaches a live reader of the functional tier's
 // predecoded-instruction cache statistics (dispatches served from the
 // cache, dispatches through the byte-level decoder); pulled lazily like
-// the golden source.
+// the cache source.
 func (c *Collector) SetDecodeSource(f func() (hits, misses uint64)) {
 	c.decodeSource.Store(f)
 }
@@ -414,14 +407,11 @@ func (c *Collector) Snapshot() Snapshot {
 			s.WorkerUtilization = float64(c.busyNanos.Load()) / 1e9 / s.ElapsedSeconds / float64(s.Workers)
 		}
 	}
-	if v := c.goldenSource.Load(); v != nil {
-		s.GoldenRuns, s.GoldenHits = v.(func() (uint64, uint64))()
+	if v := c.cacheSource.Load(); v != nil {
+		v.(func(*Snapshot))(&s)
 		if total := s.GoldenRuns + s.GoldenHits; total > 0 {
 			s.GoldenHitRate = float64(s.GoldenHits) / float64(total)
 		}
-	}
-	if v := c.ffSource.Load(); v != nil {
-		s.FFRungHits, s.FFRungBuilds = v.(func() (uint64, uint64))()
 	}
 	if v := c.decodeSource.Load(); v != nil {
 		s.DecodeHits, s.DecodeMisses = v.(func() (uint64, uint64))()

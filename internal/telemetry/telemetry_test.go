@@ -114,13 +114,13 @@ func TestCampaignRegistrationIdempotent(t *testing.T) {
 	}
 }
 
-// TestGoldenSource checks lazy golden-cache stats and the derived rate.
-func TestGoldenSource(t *testing.T) {
+// TestCacheSource checks lazy golden-cache stats and the derived rate.
+func TestCacheSource(t *testing.T) {
 	c := New()
 	if s := c.Snapshot(); s.GoldenRuns != 0 || s.GoldenHitRate != 0 {
 		t.Fatalf("snapshot before source: runs=%d rate=%v", s.GoldenRuns, s.GoldenHitRate)
 	}
-	c.SetGoldenSource(func() (uint64, uint64) { return 3, 9 })
+	c.SetCacheSource(func(s *Snapshot) { s.GoldenRuns, s.GoldenHits = 3, 9 })
 	s := c.Snapshot()
 	if s.GoldenRuns != 3 || s.GoldenHits != 9 {
 		t.Fatalf("golden = %d+%d, want 3+9", s.GoldenRuns, s.GoldenHits)
