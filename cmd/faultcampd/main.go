@@ -221,7 +221,7 @@ func runOneShot(s *svc.Service, ln net.Listener, a oneShotArgs) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "faultcampd listening on http://%s (%d campaigns, %d shards; /snapshot.json /metrics /fleet.json /events)\n",
+	fmt.Fprintf(os.Stderr, "faultcampd listening on http://%s (%d campaigns, %d shards; /v1/snapshot.json /v1/metrics /v1/fleet.json /v1/events)\n",
 		ln.Addr(), len(cfg.Campaigns), st.Shards)
 
 	var rep *telemetry.Reporter

@@ -145,3 +145,70 @@ func (e *Estimator) Counts() (classes []string, counts []uint64) {
 	}
 	return classes, counts
 }
+
+// Rule is the sequential stopping rule of one campaign cell, fed one
+// outcome class at a time in the cell's deterministic order: the
+// estimator is consulted exactly when the fed count reaches a boundary
+// (every CheckEvery runs), and the rule fires once every class is
+// pinned to the margin. Whoever feeds it owns the order — the matrix
+// scheduler buffers completions into simulation order, the distributed
+// coordinator into mask order — and the rule owns everything else:
+// cadence defaulting, boundary stepping, the decision and the one
+// exception that a decision with nothing left to cancel is not a stop.
+// Not safe for concurrent use.
+type Rule struct {
+	est      *Estimator
+	cadence  int
+	boundary int // fed count of the next evaluation
+	stopped  bool
+}
+
+// NewRule validates the config and builds the rule of one cell.
+func NewRule(cfg Config) (*Rule, error) {
+	est, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cadence := cfg.CheckEvery
+	if cadence < 1 {
+		cadence = DefaultCheckEvery
+	}
+	return &Rule{est: est, cadence: cadence, boundary: cadence}, nil
+}
+
+// Add feeds the next completed run's class and reports whether the rule
+// fired on it. more says whether the cell has anything left beyond this
+// run: a decision on the cell's last run has nothing to cancel, so the
+// cell reads as run to budget with a known margin. Once the rule has
+// fired it is frozen — Add ignores further runs, so N and Margin keep
+// the run count and margin of the decision.
+func (r *Rule) Add(class string, more bool) (stop bool) {
+	if r.stopped {
+		return false
+	}
+	r.est.Add(class)
+	if r.est.N() < r.boundary {
+		return false
+	}
+	if more && r.est.Decided() {
+		r.stopped = true
+		return true
+	}
+	r.boundary += r.cadence
+	return false
+}
+
+// Boundary is the fed count at which the rule is next evaluated: runs at
+// positions below it can no longer be cancelled by an earlier decision.
+func (r *Rule) Boundary() int { return r.boundary }
+
+// Stopped reports whether the rule has fired.
+func (r *Rule) Stopped() bool { return r.stopped }
+
+// N is the number of runs fed (the run count of the decision once
+// stopped).
+func (r *Rule) N() int { return r.est.N() }
+
+// Margin is the widest class half-width over the runs fed — the margin
+// the cell achieved, at the decision once stopped.
+func (r *Rule) Margin() float64 { return r.est.EffectiveMargin() }

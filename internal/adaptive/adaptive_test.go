@@ -149,3 +149,41 @@ func TestWilsonHalfWidthAgainstKnownValues(t *testing.T) {
 		t.Errorf("half-width not shrinking: %v → %v", a, b)
 	}
 }
+
+// The rule evaluates only at cadence boundaries, does not stop on a
+// decision that leaves nothing to cancel, and is frozen once it fires.
+func TestRuleBoundariesAndFinalRunException(t *testing.T) {
+	cfg := Config{Margin: 0.10, Confidence: 0.95, CheckEvery: 100, Classes: classes}
+	feed := func(r *Rule, n int, lastHasMore bool) (stoppedAt int) {
+		for i := 1; i <= n; i++ {
+			if r.Add("Masked", i < n || lastHasMore) {
+				return i
+			}
+		}
+		return 0
+	}
+	// 100 all-Masked runs pin every class to ±10% at 95% — but only the
+	// boundary at run 100 looks, although run 60 would decide too.
+	r, err := NewRule(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at := feed(r, 250, true); at != 100 || !r.Stopped() || r.N() != 100 {
+		t.Fatalf("rule fired at run %d (stopped %v, n %d), want 100", at, r.Stopped(), r.N())
+	}
+	margin := r.Margin()
+	if r.Add("SDC", true) || r.N() != 100 || r.Margin() != margin {
+		t.Fatalf("a fired rule took another run: n %d, margin %v (was %v)", r.N(), r.Margin(), margin)
+	}
+	// The same decision on the cell's last run has nothing to cancel.
+	r, _ = NewRule(cfg)
+	if at := feed(r, 100, false); at != 0 || r.Stopped() || r.Boundary() != 200 {
+		t.Fatalf("decision on the final run: fired at %d, stopped %v, next boundary %d", at, r.Stopped(), r.Boundary())
+	}
+	// A zero cadence means the default one.
+	cfg.CheckEvery = 0
+	r, _ = NewRule(cfg)
+	if r.Boundary() != DefaultCheckEvery {
+		t.Fatalf("default cadence: first boundary %d, want %d", r.Boundary(), DefaultCheckEvery)
+	}
+}

@@ -1,103 +1,80 @@
 package core
 
-import (
-	"repro/internal/adaptive"
-	"repro/internal/fault"
-)
+import "repro/internal/adaptive"
 
-// cellStopper drives one campaign cell's sequential stopping rule inside
-// the matrix scheduler. The estimator itself is order-blind; what makes
-// early stopping deterministic across worker counts, resumes, and
-// distributed shards is the contiguous-prefix discipline enforced here:
-// completions are buffered per position in the cell's fixed simulation
-// order (plan-simulated masks in mask-ID order) and fed to the estimator
-// only as the contiguous done-prefix extends, with the decision evaluated
-// exactly when the prefix reaches a boundary (every cadence completions).
-// A resume journal with holes — positions that were in flight at the
-// kill — therefore re-derives the identical stop point: the estimator
-// sees exactly the multiset of classes in positions [0, boundary) at
-// each evaluation, never a raced superset.
+// cellStopper feeds one campaign cell's stopping rule from inside the
+// matrix scheduler. The rule itself (adaptive.Rule) wants one class at
+// a time in a fixed order; workers finish in any order. What makes
+// early stopping deterministic across worker counts and resumes is the
+// contiguous-prefix discipline enforced here: completions are buffered
+// per position in the cell's fixed simulation order (plan-simulated
+// masks in mask-ID order) and handed to the rule only as the contiguous
+// done-prefix extends, and dispatch is gated at the rule's next
+// evaluation boundary. A resume journal with holes — positions that
+// were in flight at the kill — therefore re-derives the identical stop
+// point: the rule sees exactly the classes of positions [0, boundary)
+// at each evaluation, never a raced superset.
 //
 // The stopper is not safe for concurrent use; the scheduler serializes
 // noteCompleted under its dispatch mutex.
 type cellStopper struct {
-	est      *adaptive.Estimator
+	rule     *adaptive.Rule
 	simOrder []int       // mask IDs of plan-simulated masks, ascending
 	posOf    map[int]int // mask ID -> position in simOrder
-	cadence  int
 
 	done    []bool   // per-position completion
 	classOf []string // per-position outcome class, valid where done
-	prefix  int      // positions [0, prefix) fed to the estimator
-
-	boundary    int     // next evaluation point (run count)
-	stoppedAt   int     // run count at decision, -1 while undecided
-	cutoff      int     // mask ID of the last counted run, valid when stopped
-	finalMargin float64 // achieved margin at the decision, valid when stopped
+	prefix  int      // positions [0, prefix) fed to the rule
 }
 
 // newCellStopper builds the stopper of one cell over its simulation
 // order. Returns nil when there is nothing to decide (no simulated
 // masks).
-func newCellStopper(est *adaptive.Estimator, simOrder []int, cadence int) *cellStopper {
-	if est == nil || len(simOrder) == 0 {
+func newCellStopper(rule *adaptive.Rule, simOrder []int) *cellStopper {
+	if len(simOrder) == 0 {
 		return nil
-	}
-	if cadence < 1 {
-		cadence = adaptive.DefaultCheckEvery
 	}
 	posOf := make(map[int]int, len(simOrder))
 	for i, id := range simOrder {
 		posOf[id] = i
 	}
-	s := &cellStopper{
-		est:       est,
-		simOrder:  simOrder,
-		posOf:     posOf,
-		cadence:   cadence,
-		done:      make([]bool, len(simOrder)),
-		classOf:   make([]string, len(simOrder)),
-		boundary:  cadence,
-		stoppedAt: -1,
+	return &cellStopper{
+		rule:     rule,
+		simOrder: simOrder,
+		posOf:    posOf,
+		done:     make([]bool, len(simOrder)),
+		classOf:  make([]string, len(simOrder)),
 	}
-	if s.boundary > len(simOrder) {
-		s.boundary = len(simOrder)
-	}
-	return s
 }
 
-// stopped reports whether the cell's rule has fired; masks with ID above
-// cutoff are then settled as stopped-early provenance, not simulated.
-func (s *cellStopper) stopped() bool { return s != nil && s.stoppedAt >= 0 }
+// stopped reports whether the cell's rule has fired.
+func (s *cellStopper) stopped() bool { return s != nil && s.rule.Stopped() }
 
 // dispatchable reports whether the mask may be handed to a worker:
-// its position must sit below the current evaluation boundary (runs past
-// the boundary would be wasted if the boundary decides) and the cell
-// must not have stopped.
+// its position must sit below the rule's next evaluation boundary (runs
+// past the boundary would be wasted if the boundary decides) and the
+// cell must not have stopped.
 func (s *cellStopper) dispatchable(maskID int) bool {
 	if s == nil {
 		return true
 	}
-	if s.stoppedAt >= 0 {
+	if s.rule.Stopped() {
 		return false
 	}
 	pos, ok := s.posOf[maskID]
-	return !ok || pos < s.boundary
+	return !ok || pos < s.rule.Boundary()
 }
 
-// cancelled reports whether the mask was settled by the stop decision.
+// cancelled reports whether the mask was settled by the stop decision:
+// every mask above the last run the rule counted.
 func (s *cellStopper) cancelled(maskID int) bool {
-	return s.stopped() && maskID > s.cutoff
+	return s.stopped() && maskID > s.simOrder[s.rule.N()-1]
 }
 
 // noteCompleted records the outcome class of the mask at one simulation
-// position and extends the estimator's contiguous prefix, evaluating the
-// stopping rule at each boundary the prefix crosses. A decision at the
-// final boundary (the whole population) is not a stop — there is nothing
-// left to cancel — so stoppedAt stays -1 and the cell reads as run to
-// budget with a known achieved margin.
+// position and feeds the rule the contiguous prefix it extends.
 func (s *cellStopper) noteCompleted(maskID int, class string) {
-	if s == nil || s.stoppedAt >= 0 {
+	if s == nil || s.rule.Stopped() {
 		return
 	}
 	pos, ok := s.posOf[maskID]
@@ -107,34 +84,10 @@ func (s *cellStopper) noteCompleted(maskID int, class string) {
 	s.done[pos] = true
 	s.classOf[pos] = class
 	for s.prefix < len(s.done) && s.done[s.prefix] {
-		s.est.Add(s.classOf[s.prefix])
 		s.prefix++
-		if s.prefix == s.boundary {
-			if s.est.Decided() && s.boundary < len(s.simOrder) {
-				s.stoppedAt = s.boundary
-				s.cutoff = s.simOrder[s.boundary-1]
-				s.finalMargin = s.est.EffectiveMargin()
-				return
-			}
-			s.boundary += s.cadence
-			if s.boundary > len(s.simOrder) {
-				s.boundary = len(s.simOrder)
-			}
+		if s.rule.Add(s.classOf[s.prefix-1], s.prefix < len(s.simOrder)) {
+			return
 		}
-	}
-}
-
-// stoppedRecord synthesizes the log record of a run cancelled by the
-// stopping rule: provenance only — no outcome, no cycles, no output
-// hash. The mask's coordinates and sampling weight are preserved so
-// resume, smokecheck, and the report reweighting see the full mask
-// population.
-func stoppedRecord(m fault.Mask) LogRecord {
-	return LogRecord{
-		MaskID: m.ID,
-		Sites:  m.Sites,
-		Status: RunStopped.String(),
-		Weight: m.Weight,
 	}
 }
 

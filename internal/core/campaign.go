@@ -202,8 +202,9 @@ type runStats struct {
 	// Divergence provenance: div, when non-nil, is the commit-stream
 	// probe runInjection attaches to the simulated machine; touches,
 	// lastTouch and corrupt are the corruption footprint gathered from
-	// the watched arrays after the run.
+	// the watched arrays after the run when footprint asks for it.
 	div       *divergence.Probe
+	footprint bool
 	touches   uint64
 	lastTouch uint64
 	corrupt   []string
@@ -231,7 +232,7 @@ func (s *runStats) gather(watch []*bitarray.Array) {
 		if c, ok := arr.FirstObservation(); ok && (!s.observed || c < s.firstObs) {
 			s.observed, s.firstObs = true, c
 		}
-		if n, last := arr.FaultTouches(); n > 0 {
+		if n, last := arr.FaultTouches(); s.footprint && n > 0 {
 			s.touches += n
 			if last > s.lastTouch {
 				s.lastTouch = last

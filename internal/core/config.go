@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bitarray"
 	"repro/internal/divergence"
 	"repro/internal/fault"
-	"repro/internal/prune"
 	"repro/internal/telemetry"
 )
 
@@ -540,100 +538,6 @@ func RunConfig(cfg CampaignConfig, resolve Resolver, att Attach) ([]*CampaignRes
 	return results, err
 }
 
-// ShardRun is the wire form of one mask of an executed shard: the log
-// record plus the trace provenance and telemetry extras the coordinator
-// needs to reproduce the single-node event stream. A replicated row
-// carries only its identity (the representative may live in another
-// shard); the coordinator copies the representative's verdict at merge
-// time exactly as the single-node plan fill-in does.
-type ShardRun struct {
-	// Index is the mask index within the campaign cell.
-	Index int `json:"index"`
-	// Record is the completed log record; for a replicated row only
-	// MaskID and Sites are meaningful.
-	Record LogRecord `json:"record"`
-	// Pruned is "" (simulated), "dead" or "replicated"; RepIndex names
-	// the representative's mask index for replicated rows.
-	Pruned   string `json:"pruned,omitempty"`
-	RepIndex int    `json:"rep_index,omitempty"`
-	// Trace provenance of simulated rows (see fault.TraceRecord).
-	Observed      bool   `json:"observed,omitempty"`
-	FirstObsCycle uint64 `json:"first_obs_cycle,omitempty"`
-	EarlyStop     string `json:"early_stop,omitempty"`
-	// Telemetry extras of simulated rows.
-	WallNS         int64  `json:"wall_ns,omitempty"`
-	WatchedReads   uint64 `json:"watched_reads,omitempty"`
-	WatchedWrites  uint64 `json:"watched_writes,omitempty"`
-	ObservedReads  uint64 `json:"observed_reads,omitempty"`
-	ObservedWrites uint64 `json:"observed_writes,omitempty"`
-	LadderRestored bool   `json:"ladder_restored,omitempty"`
-	RungCycle      uint64 `json:"rung_cycle,omitempty"`
-	Windowed       bool   `json:"windowed,omitempty"`
-	WindowEntered  bool   `json:"window_entered,omitempty"`
-	WindowExited   bool   `json:"window_exited,omitempty"`
-	FastSteps      uint64 `json:"fast_steps,omitempty"`
-	DetailCycles   uint64 `json:"detail_cycles,omitempty"`
-	// Divergence provenance of simulated rows (configs with Divergence
-	// on; all additive, so protocol version 1 peers interoperate).
-	Diverged          bool     `json:"diverged,omitempty"`
-	DivergeCycle      uint64   `json:"diverge_cycle,omitempty"`
-	DivergeIndex      uint64   `json:"diverge_index,omitempty"`
-	FaultTouches      uint64   `json:"fault_touches,omitempty"`
-	LastTouchCycle    uint64   `json:"last_touch_cycle,omitempty"`
-	CorruptStructures []string `json:"corrupt_structures,omitempty"`
-
-	// Resumed marks a run replayed from a journal rather than received
-	// from a worker — coordinator-local bookkeeping, never on the wire.
-	Resumed bool `json:"-"`
-}
-
-// DivergenceRecord rebuilds the divergence-provenance row of this run —
-// the coordinator's merge path calls it with the resolved record so the
-// assembled file is byte-identical to a single-node run's.
-func (s ShardRun) DivergenceRecord(campaign string) divergence.Record {
-	cls, _ := (Parser{}).Classify(s.Record)
-	d := divergence.Record{
-		Campaign:          campaign,
-		MaskID:            s.Record.MaskID,
-		Status:            s.Record.Status,
-		Class:             string(cls),
-		Cycles:            s.Record.Cycles,
-		Observed:          s.Observed,
-		FirstObsCycle:     s.FirstObsCycle,
-		FaultTouches:      s.FaultTouches,
-		LastTouchCycle:    s.LastTouchCycle,
-		CorruptStructures: s.CorruptStructures,
-		Diverged:          s.Diverged,
-		DivergeCycle:      s.DivergeCycle,
-		DivergeIndex:      s.DivergeIndex,
-		Pruned:            s.Pruned,
-		Resumed:           s.Resumed,
-	}
-	d.Derive()
-	return d
-}
-
-// ShardResult is the outcome of one executed shard: the golden header
-// of the cell (identical from every shard — deterministic simulators)
-// and one run per mask of the window.
-type ShardResult struct {
-	Golden GoldenInfo `json:"golden"`
-	Runs   []ShardRun `json:"runs"`
-}
-
-// eventCapture buffers run-end events by mask ID so RunShard can read
-// back the telemetry extras of its simulated runs.
-type eventCapture struct {
-	mu     sync.Mutex
-	byMask map[int]telemetry.RunEvent
-}
-
-func (c *eventCapture) RunEvent(ev telemetry.RunEvent) {
-	c.mu.Lock()
-	c.byMask[ev.MaskID] = ev
-	c.mu.Unlock()
-}
-
 // RunShard executes the mask window [lo, hi) of campaign cell `campaign`
 // — a distributed worker's unit of work. The full cell is rebuilt
 // deterministically from the config (masks, checkpoint placement, prune
@@ -643,10 +547,12 @@ func (c *eventCapture) RunEvent(ev telemetry.RunEvent) {
 // golden reference); replicated rows are returned as stubs for the
 // coordinator to resolve against their representative at merge time.
 //
-// att.Journal/att.Resume are ignored: the coordinator owns the journal
-// of a distributed campaign as its exactly-once completion ledger.
-// att.Golden is worth sharing across a worker's shards — goldens,
-// ladders and liveness profiles all memoize in it.
+// A shard run commits to nothing: of att only Golden and the tracer
+// fields are used, and the window's outcomes are returned for whoever
+// merges the shards to commit (CellSinks.Commit) — the coordinator owns
+// the journal of a distributed campaign as its exactly-once completion
+// ledger. att.Golden is worth sharing across a worker's shards —
+// goldens, ladders and liveness profiles all memoize in it.
 func RunShard(cfg CampaignConfig, campaign, lo, hi int, resolve Resolver, att Attach) (*ShardResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -680,79 +586,18 @@ func RunShard(cfg CampaignConfig, campaign, lo, hi int, resolve Resolver, att At
 		return nil, fmt.Errorf("core: campaign %d materialized %d masks, config promises %d", campaign, len(spec.Masks), n)
 	}
 
-	// A private collector with a capture sink reads back the per-run
-	// telemetry extras; the caller's collector (if any) must not see
-	// shard-local events — the coordinator re-emits the merged stream.
-	collector := telemetry.New()
-	capture := &eventCapture{byMask: make(map[int]telemetry.RunEvent, hi-lo)}
-	collector.AddSink(capture)
-	// Divergence is measured shard-locally into a private sink and
-	// shipped per run; the coordinator assembles the campaign-wide file.
-	var dsink *divergence.Sink
-	if cfg.Divergence {
-		dsink = divergence.NewSink()
-	}
+	// The shard attaches only the tracer: its outcomes go back to the
+	// caller as the scheduler built them, and whoever merges the shards
+	// commits them.
 	opt := cfg.matrixOptions(Attach{
-		Telemetry:   collector,
-		Divergence:  dsink,
 		Tracer:      att.Tracer,
 		TraceParent: att.TraceParent,
 		SpanWorker:  att.SpanWorker,
 	}, cache)
-
-	results, plans, err := runMatrix([]CampaignSpec{spec}, opt, []maskWindow{{lo, hi}})
+	results, kept, err := runMatrix([]CampaignSpec{spec}, opt,
+		&shardExec{windows: []maskWindow{{lo, hi}}, divergence: cfg.Divergence})
 	if err != nil {
 		return nil, err
 	}
-	res, plan := results[0], plans[0]
-
-	var divByMask map[int]divergence.Record
-	if dsink != nil {
-		recs := dsink.Records()
-		divByMask = make(map[int]divergence.Record, len(recs))
-		for _, d := range recs {
-			divByMask[d.MaskID] = d
-		}
-	}
-
-	out := &ShardResult{Golden: res.Golden, Runs: make([]ShardRun, 0, hi-lo)}
-	for m := lo; m < hi; m++ {
-		run := ShardRun{Index: m}
-		action := prune.Simulate
-		if plan != nil {
-			action = plan.Decisions[m].Action
-		}
-		switch action {
-		case prune.Dead:
-			run.Record = res.Records[m]
-			run.Pruned = "dead"
-		case prune.Replicate:
-			run.Pruned = "replicated"
-			run.RepIndex = plan.Decisions[m].Rep
-			run.Record = LogRecord{MaskID: spec.Masks[m].ID, Sites: spec.Masks[m].Sites}
-		default:
-			run.Record = res.Records[m]
-			capture.mu.Lock()
-			ev, ok := capture.byMask[run.Record.MaskID]
-			capture.mu.Unlock()
-			if ok {
-				run.Observed = ev.Observed
-				run.FirstObsCycle = ev.FirstObsCycle
-				run.EarlyStop = ev.EarlyStop
-				run.WallNS = int64(ev.Wall)
-				run.WatchedReads, run.WatchedWrites = ev.WatchedReads, ev.WatchedWrites
-				run.ObservedReads, run.ObservedWrites = ev.ObservedReads, ev.ObservedWrites
-				run.LadderRestored, run.RungCycle = ev.LadderRestored, ev.RungCycle
-				run.Windowed, run.WindowEntered, run.WindowExited = ev.Windowed, ev.WindowEntered, ev.WindowExited
-				run.FastSteps, run.DetailCycles = ev.FastSteps, ev.DetailCycles
-			}
-			if d, ok := divByMask[run.Record.MaskID]; ok {
-				run.Diverged, run.DivergeCycle, run.DivergeIndex = d.Diverged, d.DivergeCycle, d.DivergeIndex
-				run.FaultTouches, run.LastTouchCycle = d.FaultTouches, d.LastTouchCycle
-				run.CorruptStructures = d.CorruptStructures
-			}
-		}
-		out.Runs = append(out.Runs, run)
-	}
-	return out, nil
+	return &ShardResult{Golden: results[0].Golden, Runs: kept[0]}, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime/debug"
 	"time"
@@ -88,10 +87,10 @@ func runGuarded(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, 
 	go func() {
 		var inner *runStats
 		if stats != nil {
-			inner = new(runStats)
-			// The commit probe rides into the contained run; the normal
-			// path's copy-back returns it unchanged.
-			inner.div = stats.div
+			// The commit probe and the footprint request ride into the
+			// contained run; the normal path's copy-back returns them
+			// unchanged.
+			inner = &runStats{div: stats.div, footprint: stats.footprint}
 		}
 		rec, err := runContained(f, rungs, m, golden, timeoutFactor, earlyStop, win, ff, inner)
 		ch <- result{rec, err, inner}
@@ -114,22 +113,4 @@ func runGuarded(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, 
 		}
 		return wallTimeoutRecord(m), nil
 	}
-}
-
-// journalEntry builds the durable-journal line of one completed run:
-// the raw record plus the trace provenance a resumed campaign needs to
-// reproduce its JSONL injection trace byte-identically.
-func journalEntry(key string, rec LogRecord, stats *runStats) (fault.JournalEntry, error) {
-	raw, err := json.Marshal(&rec)
-	if err != nil {
-		return fault.JournalEntry{}, fmt.Errorf("core: journaling %s mask %d: %w", key, rec.MaskID, err)
-	}
-	e := fault.JournalEntry{Campaign: key, MaskID: rec.MaskID, Record: raw}
-	if stats != nil {
-		e.Observed, e.FirstObsCycle = stats.observed, stats.firstObs
-		if rec.Status == RunEarlyMasked.String() {
-			e.EarlyStop = stats.earlyStopReason()
-		}
-	}
-	return e, nil
 }

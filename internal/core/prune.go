@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/bitarray"
-	"repro/internal/fault"
 	"repro/internal/prune"
 )
 
@@ -190,22 +189,6 @@ func planMasks(spec *CampaignSpec, rungs []LadderRung, profiles []prune.Profiles
 		}
 	}
 	return prune.BuildPlan(spec.Masks, profiles, rungOf), rungOf
-}
-
-// prunedRecord synthesizes the log record of a dead-pruned mask: the
-// identical-prefix argument proves the run would complete with the
-// golden output, so the record reports the golden hash, a match, and
-// the distinguished "pruned" status (classified Masked). Cycles stay
-// zero — nothing was simulated.
-func prunedRecord(m fault.Mask, golden GoldenInfo) LogRecord {
-	return LogRecord{
-		MaskID:      m.ID,
-		Sites:       m.Sites,
-		Status:      RunPruned.String(),
-		OutputHash:  golden.OutputHash,
-		OutputMatch: true,
-		Weight:      m.Weight,
-	}
 }
 
 // sampleVerify picks up to n pruned mask indices of a plan, evenly

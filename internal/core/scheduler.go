@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"time"
@@ -197,23 +195,35 @@ func RunMatrix(specs []CampaignSpec, opt MatrixOptions) ([]*CampaignResult, erro
 // spec still carries the full mask set, so plan-time artifacts whose
 // placement depends on the whole campaign (checkpoint positions, prune
 // plans, mask validation) are computed exactly as a single-node run
-// computes them; only queueing and record fill-in are windowed.
+// computes them; only queueing and settling are windowed.
 type maskWindow struct{ lo, hi int }
 
+// shardExec is the shard executor's mode of the scheduler: one mask
+// window per spec, outcomes kept for the caller instead of committed,
+// and — since a shard has no divergence sink to ask — whether to
+// measure divergence provenance at all.
+type shardExec struct {
+	windows    []maskWindow
+	divergence bool
+}
+
 // runMatrix is the scheduler core behind RunMatrix, RunConfig and
-// RunShard. windows, when non-nil, holds one mask window per spec and
-// limits simulation and record fill-in to the windowed masks: out-of-
-// window records stay zero, plan-settled replicated masks are left to
-// the merge layer (their representative may live in another window),
+// RunShard. Every in-window mask is settled exactly once, as the
+// outcome its provenance constructor builds (see ShardRun), through the
+// spec's CellSinks. shard, when non-nil, limits simulation and settling
+// to the windowed masks and keeps each window's outcomes, in mask order,
+// for the caller: out-of-window records stay zero, replicated masks stay
+// unresolved stubs (their representative may live in another window),
 // and prune-verify samples only masks whose comparison record exists in
-// the window. The per-spec prune plans are returned alongside the
-// results so shard executors can report per-mask provenance.
-func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([]*CampaignResult, []*prune.Plan, error) {
+// the window.
+func runMatrix(specs []CampaignSpec, opt MatrixOptions, shard *shardExec) ([]*CampaignResult, [][]ShardRun, error) {
 	cache := opt.Golden
 	if cache == nil {
 		cache = NewGoldenCache()
 	}
-	if windows != nil {
+	var windows []maskWindow
+	if shard != nil {
+		windows = shard.windows
 		if len(windows) != len(specs) {
 			return nil, nil, fmt.Errorf("core: %d mask windows for %d specs", len(windows), len(specs))
 		}
@@ -396,9 +406,9 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// once per {tool, benchmark} row. Supplied-golden specs resolve
 	// through the cache too — the signature replay is deterministic and
 	// depends only on the factory, so the row's cells share one replay.
-	dsink := opt.Divergence
+	probe := opt.Divergence != nil || (shard != nil && shard.divergence)
 	var sigs []*divergence.Signature
-	if dsink != nil {
+	if probe {
 		sigs = make([]*divergence.Signature, len(specs))
 		for i, spec := range specs {
 			sig, err := cache.CommitSignature(preps[i].golden.Tool, spec.Benchmark, spec.Factory)
@@ -418,31 +428,27 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		}
 	}
 
-	// Resume: index the journal's acknowledged runs by {campaign, mask}.
-	// The queue fill below consults it after the prune plan — plans are
-	// regenerated deterministically, so a journaled mask the plan now
-	// settles without simulation stays with the plan's verdict.
+	// Resume: replay the journal's acknowledged runs into resumed
+	// outcomes, per spec by mask index. The queue fill below consults
+	// them after the prune plan — plans are regenerated deterministically,
+	// so a journaled mask the plan now settles without simulation stays
+	// with the plan's verdict.
 	jnl := opt.Journal
-	var journaled map[string]map[int]*fault.JournalEntry
+	journaled := make([]map[int]ShardRun, len(specs))
 	if opt.Resume && jnl != nil {
 		past := jnl.Entries()
-		journaled = make(map[string]map[int]*fault.JournalEntry)
-		for k := range past {
-			e := &past[k]
-			byMask := journaled[e.Campaign]
-			if byMask == nil {
-				byMask = make(map[int]*fault.JournalEntry)
-				journaled[e.Campaign] = byMask
+		for i := range specs {
+			var err error
+			if journaled[i], err = ReplayJournal(keys[i], past, specs[i].Masks); err != nil {
+				return nil, nil, err
 			}
-			byMask[e.MaskID] = e
 		}
 	}
-	type resumedRun struct {
-		spec  int
-		entry *fault.JournalEntry
-		rec   LogRecord
+	type settledRun struct {
+		spec int
+		run  ShardRun
 	}
-	var resumed []resumedRun
+	var resumed []settledRun
 
 	// Detail-window policy: one shared config for the real runs, plus
 	// the no-exit variant the window-verify re-runs use to stay
@@ -472,6 +478,13 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// extra runs whose records land in side tables, never in the
 	// results.
 	records := make([][]LogRecord, len(specs))
+	var kept [][]ShardRun // shard mode: each window's outcomes, in mask order
+	if shard != nil {
+		kept = make([][]ShardRun, len(specs))
+		for i, w := range windows {
+			kept[i] = make([]ShardRun, w.hi-w.lo)
+		}
+	}
 	verifyIdx := make([][]int, len(specs))
 	verifyRecs := make([][]LogRecord, len(specs))
 	wverifyIdx := make([][]int, len(specs))
@@ -498,16 +511,8 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 				// evaluation boundaries) are identical across resumes.
 				simOrders[i] = append(simOrders[i], spec.Masks[m].ID)
 			}
-			if e := journaled[keys[i]][spec.Masks[m].ID]; e != nil {
-				var rec LogRecord
-				if err := json.Unmarshal(e.Record, &rec); err != nil {
-					return nil, nil, fmt.Errorf("core: journal record for %s mask %d: %w", e.Campaign, e.MaskID, err)
-				}
-				if !reflect.DeepEqual(rec.Sites, spec.Masks[m].Sites) {
-					return nil, nil, fmt.Errorf("core: journal record for %s mask %d was taken with different fault sites — stale journal for this mask set", e.Campaign, e.MaskID)
-				}
-				records[i][m] = rec
-				resumed = append(resumed, resumedRun{spec: i, entry: e, rec: rec})
+			if run, ok := journaled[i][m]; ok {
+				resumed = append(resumed, settledRun{spec: i, run: run})
 				continue
 			}
 			simIdx = append(simIdx, m)
@@ -551,7 +556,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	if adaptiveOn {
 		stoppers = make([]*cellStopper, len(specs))
 		for i := range specs {
-			est, err := adaptive.New(adaptive.Config{
+			rule, err := adaptive.NewRule(adaptive.Config{
 				Margin:     opt.StopMargin,
 				Confidence: opt.StopConfidence,
 				CheckEvery: opt.StopCheckEvery,
@@ -560,14 +565,12 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 			if err != nil {
 				return nil, nil, err
 			}
-			stoppers[i] = newCellStopper(est, simOrders[i], opt.StopCheckEvery)
+			stoppers[i] = newCellStopper(rule, simOrders[i])
 		}
 		for _, r := range resumed {
-			if r.rec.Status == RunStopped.String() {
-				continue
+			if !r.run.Stopped() {
+				stoppers[r.spec].noteCompleted(r.run.Record.MaskID, string(r.run.Class()))
 			}
-			cls, _ := (Parser{}).Classify(r.rec)
-			stoppers[r.spec].noteCompleted(r.rec.MaskID, string(cls))
 		}
 	}
 
@@ -579,11 +582,14 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		workers = len(queue)
 	}
 
-	// Telemetry: register every campaign row up front so the run path
-	// never allocates or locks, and let the snapshot pull golden-cache
-	// statistics live.
+	// Sinks: one CellSinks per spec, the campaign rows registered up front
+	// so the run path never allocates or locks, and the snapshot pulling
+	// golden-cache statistics live. A shard attaches none of them.
 	tel := opt.Telemetry
-	var camps []*telemetry.CampaignStats
+	sinks := make([]CellSinks, len(specs))
+	for i := range specs {
+		sinks[i] = CellSinks{Key: keys[i], Journal: jnl, Divergence: opt.Divergence}
+	}
 	if tel != nil {
 		tel.SetCacheSource(cache.Observe)
 		tel.SetDecodeSource(interp.DecodeCacheStats)
@@ -592,54 +598,33 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		// resumed masks complete at fill time (so queued == done holds),
 		// and verify re-runs are invisible to telemetry.
 		tel.AddQueued(totalMasks)
-		camps = make([]*telemetry.CampaignStats, len(specs))
 		for i, spec := range specs {
 			tool := spec.Tool
 			if tool == "" {
 				tool = preps[i].golden.Tool
 			}
-			camps[i] = tel.Campaign(keys[i], tool, spec.Benchmark, spec.Structure)
-		}
-		// Resumed runs completed in an earlier process; their events carry
-		// the journaled trace provenance (so the trace sink reproduces the
-		// uninterrupted trace byte-for-byte) but zero Wall and Resumed set,
-		// keeping the throughput gauges about this process's work.
-		for _, r := range resumed {
-			spec := &specs[r.spec]
-			cls, _ := (Parser{}).Classify(r.rec)
-			tel.RunStarted()
-			tel.RunDone(camps[r.spec], telemetry.RunEvent{
-				Campaign:      keys[r.spec],
-				Tool:          camps[r.spec].Tool,
-				Benchmark:     spec.Benchmark,
-				Structure:     spec.Structure,
-				MaskID:        r.rec.MaskID,
-				Sites:         r.rec.Sites,
-				Status:        r.rec.Status,
-				Class:         string(cls),
-				Cycles:        r.rec.Cycles,
-				Observed:      r.entry.Observed,
-				FirstObsCycle: r.entry.FirstObsCycle,
-				EarlyStop:     r.entry.EarlyStop,
-				Resumed:       true,
-				Stopped:       r.rec.Status == RunStopped.String(),
-				Weight:        r.rec.Weight,
-			})
+			sinks[i].Telemetry = tel
+			sinks[i].Row = tel.Campaign(keys[i], tool, spec.Benchmark, spec.Structure)
 		}
 	}
-	// Resumed masks get divergence records rebuilt from the journal's
-	// provenance: outcome and observation survive, the commit-stream
-	// verdict and footprint do not (the run happened in another process),
-	// so the rows are flagged Resumed rather than byte-compared against
-	// an uninterrupted campaign's.
-	if dsink != nil {
-		for _, r := range resumed {
-			d := divergenceRecord(keys[r.spec], r.rec, nil)
-			d.Observed = r.entry.Observed
-			d.FirstObsCycle = r.entry.FirstObsCycle
-			d.Resumed = true
-			d.Derive()
-			dsink.Add(d)
+	// settle is the one exit of a mask from the scheduler: its record
+	// joins the results and its outcome goes to the cell's sinks — or, in
+	// a shard, back to the caller as it is.
+	settle := func(spec int, run ShardRun, dispatched bool) error {
+		records[spec][run.Index] = run.Record
+		if shard != nil {
+			kept[spec][run.Index-windows[spec].lo] = run
+		}
+		return sinks[spec].Commit(run, dispatched)
+	}
+	// Resumed runs completed in an earlier process: their outcomes carry
+	// the journaled record and trace provenance (so the trace sink
+	// reproduces the uninterrupted trace byte-for-byte) but no wall time,
+	// footprint or commit-stream verdict, and are flagged Resumed so the
+	// throughput gauges stay about this process's work.
+	for _, r := range resumed {
+		if err := settle(r.spec, r.run, false); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -776,19 +761,20 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 					wverifyRecs[r.spec][r.wverify] = rec
 					continue
 				}
+				// The extras cost a little per run, so they are gathered only
+				// when something reads them: a sink, the tracer, or the
+				// coordinator a shard's outcomes travel to.
 				var stats *runStats
 				var runStart time.Time
-				if tel != nil || jnl != nil || dsink != nil || tr != nil {
-					stats = new(runStats)
-				}
-				if dsink != nil && sigs[r.spec] != nil {
-					stats.div = divergence.NewProbe(sigs[r.spec])
+				if tel != nil || jnl != nil || probe || tr != nil || shard != nil {
+					stats = &runStats{footprint: probe}
+					if probe && sigs[r.spec] != nil {
+						stats.div = divergence.NewProbe(sigs[r.spec])
+					}
+					runStart = time.Now()
 				}
 				if tel != nil {
 					tel.RunStarted()
-				}
-				if tel != nil || tr != nil {
-					runStart = time.Now()
 				}
 				rec, err := runGuarded(spec.Factory, prep.rungs, spec.Masks[r.mask],
 					prep.golden, spec.TimeoutFactor, !spec.DisableEarlyStop, win, prep.ff, opt.RunWallLimit, stats)
@@ -796,71 +782,23 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 					noteErr(i, err)
 					return
 				}
-				records[r.spec][r.mask] = rec
+				var wall time.Duration
+				if stats != nil {
+					wall = time.Since(runStart)
+				}
+				run := simulated(r.mask, rec, stats, wall)
 				if adaptiveOn {
 					// Feed the cell's stopper and wake gated workers: the
 					// contiguous prefix may have extended past a boundary,
 					// releasing the next chunk — or deciding the cell.
-					cls, _ := (Parser{}).Classify(rec)
 					mu.Lock()
-					stoppers[r.spec].noteCompleted(rec.MaskID, string(cls))
+					stoppers[r.spec].noteCompleted(rec.MaskID, string(run.Class()))
 					cond.Broadcast()
 					mu.Unlock()
 				}
-				if jnl != nil {
-					// Durability point: the record is not acknowledged until
-					// its journal line is fsync'd, so a crash can only lose
-					// runs that a resume will redo, never corrupt one.
-					e, jerr := journalEntry(keys[r.spec], rec, stats)
-					if jerr == nil {
-						jerr = jnl.Append(e)
-					}
-					if jerr != nil {
-						fail(i, jerr)
-						return
-					}
-				}
-				if dsink != nil {
-					dsink.Add(divergenceRecord(keys[r.spec], rec, stats))
-				}
-				if tel != nil {
-					cls, _ := (Parser{}).Classify(rec)
-					early := ""
-					if rec.Status == RunEarlyMasked.String() {
-						early = stats.earlyStopReason()
-					}
-					diverged := false
-					if stats.div != nil {
-						diverged, _, _ = stats.div.Diverged()
-					}
-					tel.RunDone(camps[r.spec], telemetry.RunEvent{
-						Campaign:       keys[r.spec],
-						Tool:           camps[r.spec].Tool,
-						Benchmark:      spec.Benchmark,
-						Structure:      spec.Structure,
-						MaskID:         rec.MaskID,
-						Sites:          rec.Sites,
-						Status:         rec.Status,
-						Class:          string(cls),
-						Cycles:         rec.Cycles,
-						Wall:           time.Since(runStart),
-						Observed:       stats.observed,
-						FirstObsCycle:  stats.firstObs,
-						EarlyStop:      early,
-						WatchedReads:   stats.reads,
-						WatchedWrites:  stats.writes,
-						ObservedReads:  stats.obsReads,
-						ObservedWrites: stats.obsWrites,
-						LadderRestored: stats.restored,
-						RungCycle:      stats.rungCycle,
-						Windowed:       stats.windowed,
-						WindowEntered:  stats.windowEntered,
-						WindowExited:   stats.windowExited,
-						FastSteps:      stats.fastSteps,
-						DetailCycles:   stats.detailCycles,
-						Diverged:       diverged,
-						Weight:         rec.Weight,
-					})
+				if err := settle(r.spec, run, true); err != nil {
+					fail(i, err)
+					return
 				}
 				if tr != nil {
 					emitRunSpans(tr, cellSpans[r.spec].ID(), opt.SpanWorker, keys[r.spec], rec, stats, runStart)
@@ -889,124 +827,63 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 			}
 			if tel != nil {
 				if st.stopped() {
-					tel.CellStopped(st.finalMargin)
-				} else if st.est.N() > 0 {
-					tel.ObserveCellMargin(st.est.EffectiveMargin())
+					tel.CellStopped(st.rule.Margin())
+				} else if st.rule.N() > 0 {
+					tel.ObserveCellMargin(st.rule.Margin())
 				}
 			}
 			if !st.stopped() {
 				continue
 			}
-			spec := &specs[i]
-			for m := range spec.Masks {
-				if !inWindow(i, m) || !st.cancelled(spec.Masks[m].ID) {
+			for m, mask := range specs[i].Masks {
+				if !inWindow(i, m) || !st.cancelled(mask.ID) {
 					continue
 				}
 				if records[i][m].Status != "" {
-					continue // resumed stopped row, already accounted
+					continue // resumed stopped row, already settled
 				}
-				rec := stoppedRecord(spec.Masks[m])
-				records[i][m] = rec
-				if jnl != nil {
-					e, jerr := journalEntry(keys[i], rec, nil)
-					if jerr == nil {
-						e.StoppedEarly = true
-						jerr = jnl.Append(e)
-					}
-					if jerr != nil {
-						return nil, nil, jerr
-					}
-				}
-				if dsink != nil {
-					dsink.Add(divergenceRecord(keys[i], rec, nil))
-				}
-				if tel != nil {
-					cls, _ := (Parser{}).Classify(rec)
-					tel.RunStarted()
-					tel.RunDone(camps[i], telemetry.RunEvent{
-						Campaign:  keys[i],
-						Tool:      camps[i].Tool,
-						Benchmark: spec.Benchmark,
-						Structure: spec.Structure,
-						MaskID:    rec.MaskID,
-						Sites:     rec.Sites,
-						Status:    rec.Status,
-						Class:     string(cls),
-						Stopped:   true,
-						Weight:    rec.Weight,
-					})
+				if err := settle(i, StoppedRun(m, mask), false); err != nil {
+					return nil, nil, err
 				}
 			}
 		}
 	}
 
-	// Fill the records the plan settled without simulation: dead masks get
-	// the synthetic pruned record, collapsed masks a copy of their
-	// representative's verdict. Telemetry sees one started/done pair per
-	// pruned mask (keeping queued == done) with the prune provenance on
-	// the event; the collector excludes them from throughput gauges.
+	// Settle the masks the plan decided without simulation: dead masks as
+	// the synthetic pruned outcome, collapsed masks as their
+	// representative's verdict under their own identity. Telemetry sees
+	// one started/done pair per pruned mask (keeping queued == done) with
+	// the prune provenance on the event; the collector excludes them from
+	// throughput gauges.
 	for i := range specs {
 		plan := preps[i].plan
 		if plan == nil {
 			continue
 		}
-		spec := &specs[i]
 		for m, d := range plan.Decisions {
-			if !inWindow(i, m) {
+			mask := specs[i].Masks[m]
+			if !inWindow(i, m) || d.Action == prune.Simulate {
 				continue
 			}
-			if adaptiveOn && stoppers[i].cancelled(spec.Masks[m].ID) {
+			if adaptiveOn && stoppers[i].cancelled(mask.ID) {
 				continue // settled as a stopped-early row above
 			}
-			var pruned string
-			repMask := -1
-			switch d.Action {
-			case prune.Simulate:
-				continue
-			case prune.Dead:
-				records[i][m] = prunedRecord(spec.Masks[m], preps[i].golden)
-				pruned = "dead"
-			case prune.Replicate:
-				if windows != nil {
-					// The representative may live in another shard's window;
-					// replicated rows are resolved at merge time from the
-					// representative's completed record, reproducing exactly
-					// this copy-and-restamp. Skipping the local fill (even
-					// when the representative happens to be in-window) keeps
-					// every shard's treatment of replicated rows identical.
-					continue
-				}
-				rec := records[i][d.Rep]
-				rec.MaskID = spec.Masks[m].ID
-				rec.Sites = spec.Masks[m].Sites
-				rec.Weight = spec.Masks[m].Weight
-				records[i][m] = rec
-				pruned = "replicated"
-				repMask = spec.Masks[d.Rep].ID
+			var err error
+			switch {
+			case d.Action == prune.Dead:
+				err = settle(i, dead(m, mask, preps[i].golden), false)
+			case shard != nil:
+				// The representative may live in another shard's window, so
+				// a shard hands the stub back unresolved and whoever merges
+				// the shards resolves it — even when the representative
+				// happens to be in-window, which keeps every shard's
+				// treatment of replicated rows identical.
+				kept[i][m-windows[i].lo] = replicated(m, mask, d.Rep)
+			default:
+				err = settle(i, replicated(m, mask, d.Rep).Resolve(records[i][d.Rep]), false)
 			}
-			if dsink != nil {
-				d := divergenceRecord(keys[i], records[i][m], nil)
-				d.Pruned = pruned
-				dsink.Add(d)
-			}
-			if tel != nil {
-				rec := records[i][m]
-				cls, _ := (Parser{}).Classify(rec)
-				tel.RunStarted()
-				tel.RunDone(camps[i], telemetry.RunEvent{
-					Campaign:  keys[i],
-					Tool:      camps[i].Tool,
-					Benchmark: spec.Benchmark,
-					Structure: spec.Structure,
-					MaskID:    rec.MaskID,
-					Sites:     rec.Sites,
-					Status:    rec.Status,
-					Class:     string(cls),
-					Cycles:    rec.Cycles,
-					Pruned:    pruned,
-					RepMask:   repMask,
-					Weight:    rec.Weight,
-				})
+			if err != nil {
+				return nil, nil, err
 			}
 		}
 	}
@@ -1074,24 +951,17 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	}
 
 	results := make([]*CampaignResult, len(specs))
-	plans := make([]*prune.Plan, len(specs))
 	for i := range specs {
 		results[i] = &CampaignResult{Golden: preps[i].golden, Records: records[i]}
-		plans[i] = preps[i].plan
 		if adaptiveOn && stoppers[i] != nil {
 			st := stoppers[i]
-			info := &AdaptiveInfo{
+			results[i].Adaptive = &AdaptiveInfo{
 				StoppedEarly:    st.stopped(),
-				SimulatedRuns:   st.est.N(),
+				SimulatedRuns:   st.rule.N(),
 				PlannedRuns:     len(st.simOrder),
-				EffectiveMargin: st.est.EffectiveMargin(),
+				EffectiveMargin: st.rule.Margin(),
 				Confidence:      opt.StopConfidence,
 			}
-			if st.stopped() {
-				info.SimulatedRuns = st.stoppedAt
-				info.EffectiveMargin = st.finalMargin
-			}
-			results[i].Adaptive = info
 		}
 		if specs[i].Exhaustive {
 			// An exhaustive cell enumerated its collapsed mask space; its
@@ -1107,34 +977,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 			}
 		}
 	}
-	return results, plans, nil
-}
-
-// divergenceRecord builds the provenance row of one completed mask.
-// stats is nil for rows nothing was simulated for in this process
-// (pruned, resumed); they carry the outcome but no footprint or
-// divergence verdict.
-func divergenceRecord(campaign string, rec LogRecord, stats *runStats) divergence.Record {
-	cls, _ := (Parser{}).Classify(rec)
-	d := divergence.Record{
-		Campaign: campaign,
-		MaskID:   rec.MaskID,
-		Status:   rec.Status,
-		Class:    string(cls),
-		Cycles:   rec.Cycles,
-	}
-	if stats != nil {
-		d.Observed = stats.observed
-		d.FirstObsCycle = stats.firstObs
-		d.FaultTouches = stats.touches
-		d.LastTouchCycle = stats.lastTouch
-		d.CorruptStructures = stats.corrupt
-		if stats.div != nil {
-			d.Diverged, d.DivergeCycle, d.DivergeIndex = stats.div.Diverged()
-		}
-	}
-	d.Derive()
-	return d
+	return results, kept, nil
 }
 
 // emitRunSpans emits the span of one injection run plus its execution

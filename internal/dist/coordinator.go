@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -48,15 +47,17 @@ type CoordinatorOptions struct {
 	// across shards unchanged.
 	Telemetry *telemetry.Collector
 	// JournalFor, when non-nil, opens the durable run journal of a
-	// campaign key. The coordinator appends every merged simulated run
-	// to it — the exactly-once completion ledger of the distributed
-	// campaign (workers never journal).
+	// campaign key; New calls it once per cell. The coordinator commits
+	// every merged outcome against it — simulated and stopped-early rows
+	// append, as in a single-node -journal campaign — which makes it the
+	// exactly-once completion ledger of the distributed campaign
+	// (workers never journal).
 	JournalFor func(key string) (*fault.Journal, error)
 	// Divergence, when non-nil, accumulates one divergence-provenance
-	// record per merged mask, rebuilt from the per-run fields workers
-	// ship on ShardRun — so the sorted sink flushes byte-identical to a
+	// record per merged mask, projected from the outcome the worker
+	// shipped — so the sorted sink flushes byte-identical to a
 	// single-node -divergence run of the same config (replicated rows
-	// are resolved coordinator-side at finalize, like the plan fill-in).
+	// are resolved coordinator-side at finalize, like the plan settle).
 	Divergence *divergence.Sink
 	// Tracer, when non-nil, assembles the campaign's end-to-end span
 	// tree: a root campaign span, a pre-identified shard span per shard
@@ -153,37 +154,29 @@ type workerView struct {
 // WorkerStatus (the exported per-worker view served at /v1/fleet.json)
 // is aliased from the api package in protocol.go.
 
-// cellControl is the coordinator-side sequential stopping rule of one
-// campaign cell — the distributed analog of the scheduler's cellStopper.
+// cellControl feeds one campaign cell's stopping rule (adaptive.Rule,
+// the same rule the single-node scheduler drives) from the coordinator.
 // Workers always run their whole shard (RunShard disarms the local
-// rule); the coordinator owns the global decision and enforces the same
-// contiguous-prefix discipline: merged rows buffer in pend until every
-// lower mask index has merged, then commit in mask order, feeding the
-// estimator one simulated run at a time and evaluating exactly when the
-// simulated count reaches a boundary. The decision therefore depends
-// only on the config, never on shard size, worker count, or merge
-// timing — a 1-, 2- and 4-worker fleet stop at the identical cutoff,
-// and journals, records and divergence files come out identical.
+// rule); the coordinator owns the global decision and keeps the rule's
+// input order fixed: merged rows buffer in pend until every lower mask
+// index has merged, then commit in mask order, feeding the rule one
+// simulated run at a time. The decision therefore depends only on the
+// config, never on shard size, worker count, or merge timing — a 1-, 2-
+// and 4-worker fleet stop at the identical cutoff, and journals, records
+// and divergence files come out identical.
 type cellControl struct {
-	est      *adaptive.Estimator
-	cadence  int
+	rule     *adaptive.Rule
 	pend     []*core.ShardRun // merged-but-uncommitted rows, by mask index
 	frontier int              // mask indices [0, frontier) committed
-	sim      int              // simulated rows fed to the estimator
-	boundary int              // next evaluation point (simulated-run count)
-
-	stopped     bool
-	settled     bool
-	finalMargin float64
+	settled  bool             // the stopped tail has been settled
 }
 
-// pendingReplica is a replicated row awaiting its representative's
+// pendingReplica is a replicated stub awaiting its representative's
 // merged record; resolved at finalize exactly like the single-node
-// plan fill-in.
+// plan settle.
 type pendingReplica struct {
-	campaign, index, rep int
-	maskID               int
-	sites                []fault.Site
+	campaign int
+	stub     core.ShardRun
 }
 
 // Coordinator plans a campaign config into mask-range shards, serves
@@ -204,13 +197,11 @@ type Coordinator struct {
 	replicas  []pendingReplica
 	adapt     []*cellControl // per-cell stopping rules, nil when disarmed
 	masks     [][]fault.Mask // memoized MasksFor results
-	journals  map[string]*fault.Journal
-	// journaled are the per-key mask IDs already on disk when a resumed
-	// coordinator opened the journals; appends for them are skipped so a
-	// resumed campaign's journal never holds a mask twice.
-	journaled   map[string]map[int]bool
+	// sinks are the per-cell destinations of every committed outcome:
+	// the merged collector and its campaign row, the cell's journal
+	// (opened at New) and the divergence sink.
+	sinks       []core.CellSinks
 	resumedRuns int
-	camps       []*telemetry.CampaignStats
 	workers     map[string]*workerView
 	rootSpan    *telemetry.ActiveSpan
 	stats       Stats
@@ -247,7 +238,7 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 		goldenSet: make([]bool, len(cfg.Campaigns)),
 		records:   make([][]core.LogRecord, len(cfg.Campaigns)),
 		filled:    make([][]bool, len(cfg.Campaigns)),
-		journals:  make(map[string]*fault.Journal),
+		sinks:     make([]core.CellSinks, len(cfg.Campaigns)),
 		workers:   make(map[string]*workerView),
 		doneCh:    make(chan struct{}),
 	}
@@ -256,12 +247,8 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 	}
 	if cfg.StopMargin > 0 {
 		c.adapt = make([]*cellControl, len(cfg.Campaigns))
-		cadence := cfg.StopCheckEvery
-		if cadence < 1 {
-			cadence = adaptive.DefaultCheckEvery
-		}
 		for i := range cfg.Campaigns {
-			est, err := adaptive.New(adaptive.Config{
+			rule, err := adaptive.NewRule(adaptive.Config{
 				Margin:     cfg.StopMargin,
 				Confidence: cfg.StopConfidence,
 				CheckEvery: cfg.StopCheckEvery,
@@ -270,10 +257,7 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 			if err != nil {
 				return nil, err
 			}
-			c.adapt[i] = &cellControl{
-				est: est, cadence: cadence, boundary: cadence,
-				pend: make([]*core.ShardRun, cfg.MaskCount(i)),
-			}
+			c.adapt[i] = &cellControl{rule: rule, pend: make([]*core.ShardRun, cfg.MaskCount(i))}
 		}
 	}
 	total := 0
@@ -310,13 +294,25 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 		// no pool of its own, so the utilization gauge stays off.
 		tel.Start(0)
 		tel.AddQueued(total)
-		c.camps = make([]*telemetry.CampaignStats, len(cfg.Campaigns))
-		for i, cell := range cfg.Campaigns {
-			c.camps[i] = tel.Campaign(c.keys[i], cell.Tool, cell.Benchmark, cell.Structure)
+	}
+	for i, cell := range cfg.Campaigns {
+		sk := &c.sinks[i]
+		sk.Key, sk.Divergence = c.keys[i], opt.Divergence
+		if tel := opt.Telemetry; tel != nil {
+			sk.Telemetry, sk.Row = tel, tel.Campaign(c.keys[i], cell.Tool, cell.Benchmark, cell.Structure)
+		}
+		if opt.JournalFor != nil {
+			jnl, err := opt.JournalFor(c.keys[i])
+			if err != nil {
+				c.Close()
+				return nil, fmt.Errorf("dist: opening journal for %s: %w", c.keys[i], err)
+			}
+			sk.Journal = jnl
 		}
 	}
 	if opt.Resume {
 		if err := c.resume(); err != nil {
+			c.Close()
 			return nil, err
 		}
 	}
@@ -341,15 +337,8 @@ func (c *Coordinator) resume() error {
 	if c.opt.MasksFor == nil {
 		return fmt.Errorf("dist: resume requires CoordinatorOptions.MasksFor to validate journaled masks")
 	}
-	c.journaled = make(map[string]map[int]bool)
 	for i := range c.cfg.Campaigns {
-		key := c.keys[i]
-		jnl, err := c.opt.JournalFor(key)
-		if err != nil {
-			return fmt.Errorf("dist: opening journal for %s: %w", key, err)
-		}
-		c.journals[key] = jnl
-		entries := jnl.Entries()
+		entries := c.sinks[i].Journal.Entries()
 		if len(entries) == 0 {
 			continue
 		}
@@ -357,55 +346,33 @@ func (c *Coordinator) resume() error {
 		if err != nil {
 			return err
 		}
-		n := c.cfg.MaskCount(i)
-		if len(masks) != n {
-			return fmt.Errorf("dist: campaign %d: MasksFor returned %d masks, config promises %d", i, len(masks), n)
+		runs, err := core.ReplayJournal(c.keys[i], entries, masks)
+		if err != nil {
+			return err
 		}
-		seen := make(map[int]bool, len(entries))
-		c.journaled[key] = seen
 		var ctl *cellControl
 		if c.adapt != nil {
 			ctl = c.adapt[i]
 		}
-		// Journal appends happen in commit order, which is mask order; the
-		// sort defends replay determinism against hand-edited files.
-		sorted := make([]fault.JournalEntry, len(entries))
-		copy(sorted, entries)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a].MaskID < sorted[b].MaskID })
-		for _, e := range sorted {
-			if e.MaskID < 0 || e.MaskID >= n {
-				return fmt.Errorf("dist: journal for %s references mask %d outside population of %d", key, e.MaskID, n)
-			}
-			if seen[e.MaskID] {
+		// Mask order is commit order, whatever order the lines are in.
+		for idx := range masks {
+			run, ok := runs[idx]
+			if !ok {
 				continue
 			}
-			var rec core.LogRecord
-			if err := json.Unmarshal(e.Record, &rec); err != nil {
-				return fmt.Errorf("dist: journal for %s mask %d: %w", key, e.MaskID, err)
-			}
-			if !reflect.DeepEqual(rec.Sites, masks[e.MaskID].Sites) {
-				return fmt.Errorf("dist: stale journal for %s mask %d: the campaign's mask set changed", key, e.MaskID)
-			}
-			seen[e.MaskID] = true
-			if e.StoppedEarly || rec.Status == core.RunStopped.String() {
-				// Stop rows prefill the ledger but never feed the estimator:
-				// if the decision re-derives, settleStopsLocked re-emits them
-				// (flagged Resumed); trusting them directly could disagree
-				// with a re-derived decision.
-				c.records[i][e.MaskID] = rec
-				c.filled[i][e.MaskID] = true
+			c.filled[i][idx] = true
+			if run.Stopped() {
+				// Stop rows prefill the ledger but never feed the rule: if
+				// the decision re-derives, settleStopsLocked settles them
+				// again (flagged Resumed); trusting them directly could
+				// disagree with a re-derived decision.
+				c.records[i][idx] = run.Record
 				continue
 			}
-			run := core.ShardRun{
-				Index: e.MaskID, Record: rec,
-				Observed: e.Observed, FirstObsCycle: e.FirstObsCycle, EarlyStop: e.EarlyStop,
-				Resumed: true,
-			}
-			c.filled[i][e.MaskID] = true
 			c.resumedRuns++
 			if ctl != nil {
 				r := run
-				ctl.pend[e.MaskID] = &r
+				ctl.pend[idx] = &r
 				continue
 			}
 			if err := c.commitRunLocked(i, run); err != nil {
@@ -733,10 +700,9 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	return c.ackLocked(CompleteResponse{OK: true, Accepted: true})
 }
 
-// mergeLocked folds one shard result into the per-campaign record
-// arrays, journals its simulated runs, and re-emits its run-end events
-// through the coordinator's collector — the same events, with the same
-// provenance, a single-node run would have emitted for these masks.
+// mergeLocked folds one shard result into the exactly-once ledger and
+// commits its outcomes — the ones the shard's scheduler built, through
+// the commit a single-node run settles its masks with.
 func (c *Coordinator) mergeLocked(sh Shard, res *core.ShardResult) error {
 	if res == nil {
 		return fmt.Errorf("dist: shard %d completed without a result", sh.ID)
@@ -780,50 +746,34 @@ func (c *Coordinator) mergeLocked(sh Shard, res *core.ShardResult) error {
 			return err
 		}
 	}
-	if ctl != nil && !ctl.stopped {
+	if ctl != nil && !ctl.rule.Stopped() {
 		return c.advanceFrontierLocked(i, ctl)
 	}
 	return nil
 }
 
-// commitRunLocked folds one merged row into the ledger: replicas defer
-// to finalize, simulated rows journal, and every committed row lands in
-// the record array, the divergence sink and the telemetry stream.
+// commitRunLocked folds one merged row into the ledger: a replicated
+// stub waits for finalize, every other outcome lands in the record
+// array and goes through the cell's sinks — the same core.CellSinks
+// commit that settles a single-node run's masks.
 func (c *Coordinator) commitRunLocked(i int, run core.ShardRun) error {
-	switch run.Pruned {
-	case "replicated":
-		c.replicas = append(c.replicas, pendingReplica{
-			campaign: i, index: run.Index, rep: run.RepIndex,
-			maskID: run.Record.MaskID, sites: run.Record.Sites,
-		})
-		return nil // verdict copied from the representative at finalize
-	case "":
-		// Only simulated runs reach the journal — the same rows a
-		// single-node -journal campaign acknowledges.
-		if c.opt.JournalFor != nil {
-			if err := c.journalLocked(c.keys[i], run); err != nil {
-				return err
-			}
-		}
+	if run.Pruned == "replicated" {
+		c.replicas = append(c.replicas, pendingReplica{campaign: i, stub: run})
+		return nil
 	}
 	c.records[i][run.Index] = run.Record
-	if c.opt.Divergence != nil {
-		c.opt.Divergence.Add(run.DivergenceRecord(c.keys[i]))
-	}
-	c.emitLocked(i, run, run.Pruned, -1)
-	return nil
+	return c.sinks[i].Commit(run, false)
 }
 
 // advanceFrontierLocked commits the contiguous prefix of buffered rows
-// of one adaptive cell, feeding each simulated run to the estimator and
-// evaluating the stopping rule exactly when the simulated count reaches
-// a boundary. A decision with the whole population already committed is
-// not a stop — there is nothing left to cancel, matching the scheduler's
-// final-boundary rule. (One deliberate asymmetry: the coordinator cannot
-// know whether the not-yet-merged tail contains any simulated masks, so
-// a decision landing exactly on the cell's final simulated run while
-// only pruned masks remain unmerged settles that pruned tail as stopped
-// rows, where a single-node run would have filled them from the plan.)
+// of one adaptive cell, feeding each simulated run to the cell's rule. A
+// decision with the whole population already committed is not a stop —
+// there is nothing left to cancel, matching the scheduler. (One
+// deliberate asymmetry: the coordinator cannot know whether the
+// not-yet-merged tail contains any simulated masks, so a decision
+// landing exactly on the cell's final simulated run while only pruned
+// masks remain unmerged settles that pruned tail as stopped rows, where
+// a single-node run would have settled them from the plan.)
 func (c *Coordinator) advanceFrontierLocked(i int, ctl *cellControl) error {
 	n := len(ctl.pend)
 	for ctl.frontier < n && ctl.pend[ctl.frontier] != nil {
@@ -833,19 +783,8 @@ func (c *Coordinator) advanceFrontierLocked(i int, ctl *cellControl) error {
 		}
 		ctl.pend[ctl.frontier] = nil
 		ctl.frontier++
-		if run.Pruned != "" {
-			continue
-		}
-		cls, _ := (core.Parser{}).Classify(run.Record)
-		ctl.est.Add(string(cls))
-		ctl.sim++
-		if ctl.sim == ctl.boundary {
-			if ctl.est.Decided() && ctl.frontier < n {
-				ctl.stopped = true
-				ctl.finalMargin = ctl.est.EffectiveMargin()
-				return nil
-			}
-			ctl.boundary += ctl.cadence
+		if run.Pruned == "" && ctl.rule.Add(string(run.Class()), ctl.frontier < n) {
+			return nil
 		}
 	}
 	return nil
@@ -860,19 +799,22 @@ func (c *Coordinator) masksForLocked(i int) ([]fault.Mask, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: materializing campaign %d's masks: %w", i, err)
 	}
+	if n := c.cfg.MaskCount(i); len(m) != n {
+		return nil, fmt.Errorf("dist: campaign %d: MasksFor returned %d masks, config promises %d", i, len(m), n)
+	}
 	c.masks[i] = m
 	return m, nil
 }
 
-// settleStopsLocked converts every undecided mask of a freshly stopped
-// cell into a stopped-early provenance row (journal, records, divergence
-// and telemetry, exactly as the single-node settle pass) and cancels the
-// cell's outstanding shards: queued ones never lease again, and a late
+// settleStopsLocked settles every undecided mask of a freshly stopped
+// cell as a stopped-early outcome — through the same constructor and
+// commit as the single-node settle pass — and cancels the cell's
+// outstanding shards: queued ones never lease again, and a late
 // completion from a still-running worker is discarded as a duplicate by
 // the exactly-once ledger.
 func (c *Coordinator) settleStopsLocked() error {
 	for i, ctl := range c.adapt {
-		if ctl == nil || !ctl.stopped || ctl.settled {
+		if ctl == nil || !ctl.rule.Stopped() || ctl.settled {
 			continue
 		}
 		ctl.settled = true
@@ -880,41 +822,22 @@ func (c *Coordinator) settleStopsLocked() error {
 		if err != nil {
 			return err
 		}
-		n := len(ctl.pend)
-		if len(masks) != n {
-			return fmt.Errorf("dist: campaign %d: MasksFor returned %d masks, config promises %d", i, len(masks), n)
-		}
-		key := c.keys[i]
-		cell := c.cfg.Campaigns[i]
-		for idx := ctl.frontier; idx < n; idx++ {
-			m := masks[idx]
-			rec := core.LogRecord{MaskID: m.ID, Sites: m.Sites, Status: core.RunStopped.String(), Weight: m.Weight}
+		for idx := ctl.frontier; idx < len(masks); idx++ {
+			run := core.StoppedRun(idx, masks[idx])
 			// A resumed coordinator may have replayed this stop row from
-			// the journal; the re-derived decision settles it again with
+			// the journal (nothing else leaves a stopped record beyond the
+			// frontier); the re-derived decision settles it again with
 			// identical content, flagged Resumed like any replayed run.
-			resumed := c.journaled[key][rec.MaskID]
-			c.records[i][idx] = rec
+			run.Resumed = c.records[i][idx].Status == run.Record.Status
+			c.records[i][idx] = run.Record
 			c.filled[i][idx] = true
 			ctl.pend[idx] = nil
-			if c.opt.JournalFor != nil {
-				if err := c.journalStoppedLocked(key, rec); err != nil {
-					return err
-				}
-			}
-			if c.opt.Divergence != nil {
-				c.opt.Divergence.Add(core.ShardRun{Index: idx, Record: rec, Resumed: resumed}.DivergenceRecord(key))
-			}
-			if tel := c.opt.Telemetry; tel != nil {
-				tel.RunStarted()
-				tel.RunDone(c.camps[i], telemetry.RunEvent{
-					Campaign: key, Tool: cell.Tool, Benchmark: cell.Benchmark, Structure: cell.Structure,
-					MaskID: rec.MaskID, Sites: rec.Sites, Status: rec.Status,
-					Class: string(core.ClassStopped), Stopped: true, Resumed: resumed, Weight: rec.Weight,
-				})
+			if err := c.sinks[i].Commit(run, false); err != nil {
+				return err
 			}
 		}
 		if tel := c.opt.Telemetry; tel != nil {
-			tel.CellStopped(ctl.finalMargin)
+			tel.CellStopped(ctl.rule.Margin())
 		}
 		// The cancellation sweep retires the cell's outstanding shards —
 		// except, on a resumed coordinator that has never heard from a
@@ -941,100 +864,9 @@ func (c *Coordinator) settleStopsLocked() error {
 			cancelled++
 		}
 		c.logf("dist: campaign %d stopped early after %d simulated runs (margin %.4f); %d shards cancelled",
-			i, ctl.sim, ctl.finalMargin, cancelled)
+			i, ctl.rule.N(), ctl.rule.Margin(), cancelled)
 	}
 	return nil
-}
-
-func (c *Coordinator) journalStoppedLocked(key string, rec core.LogRecord) error {
-	if c.journaled[key][rec.MaskID] {
-		return nil // replayed from this journal; the entry is already on disk
-	}
-	jnl, ok := c.journals[key]
-	if !ok {
-		var err error
-		if jnl, err = c.opt.JournalFor(key); err != nil {
-			return fmt.Errorf("dist: opening journal for %s: %w", key, err)
-		}
-		c.journals[key] = jnl
-	}
-	raw, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("dist: journaling %s stopped mask %d: %w", key, rec.MaskID, err)
-	}
-	return jnl.Append(fault.JournalEntry{
-		Campaign: key, MaskID: rec.MaskID, Record: raw, StoppedEarly: true,
-	})
-}
-
-func (c *Coordinator) journalLocked(key string, run core.ShardRun) error {
-	if c.journaled[key][run.Record.MaskID] {
-		return nil // replayed from this journal; the entry is already on disk
-	}
-	jnl, ok := c.journals[key]
-	if !ok {
-		var err error
-		if jnl, err = c.opt.JournalFor(key); err != nil {
-			return fmt.Errorf("dist: opening journal for %s: %w", key, err)
-		}
-		c.journals[key] = jnl
-	}
-	raw, err := json.Marshal(&run.Record)
-	if err != nil {
-		return fmt.Errorf("dist: journaling %s mask %d: %w", key, run.Record.MaskID, err)
-	}
-	return jnl.Append(fault.JournalEntry{
-		Campaign: key, MaskID: run.Record.MaskID, Record: raw,
-		Observed: run.Observed, FirstObsCycle: run.FirstObsCycle, EarlyStop: run.EarlyStop,
-	})
-}
-
-// emitLocked synthesizes the run-end telemetry event of one merged row.
-func (c *Coordinator) emitLocked(i int, run core.ShardRun, pruned string, repMask int) {
-	if tel := c.opt.Telemetry; tel != nil {
-		emitShardRun(tel, c.camps[i], c.keys[i], run, pruned, repMask)
-	}
-}
-
-// emitShardRun re-emits the run-end telemetry event of one ShardRun
-// through a collector — the same event, with the same provenance, a
-// single-node run would have emitted for that mask. Shared by the
-// coordinator's merge and a worker's post-acceptance fold.
-func emitShardRun(tel *telemetry.Collector, cs *telemetry.CampaignStats, key string, run core.ShardRun, pruned string, repMask int) {
-	cls, _ := (core.Parser{}).Classify(run.Record)
-	tel.RunStarted()
-	tel.RunDone(cs, telemetry.RunEvent{
-		Campaign:       key,
-		Tool:           cs.Tool,
-		Benchmark:      cs.Benchmark,
-		Structure:      cs.Structure,
-		MaskID:         run.Record.MaskID,
-		Sites:          run.Record.Sites,
-		Status:         run.Record.Status,
-		Class:          string(cls),
-		Cycles:         run.Record.Cycles,
-		Wall:           time.Duration(run.WallNS),
-		Observed:       run.Observed,
-		FirstObsCycle:  run.FirstObsCycle,
-		EarlyStop:      run.EarlyStop,
-		WatchedReads:   run.WatchedReads,
-		WatchedWrites:  run.WatchedWrites,
-		ObservedReads:  run.ObservedReads,
-		ObservedWrites: run.ObservedWrites,
-		LadderRestored: run.LadderRestored,
-		RungCycle:      run.RungCycle,
-		Windowed:       run.Windowed,
-		WindowEntered:  run.WindowEntered,
-		WindowExited:   run.WindowExited,
-		FastSteps:      run.FastSteps,
-		DetailCycles:   run.DetailCycles,
-		Diverged:       run.Diverged,
-		Pruned:         pruned,
-		RepMask:        repMask,
-		Resumed:        run.Resumed,
-		Stopped:        run.Record.Status == core.RunStopped.String(),
-		Weight:         run.Record.Weight,
-	})
 }
 
 // finalizeLocked resolves replicated rows against their merged
@@ -1043,19 +875,15 @@ func emitShardRun(tel *telemetry.Collector, cs *telemetry.CampaignStats, key str
 // then checks the per-mask ledger is complete and builds the results.
 func (c *Coordinator) finalizeLocked() error {
 	for _, r := range c.replicas {
-		if !c.filled[r.campaign][r.rep] {
-			return fmt.Errorf("dist: campaign %d mask %d replicates mask %d, which never completed", r.campaign, r.index, r.rep)
+		i, rep := r.campaign, r.stub.RepIndex
+		if !c.filled[i][rep] {
+			return fmt.Errorf("dist: campaign %d mask %d replicates mask %d, which never completed", i, r.stub.Index, rep)
 		}
-		rep := c.records[r.campaign][r.rep]
-		repMask := rep.MaskID
-		rec := rep
-		rec.MaskID = r.maskID
-		rec.Sites = r.sites
-		c.records[r.campaign][r.index] = rec
-		if c.opt.Divergence != nil {
-			c.opt.Divergence.Add(core.ShardRun{Record: rec, Pruned: "replicated"}.DivergenceRecord(c.keys[r.campaign]))
+		run := r.stub.Resolve(c.records[i][rep])
+		c.records[i][run.Index] = run.Record
+		if err := c.sinks[i].Commit(run, false); err != nil {
+			return err
 		}
-		c.emitLocked(r.campaign, core.ShardRun{Index: r.index, Record: rec}, "replicated", repMask)
 	}
 	for i := range c.records {
 		for m, ok := range c.filled[i] {
@@ -1067,24 +895,23 @@ func (c *Coordinator) finalizeLocked() error {
 	c.results = make([]*core.CampaignResult, len(c.records))
 	for i := range c.records {
 		c.results[i] = &core.CampaignResult{Golden: c.goldens[i], Records: c.records[i]}
-		if c.adapt == nil || c.adapt[i] == nil || c.adapt[i].sim == 0 {
+		if c.adapt == nil || c.adapt[i].rule.N() == 0 {
 			continue
 		}
-		ctl := c.adapt[i]
+		rule := c.adapt[i].rule
 		// PlannedRuns: for a stopped cell the plan actions of the
 		// cancelled tail were never computed (no worker ran those masks),
 		// so the mask budget stands in for the simulated-run budget a
 		// single-node result reports.
 		info := &core.AdaptiveInfo{
-			StoppedEarly:    ctl.stopped,
-			SimulatedRuns:   ctl.sim,
-			PlannedRuns:     ctl.sim,
-			EffectiveMargin: ctl.est.EffectiveMargin(),
+			StoppedEarly:    rule.Stopped(),
+			SimulatedRuns:   rule.N(),
+			PlannedRuns:     rule.N(),
+			EffectiveMargin: rule.Margin(),
 			Confidence:      c.cfg.StopConfidence,
 		}
-		if ctl.stopped {
+		if rule.Stopped() {
 			info.PlannedRuns = len(c.records[i])
-			info.EffectiveMargin = ctl.finalMargin
 		} else if tel := c.opt.Telemetry; tel != nil {
 			tel.ObserveCellMargin(info.EffectiveMargin)
 		}
@@ -1246,12 +1073,13 @@ func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var first error
-	for _, j := range c.journals {
-		if err := j.Close(); err != nil && first == nil {
-			first = err
+	for i := range c.sinks {
+		if j := c.sinks[i].Journal; j != nil {
+			if err := j.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
-	c.journals = map[string]*fault.Journal{}
 	return first
 }
 
@@ -1296,9 +1124,7 @@ func (c *Coordinator) Handler() http.Handler {
 // alongside the /v1 protocol: /v1/snapshot.json and /v1/metrics serve
 // the fleet-aggregated telemetry, /v1/fleet.json the per-worker
 // lease/lag accounting, and /v1/events — when an event stream is
-// attached — the live SSE feed of progress, run and span events. The
-// unprefixed paths remain as deprecated aliases for one release so old
-// dashboards and probes keep working.
+// attached — the live SSE feed of progress, run and span events.
 func (c *Coordinator) ObsHandler(es *telemetry.EventStream) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", c.Handler())
@@ -1314,7 +1140,7 @@ func (c *Coordinator) ObsHandler(es *telemetry.EventStream) http.Handler {
 			api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "no such endpoint: %s", r.URL.Path)
 			return
 		}
-		fmt.Fprintln(w, "faultcampd: /v1/{config,lease,heartbeat,complete,snapshot}  /v1/{snapshot.json,metrics,fleet.json,events}  (unprefixed observability paths are deprecated aliases)")
+		fmt.Fprintln(w, "faultcampd: /v1/{config,lease,heartbeat,complete,snapshot}  /v1/{snapshot.json,metrics,fleet.json,events}")
 	})
 	return mux
 }
@@ -1328,8 +1154,7 @@ type ObsEndpoints struct {
 	Events   http.Handler // nil when no event stream is attached
 }
 
-// MountObs registers the telemetry endpoints on a mux under /v1/ and,
-// as deprecated aliases for one release, at the unprefixed paths.
+// MountObs registers the telemetry endpoints on a mux under /v1/.
 func MountObs(mux *http.ServeMux, eps ObsEndpoints) {
 	snap := MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		b, err := eps.Snapshot().JSON()
@@ -1347,13 +1172,11 @@ func MountObs(mux *http.ServeMux, eps ObsEndpoints) {
 	fleet := MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, eps.Fleet())
 	})
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc(prefix+"/snapshot.json", snap)
-		mux.HandleFunc(prefix+"/metrics", metrics)
-		mux.HandleFunc(prefix+"/fleet.json", fleet)
-		if eps.Events != nil {
-			mux.Handle(prefix+"/events", MethodOnly(http.MethodGet, eps.Events.ServeHTTP))
-		}
+	mux.HandleFunc("/v1/snapshot.json", snap)
+	mux.HandleFunc("/v1/metrics", metrics)
+	mux.HandleFunc("/v1/fleet.json", fleet)
+	if eps.Events != nil {
+		mux.Handle("/v1/events", MethodOnly(http.MethodGet, eps.Events.ServeHTTP))
 	}
 }
 

@@ -15,14 +15,16 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/svc/api"
 	"repro/internal/telemetry"
 )
 
 // TestFleetSnapshotAggregation runs a clean distributed campaign with
 // per-worker collectors and checks the observability plane end to end:
 // the coordinator's fleet-aggregated snapshot equals the sum of the
-// worker snapshots, /snapshot.json and /metrics serve the aggregate,
-// and /fleet.json reports every worker final.
+// worker snapshots, /v1/snapshot.json and /v1/metrics serve the
+// aggregate, /v1/fleet.json reports every worker final, and the
+// unprefixed aliases of PR 10 are gone (404 error envelope).
 func TestFleetSnapshotAggregation(t *testing.T) {
 	cfg := testConfig() // 2 campaigns x 10 injections
 	coord, err := dist.New(cfg, dist.CoordinatorOptions{ShardSize: 3})
@@ -95,7 +97,7 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	}
 
 	// The HTTP plane serves the same aggregate.
-	resp, err := http.Get(srv.URL + "/snapshot.json")
+	resp, err := http.Get(srv.URL + "/v1/snapshot.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +105,12 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	err = json.NewDecoder(resp.Body).Decode(&served)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("/snapshot.json does not parse: %v", err)
+		t.Fatalf("/v1/snapshot.json does not parse: %v", err)
 	}
 	if served.RunsDone != total {
-		t.Fatalf("/snapshot.json RunsDone = %d, want %d", served.RunsDone, total)
+		t.Fatalf("/v1/snapshot.json RunsDone = %d, want %d", served.RunsDone, total)
 	}
-	resp, err = http.Get(srv.URL + "/metrics")
+	resp, err = http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +123,15 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	resp.Body.Close()
 	want := fmt.Sprintf("faultinject_runs_done_total %d", total)
 	if !strings.Contains(metrics.String(), want) {
-		t.Fatalf("/metrics lacks %q", want)
+		t.Fatalf("/v1/metrics lacks %q", want)
 	}
 	for _, name := range []string{"runs_done_total", "cache_rows", "cache_bytes", "profile_builds_total"} {
 		if !strings.Contains(metrics.String(), "# HELP faultinject_"+name+" ") {
-			t.Fatalf("/metrics lacks the HELP line of faultinject_%s", name)
+			t.Fatalf("/v1/metrics lacks the HELP line of faultinject_%s", name)
 		}
 	}
 
-	resp, err = http.Get(srv.URL + "/fleet.json")
+	resp, err = http.Get(srv.URL + "/v1/fleet.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +139,28 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	err = json.NewDecoder(resp.Body).Decode(&statuses)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("/fleet.json does not parse: %v", err)
+		t.Fatalf("/v1/fleet.json does not parse: %v", err)
 	}
 	if len(statuses) != workers {
-		t.Fatalf("/fleet.json lists %d workers, want %d", len(statuses), workers)
+		t.Fatalf("/v1/fleet.json lists %d workers, want %d", len(statuses), workers)
 	}
 	for _, ws := range statuses {
 		if !ws.Final {
 			t.Fatalf("worker %s not final after WaitFleetFinal: %+v", ws.ID, ws)
+		}
+	}
+
+	// The unprefixed aliases are gone: the error envelope, not the data.
+	for _, path := range []string{"/snapshot.json", "/metrics", "/fleet.json", "/events"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env api.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || err != nil || env.Error.Code != api.CodeNotFound {
+			t.Fatalf("GET %s: status %d, envelope %+v (decode: %v); want the 404 not_found envelope", path, resp.StatusCode, env.Error, err)
 		}
 	}
 

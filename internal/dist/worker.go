@@ -63,7 +63,7 @@ type workerCampaign struct {
 	id    string
 	cfg   core.CampaignConfig
 	keys  []string
-	camps map[int]*telemetry.CampaignStats
+	sinks map[int]*core.CellSinks
 	ttl   time.Duration
 	used  uint64 // lease sequence number of the last use
 }
@@ -144,7 +144,7 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 		}
 		wc := &workerCampaign{
 			id: id, cfg: resp.Config, keys: resp.Config.Keys(),
-			camps: make(map[int]*telemetry.CampaignStats),
+			sinks: make(map[int]*core.CellSinks),
 			ttl:   time.Duration(resp.LeaseTTLMS) * time.Millisecond,
 			used:  leases,
 		}
@@ -353,34 +353,33 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 	}
 }
 
-// foldShardResult replays one shard's runs into the worker's own
-// collector — the same events the coordinator synthesizes on merge.
-// Replicated stubs are skipped: their verdicts are resolved
-// coordinator-side at finalize, and counting a stub here would inflate
-// the fleet totals relative to the merged view.
+// foldShardResult commits one shard's outcomes to the worker's own
+// collector — the commit the coordinator's merge uses, with no journal
+// or divergence sink behind it. Replicated stubs are skipped: their
+// verdicts are resolved coordinator-side at finalize, and counting a
+// stub here would inflate the fleet totals relative to the merged view.
 func foldShardResult(tel *telemetry.Collector, wc *workerCampaign, campaign int, res *core.ShardResult) {
 	if res == nil {
 		return
 	}
-	cs, ok := wc.camps[campaign]
+	sinks, ok := wc.sinks[campaign]
 	if !ok {
 		cell := wc.cfg.Campaigns[campaign]
-		cs = tel.Campaign(wc.keys[campaign], cell.Tool, cell.Benchmark, cell.Structure)
-		wc.camps[campaign] = cs
+		key := wc.keys[campaign]
+		sinks = &core.CellSinks{Key: key, Telemetry: tel, Row: tel.Campaign(key, cell.Tool, cell.Benchmark, cell.Structure)}
+		wc.sinks[campaign] = sinks
 	}
 	n := 0
 	for _, run := range res.Runs {
-		if run.Pruned == "replicated" {
-			continue
+		if run.Pruned != "replicated" {
+			n++
 		}
-		n++
 	}
 	tel.AddQueued(n)
 	for _, run := range res.Runs {
-		if run.Pruned == "replicated" {
-			continue
+		if run.Pruned != "replicated" {
+			_ = sinks.Commit(run, false) // only a journal append can fail, and there is none
 		}
-		emitShardRun(tel, cs, wc.keys[campaign], run, run.Pruned, -1)
 	}
 }
 

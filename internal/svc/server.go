@@ -211,8 +211,7 @@ func (s *Service) Handler() http.Handler {
 		api.WriteJSON(w, s.PushSnapshot(req))
 	})
 
-	// Service-wide observability plane (plus unprefixed deprecated
-	// aliases).
+	// Service-wide observability plane.
 	dist.MountObs(mux, dist.ObsEndpoints{
 		Snapshot: s.FleetSnapshot,
 		Fleet:    s.Fleet,

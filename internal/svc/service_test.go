@@ -3,7 +3,9 @@ package svc_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -409,6 +411,17 @@ func TestServiceWorkerPlaneEnvelope(t *testing.T) {
 	}
 	if _, err := cl.CampaignConfig(ctx, "nope"); !client.AsError(err, &ae) || ae.Code != api.CodeNotFound {
 		t.Fatalf("GET /v1/campaigns/nope/config: got %v, want not_found", err)
+	}
+	// The unprefixed observability aliases of PR 10 are unknown paths now.
+	resp, err := http.Get(srv.URL + "/snapshot.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env api.ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || err != nil || env.Error.Code != api.CodeNotFound {
+		t.Fatalf("GET /snapshot.json: status %d, envelope %+v (decode: %v); want the 404 not_found envelope", resp.StatusCode, env.Error, err)
 	}
 	// With no campaigns submitted, leases wait (the fleet idles).
 	lease, err := cl.Lease(ctx, "w0")

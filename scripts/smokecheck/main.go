@@ -39,8 +39,8 @@
 //     its run total matches the stored logs.
 //
 // A second, live mode (-live URL) probes a running coordinator's
-// observability plane instead of offline artifacts: /snapshot.json and
-// /metrics must serve the aggregate, and an SSE subscription to /events
+// observability plane instead of offline artifacts: /v1/snapshot.json and
+// /v1/metrics must serve the aggregate, and an SSE subscription to /v1/events
 // must open with a coherent "snapshot" frame and then stream at least
 // -min-run-frames "run" and -min-span-frames "span" frames.
 //
@@ -487,11 +487,11 @@ func readSnap(path string, s *telemetry.Snapshot) {
 }
 
 // checkLive probes a running coordinator's observability plane:
-// /snapshot.json parses, /metrics carries HELP'd exposition, and an SSE
-// subscription to /events opens with a "snapshot" frame and streams the
+// /v1/snapshot.json parses, /v1/metrics carries HELP'd exposition, and an
+// SSE subscription to /v1/events opens with a "snapshot" frame and streams the
 // required number of run and span frames before the deadline.
 func checkLive(base string, minRuns, minSpans int, timeout time.Duration) {
-	base = strings.TrimSuffix(base, "/")
+	base = strings.TrimSuffix(base, "/") + "/v1"
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	resp, err := client.Get(base + "/snapshot.json")
