@@ -16,7 +16,10 @@
 // (optimization (i)).
 package bitarray
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Status describes the lifecycle of an armed fault inside an Array.
 type Status uint8
@@ -332,12 +335,7 @@ func (a *Array) ReadBytes(entry, off int, dst []byte) {
 	if a.prof != nil {
 		a.profRecord(AccessRead, entry, off*8, len(dst)*8)
 	}
-	base := entry * a.wordsPerEnt
-	for i := range dst {
-		bo := off + i
-		w := a.data[base+bo/8]
-		dst[i] = byte(w >> uint((bo%8)*8)) //nolint:gosec // bounded shift
-	}
+	loadBytes(a.data[entry*a.wordsPerEnt:], off, dst)
 	if a.needObs {
 		a.observeReadBytes(entry, off, len(dst), dst)
 	}
@@ -353,12 +351,55 @@ func (a *Array) WriteBytes(entry, off int, src []byte) {
 	if a.needObs {
 		src = a.observeWriteBytes(entry, off, src)
 	}
-	base := entry * a.wordsPerEnt
-	for i, b := range src {
-		bo := off + i
-		wi := base + bo/8
-		sh := uint((bo % 8) * 8)
-		a.data[wi] = a.data[wi]&^(0xff<<sh) | uint64(b)<<sh
+	storeBytes(a.data[entry*a.wordsPerEnt:], off, src)
+}
+
+// loadBytes copies len(dst) bytes out of the little-endian words,
+// starting at byte offset off. Cache lines move through here on every
+// fetch and every data access, so whole words go as words; only the
+// unaligned head and the tail go byte by byte. The access is one event
+// to the profile and to fault observation whatever the width of the
+// copy — both are the caller's, around this.
+func loadBytes(words []uint64, off int, dst []byte) {
+	wi, i := off>>3, 0
+	if sh := uint(off&7) * 8; sh != 0 && len(dst) > 0 {
+		for w := words[wi] >> sh; sh < 64 && i < len(dst); sh += 8 {
+			dst[i] = byte(w)
+			w >>= 8
+			i++
+		}
+		wi++
+	}
+	for ; len(dst)-i >= 8; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], words[wi])
+		wi++
+	}
+	if i < len(dst) {
+		for w := words[wi]; i < len(dst); i++ {
+			dst[i] = byte(w)
+			w >>= 8
+		}
+	}
+}
+
+// storeBytes is loadBytes's inverse: src into the words at byte offset
+// off, leaving every other byte of a partly covered word as it was.
+func storeBytes(words []uint64, off int, src []byte) {
+	wi, i := off>>3, 0
+	if sh := uint(off&7) * 8; sh != 0 {
+		for ; sh < 64 && i < len(src); sh += 8 {
+			words[wi] = words[wi]&^(0xff<<sh) | uint64(src[i])<<sh
+			i++
+		}
+		wi++
+	}
+	for ; len(src)-i >= 8; i += 8 {
+		words[wi] = binary.LittleEndian.Uint64(src[i:])
+		wi++
+	}
+	for sh := uint(0); i < len(src); sh += 8 {
+		words[wi] = words[wi]&^(0xff<<sh) | uint64(src[i])<<sh
+		i++
 	}
 }
 

@@ -210,3 +210,74 @@ func BenchmarkWriteWordInertFault(b *testing.B) {
 		})
 	}
 }
+
+// TestByteAccessEveryAlignment checks the word-at-a-time byte accessors
+// against the definition — byte i of an entry is bits [8i, 8i+8) of its
+// little-endian words — for every offset and length of a multi-word
+// entry, and that a write leaves every byte outside its range alone,
+// in the entry and in its neighbours.
+func TestByteAccessEveryAlignment(t *testing.T) {
+	const entryBytes = 24
+	a := New("line", 3, entryBytes*8)
+	byteAt := func(e, i int) byte {
+		return byte(a.data[e*a.wordsPerEnt+i/8] >> (uint(i%8) * 8))
+	}
+	fill := func() {
+		for i := range a.data {
+			a.data[i] = 0x0123456789abcdef * uint64(i+1)
+		}
+	}
+	for off := 0; off <= entryBytes; off++ {
+		for n := 0; off+n <= entryBytes; n++ {
+			fill()
+			got := make([]byte, n)
+			a.ReadBytes(1, off, got)
+			for i, b := range got {
+				if b != byteAt(1, off+i) {
+					t.Fatalf("ReadBytes(off=%d,n=%d)[%d] = %#x, want %#x", off, n, i, b, byteAt(1, off+i))
+				}
+			}
+			before := append([]uint64(nil), a.data...)
+			src := make([]byte, n)
+			for i := range src {
+				src[i] = byte(0xa0 + i)
+			}
+			a.WriteBytes(1, off, src)
+			for e := 0; e < 3; e++ {
+				for i := 0; i < entryBytes; i++ {
+					want := byte(before[e*a.wordsPerEnt+i/8] >> (uint(i%8) * 8))
+					if e == 1 && i >= off && i < off+n {
+						want = src[i-off]
+					}
+					if byteAt(e, i) != want {
+						t.Fatalf("WriteBytes(off=%d,n=%d): entry %d byte %d = %#x, want %#x", off, n, e, i, byteAt(e, i), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkByteAccess times the cache-line-shaped accessors at the three
+// shapes the cores use: an unaligned instruction fetch, an aligned
+// 8-byte data access and a whole-line fill.
+func BenchmarkByteAccess(b *testing.B) {
+	a := New("line", 64, 64*8)
+	for _, c := range []struct {
+		name   string
+		off, n int
+	}{{"Fetch15At3", 3, 15}, {"Data8At16", 16, 8}, {"Line64", 0, 64}} {
+		buf := make([]byte, c.n)
+		b.Run("Read/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a.ReadBytes(i&63, c.off, buf)
+			}
+			benchSink += uint64(buf[0])
+		})
+		b.Run("Write/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a.WriteBytes(i&63, c.off, buf)
+			}
+		})
+	}
+}

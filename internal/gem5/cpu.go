@@ -17,26 +17,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// fetchedUop is one decoded micro-op waiting for rename.
-type fetchedUop struct {
-	uop     isa.Uop
-	pc      uint64
-	nextPC  uint64
-	exc     isa.Exception
-	excInfo uint64
-
-	instFirst bool
-
-	isBranch   bool
-	binfo      isa.BranchInfo
-	hasPred    bool
-	pred       branch.Prediction
-	predTaken  bool
-	predTarget uint64
-	rasTop     int
-	rasDepth   int
-}
-
 // inflightOp is an issued micro-op waiting for its completion cycle.
 type inflightOp struct {
 	robIdx int
@@ -81,17 +61,13 @@ type CPU struct {
 	iq          *pipeline.IQ
 	lsq         *pipeline.LSQ
 
-	pc uint64
-	// fetchQ is consumed from fetchHead instead of re-slicing forward,
-	// so the backing array is reused across the whole run; rename
-	// compacts the drained prefix away once it grows past a threshold.
-	fetchQ       []fetchedUop
-	fetchHead    int
+	pc           uint64
+	fetchQ       pipeline.FetchQueue
 	fetchBlocked bool
 	fetchReady   uint64
 	inflight     []inflightOp
-	// cands is issue()'s reusable candidate buffer (cleared per cycle).
-	cands []issueCand
+	// cands is issue()'s candidate buffer, refilled every cycle.
+	cands []pipeline.IssueCand
 
 	cycle      uint64
 	lastCommit uint64
@@ -374,8 +350,7 @@ func (c *CPU) flush(newPC uint64) {
 	c.fpRF.Flush()
 	c.tour.OnFlush()
 	c.inflight = c.inflight[:0]
-	c.fetchQ = c.fetchQ[:0]
-	c.fetchHead = 0
+	c.fetchQ.Reset()
 	c.fetchBlocked = false
 	c.pc = newPC
 	c.fetchReady = c.cycle + 3
@@ -385,15 +360,15 @@ func (c *CPU) flush(newPC uint64) {
 // ---- Fetch ----------------------------------------------------------------
 
 func (c *CPU) poison(pc uint64, exc isa.Exception, info uint64) {
-	c.fetchQ = append(c.fetchQ, fetchedUop{
-		uop: isa.Uop{Op: isa.Nop, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone},
-		pc:  pc, nextPC: pc, exc: exc, excInfo: info, instFirst: true,
-	})
+	fu := c.fetchQ.Push()
+	fu.Uop = isa.Uop{Op: isa.Nop, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
+	fu.PC, fu.NextPC, fu.InstFirst = pc, pc, true
+	fu.Exc, fu.ExcInfo = exc, info
 	c.fetchBlocked = true
 }
 
 func (c *CPU) fetch() {
-	if c.fetchBlocked || c.cycle < c.fetchReady || len(c.fetchQ)-c.fetchHead > 4*c.cfg.FetchWidth {
+	if c.fetchBlocked || c.cycle < c.fetchReady || c.fetchQ.Len() > 4*c.cfg.FetchWidth {
 		return
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
@@ -477,19 +452,17 @@ func (c *CPU) fetch() {
 		}
 
 		for i := 0; i < int(inst.NUops); i++ {
-			fu := fetchedUop{
-				uop: inst.Uops[i], pc: pc, nextPC: nextPC, instFirst: i == 0,
-			}
+			fu := c.fetchQ.Push()
+			fu.Uop, fu.PC, fu.NextPC, fu.InstFirst = inst.Uops[i], pc, nextPC, i == 0
 			if inst.Uops[i].IsBranch() {
-				fu.isBranch = true
-				fu.binfo = b
-				fu.hasPred = hasPred
-				fu.pred = pred
-				fu.predTaken = predTaken
-				fu.predTarget = predTarget
-				fu.rasTop, fu.rasDepth = rasTop, rasDepth
+				fu.IsBranch = true
+				fu.BranchInfo = b
+				fu.HasPred = hasPred
+				fu.Pred = pred
+				fu.PredTaken = predTaken
+				fu.PredTarget = predTarget
+				fu.RASTop, fu.RASDepth = rasTop, rasDepth
 			}
-			c.fetchQ = append(c.fetchQ, fu)
 		}
 
 		if b.IsBranch && predTaken {
@@ -506,16 +479,9 @@ func (c *CPU) fetch() {
 // ---- Rename/dispatch ----------------------------------------------------------
 
 func (c *CPU) rename() {
-	// Compact the drained prefix occasionally so the backing array stays
-	// bounded without a copy on every pop.
-	if c.fetchHead >= 512 {
-		n := copy(c.fetchQ, c.fetchQ[c.fetchHead:])
-		c.fetchQ = c.fetchQ[:n]
-		c.fetchHead = 0
-	}
-	for n := 0; n < c.cfg.RenameWidth && len(c.fetchQ) > c.fetchHead; n++ {
-		fu := &c.fetchQ[c.fetchHead]
-		u := fu.uop
+	for n := 0; n < c.cfg.RenameWidth && c.fetchQ.Len() > 0; n++ {
+		fu := c.fetchQ.Front()
+		u := fu.Uop
 		if c.rob.Full() {
 			return
 		}
@@ -523,7 +489,7 @@ func (c *CPU) rename() {
 		if isMem && !c.lsq.CanAlloc(u.IsStore()) {
 			return
 		}
-		needsIQ := fu.exc == isa.ExcNone && needsIQ(u)
+		needsIQ := fu.Exc == isa.ExcNone && needsIQ(u)
 		if needsIQ && c.iq.Full() {
 			return
 		}
@@ -543,25 +509,25 @@ func (c *CPU) rename() {
 
 		idx := c.rob.Alloc()
 		e := c.rob.At(idx)
-		e.PC = fu.pc
-		e.NextPC = fu.nextPC
+		e.PC = fu.PC
+		e.NextPC = fu.NextPC
 		e.Uop = u
 		e.Dst, e.OldDst, e.Src1, e.Src2 = dst, old, src1, src2
 		e.ArchDst = u.Dst
-		e.Exc, e.ExcInfo = fu.exc, fu.excInfo
-		e.IsBranch = fu.isBranch
-		if fu.isBranch {
-			e.BranchInfo = fu.binfo
-			e.HasPred = fu.hasPred
-			e.Pred = fu.pred
-			e.PredTaken = fu.predTaken
-			e.PredTarget = fu.predTarget
+		e.Exc, e.ExcInfo = fu.Exc, fu.ExcInfo
+		e.IsBranch = fu.IsBranch
+		if fu.IsBranch {
+			e.BranchInfo = fu.BranchInfo
+			e.HasPred = fu.HasPred
+			e.Pred = fu.Pred
+			e.PredTaken = fu.PredTaken
+			e.PredTarget = fu.PredTarget
 		}
-		c.rasSnaps[idx] = [2]int{fu.rasTop, fu.rasDepth}
-		c.instHeads[idx] = fu.instFirst
+		c.rasSnaps[idx] = [2]int{fu.RASTop, fu.RASDepth}
+		c.instHeads[idx] = fu.InstFirst
 
 		switch {
-		case fu.exc != isa.ExcNone:
+		case fu.Exc != isa.ExcNone:
 			e.Executed = true
 		case u.Op == isa.Nop:
 			e.Executed = true
@@ -573,7 +539,7 @@ func (c *CPU) rename() {
 			e.Executed = true
 		case u.Op == isa.Jmp:
 			e.ActualTaken = true
-			e.ActualTarget = fu.binfo.Target
+			e.ActualTarget = fu.BranchInfo.Target
 			e.Mispredicted = c.predictedNext(e) != e.ActualTarget
 			e.Executed = true
 		case u.Op == isa.Call:
@@ -581,7 +547,7 @@ func (c *CPU) rename() {
 				c.file(dst.FP).Write(dst, uint64(u.Imm))
 			}
 			e.ActualTaken = true
-			e.ActualTarget = fu.binfo.Target
+			e.ActualTarget = fu.BranchInfo.Target
 			e.Mispredicted = c.predictedNext(e) != e.ActualTarget
 			e.Executed = true
 		default:
@@ -596,11 +562,7 @@ func (c *CPU) rename() {
 			c.iq.Alloc(w0, w1, idx)
 			e.Dispatched = true
 		}
-		c.fetchHead++
-		if c.fetchHead == len(c.fetchQ) {
-			c.fetchQ = c.fetchQ[:0]
-			c.fetchHead = 0
-		}
+		c.fetchQ.Pop()
 	}
 }
 
@@ -628,44 +590,30 @@ func actualNext(e *pipeline.ROBEntry) uint64 {
 
 // ---- Issue/execute -------------------------------------------------------------
 
-// issueCand is one occupied IQ slot under age-ordered issue selection.
-type issueCand struct {
-	slot int
-	seq  uint64
-}
-
 func (c *CPU) issue() {
 	intBudget, fpBudget, memBudget := c.cfg.IntALUs, c.cfg.FPALUs, c.cfg.MemPorts
 	issued := 0
-	cands := c.cands[:0]
-	for i := 0; i < c.iq.Size(); i++ {
-		if c.iq.Occupied(i) {
-			_, robIdx := c.iq.Entry(i)
-			cands = append(cands, issueCand{i, c.rob.At(robIdx).Seq})
-		}
-	}
-	c.cands = cands
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].seq < cands[j-1].seq; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-
-	for _, cd := range cands {
+	// Oldest-first selection over the occupied issue queue slots.
+	c.cands = c.iq.Candidates(c.cands)
+	for _, cd := range c.cands {
 		if issued >= c.cfg.IssueWidth {
 			return
 		}
-		p, robIdx := c.iq.Entry(cd.slot)
-		e := c.rob.At(robIdx)
-		if !c.ready(p.Src1) || !c.ready(p.Src2) {
+		// Wakeup reads the slot again; only a micro-op whose sources
+		// are ready is unpacked in full.
+		pl := c.iq.Payload(cd.Slot)
+		src1, src2 := pl.Sources()
+		if !c.ready(src1) || !c.ready(src2) {
 			continue
 		}
+		p, robIdx := pl.Unpack(), cd.ROBIdx
+		e := c.rob.At(robIdx)
 		switch {
 		case p.Op == isa.Load || p.Op == isa.FLoad:
 			if memBudget == 0 {
 				continue
 			}
-			if c.issueLoad(cd.slot, p, robIdx, e) {
+			if c.issueLoad(cd.Slot, p, robIdx, e) {
 				memBudget--
 				issued++
 			}
@@ -673,21 +621,21 @@ func (c *CPU) issue() {
 			if memBudget == 0 {
 				continue
 			}
-			c.issueStore(cd.slot, p, e)
+			c.issueStore(cd.Slot, p, e)
 			memBudget--
 			issued++
 		case isFPUOp(p.Op):
 			if fpBudget == 0 {
 				continue
 			}
-			c.issueFP(cd.slot, p, robIdx, e)
+			c.issueFP(cd.Slot, p, robIdx, e)
 			fpBudget--
 			issued++
 		default:
 			if intBudget == 0 {
 				continue
 			}
-			c.issueInt(cd.slot, p, robIdx, e)
+			c.issueInt(cd.Slot, p, robIdx, e)
 			intBudget--
 			issued++
 		}
@@ -799,7 +747,7 @@ func (c *CPU) issueStore(slot int, p pipeline.PackedUop, e *pipeline.ROBEntry) {
 }
 
 func (c *CPU) issueInt(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
-	defer c.iq.Release(slot)
+	c.iq.Release(slot)
 	switch p.Op {
 	case isa.BrFlags:
 		flags := c.readPhys(p.Src1)
@@ -840,7 +788,7 @@ func (c *CPU) issueInt(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.R
 }
 
 func (c *CPU) issueFP(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
-	defer c.iq.Release(slot)
+	c.iq.Release(slot)
 	bits := func(p pipeline.PhysReg) float64 { return math.Float64frombits(c.readPhys(p)) }
 	var val uint64
 	lat := 4

@@ -46,7 +46,7 @@ func (cp *Checkpoint) SizeBytes() int {
 
 // drained reports whether no speculative state is in flight.
 func (c *CPU) drained() bool {
-	return c.rob.Empty() && len(c.fetchQ) == 0 && len(c.inflight) == 0 &&
+	return c.rob.Empty() && c.fetchQ.Len() == 0 && len(c.inflight) == 0 &&
 		c.iq.Len() == 0 && c.lsq.Loads()+c.lsq.Stores() == 0
 }
 
@@ -132,7 +132,7 @@ func (c *CPU) Restore(state any) error {
 	c.rob.FlushAll()
 	c.iq.FlushAll()
 	c.lsq.FlushAll()
-	c.fetchQ = c.fetchQ[:0]
+	c.fetchQ.Reset()
 	c.inflight = c.inflight[:0]
 	c.fetchBlocked = false
 	c.fetchReady = c.cycle

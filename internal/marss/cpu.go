@@ -16,27 +16,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// fetchedUop is one decoded micro-op waiting for rename.
-type fetchedUop struct {
-	uop     isa.Uop
-	pc      uint64
-	nextPC  uint64
-	exc     isa.Exception
-	excInfo uint64
-
-	instFirst bool
-
-	// Branch prediction state, valid on the branch-carrying uop.
-	isBranch   bool
-	binfo      isa.BranchInfo
-	hasPred    bool
-	pred       branch.Prediction
-	predTaken  bool
-	predTarget uint64
-	rasTop     int
-	rasDepth   int
-}
-
 // inflightOp is an issued micro-op waiting for its completion cycle.
 type inflightOp struct {
 	robIdx int
@@ -83,10 +62,12 @@ type CPU struct {
 	lsq         *pipeline.LSQ
 
 	pc           uint64
-	fetchQ       []fetchedUop
+	fetchQ       pipeline.FetchQueue
 	fetchBlocked bool
 	fetchReady   uint64
 	inflight     []inflightOp
+	// cands is issue()'s candidate buffer, refilled every cycle.
+	cands []pipeline.IssueCand
 
 	cycle      uint64
 	lastCommit uint64
@@ -387,7 +368,7 @@ func (c *CPU) flush(newPC uint64) {
 	c.fpRF.Flush()
 	c.tour.OnFlush()
 	c.inflight = c.inflight[:0]
-	c.fetchQ = c.fetchQ[:0]
+	c.fetchQ.Reset()
 	c.fetchBlocked = false
 	c.pc = newPC
 	c.fetchReady = c.cycle + 3 // redirect penalty
@@ -397,15 +378,15 @@ func (c *CPU) flush(newPC uint64) {
 // ---- Fetch ----------------------------------------------------------------
 
 func (c *CPU) poison(pc uint64, exc isa.Exception, info uint64) {
-	c.fetchQ = append(c.fetchQ, fetchedUop{
-		uop: isa.Uop{Op: isa.Nop, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone},
-		pc:  pc, nextPC: pc, exc: exc, excInfo: info, instFirst: true,
-	})
+	fu := c.fetchQ.Push()
+	fu.Uop = isa.Uop{Op: isa.Nop, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
+	fu.PC, fu.NextPC, fu.InstFirst = pc, pc, true
+	fu.Exc, fu.ExcInfo = exc, info
 	c.fetchBlocked = true
 }
 
 func (c *CPU) fetch() {
-	if c.fetchBlocked || c.cycle < c.fetchReady || len(c.fetchQ) > 4*c.cfg.FetchWidth {
+	if c.fetchBlocked || c.cycle < c.fetchReady || c.fetchQ.Len() > 4*c.cfg.FetchWidth {
 		return
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
@@ -501,19 +482,17 @@ func (c *CPU) fetch() {
 		}
 
 		for i := 0; i < int(inst.NUops); i++ {
-			fu := fetchedUop{
-				uop: inst.Uops[i], pc: pc, nextPC: nextPC, instFirst: i == 0,
-			}
+			fu := c.fetchQ.Push()
+			fu.Uop, fu.PC, fu.NextPC, fu.InstFirst = inst.Uops[i], pc, nextPC, i == 0
 			if inst.Uops[i].IsBranch() {
-				fu.isBranch = true
-				fu.binfo = b
-				fu.hasPred = hasPred
-				fu.pred = pred
-				fu.predTaken = predTaken
-				fu.predTarget = predTarget
-				fu.rasTop, fu.rasDepth = rasTop, rasDepth
+				fu.IsBranch = true
+				fu.BranchInfo = b
+				fu.HasPred = hasPred
+				fu.Pred = pred
+				fu.PredTaken = predTaken
+				fu.PredTarget = predTarget
+				fu.RASTop, fu.RASDepth = rasTop, rasDepth
 			}
-			c.fetchQ = append(c.fetchQ, fu)
 		}
 
 		if b.IsBranch && predTaken {
@@ -530,9 +509,9 @@ func (c *CPU) fetch() {
 // ---- Rename/dispatch ----------------------------------------------------------
 
 func (c *CPU) rename() {
-	for n := 0; n < c.cfg.RenameWidth && len(c.fetchQ) > 0; n++ {
-		fu := &c.fetchQ[0]
-		u := fu.uop
+	for n := 0; n < c.cfg.RenameWidth && c.fetchQ.Len() > 0; n++ {
+		fu := c.fetchQ.Front()
+		u := fu.Uop
 		if c.rob.Full() {
 			return
 		}
@@ -540,7 +519,7 @@ func (c *CPU) rename() {
 		if isMem && !c.lsq.CanAlloc(u.IsStore()) {
 			return
 		}
-		needsIQ := fu.exc == isa.ExcNone && c.needsIQ(u)
+		needsIQ := fu.Exc == isa.ExcNone && c.needsIQ(u)
 		if needsIQ && c.iq.Full() {
 			return
 		}
@@ -560,32 +539,25 @@ func (c *CPU) rename() {
 
 		idx := c.rob.Alloc()
 		e := c.rob.At(idx)
-		e.PC = fu.pc
-		e.NextPC = fu.nextPC
+		e.PC = fu.PC
+		e.NextPC = fu.NextPC
 		e.Uop = u
 		e.Dst, e.OldDst, e.Src1, e.Src2 = dst, old, src1, src2
 		e.ArchDst = u.Dst
-		e.Exc, e.ExcInfo = fu.exc, fu.excInfo
-		e.IsBranch = fu.isBranch
-		if fu.isBranch {
-			e.BranchInfo = fu.binfo
-			e.HasPred = fu.hasPred
-			e.Pred = fu.pred
-			e.PredTaken = fu.predTaken
-			e.PredTarget = fu.predTarget
-			// Reuse the ROB entry's LSQIdx-free fields to stash the
-			// RAS snapshot via ExcInfo? No — keep it simple and store
-			// in dedicated fields below.
+		e.Exc, e.ExcInfo = fu.Exc, fu.ExcInfo
+		e.IsBranch = fu.IsBranch
+		if fu.IsBranch {
+			e.BranchInfo = fu.BranchInfo
+			e.HasPred = fu.HasPred
+			e.Pred = fu.Pred
+			e.PredTaken = fu.PredTaken
+			e.PredTarget = fu.PredTarget
 		}
-		c.rasSnaps[idx] = [2]int{fu.rasTop, fu.rasDepth}
-		if fu.instFirst {
-			c.instHeads[idx] = true
-		} else {
-			c.instHeads[idx] = false
-		}
+		c.rasSnaps[idx] = [2]int{fu.RASTop, fu.RASDepth}
+		c.instHeads[idx] = fu.InstFirst
 
 		switch {
-		case fu.exc != isa.ExcNone:
+		case fu.Exc != isa.ExcNone:
 			e.Executed = true
 		case u.Op == isa.Nop:
 			e.Executed = true
@@ -598,7 +570,7 @@ func (c *CPU) rename() {
 			e.Executed = true
 		case u.Op == isa.Jmp:
 			e.ActualTaken = true
-			e.ActualTarget = fu.binfo.Target
+			e.ActualTarget = fu.BranchInfo.Target
 			e.Mispredicted = c.predictedNext(e) != e.ActualTarget
 			e.Executed = true
 		case u.Op == isa.Call:
@@ -606,7 +578,7 @@ func (c *CPU) rename() {
 				c.file(dst.FP).Write(dst, uint64(u.Imm))
 			}
 			e.ActualTaken = true
-			e.ActualTarget = fu.binfo.Target
+			e.ActualTarget = fu.BranchInfo.Target
 			e.Mispredicted = c.predictedNext(e) != e.ActualTarget
 			e.Executed = true
 		default:
@@ -620,7 +592,7 @@ func (c *CPU) rename() {
 			assert(ok, "iq: allocation failed after capacity check")
 			e.Dispatched = true
 		}
-		c.fetchQ = c.fetchQ[1:]
+		c.fetchQ.Pop()
 	}
 }
 
@@ -657,32 +629,17 @@ func (c *CPU) issue() {
 	intBudget, fpBudget, memBudget := c.cfg.IntALUs, c.cfg.FPALUs, c.cfg.MemPorts
 	issued := 0
 	// Oldest-first selection over the occupied issue queue slots.
-	type cand struct {
-		slot int
-		seq  uint64
-	}
-	var cands []cand
-	for i := 0; i < c.iq.Size(); i++ {
-		if c.iq.Occupied(i) {
-			_, robIdx := c.iq.Entry(i)
-			assert(robIdx >= 0 && robIdx < c.rob.Cap(), "iq: corrupted ROB link")
-			cands = append(cands, cand{i, c.rob.At(robIdx).Seq})
-		}
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].seq < cands[j-1].seq; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-
-	for _, cd := range cands {
+	c.cands = c.iq.Candidates(c.cands)
+	for _, cd := range c.cands {
 		if issued >= c.cfg.IssueWidth {
 			return
 		}
-		p, robIdx := c.iq.Entry(cd.slot)
-		e := c.rob.At(robIdx)
-		assert(int(p.Op) < isa.NumOps, "iq: corrupted opcode in issue payload")
-		if !c.ready(p.Src1) || !c.ready(p.Src2) {
+		// Wakeup reads the slot again; only a micro-op whose sources
+		// are ready is unpacked in full.
+		pl := c.iq.Payload(cd.Slot)
+		assert(int(pl.Op()) < isa.NumOps, "iq: corrupted opcode in issue payload")
+		src1, src2 := pl.Sources()
+		if !c.ready(src1) || !c.ready(src2) {
 			if c.cfg.InOrder {
 				// The Atom-like model issues strictly in program
 				// order: a stalled micro-op stalls everything younger.
@@ -690,6 +647,9 @@ func (c *CPU) issue() {
 			}
 			continue
 		}
+		p, robIdx := pl.Unpack(), cd.ROBIdx
+		assert(robIdx >= 0 && robIdx < c.rob.Cap(), "iq: corrupted ROB link")
+		e := c.rob.At(robIdx)
 		switch {
 		case p.Op == isa.Load || p.Op == isa.FLoad:
 			if memBudget == 0 {
@@ -698,7 +658,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			if c.issueLoad(cd.slot, p, robIdx, e) {
+			if c.issueLoad(cd.Slot, p, robIdx, e) {
 				memBudget--
 				issued++
 			} else if c.cfg.InOrder {
@@ -711,7 +671,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			c.issueStore(cd.slot, p, robIdx, e)
+			c.issueStore(cd.Slot, p, robIdx, e)
 			memBudget--
 			issued++
 		case isFPUOp(p.Op):
@@ -721,7 +681,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			c.issueFP(cd.slot, p, robIdx, e)
+			c.issueFP(cd.Slot, p, robIdx, e)
 			fpBudget--
 			issued++
 		default:
@@ -731,7 +691,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			c.issueInt(cd.slot, p, robIdx, e)
+			c.issueInt(cd.Slot, p, robIdx, e)
 			intBudget--
 			issued++
 		}
@@ -854,7 +814,7 @@ func (c *CPU) issueStore(slot int, p pipeline.PackedUop, robIdx int, e *pipeline
 }
 
 func (c *CPU) issueInt(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
-	defer c.iq.Release(slot)
+	c.iq.Release(slot)
 	switch p.Op {
 	case isa.BrFlags:
 		flags := c.readPhys(p.Src1)
@@ -895,7 +855,7 @@ func (c *CPU) issueInt(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.R
 }
 
 func (c *CPU) issueFP(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
-	defer c.iq.Release(slot)
+	c.iq.Release(slot)
 	bits := func(p pipeline.PhysReg) float64 { return math.Float64frombits(c.readPhys(p)) }
 	var val uint64
 	lat := 4

@@ -96,7 +96,11 @@ type IQ struct {
 	arr      *bitarray.Array
 	occupied []bool
 	robIdx   []int
-	count    int
+	// age lists the occupied slots oldest first. Micro-ops enter in
+	// program order (rename allocates the ROB entry and the slot
+	// together), so allocation order is ROB sequence order and age-
+	// ordered selection needs no sort.
+	age []int
 }
 
 // NewIQ builds an issue queue of the given size.
@@ -108,6 +112,7 @@ func NewIQ(name string, size int) *IQ {
 		arr:      bitarray.New(name, size, 128),
 		occupied: make([]bool, size),
 		robIdx:   make([]int, size),
+		age:      make([]int, 0, size),
 	}
 	q.arr.SetValidFunc(func(e int) bool { return q.occupied[e] })
 	return q
@@ -117,13 +122,14 @@ func NewIQ(name string, size int) *IQ {
 func (q *IQ) Array() *bitarray.Array { return q.arr }
 
 // Len returns the number of waiting micro-ops.
-func (q *IQ) Len() int { return q.count }
+func (q *IQ) Len() int { return len(q.age) }
 
 // Full reports whether the queue has no space.
-func (q *IQ) Full() bool { return q.count == len(q.occupied) }
+func (q *IQ) Full() bool { return len(q.age) == len(q.occupied) }
 
-// Alloc inserts a packed micro-op tied to the given ROB index and
-// reports whether space was available.
+// Alloc inserts a packed micro-op tied to the given ROB index, younger
+// than every micro-op already waiting, and reports whether space was
+// available.
 func (q *IQ) Alloc(w0, w1 uint64, robIdx int) bool {
 	for i := range q.occupied {
 		if !q.occupied[i] {
@@ -131,30 +137,75 @@ func (q *IQ) Alloc(w0, w1 uint64, robIdx int) bool {
 			q.robIdx[i] = robIdx
 			q.arr.WriteWord(i, 0, w0)
 			q.arr.WriteWord(i, 1, w1)
-			q.count++
+			q.age = append(q.age, i)
 			return true
 		}
 	}
 	return false
 }
 
-// Entry reads the payload of slot i through the faultable array.
-func (q *IQ) Entry(i int) (PackedUop, int) {
+// Payload is one slot's two payload words as the faultable array served
+// them. The issue stage unpacks the fields it needs when it needs them:
+// most waiting micro-ops are looked at every cycle and issued once.
+type Payload struct{ W0, W1 uint64 }
+
+// Op unpacks the opcode alone.
+func (p Payload) Op() isa.Op { return isa.Op(p.W1 & 0xff) }
+
+// Sources unpacks the two source registers alone — all wakeup needs.
+func (p Payload) Sources() (src1, src2 PhysReg) {
+	return unpackReg(p.W1 >> 20), unpackReg(p.W1 >> 32)
+}
+
+// Unpack decodes the whole payload.
+func (p Payload) Unpack() PackedUop { return UnpackUop(p.W0, p.W1) }
+
+// Payload reads slot i through the faultable array: two word reads.
+func (q *IQ) Payload(i int) Payload {
 	w0, w1 := q.arr.ReadWordPair(i)
-	return UnpackUop(w0, w1), q.robIdx[i]
+	return Payload{w0, w1}
+}
+
+// IssueCand is one waiting micro-op under age-ordered issue selection.
+type IssueCand struct {
+	Slot   int
+	ROBIdx int
+}
+
+// Candidates collects the waiting micro-ops into buf[:0], oldest first,
+// and returns the filled buffer for the caller to keep for the next
+// cycle (the caller releases slots while it walks the result, so it
+// cannot walk the queue's own list). Selection reads every occupied
+// slot through the faultable array, in slot order — the hardware's
+// wakeup scan; a fault in a waiting entry is consumed here — but
+// unpacks nothing.
+func (q *IQ) Candidates(buf []IssueCand) []IssueCand {
+	for i, occ := range q.occupied {
+		if occ {
+			q.arr.ReadWordPair(i)
+		}
+	}
+	buf = buf[:0]
+	for _, i := range q.age {
+		buf = append(buf, IssueCand{i, q.robIdx[i]})
+	}
+	return buf
 }
 
 // Occupied reports whether slot i holds a waiting micro-op.
 func (q *IQ) Occupied(i int) bool { return q.occupied[i] }
 
-// Size returns the slot count.
-func (q *IQ) Size() int { return len(q.occupied) }
-
 // Release frees slot i after issue.
 func (q *IQ) Release(i int) {
-	if q.occupied[i] {
-		q.occupied[i] = false
-		q.count--
+	if !q.occupied[i] {
+		return
+	}
+	q.occupied[i] = false
+	for k, s := range q.age {
+		if s == i {
+			q.age = append(q.age[:k], q.age[k+1:]...)
+			return
+		}
 	}
 }
 
@@ -166,5 +217,5 @@ func (q *IQ) FlushAll() {
 			q.occupied[i] = false
 		}
 	}
-	q.count = 0
+	q.age = q.age[:0]
 }

@@ -60,6 +60,9 @@ type LSQ struct {
 	data    *bitarray.Array
 	loads   int
 	stores  int
+	// hits backs the results of StoreResolved and LineSharers, which a
+	// store-heavy loop would otherwise allocate on every resolved store.
+	hits []int
 }
 
 // NewLSQ builds a load/store queue; it panics on bad geometry.
@@ -237,10 +240,11 @@ func (q *LSQ) QueryLoad(idx int) FwdResult {
 
 // StoreResolved reports the ROB indices of younger already-executed
 // loads that overlap the just-resolved store at idx — the ordering
-// violations of aggressive load speculation.
+// violations of aggressive load speculation. The result is valid until
+// the next StoreResolved or LineSharers.
 func (q *LSQ) StoreResolved(idx int) []int {
 	se := &q.entries[idx]
-	var violated []int
+	violated := q.hits[:0]
 	for i := range q.entries {
 		le := &q.entries[i]
 		if !le.valid || le.isStore || le.seq <= se.seq || !le.executed || !le.addrValid {
@@ -250,6 +254,7 @@ func (q *LSQ) StoreResolved(idx int) []int {
 			violated = append(violated, le.robIdx)
 		}
 	}
+	q.hits = violated
 	return violated
 }
 
@@ -257,11 +262,12 @@ func (q *LSQ) StoreResolved(idx int) []int {
 // loads whose address shares the cache line of the just-resolved store
 // at idx without overlapping its bytes. Aggressive cores (MARSS) replay
 // such loads — re-accessing the cache — which is the paper's Remark 3
-// mechanism behind MaFIN's inflated executed-load counts.
+// mechanism behind MaFIN's inflated executed-load counts. The result is
+// valid until the next StoreResolved or LineSharers.
 func (q *LSQ) LineSharers(idx int, lineSize uint64) []int {
 	se := &q.entries[idx]
 	line := se.addr &^ (lineSize - 1)
-	var out []int
+	out := q.hits[:0]
 	for i := range q.entries {
 		le := &q.entries[i]
 		if !le.valid || le.isStore || le.seq <= se.seq || !le.executed || !le.addrValid {
@@ -275,6 +281,7 @@ func (q *LSQ) LineSharers(idx int, lineSize uint64) []int {
 		}
 		out = append(out, i)
 	}
+	q.hits = out
 	return out
 }
 

@@ -168,9 +168,8 @@ func TestIQAllocReleaseFlush(t *testing.T) {
 	if !q.Full() || q.Alloc(0, 0, 0) {
 		t.Fatal("overfull")
 	}
-	p, rob := q.Entry(2)
-	if p.Imm != 2 || rob != 20 {
-		t.Fatalf("entry: %+v %d", p, rob)
+	if p := q.Payload(2).Unpack(); p.Imm != 2 {
+		t.Fatalf("payload: %+v", p)
 	}
 	q.Release(2)
 	if q.Len() != 3 || q.Occupied(2) {

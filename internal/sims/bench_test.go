@@ -9,30 +9,37 @@ import (
 )
 
 // BenchmarkSimulatorThroughput measures host-side simulation speed
-// (simulated cycles per host second) for each tool on one benchmark —
-// the number that sizes real injection campaigns.
+// (simulated cycles per host second) and heap traffic of one golden run,
+// for each tool on the two programs BENCHMARK.json's workloads simulate
+// — the number that sizes real injection campaigns. It is also the one
+// way to profile a core:
+//
+//	go test ./internal/sims -run '^$' -bench SimulatorThroughput/mafin-x86/qsort -cpuprofile cpu.out
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	w, err := workload.ByName("sha")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, tool := range Tools() {
-		factory, err := Factory(tool, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(tool, func(b *testing.B) {
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				sim := factory()
-				res := sim.Run(1 << 62)
-				if res.Status != core.RunCompleted {
-					b.Fatalf("%v", res.Status)
-				}
-				cycles += res.Cycles
+		for _, bench := range []string{"qsort", "sha"} {
+			w, err := workload.ByName(bench)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
-		})
+			factory, err := Factory(tool, w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(tool+"/"+bench, func(b *testing.B) {
+				b.ReportAllocs()
+				var cycles uint64
+				for i := 0; i < b.N; i++ {
+					sim := factory()
+					res := sim.Run(1 << 62)
+					if res.Status != core.RunCompleted {
+						b.Fatalf("%v", res.Status)
+					}
+					cycles += res.Cycles
+				}
+				b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+			})
+		}
 	}
 }
 
