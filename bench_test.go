@@ -29,11 +29,26 @@ import (
 // the result (who wins) is stable even at this reduced scale.
 func benchOptions(seed int64) report.Options {
 	return report.Options{
-		Injections: 25,
-		Seed:       seed,
+		Campaign:   core.CampaignConfig{Injections: 25, Seed: seed, Workers: 1},
 		Benchmarks: []string{"qsort", "sha"},
-		Workers:    1,
 	}
+}
+
+// runSpecs runs hand-built specs through core.RunConfig: every spec
+// becomes a cell carrying its masks explicitly, the resolver hands back
+// the spec's factory, and cfg supplies the knobs.
+func runSpecs(specs []core.CampaignSpec, cfg core.CampaignConfig, att core.Attach) ([]*core.CampaignResult, error) {
+	type row struct{ tool, bench string }
+	factories := make(map[row]core.Factory)
+	for _, s := range specs {
+		cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+			Tool: s.Tool, Benchmark: s.Benchmark, Structure: s.Structure, Masks: s.Masks,
+		})
+		factories[row{s.Tool, s.Benchmark}] = s.Factory
+	}
+	return core.RunConfig(cfg, func(tool, bench string) (core.Factory, error) {
+		return factories[row{tool, bench}], nil
+	}, att)
 }
 
 // benchFigure runs one classification figure campaign per iteration and
@@ -196,11 +211,10 @@ func BenchmarkEarlyStopAblation(b *testing.B) {
 	}{{"on", false}, {"off", true}} {
 		b.Run("earlystop-"+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunCampaign(core.CampaignSpec{
-					Benchmark: "sha", Structure: "l1d.data",
-					Masks: masks, Factory: factory, Workers: 1,
-					DisableEarlyStop: mode.disable,
-				}); err != nil {
+				if _, err := runSpecs([]core.CampaignSpec{{
+					Tool: sims.GeFINX86, Benchmark: "sha", Structure: "l1d.data",
+					Masks: masks, Factory: factory,
+				}}, core.CampaignConfig{Workers: 1, DisableEarlyStop: mode.disable}, core.Attach{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -240,14 +254,14 @@ func BenchmarkInOrderAblation(b *testing.B) {
 			}
 			var vuln float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunCampaign(core.CampaignSpec{
-					Benchmark: "sha", Structure: "rf.int",
-					Masks: masks, Factory: factory, Workers: 1,
-				})
+				res, err := runSpecs([]core.CampaignSpec{{
+					Tool: sims.MaFINX86, Benchmark: "sha", Structure: "rf.int",
+					Masks: masks, Factory: factory,
+				}}, core.CampaignConfig{Workers: 1}, core.Attach{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				vuln = (core.Parser{}).ParseAll(res.Records).Vulnerability()
+				vuln = (core.Parser{}).ParseAll(res[0].Records).Vulnerability()
 			}
 			b.ReportMetric(vuln, "vuln%")
 		})
@@ -293,11 +307,10 @@ func BenchmarkCheckpointAblation(b *testing.B) {
 	}{{"from-boot", false}, {"from-checkpoint", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunCampaign(core.CampaignSpec{
-					Benchmark: "qsort", Structure: "rf.int",
-					Masks: masks, Factory: factory, Workers: 1,
-					UseCheckpoint: mode.use,
-				}); err != nil {
+				if _, err := runSpecs([]core.CampaignSpec{{
+					Tool: sims.MaFINX86, Benchmark: "qsort", Structure: "rf.int",
+					Masks: masks, Factory: factory,
+				}}, core.CampaignConfig{Workers: 1, UseCheckpoint: mode.use}, core.Attach{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -352,11 +365,9 @@ func BenchmarkMatrixScheduler(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Golden deliberately nil: each iteration's matrix pays
-				// one memoized golden run per row.
 				specs = append(specs, core.CampaignSpec{
 					Tool: r.tool, Benchmark: r.bench, Structure: structure,
-					Masks: masks, Factory: r.factory, TimeoutFactor: 3,
+					Masks: masks, Factory: r.factory,
 				})
 			}
 		}
@@ -367,7 +378,9 @@ func BenchmarkMatrixScheduler(b *testing.B) {
 			var runs int
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				results, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{Workers: workers})
+				// No shared cache: each iteration's matrix pays one
+				// memoized golden run per row.
+				results, err := runSpecs(buildSpecs(), core.CampaignConfig{Workers: workers}, core.Attach{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -425,7 +438,7 @@ func BenchmarkMatrixSchedulerTelemetry(b *testing.B) {
 			}
 			specs = append(specs, core.CampaignSpec{
 				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: factory, TimeoutFactor: 3,
+				Masks: masks, Factory: factory,
 			})
 		}
 		return specs
@@ -436,13 +449,12 @@ func BenchmarkMatrixSchedulerTelemetry(b *testing.B) {
 	}{{"bare", false}, {"collector+trace", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := core.MatrixOptions{Workers: 8}
+				var att core.Attach
 				if mode.tel {
-					collector := telemetry.New()
-					collector.AddSink(telemetry.NewTraceSink())
-					opts.Telemetry = collector
+					att.Telemetry = telemetry.New()
+					att.Telemetry.AddSink(telemetry.NewTraceSink())
 				}
-				if _, err := core.RunMatrix(buildSpecs(), opts); err != nil {
+				if _, err := runSpecs(buildSpecs(), core.CampaignConfig{Workers: 8}, att); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -519,7 +531,7 @@ func BenchmarkPruneAblation(b *testing.B) {
 			}
 			specs = append(specs, core.CampaignSpec{
 				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: factory, TimeoutFactor: 3, Golden: &golden,
+				Masks: masks, Factory: factory,
 			})
 		}
 		return specs
@@ -531,9 +543,11 @@ func BenchmarkPruneAblation(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var runs, prunedRuns int
 			for i := 0; i < b.N; i++ {
-				results, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{
+				// A private cache per iteration: both modes pay the row's
+				// golden run, the pruned one its profiled replays too.
+				results, err := runSpecs(buildSpecs(), core.CampaignConfig{
 					Workers: 4, Prune: mode.prune,
-				})
+				}, core.Attach{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -587,8 +601,7 @@ func BenchmarkCheckpointLadder(b *testing.B) {
 	spec := func() []core.CampaignSpec {
 		return []core.CampaignSpec{{
 			Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int",
-			Masks: masks, Factory: factory, TimeoutFactor: 3, Golden: &golden,
-			UseCheckpoint: true,
+			Masks: masks, Factory: factory,
 		}}
 	}
 	for _, mode := range []struct {
@@ -597,9 +610,9 @@ func BenchmarkCheckpointLadder(b *testing.B) {
 	}{{"single-checkpoint", 0}, {"ladder-6", 6}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunMatrix(spec(), core.MatrixOptions{
-					Workers: 4, CheckpointLadder: mode.ladder,
-				}); err != nil {
+				if _, err := runSpecs(spec(), core.CampaignConfig{
+					Workers: 4, UseCheckpoint: true, CheckpointLadder: mode.ladder,
+				}, core.Attach{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -685,8 +698,8 @@ func BenchmarkDetailWindow(b *testing.B) {
 	buildSpecs, _ := windowedCampaign(b)
 	run := func(window, reference bool) uint64 {
 		var runs uint64
-		opt := core.MatrixOptions{
-			Workers: 4, Telemetry: telemetry.New(),
+		opt := core.CampaignConfig{
+			Workers: 4, UseCheckpoint: true,
 			Prune: true, CheckpointLadder: 3,
 		}
 		if window {
@@ -698,7 +711,7 @@ func BenchmarkDetailWindow(b *testing.B) {
 			opt.FFRungs = -1
 			opt.NoDecodeCache = true
 		}
-		results, err := core.RunMatrix(buildSpecs(), opt)
+		results, err := runSpecs(buildSpecs(), opt, core.Attach{Telemetry: telemetry.New()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -718,8 +731,8 @@ func BenchmarkDetailWindow(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				col := telemetry.New()
-				opt := core.MatrixOptions{
-					Workers: 4, Telemetry: col,
+				opt := core.CampaignConfig{
+					Workers: 4, UseCheckpoint: true,
 					Prune: true, CheckpointLadder: 3,
 				}
 				if mode.window {
@@ -727,7 +740,7 @@ func BenchmarkDetailWindow(b *testing.B) {
 					opt.WindowPre = 2000
 					opt.WindowPost = 1000
 				}
-				results, err := core.RunMatrix(buildSpecs(), opt)
+				results, err := runSpecs(buildSpecs(), opt, core.Attach{Telemetry: col})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -804,8 +817,7 @@ func windowedCampaign(b *testing.B) (func() []core.CampaignSpec, *core.GoldenCac
 			}
 			specs = append(specs, core.CampaignSpec{
 				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: factory, TimeoutFactor: 3, Golden: &golden,
-				UseCheckpoint: true,
+				Masks: masks, Factory: factory,
 			})
 		}
 		return specs
@@ -824,17 +836,18 @@ func BenchmarkDetailWindowDivergence(b *testing.B) {
 	buildSpecs, cache := windowedCampaign(b)
 	run := func(div bool) uint64 {
 		var runs uint64
-		opt := core.MatrixOptions{
-			Workers: 4, Telemetry: telemetry.New(), Golden: cache,
+		opt := core.CampaignConfig{
+			Workers: 4, UseCheckpoint: true,
 			Prune: true, CheckpointLadder: 3,
 			DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
 		}
+		att := core.Attach{Telemetry: telemetry.New(), Golden: cache}
 		var sink *divergence.Sink
 		if div {
 			sink = divergence.NewSink()
-			opt.Divergence = sink
+			att.Divergence = sink
 		}
-		results, err := core.RunMatrix(buildSpecs(), opt)
+		results, err := runSpecs(buildSpecs(), opt, att)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -935,13 +948,13 @@ func BenchmarkWindowEntryLadder(b *testing.B) {
 	buildSpecs, cache := windowedCampaign(b)
 	run := func(ffRungs int) uint64 {
 		var runs uint64
-		opt := core.MatrixOptions{
-			Workers: 4, Telemetry: telemetry.New(), Golden: cache,
+		opt := core.CampaignConfig{
+			Workers: 4, UseCheckpoint: true,
 			Prune: true, CheckpointLadder: 3,
 			DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
 			FFRungs: ffRungs,
 		}
-		results, err := core.RunMatrix(buildSpecs(), opt)
+		results, err := runSpecs(buildSpecs(), opt, core.Attach{Telemetry: telemetry.New(), Golden: cache})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,17 +62,15 @@ func main() {
 	}
 	defer obs.Close()
 
-	// The shared campaign knobs arrive through the consolidated config
-	// API; the figure specs supply the cells later, so the knob
-	// cross-rules (stop margin domain, exhaustive/importance-sampling
-	// exclusions) are validated against a representative probe cell.
-	cfg := cf.Apply(nil)
-	probe := cfg
-	probe.Campaigns = []core.CampaignCell{{Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int"}}
-	if err := probe.Validate(); err != nil {
+	// The shared campaign knobs arrive as one config; the figure specs
+	// supply the cells later, so the knob cross-rules (stop margin domain,
+	// exhaustive/importance-sampling exclusions) are validated against a
+	// representative probe cell.
+	cfg := cf.Apply([]core.CampaignCell{{Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int"}})
+	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
-	opt := report.OptionsFromConfig(cfg)
+	opt := report.Options{Campaign: cfg}
 	opt.Parser = core.Parser{GroupSimCrashWithAssert: *groupSim}
 	opt.Telemetry = obs.Collector
 	opt.ProgressEvery = tf.ProgressEvery
@@ -91,6 +89,9 @@ func main() {
 	}
 	if obs.Trace != nil && opt.Logs == nil {
 		fatal(fmt.Errorf("-trace requires -logs (the trace lives in the logs repository)"))
+	}
+	if cfg.Divergence && opt.Logs == nil {
+		fatal(fmt.Errorf("-divergence requires -logs (the divergence files live in the logs repository)"))
 	}
 	var progress io.Writer = os.Stderr
 	if tf.Quiet {

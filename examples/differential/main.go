@@ -12,6 +12,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sims"
 )
@@ -22,8 +23,7 @@ func main() {
 	flag.Parse()
 
 	opt := report.Options{
-		Injections: *n,
-		Seed:       42,
+		Campaign:   core.CampaignConfig{Injections: *n, Seed: 42},
 		Benchmarks: []string{*bench},
 		Tools:      []string{sims.MaFINX86, sims.GeFINX86},
 	}

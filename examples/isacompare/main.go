@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sims"
 	"repro/internal/workload"
@@ -46,8 +47,7 @@ func main() {
 	}
 
 	opt := report.Options{
-		Injections: *n,
-		Seed:       99,
+		Campaign:   core.CampaignConfig{Injections: *n, Seed: 99},
 		Benchmarks: []string{*bench},
 		Tools:      []string{sims.GeFINX86, sims.GeFINARM},
 	}

@@ -43,14 +43,15 @@ func main() {
 	rfE, rfB := geom("rf.int")
 
 	run := func(label string, masks []fault.Mask) {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Tool: *tool, Benchmark: *bench, Structure: label,
-			Masks: masks, Factory: factory, TimeoutFactor: 3,
-		})
+		// One cell carrying its masks explicitly; the resolver hands back
+		// the factory built above.
+		res, err := core.RunConfig(core.CampaignConfig{
+			Campaigns: []core.CampaignCell{{Tool: *tool, Benchmark: *bench, Structure: label, Masks: masks}},
+		}, func(string, string) (core.Factory, error) { return factory, nil }, core.Attach{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-34s %s\n", label, core.Parser{}.ParseAll(res.Records))
+		fmt.Printf("%-34s %s\n", label, core.Parser{}.ParseAll(res[0].Records))
 	}
 
 	gen := func(structure string, entries, bits int, model fault.Model, sites int, adjacent bool, seed int64) []fault.Mask {

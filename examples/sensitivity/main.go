@@ -53,13 +53,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Benchmark: *bench, Structure: "l1d.data", Masks: masks, Factory: factory,
-		})
+		// One cell carrying its masks explicitly; the resolver hands back
+		// this cache size's factory.
+		res, err := core.RunConfig(core.CampaignConfig{
+			Campaigns: []core.CampaignCell{{Tool: "gefin-x86", Benchmark: *bench, Structure: "l1d.data", Masks: masks}},
+		}, func(string, string) (core.Factory, error) { return factory, nil }, core.Attach{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		b := core.Parser{}.ParseAll(res.Records)
+		b := core.Parser{}.ParseAll(res[0].Records)
 		fmt.Printf("%6dKB %10d %9.2f%% %9.2f%% %7.2f%%\n",
 			kb, golden.Cycles, b.Pct(core.ClassMasked), b.Pct(core.ClassSDC), b.Vulnerability())
 	}

@@ -33,50 +33,28 @@ func Resolve(tool, benchmark string) (core.Factory, error) {
 	return sims.Factory(tool, w)
 }
 
-// CampaignFlags holds the shared campaign-execution knobs after
-// parsing. Config() turns them into a core.CampaignConfig.
-type CampaignFlags struct {
-	N             int
-	Seed          int64
-	Model         string
-	Workers       int
-	TimeoutFactor uint64
-	NoEarlyStop   bool
-	Checkpoint    bool
-	Prune         bool
-	PruneVerify   int
-	Ladder        int
-	RunWallLimit  time.Duration
-	LiveOnly      bool
-	DetailWindow  bool
-	WindowPre     uint64
-	WindowPost    uint64
-	WindowVerify  int
-	FFRungs       int
-	NoDecodeCache bool
-	Divergence    bool
-	StopMargin    float64
-	StopConf      float64
-	StopEvery     int
-	Exhaustive    bool
-	Importance    bool
-}
+// CampaignFlags is the core.CampaignConfig the shared campaign-execution
+// flags parse straight into; Config() and Apply() hand it out over a
+// command's cells.
+type CampaignFlags struct{ cfg core.CampaignConfig }
 
-// Campaign registers the shared campaign-execution flags on fs.
-// defaultN sets the command's default injection count (faultcamp and
-// figures historically differ only there).
+// Campaign registers the shared campaign-execution flags on fs, each
+// bound to its CampaignConfig field. defaultN sets the command's default
+// injection count (faultcamp and figures historically differ only
+// there).
 func Campaign(fs *flag.FlagSet, defaultN int) *CampaignFlags {
-	c := &CampaignFlags{}
-	fs.IntVar(&c.N, "n", defaultN, "injections per campaign when no explicit masks are given")
+	f := &CampaignFlags{}
+	c := &f.cfg
+	fs.IntVar(&c.Injections, "n", defaultN, "injections per campaign when no explicit masks are given")
 	fs.Int64Var(&c.Seed, "seed", 1, "mask generation seed")
 	fs.StringVar(&c.Model, "model", "transient", "generated fault model (transient, intermittent, permanent)")
 	fs.IntVar(&c.Workers, "workers", 0, "worker pool size (default GOMAXPROCS)")
 	fs.Uint64Var(&c.TimeoutFactor, "timeout-factor", 3, "cycle limit as a multiple of the fault-free run")
-	fs.BoolVar(&c.NoEarlyStop, "no-early-stop", false, "disable the §III.B early-stop optimizations")
-	fs.BoolVar(&c.Checkpoint, "checkpoint", false, "share the fault-free prefix via a drained-machine checkpoint")
+	fs.BoolVar(&c.DisableEarlyStop, "no-early-stop", false, "disable the §III.B early-stop optimizations")
+	fs.BoolVar(&c.UseCheckpoint, "checkpoint", false, "share the fault-free prefix via a drained-machine checkpoint")
 	fs.BoolVar(&c.Prune, "prune", false, "classify provably-masked faults from the golden-run liveness profile without simulating them")
 	fs.IntVar(&c.PruneVerify, "prune-verify", 0, "simulate up to this many pruned masks per campaign and fail on a class mismatch (implies -prune)")
-	fs.IntVar(&c.Ladder, "ladder", 0, "number of evenly spaced checkpoint rungs (>= 2, with -checkpoint; 0: single legacy checkpoint)")
+	fs.IntVar(&c.CheckpointLadder, "ladder", 0, "number of evenly spaced checkpoint rungs (>= 2, with -checkpoint; 0: single legacy checkpoint)")
 	fs.DurationVar(&c.RunWallLimit, "run-wall-limit", 0, "per-run wall-clock backstop: classify a run as Timeout after this much host time (0: off)")
 	fs.BoolVar(&c.LiveOnly, "live-only", false, "restrict generated faults to entries live at the end of the golden run (conditional vulnerability)")
 	fs.BoolVar(&c.DetailWindow, "detail-window", false, "simulate cycle-accurately only inside a detail window around each fault, functionally everywhere else")
@@ -87,65 +65,38 @@ func Campaign(fs *flag.FlagSet, defaultN int) *CampaignFlags {
 	fs.BoolVar(&c.NoDecodeCache, "no-decode-cache", false, "run the functional tier without the predecoded-instruction cache (with -detail-window; reference behaviour, byte-identical results)")
 	fs.BoolVar(&c.Divergence, "divergence", false, "record per-run divergence provenance (first architectural divergence vs golden, corruption footprint, masking depth) to <key>.divergence.jsonl")
 	fs.Float64Var(&c.StopMargin, "stop-margin", 0, "stop a campaign early once every outcome-class proportion is known to this ± margin at -stop-confidence (0: run the full budget)")
-	fs.Float64Var(&c.StopConf, "stop-confidence", 0.99, "confidence level of the -stop-margin sequential stopping rule")
-	fs.IntVar(&c.StopEvery, "stop-check-every", 0, "evaluate the -stop-margin rule every this many completed runs (0: default cadence)")
+	fs.Float64Var(&c.StopConfidence, "stop-confidence", 0.99, "confidence level of the -stop-margin sequential stopping rule")
+	fs.IntVar(&c.StopCheckEvery, "stop-check-every", 0, "evaluate the -stop-margin rule every this many completed runs (0: default cadence)")
 	fs.BoolVar(&c.Exhaustive, "exhaustive", false, "replace sampling with the equivalence-class-collapsed census of the whole single-bit transient fault population (implies -prune)")
-	fs.BoolVar(&c.Importance, "importance-sampling", false, "oversample live fault sites from the golden-run liveness profile, with Horvitz-Thompson weights keeping the reported proportions unbiased")
-	return c
+	fs.BoolVar(&c.ImportanceSampling, "importance-sampling", false, "oversample live fault sites from the golden-run liveness profile, with Horvitz-Thompson weights keeping the reported proportions unbiased")
+	return f
 }
 
 // Config binds the parsed flags onto a validated CampaignConfig over
 // the given cells.
-func (c *CampaignFlags) Config(cells []core.CampaignCell) (core.CampaignConfig, error) {
-	cfg := c.Apply(cells)
+func (f *CampaignFlags) Config(cells []core.CampaignCell) (core.CampaignConfig, error) {
+	cfg := f.Apply(cells)
 	return cfg, cfg.Validate()
 }
 
 // Apply binds the parsed flags onto a CampaignConfig without
 // validating; for callers (figures) that consume the shared knobs but
 // derive their own campaign cells later.
-func (c *CampaignFlags) Apply(cells []core.CampaignCell) core.CampaignConfig {
-	cfg := core.CampaignConfig{
-		Campaigns:        cells,
-		Injections:       c.N,
-		Seed:             c.Seed,
-		Model:            c.Model,
-		LiveOnly:         c.LiveOnly,
-		TimeoutFactor:    c.TimeoutFactor,
-		DisableEarlyStop: c.NoEarlyStop,
-		UseCheckpoint:    c.Checkpoint,
-		Workers:          c.Workers,
-		Prune:            c.Prune,
-		PruneVerify:      c.PruneVerify,
-		CheckpointLadder: c.Ladder,
-		RunWallLimit:     c.RunWallLimit,
-		Divergence:       c.Divergence,
+func (f *CampaignFlags) Apply(cells []core.CampaignCell) core.CampaignConfig {
+	cfg := f.cfg
+	cfg.Campaigns = cells
+	// A flag that carries a default binds only when its feature is armed:
+	// a windowless config must not grow schema-v2/v4 fields (or trip
+	// validation) because of the margin defaults, nor a fixed-budget one
+	// schema-v5 fields because of -stop-confidence. An explicit
+	// -stop-check-every without a margin stays bound, so Validate rejects
+	// it instead of silently dropping the flag.
+	if !cfg.DetailWindow && cfg.WindowVerify == 0 {
+		cfg.WindowPre, cfg.WindowPost, cfg.FFRungs, cfg.NoDecodeCache = 0, 0, 0, false
 	}
-	// The margin flags carry defaults, so they bind only when windowing
-	// is actually on — a windowless config must not grow schema-v2
-	// fields (or trip validation) because of a default.
-	if c.DetailWindow || c.WindowVerify > 0 {
-		cfg.DetailWindow = c.DetailWindow
-		cfg.WindowPre = c.WindowPre
-		cfg.WindowPost = c.WindowPost
-		cfg.WindowVerify = c.WindowVerify
-		cfg.FFRungs = c.FFRungs
-		cfg.NoDecodeCache = c.NoDecodeCache
+	if cfg.StopMargin == 0 {
+		cfg.StopConfidence = 0
 	}
-	// -stop-confidence carries a default, so the stop knobs bind only
-	// when the rule is actually armed — a fixed-budget config must not
-	// grow schema-v5 fields (or trip validation) because of a default.
-	if c.StopMargin != 0 {
-		cfg.StopMargin = c.StopMargin
-		cfg.StopConfidence = c.StopConf
-		cfg.StopCheckEvery = c.StopEvery
-	} else if c.StopEvery != 0 {
-		// An explicit cadence without a margin is a user error; bind it
-		// so Validate rejects it instead of silently dropping the flag.
-		cfg.StopCheckEvery = c.StopEvery
-	}
-	cfg.Exhaustive = c.Exhaustive
-	cfg.ImportanceSampling = c.Importance
 	// Stamp the lowest schema version that can express the config, so
 	// configs without the new fields stay readable by legacy builds.
 	cfg.SchemaVersion = cfg.WireSchemaVersion()

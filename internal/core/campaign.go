@@ -46,40 +46,17 @@ type LogRecord struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// CampaignSpec describes one injection campaign: one tool, one benchmark,
-// one structure, a set of fault masks, and the factory that boots a fresh
-// simulator instance per run.
+// CampaignSpec is one materialized campaign cell: exactly what a
+// CampaignConfig cannot carry — the factory that boots a fresh simulator
+// instance per run and the mask population (the cell's explicit masks,
+// or the ones generated from its seed against the golden geometry).
+// Every execution knob stays on the config the spec was built from.
 type CampaignSpec struct {
 	Tool      string
 	Benchmark string
 	Structure string
 	Masks     []fault.Mask
 	Factory   Factory
-	// TimeoutFactor multiplies the fault-free cycle count to form the
-	// per-run cycle limit; the paper uses 3.
-	TimeoutFactor uint64
-	// Workers sets the worker pool size; 0 means GOMAXPROCS.
-	Workers int
-	// DisableEarlyStop turns off the §III.B optimizations (ablation).
-	DisableEarlyStop bool
-	// UseCheckpoint enables checkpoint-based prefix sharing: the
-	// controller checkpoints the fault-free machine at one fifth of the
-	// golden run and restores it into every injection run whose faults
-	// all start beyond that point. Opt-in because restored runs see a
-	// drained pipeline at the checkpoint, which can shift borderline
-	// outcomes relative to boot-runs of the same masks.
-	UseCheckpoint bool
-	// Golden, when non-nil, is a precomputed fault-free reference for
-	// this campaign's {tool, benchmark} (typically memoized in a
-	// GoldenCache); the controller uses it instead of performing its own
-	// golden run. Benchmark/Structure/Tool fields are overwritten from
-	// the spec.
-	Golden *GoldenInfo
-	// Exhaustive marks a cell whose mask set enumerates the collapsed
-	// equivalence-class space of the whole fault population (one
-	// representative per liveness interval, cycle-mass weighted); the
-	// result is stamped complete with zero margin instead of sampled.
-	Exhaustive bool
 }
 
 // CampaignResult is the outcome of a whole campaign.
@@ -444,18 +421,3 @@ func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 // memReleaser is the optional boot-pool hook of a simulator: a machine
 // that can hand its RAM back for recycling once a run is over.
 type memReleaser interface{ ReleaseMemory() }
-
-// RunCampaign is the injection campaign controller: it resolves the
-// golden reference (running it unless spec.Golden supplies a memoized
-// one), then dispatches every mask to a worker pool of simulator
-// instances and collects the logs in mask order. It is the
-// single-campaign case of the matrix scheduler, so a failing worker
-// cancels the pool promptly and the error of the earliest failing mask
-// is returned deterministically.
-func RunCampaign(spec CampaignSpec) (*CampaignResult, error) {
-	results, err := RunMatrix([]CampaignSpec{spec}, MatrixOptions{Workers: spec.Workers})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}

@@ -55,11 +55,12 @@ type CampaignCell struct {
 }
 
 // CampaignConfig is the consolidated, validated description of an
-// injection campaign matrix — the one public knob surface that replaces
-// the MatrixOptions/CampaignSpec sprawl (and the per-CLI flag wiring on
-// top of it). The same value drives local execution (RunConfig), shard
-// execution on a remote worker (RunShard), and the coordinator's
-// planning; it serializes as JSON for the wire and for config files.
+// injection campaign matrix — the one options type: the CLIs bind their
+// flags onto its fields, the report harness carries one, and the
+// scheduler reads every knob from it. The same value drives local
+// execution (RunConfig), shard execution on a remote worker (RunShard),
+// and the coordinator's planning; it serializes as JSON for the wire and
+// for config files.
 //
 // Everything in a CampaignConfig is portable: process-local resources
 // (golden caches, telemetry collectors, journals) attach separately via
@@ -89,7 +90,10 @@ type CampaignConfig struct {
 	// DisableEarlyStop turns off the §III.B optimizations (ablation).
 	DisableEarlyStop bool `json:"disable_early_stop,omitempty"`
 	// UseCheckpoint shares each row's fault-free prefix via drained-
-	// machine checkpoints.
+	// machine checkpoints: every run whose faults all start beyond a
+	// restore point is seeded from it. Opt-in because restored runs see a
+	// drained pipeline at the checkpoint, which can shift borderline
+	// outcomes relative to boot-runs of the same masks.
 	UseCheckpoint bool `json:"use_checkpoint,omitempty"`
 	// Workers is the simulation worker-pool size of the executing
 	// process — each distributed worker applies it locally; 0 means
@@ -391,33 +395,6 @@ type Attach struct {
 	SpanWorker  string
 }
 
-func (c CampaignConfig) matrixOptions(att Attach, cache *GoldenCache) MatrixOptions {
-	return MatrixOptions{
-		Workers:          c.Workers,
-		Golden:           cache,
-		Telemetry:        att.Telemetry,
-		Prune:            c.Prune || c.Exhaustive,
-		PruneVerify:      c.PruneVerify,
-		CheckpointLadder: c.CheckpointLadder,
-		Journal:          att.Journal,
-		Resume:           att.Resume,
-		RunWallLimit:     c.RunWallLimit,
-		DetailWindow:     c.DetailWindow,
-		WindowPre:        c.WindowPre,
-		WindowPost:       c.WindowPost,
-		WindowVerify:     c.WindowVerify,
-		FFRungs:          c.FFRungs,
-		NoDecodeCache:    c.NoDecodeCache,
-		Divergence:       att.Divergence,
-		Tracer:           att.Tracer,
-		TraceParent:      att.TraceParent,
-		SpanWorker:       att.SpanWorker,
-		StopMargin:       c.StopMargin,
-		StopConfidence:   c.StopConfidence,
-		StopCheckEvery:   c.StopCheckEvery,
-	}
-}
-
 // buildSpec materializes the scheduler spec of cell i: the factory from
 // the resolver, and the mask population either verbatim (explicit
 // masks) or generated deterministically from {seed, model, injections}
@@ -496,10 +473,6 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache) (
 	return CampaignSpec{
 		Tool: cell.Tool, Benchmark: cell.Benchmark, Structure: cell.Structure,
 		Masks: masks, Factory: factory,
-		TimeoutFactor:    c.TimeoutFactor,
-		DisableEarlyStop: c.DisableEarlyStop,
-		UseCheckpoint:    c.UseCheckpoint,
-		Exhaustive:       c.Exhaustive,
 	}, nil
 }
 
@@ -534,7 +507,7 @@ func RunConfig(cfg CampaignConfig, resolve Resolver, att Attach) ([]*CampaignRes
 	if err != nil {
 		return nil, err
 	}
-	results, _, err := runMatrix(specs, cfg.matrixOptions(att, cache), nil)
+	results, _, err := runMatrix(cfg, specs, att, cache, nil)
 	return results, err
 }
 
@@ -589,13 +562,8 @@ func RunShard(cfg CampaignConfig, campaign, lo, hi int, resolve Resolver, att At
 	// The shard attaches only the tracer: its outcomes go back to the
 	// caller as the scheduler built them, and whoever merges the shards
 	// commits them.
-	opt := cfg.matrixOptions(Attach{
-		Tracer:      att.Tracer,
-		TraceParent: att.TraceParent,
-		SpanWorker:  att.SpanWorker,
-	}, cache)
-	results, kept, err := runMatrix([]CampaignSpec{spec}, opt,
-		&shardExec{windows: []maskWindow{{lo, hi}}, divergence: cfg.Divergence})
+	att = Attach{Tracer: att.Tracer, TraceParent: att.TraceParent, SpanWorker: att.SpanWorker}
+	results, kept, err := runMatrix(cfg, []CampaignSpec{spec}, att, cache, []maskWindow{{lo, hi}})
 	if err != nil {
 		return nil, err
 	}

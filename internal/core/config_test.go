@@ -128,66 +128,6 @@ func TestCampaignConfigMaskCountAndKeys(t *testing.T) {
 	}
 }
 
-// RunConfig must reproduce the legacy hand-wired path (cache + Generate
-// + RunMatrix with an explicit golden ref) exactly: same masks, same
-// records, same golden header.
-func TestRunConfigMatchesLegacyPath(t *testing.T) {
-	const tool, bench, structure = sims.GeFINX86, "qsort", "rf.int"
-	const n, seed = 6, int64(42)
-	resolve := simsResolver(t)
-
-	// Legacy path, as cmd/faultcamp wired it before the config API.
-	f, err := resolve(tool, bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := core.NewGoldenCache()
-	golden, err := cache.Golden(tool, bench, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, bits, ok, err := cache.Geometry(tool, bench, f, structure)
-	if err != nil || !ok {
-		t.Fatalf("geometry: ok=%v err=%v", ok, err)
-	}
-	masks, err := fault.Generate(fault.GeneratorSpec{
-		Structure: structure, Entries: entries, BitsPerEntry: bits,
-		MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: n, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := core.RunMatrix([]core.CampaignSpec{{
-		Tool: tool, Benchmark: bench, Structure: structure,
-		Masks: masks, Factory: f, Golden: &golden,
-	}}, core.MatrixOptions{Golden: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := core.CampaignConfig{
-		Campaigns:  []core.CampaignCell{{Tool: tool, Benchmark: bench, Structure: structure}},
-		Injections: n,
-		Seed:       seed,
-	}
-	got, err := core.RunConfig(cfg, resolve, core.Attach{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || len(got[0].Records) != n {
-		t.Fatalf("RunConfig shape: %d results", len(got))
-	}
-	if !reflect.DeepEqual(got[0].Golden, legacy[0].Golden) {
-		t.Fatalf("golden header differs: %+v vs %+v", got[0].Golden, legacy[0].Golden)
-	}
-	for i := range legacy[0].Records {
-		l, g := legacy[0].Records[i], got[0].Records[i]
-		if !reflect.DeepEqual(l, g) {
-			t.Fatalf("record %d differs: legacy %+v config %+v", i, l, g)
-		}
-	}
-}
-
 // The union of shards must equal the single-node run: simulated and
 // pruned-dead rows verbatim, replicated rows as stubs whose
 // representative carries the verdict.

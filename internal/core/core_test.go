@@ -56,13 +56,14 @@ func TestRunCampaignAndClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunCampaign(core.CampaignSpec{
+	results, err := runSpecs([]core.CampaignSpec{{
 		Tool: "MaFIN-x86", Benchmark: "qsort", Structure: "rf.int",
-		Masks: masks, Factory: f, TimeoutFactor: 3, Workers: 2,
-	})
+		Masks: masks, Factory: f,
+	}}, core.CampaignConfig{Workers: 2}, core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	if len(res.Records) != 30 {
 		t.Fatalf("records %d", len(res.Records))
 	}
@@ -104,13 +105,13 @@ func TestCampaignDeterministic(t *testing.T) {
 		MaxCycle: g.Cycles, Model: fault.ModelTransient, Count: 10, Seed: 5,
 	})
 	run := func() []core.LogRecord {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Benchmark: "qsort", Structure: "lsq.data", Masks: masks, Factory: f, Workers: 3,
-		})
+		res, err := runSpecs([]core.CampaignSpec{{
+			Tool: sims.GeFINARM, Benchmark: "qsort", Structure: "lsq.data", Masks: masks, Factory: f,
+		}}, core.CampaignConfig{Workers: 3}, core.Attach{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Records
+		return res[0].Records
 	}
 	a, b := run(), run()
 	for i := range a {

@@ -25,10 +25,10 @@ func TestRunMatrixValidatesMasksUpFront(t *testing.T) {
 	factory := countingFactory(&calls)
 	masks := fakeMasks(8)
 	masks[5].Sites[0].Entry = 99 // the fake structure is 8×64
-	_, err := core.RunMatrix([]core.CampaignSpec{{
+	_, err := runSpecs([]core.CampaignSpec{{
 		Tool: "fake", Benchmark: "b", Structure: "s",
 		Masks: masks, Factory: factory,
-	}}, core.MatrixOptions{Workers: 4})
+	}}, core.CampaignConfig{Workers: 4}, core.Attach{})
 	if err == nil || !strings.Contains(err.Error(), "mask 5") {
 		t.Fatalf("err = %v, want a validation error naming mask 5", err)
 	}
@@ -58,10 +58,10 @@ func TestRunMatrixContainedPanicFirstError(t *testing.T) {
 	masks[9].Sites[0].Bit = 63
 	for _, workers := range []int{1, 2, 8} {
 		col := telemetry.New()
-		_, err := core.RunMatrix([]core.CampaignSpec{{
+		_, err := runSpecs([]core.CampaignSpec{{
 			Tool: "fake", Benchmark: "b", Structure: "s",
 			Masks: masks, Factory: factory,
-		}}, core.MatrixOptions{Workers: workers, Telemetry: col})
+		}}, core.CampaignConfig{Workers: workers}, core.Attach{Telemetry: col})
 		if err == nil {
 			t.Fatalf("workers=%d: poisoned campaign succeeded", workers)
 		}
@@ -96,10 +96,10 @@ func TestRunMatrixEscapedAssertBecomesRecord(t *testing.T) {
 	factory := func() core.Simulator { return &assertSim{newFakeSim()} }
 	masks := fakeMasks(6)
 	masks[2].Sites[0].Bit = 62
-	res, err := core.RunMatrix([]core.CampaignSpec{{
+	res, err := runSpecs([]core.CampaignSpec{{
 		Tool: "fake", Benchmark: "b", Structure: "s",
 		Masks: masks, Factory: factory,
-	}}, core.MatrixOptions{Workers: 3})
+	}}, core.CampaignConfig{Workers: 3}, core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestMatrixJournalResumeCounts(t *testing.T) {
 		col := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
-		res, err := core.RunMatrix([]core.CampaignSpec{{
+		res, err := runSpecs([]core.CampaignSpec{{
 			Tool: "fake", Benchmark: "b", Structure: "s",
 			Masks: fakeMasks(n), Factory: countingFactory(calls),
-		}}, core.MatrixOptions{Workers: 2, Telemetry: col, Journal: j, Resume: resume})
+		}}, core.CampaignConfig{Workers: 2}, core.Attach{Telemetry: col, Journal: j, Resume: resume})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestMatrixJournalResumeDifferential(t *testing.T) {
 			}
 			specs = append(specs, core.CampaignSpec{
 				Tool: "gefin-x86", Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: f, TimeoutFactor: 3, UseCheckpoint: true,
+				Masks: masks, Factory: f,
 			})
 		}
 		return specs
@@ -235,10 +235,10 @@ func TestMatrixJournalResumeDifferential(t *testing.T) {
 		col := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
-		res, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{
-			Workers: 4, Telemetry: col, Journal: j, Resume: resume,
+		res, err := runSpecs(buildSpecs(), core.CampaignConfig{
+			Workers: 4, UseCheckpoint: true,
 			Prune: true, PruneVerify: 2, CheckpointLadder: 3,
-		})
+		}, core.Attach{Telemetry: col, Journal: j, Resume: resume})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +289,10 @@ func TestMatrixJournalResumeDifferential(t *testing.T) {
 func TestEmptyMaskBootsFromScratch(t *testing.T) {
 	f := qsortFactory(t, sims.GeFINX86)
 	col := telemetry.New()
-	res, err := core.RunMatrix([]core.CampaignSpec{{
+	res, err := runSpecs([]core.CampaignSpec{{
 		Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int",
-		Masks: []fault.Mask{{ID: 0}}, Factory: f, UseCheckpoint: true,
-	}}, core.MatrixOptions{Workers: 1, Telemetry: col, CheckpointLadder: 3})
+		Masks: []fault.Mask{{ID: 0}}, Factory: f,
+	}}, core.CampaignConfig{Workers: 1, UseCheckpoint: true, CheckpointLadder: 3}, core.Attach{Telemetry: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +334,10 @@ func TestMultiSiteSameStructureWatchDedupe(t *testing.T) {
 		col := telemetry.New()
 		sink := &eventSink{}
 		col.AddSink(sink)
-		_, err := core.RunMatrix([]core.CampaignSpec{{
+		_, err := runSpecs([]core.CampaignSpec{{
 			Tool: "fake", Benchmark: "b", Structure: "s",
 			Masks: []fault.Mask{{ID: 0, Sites: sites}}, Factory: countingFactory(&calls),
-		}}, core.MatrixOptions{Workers: 1, Telemetry: col})
+		}}, core.CampaignConfig{Workers: 1}, core.Attach{Telemetry: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,10 +376,10 @@ func TestRunWallLimitClassifiesWedgedRuns(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	factory := func() core.Simulator { return &wedgeSim{fakeSim: newFakeSim(), release: release} }
-	res, err := core.RunMatrix([]core.CampaignSpec{{
+	res, err := runSpecs([]core.CampaignSpec{{
 		Tool: "fake", Benchmark: "b", Structure: "s",
 		Masks: fakeMasks(3), Factory: factory,
-	}}, core.MatrixOptions{Workers: 2, RunWallLimit: 50 * time.Millisecond})
+	}}, core.CampaignConfig{Workers: 2, RunWallLimit: 50 * time.Millisecond}, core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -369,8 +369,7 @@ func (c *GoldenCache) CommitSignature(tool, bench string, f Factory) (*divergenc
 // creating it (empty) on first use. Unlike the detailed checkpoint
 // ladder, creation costs nothing: rungs are captured lazily on the run
 // path, each from the nearest lower rung. golden supplies the committed
-// count the rung quantum is derived from, so supplied-golden specs
-// resolve without a cache-side reference run.
+// count the rung quantum is derived from.
 func (c *GoldenCache) FFLadder(tool, bench string, golden GoldenInfo, rungs int, noDecode bool) *ffLadder {
 	if rungs <= 0 || golden.Committed == 0 {
 		return nil

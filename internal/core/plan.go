@@ -1,0 +1,335 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/divergence"
+	"repro/internal/fault"
+	"repro/internal/prune"
+)
+
+// maskWindow restricts the scheduler to the half-open mask index range
+// [lo, hi) of one cell — the shard executor's view of a campaign. The
+// spec still carries the full mask set, so plan-time artifacts whose
+// placement depends on the whole campaign (checkpoint positions, prune
+// plans, mask validation) are computed exactly as a single-node run
+// computes them; only dispositions and verify samples are windowed.
+type maskWindow struct{ lo, hi int }
+
+func (w maskWindow) holds(m int) bool { return m >= w.lo && m < w.hi }
+
+// dispKind says how one mask of a planned cell leaves the scheduler.
+type dispKind uint8
+
+const (
+	// dispOutOfWindow: another shard's mask; neither simulated nor settled.
+	dispOutOfWindow dispKind = iota
+	// dispSimulate: dispatched to a worker.
+	dispSimulate
+	// dispResumed: settled from the journal line an earlier process wrote.
+	dispResumed
+	// dispDead: proven masked by the prune plan, settled without simulation.
+	dispDead
+	// dispReplica: collapsed by the prune plan onto the representative at
+	// mask index rep, whose verdict it shares.
+	dispReplica
+)
+
+type disposition struct {
+	kind dispKind
+	rep  int
+}
+
+// cellPlan is everything the scheduler decides about one campaign cell
+// before a worker starts: the golden artifacts its runs use, and for
+// every mask how it will be settled.
+type cellPlan struct {
+	key    string // campaign key: labels journal lines, telemetry rows, errors
+	golden GoldenInfo
+	rungs  []LadderRung
+	prune  *prune.Plan
+	// ff is the row's functional fast-forward rung ladder (nil when
+	// windowing is off or the ladder is disabled); sig the golden commit
+	// signature divergence probes compare against (nil when nothing
+	// measures divergence).
+	ff  *ffLadder
+	sig *divergence.Signature
+
+	win  maskWindow
+	disp []disposition // one per mask of the cell
+	// resumed holds the journaled outcomes of the masks disposed as
+	// resumed, in mask order.
+	resumed []ShardRun
+	// simOrder is the cell's simulation order under the stopping rule:
+	// the mask IDs of every plan-simulated mask, journaled ones included,
+	// so positions (and therefore evaluation boundaries) are identical
+	// across resumes. Nil when the rule is off.
+	simOrder []int
+	// verify and wverify are the mask indexes the prune-verify and
+	// window-verify guards re-simulate.
+	verify, wverify []int
+}
+
+// matrixPlan is the plan of a whole matrix: one cellPlan per spec plus
+// the run policy every cell shares.
+type matrixPlan struct {
+	cells []cellPlan
+	// win is the detail-window policy of the real runs and winNoExit the
+	// variant the window-verify re-runs use to stay cycle-accurate from
+	// the same window entry; both nil when windowing is off.
+	win, winNoExit *windowConfig
+	// probe: measure divergence provenance on every run.
+	probe bool
+}
+
+// planMatrix is the plan stage of the scheduler. It resolves goldens,
+// validates masks, places restore rungs, builds prune plans, replays the
+// journal and ends with a disposition per mask plus the verify samples.
+// It reads the golden cache (building what is missing) and the journal's
+// past entries; it simulates no injection and touches no sink, and —
+// Workers playing no part — it is a pure function of the config, the
+// mask populations and the journal. windows, when non-nil, makes it a
+// shard's plan: the same plan with everything outside the window
+// disposed dispOutOfWindow, and prune-verify sampling only masks whose
+// comparison record exists in the window.
+func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) (*matrixPlan, error) {
+	p := &matrixPlan{cells: make([]cellPlan, len(specs))}
+	for i, spec := range specs {
+		g, err := cache.Golden(spec.Tool, spec.Benchmark, spec.Factory)
+		if err != nil {
+			return nil, err
+		}
+		g.Tool, g.Benchmark, g.Structure = spec.Tool, spec.Benchmark, spec.Structure
+		c := &p.cells[i]
+		c.golden = g
+		c.key = fault.CampaignKey(spec.Tool, spec.Benchmark, spec.Structure)
+		c.win = maskWindow{0, len(spec.Masks)}
+		if windows != nil {
+			c.win = windows[i]
+		}
+	}
+
+	// Fail malformed masks at plan time, before anything simulates:
+	// arming a fault outside its structure's geometry panics deep inside
+	// the bitarray, so a typo in a hand-edited mask file must be named up
+	// front (mask ID and site) rather than surface as a contained panic
+	// halfway through a long campaign.
+	for i, spec := range specs {
+		var geomErr error
+		geom := func(structure string) (int, int, bool) {
+			entries, bits, ok, err := cache.Geometry(spec.Tool, spec.Benchmark, spec.Factory, structure)
+			if err != nil {
+				geomErr = err
+			}
+			return entries, bits, ok && err == nil
+		}
+		for _, m := range spec.Masks {
+			if err := m.ValidateSites(geom); err != nil {
+				if geomErr != nil {
+					return nil, geomErr
+				}
+				return nil, fmt.Errorf("core: campaign %s: %v", p.cells[i].key, err)
+			}
+		}
+	}
+
+	if cfg.UseCheckpoint {
+		if err := planRungs(cfg, specs, p.cells, cache); err != nil {
+			return nil, err
+		}
+	}
+
+	// Liveness pruning: one profiled fault-free replay per row trajectory
+	// (boot plus one per rung, memoized in the cache) classifies
+	// provably-dead masks Masked and collapses interval-equivalent masks.
+	if cfg.Prune || cfg.Exhaustive || cfg.PruneVerify > 0 {
+		structures := maskStructures(specs)
+		for i, spec := range specs {
+			c := &p.cells[i]
+			profiles, err := cache.Profiles(spec.Tool, spec.Benchmark, spec.Factory, c.rungs, structures)
+			if err != nil {
+				return nil, err
+			}
+			c.prune = planMasks(spec.Masks, c.rungs, profiles)
+		}
+	}
+
+	// Divergence provenance: the golden commit-stream signature, once per
+	// row. A shard has no sink to ask, so its config decides.
+	p.probe = att.Divergence != nil || (windows != nil && cfg.Divergence)
+	if p.probe {
+		for i, spec := range specs {
+			sig, err := cache.CommitSignature(spec.Tool, spec.Benchmark, spec.Factory)
+			if err != nil {
+				return nil, err
+			}
+			p.cells[i].sig = sig
+		}
+	}
+
+	// Resume: the journal's acknowledged runs, per cell by mask index.
+	// Dispositions consult them after the prune plan — plans are
+	// regenerated deterministically, so a journaled mask the plan now
+	// settles without simulation stays with the plan's verdict.
+	journaled := make([]map[int]ShardRun, len(specs))
+	if att.Resume && att.Journal != nil {
+		past := att.Journal.Entries()
+		for i := range specs {
+			var err error
+			if journaled[i], err = ReplayJournal(p.cells[i].key, past, specs[i].Masks); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	if cfg.DetailWindow || cfg.WindowVerify > 0 {
+		p.win = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost, noDecode: cfg.NoDecodeCache}
+		p.winNoExit = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost, noDecode: cfg.NoDecodeCache, noExit: true}
+		// The functional fast-forward rung ladder is resolved once per
+		// row; the rungs themselves are captured lazily on the run path.
+		if n := cfg.FFRungs; n >= 0 {
+			if n == 0 {
+				n = defaultFFRungs
+			}
+			for i, spec := range specs {
+				p.cells[i].ff = cache.FFLadder(spec.Tool, spec.Benchmark, p.cells[i].golden, n, cfg.NoDecodeCache)
+			}
+		}
+	}
+
+	for i := range specs {
+		planDispositions(cfg, specs[i].Masks, journaled[i], &p.cells[i])
+	}
+	return p, nil
+}
+
+// planRungs resolves the restore points once per {tool, benchmark} row
+// and shares them across the row's cells; every run still decides
+// individually which rung (if any) its earliest fault permits. With a
+// ladder (K >= 2) the rungs sit at fixed fractions of the golden run and
+// are memoized in the cache; the legacy single checkpoint is placed just
+// before the earliest fault of the row's campaigns and wrapped as a
+// one-rung ladder.
+func planRungs(cfg CampaignConfig, specs []CampaignSpec, cells []cellPlan, cache *GoldenCache) error {
+	earliest := make(map[goldenKey]uint64)
+	for _, spec := range specs {
+		key := goldenKey{spec.Tool, spec.Benchmark}
+		e, ok := earliest[key]
+		if !ok {
+			e = ^uint64(0)
+		}
+		for _, m := range spec.Masks {
+			if c := minSiteCycle(m); c < e {
+				e = c
+			}
+		}
+		earliest[key] = e
+	}
+	rows := make(map[goldenKey][]LadderRung)
+	for i, spec := range specs {
+		key := goldenKey{spec.Tool, spec.Benchmark}
+		rungs, done := rows[key]
+		if !done {
+			if cfg.CheckpointLadder >= 2 {
+				var err error
+				if rungs, err = cache.Ladder(key.tool, key.bench, spec.Factory, cfg.CheckpointLadder); err != nil {
+					return err
+				}
+			} else if cp, cpCycle := makeCheckpoint(spec.Factory, cells[i].golden, earliest[key]); cp != nil {
+				rungs = []LadderRung{{State: cp, Cycle: cpCycle}}
+			}
+			rows[key] = rungs
+		}
+		cells[i].rungs = rungs
+	}
+	return nil
+}
+
+// planDispositions decides how every mask of one cell is settled, in
+// mask order — the prune plan first, then the journal, the rest
+// simulate — and draws the verify samples.
+func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]ShardRun, c *cellPlan) {
+	c.disp = make([]disposition, len(masks))
+	var sim []int // the masks this process simulates
+	for m := c.win.lo; m < c.win.hi; m++ {
+		if c.prune != nil {
+			switch d := c.prune.Decisions[m]; d.Action {
+			case prune.Dead:
+				c.disp[m].kind = dispDead
+				continue
+			case prune.Replicate:
+				c.disp[m] = disposition{dispReplica, d.Rep}
+				continue
+			}
+		}
+		if cfg.StopMargin > 0 {
+			c.simOrder = append(c.simOrder, masks[m].ID)
+		}
+		if run, ok := journaled[m]; ok {
+			c.disp[m].kind = dispResumed
+			c.resumed = append(c.resumed, run)
+			continue
+		}
+		c.disp[m].kind = dispSimulate
+		sim = append(sim, m)
+	}
+	// Prune-verify samples the whole cell's pruned masks and keeps those
+	// whose planned verdict this window can reproduce: a dead mask in the
+	// window, or a replica whose representative's record is simulated
+	// here too.
+	for _, m := range sampleVerify(c.prune, cfg.PruneVerify) {
+		if d := c.disp[m]; d.kind == dispDead || (d.kind == dispReplica && c.win.holds(d.rep)) {
+			c.verify = append(c.verify, m)
+		}
+	}
+	c.wverify = sampleWindowVerify(sim, cfg.WindowVerify)
+}
+
+// sampleWindowVerify picks up to n evenly spaced masks from the
+// simulated masks of one cell — the window-verify sample. Sampling the
+// queued masks (rather than all masks) keeps the guard about runs that
+// actually executed under the window policy.
+func sampleWindowVerify(sim []int, n int) []int {
+	if n <= 0 || len(sim) == 0 {
+		return nil
+	}
+	if len(sim) <= n {
+		return sim
+	}
+	out := make([]int, 0, n)
+	for j := 0; j < n; j++ {
+		out = append(out, sim[j*len(sim)/n])
+	}
+	return out
+}
+
+// makeCheckpoint captures the fault-free prefix of a row on a drained
+// machine: the target sits at one fifth of the golden run, pushed later
+// when every checkpoint-enabled fault of the row starts later still, and
+// capped at four fifths.
+func makeCheckpoint(f Factory, golden GoldenInfo, earliest uint64) (any, uint64) {
+	// Leave room for the drain overshoot: the machine settles some
+	// cycles past the target, and the checkpoint must still precede
+	// the earliest fault.
+	const drainMargin = 2000
+	target := golden.Cycles / 5
+	if earliest != ^uint64(0) && earliest > drainMargin && earliest-drainMargin > target {
+		target = earliest - drainMargin
+	}
+	if limit := golden.Cycles * 4 / 5; target > limit {
+		target = limit
+	}
+	base, ok := f().(Checkpointer)
+	if !ok || target == 0 {
+		return nil, 0
+	}
+	reached, finished, err := base.RunTo(target)
+	if err != nil || finished || reached >= earliest {
+		return nil, 0
+	}
+	st, err := base.Checkpoint()
+	if err != nil {
+		return nil, 0
+	}
+	return st, reached
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/bitarray"
+	"repro/internal/fault"
 	"repro/internal/prune"
 )
 
@@ -168,27 +169,26 @@ func buildRowProfiles(f Factory, rungs []LadderRung, structures []string, golden
 	return profiles, nil
 }
 
-// planMasks builds the pruning plan of one spec against its row's
-// profiles: each mask is classified against the profile of the
+// planMasks builds the pruning plan of one cell's masks against its
+// row's profiles: each mask is classified against the profile of the
 // trajectory its run would actually follow (boot, or its selected
-// ladder rung), which keeps plan-time verdicts and runtime restores
-// consistent.
-func planMasks(spec *CampaignSpec, rungs []LadderRung, profiles []prune.Profiles) (*prune.Plan, []int) {
+// ladder rung — rungs is nil when checkpoints are off), which keeps
+// plan-time verdicts and runtime restores consistent.
+func planMasks(masks []fault.Mask, rungs []LadderRung, profiles []prune.Profiles) *prune.Plan {
 	if profiles == nil {
-		return nil, nil
+		return nil
 	}
-	rungOf := make([]int, len(spec.Masks))
-	for m, mask := range spec.Masks {
+	rungOf := make([]int, len(masks))
+	for m, mask := range masks {
 		// Empty masks boot from scratch (see runInjection); keeping the
 		// plan-time rung in step with the runtime restore decision is
 		// what makes pruning verdicts trajectory-sound.
-		if spec.UseCheckpoint && len(mask.Sites) > 0 {
+		rungOf[m] = -1
+		if len(mask.Sites) > 0 {
 			rungOf[m] = selectRung(rungs, minSiteCycle(mask))
-		} else {
-			rungOf[m] = -1
 		}
 	}
-	return prune.BuildPlan(spec.Masks, profiles, rungOf), rungOf
+	return prune.BuildPlan(masks, profiles, rungOf)
 }
 
 // sampleVerify picks up to n pruned mask indices of a plan, evenly

@@ -86,19 +86,19 @@ func TestPruneDifferentialOnToySim(t *testing.T) {
 	spec := func() core.CampaignSpec {
 		return core.CampaignSpec{
 			Tool: "Reader", Benchmark: "toy", Structure: "r",
-			Masks: readerMasks(), Factory: newReaderSim, TimeoutFactor: 3,
+			Masks: readerMasks(), Factory: newReaderSim,
 		}
 	}
-	plain, err := core.RunMatrix([]core.CampaignSpec{spec()}, core.MatrixOptions{Workers: 2})
+	plain, err := runSpecs([]core.CampaignSpec{spec()}, core.CampaignConfig{Workers: 2}, core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	collector := telemetry.New()
 	trace := telemetry.NewTraceSink()
 	collector.AddSink(trace)
-	pruned, err := core.RunMatrix([]core.CampaignSpec{spec()}, core.MatrixOptions{
-		Workers: 2, Telemetry: collector, Prune: true, PruneVerify: 100,
-	})
+	pruned, err := runSpecs([]core.CampaignSpec{spec()}, core.CampaignConfig{
+		Workers: 2, Prune: true, PruneVerify: 100,
+	}, core.Attach{Telemetry: collector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPruneDifferentialOnToySim(t *testing.T) {
 
 // pruneSpecsFor builds small real campaigns over two structures for one
 // tool on qsort.
-func pruneSpecsFor(t *testing.T, tool string, useCheckpoint bool) []core.CampaignSpec {
+func pruneSpecsFor(t *testing.T, tool string) []core.CampaignSpec {
 	t.Helper()
 	f := qsortFactory(t, tool)
 	g, err := core.Golden(f)
@@ -175,8 +175,7 @@ func pruneSpecsFor(t *testing.T, tool string, useCheckpoint bool) []core.Campaig
 		}
 		specs = append(specs, core.CampaignSpec{
 			Tool: tool, Benchmark: "qsort", Structure: structure,
-			Masks: masks, Factory: f, TimeoutFactor: 3,
-			UseCheckpoint: useCheckpoint,
+			Masks: masks, Factory: f,
 		})
 	}
 	return specs
@@ -190,15 +189,15 @@ func TestPruneDifferentialRealSims(t *testing.T) {
 	for _, tool := range []string{sims.MaFINX86, sims.GeFINX86, sims.GeFINARM} {
 		for _, ladder := range []int{0, 3} {
 			useCP := ladder > 0
-			plain, err := core.RunMatrix(pruneSpecsFor(t, tool, useCP), core.MatrixOptions{
-				Workers: 4, CheckpointLadder: ladder,
-			})
+			plain, err := runSpecs(pruneSpecsFor(t, tool), core.CampaignConfig{
+				Workers: 4, UseCheckpoint: useCP, CheckpointLadder: ladder,
+			}, core.Attach{})
 			if err != nil {
 				t.Fatalf("%s ladder=%d plain: %v", tool, ladder, err)
 			}
-			pruned, err := core.RunMatrix(pruneSpecsFor(t, tool, useCP), core.MatrixOptions{
-				Workers: 4, CheckpointLadder: ladder, Prune: true, PruneVerify: 6,
-			})
+			pruned, err := runSpecs(pruneSpecsFor(t, tool), core.CampaignConfig{
+				Workers: 4, UseCheckpoint: useCP, CheckpointLadder: ladder, Prune: true, PruneVerify: 6,
+			}, core.Attach{})
 			if err != nil {
 				t.Fatalf("%s ladder=%d pruned: %v", tool, ladder, err)
 			}
@@ -220,14 +219,14 @@ func TestPruneDifferentialRealSims(t *testing.T) {
 // relative to the legacy single checkpoint, and restored runs must be
 // visible on the telemetry gauges.
 func TestCheckpointLadderMatchesLegacy(t *testing.T) {
-	legacy, err := core.RunMatrix(pruneSpecsFor(t, sims.GeFINX86, true), core.MatrixOptions{Workers: 4})
+	legacy, err := runSpecs(pruneSpecsFor(t, sims.GeFINX86), core.CampaignConfig{Workers: 4, UseCheckpoint: true}, core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	collector := telemetry.New()
-	ladder, err := core.RunMatrix(pruneSpecsFor(t, sims.GeFINX86, true), core.MatrixOptions{
-		Workers: 4, CheckpointLadder: 4, Telemetry: collector,
-	})
+	ladder, err := runSpecs(pruneSpecsFor(t, sims.GeFINX86), core.CampaignConfig{
+		Workers: 4, UseCheckpoint: true, CheckpointLadder: 4,
+	}, core.Attach{Telemetry: collector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +251,12 @@ func TestPruneWithoutCycleSourceDegrades(t *testing.T) {
 	factory := countingFactory(&calls)
 	spec := core.CampaignSpec{
 		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: fakeMasks(6), Factory: factory, TimeoutFactor: 3,
+		Masks: fakeMasks(6), Factory: factory,
 	}
 	collector := telemetry.New()
-	res, err := core.RunMatrix([]core.CampaignSpec{spec}, core.MatrixOptions{
-		Workers: 2, Prune: true, PruneVerify: 4, Telemetry: collector,
-	})
+	res, err := runSpecs([]core.CampaignSpec{spec}, core.CampaignConfig{
+		Workers: 2, Prune: true, PruneVerify: 4,
+	}, core.Attach{Telemetry: collector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +299,12 @@ func TestPruneConcurrentMatricesSharedCache(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			out[r], errs[r] = core.RunMatrix([]core.CampaignSpec{{
+			out[r], errs[r] = runSpecs([]core.CampaignSpec{{
 				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int",
-				Masks: masks, Factory: f, TimeoutFactor: 3, UseCheckpoint: true,
-			}}, core.MatrixOptions{
-				Workers: 2, Golden: cache, Telemetry: collector,
-				Prune: true, CheckpointLadder: 3,
-			})
+				Masks: masks, Factory: f,
+			}}, core.CampaignConfig{
+				Workers: 2, UseCheckpoint: true, Prune: true, CheckpointLadder: 3,
+			}, core.Attach{Golden: cache, Telemetry: collector})
 		}(r)
 	}
 	wg.Wait()

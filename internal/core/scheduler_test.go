@@ -53,6 +53,23 @@ func (s *fakeSim) Run(limit uint64) core.RunResult {
 	return core.RunResult{Status: core.RunCompleted, Output: out, Cycles: cycles, Committed: cycles}
 }
 
+// runSpecs runs hand-built specs through core.RunConfig: every spec
+// becomes a cell carrying its masks explicitly, the resolver hands back
+// the spec's factory, and cfg supplies the knobs.
+func runSpecs(specs []core.CampaignSpec, cfg core.CampaignConfig, att core.Attach) ([]*core.CampaignResult, error) {
+	type row struct{ tool, bench string }
+	factories := make(map[row]core.Factory)
+	for _, s := range specs {
+		cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+			Tool: s.Tool, Benchmark: s.Benchmark, Structure: s.Structure, Masks: s.Masks,
+		})
+		factories[row{s.Tool, s.Benchmark}] = s.Factory
+	}
+	return core.RunConfig(cfg, func(tool, bench string) (core.Factory, error) {
+		return factories[row{tool, bench}], nil
+	}, att)
+}
+
 func countingFactory(calls *int64) core.Factory {
 	return func() core.Simulator {
 		atomic.AddInt64(calls, 1)
@@ -121,7 +138,7 @@ func TestRunMatrixGoldenRunsOncePerRow(t *testing.T) {
 			})
 		}
 	}
-	results, err := core.RunMatrix(specs, core.MatrixOptions{Workers: 4, Golden: cache})
+	results, err := runSpecs(specs, core.CampaignConfig{Workers: 4}, core.Attach{Golden: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,36 +164,6 @@ func TestRunMatrixGoldenRunsOncePerRow(t *testing.T) {
 	}
 }
 
-// A supplied CampaignSpec.Golden must suppress the controller's own
-// golden run entirely.
-func TestRunCampaignSuppliedGoldenSkipsRun(t *testing.T) {
-	var calls int64
-	factory := countingFactory(&calls)
-	golden, err := core.Golden(factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls = 0
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: fakeMasks(3), Factory: factory, Workers: 2,
-		Golden: &golden,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 calls: one boot-only probe for plan-time mask validation (a
-	// supplied golden bypasses the cache's memoized row, so geometry
-	// must come from somewhere) plus one per injection run — but no
-	// golden simulation.
-	if calls != 4 {
-		t.Fatalf("factory calls = %d, want 4 (geometry probe + injection runs, golden supplied)", calls)
-	}
-	if res.Golden.Benchmark != "b" || res.Golden.Structure != "s" || res.Golden.Tool != "fake" {
-		t.Fatalf("golden fields not restamped: %+v", res.Golden)
-	}
-}
-
 // The flattened queue must produce identical records regardless of the
 // worker count.
 func TestRunMatrixWorkerCountParity(t *testing.T) {
@@ -199,13 +186,13 @@ func TestRunMatrixWorkerCountParity(t *testing.T) {
 			}
 			specs = append(specs, core.CampaignSpec{
 				Tool: "gefin-x86", Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: f, TimeoutFactor: 3,
+				Masks: masks, Factory: f,
 			})
 		}
 		return specs
 	}
 	run := func(workers int) []*core.CampaignResult {
-		res, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{Workers: workers})
+		res, err := runSpecs(buildSpecs(), core.CampaignConfig{Workers: workers}, core.Attach{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,23 +229,16 @@ func TestRunMatrixFirstErrorDeterministic(t *testing.T) {
 	masks[3].Sites[0].Structure = "bogus-early"
 	masks[7].Sites[0].Structure = "bogus-late"
 	for _, workers := range []int{1, 2, 8} {
-		_, err := core.RunMatrix([]core.CampaignSpec{{
+		_, err := runSpecs([]core.CampaignSpec{{
 			Tool: "fake", Benchmark: "b", Structure: "s",
 			Masks: masks, Factory: factory,
-		}}, core.MatrixOptions{Workers: workers})
+		}}, core.CampaignConfig{Workers: workers}, core.Attach{})
 		if err == nil {
 			t.Fatalf("workers=%d: poisoned campaign succeeded", workers)
 		}
 		if !strings.Contains(err.Error(), "bogus-early") {
 			t.Fatalf("workers=%d: got %v, want the mask-3 error", workers, err)
 		}
-	}
-	// Same contract through the single-campaign controller.
-	if _, err := core.RunCampaign(core.CampaignSpec{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: masks, Factory: factory, Workers: 4,
-	}); err == nil || !strings.Contains(err.Error(), "bogus-early") {
-		t.Fatalf("RunCampaign error = %v, want the mask-3 error", err)
 	}
 }
 

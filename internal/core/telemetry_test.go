@@ -30,7 +30,7 @@ func telemetrySpecs(t *testing.T, f core.Factory) []core.CampaignSpec {
 		}
 		specs = append(specs, core.CampaignSpec{
 			Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure,
-			Masks: masks, Factory: f, TimeoutFactor: 3,
+			Masks: masks, Factory: f,
 		})
 	}
 	return specs
@@ -48,9 +48,7 @@ func TestMatrixTelemetryMatchesClassification(t *testing.T) {
 	collector := telemetry.New()
 	trace := telemetry.NewTraceSink()
 	collector.AddSink(trace)
-	results, err := core.RunMatrix(specs, core.MatrixOptions{
-		Workers: 4, Golden: cache, Telemetry: collector,
-	})
+	results, err := runSpecs(specs, core.CampaignConfig{Workers: 4}, core.Attach{Golden: cache, Telemetry: collector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +135,7 @@ func TestTraceByteStableAcrossWorkerCounts(t *testing.T) {
 		collector := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		collector.AddSink(trace)
-		if _, err := core.RunMatrix(telemetrySpecs(t, f), core.MatrixOptions{
-			Workers: workers, Telemetry: collector,
-		}); err != nil {
+		if _, err := runSpecs(telemetrySpecs(t, f), core.CampaignConfig{Workers: workers}, core.Attach{Telemetry: collector}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -224,10 +220,10 @@ func TestTelemetryEarlyStopAndObservation(t *testing.T) {
 	collector := telemetry.New()
 	trace := telemetry.NewTraceSink()
 	collector.AddSink(trace)
-	if _, err := core.RunMatrix([]core.CampaignSpec{{
+	if _, err := runSpecs([]core.CampaignSpec{{
 		Tool: "fake", Benchmark: "b", Structure: "s",
 		Masks: fakeMasks(12), Factory: factory,
-	}}, core.MatrixOptions{Workers: 3, Telemetry: collector}); err != nil {
+	}}, core.CampaignConfig{Workers: 3}, core.Attach{Telemetry: collector}); err != nil {
 		t.Fatal(err)
 	}
 	s := collector.Snapshot()

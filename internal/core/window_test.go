@@ -36,7 +36,7 @@ func windowSpecs(t *testing.T, tool string, f core.Factory, count int, seed int6
 		}
 		specs = append(specs, core.CampaignSpec{
 			Tool: tool, Benchmark: "qsort", Structure: structure,
-			Masks: masks, Factory: f, TimeoutFactor: 3,
+			Masks: masks, Factory: f,
 		})
 	}
 	return specs
@@ -85,13 +85,13 @@ func TestDetailWindowDifferential(t *testing.T) {
 
 			run := func(window bool) ([]*core.CampaignResult, telemetry.Snapshot) {
 				col := telemetry.New()
-				opt := core.MatrixOptions{Workers: 4, Telemetry: col}
+				opt := core.CampaignConfig{Workers: 4}
 				if window {
 					opt.DetailWindow = true
 					opt.WindowPre = 2000
 					opt.WindowPost = 1000
 				}
-				res, err := core.RunMatrix(specs, opt)
+				res, err := runSpecs(specs, opt, core.Attach{Telemetry: col})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,17 +162,16 @@ func TestDetailWindowDifferential(t *testing.T) {
 func TestWindowExitsWithoutEarlyStop(t *testing.T) {
 	f := qsortFactory(t, sims.MaFINX86)
 	specs := windowSpecs(t, sims.MaFINX86, f, 15, 41)[:1] // rf.int only
-	specs[0].DisableEarlyStop = true
 
 	run := func(window bool) (*core.CampaignResult, telemetry.Snapshot) {
 		col := telemetry.New()
-		opt := core.MatrixOptions{Workers: 4, Telemetry: col}
+		opt := core.CampaignConfig{Workers: 4, DisableEarlyStop: true}
 		if window {
 			opt.DetailWindow = true
 			opt.WindowPre = 2000
 			opt.WindowPost = 1000
 		}
-		res, err := core.RunMatrix(specs, opt)
+		res, err := runSpecs(specs, opt, core.Attach{Telemetry: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,10 +209,10 @@ func TestWindowVerifyAgrees(t *testing.T) {
 	f := qsortFactory(t, sims.GeFINARM)
 	specs := windowSpecs(t, sims.GeFINARM, f, 20, 23)
 	col := telemetry.New()
-	if _, err := core.RunMatrix(specs, core.MatrixOptions{
-		Workers: 4, Telemetry: col,
+	if _, err := runSpecs(specs, core.CampaignConfig{
+		Workers:      4,
 		DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 6,
-	}); err != nil {
+	}, core.Attach{Telemetry: col}); err != nil {
 		t.Fatalf("window-verify: %v", err)
 	}
 	if snap := col.Snapshot(); snap.WindowExits == 0 {
@@ -228,13 +227,7 @@ func TestWindowVerifyAgrees(t *testing.T) {
 // and injection trace byte-identically.
 func TestWindowComposesWithPruneLadderResume(t *testing.T) {
 	f := qsortFactory(t, sims.GeFINX86)
-	buildSpecs := func() []core.CampaignSpec {
-		specs := windowSpecs(t, "gefin-x86", f, 25, 17)
-		for i := range specs {
-			specs[i].UseCheckpoint = true
-		}
-		return specs
-	}
+	buildSpecs := func() []core.CampaignSpec { return windowSpecs(t, "gefin-x86", f, 25, 17) }
 	run := func(path string, resume bool) ([]*core.CampaignResult, []byte, telemetry.Snapshot) {
 		j, err := fault.OpenJournal(path)
 		if err != nil {
@@ -244,11 +237,11 @@ func TestWindowComposesWithPruneLadderResume(t *testing.T) {
 		col := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
-		res, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{
-			Workers: 4, Telemetry: col, Journal: j, Resume: resume,
+		res, err := runSpecs(buildSpecs(), core.CampaignConfig{
+			Workers: 4, UseCheckpoint: true,
 			Prune: true, PruneVerify: 2, CheckpointLadder: 3,
 			DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 3,
-		})
+		}, core.Attach{Telemetry: col, Journal: j, Resume: resume})
 		if err != nil {
 			t.Fatal(err)
 		}

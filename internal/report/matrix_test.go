@@ -1,12 +1,15 @@
 package report
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/sims"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -27,8 +30,8 @@ func serialReference(t *testing.T, tool, bench, structure string, opt Options) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden.Benchmark = bench
-	golden.Structure = structure
+	// The scheduler stamps the cell's identity on the golden header.
+	golden.Tool, golden.Benchmark, golden.Structure = tool, bench, structure
 	sim := factory()
 	arr, ok := sim.Structures()[structure]
 	if !ok {
@@ -37,12 +40,12 @@ func serialReference(t *testing.T, tool, bench, structure string, opt Options) *
 	masks, err := fault.Generate(fault.GeneratorSpec{
 		Structure: structure, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
 		MaxCycle: golden.Cycles, Model: fault.ModelTransient,
-		Count: opt.injections(), Seed: seedFor(opt.Seed, 0, bench, tool+structure),
+		Count: opt.injections(), Seed: seedFor(opt.Campaign.Seed, 0, bench, tool+structure),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.LiveOnly {
+	if opt.Campaign.LiveOnly {
 		twin := factory()
 		if res := twin.Run(1 << 62); res.Status != core.RunCompleted {
 			t.Fatalf("twin probe: %v", res.Status)
@@ -79,10 +82,8 @@ func serialReference(t *testing.T, tool, bench, structure string, opt Options) *
 // breakdowns, same golden cells.
 func TestRunFiguresMatchesSerialReference(t *testing.T) {
 	opt := Options{
-		Injections: 8,
-		Seed:       7,
+		Campaign:   core.CampaignConfig{Injections: 8, Seed: 7, Workers: 4},
 		Benchmarks: []string{"qsort"},
-		Workers:    4,
 	}
 	spec := Figures[4] // Fig 6: lsq.data
 	cache := core.NewGoldenCache()
@@ -129,11 +130,9 @@ func TestRunFiguresMatchesSerialReference(t *testing.T) {
 // runs.
 func TestRunFiguresSharesGoldensAcrossFigures(t *testing.T) {
 	opt := Options{
-		Injections: 5,
-		Seed:       3,
+		Campaign:   core.CampaignConfig{Injections: 5, Seed: 3, Workers: 4},
 		Benchmarks: []string{"qsort"},
 		Tools:      []string{sims.MaFINX86, sims.GeFINARM},
-		Workers:    4,
 	}
 	specs := []FigureSpec{Figures[0], Figures[4]} // rf.int and lsq.data
 	cache := core.NewGoldenCache()
@@ -150,8 +149,8 @@ func TestRunFiguresSharesGoldensAcrossFigures(t *testing.T) {
 	}
 	for i, spec := range specs {
 		solo, err := RunFigure(spec, Options{
-			Injections: 5, Seed: 3, Benchmarks: opt.Benchmarks,
-			Tools: opt.Tools, Workers: 1,
+			Campaign:   core.CampaignConfig{Injections: 5, Seed: 3, Workers: 1},
+			Benchmarks: opt.Benchmarks, Tools: opt.Tools,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -167,12 +166,9 @@ func TestRunFiguresSharesGoldensAcrossFigures(t *testing.T) {
 // and records exactly.
 func TestLiveOnlyMatchesTwinProbeReference(t *testing.T) {
 	opt := Options{
-		Injections: 6,
-		Seed:       2,
+		Campaign:   core.CampaignConfig{Injections: 6, Seed: 2, Workers: 2, LiveOnly: true},
 		Benchmarks: []string{"qsort"},
 		Tools:      []string{sims.GeFINX86},
-		Workers:    2,
-		LiveOnly:   true,
 	}
 	want := serialReference(t, sims.GeFINX86, "qsort", "l2.data", opt)
 	res, err := RunCampaignFor(sims.GeFINX86, "qsort", "l2.data", opt)
@@ -182,5 +178,98 @@ func TestLiveOnlyMatchesTwinProbeReference(t *testing.T) {
 	if !reflect.DeepEqual(res.Records, want.Records) {
 		t.Fatalf("LiveOnly scheduler records differ from twin-probe reference:\n%+v\nvs\n%+v",
 			res.Records, want.Records)
+	}
+}
+
+// One cache row per {tool, benchmark} whoever asks: a figure matrix
+// keys its goldens, ladders and liveness profiles by the tool id, the
+// same row every other caller of the cache uses, and builds each once.
+func TestRunFiguresKeepsOneCacheRowPerRow(t *testing.T) {
+	cache := core.NewGoldenCache()
+	opt := Options{
+		Campaign: core.CampaignConfig{
+			Injections: 6, Seed: 3, Workers: 2,
+			UseCheckpoint: true, CheckpointLadder: 3, Prune: true,
+		},
+		Benchmarks:  []string{"qsort"},
+		Tools:       []string{sims.GeFINX86, sims.GeFINARM},
+		GoldenCache: cache,
+	}
+	if _, err := RunFigures([]FigureSpec{Figures[0], Figures[1]}, opt, nil); err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	cache.Observe(&snap)
+	const rows = 2
+	if snap.CacheRows != rows || snap.GoldenRuns != rows || snap.LadderBuilds != rows || snap.ProfileBuilds < 1 {
+		t.Fatalf("cache after 2 figures x %d rows: %d rows, %d golden runs, %d ladder builds, %d profile builds; want %d, %d, %d, >= 1",
+			rows, snap.CacheRows, snap.GoldenRuns, snap.LadderBuilds, snap.ProfileBuilds, rows, rows, rows)
+	}
+}
+
+// Every artifact of a figure campaign names the campaign the same way:
+// the trace's campaign key, the divergence file and the log header's
+// tool are the tool id the log file is stored under. The run uses the
+// window and divergence knobs, which must take effect.
+func TestRunFiguresArtifactsShareTheCampaignKey(t *testing.T) {
+	repo, err := core.NewLogsRepo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	collector := telemetry.New()
+	trace := telemetry.NewTraceSink()
+	collector.AddSink(trace)
+	opt := Options{
+		Campaign: core.CampaignConfig{
+			Injections: 6, Seed: 3, Workers: 2,
+			DetailWindow: true, WindowPre: 2000, WindowPost: 1000, Divergence: true,
+		},
+		Benchmarks: []string{"qsort"},
+		Tools:      []string{sims.GeFINX86},
+		Logs:       repo,
+		Telemetry:  collector,
+	}
+	if _, err := RunFigures([]FigureSpec{Figures[0], Figures[1]}, opt, nil); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := repo.Campaigns()
+	if err != nil || len(stored) != 2 {
+		t.Fatalf("stored campaigns %v, %v", stored, err)
+	}
+	rowsOf := make(map[string]int)
+	for _, row := range trace.Records() {
+		rowsOf[row.Campaign]++
+	}
+	for _, key := range stored {
+		if rowsOf[key] != 6 {
+			t.Fatalf("trace rows per campaign %v: want 6 under each stored key %v", rowsOf, stored)
+		}
+		res, err := repo.Load(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fault.CampaignKey(res.Golden.Tool, res.Golden.Benchmark, res.Golden.Structure); got != key {
+			t.Fatalf("log %s carries the header of campaign %s", key, got)
+		}
+		f, err := os.Open(repo.DivergencePath(key))
+		if err != nil {
+			t.Fatalf("divergence file of %s: %v", key, err)
+		}
+		recs, err := divergence.ReadRecords(f)
+		f.Close()
+		if err != nil || len(recs) != 6 {
+			t.Fatalf("divergence file of %s: %d records, %v", key, len(recs), err)
+		}
+		for _, rec := range recs {
+			if rec.Campaign != key {
+				t.Fatalf("divergence file of %s holds a record of %s", key, rec.Campaign)
+			}
+		}
+	}
+	if len(rowsOf) != 2 {
+		t.Fatalf("trace names campaigns %v, logs are stored under %v", rowsOf, stored)
+	}
+	if snap := collector.Snapshot(); snap.WindowedRuns == 0 {
+		t.Fatal("the detail-window knobs were dropped: no run was windowed")
 	}
 }

@@ -14,8 +14,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bitarray"
+	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/sims"
 	"repro/internal/telemetry"
@@ -50,69 +51,29 @@ func FigureByID(id int) (FigureSpec, error) {
 
 // Options parameterize a reproduction run.
 type Options struct {
-	// Injections is the number of faults per {tool, benchmark,
-	// structure} campaign; the paper uses 2000 (2.88% margin at 99%
-	// confidence). Smaller values trade accuracy for time exactly as
-	// §IV.A describes.
-	Injections int
-	// Seed drives mask generation; campaigns are fully reproducible.
-	Seed int64
+	// Campaign carries the campaign knobs — injections, seed, fault model,
+	// workers, checkpoint, prune, window, stop rule and the rest — exactly
+	// as core.RunConfig reads them. Its Campaigns are ignored: the figure
+	// specs supply the cells. Injections is the number of faults per
+	// {tool, benchmark, structure} campaign (default 200); the paper uses
+	// 2000 (2.88% margin at 99% confidence), and smaller values trade
+	// accuracy for time exactly as §IV.A describes. LiveOnly is the
+	// conditional-vulnerability view that factors out dead capacity: at
+	// the paper's input scale the two views converge (their caches are
+	// full of live data); at this reproduction's reduced scale it
+	// recovers the large-structure comparisons (L2, Fig. 5) that uniform
+	// sampling over mostly-dead arrays cannot resolve.
+	Campaign core.CampaignConfig
 	// Benchmarks restricts the benchmark set (default: all ten).
 	Benchmarks []string
 	// Tools restricts the tool set (default: all three).
 	Tools []string
-	// Workers is the campaign worker-pool size.
-	Workers int
-	// Logs, when non-nil, persists every campaign to the repository.
+	// Logs, when non-nil, persists every campaign to the repository —
+	// and, with Campaign.Divergence on, each cell's divergence records
+	// beside its log (without Logs they are dropped).
 	Logs *core.LogsRepo
 	// Parser configures the classification.
 	Parser core.Parser
-	// LiveOnly restricts the fault population to entries that hold live
-	// data at the end of the golden run — the conditional-vulnerability
-	// view that factors out dead capacity. At the paper's input scale
-	// the two views converge (their caches are full of live data); at
-	// this reproduction's reduced scale LiveOnly recovers the
-	// large-structure comparisons (L2, Fig. 5) that uniform sampling
-	// over mostly-dead arrays cannot resolve.
-	LiveOnly bool
-	// UseCheckpoint shares each {tool, benchmark} row's fault-free
-	// prefix across its campaigns via a drained-machine checkpoint (see
-	// core.CampaignSpec.UseCheckpoint for the outcome caveat).
-	UseCheckpoint bool
-	// Prune enables golden-run liveness pruning (see
-	// core.MatrixOptions.Prune).
-	Prune bool
-	// PruneVerify simulates up to this many pruned masks per campaign and
-	// fails on a class mismatch; implies Prune.
-	PruneVerify int
-	// CheckpointLadder captures this many evenly spaced restore points per
-	// {tool, benchmark} row instead of the single legacy checkpoint
-	// (effective with UseCheckpoint, values >= 2).
-	CheckpointLadder int
-	// Model is the generated fault model; empty means transient (the
-	// paper's primary model).
-	Model string
-	// TimeoutFactor multiplies the fault-free cycle count to form the
-	// per-run cycle limit; 0 means the paper's 3.
-	TimeoutFactor uint64
-	// DisableEarlyStop turns off the §III.B optimizations (ablation).
-	DisableEarlyStop bool
-	// RunWallLimit bounds the host wall-clock time of a single run; 0 is
-	// off.
-	RunWallLimit time.Duration
-	// StopMargin, when positive, arms the sequential-confidence stopping
-	// rule on every campaign cell (see core.MatrixOptions.StopMargin);
-	// StopConfidence and StopCheckEvery qualify it.
-	StopMargin     float64
-	StopConfidence float64
-	StopCheckEvery int
-	// ImportanceSampling draws masks preferentially from live fault
-	// sites of the golden liveness profile, with Horvitz-Thompson
-	// weights keeping the reported proportions unbiased.
-	ImportanceSampling bool
-	// Exhaustive replaces sampling with the equivalence-class-collapsed
-	// census of the single-bit transient population (implies Prune).
-	Exhaustive bool
 	// GoldenCache, when non-nil, memoizes golden runs across report
 	// calls; by default each RunFigures/RunCampaignFor call uses a
 	// private cache.
@@ -142,8 +103,8 @@ func (o Options) tools() []string {
 }
 
 func (o Options) injections() int {
-	if o.Injections > 0 {
-		return o.Injections
+	if o.Campaign.Injections > 0 {
+		return o.Campaign.Injections
 	}
 	return 200
 }
@@ -153,62 +114,6 @@ func (o Options) goldenCache() *core.GoldenCache {
 		return o.GoldenCache
 	}
 	return core.NewGoldenCache()
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) model() fault.Model {
-	if o.Model == "" {
-		return fault.ModelTransient
-	}
-	return fault.Model(o.Model)
-}
-
-func (o Options) timeoutFactor() uint64 {
-	if o.TimeoutFactor > 0 {
-		return o.TimeoutFactor
-	}
-	return 3
-}
-
-func (o Options) matrixOptions(cache *core.GoldenCache, collector *telemetry.Collector) core.MatrixOptions {
-	return core.MatrixOptions{
-		Workers: o.Workers, Golden: cache, Telemetry: collector,
-		Prune: o.Prune || o.Exhaustive, PruneVerify: o.PruneVerify, CheckpointLadder: o.CheckpointLadder,
-		RunWallLimit: o.RunWallLimit,
-		StopMargin:   o.StopMargin, StopConfidence: o.StopConfidence, StopCheckEvery: o.StopCheckEvery,
-	}
-}
-
-// OptionsFromConfig maps the shared knobs of a core.CampaignConfig —
-// the consolidated campaign API the CLIs bind their flags onto — into
-// report Options. The config's cells are ignored: the report package
-// derives its own campaign matrix from figure specs.
-func OptionsFromConfig(cfg core.CampaignConfig) Options {
-	return Options{
-		Injections:         cfg.Injections,
-		Seed:               cfg.Seed,
-		Workers:            cfg.Workers,
-		LiveOnly:           cfg.LiveOnly,
-		UseCheckpoint:      cfg.UseCheckpoint,
-		Prune:              cfg.Prune,
-		PruneVerify:        cfg.PruneVerify,
-		CheckpointLadder:   cfg.CheckpointLadder,
-		Model:              cfg.Model,
-		TimeoutFactor:      cfg.TimeoutFactor,
-		DisableEarlyStop:   cfg.DisableEarlyStop,
-		RunWallLimit:       cfg.RunWallLimit,
-		StopMargin:         cfg.StopMargin,
-		StopConfidence:     cfg.StopConfidence,
-		StopCheckEvery:     cfg.StopCheckEvery,
-		ImportanceSampling: cfg.ImportanceSampling,
-		Exhaustive:         cfg.Exhaustive,
-	}
 }
 
 // Cell is one campaign of a figure: one bar of the paper's charts.
@@ -243,111 +148,60 @@ func seedFor(base int64, fig int, bench, tool string) int64 {
 	return int64(h & (1<<62 - 1))
 }
 
-// campaignSpecFor builds the scheduler spec of one {tool, benchmark,
-// structure} campaign: golden reference and structure geometry come from
-// the memoized golden run of the row, the masks from the deterministic
-// per-campaign seed.
-func campaignSpecFor(tool, bench, structure string, opt Options, cache *core.GoldenCache) (core.CampaignSpec, error) {
-	w, err := workload.ByName(bench)
-	if err != nil {
-		return core.CampaignSpec{}, err
+// cell is the config cell of one {tool, benchmark, structure} campaign,
+// carrying its deterministic per-campaign seed.
+func (o Options) cell(tool, bench, structure string) core.CampaignCell {
+	return core.CampaignCell{
+		Tool: tool, Benchmark: bench, Structure: structure,
+		Seed: seedFor(o.Campaign.Seed, 0, bench, tool+structure),
 	}
-	factory, err := sims.Factory(tool, w)
-	if err != nil {
-		return core.CampaignSpec{}, err
+}
+
+// runCells runs the cells as one campaign config through core.RunConfig
+// and persists every result to o.Logs.
+func (o Options) runCells(cells []core.CampaignCell, cache *core.GoldenCache, collector *telemetry.Collector) ([]*core.CampaignResult, error) {
+	cfg := o.Campaign
+	cfg.Campaigns, cfg.Injections = cells, o.injections()
+	att := core.Attach{Golden: cache, Telemetry: collector}
+	if cfg.Divergence && o.Logs != nil {
+		att.Divergence = divergence.NewSink()
 	}
-	golden, err := cache.Golden(tool, bench, factory)
-	if err != nil {
-		return core.CampaignSpec{}, fmt.Errorf("report: golden %s/%s: %w", tool, bench, err)
+	results, err := core.RunConfig(cfg, cli.Resolve, att)
+	if err != nil || o.Logs == nil {
+		return results, err
 	}
-	entries, bits, ok, err := cache.Geometry(tool, bench, factory, structure)
-	if err != nil {
-		return core.CampaignSpec{}, err
-	}
-	if !ok {
-		return core.CampaignSpec{}, fmt.Errorf("report: %s has no structure %q", tool, structure)
-	}
-	genSpec := fault.GeneratorSpec{
-		Structure: structure, Entries: entries, BitsPerEntry: bits,
-		MaxCycle: golden.Cycles, Model: opt.model(),
-		Count: opt.injections(), Seed: seedFor(opt.Seed, 0, bench, tool+structure),
-	}
-	var masks []fault.Mask
-	switch {
-	case opt.Exhaustive, opt.ImportanceSampling:
-		// Both profile-driven generators read the boot liveness profile
-		// of the cell's structure — the same profile the pruner derives
-		// its plan from, so the equivalence classes agree by
-		// construction.
-		profs, perr := cache.Profiles(tool, bench, factory, nil, []string{structure})
-		if perr != nil {
-			return core.CampaignSpec{}, perr
+	keys := cfg.Keys()
+	for i, res := range results {
+		if err := o.Logs.Store(keys[i], res); err != nil {
+			return nil, err
 		}
-		var prof *bitarray.Profile
-		if len(profs) > 0 {
-			prof = profs[0][structure]
-		}
-		if prof == nil {
-			return core.CampaignSpec{}, fmt.Errorf("report: %s/%s exposes no liveness profile for %s (simulator has no cycle source)",
-				tool, bench, structure)
-		}
-		if opt.Exhaustive {
-			masks, err = fault.EnumerateExhaustive(genSpec, prof)
-		} else {
-			masks, err = fault.GenerateImportance(genSpec, prof, 0)
-		}
-	default:
-		masks, err = fault.Generate(genSpec)
 	}
-	if err != nil {
-		return core.CampaignSpec{}, err
-	}
-	if opt.LiveOnly {
-		// Remap every mask entry onto the set of entries holding live
-		// data at the end of the golden run, read off the memoized golden
-		// run's machine instead of a fresh twin replay.
-		live, err := cache.LiveEntries(tool, bench, factory, structure)
-		if err != nil {
-			return core.CampaignSpec{}, err
+	if att.Divergence != nil {
+		// One divergence file per cell, as faultcamp writes them: the
+		// sink's records come sorted by (campaign, mask).
+		perCell := make(map[string]*divergence.Sink, len(keys))
+		for _, rec := range att.Divergence.Records() {
+			if perCell[rec.Campaign] == nil {
+				perCell[rec.Campaign] = divergence.NewSink()
+			}
+			perCell[rec.Campaign].Add(rec)
 		}
-		if len(live) == 0 {
-			return core.CampaignSpec{}, fmt.Errorf("report: %s/%s: no live entries in %s", tool, bench, structure)
-		}
-		for i := range masks {
-			for j := range masks[i].Sites {
-				masks[i].Sites[j].Entry = live[masks[i].Sites[j].Entry%len(live)]
+		for _, key := range keys {
+			if _, err := cli.FlushDivergence(perCell[key], o.Logs, key); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return core.CampaignSpec{
-		Tool: golden.Tool, Benchmark: bench, Structure: structure,
-		Masks: masks, Factory: factory, TimeoutFactor: opt.timeoutFactor(), Workers: opt.Workers,
-		UseCheckpoint:    opt.UseCheckpoint,
-		DisableEarlyStop: opt.DisableEarlyStop,
-		Exhaustive:       opt.Exhaustive,
-		Golden:           &golden,
-	}, nil
+	return results, nil
 }
 
 // RunCampaignFor runs one {tool, benchmark, structure} campaign.
 func RunCampaignFor(tool, bench, structure string, opt Options) (*core.CampaignResult, error) {
-	cache := opt.goldenCache()
-	spec, err := campaignSpecFor(tool, bench, structure, opt, cache)
+	results, err := opt.runCells([]core.CampaignCell{opt.cell(tool, bench, structure)}, opt.goldenCache(), opt.Telemetry)
 	if err != nil {
 		return nil, err
 	}
-	results, err := core.RunMatrix([]core.CampaignSpec{spec}, opt.matrixOptions(cache, opt.Telemetry))
-	if err != nil {
-		return nil, err
-	}
-	res := results[0]
-	if opt.Logs != nil {
-		key := fault.CampaignKey(tool, bench, structure)
-		if err := opt.Logs.Store(key, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return results[0], nil
 }
 
 // RunFigure reproduces one classification figure.
@@ -376,27 +230,13 @@ func RunFigures(specs []FigureSpec, opt Options, progress io.Writer) ([]*FigureD
 	cache := opt.goldenCache()
 	prewarmGoldens(opt, cache)
 
-	// cell identifies one campaign of the flattened matrix: which figure
-	// it belongs to plus the {tool, benchmark} ids its Cell carries.
-	type cell struct {
-		fig         int
-		tool, bench string
-		key         string
-	}
-	var cspecs []core.CampaignSpec
-	var cells []cell
+	var cells []core.CampaignCell
+	var figOf []int // the figure each cell belongs to
 	for f, spec := range specs {
 		for _, bench := range opt.benchmarks() {
 			for _, tool := range opt.tools() {
-				cs, err := campaignSpecFor(tool, bench, spec.Structure, opt, cache)
-				if err != nil {
-					return nil, err
-				}
-				cspecs = append(cspecs, cs)
-				cells = append(cells, cell{
-					fig: f, tool: tool, bench: bench,
-					key: fault.CampaignKey(tool, bench, spec.Structure),
-				})
+				cells = append(cells, opt.cell(tool, bench, spec.Structure))
+				figOf = append(figOf, f)
 			}
 		}
 	}
@@ -405,19 +245,18 @@ func RunFigures(specs []FigureSpec, opt Options, progress io.Writer) ([]*FigureD
 	if collector == nil && progress != nil {
 		collector = telemetry.New()
 	}
-	totalRuns := 0
-	for _, cs := range cspecs {
-		totalRuns += len(cs.Masks)
-	}
 	var rep *telemetry.Reporter
 	if progress != nil {
-		fmt.Fprintf(progress, "matrix: %d figures, %d campaigns, %d injection runs\n",
-			len(specs), len(cspecs), totalRuns)
+		runs := fmt.Sprintf("%d injection runs", len(cells)*opt.injections())
+		if opt.Campaign.Exhaustive {
+			runs = "one census per campaign"
+		}
+		fmt.Fprintf(progress, "matrix: %d figures, %d campaigns, %s\n", len(specs), len(cells), runs)
 		rep = telemetry.StartReporter(collector, progress, opt.ProgressEvery)
 		defer rep.Stop()
 	}
 
-	results, err := core.RunMatrix(cspecs, opt.matrixOptions(cache, collector))
+	results, err := opt.runCells(cells, cache, collector)
 	if rep != nil {
 		rep.Stop()
 	}
@@ -427,22 +266,14 @@ func RunFigures(specs []FigureSpec, opt Options, progress io.Writer) ([]*FigureD
 	if progress != nil {
 		fmt.Fprintln(progress, collector.Snapshot().SummaryLine())
 	}
-	if opt.Logs != nil {
-		for i, res := range results {
-			if err := opt.Logs.Store(cells[i].key, res); err != nil {
-				return nil, err
-			}
-		}
-	}
 
 	fds := make([]*FigureData, len(specs))
 	for f, spec := range specs {
 		fds[f] = &FigureData{Spec: spec}
 	}
 	for i, res := range results {
-		c := cells[i]
-		fds[c.fig].Cells = append(fds[c.fig].Cells, Cell{
-			Tool: c.tool, Benchmark: c.bench,
+		fds[figOf[i]].Cells = append(fds[figOf[i]].Cells, Cell{
+			Tool: cells[i].Tool, Benchmark: cells[i].Benchmark,
 			Breakdown: opt.Parser.ParseAll(res.Records),
 			Golden:    res.Golden,
 			Adaptive:  res.Adaptive,
@@ -456,15 +287,15 @@ func RunFigures(specs []FigureSpec, opt Options, progress io.Writer) ([]*FigureD
 // first campaign that needs each. Errors are left in the cache and
 // surface, in deterministic campaign order, when the specs are built.
 func prewarmGoldens(opt Options, cache *core.GoldenCache) {
-	sem := make(chan struct{}, opt.workers())
+	workers := opt.Campaign.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for _, bench := range opt.benchmarks() {
 		for _, tool := range opt.tools() {
-			w, err := workload.ByName(bench)
-			if err != nil {
-				continue
-			}
-			factory, err := sims.Factory(tool, w)
+			factory, err := cli.Resolve(tool, bench)
 			if err != nil {
 				continue
 			}
@@ -589,13 +420,9 @@ func (fd *FigureData) Render(w io.Writer) {
 func GoldenStats(opt Options) (map[string]map[string]map[string]uint64, error) {
 	out := make(map[string]map[string]map[string]uint64) // bench → tool → stats
 	for _, bench := range opt.benchmarks() {
-		w, err := workload.ByName(bench)
-		if err != nil {
-			return nil, err
-		}
 		out[bench] = make(map[string]map[string]uint64)
 		for _, tool := range opt.tools() {
-			factory, err := sims.Factory(tool, w)
+			factory, err := cli.Resolve(tool, bench)
 			if err != nil {
 				return nil, err
 			}

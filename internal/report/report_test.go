@@ -24,10 +24,8 @@ func TestFigureByID(t *testing.T) {
 
 func TestRunFigureMini(t *testing.T) {
 	opt := Options{
-		Injections: 12,
-		Seed:       7,
+		Campaign:   core.CampaignConfig{Injections: 12, Seed: 7, Workers: 2},
 		Benchmarks: []string{"qsort"},
-		Workers:    2,
 	}
 	fd, err := RunFigure(Figures[4], opt, nil) // Fig 6: LSQ
 	if err != nil {
@@ -124,7 +122,7 @@ func TestCampaignPersistsToLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Injections: 5, Benchmarks: []string{"qsort"}, Logs: repo, Workers: 2}
+	opt := Options{Campaign: core.CampaignConfig{Injections: 5, Workers: 2}, Benchmarks: []string{"qsort"}, Logs: repo}
 	if _, err := RunCampaignFor(sims.GeFINX86, "qsort", "rf.int", opt); err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +137,8 @@ func TestCampaignPersistsToLogs(t *testing.T) {
 }
 
 func TestLiveOnlyFigure(t *testing.T) {
-	opt := Options{Injections: 10, Seed: 2, Benchmarks: []string{"qsort"},
-		Tools: []string{sims.GeFINX86}, Workers: 2, LiveOnly: true}
+	opt := Options{Campaign: core.CampaignConfig{Injections: 10, Seed: 2, Workers: 2, LiveOnly: true},
+		Benchmarks: []string{"qsort"}, Tools: []string{sims.GeFINX86}}
 	fd, err := RunFigure(Figures[3], opt, nil) // Fig 5: L2
 	if err != nil {
 		t.Fatal(err)

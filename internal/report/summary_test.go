@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sims"
 )
 
@@ -14,7 +15,7 @@ func TestLoadFigureRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Injections: 8, Seed: 3, Benchmarks: []string{"qsort"}, Logs: repo, Workers: 2}
+	opt := Options{Campaign: core.CampaignConfig{Injections: 8, Seed: 3, Workers: 2}, Benchmarks: []string{"qsort"}, Logs: repo}
 	spec := Figures[0] // Fig 2: rf.int
 	ran, err := RunFigure(spec, opt, nil)
 	if err != nil {
@@ -48,6 +49,34 @@ func TestLoadFigureRoundTrip(t *testing.T) {
 	// Missing campaign surfaces as an error.
 	if _, err := LoadFigure(repo, Figures[1], opt); err == nil {
 		t.Fatal("missing campaign accepted")
+	}
+}
+
+// Logs written before figure campaigns stamped the tool id carry the
+// simulator's display name in their header; the file name is the key,
+// so they load as before (results/logsrepo, figures -from-logs).
+func TestLoadFigureReadsDisplayNameHeaders(t *testing.T) {
+	repo, err := core.NewLogsRepo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &core.CampaignResult{
+		Golden:  core.GoldenInfo{Tool: "GeFIN-x86", Benchmark: "qsort", Structure: "rf.int", Cycles: 100},
+		Records: []core.LogRecord{{MaskID: 0, Status: core.RunCompleted.String(), OutputMatch: true}, {MaskID: 1, Status: core.RunCycleLimit.String()}},
+	}
+	if err := repo.Store(fault.CampaignKey(sims.GeFINX86, "qsort", "rf.int"), old); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := LoadFigure(repo, Figures[0], Options{Benchmarks: []string{"qsort"}, Tools: []string{sims.GeFINX86}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := fd.CellFor("qsort", sims.GeFINX86)
+	if !ok || c.Breakdown.Total != 2 || c.Breakdown.Counts[core.ClassMasked] != 1 || c.Breakdown.Counts[core.ClassTimeout] != 1 {
+		t.Fatalf("cell loaded from a display-name header: %+v (found %v)", c, ok)
+	}
+	if c.Golden.Tool != "GeFIN-x86" {
+		t.Fatalf("header tool rewritten to %q", c.Golden.Tool)
 	}
 }
 

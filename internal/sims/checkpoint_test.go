@@ -114,14 +114,14 @@ func TestCampaignWithCheckpointMatchesOutcomeMix(t *testing.T) {
 		MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 24, Seed: 9,
 	})
 	run := func(useCP bool) core.Breakdown {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Benchmark: "qsort", Structure: "rf.int", Masks: masks,
-			Factory: factory, UseCheckpoint: useCP, Workers: 2,
-		})
+		res, err := core.RunConfig(core.CampaignConfig{
+			Campaigns:     []core.CampaignCell{{Tool: GeFINX86, Benchmark: "qsort", Structure: "rf.int", Masks: masks}},
+			UseCheckpoint: useCP, Workers: 2,
+		}, func(string, string) (core.Factory, error) { return factory, nil }, core.Attach{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return core.Parser{}.ParseAll(res.Records)
+		return core.Parser{}.ParseAll(res[0].Records)
 	}
 	plain := run(false)
 	ckpt := run(true)

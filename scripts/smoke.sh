@@ -4,7 +4,8 @@
 # final-snapshot dump all enabled, then a second campaign with liveness
 # pruning, the checkpoint ladder, and the -prune-verify differential
 # guard on top, then a detail-window campaign with the -window-verify
-# differential guard, then a kill-and-resume round and a distributed
+# differential guard, then a figures round (the same window flags through
+# the paper-regeneration CLI), then a kill-and-resume round and a distributed
 # coordinator/worker round with a SIGKILLed worker, and finally an
 # observability round: divergence provenance plus span tracing single-
 # node and distributed, with a live SSE subscription and the fleet-
@@ -95,6 +96,19 @@ cmp "$tmp/turbo/${key}.trace.jsonl" "$tmp/turbo_ref/${key}.trace.jsonl"
 go run ./scripts/smokecheck \
     -logs "$tmp/turbo" -key "$key" -snapshot "$tmp/snap_turbo.json" -window
 echo "smoke: turbo windowed campaign is byte-identical to the unoptimised reference"
+
+# Figures round: the paper-regeneration CLI runs through the same
+# RunConfig as faultcamp, so the shared campaign flags it registers take
+# effect — here the detail window with its verify guard — and its trace
+# and log header name the campaign by the key its log is stored under.
+go run ./cmd/figures -fig 2 -n 12 -benchmarks "$bench" -tools "$tool" \
+    -detail-window -window-verify 4 -logs "$tmp/figlogs" \
+    -trace -quiet -snapshot-json "$tmp/snap_fig.json" > /dev/null
+
+go run ./scripts/smokecheck \
+    -logs "$tmp/figlogs" -key "$key" -trace "$tmp/figlogs/matrix.trace.jsonl" \
+    -snapshot "$tmp/snap_fig.json" -window
+echo "smoke: figures honours the shared window flags and names its campaign by the log key"
 
 # Crash-and-resume: run a journaled reference campaign to completion,
 # then start an identical campaign, SIGKILL it mid-flight, and resume it
