@@ -295,7 +295,7 @@ func runOneShot(s *svc.Service, ln net.Listener, a oneShotArgs) {
 		fmt.Printf("  spans: %s\n", a.logs.SpansPath(akey))
 	}
 	if a.fleetJSON != "" {
-		fmt.Printf("  fleet snapshot: %s (%d workers)\n", a.fleetJSON, len(s.Fleet()))
+		fmt.Printf("  fleet snapshot: %s (%d workers)\n", a.fleetJSON, len(s.Fleet("")))
 	}
 	if a.journal {
 		for _, key := range keys {

@@ -1,9 +1,13 @@
-// Command faultworker is the remote injection worker of a distributed
-// campaign: it fetches the campaign config from a faultcampd
-// coordinator, leases mask-range shards, executes each with the same
-// scheduler machinery a single-node run uses (rebuilding masks,
-// checkpoints and prune plans deterministically from the config), and
-// streams results back while heartbeating its leases.
+// Command faultworker is the remote injection worker of the campaign
+// service: it leases mask-range shards from a faultcampd daemon, fetches
+// the config of each campaign a lease names (once per campaign), executes
+// every shard with the same scheduler machinery a single-node run uses
+// (rebuilding masks, checkpoints and prune plans deterministically from
+// the config), and streams results back while heartbeating its leases.
+// One worker serves every campaign the daemon runs and outlives each of
+// them; a daemon it cannot reach — restarting, or not up yet — is polled
+// until it answers. It exits when a one-shot daemon answers "done", or
+// on SIGTERM after delivering its in-flight shard.
 //
 // Example:
 //
@@ -27,11 +31,11 @@ import (
 )
 
 func main() {
-	coordURL := flag.String("coordinator", "", "coordinator base URL (e.g. http://127.0.0.1:8400)")
-	addrFile := flag.String("addr-file", "", "read the coordinator address from this file (polls until faultcampd writes it)")
+	coordURL := flag.String("coordinator", "", "faultcampd base URL (e.g. http://127.0.0.1:8400)")
+	addrFile := flag.String("addr-file", "", "read the faultcampd address from this file (polls until faultcampd writes it)")
 	id := flag.String("id", "", "worker id (default host:pid)")
-	poll := flag.Duration("poll", 0, "cap on the wait between lease polls (0: honor the coordinator's hint)")
-	heartbeat := flag.Duration("heartbeat", 0, "lease heartbeat period (0: a third of the coordinator's lease TTL)")
+	poll := flag.Duration("poll", 0, "cap on the wait between lease polls (0: honor the daemon's hint)")
+	heartbeat := flag.Duration("heartbeat", 0, "lease heartbeat period (0: a third of the campaign's lease TTL)")
 	metricsAddr := flag.String("metrics-addr", "", "serve this worker's /metrics, /snapshot.json, /events and /debug/pprof on this address")
 	snapJSON := flag.String("snapshot-json", "", "write this worker's final telemetry snapshot as JSON to this file on exit")
 	quiet := flag.Bool("quiet", false, "suppress per-shard progress lines")
@@ -80,7 +84,7 @@ func main() {
 
 	// Graceful shutdown: SIGTERM/SIGINT drains the worker — it finishes
 	// and delivers its in-flight shard, posts its final snapshot to the
-	// coordinator, and exits cleanly instead of abandoning the lease.
+	// daemon, and exits cleanly instead of abandoning the lease.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, os.Interrupt)
 	go func() {
@@ -106,7 +110,7 @@ func main() {
 	}
 }
 
-// waitForAddr polls for the coordinator's handshake file.
+// waitForAddr polls for faultcampd's handshake file.
 func waitForAddr(path string, timeout time.Duration) (string, error) {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -117,7 +121,7 @@ func waitForAddr(path string, timeout time.Duration) (string, error) {
 			}
 		}
 		if time.Now().After(deadline) {
-			return "", fmt.Errorf("no coordinator address in %s after %s", path, timeout)
+			return "", fmt.Errorf("no faultcampd address in %s after %s", path, timeout)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}

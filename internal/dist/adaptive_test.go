@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
@@ -73,7 +72,7 @@ func TestDistributedAdaptiveDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(coord.Handler())
+		srv := serve(t, plane{"c": coord})
 
 		errs := make(chan error, workers)
 		for w := 0; w < workers; w++ {
@@ -163,9 +162,11 @@ func TestDistributedAdaptiveDifferential(t *testing.T) {
 				t.Fatalf("workers=%d: journal %s has %d stopped-early entries, want 35", workers, key, stopped)
 			}
 		}
-		snap := coord.FleetSnapshot()
+		// The early-stop counters live ledger-side only (workers never see
+		// a stopped run); the service overlays them onto the fleet view.
+		snap := collector.Snapshot()
 		if snap.CellsStoppedEarly != uint64(len(keys)) || snap.StoppedRuns != uint64(35*len(keys)) {
-			t.Fatalf("workers=%d: fleet snapshot counts cells=%d runs=%d, want %d/%d",
+			t.Fatalf("workers=%d: merged snapshot counts cells=%d runs=%d, want %d/%d",
 				workers, snap.CellsStoppedEarly, snap.StoppedRuns, len(keys), 35*len(keys))
 		}
 	}

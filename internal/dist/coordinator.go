@@ -1,14 +1,30 @@
+// Package dist is the distributed campaign layer, in two halves that
+// share no state. Coordinator is one campaign's shard ledger: it slices
+// the config's mask populations into shard ranges, grants them under
+// heartbeat-extended leases, requeues the shards of dead workers,
+// commits every merged outcome exactly once (journaling it when a
+// journal is attached) and ends with per-campaign results byte-identical
+// to a single-node run of the same config. It is pure in-memory
+// bookkeeping behind method calls; the campaign service (internal/svc)
+// is the one HTTP server in front of it and owns everything about the
+// fleet that is not a lease. RunWorker is the other half: the client
+// loop of a faultworker, which leases shards from that service and
+// executes each with the same scheduler machinery a single-node run
+// uses (core.RunShard).
+//
+// The protocol is deliberately small and stateless on the worker side:
+// everything a worker needs to rebuild a campaign cell — masks,
+// checkpoint placement, prune plan — derives deterministically from the
+// config, so the wire carries only the config once per campaign plus
+// {campaign, mask_lo, mask_hi} per shard. The wire types live in
+// internal/svc/api.
 package dist
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"reflect"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -132,7 +148,7 @@ const (
 )
 
 type shardState struct {
-	shard    Shard
+	shard    api.Shard
 	state    int
 	worker   string
 	expiry   time.Time // lease deadline while leased
@@ -140,19 +156,6 @@ type shardState struct {
 	leased   time.Time // when the current lease was granted (span start)
 	retries  int
 }
-
-// workerView is the coordinator's per-worker accounting behind the
-// fleet snapshot, /fleet.json and the progress line's worker columns.
-type workerView struct {
-	lastSeen time.Time
-	shard    int // currently leased shard, -1 when idle
-	done     int // shards completed (accepted)
-	snap     *telemetry.Snapshot
-	final    bool // worker posted its final snapshot (draining/exited)
-}
-
-// WorkerStatus (the exported per-worker view served at /v1/fleet.json)
-// is aliased from the api package in protocol.go.
 
 // cellControl feeds one campaign cell's stopping rule (adaptive.Rule,
 // the same rule the single-node scheduler drives) from the coordinator.
@@ -179,9 +182,9 @@ type pendingReplica struct {
 	stub     core.ShardRun
 }
 
-// Coordinator plans a campaign config into mask-range shards, serves
-// them to workers over the /v1 protocol, and merges completed shards
-// into per-campaign results identical to a single-node run.
+// Coordinator is one campaign's shard ledger: it plans the config into
+// mask-range shards, grants them under leases, and merges completed
+// shards into per-campaign results identical to a single-node run.
 type Coordinator struct {
 	cfg  core.CampaignConfig
 	opt  CoordinatorOptions
@@ -202,7 +205,6 @@ type Coordinator struct {
 	// (opened at New) and the divergence sink.
 	sinks       []core.CellSinks
 	resumedRuns int
-	workers     map[string]*workerView
 	rootSpan    *telemetry.ActiveSpan
 	stats       Stats
 	failure     error
@@ -239,7 +241,6 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 		records:   make([][]core.LogRecord, len(cfg.Campaigns)),
 		filled:    make([][]bool, len(cfg.Campaigns)),
 		sinks:     make([]core.CellSinks, len(cfg.Campaigns)),
-		workers:   make(map[string]*workerView),
 		doneCh:    make(chan struct{}),
 	}
 	if opt.MasksFor != nil {
@@ -273,7 +274,7 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 				hi = n
 			}
 			c.shards = append(c.shards, &shardState{
-				shard: Shard{ID: len(c.shards), Campaign: i, MaskLo: lo, MaskHi: hi},
+				shard: api.Shard{ID: len(c.shards), Campaign: i, MaskLo: lo, MaskHi: hi},
 			})
 		}
 	}
@@ -471,18 +472,6 @@ func (c *Coordinator) finishLocked() {
 	}
 }
 
-// workerLocked returns (creating if needed) a worker's view, stamping
-// its last-contact time.
-func (c *Coordinator) workerLocked(id string, now time.Time) *workerView {
-	w, ok := c.workers[id]
-	if !ok {
-		w = &workerView{shard: -1}
-		c.workers[id] = w
-	}
-	w.lastSeen = now
-	return w
-}
-
 // sweepLocked requeues the shards of workers that stopped heartbeating.
 // Called on every lease and from Wait's ticker, so dead workers are
 // noticed even when no one else asks for work.
@@ -505,11 +494,11 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 	}
 }
 
-// Config returns the campaign config response served at /v1/config.
-// The service overlays CampaignID before forwarding it.
-func (c *Coordinator) Config() ConfigResponse {
-	return ConfigResponse{
-		ProtocolVersion: ProtocolVersion,
+// Config returns the campaign config and lease terms a worker is
+// served; the service stamps the campaign ID onto it.
+func (c *Coordinator) Config() api.ConfigResponse {
+	return api.ConfigResponse{
+		ProtocolVersion: api.ProtocolVersion,
 		Config:          c.cfg,
 		LeaseTTLMS:      c.opt.leaseTTL().Milliseconds(),
 	}
@@ -541,18 +530,16 @@ func (c *Coordinator) Cancel(reason string) {
 }
 
 // Lease grants a shard (or a wait/terminal status) to a polling worker.
-func (c *Coordinator) Lease(workerID string) LeaseResponse {
+func (c *Coordinator) Lease(workerID string) api.LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opt.now()
-	w := c.workerLocked(workerID, now)
-	w.shard = -1 // a polling worker is idle until a grant below
 	c.sweepLocked(now)
 	if c.failure != nil {
-		return LeaseResponse{Status: StatusFailed, Error: c.failure.Error()}
+		return api.LeaseResponse{Status: api.StatusFailed, Error: c.failure.Error()}
 	}
 	if c.remaining == 0 {
-		return LeaseResponse{Status: StatusDone}
+		return api.LeaseResponse{Status: api.StatusDone}
 	}
 	var nearest time.Time
 	for _, s := range c.shards {
@@ -563,10 +550,9 @@ func (c *Coordinator) Lease(workerID string) LeaseResponse {
 				s.worker = workerID
 				s.expiry = now.Add(c.opt.leaseTTL())
 				s.leased = now
-				w.shard = s.shard.ID
 				c.logf("dist: shard %d leased to %s", s.shard.ID, workerID)
 				sh := s.shard
-				return LeaseResponse{Status: StatusShard, Shard: &sh}
+				return api.LeaseResponse{Status: api.StatusShard, Shard: &sh}
 			}
 			if nearest.IsZero() || s.eligible.Before(nearest) {
 				nearest = s.eligible
@@ -587,31 +573,28 @@ func (c *Coordinator) Lease(workerID string) LeaseResponse {
 	if wait > time.Second {
 		wait = time.Second
 	}
-	return LeaseResponse{Status: StatusWait, WaitMS: wait.Milliseconds()}
+	return api.LeaseResponse{Status: api.StatusWait, WaitMS: wait.Milliseconds()}
 }
 
 // Heartbeat extends a worker's shard lease.
-func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
+func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) api.HeartbeatResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if req.ShardID < 0 || req.ShardID >= len(c.shards) {
-		return HeartbeatResponse{}
+		return api.HeartbeatResponse{}
 	}
 	s := c.shards[req.ShardID]
 	now := c.opt.now()
-	w := c.workerLocked(req.WorkerID, now)
 	if s.state != shardLeased || s.worker != req.WorkerID || !s.expiry.After(now) {
-		return HeartbeatResponse{}
+		return api.HeartbeatResponse{}
 	}
 	s.expiry = now.Add(c.opt.leaseTTL())
-	w.shard = req.ShardID
-	return HeartbeatResponse{OK: true}
+	return api.HeartbeatResponse{OK: true}
 }
 
-// ackLocked stamps the campaign's terminal state onto a completion ack
-// so the delivering worker never needs a post-completion lease poll —
-// which would race the coordinator's shutdown once the last shard lands.
-func (c *Coordinator) ackLocked(r CompleteResponse) CompleteResponse {
+// ackLocked stamps the campaign's terminal state onto a completion ack,
+// so the delivering worker learns it without another round trip.
+func (c *Coordinator) ackLocked(r api.CompleteResponse) api.CompleteResponse {
 	if c.failure != nil {
 		r.Failed = c.failure.Error()
 	} else if c.finished {
@@ -621,26 +604,19 @@ func (c *Coordinator) ackLocked(r CompleteResponse) CompleteResponse {
 }
 
 // Complete accepts a shard completion and merges its result.
-func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
+func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if req.ShardID < 0 || req.ShardID >= len(c.shards) {
-		return CompleteResponse{Error: fmt.Sprintf("dist: no shard %d", req.ShardID)}
+		return api.CompleteResponse{Error: fmt.Sprintf("dist: no shard %d", req.ShardID)}
 	}
 	s := c.shards[req.ShardID]
-	w := c.workerLocked(req.WorkerID, c.opt.now())
-	w.shard = -1
-	if req.Snapshot != nil && !w.final {
-		// Piggybacked telemetry: freshest view of this worker, unless it
-		// already posted its final word via /v1/snapshot.
-		w.snap = req.Snapshot
-	}
 	if req.Error != "" {
 		// Shard execution is deterministic: the same masks would fail the
 		// same way on any worker, so a reported error fails the campaign.
 		c.failLocked(fmt.Errorf("dist: worker %s failed shard %d (campaign %d masks [%d,%d)): %s",
 			req.WorkerID, s.shard.ID, s.shard.Campaign, s.shard.MaskLo, s.shard.MaskHi, req.Error))
-		return c.ackLocked(CompleteResponse{OK: true})
+		return c.ackLocked(api.CompleteResponse{OK: true})
 	}
 	if s.state == shardCompleted {
 		// A requeued shard finished twice (the original worker was slow,
@@ -648,16 +624,15 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		// discard it — the per-mask ledger stays exactly-once.
 		c.stats.Duplicates++
 		c.logf("dist: duplicate completion of shard %d by %s discarded", s.shard.ID, req.WorkerID)
-		return c.ackLocked(CompleteResponse{OK: true})
+		return c.ackLocked(api.CompleteResponse{OK: true})
 	}
 	mergeStart := time.Now()
 	if err := c.mergeLocked(s.shard, req.Result); err != nil {
 		c.failLocked(err)
-		return c.ackLocked(CompleteResponse{OK: true})
+		return c.ackLocked(api.CompleteResponse{OK: true})
 	}
 	s.state = shardCompleted
 	s.worker = req.WorkerID
-	w.done++
 	c.remaining--
 	c.stats.Completed++
 	if tr := c.opt.Tracer; tr != nil {
@@ -687,7 +662,7 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 		// the cancellation sweep never double-counts it.
 		if err := c.settleStopsLocked(); err != nil {
 			c.failLocked(err)
-			return c.ackLocked(CompleteResponse{OK: true})
+			return c.ackLocked(api.CompleteResponse{OK: true})
 		}
 	}
 	if c.remaining == 0 && c.failure == nil {
@@ -697,13 +672,13 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 			c.finishLocked()
 		}
 	}
-	return c.ackLocked(CompleteResponse{OK: true, Accepted: true})
+	return c.ackLocked(api.CompleteResponse{OK: true, Accepted: true})
 }
 
 // mergeLocked folds one shard result into the exactly-once ledger and
 // commits its outcomes — the ones the shard's scheduler built, through
 // the commit a single-node run settles its masks with.
-func (c *Coordinator) mergeLocked(sh Shard, res *core.ShardResult) error {
+func (c *Coordinator) mergeLocked(sh api.Shard, res *core.ShardResult) error {
 	if res == nil {
 		return fmt.Errorf("dist: shard %d completed without a result", sh.ID)
 	}
@@ -920,124 +895,6 @@ func (c *Coordinator) finalizeLocked() error {
 	return nil
 }
 
-// PushSnapshot accepts a worker's pushed telemetry snapshot. A Final
-// push (a draining worker's last word) freezes the view: later
-// piggybacked snapshots from in-flight completions cannot roll it back.
-func (c *Coordinator) PushSnapshot(req SnapshotRequest) SnapshotResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.workerLocked(req.WorkerID, c.opt.now())
-	if !w.final {
-		snap := req.Snapshot
-		w.snap = &snap
-		if req.Final {
-			w.final = true
-			w.shard = -1
-		}
-	}
-	return SnapshotResponse{OK: true}
-}
-
-// FleetSnapshot merges every worker's last pushed snapshot into one
-// fleet-wide view — the aggregation behind /snapshot.json and /metrics.
-// The coordinator's own collector is deliberately not folded in: it
-// re-emits the same runs the workers already counted, so adding it
-// would double every counter.
-func (c *Coordinator) FleetSnapshot() telemetry.Snapshot {
-	c.mu.Lock()
-	ids := make([]string, 0, len(c.workers))
-	for id, w := range c.workers {
-		if w.snap != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	snaps := make([]telemetry.Snapshot, 0, len(ids))
-	for _, id := range ids {
-		snaps = append(snaps, *c.workers[id].snap)
-	}
-	c.mu.Unlock()
-	merged := telemetry.MergeSnapshots(snaps...)
-	// The early-stop counters live coordinator-side only — workers never
-	// see a stopped run, so overlaying them cannot double-count. (The
-	// rest of the coordinator's collector re-emits runs the workers
-	// already counted and stays excluded.)
-	if tel := c.opt.Telemetry; tel != nil && c.adapt != nil {
-		own := tel.Snapshot()
-		merged.StoppedRuns += own.StoppedRuns
-		merged.CellsStoppedEarly += own.CellsStoppedEarly
-		if own.EffectiveMargin > merged.EffectiveMargin {
-			merged.EffectiveMargin = own.EffectiveMargin
-		}
-	}
-	return merged
-}
-
-// Fleet returns the per-worker views, sorted by worker ID.
-func (c *Coordinator) Fleet() []WorkerStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.opt.now()
-	out := make([]WorkerStatus, 0, len(c.workers))
-	for id, w := range c.workers {
-		lag := now.Sub(w.lastSeen).Seconds()
-		if lag < 0 {
-			lag = 0
-		}
-		out = append(out, WorkerStatus{ID: id, Shard: w.shard, ShardsDone: w.done, LagSeconds: lag, Final: w.final})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// ProgressLine renders the coordinator's merged progress view plus one
-// bracketed column per worker: its leased shard, shards done, and how
-// long since it last checked in.
-func (c *Coordinator) ProgressLine() string {
-	tel := c.opt.Telemetry
-	if tel == nil {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(tel.Snapshot().ProgressLine())
-	for _, w := range c.Fleet() {
-		shard := "-"
-		if w.Shard >= 0 {
-			shard = strconv.Itoa(w.Shard)
-		}
-		fmt.Fprintf(&b, "  [%s shard=%s done=%d lag=%.0fs]", w.ID, shard, w.ShardsDone, w.LagSeconds)
-	}
-	return b.String()
-}
-
-// WaitFleetFinal blocks until every worker that ever pushed telemetry
-// has posted its final snapshot, or timeout elapses (a crashed worker
-// never posts one). The campaign completes when the last shard merges,
-// which can be moments before the delivering worker's final snapshot
-// arrives — callers that freeze the fleet snapshot to disk wait here
-// first.
-func (c *Coordinator) WaitFleetFinal(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		c.mu.Lock()
-		all := true
-		for _, w := range c.workers {
-			if w.snap != nil && !w.final {
-				all = false
-				break
-			}
-		}
-		c.mu.Unlock()
-		if all {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 // Wait blocks until every shard has completed (returning the merged
 // per-campaign results, in config cell order) or the campaign fails.
 // It also drives the lease sweep, so dead workers are requeued even
@@ -1081,121 +938,4 @@ func (c *Coordinator) Close() error {
 		}
 	}
 	return first
-}
-
-// Handler returns the /v1 protocol endpoints.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/config", MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Config())
-	}))
-	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
-		var req LeaseRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.Lease(req.WorkerID))
-	})
-	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.Heartbeat(req))
-	})
-	mux.HandleFunc("/v1/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req CompleteRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.Complete(req))
-	})
-	mux.HandleFunc("/v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		var req SnapshotRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.PushSnapshot(req))
-	})
-	return mux
-}
-
-// ObsHandler returns the coordinator's observability endpoints mounted
-// alongside the /v1 protocol: /v1/snapshot.json and /v1/metrics serve
-// the fleet-aggregated telemetry, /v1/fleet.json the per-worker
-// lease/lag accounting, and /v1/events — when an event stream is
-// attached — the live SSE feed of progress, run and span events.
-func (c *Coordinator) ObsHandler(es *telemetry.EventStream) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", c.Handler())
-	MountObs(mux, ObsEndpoints{
-		Snapshot: c.FleetSnapshot,
-		Fleet: func() []WorkerStatus {
-			return c.Fleet()
-		},
-		Events: es,
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "no such endpoint: %s", r.URL.Path)
-			return
-		}
-		fmt.Fprintln(w, "faultcampd: /v1/{config,lease,heartbeat,complete,snapshot}  /v1/{snapshot.json,metrics,fleet.json,events}")
-	})
-	return mux
-}
-
-// ObsEndpoints are the data sources behind the observability plane —
-// shared by the single-campaign coordinator and the multi-campaign
-// service, which each mount them over their own aggregation.
-type ObsEndpoints struct {
-	Snapshot func() telemetry.Snapshot
-	Fleet    func() []WorkerStatus
-	Events   http.Handler // nil when no event stream is attached
-}
-
-// MountObs registers the telemetry endpoints on a mux under /v1/.
-func MountObs(mux *http.ServeMux, eps ObsEndpoints) {
-	snap := MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		b, err := eps.Snapshot().JSON()
-		if err != nil {
-			api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(b, '\n'))
-	})
-	metrics := MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		eps.Snapshot().WritePrometheus(w)
-	})
-	fleet := MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, eps.Fleet())
-	})
-	mux.HandleFunc("/v1/snapshot.json", snap)
-	mux.HandleFunc("/v1/metrics", metrics)
-	mux.HandleFunc("/v1/fleet.json", fleet)
-	if eps.Events != nil {
-		mux.Handle("/v1/events", MethodOnly(http.MethodGet, eps.Events.ServeHTTP))
-	}
-}
-
-// MethodOnly wraps a handler with a method check that answers the
-// shared error envelope on mismatch.
-func MethodOnly(method string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			api.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "%s only", method)
-			return
-		}
-		h(w, r)
-	}
-}
-
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return api.ReadJSON(w, r, v)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	api.WriteJSON(w, v)
 }

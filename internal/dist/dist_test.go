@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
+	"repro/internal/svc/api"
 	"repro/internal/telemetry"
 )
 
@@ -87,8 +87,7 @@ func runDistributed(t *testing.T, cfg core.CampaignConfig, workers, shardSize in
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	srv := serve(t, plane{"c": coord})
 
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -171,15 +170,15 @@ func TestDistributedMatrixDifferential(t *testing.T) {
 	}
 }
 
-func postLease(t *testing.T, url, worker string) dist.LeaseResponse {
+func postLease(t *testing.T, url, worker string) api.LeaseResponse {
 	t.Helper()
-	b, _ := json.Marshal(dist.LeaseRequest{WorkerID: worker})
+	b, _ := json.Marshal(api.LeaseRequest{WorkerID: worker})
 	resp, err := http.Post(url+"/v1/lease", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var lease dist.LeaseResponse
+	var lease api.LeaseResponse
 	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +213,11 @@ func TestWorkerDeathRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	srv := serve(t, plane{"c": coord})
 
 	// The zombie takes the first shard and goes silent.
 	lease := postLease(t, srv.URL, "zombie")
-	if lease.Status != dist.StatusShard {
+	if lease.Status != api.StatusShard {
 		t.Fatalf("zombie lease: %+v", lease)
 	}
 	zombieShard := lease.Shard.ID
@@ -269,15 +267,15 @@ func TestWorkerDeathRequeue(t *testing.T) {
 
 	// The zombie wakes up and reports its long-finished shard: the
 	// completion must be acknowledged but discarded.
-	b, _ := json.Marshal(dist.CompleteRequest{
-		WorkerID: "zombie", ShardID: zombieShard, Result: &core.ShardResult{},
+	b, _ := json.Marshal(api.CompleteRequest{
+		WorkerID: "zombie", ShardID: zombieShard, CampaignID: lease.CampaignID, Result: &core.ShardResult{},
 	})
 	resp, err := http.Post(srv.URL+"/v1/complete", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var cr dist.CompleteResponse
+	var cr api.CompleteResponse
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +302,7 @@ func TestWorkerFailureFailsCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	srv := serve(t, plane{"c": coord})
 
 	badResolve := func(tool, benchmark string) (core.Factory, error) {
 		return nil, fmt.Errorf("no simulator on this host")
@@ -320,7 +317,7 @@ func TestWorkerFailureFailsCampaign(t *testing.T) {
 		t.Fatal("campaign succeeded despite a deterministic shard failure")
 	}
 	// Later workers are told to stop, not handed the poisoned shard.
-	if lease := postLease(t, srv.URL, "late"); lease.Status != dist.StatusFailed {
-		t.Fatalf("post-failure lease: %+v, want %q", lease, dist.StatusFailed)
+	if lease := postLease(t, srv.URL, "late"); lease.Status != api.StatusFailed {
+		t.Fatalf("post-failure lease: %+v, want %q", lease, api.StatusFailed)
 	}
 }

@@ -1,14 +1,8 @@
 package dist_test
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,162 +13,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestFleetSnapshotAggregation runs a clean distributed campaign with
-// per-worker collectors and checks the observability plane end to end:
-// the coordinator's fleet-aggregated snapshot equals the sum of the
-// worker snapshots, /v1/snapshot.json and /v1/metrics serve the
-// aggregate, /v1/fleet.json reports every worker final, and the
-// unprefixed aliases of PR 10 are gone (404 error envelope).
-func TestFleetSnapshotAggregation(t *testing.T) {
-	cfg := testConfig() // 2 campaigns x 10 injections
-	coord, err := dist.New(cfg, dist.CoordinatorOptions{ShardSize: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	es := telemetry.NewEventStream(telemetry.New())
-	defer es.Close()
-	srv := httptest.NewServer(coord.ObsHandler(es))
-	defer srv.Close()
-
-	const workers = 2
-	collectors := make([]*telemetry.Collector, workers)
-	caches := make([]*core.GoldenCache, workers)
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		collectors[w] = telemetry.New()
-		caches[w] = core.NewGoldenCache()
-		go func(w int) {
-			errs <- dist.RunWorker(context.Background(), srv.URL, dist.WorkerOptions{
-				ID:        fmt.Sprintf("w%d", w),
-				Resolve:   cli.Resolve,
-				Golden:    caches[w],
-				Telemetry: collectors[w],
-			})
-		}(w)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	if _, err := coord.Wait(ctx); err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
-	if !coord.WaitFleetFinal(10 * time.Second) {
-		t.Fatal("fleet never settled: a worker's final snapshot is missing")
-	}
-
-	total := uint64(len(cfg.Campaigns) * cfg.Injections)
-	fleet := coord.FleetSnapshot()
-	if fleet.RunsDone != total {
-		t.Fatalf("fleet RunsDone = %d, want %d", fleet.RunsDone, total)
-	}
-	var sumDone, sumCycles uint64
-	for _, c := range collectors {
-		s := c.Snapshot()
-		sumDone += s.RunsDone
-		sumCycles += s.SimCycles
-	}
-	if fleet.RunsDone != sumDone || fleet.SimCycles != sumCycles {
-		t.Fatalf("fleet totals %d runs/%d cycles != worker sums %d/%d",
-			fleet.RunsDone, fleet.SimCycles, sumDone, sumCycles)
-	}
-	if len(fleet.Campaigns) != len(cfg.Campaigns) {
-		t.Fatalf("fleet has %d campaign rows, want %d", len(fleet.Campaigns), len(cfg.Campaigns))
-	}
-	// The workers' golden caches surface in the fleet view: which worker
-	// simulated what, and what it holds, is answerable from the snapshot.
-	goldenRuns := 0
-	for _, c := range caches {
-		goldenRuns += c.Runs()
-	}
-	if goldenRuns == 0 || fleet.GoldenRuns != uint64(goldenRuns) || fleet.CacheRows == 0 || fleet.CacheBytes == 0 {
-		t.Fatalf("fleet cache view: %d golden runs (worker caches ran %d), %d rows, %d bytes",
-			fleet.GoldenRuns, goldenRuns, fleet.CacheRows, fleet.CacheBytes)
-	}
-
-	// The HTTP plane serves the same aggregate.
-	resp, err := http.Get(srv.URL + "/v1/snapshot.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var served telemetry.Snapshot
-	err = json.NewDecoder(resp.Body).Decode(&served)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/v1/snapshot.json does not parse: %v", err)
-	}
-	if served.RunsDone != total {
-		t.Fatalf("/v1/snapshot.json RunsDone = %d, want %d", served.RunsDone, total)
-	}
-	resp, err = http.Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metrics strings.Builder
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		metrics.WriteString(sc.Text())
-		metrics.WriteString("\n")
-	}
-	resp.Body.Close()
-	want := fmt.Sprintf("faultinject_runs_done_total %d", total)
-	if !strings.Contains(metrics.String(), want) {
-		t.Fatalf("/v1/metrics lacks %q", want)
-	}
-	for _, name := range []string{"runs_done_total", "cache_rows", "cache_bytes", "profile_builds_total"} {
-		if !strings.Contains(metrics.String(), "# HELP faultinject_"+name+" ") {
-			t.Fatalf("/v1/metrics lacks the HELP line of faultinject_%s", name)
-		}
-	}
-
-	resp, err = http.Get(srv.URL + "/v1/fleet.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var statuses []dist.WorkerStatus
-	err = json.NewDecoder(resp.Body).Decode(&statuses)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/v1/fleet.json does not parse: %v", err)
-	}
-	if len(statuses) != workers {
-		t.Fatalf("/v1/fleet.json lists %d workers, want %d", len(statuses), workers)
-	}
-	for _, ws := range statuses {
-		if !ws.Final {
-			t.Fatalf("worker %s not final after WaitFleetFinal: %+v", ws.ID, ws)
-		}
-	}
-
-	// The unprefixed aliases are gone: the error envelope, not the data.
-	for _, path := range []string{"/snapshot.json", "/metrics", "/fleet.json", "/events"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env api.ErrorEnvelope
-		err = json.NewDecoder(resp.Body).Decode(&env)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound || err != nil || env.Error.Code != api.CodeNotFound {
-			t.Fatalf("GET %s: status %d, envelope %+v (decode: %v); want the 404 not_found envelope", path, resp.StatusCode, env.Error, err)
-		}
-	}
-
-	// The /v1 protocol routes still answer through the observability mux.
-	if lease := postLease(t, srv.URL, "late"); lease.Status != dist.StatusDone {
-		t.Fatalf("post-campaign lease through ObsHandler: %+v, want %q", lease, dist.StatusDone)
-	}
+// drainOnComplete closes drain as the first completion arrives.
+type drainOnComplete struct {
+	plane
+	once  sync.Once
+	drain chan struct{}
 }
 
-// TestWorkerDrain closes the worker's drain channel mid-campaign (from
-// a hook that fires on its first shard completion) and checks graceful
-// shutdown: the in-flight shard is delivered, the final snapshot is
-// posted, the worker exits nil, and the remaining shards stay leasable
-// for a successor.
+func (d *drainOnComplete) Complete(r api.CompleteRequest) api.CompleteResponse {
+	d.once.Do(func() { close(d.drain) })
+	return d.plane.Complete(r)
+}
+
+// TestWorkerDrain closes the worker's drain channel mid-campaign (as
+// its first shard completion arrives) and checks graceful shutdown from
+// the ledger's side: the in-flight shard is delivered, the worker exits
+// nil, and the remaining shards stay leasable for a successor. (What the
+// fleet table shows of a drained worker is TestServiceWorkerDrain's, in
+// internal/svc.)
 func TestWorkerDrain(t *testing.T) {
 	cfg := core.CampaignConfig{
 		Campaigns:  []core.CampaignCell{{Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int"}},
@@ -187,19 +43,10 @@ func TestWorkerDrain(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// Drain fires as the first completion arrives: the shard in flight
-	// is already being delivered, so the worker must hand it over, post
-	// its final snapshot, and exit.
+	// The shard in flight is already being delivered when drain fires, so
+	// the worker must hand it over, post its final snapshot, and exit.
 	drain := make(chan struct{})
-	var completions atomic.Int64
-	inner := coord.Handler()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/complete" && completions.Add(1) == 1 {
-			close(drain)
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
+	srv := serve(t, &drainOnComplete{plane: plane{"c": coord}, drain: drain})
 
 	tel := telemetry.New()
 	err = dist.RunWorker(context.Background(), srv.URL, dist.WorkerOptions{
@@ -218,13 +65,6 @@ func TestWorkerDrain(t *testing.T) {
 	}
 	if got := tel.Snapshot().RunsDone; got != 2 {
 		t.Fatalf("drained worker's snapshot has %d runs, want 2 (its one shard)", got)
-	}
-	fleet := coord.Fleet()
-	if len(fleet) != 1 || !fleet[0].Final {
-		t.Fatalf("fleet after drain: %+v, want the worker marked final", fleet)
-	}
-	if fs := coord.FleetSnapshot(); fs.RunsDone != 2 {
-		t.Fatalf("fleet snapshot RunsDone = %d, want 2", fs.RunsDone)
 	}
 
 	// The campaign is not stranded: a successor finishes the rest.
@@ -267,8 +107,7 @@ func TestDistributedSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	srv := serve(t, plane{"c": coord})
 
 	errs := make(chan error, 1)
 	go func() {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"reflect"
 	"sort"
 	"sync"
@@ -55,8 +54,7 @@ func runFleet(t *testing.T, cfg core.CampaignConfig, opt dist.CoordinatorOptions
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	srv := serve(t, plane{"c": coord})
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {

@@ -2,8 +2,8 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net/http"
 	"strconv"
 	"time"
 
@@ -27,20 +27,20 @@ type WorkerOptions struct {
 	// pass one to read its counters from outside.
 	Golden *core.GoldenCache
 	// Heartbeat overrides the lease-extension period; 0 derives TTL/3
-	// from the coordinator's lease terms.
+	// from the campaign's lease terms.
 	Heartbeat time.Duration
-	// Poll caps the wait between lease polls when the coordinator has
-	// no runnable shard; 0 honors the coordinator's wait hint as-is.
+	// Poll caps the wait between lease polls when the service has no
+	// runnable shard; 0 honors the service's wait hint as-is.
 	Poll time.Duration
 	// Logf, when non-nil, receives worker lifecycle lines.
 	Logf func(format string, args ...any)
-	// Client is the service client; nil builds one for the coordinator
-	// URL with default retry terms.
+	// Client is the service client; nil builds one for the service URL
+	// with default retry terms.
 	Client *client.Client
 	// Telemetry, when non-nil, aggregates the worker's own view of the
 	// campaign: every accepted shard result folds into it, a snapshot
 	// piggybacks on each completion, and a final snapshot is pushed to
-	// the coordinator's /v1/snapshot when the worker exits or drains.
+	// the service's /v1/snapshot when the worker exits or drains.
 	Telemetry *telemetry.Collector
 	// Drain, when non-nil, requests graceful shutdown when closed: the
 	// worker finishes its in-flight shard (results are never thrown
@@ -68,25 +68,25 @@ type workerCampaign struct {
 	used  uint64 // lease sequence number of the last use
 }
 
-// RunWorker executes shards from the coordinator (or campaign service)
-// at coordURL until the campaign completes (nil), fails (the campaign
-// error), or ctx ends.
-//
-// Against a single-campaign coordinator the worker fetches the one
-// config up front and exits with the campaign's terminal state. Against
-// the multi-campaign service (detected by /v1/config answering 404) the
-// worker is fleet-level: leases carry campaign IDs, per-campaign
-// configs are fetched once per campaign and kept until it ends, one
-// campaign's failure or completion never stops the worker, and
-// transient service outages (a daemon restart) are ridden out by
-// polling.
+// ErrNoCampaign ends a worker that was granted a shard without a
+// campaign ID: configs are fetched by campaign, so there is nothing to
+// run the shard with, and the server is not a campaign service.
+var ErrNoCampaign = errors.New("dist: shard lease names no campaign")
+
+// RunWorker leases shards from the campaign service at svcURL and runs
+// them until the service answers a lease with "done" (nil), the worker
+// is drained (nil), or ctx ends. Leases carry campaign IDs; a campaign's
+// config is fetched on its first lease and kept until the campaign ends.
+// One campaign's failure or completion never stops the worker, and a
+// service that is briefly unreachable (a daemon restart) is ridden out
+// by polling.
 //
 // Each shard rebuilds its campaign cell deterministically from the
 // config via core.RunShard. What the worker carries from shard to shard
 // is a cache and nothing a result depends on: the campaign configs, and
 // one golden cache whose memoized fault-free runs and plan-time
 // artifacts are identical to what a rebuild would produce.
-func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
+func RunWorker(ctx context.Context, svcURL string, opt WorkerOptions) error {
 	if opt.ID == "" {
 		return fmt.Errorf("dist: worker needs an ID")
 	}
@@ -95,7 +95,7 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 	}
 	cl := opt.Client
 	if cl == nil {
-		cl = client.New(coordURL)
+		cl = client.New(svcURL)
 	}
 	logf := opt.Logf
 	if logf == nil {
@@ -112,35 +112,25 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 
 	camps := make(map[string]*workerCampaign)
 	var leases uint64
-	fleet := false
 	started := false
 
 	// loadCampaign returns the config behind a lease, fetching and
-	// validating it on first contact: the service's per-campaign config
-	// when the lease names one, the single /v1/config otherwise.
+	// validating it on first contact.
 	loadCampaign := func(id string) (*workerCampaign, error) {
 		leases++
 		if wc, ok := camps[id]; ok {
 			wc.used = leases
 			return wc, nil
 		}
-		var (
-			resp api.ConfigResponse
-			err  error
-		)
-		if id == "" {
-			resp, err = cl.Config(ctx)
-		} else {
-			resp, err = cl.CampaignConfig(ctx, id)
-		}
+		resp, err := cl.CampaignConfig(ctx, id)
 		if err != nil {
 			return nil, err
 		}
-		if resp.ProtocolVersion > ProtocolVersion {
-			return nil, fmt.Errorf("dist: coordinator speaks protocol %d; this worker speaks <= %d", resp.ProtocolVersion, ProtocolVersion)
+		if resp.ProtocolVersion > api.ProtocolVersion {
+			return nil, fmt.Errorf("dist: service speaks protocol %d; this worker speaks <= %d", resp.ProtocolVersion, api.ProtocolVersion)
 		}
 		if err := resp.Config.Validate(); err != nil {
-			return nil, fmt.Errorf("dist: coordinator config: %w", err)
+			return nil, fmt.Errorf("dist: campaign %s config: %w", id, err)
 		}
 		wc := &workerCampaign{
 			id: id, cfg: resp.Config, keys: resp.Config.Keys(),
@@ -168,21 +158,8 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 		return wc, nil
 	}
 
-	// Single-campaign probe: a coordinator answers /v1/config; the
-	// multi-campaign service has no standalone campaign there and
-	// answers not_found, which flips the worker into fleet mode.
-	if _, err := loadCampaign(""); err != nil {
-		var apiErr *api.Error
-		if client.AsError(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
-			fleet = true
-			logf("worker %s: fleet mode (multi-campaign service at %s)", opt.ID, coordURL)
-		} else {
-			return fmt.Errorf("dist: fetching coordinator config: %w", err)
-		}
-	}
-
-	// postFinal pushes the worker's last snapshot so the coordinator's
-	// fleet view stays complete after this process exits.
+	// postFinal pushes the worker's last snapshot so the service's fleet
+	// view stays complete after this process exits.
 	postFinal := func() {
 		if opt.Telemetry == nil {
 			return
@@ -233,50 +210,49 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 		}
 		lease, err := cl.Lease(ctx, opt.ID)
 		if err != nil {
-			if fleet && client.Retryable(err) {
-				// The service is briefly unreachable (restarting); a fleet
-				// worker outlives it rather than dying with it.
-				logf("worker %s: lease failed (%v); retrying", opt.ID, err)
+			if !client.Retryable(err) {
+				return err
+			}
+			// The service is briefly unreachable (restarting); a worker
+			// outlives it rather than dying with it.
+			logf("worker %s: lease failed (%v); retrying", opt.ID, err)
+			if err := sleep(time.Second); err != nil {
+				return err
+			}
+			continue
+		}
+		switch lease.Status {
+		case api.StatusDone:
+			logf("worker %s: service has no further work", opt.ID)
+			postFinal()
+			return nil
+		case api.StatusFailed:
+			return fmt.Errorf("dist: campaign failed: %s", lease.Error)
+		case api.StatusWait:
+			if err := sleep(time.Duration(lease.WaitMS) * time.Millisecond); err != nil {
+				return err
+			}
+		case api.StatusShard:
+			if lease.CampaignID == "" {
+				return ErrNoCampaign
+			}
+			sh := *lease.Shard
+			wc, err := loadCampaign(lease.CampaignID)
+			if err != nil {
+				// This campaign may have finished between the lease and the
+				// config fetch; drop the lease and keep serving the others.
+				logf("worker %s: campaign %s config: %v", opt.ID, lease.CampaignID, err)
 				if err := sleep(time.Second); err != nil {
 					return err
 				}
 				continue
 			}
-			return err
-		}
-		switch lease.Status {
-		case StatusDone:
-			logf("worker %s: campaign complete", opt.ID)
-			postFinal()
-			return nil
-		case StatusFailed:
-			return fmt.Errorf("dist: campaign failed: %s", lease.Error)
-		case StatusWait:
-			if err := sleep(time.Duration(lease.WaitMS) * time.Millisecond); err != nil {
-				return err
-			}
-		case StatusShard:
-			sh := *lease.Shard
-			wc, err := loadCampaign(lease.CampaignID)
-			if err != nil {
-				if fleet {
-					// This campaign may have finished between the lease and
-					// the config fetch; drop the lease and keep serving the
-					// rest of the fleet.
-					logf("worker %s: campaign %s config: %v", opt.ID, lease.CampaignID, err)
-					if err := sleep(time.Second); err != nil {
-						return err
-					}
-					continue
-				}
-				return err
-			}
-			logf("worker %s: shard %d (campaign %d masks [%d,%d))", opt.ID, sh.ID, sh.Campaign, sh.MaskLo, sh.MaskHi)
+			logf("worker %s: shard %d of %s (campaign %d masks [%d,%d))", opt.ID, sh.ID, wc.id, sh.Campaign, sh.MaskLo, sh.MaskHi)
 			result, spans, runErr := runLeased(ctx, opt, cl, wc, sh)
 			req := api.CompleteRequest{WorkerID: opt.ID, ShardID: sh.ID, CampaignID: wc.id, Result: result, Spans: spans}
 			if runErr != nil {
-				// Deterministic failure: report it so the coordinator fails
-				// the campaign instead of retrying the same masks elsewhere.
+				// Deterministic failure: report it so the service fails the
+				// campaign instead of retrying the same masks elsewhere.
 				req.Result = nil
 				req.Spans = nil
 				req.Error = runErr.Error()
@@ -285,7 +261,7 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 				// completing, so the piggybacked snapshot already counts it.
 				// A late duplicate of a requeued shard folds here too — this
 				// worker really did the work, even if the merge discards the
-				// copy; the coordinator's merged collector stays exactly-once
+				// copy; the campaign's merged collector stays exactly-once
 				// regardless.
 				foldShardResult(tel, wc, sh.Campaign, result)
 				snap := tel.Snapshot()
@@ -293,62 +269,35 @@ func RunWorker(ctx context.Context, coordURL string, opt WorkerOptions) error {
 			}
 			resp, err := cl.Complete(ctx, req)
 			if err != nil {
-				if fleet && client.Retryable(err) {
-					// The merge is exactly-once: if the completion did land
-					// before the connection broke, the requeued shard's second
-					// delivery dedups.
-					logf("worker %s: completing shard %d: %v", opt.ID, sh.ID, err)
-					if err := sleep(time.Second); err != nil {
-						return err
-					}
-					continue
+				if !client.Retryable(err) {
+					return err
 				}
-				return err
+				// The merge is exactly-once: if the completion did land
+				// before the connection broke, the requeued shard's second
+				// delivery dedups.
+				logf("worker %s: completing shard %d: %v", opt.ID, sh.ID, err)
+				if err := sleep(time.Second); err != nil {
+					return err
+				}
+				continue
+			}
+			// A campaign's end — failed, complete, or refusing this shard —
+			// is its own terminal state, never the worker's.
+			switch {
+			case resp.Error != "":
+				logf("worker %s: completing shard %d of %s: %s", opt.ID, sh.ID, wc.id, resp.Error)
+			case runErr != nil:
+				logf("worker %s: shard %d of %s failed: %v", opt.ID, sh.ID, wc.id, runErr)
+			case !resp.Accepted:
+				logf("worker %s: shard %d of %s was already completed elsewhere", opt.ID, sh.ID, wc.id)
 			}
 			if resp.Done || resp.Failed != "" {
 				// The campaign is over; its config has no further use.
 				delete(camps, wc.id)
-			}
-			if resp.Error != "" {
-				if fleet {
-					logf("worker %s: completing shard %d of %s: %s", opt.ID, sh.ID, wc.id, resp.Error)
-					continue
-				}
-				return fmt.Errorf("dist: completing shard %d: %s", sh.ID, resp.Error)
-			}
-			if !resp.Accepted && runErr == nil {
-				logf("worker %s: shard %d was already completed elsewhere", opt.ID, sh.ID)
-			}
-			if runErr != nil {
-				if fleet {
-					// One campaign's deterministic failure is its own
-					// terminal state, not the fleet's.
-					logf("worker %s: shard %d of %s failed: %v", opt.ID, sh.ID, wc.id, runErr)
-					continue
-				}
-				return fmt.Errorf("dist: shard %d: %w", sh.ID, runErr)
-			}
-			// The ack carries the campaign's terminal state so the worker
-			// that lands the final shard exits without one more lease poll
-			// (which would race the coordinator's shutdown).
-			if resp.Failed != "" {
-				if fleet {
-					logf("worker %s: campaign %s failed: %s", opt.ID, wc.id, resp.Failed)
-					continue
-				}
-				return fmt.Errorf("dist: campaign failed: %s", resp.Failed)
-			}
-			if resp.Done {
-				if fleet {
-					logf("worker %s: campaign %s complete", opt.ID, wc.id)
-					continue
-				}
-				logf("worker %s: campaign complete", opt.ID)
-				postFinal()
-				return nil
+				logf("worker %s: campaign %s ended (done %v, failed %q)", opt.ID, wc.id, resp.Done, resp.Failed)
 			}
 		default:
-			return fmt.Errorf("dist: coordinator returned unknown lease status %q", lease.Status)
+			return fmt.Errorf("dist: unknown lease status %q", lease.Status)
 		}
 	}
 }
@@ -384,16 +333,16 @@ func foldShardResult(tel *telemetry.Collector, wc *workerCampaign, campaign int,
 }
 
 // runLeased executes one shard while a background goroutine keeps the
-// lease alive. A lost lease (coordinator requeued the shard) does not
+// lease alive. A lost lease (the ledger requeued the shard) does not
 // abort the run — core.RunShard is not interruptible mid-mask and the
 // completed result is still byte-identical, so it is sent anyway and
-// deduplicated by the coordinator.
+// deduplicated by the ledger.
 //
 // When the shard carries span context, the shard runs under a private
 // per-shard tracer (span IDs prefixed "<worker>-s<shard>", so requeued
 // shards executed by several workers never collide) whose buffered
 // spans ship back with the completion.
-func runLeased(ctx context.Context, opt WorkerOptions, cl *client.Client, wc *workerCampaign, sh Shard) (*core.ShardResult, []telemetry.Span, error) {
+func runLeased(ctx context.Context, opt WorkerOptions, cl *client.Client, wc *workerCampaign, sh api.Shard) (*core.ShardResult, []telemetry.Span, error) {
 	heartbeat := opt.Heartbeat
 	if heartbeat <= 0 {
 		heartbeat = wc.ttl / 3

@@ -2,9 +2,7 @@
 // every request and response body exchanged over the /v1 HTTP API, the
 // shared JSON error envelope, and the worker protocol types the
 // distributed layer speaks. The types live in one place so the daemon,
-// the Go client and the coordinator cannot drift — internal/dist
-// re-exports the worker-protocol subset as type aliases for
-// compatibility with existing callers.
+// the Go client and the worker cannot drift.
 //
 // Error contract: every non-200 response carries the envelope
 //
@@ -16,6 +14,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,12 +25,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ProtocolVersion is the coordinator/worker wire format version. A
-// worker refuses a coordinator speaking a newer version (and vice versa
-// the coordinator's config carries its own schema version), so a
-// mixed-build fleet fails loudly instead of merging subtly different
-// outputs. The campaign-ID fields of the multi-campaign service are
-// additive — a version-1 peer ignores them — so the version stays 1.
+// ProtocolVersion is the service/worker wire format version. A worker
+// refuses a service speaking a newer version (and the served config
+// carries its own schema version), so a mixed-build fleet fails loudly
+// instead of merging subtly different outputs.
 const ProtocolVersion = 1
 
 // SubmitSchemaVersion is the campaign-service request/response format
@@ -95,19 +92,44 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// ReadJSON decodes a POST body into v, answering the shared envelope
-// itself (405 on a non-POST method, 400 on an undecodable body) and
-// reporting whether the caller should proceed.
+// MaxBodyBytes bounds every request body the service reads, sized for
+// the largest legitimate one with room to spare. Measured on mafin-x86 ×
+// qsort: a CompleteRequest costs 1.3 KB per mask with everything on
+// (detail window, divergence provenance, spans; 0.5 KB without spans) —
+// 66 KB for the default 50-mask shard, 2.6 MB for a 2000-mask cell
+// leased as one shard. A SubmitRequest with explicit masks costs
+// 106–136 B per mask (transient–intermittent): 0.27 MB for one
+// Leveugle-scale cell of 2000, 41 MB for the paper's whole matrix of
+// 300,000 spelled out in one submission.
+const MaxBodyBytes = 64 << 20
+
+// ReadJSON decodes a POST body of at most MaxBodyBytes into v, answering
+// the shared envelope itself (405 on a non-POST method, 413 on a body
+// over the bound, 400 on an undecodable body or on anything but
+// whitespace after the one JSON value) and reporting whether the caller
+// should proceed.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
-		return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, &tooLarge) {
+			err = errors.New("data after the JSON value")
+		}
 	}
-	return true
+	if errors.As(err, &tooLarge) {
+		WriteError(w, http.StatusRequestEntityTooLarge, CodeBadRequest, "request body exceeds %d bytes", tooLarge.Limit)
+	} else {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 // DecodeError turns a non-200 response into a typed *Error, decoding
@@ -131,9 +153,9 @@ func DecodeError(status int, body io.Reader) *Error {
 
 // Shard is one unit of distributed work: the mask window [MaskLo,
 // MaskHi) of one campaign cell of the config. TraceID/SpanID, when set,
-// carry the coordinator's span context: the worker parents the shard's
-// matrix span under SpanID so the coordinator assembles one end-to-end
-// span tree. Both are additive — a version-1 peer ignores them.
+// carry the campaign's span context: the worker parents the shard's
+// matrix span under SpanID so the service assembles one end-to-end span
+// tree. Both are additive — a version-1 peer ignores them.
 type Shard struct {
 	ID       int    `json:"id"`
 	Campaign int    `json:"campaign"`
@@ -143,11 +165,9 @@ type Shard struct {
 	SpanID   string `json:"span_id,omitempty"`
 }
 
-// ConfigResponse is the body of GET /v1/config (and, in the
-// multi-campaign service, GET /v1/campaigns/{id}/config): the full
-// campaign config plus the lease terms the coordinator enforces.
-// CampaignID names the service campaign the config belongs to; empty
-// from a single-campaign coordinator.
+// ConfigResponse is the body of GET /v1/campaigns/{id}/config: the full
+// campaign config plus the lease terms the service enforces. CampaignID
+// names the campaign the config belongs to.
 type ConfigResponse struct {
 	ProtocolVersion int                 `json:"protocol_version"`
 	Config          core.CampaignConfig `json:"config"`
@@ -167,18 +187,20 @@ const (
 	// StatusWait means every runnable shard is leased or backing off;
 	// poll again after WaitMS.
 	StatusWait = "wait"
-	// StatusDone means every shard completed; the worker may exit.
+	// StatusDone means no shard will ever be served again (a one-shot
+	// daemon whose campaigns are all terminal); the worker exits.
 	StatusDone = "done"
-	// StatusFailed means the campaign failed terminally (a worker
-	// reported a deterministic error, or a shard ran out of retries).
+	// StatusFailed is a campaign's own terminal lease answer (a worker
+	// reported a deterministic error, or a shard ran out of retries). The
+	// service skips such a campaign instead of forwarding it; a worker
+	// that does receive it exits with the error.
 	StatusFailed = "failed"
 )
 
-// LeaseResponse is the body of a lease reply. CampaignID, when set,
-// names the service campaign the shard belongs to — a fleet worker
-// echoes it on heartbeats and completions so the service routes them
-// to the right coordinator. Additive: a version-1 single-campaign peer
-// never sets it.
+// LeaseResponse is the body of a lease reply. CampaignID names the
+// campaign a granted shard belongs to — the worker fetches that
+// campaign's config and echoes the ID on heartbeats and completions so
+// the service routes them to the right shard ledger.
 type LeaseResponse struct {
 	Status     string `json:"status"`
 	Shard      *Shard `json:"shard,omitempty"`
@@ -187,9 +209,7 @@ type LeaseResponse struct {
 	CampaignID string `json:"campaign_id,omitempty"`
 }
 
-// HeartbeatRequest extends a shard lease. CampaignID routes the
-// heartbeat in the multi-campaign service; empty against a
-// single-campaign coordinator.
+// HeartbeatRequest extends a shard lease; CampaignID routes it.
 type HeartbeatRequest struct {
 	WorkerID   string `json:"worker_id"`
 	ShardID    int    `json:"shard_id"`
@@ -207,8 +227,7 @@ type HeartbeatResponse struct {
 // CompleteRequest delivers a shard's outcome. A non-empty Error marks
 // the shard — and with it the campaign — failed: shard execution is
 // deterministic, so retrying the same masks on another worker would
-// fail identically. CampaignID routes the completion in the
-// multi-campaign service.
+// fail identically. CampaignID routes the completion.
 type CompleteRequest struct {
 	WorkerID   string            `json:"worker_id"`
 	ShardID    int               `json:"shard_id"`
@@ -216,7 +235,7 @@ type CompleteRequest struct {
 	Result     *core.ShardResult `json:"result,omitempty"`
 	Error      string            `json:"error,omitempty"`
 	// Spans are the shard's worker-side spans (matrix, cell, run,
-	// phase), forwarded into the coordinator's merged span file.
+	// phase), forwarded into the campaign's merged span file.
 	// Snapshot piggybacks the worker's current telemetry snapshot for
 	// the fleet aggregation. Both additive.
 	Spans    []telemetry.Span    `json:"spans,omitempty"`
@@ -228,8 +247,7 @@ type CompleteRequest struct {
 // the duplicate was discarded, which is fine — the merge ledger is
 // exactly-once per mask. Done and Failed report the campaign's terminal
 // state in the acknowledgement itself, so the worker that delivers the
-// final shard learns the outcome without racing the coordinator's
-// shutdown on one more lease poll.
+// final shard learns the outcome without another round trip.
 type CompleteResponse struct {
 	OK       bool   `json:"ok"`
 	Accepted bool   `json:"accepted"`
@@ -254,8 +272,8 @@ type SnapshotResponse struct {
 }
 
 // WorkerStatus is the per-worker accounting row served at
-// /v1/fleet.json — one entry per worker the coordinator (or the
-// service's fleet plane) has heard from.
+// /v1/fleet.json and /v1/campaigns/{id}/fleet.json — one entry per
+// worker the service has heard from (on that campaign).
 type WorkerStatus struct {
 	ID         string  `json:"id"`
 	Shard      int     `json:"shard"` // currently leased shard, -1 when idle

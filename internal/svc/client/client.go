@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -21,8 +22,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Client talks to one campaign-service (or single-campaign
-// coordinator) base URL.
+// Client talks to one campaign-service base URL.
 type Client struct {
 	base       string
 	hc         *http.Client
@@ -152,40 +152,16 @@ func Retryable(err error) bool {
 		return false
 	}
 	var apiErr *api.Error
-	if AsError(err, &apiErr) {
+	if errors.As(err, &apiErr) {
 		return apiErr.IsRetryable()
 	}
 	// Network-level failure (no envelope ever arrived).
 	return true
 }
 
-// AsError unwraps an *api.Error from err, mirroring errors.As without
-// making every caller import errors for one call.
-func AsError(err error, target **api.Error) bool {
-	for err != nil {
-		if e, ok := err.(*api.Error); ok {
-			*target = e
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // ----- worker protocol -----
 
-// Config fetches the single-campaign coordinator config.
-func (c *Client) Config(ctx context.Context) (api.ConfigResponse, error) {
-	var out api.ConfigResponse
-	err := c.do(ctx, http.MethodGet, "/v1/config", nil, &out)
-	return out, err
-}
-
-// CampaignConfig fetches one service campaign's config by ID.
+// CampaignConfig fetches one campaign's config by ID.
 func (c *Client) CampaignConfig(ctx context.Context, id string) (api.ConfigResponse, error) {
 	var out api.ConfigResponse
 	err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/config", nil, &out)

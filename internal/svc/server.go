@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/internal/dist"
 	"repro/internal/svc/api"
+	"repro/internal/telemetry"
 )
 
 // tenantFor authenticates a campaign-API request. In open mode (no
@@ -49,16 +49,112 @@ func (s *Service) authed(h func(http.ResponseWriter, *http.Request, string)) htt
 	}
 }
 
-func (s *Service) campaignByID(id string) *campaign {
+// runningCampaign returns the campaign when it is running in this
+// process — its ledger, collector and event stream exist — else nil: a
+// queued campaign, or a terminal one restored from the spool, has none.
+func (s *Service) runningCampaign(id string) *campaign {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.camps[id]
+	if c := s.camps[id]; c != nil && c.coord != nil {
+		return c
+	}
+	return nil
+}
+
+// running wraps a GET handler of a running campaign's observability
+// plane with the lookup.
+func (s *Service) running(h func(http.ResponseWriter, *http.Request, *campaign)) http.HandlerFunc {
+	return methodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		c := s.runningCampaign(r.PathValue("id"))
+		if c == nil {
+			api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "no live view of campaign %q", r.PathValue("id"))
+			return
+		}
+		h(w, r, c)
+	})
+}
+
+// WorkerPlane is what the worker protocol's five routes serve. The
+// Service is the one implementation in the product; the interface
+// exists so internal/dist's tests can put a bare shard ledger behind
+// the same route registration.
+type WorkerPlane interface {
+	Lease(workerID string) api.LeaseResponse
+	Heartbeat(api.HeartbeatRequest) api.HeartbeatResponse
+	Complete(api.CompleteRequest) api.CompleteResponse
+	PushSnapshot(api.SnapshotRequest) api.SnapshotResponse
+	CampaignConfig(id string) (api.ConfigResponse, error)
+}
+
+// MountWorkerPlane registers the worker protocol — lease, heartbeat,
+// complete, snapshot and the per-campaign config — on mux: the one
+// place those five bodies are decoded.
+func MountWorkerPlane(mux *http.ServeMux, p WorkerPlane) {
+	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		var req api.LeaseRequest
+		if !api.ReadJSON(w, r, &req) {
+			return
+		}
+		if req.WorkerID == "" {
+			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "worker_id is required")
+			return
+		}
+		api.WriteJSON(w, p.Lease(req.WorkerID))
+	})
+	mux.HandleFunc("/v1/heartbeat", post(p.Heartbeat))
+	mux.HandleFunc("/v1/complete", post(p.Complete))
+	mux.HandleFunc("/v1/snapshot", post(p.PushSnapshot))
+	mux.HandleFunc("/v1/campaigns/{id}/config", methodOnly(http.MethodGet,
+		func(w http.ResponseWriter, r *http.Request) {
+			resp, err := p.CampaignConfig(r.PathValue("id"))
+			if err != nil {
+				writeAPIError(w, err)
+				return
+			}
+			api.WriteJSON(w, resp)
+		}))
+}
+
+// post serves a POST route whose whole job is body in, body out.
+func post[Req, Resp any](serve func(Req) Resp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if api.ReadJSON(w, r, &req) {
+			api.WriteJSON(w, serve(req))
+		}
+	}
+}
+
+// methodOnly wraps a handler with a method check that answers the
+// shared error envelope on mismatch.
+func methodOnly(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			api.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "%s only", method)
+			return
+		}
+		h(w, r)
+	}
+}
+
+func writeSnapshot(w http.ResponseWriter, snap telemetry.Snapshot) {
+	b, err := snap.JSON()
+	if err != nil {
+		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(b, '\n'))
+}
+
+func writeMetrics(w http.ResponseWriter, snap telemetry.Snapshot) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	snap.WritePrometheus(w)
 }
 
 // Handler returns the service's full /v1 HTTP surface: the tenant
 // campaign API, the campaign-scoped worker and observability plane,
-// the fleet worker protocol, and the service-wide telemetry endpoints
-// (with their deprecated unprefixed aliases).
+// the fleet worker protocol, and the service-wide telemetry endpoints.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -87,7 +183,7 @@ func (s *Service) Handler() http.Handler {
 			api.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET or POST only")
 		}
 	})
-	mux.HandleFunc("/v1/campaigns/{id}", dist.MethodOnly(http.MethodGet,
+	mux.HandleFunc("/v1/campaigns/{id}", methodOnly(http.MethodGet,
 		s.authed(func(w http.ResponseWriter, r *http.Request, tenant string) {
 			st, err := s.Get(tenant, r.PathValue("id"))
 			if err != nil {
@@ -96,7 +192,7 @@ func (s *Service) Handler() http.Handler {
 			}
 			api.WriteJSON(w, st)
 		})))
-	mux.HandleFunc("/v1/campaigns/{id}/cancel", dist.MethodOnly(http.MethodPost,
+	mux.HandleFunc("/v1/campaigns/{id}/cancel", methodOnly(http.MethodPost,
 		s.authed(func(w http.ResponseWriter, r *http.Request, tenant string) {
 			st, err := s.Cancel(tenant, r.PathValue("id"))
 			if err != nil {
@@ -105,7 +201,7 @@ func (s *Service) Handler() http.Handler {
 			}
 			api.WriteJSON(w, st)
 		})))
-	mux.HandleFunc("/v1/campaigns/{id}/results", dist.MethodOnly(http.MethodGet,
+	mux.HandleFunc("/v1/campaigns/{id}/results", methodOnly(http.MethodGet,
 		s.authed(func(w http.ResponseWriter, r *http.Request, tenant string) {
 			res, err := s.Results(tenant, r.PathValue("id"))
 			if err != nil {
@@ -115,108 +211,33 @@ func (s *Service) Handler() http.Handler {
 			api.WriteJSON(w, res)
 		})))
 
-	// Campaign-scoped worker and observability plane (open: workers and
-	// dashboards are deployment infrastructure, not tenants).
-	mux.HandleFunc("/v1/campaigns/{id}/config", dist.MethodOnly(http.MethodGet,
-		func(w http.ResponseWriter, r *http.Request) {
-			resp, err := s.CampaignConfig(r.PathValue("id"))
-			if err != nil {
-				writeAPIError(w, err)
-				return
-			}
-			api.WriteJSON(w, resp)
-		}))
-	mux.HandleFunc("/v1/campaigns/{id}/snapshot.json", dist.MethodOnly(http.MethodGet,
-		func(w http.ResponseWriter, r *http.Request) {
-			c := s.campaignByID(r.PathValue("id"))
-			if c == nil || c.tel == nil {
-				api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "no telemetry for campaign %q", r.PathValue("id"))
-				return
-			}
-			b, err := c.tel.Snapshot().JSON()
-			if err != nil {
-				api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(append(b, '\n'))
-		}))
-	mux.HandleFunc("/v1/campaigns/{id}/metrics", dist.MethodOnly(http.MethodGet,
-		func(w http.ResponseWriter, r *http.Request) {
-			c := s.campaignByID(r.PathValue("id"))
-			if c == nil || c.tel == nil {
-				api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "no telemetry for campaign %q", r.PathValue("id"))
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			c.tel.Snapshot().WritePrometheus(w)
-		}))
-	mux.HandleFunc("/v1/campaigns/{id}/fleet.json", dist.MethodOnly(http.MethodGet,
-		func(w http.ResponseWriter, r *http.Request) {
-			c := s.campaignByID(r.PathValue("id"))
-			if c == nil || c.coord == nil {
-				api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "no fleet view for campaign %q", r.PathValue("id"))
-				return
-			}
-			api.WriteJSON(w, c.coord.Fleet())
-		}))
-	mux.HandleFunc("/v1/campaigns/{id}/events", dist.MethodOnly(http.MethodGet,
-		func(w http.ResponseWriter, r *http.Request) {
-			c := s.campaignByID(r.PathValue("id"))
-			if c == nil || c.events == nil {
-				api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "no event stream for campaign %q", r.PathValue("id"))
-				return
-			}
-			c.events.ServeHTTP(w, r)
-		}))
-
-	// Fleet worker protocol. /v1/config deliberately answers not_found:
-	// that is how a worker learns it joined a multi-campaign service and
-	// must fetch per-campaign configs named by its leases.
-	mux.HandleFunc("/v1/config", dist.MethodOnly(http.MethodGet,
-		func(w http.ResponseWriter, r *http.Request) {
-			api.WriteError(w, http.StatusNotFound, api.CodeNotFound,
-				"multi-campaign service: leases name their campaign; fetch /v1/campaigns/{id}/config")
-		}))
-	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
-		var req api.LeaseRequest
-		if !api.ReadJSON(w, r, &req) {
-			return
-		}
-		if req.WorkerID == "" {
-			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "worker_id is required")
-			return
-		}
-		api.WriteJSON(w, s.Lease(req.WorkerID))
-	})
-	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req api.HeartbeatRequest
-		if !api.ReadJSON(w, r, &req) {
-			return
-		}
-		api.WriteJSON(w, s.Heartbeat(req))
-	})
-	mux.HandleFunc("/v1/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req api.CompleteRequest
-		if !api.ReadJSON(w, r, &req) {
-			return
-		}
-		api.WriteJSON(w, s.Complete(req))
-	})
-	mux.HandleFunc("/v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		var req api.SnapshotRequest
-		if !api.ReadJSON(w, r, &req) {
-			return
-		}
-		api.WriteJSON(w, s.PushSnapshot(req))
-	})
+	// Worker protocol and campaign-scoped observability plane (open:
+	// workers and dashboards are deployment infrastructure, not tenants).
+	MountWorkerPlane(mux, s)
+	mux.HandleFunc("/v1/campaigns/{id}/snapshot.json", s.running(func(w http.ResponseWriter, r *http.Request, c *campaign) {
+		writeSnapshot(w, c.tel.Snapshot())
+	}))
+	mux.HandleFunc("/v1/campaigns/{id}/metrics", s.running(func(w http.ResponseWriter, r *http.Request, c *campaign) {
+		writeMetrics(w, c.tel.Snapshot())
+	}))
+	mux.HandleFunc("/v1/campaigns/{id}/fleet.json", s.running(func(w http.ResponseWriter, r *http.Request, c *campaign) {
+		api.WriteJSON(w, s.Fleet(c.entry.ID))
+	}))
+	mux.HandleFunc("/v1/campaigns/{id}/events", s.running(func(w http.ResponseWriter, r *http.Request, c *campaign) {
+		c.events.ServeHTTP(w, r)
+	}))
 
 	// Service-wide observability plane.
-	dist.MountObs(mux, dist.ObsEndpoints{
-		Snapshot: s.FleetSnapshot,
-		Fleet:    s.Fleet,
-		Events:   http.HandlerFunc(s.serveEvents),
-	})
+	mux.HandleFunc("/v1/snapshot.json", methodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		writeSnapshot(w, s.FleetSnapshot())
+	}))
+	mux.HandleFunc("/v1/metrics", methodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		writeMetrics(w, s.FleetSnapshot())
+	}))
+	mux.HandleFunc("/v1/fleet.json", methodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		api.WriteJSON(w, s.Fleet(""))
+	}))
+	mux.HandleFunc("/v1/events", methodOnly(http.MethodGet, s.serveEvents))
 
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -229,9 +250,8 @@ func (s *Service) Handler() http.Handler {
 }
 
 // serveEvents is the service-root SSE feed: it follows the liveliest
-// campaign (the newest non-terminal one, or the newest overall), which
-// makes the root endpoint behave exactly like the single-campaign
-// coordinator's when only one campaign exists.
+// campaign (the newest non-terminal one, or the newest overall) — with
+// one campaign, the one-shot daemon's case, simply that campaign's feed.
 func (s *Service) serveEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	var best *campaign

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -91,25 +92,35 @@ type campaign struct {
 	cancelReason string
 }
 
-// workerView is the service-level fleet plane: one row per worker that
-// has leased, completed or pushed a snapshot, across all campaigns.
+// workerView is one row of the fleet table — the only place worker
+// liveness, leases and telemetry are kept: one row per worker that has
+// leased, heartbeated, completed or pushed a snapshot, across all
+// campaigns. The shard ledgers know a lease's holder, nothing else.
 type workerView struct {
 	lastSeen time.Time
+	campaign string         // campaign of the held lease, "" when idle
+	shard    int            // shard of the held lease, -1 when idle
+	done     map[string]int // accepted shards per campaign served
 	snap     *telemetry.Snapshot
-	final    bool
+	final    bool // posted its final snapshot (draining or exited)
 }
 
-// Service is the always-on multi-campaign engine: it owns the spool,
-// schedules queued campaigns under the quotas, runs each through its
-// own dist.Coordinator, and multiplexes one shared worker fleet across
-// all of them (leases carry the campaign ID).
+// Service is the always-on multi-campaign engine and the one server of
+// the distributed layer: it owns the spool, schedules queued campaigns
+// under the quotas, keeps each running campaign's shards in its own
+// dist.Coordinator ledger, and multiplexes one shared worker fleet —
+// whose table it keeps — across all of them (leases carry the campaign
+// ID).
 type Service struct {
 	opt     Options
 	byName  map[string]*Tenant
 	byToken map[string]*Tenant
 
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	// ctx ends when the service closes; campaign goroutines wait on it,
+	// never on a request-scoped context.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 
 	// golden serves the mask populations the daemon itself has to
 	// generate (adaptive and resumed campaigns) for as long as it lives:
@@ -145,11 +156,11 @@ func New(opt Options) (*Service, error) {
 		opt:     opt,
 		byName:  make(map[string]*Tenant),
 		byToken: make(map[string]*Tenant),
-		stopCh:  make(chan struct{}),
 		golden:  core.NewGoldenCache(),
 		camps:   make(map[string]*campaign),
 		workers: make(map[string]*workerView),
 	}
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	s.golden.Logf = opt.Logf
 	for i := range opt.Tenants {
 		t := &opt.Tenants[i]
@@ -206,7 +217,7 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	close(s.stopCh)
+	s.stop()
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.mu.Lock()
@@ -218,14 +229,7 @@ func (s *Service) Close() {
 	}
 }
 
-func (s *Service) stopping() bool {
-	select {
-	case <-s.stopCh:
-		return true
-	default:
-		return false
-	}
-}
+func (s *Service) stopping() bool { return s.ctx.Err() != nil }
 
 func apiErr(status int, code, format string, args ...any) *api.Error {
 	return &api.Error{StatusCode: status, Code: code, Message: fmt.Sprintf(format, args...)}
@@ -245,9 +249,8 @@ func (s *Service) Submit(tenant string, req api.SubmitRequest) (api.CampaignStat
 	if err := cfg.Validate(); err != nil {
 		return api.CampaignStatus{}, apiErr(http.StatusBadRequest, api.CodeBadRequest, "invalid config: %v", err)
 	}
-	// Fail fast on what is checkable without a simulator, exactly like
-	// the single-campaign coordinator: unknown tools and benchmarks die
-	// at submission, not on the first worker.
+	// Fail fast on what is checkable without a simulator: unknown tools
+	// and benchmarks die at submission, not on the first worker.
 	for i, cell := range cfg.Campaigns {
 		if _, err := s.opt.Resolve(cell.Tool, cell.Benchmark); err != nil {
 			return api.CampaignStatus{}, apiErr(http.StatusBadRequest, api.CodeBadRequest, "campaigns[%d]: %v", i, err)
@@ -578,7 +581,7 @@ func (s *Service) run(c *campaign) {
 	st := coord.Stats()
 	s.opt.Logf("svc: campaign %s running (%d shards, %d already merged from journal)", id, st.Shards, coord.ResumedRuns())
 
-	results, err := coord.Wait(waitContext{s.stopCh})
+	results, err := coord.Wait(s.ctx)
 	if s.stopping() {
 		// Graceful shutdown mid-run: close the journals and leave the
 		// spool entry live, so the next daemon resumes the campaign.
@@ -602,8 +605,7 @@ func (s *Service) run(c *campaign) {
 }
 
 // finalize merges a completed campaign's artifacts into the logs
-// repository and feeds the result index — the service-side equivalent
-// of the one-shot coordinator's post-Wait sequence.
+// repository and feeds the result index.
 func (s *Service) finalize(id string, cfg core.CampaignConfig, opts api.SubmitOptions, logs *core.LogsRepo,
 	results []*core.CampaignResult, traceSink *telemetry.TraceSink, spanBuf *telemetry.SpanBuffer, dsink *divergence.Sink) error {
 	keys := cfg.Keys()
@@ -676,25 +678,6 @@ func (s *Service) finish(c *campaign, err error) {
 	s.put(e)
 	s.opt.Logf("svc: campaign %s %s", e.ID, e.State)
 	s.scheduleLocked()
-}
-
-// waitContext adapts the service stop channel to the context the
-// coordinator's Wait loop expects, without tying campaign goroutines
-// to any request-scoped context.
-type waitContext struct {
-	done chan struct{}
-}
-
-func (w waitContext) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (w waitContext) Done() <-chan struct{}       { return w.done }
-func (w waitContext) Value(any) any               { return nil }
-func (w waitContext) Err() error {
-	select {
-	case <-w.done:
-		return errors.New("svc: service shutting down")
-	default:
-		return nil
-	}
 }
 
 // outcomeCells computes the indexed per-cell outcome breakdowns served
@@ -785,7 +768,7 @@ func outcomeCells(cfg core.CampaignConfig, keys []string, results []*core.Campai
 func (s *Service) workerLocked(id string) *workerView {
 	w := s.workers[id]
 	if w == nil {
-		w = &workerView{}
+		w = &workerView{shard: -1, done: make(map[string]int)}
 		s.workers[id] = w
 	}
 	w.lastSeen = s.opt.now()
@@ -817,7 +800,8 @@ func (s *Service) runnableLocked() []*campaign {
 func (s *Service) Lease(workerID string) api.LeaseResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.workerLocked(workerID)
+	w := s.workerLocked(workerID)
+	w.campaign, w.shard = "", -1 // a polling worker is idle until a grant below
 	live := s.runnableLocked()
 	var wait int64 = 500
 	for _, c := range live {
@@ -828,6 +812,10 @@ func (s *Service) Lease(workerID string) api.LeaseResponse {
 		switch resp.Status {
 		case api.StatusShard:
 			resp.CampaignID = c.entry.ID
+			w.campaign, w.shard = c.entry.ID, resp.Shard.ID
+			if _, served := w.done[c.entry.ID]; !served {
+				w.done[c.entry.ID] = 0 // listed in the campaign's fleet view from its first lease
+			}
 			return resp
 		case api.StatusWait:
 			if resp.WaitMS > 0 && resp.WaitMS < wait {
@@ -843,71 +831,84 @@ func (s *Service) Lease(workerID string) api.LeaseResponse {
 	return api.LeaseResponse{Status: api.StatusWait, WaitMS: wait}
 }
 
-// Heartbeat routes a lease extension to its campaign's coordinator.
-func (s *Service) Heartbeat(req api.HeartbeatRequest) api.HeartbeatResponse {
+// ledgerFor stamps a worker's contact and returns the shard ledger of
+// the campaign its request names, nil when there is none.
+func (s *Service) ledgerFor(workerID, campaignID string) *dist.Coordinator {
 	s.mu.Lock()
-	s.workerLocked(req.WorkerID)
-	var coord *dist.Coordinator
-	if c := s.camps[req.CampaignID]; c != nil {
-		coord = c.coord
+	defer s.mu.Unlock()
+	s.workerLocked(workerID)
+	if c := s.camps[campaignID]; c != nil {
+		return c.coord
 	}
-	s.mu.Unlock()
+	return nil
+}
+
+// Heartbeat routes a lease extension to its campaign's ledger.
+func (s *Service) Heartbeat(req api.HeartbeatRequest) api.HeartbeatResponse {
+	coord := s.ledgerFor(req.WorkerID, req.CampaignID)
 	if coord == nil {
 		return api.HeartbeatResponse{OK: false}
 	}
-	return coord.Heartbeat(req)
+	resp := coord.Heartbeat(req)
+	if resp.OK {
+		s.mu.Lock()
+		w := s.workerLocked(req.WorkerID)
+		w.campaign, w.shard = req.CampaignID, req.ShardID
+		s.mu.Unlock()
+	}
+	return resp
 }
 
-// Complete routes a shard completion to its campaign's coordinator and
-// folds the piggybacked worker snapshot into the service fleet plane.
+// Complete routes a shard completion to its campaign's ledger and
+// records the delivery — and the piggybacked worker snapshot — in the
+// fleet table.
 func (s *Service) Complete(req api.CompleteRequest) api.CompleteResponse {
+	coord := s.ledgerFor(req.WorkerID, req.CampaignID)
+	resp := api.CompleteResponse{OK: false, Error: fmt.Sprintf("unknown campaign %q", req.CampaignID)}
+	if coord != nil {
+		resp = coord.Complete(req)
+	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	w := s.workerLocked(req.WorkerID)
+	w.campaign, w.shard = "", -1
+	if resp.Accepted {
+		w.done[req.CampaignID]++
+	}
 	if req.Snapshot != nil && !w.final {
-		snap := *req.Snapshot
-		w.snap = &snap
+		// Piggybacked telemetry: the freshest view of this worker, unless
+		// it already posted its final word via /v1/snapshot.
+		w.snap = req.Snapshot
 	}
-	var coord *dist.Coordinator
-	if c := s.camps[req.CampaignID]; c != nil {
-		coord = c.coord
-	}
-	s.mu.Unlock()
-	if coord == nil {
-		return api.CompleteResponse{OK: false, Error: fmt.Sprintf("unknown campaign %q", req.CampaignID)}
-	}
-	return coord.Complete(req)
+	return resp
 }
 
 // PushSnapshot records a worker's out-of-cycle telemetry snapshot in
-// the service fleet plane (final ones freeze the worker's last word).
+// the fleet table. A Final push (a draining worker's last word) freezes
+// the view: later piggybacked snapshots from in-flight completions
+// cannot roll it back.
 func (s *Service) PushSnapshot(req api.SnapshotRequest) api.SnapshotResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.workerLocked(req.WorkerID)
 	if !w.final {
-		snap := req.Snapshot
-		w.snap = &snap
+		w.snap = &req.Snapshot
 		if req.Final {
 			w.final = true
+			w.campaign, w.shard = "", -1
 		}
 	}
 	return api.SnapshotResponse{OK: true}
 }
 
-// CampaignConfig serves a campaign's coordinator config to a fleet
-// worker, stamped with the campaign ID.
+// CampaignConfig serves a running campaign's config and lease terms to
+// a worker, stamped with the campaign ID.
 func (s *Service) CampaignConfig(id string) (api.ConfigResponse, error) {
-	s.mu.Lock()
-	var coord *dist.Coordinator
-	c := s.camps[id]
-	if c != nil {
-		coord = c.coord
-	}
-	s.mu.Unlock()
-	if c == nil || coord == nil {
+	c := s.runningCampaign(id)
+	if c == nil {
 		return api.ConfigResponse{}, apiErr(http.StatusNotFound, api.CodeNotFound, "no running campaign %q", id)
 	}
-	resp := coord.Config()
+	resp := c.coord.Config()
 	resp.CampaignID = id
 	return resp, nil
 }
@@ -947,55 +948,46 @@ func (s *Service) FleetSnapshot() telemetry.Snapshot {
 	return merged
 }
 
-// Fleet returns the service-wide per-worker accounting: the union of
-// every campaign coordinator's lease bookkeeping plus workers known
-// only from snapshot pushes.
-func (s *Service) Fleet() []api.WorkerStatus {
+// Fleet returns the fleet table sorted by worker ID: every worker the
+// service has heard from, or — given a campaign ID — the workers that
+// leased from that campaign, with their accepted shards and held lease
+// counted on it alone.
+func (s *Service) Fleet(campaign string) []api.WorkerStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.opt.now()
-	rows := make(map[string]*api.WorkerStatus)
+	out := make([]api.WorkerStatus, 0, len(s.workers))
 	for id, w := range s.workers {
-		lag := now.Sub(w.lastSeen).Seconds()
-		if lag < 0 {
-			lag = 0
-		}
-		rows[id] = &api.WorkerStatus{ID: id, Shard: -1, LagSeconds: lag, Final: w.final}
-	}
-	for _, c := range s.camps {
-		if c.coord == nil {
-			continue
-		}
-		for _, ws := range c.coord.Fleet() {
-			r := rows[ws.ID]
-			if r == nil {
-				r = &api.WorkerStatus{ID: ws.ID, Shard: -1, LagSeconds: ws.LagSeconds}
-				rows[ws.ID] = r
+		ws := api.WorkerStatus{ID: id, Shard: w.shard, Final: w.final}
+		if campaign == "" {
+			for _, n := range w.done {
+				ws.ShardsDone += n
 			}
-			r.ShardsDone += ws.ShardsDone
-			if ws.Shard >= 0 {
-				r.Shard = ws.Shard
+		} else {
+			n, served := w.done[campaign]
+			if !served {
+				continue
 			}
-			if ws.LagSeconds < r.LagSeconds {
-				r.LagSeconds = ws.LagSeconds
+			ws.ShardsDone = n
+			if w.campaign != campaign {
+				ws.Shard = -1
 			}
 		}
+		if lag := now.Sub(w.lastSeen).Seconds(); lag > 0 {
+			ws.LagSeconds = lag
+		}
+		out = append(out, ws)
 	}
-	ids := make([]string, 0, len(rows))
-	for id := range rows {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]api.WorkerStatus, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *rows[id])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // WaitFleetFinal blocks until every worker that ever pushed a snapshot
-// has pushed its final one (or the timeout passes), mirroring the
-// single-campaign coordinator's fleet settling.
+// has pushed its final one, or the timeout passes (a crashed worker
+// never posts one). A campaign completes when its last shard merges,
+// which can be moments before the delivering worker's final snapshot
+// arrives — callers that freeze the fleet snapshot to disk wait here
+// first.
 func (s *Service) WaitFleetFinal(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {

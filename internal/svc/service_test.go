@@ -182,10 +182,10 @@ func TestServiceTwoTenantsEndToEnd(t *testing.T) {
 	// Unauthenticated and wrongly-authenticated requests get the
 	// envelope, not data.
 	var ae *api.Error
-	if _, err := client.New(srv.URL).List(ctx); !client.AsError(err, &ae) || ae.Code != api.CodeUnauthorized {
+	if _, err := client.New(srv.URL).List(ctx); !errors.As(err, &ae) || ae.Code != api.CodeUnauthorized {
 		t.Fatalf("tokenless list: got %v, want unauthorized", err)
 	}
-	if _, err := client.New(srv.URL, client.WithToken("bogus")).List(ctx); !client.AsError(err, &ae) || ae.Code != api.CodeUnauthorized {
+	if _, err := client.New(srv.URL, client.WithToken("bogus")).List(ctx); !errors.As(err, &ae) || ae.Code != api.CodeUnauthorized {
 		t.Fatalf("bogus-token list: got %v, want unauthorized", err)
 	}
 
@@ -212,10 +212,10 @@ func TestServiceTwoTenantsEndToEnd(t *testing.T) {
 	}
 
 	// Tenant isolation: bob cannot see (or cancel) alice's campaign.
-	if _, err := clB.Get(ctx, stA.ID); !client.AsError(err, &ae) || ae.Code != api.CodeNotFound {
+	if _, err := clB.Get(ctx, stA.ID); !errors.As(err, &ae) || ae.Code != api.CodeNotFound {
 		t.Fatalf("cross-tenant get: got %v, want not_found", err)
 	}
-	if _, err := clB.Cancel(ctx, stA.ID); !client.AsError(err, &ae) || ae.Code != api.CodeNotFound {
+	if _, err := clB.Cancel(ctx, stA.ID); !errors.As(err, &ae) || ae.Code != api.CodeNotFound {
 		t.Fatalf("cross-tenant cancel: got %v, want not_found", err)
 	}
 
@@ -274,7 +274,7 @@ func TestServiceTwoTenantsEndToEnd(t *testing.T) {
 		t.Fatalf("outcome shares sum to %f, want 1", total)
 	}
 	// The cancelled campaign has no index entry.
-	if _, err := clB.Results(ctx, stB.ID); !client.AsError(err, &ae) || ae.Code != api.CodeNotFound {
+	if _, err := clB.Results(ctx, stB.ID); !errors.As(err, &ae) || ae.Code != api.CodeNotFound {
 		t.Fatalf("results for cancelled campaign: got %v, want not_found", err)
 	}
 }
@@ -309,7 +309,7 @@ func TestServiceQuotasAndPriorities(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ae *api.Error
-	if _, err := cl.Submit(ctx, api.SubmitRequest{Name: "third", Config: cfg}); !client.AsError(err, &ae) || ae.Code != api.CodeQuotaExceeded {
+	if _, err := cl.Submit(ctx, api.SubmitRequest{Name: "third", Config: cfg}); !errors.As(err, &ae) || ae.Code != api.CodeQuotaExceeded {
 		t.Fatalf("third submit: got %v, want quota_exceeded", err)
 	}
 
@@ -394,9 +394,25 @@ func TestServiceRestartResume(t *testing.T) {
 	compareCampaignArtifacts(t, filepath.Join(dir, "logs", st.ID), cfg, wantLogs, wantTrace)
 }
 
-// TestServiceWorkerPlaneEnvelope pins the /v1 error contract the
-// fleet worker depends on: /v1/config answers the not_found envelope
-// (the fleet-mode trigger) and unknown paths answer not_found too.
+// getEnvelope GETs a path and decodes the error envelope it answers.
+func getEnvelope(t *testing.T, url string) (int, api.ErrorDetail) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env api.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("GET %s: status %d, body is not an error envelope: %v", url, resp.StatusCode, err)
+	}
+	return resp.StatusCode, env.Error
+}
+
+// TestServiceWorkerPlaneEnvelope pins the /v1 error contract workers
+// depend on: unknown paths answer the not_found envelope — among them
+// /v1/config, which a worker built before the single-campaign mode was
+// removed still probes and reads as "this is a campaign service".
 func TestServiceWorkerPlaneEnvelope(t *testing.T) {
 	s := newService(t, t.TempDir(), nil)
 	defer s.Close()
@@ -405,23 +421,15 @@ func TestServiceWorkerPlaneEnvelope(t *testing.T) {
 	cl := client.New(srv.URL, client.WithRetry(1, time.Millisecond))
 	ctx := context.Background()
 
+	// The unprefixed observability aliases of PR 10 are unknown paths too.
+	for _, path := range []string{"/v1/config", "/snapshot.json", "/metrics", "/fleet.json", "/events"} {
+		if status, e := getEnvelope(t, srv.URL+path); status != http.StatusNotFound || e.Code != api.CodeNotFound {
+			t.Fatalf("GET %s: status %d, envelope %+v; want the 404 not_found envelope", path, status, e)
+		}
+	}
 	var ae *api.Error
-	if _, err := cl.Config(ctx); !client.AsError(err, &ae) || ae.Code != api.CodeNotFound {
-		t.Fatalf("GET /v1/config: got %v, want not_found envelope", err)
-	}
-	if _, err := cl.CampaignConfig(ctx, "nope"); !client.AsError(err, &ae) || ae.Code != api.CodeNotFound {
+	if _, err := cl.CampaignConfig(ctx, "nope"); !errors.As(err, &ae) || ae.Code != api.CodeNotFound {
 		t.Fatalf("GET /v1/campaigns/nope/config: got %v, want not_found", err)
-	}
-	// The unprefixed observability aliases of PR 10 are unknown paths now.
-	resp, err := http.Get(srv.URL + "/snapshot.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env api.ErrorEnvelope
-	err = json.NewDecoder(resp.Body).Decode(&env)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || err != nil || env.Error.Code != api.CodeNotFound {
-		t.Fatalf("GET /snapshot.json: status %d, envelope %+v (decode: %v); want the 404 not_found envelope", resp.StatusCode, env.Error, err)
 	}
 	// With no campaigns submitted, leases wait (the fleet idles).
 	lease, err := cl.Lease(ctx, "w0")
