@@ -182,7 +182,7 @@ func New(name string, entries, bitsPerEntry int) *Array {
 		entries:      entries,
 		bitsPerEntry: bitsPerEntry,
 		wordsPerEnt:  w,
-		data:         make([]uint64, entries*w),
+		data:         takeWords(entries * w),
 	}
 }
 
@@ -563,15 +563,35 @@ func (a *Array) ArmedFault() (Fault, bool) {
 	return a.faults[0].f, true
 }
 
-// Faults returns the armed faults, in arming order. The detail-window
-// scheduler inspects them to decide whether residual corruption can
-// still be serving from the array.
-func (a *Array) Faults() []Fault {
-	fs := make([]Fault, len(a.faults))
-	for i, s := range a.faults {
-		fs[i] = s.f
+// FaultCount and FaultAt enumerate the armed faults in arming order
+// without allocating: the detail window's exit rule walks them on every
+// cycle it is evaluated.
+func (a *Array) FaultCount() int { return len(a.faults) }
+
+// FaultAt returns the i-th armed fault and whether a read has consumed
+// it.
+func (a *Array) FaultAt(i int) (f Fault, consumed bool) {
+	fs := a.faults[i]
+	return fs.f, fs.status == StatusConsumed
+}
+
+// FaultOn reports whether any armed fault targets entry.
+func (a *Array) FaultOn(entry int) bool {
+	for _, fs := range a.faults {
+		if fs.f.Entry == entry {
+			return true
+		}
 	}
-	return fs
+	return false
+}
+
+// Peek returns the stored words of entry as a read-only view. It is not
+// an access: no counter moves, nothing is profiled and no armed fault
+// observes it — the view is for code outside the simulated machine (the
+// detail window's exit rule) that must look without consuming a fault.
+func (a *Array) Peek(entry int) []uint64 {
+	a.checkEntry(entry)
+	return a.data[entry*a.wordsPerEnt : (entry+1)*a.wordsPerEnt : (entry+1)*a.wordsPerEnt]
 }
 
 // FaultsApplied reports whether the fault machinery is done *changing*
@@ -584,8 +604,7 @@ func (a *Array) Faults() []Fault {
 // once the flip is in the cell, its effect is ordinary (possibly
 // corrupt) stored state, which an architectural capture of a drained
 // machine carries over exactly — residency safety of cache and TLB
-// cells is the caller's separate concern (see the simulators'
-// residencySafe).
+// cells is the caller's separate concern (cache.Hierarchy.CaptureSafe).
 func (a *Array) FaultsApplied() bool {
 	for _, fs := range a.faults {
 		if fs.status == StatusArmed || fs.active {

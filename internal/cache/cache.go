@@ -375,24 +375,6 @@ func (c *Cache) FlushDirty() {
 	}
 }
 
-// LineCaptureSafe reports whether a fault resident in the given line can
-// no longer diverge a run whose RAM is about to become the only copy of
-// program data: the line is invalid (its content is unreachable), or —
-// in write-back mode — dirty, in which case FlushDirty pushes the
-// array's content (corruption included) to RAM exactly as the eventual
-// eviction would. A clean valid line is unsafe in both modes: the true
-// run would keep serving the (possibly corrupt) array copy while RAM
-// holds different bytes.
-func (c *Cache) LineCaptureSafe(line int) bool {
-	if line < 0 || line >= len(c.dirty) {
-		return true
-	}
-	if c.valid.ReadBit(line, 0) == 0 {
-		return true
-	}
-	return c.dirty[line] && !c.cfg.DualCopy
-}
-
 // ---- Level implementation (a cache can back another cache) ------------------
 
 // ReadLine implements Level.

@@ -1,48 +1,66 @@
 package cache
 
+import "repro/internal/bitarray"
+
 // State is a deep copy of a cache's full contents — arrays, metadata and
 // counters — used by the simulators' checkpointing support (the paper's
 // injectors use simulator checkpoints to skip common prefixes of
-// injection runs).
+// injection runs). It stores what the cache holds, not what it could
+// hold: only lines with non-zero tag, valid, data or LRU words are kept
+// (see bitarray.Sparse), and the dirty bits as a list of line numbers.
 type State struct {
-	Tags, Valid, Data []uint64
-	Dirty             []bool
-	LRU               []uint64
-	Clock             uint64
-	Stats             Stats
+	Tags, Valid, Data, LRU *bitarray.Sparse
+	// Dirty lists the dirty lines, ascending.
+	Dirty []uint32
+	Clock uint64
+	Stats Stats
 }
 
-// SizeBytes estimates the heap the state retains.
+// SizeBytes is the heap the state retains.
 func (s *State) SizeBytes() int {
-	return 8*(len(s.Tags)+len(s.Valid)+len(s.Data)+len(s.LRU)) + len(s.Dirty)
+	return s.Tags.SizeBytes() + s.Valid.SizeBytes() + s.Data.SizeBytes() + s.LRU.SizeBytes() + 4*cap(s.Dirty)
 }
 
 // State captures the cache.
 func (c *Cache) State() *State {
 	s := &State{
-		Tags:  c.tags.Snapshot(),
-		Valid: c.valid.Snapshot(),
-		Data:  c.data.Snapshot(),
-		Dirty: make([]bool, len(c.dirty)),
-		LRU:   make([]uint64, len(c.lruClock)),
+		Tags:  c.tags.SnapshotSparse(),
+		Valid: c.valid.SnapshotSparse(),
+		Data:  c.data.SnapshotSparse(),
+		LRU:   bitarray.Sparsify(c.lruClock, 1),
 		Clock: c.clock,
 		Stats: c.stats,
 	}
-	copy(s.Dirty, c.dirty)
-	copy(s.LRU, c.lruClock)
+	for line, d := range c.dirty {
+		if d {
+			s.Dirty = append(s.Dirty, uint32(line))
+		}
+	}
 	return s
 }
 
-// SetState restores a previously captured state. The state is copied, so
-// one State may seed many cache instances concurrently.
+// SetState restores a previously captured state, whatever the cache
+// held before. The state is copied, so one State may seed many cache
+// instances concurrently.
 func (c *Cache) SetState(s *State) {
-	c.tags.RestoreSnapshot(s.Tags)
-	c.valid.RestoreSnapshot(s.Valid)
-	c.data.RestoreSnapshot(s.Data)
-	copy(c.dirty, s.Dirty)
-	copy(c.lruClock, s.LRU)
+	c.tags.RestoreSparse(s.Tags)
+	c.valid.RestoreSparse(s.Valid)
+	c.data.RestoreSparse(s.Data)
+	s.LRU.Scatter(c.lruClock)
+	clear(c.dirty)
+	for _, line := range s.Dirty {
+		c.dirty[line] = true
+	}
 	c.clock = s.Clock
 	c.stats = s.Stats
+}
+
+// Release hands the storage of the cache's arrays to the boot pool
+// (bitarray.Release). The machine owning the cache must be dead.
+func (c *Cache) Release() {
+	c.tags.Release()
+	c.valid.Release()
+	c.data.Release()
 }
 
 // TLBState is a deep copy of a TLB.

@@ -76,11 +76,12 @@ func (t *TLB) Arrays() []*bitarray.Array {
 }
 
 // EntryValid reports whether the entry currently holds a valid
-// translation. The detail-window scheduler treats a fault in a valid
-// TLB entry as still resident: the stored translation keeps steering
-// accesses, so the run may not leave the cycle-accurate window.
+// translation, without accessing the valid array. The detail window's
+// exit rule (Hierarchy.CaptureSafe) treats a fault in a valid TLB entry as
+// still resident: the stored translation keeps steering accesses, so the
+// run may not leave the cycle-accurate window.
 func (t *TLB) EntryValid(e int) bool {
-	return e >= 0 && e < t.cfg.Entries && t.valid.ReadBit(e, 0) != 0
+	return e >= 0 && e < t.cfg.Entries && t.valid.Peek(e)[0]&1 != 0
 }
 
 // Translate maps a virtual address to a physical address, returning the

@@ -76,6 +76,15 @@ type ShardResult struct {
 // Stopped reports whether the outcome is a stopped-early provenance row.
 func (r ShardRun) Stopped() bool { return r.Record.Status == RunStopped.String() }
 
+// windowHeld reports whether the outcome is a windowed run that reached
+// the end of the program or the cycle limit with its detail window
+// still open: cycle-accurate to the end, the cost the window exists to
+// avoid.
+func (r ShardRun) windowHeld() bool {
+	return r.Windowed && !r.WindowExited &&
+		(r.Record.Status == RunCompleted.String() || r.Record.Status == RunCycleLimit.String())
+}
+
 // Class is the default parser's classification of the outcome.
 func (r ShardRun) Class() Class {
 	cls, _ := (Parser{}).Classify(r.Record)
@@ -294,6 +303,7 @@ func (s *CellSinks) Commit(run ShardRun, dispatched bool) error {
 			Windowed:       run.Windowed,
 			WindowEntered:  run.WindowEntered,
 			WindowExited:   run.WindowExited,
+			WindowHeld:     run.windowHeld(),
 			FastSteps:      run.FastSteps,
 			DetailCycles:   run.DetailCycles,
 			Diverged:       run.Diverged,

@@ -234,3 +234,27 @@ func TestReplayJournalRejectsAnotherMaskSet(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowHeld: a hold is a windowed run that was cycle-accurate to
+// the end of the program or the cycle limit — not one that handed off,
+// and not one whose window ended it (early-masked, crashed).
+func TestWindowHeld(t *testing.T) {
+	for _, tc := range []struct {
+		windowed, exited bool
+		status           RunStatus
+		want             bool
+	}{
+		{true, false, RunCompleted, true},
+		{true, false, RunCycleLimit, true},
+		{true, true, RunCompleted, false},
+		{true, true, RunCycleLimit, false}, // the functional tail timed out
+		{true, false, RunEarlyMasked, false},
+		{true, false, RunProcessCrash, false},
+		{false, false, RunCompleted, false},
+	} {
+		run := ShardRun{Windowed: tc.windowed, WindowExited: tc.exited, Record: LogRecord{Status: tc.status.String()}}
+		if got := run.windowHeld(); got != tc.want {
+			t.Errorf("windowed=%v exited=%v %s: held=%v, want %v", tc.windowed, tc.exited, tc.status, got, tc.want)
+		}
+	}
+}

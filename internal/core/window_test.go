@@ -73,9 +73,12 @@ func TestDetailWindowDifferential(t *testing.T) {
 		// functional tier. On gem5 dirty write-back lines become
 		// capture-safe, so l1d tails exit. On MaFIN every rf.int mask
 		// early-masks at the site (physical registers recycle fast — no
-		// tail survives) and dual-copy caches pin resident corruption,
-		// so zero exits is the correct, optimal outcome there; the fast
-		// tier still absorbs the whole pre-fault prefix.
+		// tail survives) and all 25 l1d.data masks of this uniform
+		// sample land on lines the cold window-entry cache has not filled
+		// (skipped-invalid), so zero exits is the correct outcome here;
+		// the fast tier still absorbs the whole pre-fault prefix. The
+		// MaFIN l1d exit path is pinned on a population that has
+		// consumed faults by TestBenchPopulationWindowsCloseAndVerify.
 		wantExits bool
 	}{{sims.MaFINX86, false}, {sims.GeFINX86, true}} {
 		tool := tc.tool

@@ -56,6 +56,9 @@ type CPU struct {
 	tour         *branch.Tournament
 	ras          *branch.RAS
 
+	// hier is the memory system as the detail window's exit rule sees it.
+	hier *cache.Hierarchy
+
 	intRF, fpRF *pipeline.RegFile
 	rob         *pipeline.ROB
 	iq          *pipeline.IQ
@@ -113,6 +116,7 @@ func New(cfg Config, img *asm.Image) *CPU {
 	c.l1i = cache.New(cfg.L1I, c.l2)
 	c.dtlb = cache.NewTLB(cache.TLBConfig{Name: "dtlb", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissLatency: cfg.TLBMissLat})
 	c.itlb = cache.NewTLB(cache.TLBConfig{Name: "itlb", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissLatency: cfg.TLBMissLat})
+	c.hier = cache.NewHierarchy(c.mem, []*cache.Cache{c.l1d, c.l1i, c.l2}, []*cache.TLB{c.dtlb, c.itlb})
 	// Gem5 keeps one direct-mapped BTB for conditional and
 	// unconditional branches alike.
 	c.btb = branch.NewBTB(branch.BTBConfig{Name: "btb", Entries: cfg.BTBEntries, Ways: 1})
@@ -142,12 +146,15 @@ func New(cfg Config, img *asm.Image) *CPU {
 	return c
 }
 
-// ReleaseMemory returns the machine's RAM to the boot pool; the
-// scheduler calls it once a run's result and captures are fully
-// extracted. The machine is dead afterwards.
+// ReleaseMemory returns the machine's RAM and its caches' array storage
+// to the boot pools; the scheduler calls it once a run's result and
+// captures are fully extracted. The machine is dead afterwards.
 func (c *CPU) ReleaseMemory() {
 	mem.Release(c.mem)
-	c.mem = nil
+	c.mem, c.hier = nil, nil
+	c.l1d.Release()
+	c.l1i.Release()
+	c.l2.Release()
 }
 
 // Name implements core.Simulator.

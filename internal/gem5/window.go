@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bitarray"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/handoff"
 	"repro/internal/isa"
@@ -72,51 +71,14 @@ func (c *CPU) SeedArch(st *handoff.State) {
 	c.fetchReady = st.Cycle
 }
 
-// faultCaptureSafe reports whether a fault armed on array a at entry can
-// no longer make the true continuation diverge from one replayed off
-// captured architectural state. Drained pipeline structures (register
-// files, ROB, IQ, LSQ, predictors) are always safe: their content is
-// either part of the committed register mapping — which CaptureArch
-// materializes exactly — or dead. Cache arrays are safe only while the
-// faulted line cannot serve stale bytes (see cache.LineCaptureSafe);
-// TLB arrays only while the faulted entry holds no valid translation.
-func (c *CPU) faultCaptureSafe(a *bitarray.Array, entry int) bool {
-	for _, ch := range []*cache.Cache{c.l1d, c.l1i, c.l2} {
-		for _, ca := range ch.Arrays() {
-			if ca == a {
-				return ch.LineCaptureSafe(entry)
-			}
-		}
-	}
-	for _, t := range []*cache.TLB{c.dtlb, c.itlb} {
-		for _, ta := range t.Arrays() {
-			if ta == a {
-				return !t.EntryValid(entry)
-			}
-		}
-	}
-	return true
-}
-
-// residencySafe reports whether every armed fault is capture-safe.
-func (c *CPU) residencySafe() bool {
-	for _, a := range c.watch {
-		for _, f := range a.Faults() {
-			if !c.faultCaptureSafe(a, f.Entry) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // RunWindow runs the cycle-accurate detail window: like Run, but once
 // the fault machinery can no longer change any cell
 // (bitarray.FaultsApplied: every flip applied, no stuck-at window still
 // forcing), postMargin further cycles have elapsed, and no residual
-// corruption can still serve from a cache or TLB, fetch stops, the
-// pipeline drains, and the method returns exited=true — the caller
-// continues the run on the functional tier from CaptureArch state. A
+// corruption can still serve from a cache or TLB (the rule is
+// cache.Hierarchy.CaptureSafe), fetch stops, the pipeline drains, and the
+// method returns exited=true — the caller continues the run on the
+// functional tier from CaptureArch state. A
 // live unread transient in a pipeline structure does not hold the
 // window open: on a drained machine its corruption is ordinary stored
 // state that the architectural capture carries over exactly. Any
@@ -155,7 +117,7 @@ func (c *CPU) RunWindow(limitCycles, postMargin uint64) (res core.RunResult, exi
 		if !applied && allApplied && len(c.watch) > 0 {
 			applied, appliedCycle = true, c.cycle
 		}
-		if applied && !closing && c.cycle >= appliedCycle+postMargin && c.residencySafe() {
+		if applied && !closing && c.cycle >= appliedCycle+postMargin && c.hier.CaptureSafe(c.watch) {
 			closing = true
 		}
 		c.commit()

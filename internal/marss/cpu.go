@@ -56,6 +56,9 @@ type CPU struct {
 	tour         *branch.Tournament
 	ras          *branch.RAS
 
+	// hier is the memory system as the detail window's exit rule sees it.
+	hier *cache.Hierarchy
+
 	intRF, fpRF *pipeline.RegFile
 	rob         *pipeline.ROB
 	iq          *pipeline.IQ
@@ -111,6 +114,7 @@ func New(cfg Config, img *asm.Image) *CPU {
 	c.l1i = cache.New(cfg.L1I, c.l2)
 	c.dtlb = cache.NewTLB(cache.TLBConfig{Name: "dtlb", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissLatency: cfg.TLBMissLat})
 	c.itlb = cache.NewTLB(cache.TLBConfig{Name: "itlb", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissLatency: cfg.TLBMissLat})
+	c.hier = cache.NewHierarchy(c.mem, []*cache.Cache{c.l1d, c.l1i, c.l2}, []*cache.TLB{c.dtlb, c.itlb})
 	c.btbDir = branch.NewBTB(branch.BTBConfig{Name: "btb.dir", Entries: cfg.BTBDirEntries, Ways: cfg.BTBDirWays})
 	c.btbInd = branch.NewBTB(branch.BTBConfig{Name: "btb.ind", Entries: cfg.BTBIndEntries, Ways: cfg.BTBIndWays})
 	c.tour = branch.NewTournament(branch.TournamentConfig{
@@ -136,12 +140,15 @@ func New(cfg Config, img *asm.Image) *CPU {
 	return c
 }
 
-// ReleaseMemory returns the machine's RAM to the boot pool; the
-// scheduler calls it once a run's result and captures are fully
-// extracted. The machine is dead afterwards.
+// ReleaseMemory returns the machine's RAM and its caches' array storage
+// to the boot pools; the scheduler calls it once a run's result and
+// captures are fully extracted. The machine is dead afterwards.
 func (c *CPU) ReleaseMemory() {
 	mem.Release(c.mem)
-	c.mem = nil
+	c.mem, c.hier = nil, nil
+	c.l1d.Release()
+	c.l1i.Release()
+	c.l2.Release()
 }
 
 // Name implements core.Simulator.

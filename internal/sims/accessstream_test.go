@@ -105,6 +105,10 @@ func goldenStream(t *testing.T, tool, bench string) streamPin {
 			Events: p.EventCount(), Profile: profileDigest(p),
 		}
 	}
+	// The machine's storage goes back to the boot pools full of the
+	// run's content, so the next golden run (the next tool, or this one
+	// under -count=2) boots on recycled storage.
+	sim.(memReleaser).ReleaseMemory()
 	return pin
 }
 

@@ -44,6 +44,13 @@ func TestCheckpointRestoreCompletesIdentically(t *testing.T) {
 			t.Fatalf("%s: checkpoint: %v", tool, err)
 		}
 
+		// The machine the checkpoint was taken on runs on: a restored
+		// machine must be that continuation exactly — same cycle count,
+		// same statistics down to every cache counter — or the (sparse)
+		// checkpoint dropped state the run depends on.
+		cont := base.Run(1 << 62)
+		contStats := base.Stats()
+
 		// Restore into two fresh machines: both must complete with the
 		// straight-run output, and identically to each other.
 		var restored []core.RunResult
@@ -53,6 +60,15 @@ func TestCheckpointRestoreCompletesIdentically(t *testing.T) {
 				t.Fatalf("%s: restore: %v", tool, err)
 			}
 			res := sim.Run(1 << 62)
+			if res.Status != cont.Status || res.Cycles != cont.Cycles || res.Committed != cont.Committed || !bytes.Equal(res.Output, cont.Output) {
+				t.Fatalf("%s: restored run ends %v at cycle %d after %d instructions, the continued run %v at %d after %d",
+					tool, res.Status, res.Cycles, res.Committed, cont.Status, cont.Cycles, cont.Committed)
+			}
+			for k, v := range sim.Stats() {
+				if contStats[k] != v {
+					t.Errorf("%s: restored run ends with %s = %d, the continued run with %d", tool, k, v, contStats[k])
+				}
+			}
 			if res.Status != core.RunCompleted {
 				t.Fatalf("%s: restored run %v (%s)", tool, res.Status, res.AssertMsg)
 			}

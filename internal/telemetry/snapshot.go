@@ -32,6 +32,7 @@ type Snapshot struct {
 	WindowedRuns  uint64  `json:"windowed_runs"`
 	WindowEntries uint64  `json:"window_entries"`
 	WindowExits   uint64  `json:"window_exits"`
+	WindowHolds   uint64  `json:"window_holds"`
 	FastSteps     uint64  `json:"fast_steps"`
 	DetailCycles  uint64  `json:"detail_cycles"`
 	FastTierShare float64 `json:"fast_tier_share"`
@@ -137,6 +138,7 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 		s.WindowedRuns += o.WindowedRuns
 		s.WindowEntries += o.WindowEntries
 		s.WindowExits += o.WindowExits
+		s.WindowHolds += o.WindowHolds
 		s.FastSteps += o.FastSteps
 		s.DetailCycles += o.DetailCycles
 		s.SimCycles += o.SimCycles
@@ -281,7 +283,7 @@ func (s Snapshot) ProgressLine() string {
 		fmt.Fprintf(&b, "  restores %d", s.LadderRestores)
 	}
 	if s.WindowedRuns > 0 {
-		fmt.Fprintf(&b, "  window %d/%d (fast %.1f%%)", s.WindowExits, s.WindowedRuns, 100*s.FastTierShare)
+		fmt.Fprintf(&b, "  window %d/%d held %d (fast %.1f%%)", s.WindowExits, s.WindowedRuns, s.WindowHolds, 100*s.FastTierShare)
 	}
 	if s.DivergedRuns > 0 {
 		fmt.Fprintf(&b, "  diverged %d", s.DivergedRuns)
@@ -359,6 +361,7 @@ var metricDefs = []metricDef{
 	{"WindowedRuns", "windowed_runs_total", "counter", "Runs executed under a detail window (sampled execution)."},
 	{"WindowEntries", "window_entries_total", "counter", "Runs seeded from the functional fast tier at the window entry."},
 	{"WindowExits", "window_exits_total", "counter", "Runs handed back to the functional tier after the fault settled."},
+	{"WindowHolds", "window_holds_total", "counter", "Windowed runs that reached the end of the program or the cycle limit without closing their window."},
 	{"FastSteps", "fast_instrs_total", "counter", "Instructions executed on the functional fast tier."},
 	{"DetailCycles", "detail_cycles_total", "counter", "Cycles simulated cycle-accurately inside detail windows."},
 	{"FastTierShare", "fast_tier_share", "gauge", "Share of execution work done on the functional fast tier."},

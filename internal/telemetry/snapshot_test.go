@@ -183,7 +183,8 @@ func TestMergeSnapshotsEqualsSingleCollector(t *testing.T) {
 			cls = "SDC"
 		}
 		return RunEvent{Campaign: "k", MaskID: i, Class: cls, Status: "completed",
-			Cycles: uint64(10 * (i + 1)), WatchedReads: 7, ObservedReads: 1, Diverged: i%4 == 0}
+			Cycles: uint64(10 * (i + 1)), WatchedReads: 7, ObservedReads: 1, Diverged: i%4 == 0,
+			Windowed: true, WindowExited: i%5 == 1, WindowHeld: i%5 == 0}
 	}
 
 	whole := New()
@@ -211,12 +212,17 @@ func TestMergeSnapshotsEqualsSingleCollector(t *testing.T) {
 
 	type counters struct {
 		Done, Cycles, Diverged, Watched, Observed uint64
+		Windowed, Exits, Holds                    uint64
 		SDC, Masked                               uint64
 		CampRuns                                  uint64
 	}
 	pick := func(s Snapshot) counters {
 		return counters{s.RunsDone, s.SimCycles, s.DivergedRuns, s.WatchedReads, s.ObservedReads,
+			s.WindowedRuns, s.WindowExits, s.WindowHolds,
 			s.ClassCounts["SDC"], s.ClassCounts["Masked"], s.Campaigns[0].Runs}
+	}
+	if want.WindowHolds != 4 || want.WindowExits != 4 {
+		t.Fatalf("single collector counts %d holds and %d exits among 20 windowed runs, want 4 and 4", want.WindowHolds, want.WindowExits)
 	}
 	if pick(want) != pick(got) {
 		t.Fatalf("merged fleet counters differ from the single-collector truth:\nwant %+v\ngot  %+v", pick(want), pick(got))

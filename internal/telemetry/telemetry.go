@@ -79,12 +79,16 @@ type RunEvent struct {
 	// Windowed marks a run executed under a detail window (sampled
 	// execution); WindowEntered reports that it was seeded from the
 	// functional fast tier, WindowExited that it handed back to it once
-	// the fault settled. FastSteps counts the instructions executed on
-	// the functional tier (entry fast-forward plus tail) and
-	// DetailCycles the cycles actually simulated cycle-accurately.
+	// the fault settled, WindowHeld that it instead reached the end of
+	// the program or the cycle limit with its window still open (a run
+	// that ended early-masked or crashed inside its window is neither).
+	// FastSteps counts the instructions executed on the functional tier
+	// (entry fast-forward plus tail) and DetailCycles the cycles actually
+	// simulated cycle-accurately.
 	Windowed      bool
 	WindowEntered bool
 	WindowExited  bool
+	WindowHeld    bool
 	FastSteps     uint64
 	DetailCycles  uint64
 	// Diverged reports that the divergence probe saw the run's
@@ -172,6 +176,7 @@ type Collector struct {
 	windowedRuns  atomic.Uint64
 	windowEntries atomic.Uint64
 	windowExits   atomic.Uint64
+	windowHolds   atomic.Uint64
 	fastSteps     atomic.Uint64
 	detailCycles  atomic.Uint64
 
@@ -349,6 +354,9 @@ func (c *Collector) RunDone(cs *CampaignStats, ev RunEvent) {
 	if ev.WindowExited {
 		c.windowExits.Add(1)
 	}
+	if ev.WindowHeld {
+		c.windowHolds.Add(1)
+	}
 	c.fastSteps.Add(ev.FastSteps)
 	c.detailCycles.Add(ev.DetailCycles)
 	c.statuses.add(ev.Status, 1)
@@ -384,6 +392,7 @@ func (c *Collector) Snapshot() Snapshot {
 		WindowedRuns:        c.windowedRuns.Load(),
 		WindowEntries:       c.windowEntries.Load(),
 		WindowExits:         c.windowExits.Load(),
+		WindowHolds:         c.windowHolds.Load(),
 		FastSteps:           c.fastSteps.Load(),
 		DetailCycles:        c.detailCycles.Load(),
 		WatchedReads:        c.watchedReads.Load(),

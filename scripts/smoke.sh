@@ -61,7 +61,7 @@ go run ./scripts/smokecheck \
 # everywhere else; -window-verify re-simulates a sample of the windowed
 # runs fully cycle-accurately from the same window entries and fails the
 # campaign on any outcome-class disagreement. smokecheck -window asserts
-# the fast tier actually carried work.
+# the fast tier actually carried work and at least one window closed.
 structure=rf.int
 key="${tool}__${bench}__${structure}"
 
@@ -74,6 +74,22 @@ go run ./cmd/faultcamp \
 
 go run ./scripts/smokecheck \
     -logs "$tmp/logs" -key "$key" -snapshot "$tmp/snap_window.json" -window
+
+# MaFIN L1D round: in MaFIN's dual-copy caches a consumed data-array
+# fault closes its window once a store has made the faulted line equal
+# to RAM again (DESIGN §12); the benchmark's own population (seed 7,
+# live-only) has consumed faults, -window-verify covers every windowed
+# mask, and smokecheck -window asserts the windows do close.
+go run ./cmd/faultcamp \
+    -tool mafin-x86 -bench "$bench" -structure l1d.data \
+    -n 100 -seed 7 -live-only -logs "$tmp/logs" \
+    -prune -checkpoint -ladder 3 -detail-window -window-verify 100 \
+    -trace -quiet -snapshot-json "$tmp/snap_mafin_l1d.json"
+
+go run ./scripts/smokecheck \
+    -logs "$tmp/logs" -key "mafin-x86__${bench}__l1d.data" \
+    -snapshot "$tmp/snap_mafin_l1d.json" -prune -window
+echo "smoke: MaFIN L1D windows close by content and verify on every windowed mask"
 
 # Turbo round: the same windowed campaign with the functional-tier
 # optimisations at their defaults (predecoded-instruction cache plus

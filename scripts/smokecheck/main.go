@@ -80,7 +80,7 @@ func main() {
 	tracePath := flag.String("trace", "", "JSONL injection trace (default <logs>/<key>.trace.jsonl)")
 	wantPrune := flag.Bool("prune", false, "assert the campaign was pruned (nonzero dead or replicated rows)")
 	wantAdaptive := flag.Bool("adaptive", false, "assert the sequential stopping rule fired (stopped-early rows with coherent counters)")
-	wantWindow := flag.Bool("window", false, "assert the campaign ran under a detail window (windowed runs, entries, fast-tier work)")
+	wantWindow := flag.Bool("window", false, "assert the campaign ran under a detail window (windowed runs, entries, at least one exit, fast-tier work)")
 	wantJournal := flag.Bool("journal", false, "validate the run journal against the logs and trace")
 	wantResumed := flag.Bool("want-resumed", false, "assert the snapshot reports runs resumed from the journal")
 	wantDivergence := flag.Bool("divergence", false, "validate the divergence-provenance JSONL against the logs and trace")
@@ -246,9 +246,9 @@ func main() {
 		fatal(fmt.Errorf("-adaptive: the stopping rule never fired (no stopped-early rows)"))
 	}
 
-	if snap.WindowExits > snap.WindowedRuns || snap.WindowEntries > snap.WindowedRuns {
-		fatal(fmt.Errorf("window counters inconsistent: %d exits, %d entries, %d windowed runs",
-			snap.WindowExits, snap.WindowEntries, snap.WindowedRuns))
+	if snap.WindowExits+snap.WindowHolds > snap.WindowedRuns || snap.WindowEntries > snap.WindowedRuns {
+		fatal(fmt.Errorf("window counters inconsistent: %d exits, %d holds, %d entries, %d windowed runs",
+			snap.WindowExits, snap.WindowHolds, snap.WindowEntries, snap.WindowedRuns))
 	}
 	if *wantWindow {
 		if snap.WindowedRuns == 0 || snap.WindowEntries == 0 {
@@ -258,6 +258,10 @@ func main() {
 		if snap.FastSteps == 0 || snap.FastTierShare <= 0 || snap.FastTierShare > 1 {
 			fatal(fmt.Errorf("-window: no fast-tier work recorded (%d instrs, share %g)",
 				snap.FastSteps, snap.FastTierShare))
+		}
+		if snap.WindowExits == 0 {
+			fatal(fmt.Errorf("-window: none of %d windowed runs closed its window (%d held open to the end)",
+				snap.WindowedRuns, snap.WindowHolds))
 		}
 	}
 
