@@ -21,7 +21,51 @@
 //     simulator down (Remark 8).
 package gem5
 
-import "repro/internal/cache"
+import (
+	"fmt"
+
+	"repro/internal/asm"
+	"repro/internal/branch"
+	"repro/internal/cache"
+	"repro/internal/ooo"
+)
+
+// traits is Gem5's side of every design difference the differential
+// analysis names — the zero value: each MARSS trait is absent. Both ISAs
+// share it; the cycle loop is internal/ooo.
+var traits = ooo.Traits{
+	UnifiedLSQ:         false,
+	SpeculativeLoads:   false,
+	HypervisorSyscalls: false,
+	ChoiceByAddress:    false,
+	DenseAsserts:       false,
+}
+
+// Traits returns a copy of the Gem5 trait table, for reports and tests.
+func Traits() ooo.Traits { return traits }
+
+// New boots a simulated machine with the image. The image's ISA must
+// match the configuration.
+func New(cfg Config, img *asm.Image) *ooo.CPU {
+	if string(cfg.ISA) != img.ISA {
+		panic(fmt.Sprintf("gem5: config ISA %q does not match image ISA %q", cfg.ISA, img.ISA))
+	}
+	return ooo.New(ooo.Config{
+		Pkg: "gem5", Name: "GeFIN-" + string(cfg.ISA), ISA: string(cfg.ISA),
+		FetchWidth: cfg.FetchWidth, RenameWidth: cfg.RenameWidth,
+		IssueWidth: cfg.IssueWidth, CommitWidth: cfg.CommitWidth,
+		IntPhysRegs: cfg.IntPhysRegs, FPPhysRegs: cfg.FPPhysRegs,
+		IQEntries: cfg.IQEntries, LoadEntries: cfg.LoadEntries, StoreEntries: cfg.StoreEntries,
+		ROBEntries: cfg.ROBEntries, RASEntries: cfg.RASEntries,
+		IntALUs: cfg.IntALUs, FPALUs: cfg.FPALUs, MemPorts: cfg.MemPorts,
+		L1I: cfg.L1I, L1D: cfg.L1D, L2: cfg.L2, MemLatency: cfg.MemLatency,
+		TLBEntries: cfg.TLBEntries, TLBWays: cfg.TLBWays, TLBMissLat: cfg.TLBMissLat,
+		LocalEntries: cfg.LocalEntries, LocalHistBits: cfg.LocalHistBits, GlobalBits: cfg.GlobalBits,
+		// Gem5 keeps one direct-mapped BTB for every branch kind.
+		BTBDir:          branch.BTBConfig{Name: "btb", Entries: cfg.BTBEntries, Ways: 1},
+		ModelDataArrays: true,
+	}, traits, img)
+}
 
 // ISA selects the instruction set of the simulated machine.
 type ISA string

@@ -5,105 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/bitarray"
+	"repro/internal/asm/progen"
 	"repro/internal/core"
 	"repro/internal/gem5"
-	"repro/internal/interp"
-	"repro/internal/isa"
 )
 
-// buildTestProgram mirrors the marss test program: loops, calls, memory
-// traffic, FP math and branches with a checksum output.
+// buildTestProgram links the core tests' fixed program for the target.
 func buildTestProgram(t *testing.T, tgt asm.Target) *asm.Image {
 	t.Helper()
-	p := asm.NewProgram()
-	p.Bss("buf", 512)
-	p.Bss("out", 16)
-
-	sum := p.Func("sumbuf")
-	sum.MovSym(isa.R1, "buf")
-	sum.MovImm(isa.R0, 0)
-	sum.MovImm(isa.R2, 0)
-	sum.Label("loop")
-	sum.ShlI(isa.R3, isa.R2, 3)
-	sum.Add(isa.R3, isa.R1, isa.R3)
-	sum.Load(8, false, isa.R4, isa.R3, 0)
-	sum.Add(isa.R0, isa.R0, isa.R4)
-	sum.AddI(isa.R2, isa.R2, 1)
-	sum.BrI(isa.CondLT, isa.R2, 64, "loop")
-	sum.Ret()
-
-	f := p.Func("main")
-	f.MovSym(isa.R1, "buf")
-	f.MovImm(isa.R2, 0)
-	f.Label("fill")
-	f.Mul(isa.R3, isa.R2, isa.R2)
-	f.MulI(isa.R4, isa.R2, 3)
-	f.Sub(isa.R3, isa.R3, isa.R4)
-	f.AddI(isa.R3, isa.R3, 7)
-	f.AndI(isa.R5, isa.R2, 3)
-	f.BrI(isa.CondNE, isa.R5, 0, "skip")
-	f.Add(isa.R3, isa.R3, isa.R3)
-	f.Label("skip")
-	f.ShlI(isa.R6, isa.R2, 3)
-	f.Add(isa.R6, isa.R1, isa.R6)
-	f.Store(8, isa.R3, isa.R6, 0)
-	f.AddI(isa.R2, isa.R2, 1)
-	f.BrI(isa.CondLT, isa.R2, 64, "fill")
-	f.Call("sumbuf")
-	f.MovSym(isa.R10, "out")
-	f.Store(8, isa.R0, isa.R10, 0)
-	f.FCvtIF(isa.F0, isa.R0)
-	f.FMovImm(isa.F1, 7.0)
-	f.FDiv(isa.F2, isa.F0, isa.F1)
-	f.FMovImm(isa.F3, 3.5)
-	f.FMul(isa.F2, isa.F2, isa.F3)
-	f.FCvtFI(isa.R3, isa.F2)
-	f.Store(8, isa.R3, isa.R10, 8)
-	f.MovImm(isa.R0, 1)
-	f.MovSym(isa.R1, "out")
-	f.MovImm(isa.R2, 16)
-	f.Syscall()
-	f.MovImm(isa.R0, 2)
-	f.MovImm(isa.R1, 0)
-	f.Syscall()
-
-	img, err := p.Build(tgt)
+	img, err := progen.Checksum().Build(tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return img
-}
-
-func TestFaultFreeMatchesReferenceBothISAs(t *testing.T) {
-	for _, tc := range []struct {
-		tgt asm.Target
-		isa gem5.ISA
-	}{
-		{asm.TargetCISC, gem5.ISAX86},
-		{asm.TargetRISC, gem5.ISAARM},
-	} {
-		img := buildTestProgram(t, tc.tgt)
-		ref := interp.Run(img, 10_000_000)
-		if ref.Outcome != interp.Completed {
-			t.Fatalf("%s reference: %v", tc.isa, ref.Outcome)
-		}
-		cpu := gem5.New(gem5.DefaultConfig(tc.isa), img)
-		res := cpu.Run(50_000_000)
-		if res.Status != core.RunCompleted {
-			t.Fatalf("%s: %v (%s) after %d cycles, %d instrs",
-				tc.isa, res.Status, res.AssertMsg, res.Cycles, res.Committed)
-		}
-		if !bytes.Equal(res.Output, ref.Output) {
-			t.Fatalf("%s output mismatch:\n gem5: %x\n ref:  %x", tc.isa, res.Output, ref.Output)
-		}
-		if res.Committed != ref.Steps {
-			t.Fatalf("%s committed %d, reference %d", tc.isa, res.Committed, ref.Steps)
-		}
-		if len(res.Events) != 0 {
-			t.Fatalf("%s events: %v", tc.isa, res.Events)
-		}
-	}
 }
 
 func TestCrossISAOutputsAgree(t *testing.T) {
@@ -143,41 +57,6 @@ func TestGem5SplitLSQGeometry(t *testing.T) {
 	if st["btb.valid"].Entries() != 2048 {
 		t.Fatalf("btb entries %d, want 2048", st["btb.valid"].Entries())
 	}
-}
-
-func TestGem5Deterministic(t *testing.T) {
-	img := buildTestProgram(t, asm.TargetRISC)
-	a := gem5.New(gem5.DefaultConfig(gem5.ISAARM), img).Run(50_000_000)
-	b := gem5.New(gem5.DefaultConfig(gem5.ISAARM), img).Run(50_000_000)
-	if a.Cycles != b.Cycles || !bytes.Equal(a.Output, b.Output) {
-		t.Fatal("nondeterministic")
-	}
-}
-
-func TestGem5FaultSweepRegisterFile(t *testing.T) {
-	img := buildTestProgram(t, asm.TargetCISC)
-	golden := gem5.New(gem5.DefaultConfig(gem5.ISAX86), img).Run(50_000_000)
-	if golden.Status != core.RunCompleted {
-		t.Fatal("golden failed")
-	}
-	outcomes := map[core.RunStatus]int{}
-	for i := 0; i < 40; i++ {
-		cpu := gem5.New(gem5.DefaultConfig(gem5.ISAX86), img)
-		arr := cpu.Structures()["rf.int"]
-		arr.Arm(bitarray.Fault{
-			Kind:  bitarray.Transient,
-			Entry: (i * 11) % arr.Entries(),
-			Bit:   (i * 17) % 64,
-			Start: uint64(i) * golden.Cycles / 40,
-		})
-		cpu.WatchArrays([]*bitarray.Array{arr})
-		res := cpu.Run(golden.Cycles * 3)
-		outcomes[res.Status]++
-	}
-	if outcomes[core.RunEarlyMasked]+outcomes[core.RunCompleted] == 0 {
-		t.Fatalf("no masked outcomes: %v", outcomes)
-	}
-	t.Logf("outcomes: %v", outcomes)
 }
 
 func TestConfigISAMismatchPanics(t *testing.T) {

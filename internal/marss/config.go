@@ -22,7 +22,49 @@
 //     an architectural crash (Remark 8).
 package marss
 
-import "repro/internal/cache"
+import (
+	"repro/internal/asm"
+	"repro/internal/branch"
+	"repro/internal/cache"
+	"repro/internal/ooo"
+)
+
+// traits is MARSS's side of every design difference the differential
+// analysis names; the cycle loop they select branches of is internal/ooo.
+var traits = ooo.Traits{
+	UnifiedLSQ:         true,
+	SpeculativeLoads:   true,
+	HypervisorSyscalls: true,
+	ChoiceByAddress:    true,
+	DenseAsserts:       true,
+}
+
+// Traits returns a copy of the MARSS trait table, for reports and tests.
+func Traits() ooo.Traits { return traits }
+
+// New boots a simulated machine with the image. The image must be built
+// for the x86-flavoured ISA.
+func New(cfg Config, img *asm.Image) *ooo.CPU {
+	if img.ISA != "x86" {
+		panic("marss: MARSS models the x86-flavoured ISA only")
+	}
+	return ooo.New(ooo.Config{
+		Pkg: "marss", Name: "MaFIN-x86", ISA: "x86",
+		FetchWidth: cfg.FetchWidth, RenameWidth: cfg.RenameWidth,
+		IssueWidth: cfg.IssueWidth, CommitWidth: cfg.CommitWidth,
+		IntPhysRegs: cfg.IntPhysRegs, FPPhysRegs: cfg.FPPhysRegs,
+		IQEntries: cfg.IQEntries, LoadEntries: cfg.LSQEntries,
+		ROBEntries: cfg.ROBEntries, RASEntries: cfg.RASEntries,
+		IntALUs: cfg.IntALUs, FPALUs: cfg.FPALUs, MemPorts: cfg.MemPorts,
+		L1I: cfg.L1I, L1D: cfg.L1D, L2: cfg.L2, MemLatency: cfg.MemLatency,
+		TLBEntries: cfg.TLBEntries, TLBWays: cfg.TLBWays, TLBMissLat: cfg.TLBMissLat,
+		LocalEntries: cfg.LocalEntries, LocalHistBits: cfg.LocalHistBits, GlobalBits: cfg.GlobalBits,
+		BTBDir:      branch.BTBConfig{Name: "btb.dir", Entries: cfg.BTBDirEntries, Ways: cfg.BTBDirWays},
+		BTBInd:      branch.BTBConfig{Name: "btb.ind", Entries: cfg.BTBIndEntries, Ways: cfg.BTBIndWays},
+		L1DPrefetch: cfg.L1DPrefetch, L1IPrefetch: cfg.L1IPrefetch,
+		InOrder: cfg.InOrder, ModelDataArrays: cfg.ModelDataArrays,
+	}, traits, img)
+}
 
 // Config parameterizes the simulated core (Table II, MARSS/x86 column).
 type Config struct {

@@ -5,112 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/asm/progen"
 	"repro/internal/bitarray"
 	"repro/internal/core"
-	"repro/internal/interp"
-	"repro/internal/isa"
 	"repro/internal/marss"
 )
 
-// buildTestProgram builds a program exercising loops, calls, memory
-// traffic, FP and branches, with a checksum written to the output file.
+// buildTestProgram links the core tests' fixed program for x86.
 func buildTestProgram(t *testing.T) *asm.Image {
 	t.Helper()
-	p := asm.NewProgram()
-	p.Bss("buf", 512)
-	p.Bss("out", 16)
-
-	sum := p.Func("sumbuf") // r0 = sum of 64 longs at buf
-	sum.MovSym(isa.R1, "buf")
-	sum.MovImm(isa.R0, 0)
-	sum.MovImm(isa.R2, 0)
-	sum.Label("loop")
-	sum.ShlI(isa.R3, isa.R2, 3)
-	sum.Add(isa.R3, isa.R1, isa.R3)
-	sum.Load(8, false, isa.R4, isa.R3, 0)
-	sum.Add(isa.R0, isa.R0, isa.R4)
-	sum.AddI(isa.R2, isa.R2, 1)
-	sum.BrI(isa.CondLT, isa.R2, 64, "loop")
-	sum.Ret()
-
-	f := p.Func("main")
-	// Fill buf[i] = i*i - 3i + 7 with a data-dependent branch.
-	f.MovSym(isa.R1, "buf")
-	f.MovImm(isa.R2, 0)
-	f.Label("fill")
-	f.Mul(isa.R3, isa.R2, isa.R2)
-	f.MulI(isa.R4, isa.R2, 3)
-	f.Sub(isa.R3, isa.R3, isa.R4)
-	f.AddI(isa.R3, isa.R3, 7)
-	f.AndI(isa.R5, isa.R2, 3)
-	f.BrI(isa.CondNE, isa.R5, 0, "skip")
-	f.Add(isa.R3, isa.R3, isa.R3) // every 4th element doubled
-	f.Label("skip")
-	f.ShlI(isa.R6, isa.R2, 3)
-	f.Add(isa.R6, isa.R1, isa.R6)
-	f.Store(8, isa.R3, isa.R6, 0)
-	f.AddI(isa.R2, isa.R2, 1)
-	f.BrI(isa.CondLT, isa.R2, 64, "fill")
-	// Sum via a call.
-	f.Call("sumbuf")
-	f.MovSym(isa.R10, "out")
-	f.Store(8, isa.R0, isa.R10, 0)
-	// FP: out[8] = trunc(sqrt-free fp math) — (sum/7.0)*3.5.
-	f.FCvtIF(isa.F0, isa.R0)
-	f.FMovImm(isa.F1, 7.0)
-	f.FDiv(isa.F2, isa.F0, isa.F1)
-	f.FMovImm(isa.F3, 3.5)
-	f.FMul(isa.F2, isa.F2, isa.F3)
-	f.FCvtFI(isa.R3, isa.F2)
-	f.Store(8, isa.R3, isa.R10, 8)
-	// write(out, 16); exit(0)
-	f.MovImm(isa.R0, 1)
-	f.MovSym(isa.R1, "out")
-	f.MovImm(isa.R2, 16)
-	f.Syscall()
-	f.MovImm(isa.R0, 2)
-	f.MovImm(isa.R1, 0)
-	f.Syscall()
-
-	img, err := p.Build(asm.TargetCISC)
+	img, err := progen.Checksum().Build(asm.TargetCISC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return img
-}
-
-func TestFaultFreeMatchesReferenceModel(t *testing.T) {
-	img := buildTestProgram(t)
-	ref := interp.Run(img, 10_000_000)
-	if ref.Outcome != interp.Completed {
-		t.Fatalf("reference: %v", ref.Outcome)
-	}
-	cpu := marss.New(marss.DefaultConfig(), img)
-	res := cpu.Run(50_000_000)
-	if res.Status != core.RunCompleted {
-		t.Fatalf("marss: %v (%s), %d cycles, %d instrs", res.Status, res.AssertMsg, res.Cycles, res.Committed)
-	}
-	if !bytes.Equal(res.Output, ref.Output) {
-		t.Fatalf("output mismatch:\n marss: %x\n ref:   %x", res.Output, ref.Output)
-	}
-	if res.ExitCode != 0 {
-		t.Fatalf("exit code %d", res.ExitCode)
-	}
-	if len(res.Events) != 0 {
-		t.Fatalf("events: %v", res.Events)
-	}
-	if res.Committed == 0 || res.Committed != ref.Steps {
-		t.Fatalf("committed %d instrs, reference %d", res.Committed, ref.Steps)
-	}
-}
-
-func TestRunIsDeterministic(t *testing.T) {
-	img := buildTestProgram(t)
-	a := marss.New(marss.DefaultConfig(), img).Run(50_000_000)
-	b := marss.New(marss.DefaultConfig(), img).Run(50_000_000)
-	if a.Cycles != b.Cycles || a.Committed != b.Committed || !bytes.Equal(a.Output, b.Output) {
-		t.Fatalf("nondeterministic: %d/%d vs %d/%d", a.Cycles, a.Committed, b.Cycles, b.Committed)
-	}
 }
 
 func TestStatsPlausible(t *testing.T) {
@@ -186,41 +94,6 @@ func TestEarlyStopOnDeadRegisterFault(t *testing.T) {
 	if res.Status != core.RunEarlyMasked {
 		t.Fatalf("status %v, want early-masked", res.Status)
 	}
-}
-
-func TestFaultInjectionRegisterFileSweep(t *testing.T) {
-	// Inject a handful of register-file faults; every run must land in
-	// a defined terminal state and masked runs must match the golden
-	// output.
-	img := buildTestProgram(t)
-	golden := marss.New(marss.DefaultConfig(), img).Run(50_000_000)
-	if golden.Status != core.RunCompleted {
-		t.Fatal("golden run failed")
-	}
-	limit := golden.Cycles * 3
-	outcomes := map[core.RunStatus]int{}
-	for i := 0; i < 40; i++ {
-		cpu := marss.New(marss.DefaultConfig(), img)
-		arr := cpu.Structures()["rf.int"]
-		arr.Arm(bitarray.Fault{
-			Kind:  bitarray.Transient,
-			Entry: (i * 7) % arr.Entries(),
-			Bit:   (i * 13) % 64,
-			Start: uint64(i) * golden.Cycles / 40,
-		})
-		cpu.WatchArrays([]*bitarray.Array{arr})
-		res := cpu.Run(limit)
-		outcomes[res.Status]++
-		if res.Status == core.RunCompleted && bytes.Equal(res.Output, golden.Output) &&
-			len(res.Events) > 0 {
-			t.Errorf("run %d: completed with events but clean output (fine: false DUE) %v", i, res.Events)
-		}
-	}
-	masked := outcomes[core.RunEarlyMasked] + outcomes[core.RunCompleted]
-	if masked == 0 {
-		t.Fatalf("no masked/completed outcomes at all: %v", outcomes)
-	}
-	t.Logf("outcomes: %v", outcomes)
 }
 
 func TestInOrderModelMatchesReference(t *testing.T) {

@@ -1,4 +1,4 @@
-package gem5
+package ooo
 
 import (
 	"fmt"
@@ -17,6 +17,11 @@ import (
 // checkpoint into many fresh machines and inject only faults whose start
 // cycle lies beyond it.
 type Checkpoint struct {
+	// Tool is the Name of the machine that took the checkpoint. Restore
+	// accepts no other: two tools, or one tool's two ISAs, can share every
+	// array geometry and still disagree on the image and on what the
+	// stored state means.
+	Tool       string
 	PC         uint64
 	Cycle      uint64
 	LastCommit uint64
@@ -31,10 +36,11 @@ type Checkpoint struct {
 
 	L1I, L1D, L2 *cache.State
 	DTLB, ITLB   *cache.TLBState
-	BTB          *branch.BTBState
-	Tour         *branch.TournamentState
-	RAS          *branch.RASState
-	IntRF, FPRF  *pipeline.RegFileState
+	// BTBInd is nil when one BTB serves direct and indirect branches.
+	BTBDir, BTBInd *branch.BTBState
+	Tour           *branch.TournamentState
+	RAS            *branch.RASState
+	IntRF, FPRF    *pipeline.RegFileState
 }
 
 // SizeBytes estimates the heap the checkpoint retains: RAM pages not
@@ -74,16 +80,17 @@ func (c *CPU) RunTo(target uint64) (reached uint64, finished bool, err error) {
 		c.cycle++
 		c.stats.Cycles = c.cycle
 	}
-	return c.cycle, false, fmt.Errorf("gem5: machine did not drain by cycle %d", limit)
+	return c.cycle, false, fmt.Errorf("%s: machine did not drain by cycle %d", c.cfg.Pkg, limit)
 }
 
 // Checkpoint captures the drained machine. It returns an error when
 // speculative state is still in flight.
 func (c *CPU) Checkpoint() (any, error) {
 	if !c.drained() {
-		return nil, fmt.Errorf("gem5: checkpoint requires a drained machine")
+		return nil, fmt.Errorf("%s: checkpoint requires a drained machine", c.cfg.Pkg)
 	}
-	return &Checkpoint{
+	cp := &Checkpoint{
+		Tool:       c.cfg.Name,
 		PC:         c.pc,
 		Cycle:      c.cycle,
 		LastCommit: c.lastCommit,
@@ -95,13 +102,16 @@ func (c *CPU) Checkpoint() (any, error) {
 		L2:         c.l2.State(),
 		DTLB:       c.dtlb.State(),
 		ITLB:       c.itlb.State(),
-		BTB:        c.btb.State(),
-
-		Tour:  c.tour.State(),
-		RAS:   c.ras.State(),
-		IntRF: c.intRF.State(),
-		FPRF:  c.fpRF.State(),
-	}, nil
+		BTBDir:     c.btbDir.State(),
+		Tour:       c.tour.State(),
+		RAS:        c.ras.State(),
+		IntRF:      c.intRF.State(),
+		FPRF:       c.fpRF.State(),
+	}
+	if c.splitBTB() {
+		cp.BTBInd = c.btbInd.State()
+	}
+	return cp, nil
 }
 
 // Restore loads a checkpoint into this (freshly built) machine. The
@@ -110,7 +120,10 @@ func (c *CPU) Checkpoint() (any, error) {
 func (c *CPU) Restore(state any) error {
 	cp, ok := state.(*Checkpoint)
 	if !ok {
-		return fmt.Errorf("gem5: foreign checkpoint type %T", state)
+		return fmt.Errorf("%s: foreign checkpoint type %T", c.cfg.Pkg, state)
+	}
+	if cp.Tool != c.cfg.Name {
+		return fmt.Errorf("%s: foreign checkpoint: taken on %s, this machine is %s", c.cfg.Pkg, cp.Tool, c.cfg.Name)
 	}
 	c.mem.RestorePaged(cp.Mem)
 	c.kern = cp.Kern.Clone()
@@ -120,7 +133,10 @@ func (c *CPU) Restore(state any) error {
 	c.l2.SetState(cp.L2)
 	c.dtlb.SetState(cp.DTLB)
 	c.itlb.SetState(cp.ITLB)
-	c.btb.SetState(cp.BTB)
+	c.btbDir.SetState(cp.BTBDir)
+	if c.splitBTB() {
+		c.btbInd.SetState(cp.BTBInd)
+	}
 	c.tour.SetState(cp.Tour)
 	c.ras.SetState(cp.RAS)
 	c.intRF.SetState(cp.IntRF)

@@ -1,4 +1,4 @@
-package marss
+package ooo
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/isa/cisc"
+	"repro/internal/isa/risc"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
@@ -40,21 +41,29 @@ type Stats struct {
 	Syscalls        uint64
 }
 
-// CPU is one simulated MARSS-like machine.
+// CPU is one simulated machine.
 type CPU struct {
 	cfg Config
+	// t is held by value: the cycle loop reads a trait as one byte load.
+	t   Traits
 	img *asm.Image
-	dec cisc.Decoder
+	dec isa.Decoder
+	// alignCheck is the fixed-length ISA's rule: a misaligned PC faults
+	// and a misaligned data access records an alignment event.
+	alignCheck bool
 
 	mem  *mem.Memory
 	kern kernel.Kernel
+	// kernRead is the kernel's path to user memory, bound once at New
+	// from the HypervisorSyscalls trait.
+	kernRead func(addr uint64, dst []byte) mem.Fault
 
 	l2, l1d, l1i *cache.Cache
 	dtlb, itlb   *cache.TLB
-	btbDir       *branch.BTB
-	btbInd       *branch.BTB
-	tour         *branch.Tournament
-	ras          *branch.RAS
+	// btbInd is btbDir itself when one BTB serves every branch kind.
+	btbDir, btbInd *branch.BTB
+	tour           *branch.Tournament
+	ras            *branch.RAS
 
 	// hier is the memory system as the detail window's exit rule sees it.
 	hier *cache.Hierarchy
@@ -99,34 +108,50 @@ type CPU struct {
 }
 
 // assert is the dense MARSS-style internal check: it stops the simulator
-// with an assertion failure, never an architectural fault.
+// with an assertion failure, never an architectural fault. Every call
+// sits under the DenseAsserts trait together with its condition: several
+// conditions read model state, and a counted array read can consume a
+// fault, so without the trait they must not run at all.
 func assert(cond bool, msg string) { core.Assert(cond, msg) }
 
-// New boots a simulated machine with the image. The image must be built
-// for the x86-flavoured ISA.
-func New(cfg Config, img *asm.Image) *CPU {
-	if img.ISA != "x86" {
-		panic("marss: MARSS models the x86-flavoured ISA only")
+// New boots a simulated machine with the image, which the caller has
+// checked against cfg.ISA.
+func New(cfg Config, t Traits, img *asm.Image) *CPU {
+	c := &CPU{cfg: cfg, t: t, img: img, mem: mem.New(), earlyStop: true}
+	if cfg.ISA == "arm" {
+		c.dec = risc.Decoder{}
+		c.alignCheck = true
+	} else {
+		c.dec = cisc.Decoder{}
 	}
-	c := &CPU{cfg: cfg, img: img, mem: mem.New(), earlyStop: true}
+	c.kernRead = c.kernelRead
+	if t.HypervisorSyscalls {
+		c.kernRead = c.hypervisorRead
+	}
 	c.l2 = cache.New(cfg.L2, cache.MemLevel{M: c.mem, Lat: cfg.MemLatency})
 	c.l1d = cache.New(cfg.L1D, c.l2)
 	c.l1i = cache.New(cfg.L1I, c.l2)
 	c.dtlb = cache.NewTLB(cache.TLBConfig{Name: "dtlb", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissLatency: cfg.TLBMissLat})
 	c.itlb = cache.NewTLB(cache.TLBConfig{Name: "itlb", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissLatency: cfg.TLBMissLat})
 	c.hier = cache.NewHierarchy(c.mem, []*cache.Cache{c.l1d, c.l1i, c.l2}, []*cache.TLB{c.dtlb, c.itlb})
-	c.btbDir = branch.NewBTB(branch.BTBConfig{Name: "btb.dir", Entries: cfg.BTBDirEntries, Ways: cfg.BTBDirWays})
-	c.btbInd = branch.NewBTB(branch.BTBConfig{Name: "btb.ind", Entries: cfg.BTBIndEntries, Ways: cfg.BTBIndWays})
+	c.btbDir = branch.NewBTB(cfg.BTBDir)
+	c.btbInd = c.btbDir
+	if cfg.BTBInd.Entries > 0 {
+		c.btbInd = branch.NewBTB(cfg.BTBInd)
+	}
 	c.tour = branch.NewTournament(branch.TournamentConfig{
 		LocalEntries: cfg.LocalEntries, LocalHistBits: cfg.LocalHistBits,
-		GlobalBits: cfg.GlobalBits, ChoiceByAddress: true,
+		GlobalBits: cfg.GlobalBits, ChoiceByAddress: t.ChoiceByAddress,
 	})
 	c.ras = branch.NewRAS("ras", cfg.RASEntries)
 	c.intRF = pipeline.NewRegFile("rf.int", isa.NumIntRegs, cfg.IntPhysRegs, false)
 	c.fpRF = pipeline.NewRegFile("rf.fp", isa.NumFPRegs, cfg.FPPhysRegs, true)
 	c.rob = pipeline.NewROB(cfg.ROBEntries)
 	c.iq = pipeline.NewIQ("iq", cfg.IQEntries)
-	c.lsq = pipeline.NewLSQ(pipeline.LSQConfig{Name: "lsq.data", Unified: true, LoadEntries: cfg.LSQEntries})
+	c.lsq = pipeline.NewLSQ(pipeline.LSQConfig{
+		Name: "lsq.data", Unified: t.UnifiedLSQ,
+		LoadEntries: cfg.LoadEntries, StoreEntries: cfg.StoreEntries,
+	})
 
 	c.mem.Load(img.TextBase, img.Text)
 	c.mem.Load(img.DataBase, img.Data)
@@ -152,10 +177,13 @@ func (c *CPU) ReleaseMemory() {
 }
 
 // Name implements core.Simulator.
-func (c *CPU) Name() string { return "MaFIN-x86" }
+func (c *CPU) Name() string { return c.cfg.Name }
 
 // ISA implements core.Simulator.
-func (c *CPU) ISA() string { return "x86" }
+func (c *CPU) ISA() string { return c.cfg.ISA }
+
+// splitBTB reports whether indirect branches have a BTB of their own.
+func (c *CPU) splitBTB() bool { return c.btbInd != c.btbDir }
 
 // CurrentCycle implements core.CycleSource: the golden-run liveness
 // profiler samples it from the storage-array access hooks.
@@ -188,8 +216,10 @@ func (c *CPU) Structures() map[string]*bitarray.Array {
 	for _, a := range c.btbDir.Arrays() {
 		m[a.Name()] = a
 	}
-	for _, a := range c.btbInd.Arrays() {
-		m[a.Name()] = a
+	if c.splitBTB() {
+		for _, a := range c.btbInd.Arrays() {
+			m[a.Name()] = a
+		}
 	}
 	return m
 }
@@ -267,6 +297,17 @@ func (c *CPU) hypervisorRead(addr uint64, dst []byte) mem.Fault {
 	return c.mem.Read(addr, dst)
 }
 
+// kernelRead is the full-system path: with no hypervisor, kernel reads
+// of user memory travel through the data cache and observe — and
+// consume — any corruption sitting in its arrays.
+func (c *CPU) kernelRead(addr uint64, dst []byte) mem.Fault {
+	if f := c.mem.CheckUser(addr, len(dst), false); f != mem.FaultNone {
+		return f
+	}
+	c.l1d.Read(addr, dst)
+	return mem.FaultNone
+}
+
 // ---- Register helpers ----------------------------------------------------------
 
 func (c *CPU) file(fp bool) *pipeline.RegFile {
@@ -291,16 +332,24 @@ func (c *CPU) lookup(r isa.Reg) pipeline.PhysReg {
 	return c.file(fp).Lookup(idx)
 }
 
+// readPhys and ready keep no range check of their own: without
+// DenseAsserts a corrupted register index takes the simulator down
+// through the contained Go panic (Remark 8's simulator crash). ready is
+// handed the trait by the issue loop, its only caller.
 func (c *CPU) readPhys(p pipeline.PhysReg) uint64 {
-	assert(int(p.Idx) < c.file(p.FP).Array().Entries(), "regfile: physical register index out of range")
+	if c.t.DenseAsserts {
+		assert(int(p.Idx) < c.file(p.FP).Array().Entries(), "regfile: physical register index out of range")
+	}
 	return c.file(p.FP).Read(p)
 }
 
-func (c *CPU) ready(p pipeline.PhysReg) bool {
+func (c *CPU) ready(p pipeline.PhysReg, dense bool) bool {
 	if !p.Valid() {
 		return true
 	}
-	assert(int(p.Idx) < c.file(p.FP).Array().Entries(), "regfile: physical register index out of range")
+	if dense {
+		assert(int(p.Idx) < c.file(p.FP).Array().Entries(), "regfile: physical register index out of range")
+	}
 	return c.file(p.FP).Ready(p)
 }
 
@@ -315,6 +364,8 @@ func (c *CPU) Run(limitCycles uint64) (res core.RunResult) {
 				res.AssertMsg = ae.Msg
 				return
 			}
+			// Anything else is a corruption-induced inconsistency no
+			// assertion caught: a simulator crash.
 			res = c.snapshotResult(core.RunSimCrash)
 			res.AssertMsg = fmt.Sprint(r)
 		}
@@ -409,6 +460,11 @@ func (c *CPU) fetch() {
 			c.poison(pc, isa.ExcPageFault, pc)
 			return
 		}
+		if c.alignCheck && pc%4 != 0 {
+			// The fixed-length ISA faults on a misaligned PC.
+			c.poison(pc, isa.ExcPageFault, pc)
+			return
+		}
 		paddr, tlbLat := c.itlb.Translate(pc)
 		if paddr >= mem.KernelBase || paddr < mem.NullPageEnd {
 			// A corrupted TLB PPN redirected the fetch itself.
@@ -442,9 +498,9 @@ func (c *CPU) fetch() {
 		// instruction is fully consumed before the next decode.
 		inst := &c.ibuf
 		if err := c.dec.Decode(c.fbuf[:need], pc, inst); err != nil {
-			// Invalid encodings flow to commit as poisoned uops; if
-			// they are on the true path MARSS stops with an assert
-			// (Remark 8) — the commit stage decides.
+			// Invalid encodings flow to commit as poisoned uops; on the
+			// true path the commit stage decides between the assert and
+			// the undefined-instruction fault (Remark 8).
 			c.poison(pc, isa.ExcIllegalInstr, pc)
 			return
 		}
@@ -526,7 +582,7 @@ func (c *CPU) rename() {
 		if isMem && !c.lsq.CanAlloc(u.IsStore()) {
 			return
 		}
-		needsIQ := fu.Exc == isa.ExcNone && c.needsIQ(u)
+		needsIQ := fu.Exc == isa.ExcNone && needsIQ(u)
 		if needsIQ && c.iq.Full() {
 			return
 		}
@@ -590,13 +646,20 @@ func (c *CPU) rename() {
 			e.Executed = true
 		default:
 			if isMem {
+				// The capacity was verified above; without the assert a
+				// corrupted queue that still fails surfaces later as a
+				// simulator crash.
 				li, ok := c.lsq.Alloc(u.IsStore(), idx, e.Seq)
-				assert(ok, "lsq: allocation failed after capacity check")
+				if c.t.DenseAsserts {
+					assert(ok, "lsq: allocation failed after capacity check")
+				}
 				e.LSQIdx = li
 			}
 			w0, w1 := pipeline.PackUop(u, dst, src1, src2)
 			ok := c.iq.Alloc(w0, w1, idx)
-			assert(ok, "iq: allocation failed after capacity check")
+			if c.t.DenseAsserts {
+				assert(ok, "iq: allocation failed after capacity check")
+			}
 			e.Dispatched = true
 		}
 		c.fetchQ.Pop()
@@ -604,7 +667,7 @@ func (c *CPU) rename() {
 }
 
 // needsIQ reports whether the uop is scheduled through the issue queue.
-func (c *CPU) needsIQ(u isa.Uop) bool {
+func needsIQ(u isa.Uop) bool {
 	switch u.Op {
 	case isa.Nop, isa.Halt, isa.Syscall, isa.Jmp, isa.Call:
 		return false
@@ -637,6 +700,11 @@ func (c *CPU) issue() {
 	issued := 0
 	// Oldest-first selection over the occupied issue queue slots.
 	c.cands = c.iq.Candidates(c.cands)
+	// The loop visits every occupied slot every cycle and checks three
+	// assertions per slot; the trait is read once for all of them (the
+	// calls in between keep the compiler from doing it, and re-reading
+	// it per slot cost 4-7% of a golden run).
+	dense := c.t.DenseAsserts
 	for _, cd := range c.cands {
 		if issued >= c.cfg.IssueWidth {
 			return
@@ -644,9 +712,11 @@ func (c *CPU) issue() {
 		// Wakeup reads the slot again; only a micro-op whose sources
 		// are ready is unpacked in full.
 		pl := c.iq.Payload(cd.Slot)
-		assert(int(pl.Op()) < isa.NumOps, "iq: corrupted opcode in issue payload")
+		if dense {
+			assert(int(pl.Op()) < isa.NumOps, "iq: corrupted opcode in issue payload")
+		}
 		src1, src2 := pl.Sources()
-		if !c.ready(src1) || !c.ready(src2) {
+		if !c.ready(src1, dense) || !c.ready(src2, dense) {
 			if c.cfg.InOrder {
 				// The Atom-like model issues strictly in program
 				// order: a stalled micro-op stalls everything younger.
@@ -655,7 +725,9 @@ func (c *CPU) issue() {
 			continue
 		}
 		p, robIdx := pl.Unpack(), cd.ROBIdx
-		assert(robIdx >= 0 && robIdx < c.rob.Cap(), "iq: corrupted ROB link")
+		if dense {
+			assert(robIdx >= 0 && robIdx < c.rob.Cap(), "iq: corrupted ROB link")
+		}
 		e := c.rob.At(robIdx)
 		switch {
 		case p.Op == isa.Load || p.Op == isa.FLoad:
@@ -678,7 +750,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			c.issueStore(cd.Slot, p, robIdx, e)
+			c.issueStore(cd.Slot, p, e)
 			memBudget--
 			issued++
 		case isFPUOp(p.Op):
@@ -731,7 +803,17 @@ func (c *CPU) operand(p pipeline.PackedUop) (a, b uint64) {
 func (c *CPU) agu(p pipeline.PackedUop, e *pipeline.ROBEntry, write bool) (addr uint64, lat int, ok bool) {
 	base := c.readPhys(p.Src1)
 	vaddr := base + uint64(p.Imm)
-	assert(p.Size >= 1 && p.Size <= 8, "lsq: corrupted access size")
+	if c.t.DenseAsserts {
+		assert(p.Size >= 1 && p.Size <= 8, "lsq: corrupted access size")
+	}
+	if c.alignCheck && p.Size != 0 && vaddr%uint64(p.Size) != 0 {
+		// The ARM-flavoured ISA records an alignment event; the kernel
+		// fixes the access up and the program continues — a DUE source.
+		if e.Exc == isa.ExcNone {
+			e.Exc = isa.ExcAlignment
+			e.ExcInfo = vaddr
+		}
+	}
 	if f := c.mem.CheckUser(vaddr, int(p.Size), write); f != mem.FaultNone {
 		if f == mem.FaultProt {
 			e.Exc = isa.ExcProtFault
@@ -753,20 +835,23 @@ func (c *CPU) agu(p pipeline.PackedUop, e *pipeline.ROBEntry, write bool) (addr 
 	return paddr, tlbLat, true
 }
 
-// issueLoad attempts to issue a load; MARSS is aggressive: unknown older
-// store addresses do not block it. It reports whether the load occupied
-// a memory port.
+// issueLoad attempts to issue a load and reports whether it occupied a
+// memory port. Under SpeculativeLoads unknown older store addresses do not
+// block it; otherwise the load refuses to issue while any older store
+// address is unresolved (the Remark 3 contrast).
 func (c *CPU) issueLoad(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) bool {
 	addr, tlbLat, ok := c.agu(p, e, false)
 	if !ok {
 		c.iq.Release(slot)
 		return true
 	}
-	assert(e.LSQIdx >= 0, "lsq: load without queue entry")
+	if c.t.DenseAsserts {
+		assert(e.LSQIdx >= 0, "lsq: load without queue entry")
+	}
 	c.lsq.SetAddr(e.LSQIdx, addr, p.Size)
 	fwd := c.lsq.QueryLoad(e.LSQIdx)
-	if fwd.MustWait {
-		return false // partial overlap: retry next cycle
+	if fwd.MustWait || (fwd.UnknownOlder && !c.t.SpeculativeLoads) {
+		return false // retry next cycle
 	}
 	var raw uint64
 	var lat int
@@ -787,13 +872,15 @@ func (c *CPU) issueLoad(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.
 	return true
 }
 
-func (c *CPU) issueStore(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
+func (c *CPU) issueStore(slot int, p pipeline.PackedUop, e *pipeline.ROBEntry) {
 	addr, _, ok := c.agu(p, e, true)
 	if !ok {
 		c.iq.Release(slot)
 		return
 	}
-	assert(e.LSQIdx >= 0, "lsq: store without queue entry")
+	if c.t.DenseAsserts {
+		assert(e.LSQIdx >= 0, "lsq: store without queue entry")
+	}
 	var data uint64
 	if p.Src2.Valid() {
 		data = c.readPhys(p.Src2)
@@ -801,10 +888,24 @@ func (c *CPU) issueStore(slot int, p pipeline.PackedUop, robIdx int, e *pipeline
 	c.lsq.SetAddr(e.LSQIdx, addr, p.Size)
 	c.lsq.PutData(e.LSQIdx, data)
 	c.stats.IssuedStores++
-	// Aggressive load speculation: a just-resolved store may expose
-	// younger loads that already read stale data.
+	// Conservative load issue means no ordering violation can exist, so
+	// only a speculating core scans for one.
+	if c.t.SpeculativeLoads {
+		c.storeResolved(e)
+	}
+	e.Executed = true
+	c.iq.Release(slot)
+}
+
+// storeResolved is the speculating core's work when a store's address
+// resolves.
+func (c *CPU) storeResolved(e *pipeline.ROBEntry) {
+	// A just-resolved store may expose younger loads that already read
+	// stale data.
 	for _, v := range c.lsq.StoreResolved(e.LSQIdx) {
-		assert(v >= 0 && v < c.rob.Cap(), "lsq: corrupted violation ROB link")
+		if c.t.DenseAsserts {
+			assert(v >= 0 && v < c.rob.Cap(), "lsq: corrupted violation ROB link")
+		}
 		c.rob.At(v).Violated = true
 	}
 	// MARSS-style replays: younger loads that already executed against
@@ -816,8 +917,6 @@ func (c *CPU) issueStore(slot int, p pipeline.PackedUop, robIdx int, e *pipeline
 		c.stats.IssuedLoads++
 		c.dRead(la, c.sbuf[:ls])
 	}
-	e.Executed = true
-	c.iq.Release(slot)
 }
 
 func (c *CPU) issueInt(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
@@ -897,7 +996,9 @@ func (c *CPU) complete() {
 			continue
 		}
 		e := c.rob.At(op.robIdx)
-		assert(e.Seq == op.seq, "complete: stale in-flight op after flush")
+		if c.t.DenseAsserts {
+			assert(e.Seq == op.seq, "complete: stale in-flight op after flush")
+		}
 		v := op.value
 		if op.isLoad {
 			v = isa.ExtendLoad(v, e.Uop.Size, e.Uop.SignExt)
@@ -905,12 +1006,17 @@ func (c *CPU) complete() {
 				// raw bits flow into the FP register unchanged
 				v = op.value
 			}
-			// MARSS's unified LSQ holds load results too: the value
-			// lands in the queue's data field and the register read
-			// goes through it (Remark 1's mechanism).
-			assert(e.LSQIdx >= 0, "complete: load without queue entry")
-			c.lsq.PutData(e.LSQIdx, v)
-			v = c.lsq.Data(e.LSQIdx)
+			// A unified LSQ holds load results too: the value lands in
+			// the queue's data field and the register read goes through
+			// it (Remark 1's mechanism). In the split organization the
+			// result goes straight to the register file.
+			if c.t.UnifiedLSQ {
+				if c.t.DenseAsserts {
+					assert(e.LSQIdx >= 0, "complete: load without queue entry")
+				}
+				c.lsq.PutData(e.LSQIdx, v)
+				v = c.lsq.Data(e.LSQIdx)
+			}
 		}
 		if e.Dst.Valid() {
 			c.file(e.Dst.FP).Write(e.Dst, v)
@@ -930,9 +1036,9 @@ func (c *CPU) commit() {
 			return
 		}
 
-		// Aggressive-load replay: the load read stale data; squash and
+		// Speculative-load replay: the load read stale data; squash and
 		// refetch from the load's instruction.
-		if e.Violated && e.Uop.IsLoad() && e.Exc == isa.ExcNone {
+		if c.t.SpeculativeLoads && e.Violated && e.Uop.IsLoad() && e.Exc == isa.ExcNone {
 			c.stats.LoadReplays++
 			c.flush(e.PC)
 			c.lastCommit = c.cycle
@@ -948,13 +1054,15 @@ func (c *CPU) commit() {
 				c.finish(core.RunSystemCrash, e.Exc)
 				return
 			default:
-				if e.Exc == isa.ExcIllegalInstr {
+				if c.t.DenseAsserts && e.Exc == isa.ExcIllegalInstr {
 					// MARSS stops with an internal assertion on
 					// undecodable/unimplemented opcodes rather than
 					// delivering #UD — the Remark 8 mechanism that
 					// turns corrupted instruction bytes into Asserts.
 					assert(false, "decode: invalid or unimplemented opcode reached commit")
 				}
+				// Otherwise the architectural fault is delivered and
+				// the process is killed.
 				c.finish(core.RunProcessCrash, e.Exc)
 				return
 			}
@@ -970,7 +1078,7 @@ func (c *CPU) commit() {
 					fp, a := archSlot(r)
 					c.file(fp).WriteArch(a, v)
 				},
-				c.hypervisorRead)
+				c.kernRead)
 			c.stats.Syscalls++
 			c.bumpCommitted(idx)
 			c.rob.PopHead()
@@ -990,7 +1098,9 @@ func (c *CPU) commit() {
 
 		if e.LSQIdx >= 0 {
 			if e.Uop.IsStore() {
-				assert(c.lsq.DataValid(e.LSQIdx), "commit: store without data")
+				if c.t.DenseAsserts {
+					assert(c.lsq.DataValid(e.LSQIdx), "commit: store without data")
+				}
 				addr, size := c.lsq.Addr(e.LSQIdx)
 				data := c.lsq.Data(e.LSQIdx)
 				leStore(c.sbuf[:size], data)
@@ -1054,9 +1164,10 @@ func (c *CPU) trainBranch(e *pipeline.ROBEntry) {
 	switch {
 	case b.IsRet:
 		// The RAS self-maintains.
-	case b.IsIndirect:
+	case b.IsIndirect && c.splitBTB():
 		c.btbInd.Update(e.PC, e.ActualTarget)
 	default:
+		// One BTB serves every branch kind by the same taken-only rule.
 		if e.ActualTaken {
 			c.btbDir.Update(e.PC, e.ActualTarget)
 		}

@@ -1,4 +1,4 @@
-package marss
+package ooo
 
 import (
 	"fmt"
@@ -22,13 +22,16 @@ func (c *CPU) Image() *asm.Image { return c.img }
 // CaptureArch snapshots the architecturally visible machine state for a
 // handoff to the functional tier. The machine must be drained (nothing
 // speculative in flight), so the committed register mapping, RAM and
-// kernel state are the complete reachable state. MARSS keeps main
-// memory authoritative (dual-copy caches), so no cache flush is needed;
-// FlushDirty is a no-op in that mode and covers any write-back
-// configuration.
+// kernel state are the complete reachable state once RAM is
+// authoritative. With dual-copy caches it always is and FlushDirty is a
+// no-op. True write-back arrays hold the only copy of dirty lines, so
+// the capture first flushes L1D into L2 and L2 into RAM; the flush
+// writes each dirty line at the address its stored tag names,
+// corruption included, exactly as the eventual eviction would have. L1I
+// never holds dirty lines.
 func (c *CPU) CaptureArch() (*handoff.State, error) {
 	if !c.drained() {
-		return nil, fmt.Errorf("marss: architectural capture requires a drained machine")
+		return nil, fmt.Errorf("%s: architectural capture requires a drained machine", c.cfg.Pkg)
 	}
 	c.l1d.FlushDirty()
 	c.l2.FlushDirty()

@@ -14,6 +14,7 @@ func RenderConfigTable(w io.Writer) {
 	m := marss.DefaultConfig()
 	gx := gem5.DefaultConfig(gem5.ISAX86)
 	ga := gem5.DefaultConfig(gem5.ISAARM)
+	mt, gt := marss.Traits(), gem5.Traits()
 	fmt.Fprintln(w, "Table II analog: simulator configurations")
 	fmt.Fprintf(w, "  %-22s %-22s %-22s %-22s\n", "Parameter", "MARSS/x86", "Gem5/x86", "Gem5/ARM")
 	row := func(name string, a, b, c interface{}) {
@@ -32,8 +33,6 @@ func RenderConfigTable(w io.Writer) {
 		fmt.Sprintf("%d int, %d FP, %d AGU", m.IntALUs, m.FPALUs, m.MemPorts),
 		fmt.Sprintf("%d int, %d FP, %d mem", gx.IntALUs, gx.FPALUs, gx.MemPorts),
 		fmt.Sprintf("%d int, %d FP, %d mem", ga.IntALUs, ga.FPALUs, ga.MemPorts))
-	cache := func(c interface{ String() string }) string { return c.String() }
-	_ = cache
 	cc := func(size, line, ways int) string {
 		return fmt.Sprintf("%dKB %dB/line %d-way", size>>10, line, ways)
 	}
@@ -43,16 +42,31 @@ func RenderConfigTable(w io.Writer) {
 		cc(gx.L1D.Size, gx.L1D.LineSize, gx.L1D.Ways), cc(ga.L1D.Size, ga.L1D.LineSize, ga.L1D.Ways))
 	row("L2 cache", cc(m.L2.Size, m.L2.LineSize, m.L2.Ways),
 		cc(gx.L2.Size, gx.L2.LineSize, gx.L2.Ways), cc(ga.L2.Size, ga.L2.LineSize, ga.L2.Ways))
-	row("Write policy", "dual-copy (QEMU-backed)", "write-back", "write-back")
-	row("Branch predictor", "tournament (by address)", "tournament (by history)", "tournament (by history)")
+	// choice prints a row that describes a design difference, read from
+	// what the machines are built from — a cache configuration or the
+	// tools' trait tables — so the table cannot disagree with the code.
+	choice := func(name, yes, no string, a, b, c bool) {
+		pick := func(on bool) string {
+			if on {
+				return yes
+			}
+			return no
+		}
+		row(name, pick(a), pick(b), pick(c))
+	}
+	choice("Write policy", "dual-copy (QEMU-backed)", "write-back", m.L1D.DualCopy, gx.L1D.DualCopy, ga.L1D.DualCopy)
+	choice("Branch predictor", "tournament (by address)", "tournament (by history)",
+		mt.ChoiceByAddress, gt.ChoiceByAddress, gt.ChoiceByAddress)
 	row("BTB",
 		fmt.Sprintf("direct %d 4-way + indirect %d 4-way", m.BTBDirEntries, m.BTBIndEntries),
 		fmt.Sprintf("%d direct-mapped", gx.BTBEntries),
 		fmt.Sprintf("%d direct-mapped", ga.BTBEntries))
 	row("RAS", m.RASEntries, gx.RASEntries, ga.RASEntries)
 	row("Prefetchers", "L1I + L1D next-line", "none", "none")
-	row("Load issue", "aggressive + replay", "conservative", "conservative")
-	row("Syscall path", "hypervisor (memory)", "through caches", "through caches")
+	choice("Load issue", "aggressive + replay", "conservative",
+		mt.SpeculativeLoads, gt.SpeculativeLoads, gt.SpeculativeLoads)
+	choice("Syscall path", "hypervisor (memory)", "through caches",
+		mt.HypervisorSyscalls, gt.HypervisorSyscalls, gt.HypervisorSyscalls)
 }
 
 // RenderFaultModels reproduces Table III: the supported fault models.

@@ -93,21 +93,34 @@ func TestCheckpointRestoreCompletesIdentically(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsForeignState pins the type safety of Restore.
+// TestCheckpointRejectsForeignState: a checkpoint restores only into the
+// tool that took it. All three machines share one Checkpoint type, and
+// the two GeFIN machines every array geometry as well, so the guard is
+// the tool the checkpoint records — a gefin-x86 checkpoint in a gefin-arm
+// machine would otherwise run x86 state over an ARM image.
 func TestCheckpointRejectsForeignState(t *testing.T) {
 	w, _ := workload.ByName("qsort")
-	mf, _ := Factory(MaFINX86, w)
-	gf, _ := Factory(GeFINX86, w)
-	m := mf().(core.Checkpointer)
-	if _, _, err := m.RunTo(5000); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := m.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gf().(core.Checkpointer).Restore(cp); err == nil {
-		t.Fatal("gem5 accepted a marss checkpoint")
+	for _, tc := range []struct{ from, into string }{
+		{MaFINX86, GeFINX86},
+		{GeFINX86, GeFINARM},
+		{GeFINARM, GeFINX86},
+	} {
+		ff, _ := Factory(tc.from, w)
+		tf, _ := Factory(tc.into, w)
+		m := ff().(core.Checkpointer)
+		if _, _, err := m.RunTo(5000); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := m.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tf().(core.Checkpointer).Restore(cp); err == nil {
+			t.Errorf("%s accepted a %s checkpoint", tc.into, tc.from)
+		}
+		if err := ff().(core.Checkpointer).Restore(cp); err != nil {
+			t.Errorf("%s rejected its own checkpoint: %v", tc.from, err)
+		}
 	}
 }
 

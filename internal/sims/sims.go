@@ -20,48 +20,51 @@ const (
 	GeFINARM = "gefin-arm"
 )
 
-// Tools returns the three configurations in the paper's bar order
-// (M-x86, G-x86, G-ARM).
-func Tools() []string { return []string{MaFINX86, GeFINX86, GeFINARM} }
+// tools is the three configurations in the paper's bar order (M-x86,
+// G-x86, G-ARM): name, bar label, the assembler target of the images
+// the tool runs, and its constructor.
+var tools = []struct {
+	name, label string
+	target      asm.Target
+	boot        func(*asm.Image) core.Simulator
+}{
+	{MaFINX86, "M-x86", asm.TargetCISC, func(img *asm.Image) core.Simulator { return marss.New(marss.DefaultConfig(), img) }},
+	{GeFINX86, "G-x86", asm.TargetCISC, func(img *asm.Image) core.Simulator { return gem5.New(gem5.DefaultConfig(gem5.ISAX86), img) }},
+	{GeFINARM, "G-ARM", asm.TargetRISC, func(img *asm.Image) core.Simulator { return gem5.New(gem5.DefaultConfig(gem5.ISAARM), img) }},
+}
+
+// Tools returns the three configurations in the paper's bar order.
+func Tools() []string {
+	names := make([]string, len(tools))
+	for i, t := range tools {
+		names[i] = t.name
+	}
+	return names
+}
 
 // ShortLabel maps a tool name to the paper's bar label.
 func ShortLabel(tool string) string {
-	switch tool {
-	case MaFINX86:
-		return "M-x86"
-	case GeFINX86:
-		return "G-x86"
-	case GeFINARM:
-		return "G-ARM"
-	default:
-		return tool
+	for _, t := range tools {
+		if t.name == tool {
+			return t.label
+		}
 	}
+	return tool
 }
 
 // Factory builds a simulator factory for one tool running one benchmark.
 // The image is linked once and shared; every factory call boots a fresh
 // machine.
 func Factory(tool string, w workload.Workload) (core.Factory, error) {
-	switch tool {
-	case MaFINX86:
-		img, err := w.Image(asm.TargetCISC)
+	for _, t := range tools {
+		if t.name != tool {
+			continue
+		}
+		img, err := w.Image(t.target)
 		if err != nil {
 			return nil, err
 		}
-		return func() core.Simulator { return marss.New(marss.DefaultConfig(), img) }, nil
-	case GeFINX86:
-		img, err := w.Image(asm.TargetCISC)
-		if err != nil {
-			return nil, err
-		}
-		return func() core.Simulator { return gem5.New(gem5.DefaultConfig(gem5.ISAX86), img) }, nil
-	case GeFINARM:
-		img, err := w.Image(asm.TargetRISC)
-		if err != nil {
-			return nil, err
-		}
-		return func() core.Simulator { return gem5.New(gem5.DefaultConfig(gem5.ISAARM), img) }, nil
-	default:
-		return nil, fmt.Errorf("sims: unknown tool %q (have %v)", tool, Tools())
+		return func() core.Simulator { return t.boot(img) }, nil
 	}
+	return nil, fmt.Errorf("sims: unknown tool %q (have %v)", tool, Tools())
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gem5"
 	"repro/internal/marss"
+	"repro/internal/ooo"
 	"repro/internal/workload"
 )
 
@@ -84,14 +85,15 @@ func TestQsortRungStoresWhatTheCachesHold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sparse, full int
-		switch cp := cp.(type) {
-		case *marss.Checkpoint:
+		state := cp.(*ooo.Checkpoint)
+		sparse := state.L1I.SizeBytes() + state.L1D.SizeBytes() + state.L2.SizeBytes()
+		var full int
+		if tool == MaFINX86 {
 			c := marss.DefaultConfig()
-			sparse, full = cp.L1I.SizeBytes()+cp.L1D.SizeBytes()+cp.L2.SizeBytes(), dense(c.L1I, c.L1D, c.L2)
-		case *gem5.Checkpoint:
+			full = dense(c.L1I, c.L1D, c.L2)
+		} else {
 			c := gem5.DefaultConfig(gem5.ISAX86)
-			sparse, full = cp.L1I.SizeBytes()+cp.L1D.SizeBytes()+cp.L2.SizeBytes(), dense(c.L1I, c.L1D, c.L2)
+			full = dense(c.L1I, c.L1D, c.L2)
 		}
 		t.Logf("%s: cache states %d KB, dense %d KB", tool, sparse>>10, full>>10)
 		if sparse*100 >= full*15 {

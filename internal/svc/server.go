@@ -49,23 +49,23 @@ func (s *Service) authed(h func(http.ResponseWriter, *http.Request, string)) htt
 	}
 }
 
-// runningCampaign returns the campaign when it is running in this
-// process — its ledger, collector and event stream exist — else nil: a
-// queued campaign, or a terminal one restored from the spool, has none.
-func (s *Service) runningCampaign(id string) *campaign {
+// observedCampaign returns the campaign when this process has run it —
+// its collector and event stream exist, and outlive the run — else nil:
+// a queued campaign, or a terminal one restored from the spool, has none.
+func (s *Service) observedCampaign(id string) *campaign {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c := s.camps[id]; c != nil && c.coord != nil {
+	if c := s.camps[id]; c != nil && c.tel != nil {
 		return c
 	}
 	return nil
 }
 
-// running wraps a GET handler of a running campaign's observability
-// plane with the lookup.
-func (s *Service) running(h func(http.ResponseWriter, *http.Request, *campaign)) http.HandlerFunc {
+// observed wraps a GET handler of a campaign's observability plane with
+// the lookup.
+func (s *Service) observed(h func(http.ResponseWriter, *http.Request, *campaign)) http.HandlerFunc {
 	return methodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		c := s.runningCampaign(r.PathValue("id"))
+		c := s.observedCampaign(r.PathValue("id"))
 		if c == nil {
 			api.WriteError(w, http.StatusNotFound, api.CodeNotFound, "no live view of campaign %q", r.PathValue("id"))
 			return
@@ -214,16 +214,16 @@ func (s *Service) Handler() http.Handler {
 	// Worker protocol and campaign-scoped observability plane (open:
 	// workers and dashboards are deployment infrastructure, not tenants).
 	MountWorkerPlane(mux, s)
-	mux.HandleFunc("/v1/campaigns/{id}/snapshot.json", s.running(func(w http.ResponseWriter, r *http.Request, c *campaign) {
+	mux.HandleFunc("/v1/campaigns/{id}/snapshot.json", s.observed(func(w http.ResponseWriter, r *http.Request, c *campaign) {
 		writeSnapshot(w, c.tel.Snapshot())
 	}))
-	mux.HandleFunc("/v1/campaigns/{id}/metrics", s.running(func(w http.ResponseWriter, r *http.Request, c *campaign) {
+	mux.HandleFunc("/v1/campaigns/{id}/metrics", s.observed(func(w http.ResponseWriter, r *http.Request, c *campaign) {
 		writeMetrics(w, c.tel.Snapshot())
 	}))
-	mux.HandleFunc("/v1/campaigns/{id}/fleet.json", s.running(func(w http.ResponseWriter, r *http.Request, c *campaign) {
+	mux.HandleFunc("/v1/campaigns/{id}/fleet.json", s.observed(func(w http.ResponseWriter, r *http.Request, c *campaign) {
 		api.WriteJSON(w, s.Fleet(c.entry.ID))
 	}))
-	mux.HandleFunc("/v1/campaigns/{id}/events", s.running(func(w http.ResponseWriter, r *http.Request, c *campaign) {
+	mux.HandleFunc("/v1/campaigns/{id}/events", s.observed(func(w http.ResponseWriter, r *http.Request, c *campaign) {
 		c.events.ServeHTTP(w, r)
 	}))
 

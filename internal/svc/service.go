@@ -78,13 +78,16 @@ type Options struct {
 type campaign struct {
 	entry *SpoolEntry
 
-	coord   *dist.Coordinator
-	tel     *telemetry.Collector
-	events  *telemetry.EventStream
-	trace   *telemetry.TraceSink
-	spanBuf *telemetry.SpanBuffer
-	dsink   *divergence.Sink
-	logs    *core.LogsRepo
+	// coord is the shard ledger while the campaign runs. finish drops it
+	// — per-mask records, results and memoised masks go with it — and
+	// keeps its last accounting in shards, so a daemon's memory does not
+	// grow with the campaigns it has served.
+	coord  *dist.Coordinator
+	shards dist.Stats
+	// tel and events back the campaign's observability endpoints, which
+	// keep answering after it ends.
+	tel    *telemetry.Collector
+	events *telemetry.EventStream
 
 	// cancelReason, once set, cancels the campaign as soon as a
 	// coordinator exists — it covers the gap where a cancel lands
@@ -423,14 +426,15 @@ func (s *Service) statusLocked(c *campaign) api.CampaignStatus {
 		FinishedUnixNS:  e.FinishedUnixNS,
 		Options:         e.Options,
 	}
+	cs := c.shards
 	if c.coord != nil {
-		cs := c.coord.Stats()
-		st.Shards = cs.Shards
-		st.ShardsCompleted = cs.Completed
-		st.Requeues = cs.Requeues
-		st.Duplicates = cs.Duplicates
-		st.ShardsCancelled = cs.Cancelled
+		cs = c.coord.Stats()
 	}
+	st.Shards = cs.Shards
+	st.ShardsCompleted = cs.Completed
+	st.Requeues = cs.Requeues
+	st.Duplicates = cs.Duplicates
+	st.ShardsCancelled = cs.Cancelled
 	return st
 }
 
@@ -571,7 +575,7 @@ func (s *Service) run(c *campaign) {
 	}
 
 	s.mu.Lock()
-	c.coord, c.tel, c.events, c.trace, c.spanBuf, c.dsink, c.logs = coord, tel, events, traceSink, spanBuf, dsink, logs
+	c.coord, c.tel, c.events = coord, tel, events
 	e.State = api.StateRunning
 	s.put(e)
 	if c.cancelReason != "" {
@@ -675,6 +679,14 @@ func (s *Service) finish(c *campaign, err error) {
 		e.Error = err.Error()
 	}
 	e.FinishedUnixNS = s.opt.now().UnixNano()
+	if c.coord != nil {
+		// From here on the worker plane answers for this campaign as it
+		// does for a terminal one restored from the spool, so no run event
+		// can reach the collector any more: its sinks (the trace buffer
+		// among them, written out by finalize) go too.
+		c.shards, c.coord = c.coord.Stats(), nil
+		c.tel.DetachSinks()
+	}
 	s.put(e)
 	s.opt.Logf("svc: campaign %s %s", e.ID, e.State)
 	s.scheduleLocked()
@@ -837,6 +849,13 @@ func (s *Service) ledgerFor(workerID, campaignID string) *dist.Coordinator {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.workerLocked(workerID)
+	return s.ledgerLocked(campaignID)
+}
+
+// ledgerLocked returns the campaign's shard ledger, nil unless it is
+// running in this process: a queued or planning campaign has none yet, a
+// terminal one no longer.
+func (s *Service) ledgerLocked(campaignID string) *dist.Coordinator {
 	if c := s.camps[campaignID]; c != nil {
 		return c.coord
 	}
@@ -904,11 +923,13 @@ func (s *Service) PushSnapshot(req api.SnapshotRequest) api.SnapshotResponse {
 // CampaignConfig serves a running campaign's config and lease terms to
 // a worker, stamped with the campaign ID.
 func (s *Service) CampaignConfig(id string) (api.ConfigResponse, error) {
-	c := s.runningCampaign(id)
-	if c == nil {
+	s.mu.Lock()
+	coord := s.ledgerLocked(id)
+	s.mu.Unlock()
+	if coord == nil {
 		return api.ConfigResponse{}, apiErr(http.StatusNotFound, api.CodeNotFound, "no running campaign %q", id)
 	}
-	resp := c.coord.Config()
+	resp := coord.Config()
 	resp.CampaignID = id
 	return resp, nil
 }

@@ -443,3 +443,70 @@ func TestServiceWorkerPlaneEnvelope(t *testing.T) {
 		t.Fatalf("wait lease carries no backoff hint: %+v", lease)
 	}
 }
+
+// TestFinishedCampaignReleasesItsLedger: a daemon serves campaigns for
+// as long as it lives, so a finished campaign keeps only what its
+// endpoints read. Its status still carries the final shard accounting
+// and its snapshot the final run counts, but it holds no coordinator,
+// and the worker plane answers late calls for it exactly as a restarted
+// daemon — which has only the spool entry — does.
+func TestFinishedCampaignReleasesItsLedger(t *testing.T) {
+	dir := t.TempDir()
+	s := newService(t, dir, nil)
+	srv := httptest.NewServer(s.Handler())
+	ctx := context.Background()
+	cl := client.New(srv.URL)
+	stop := startWorker(t, srv.URL, "w1")
+
+	cfg := core.CampaignConfig{
+		Campaigns:  []core.CampaignCell{{Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int"}},
+		Injections: 10,
+		Seed:       7,
+	}
+	st, err := cl.Submit(ctx, api.SubmitRequest{Options: api.SubmitOptions{Trace: true}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// While the campaign is live the ledger exists and serves its config.
+	waitState(t, cl, st.ID, func(st api.CampaignStatus) bool { return st.Shards > 0 }, "planned")
+	final, err := cl.Wait(ctx, st.ID, 5*time.Millisecond)
+	if err != nil || final.State != api.StateDone {
+		t.Fatalf("campaign finished %s (%s): %v", final.State, final.Error, err)
+	}
+	stop()
+
+	if final.Shards != 3 || final.ShardsCompleted != 3 { // 10 masks in shards of 4
+		t.Errorf("finished campaign reports %d of %d shards completed, want 3 of 3", final.ShardsCompleted, final.Shards)
+	}
+	snap, err := cl.Snapshot(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("snapshot of a finished campaign: %v", err)
+	}
+	if snap.RunsDone != uint64(cfg.Injections) {
+		t.Errorf("finished campaign's snapshot counts %d runs, want %d", snap.RunsDone, cfg.Injections)
+	}
+	if s.HoldsLedger(st.ID) {
+		t.Error("the finished campaign still holds its coordinator")
+	}
+
+	// Late worker calls, against this daemon and against a restarted one.
+	late := func(s *svc.Service) (hb api.HeartbeatResponse, done api.CompleteResponse, cfgErr error) {
+		hb = s.Heartbeat(api.HeartbeatRequest{WorkerID: "w1", CampaignID: st.ID, ShardID: 0})
+		done = s.Complete(api.CompleteRequest{WorkerID: "w1", CampaignID: st.ID, ShardID: 0})
+		_, cfgErr = s.CampaignConfig(st.ID)
+		return hb, done, cfgErr
+	}
+	hb, done, cfgErr := late(s)
+	srv.Close()
+	s.Close()
+	restarted := newService(t, dir, nil)
+	defer restarted.Close()
+	wantHB, wantDone, wantCfgErr := late(restarted)
+	if hb != wantHB || done != wantDone || cfgErr == nil || cfgErr.Error() != wantCfgErr.Error() {
+		t.Errorf("late calls for a finished campaign: heartbeat %+v, complete %+v, config %v; a restarted daemon answers %+v, %+v, %v",
+			hb, done, cfgErr, wantHB, wantDone, wantCfgErr)
+	}
+	if again, err := restarted.Get("", st.ID); err != nil || again.State != api.StateDone {
+		t.Errorf("restarted daemon: campaign %s is %s (%v), want done", st.ID, again.State, err)
+	}
+}

@@ -305,6 +305,14 @@ func (c *Collector) AddSink(s Sink) {
 	c.sinks.Store(append(sinks, s))
 }
 
+// DetachSinks drops every attached sink: a collector that outlives its
+// campaign to serve snapshots must not keep what the sinks buffered.
+func (c *Collector) DetachSinks() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sinks.Store([]Sink(nil))
+}
+
 // RunDone folds one finished run into the aggregate and fans the event
 // out to the sinks. cs may be nil for runs outside any registered
 // campaign.
