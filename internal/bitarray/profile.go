@@ -3,7 +3,6 @@ package bitarray
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 )
 
 // AccessKind classifies one liveness-profile event.
@@ -110,16 +109,13 @@ const profBlock = 64
 // and tools write a profile down. Recorded profiles come from
 // Array.StopProfile, through the same encoder.
 func NewProfile(name string, bitsPerEntry int, events [][]ProfileEvent) *Profile {
-	var flat []flatEvent
+	enc := newProfEncoder(name, len(events), bitsPerEntry)
 	for e, evs := range events {
 		for _, ev := range evs {
-			flat = append(flat, flatEvent{
-				cycle: ev.Cycle, entry: int32(e), //nolint:gosec // test-sized
-				firstBit: ev.FirstBit, nbits: ev.NBits, kind: ev.Kind,
-			})
+			enc.add(e, ev.Cycle, ev.FirstBit, ev.NBits, ev.Kind)
 		}
 	}
-	return encodeProfile(name, len(events), bitsPerEntry, [][]flatEvent{flat})
+	return enc.finish()
 }
 
 // EventIter walks the events of one entry in recorded order.
@@ -197,68 +193,92 @@ func (p *Profile) SizeBytes() int {
 	return len(p.data) + 16*len(p.skip) + 16*len(p.spans) + 6*len(p.shapes)
 }
 
-// uvarintLen is the encoded size of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for ; v >= 0x80; v >>= 7 {
-		n++
-	}
-	return n
+// profEncoder is the one encoder of liveness profiles: it folds events,
+// in recording order, straight into per-entry varint streams, so the
+// memory a profile costs while it is built grows with its encoded size
+// rather than with its event count. Shape codes are assigned in order of
+// first appearance; an entry's stream is its events' cycle deltas and
+// shape codes, with a skip point every profBlock events. finish lays the
+// streams out entry-major in one allocation per table.
+type profEncoder struct {
+	name         string
+	bitsPerEntry int
+	shapes       []shape
+	codes        map[uint64]uint32 // packed shape → code
+	ents         []entryStream
 }
 
-// encodeProfile turns execution-order recording chunks into a Profile
-// in two passes and one allocation per table: the first sizes every
-// entry's stream (and leaves each event's shape code in the chunk), the
-// second writes the streams in place. Chunks are visited in recording
-// order, so per-entry event order stays the execution order.
-func encodeProfile(name string, entries, bitsPerEntry int, chunks [][]flatEvent) *Profile {
-	p := &Profile{Name: name, Entries: entries, BitsPerEntry: bitsPerEntry, spans: make([]entrySpan, entries+1)}
-	codes := make(map[uint64]uint32) // packed shape → code, in order of first appearance
-	last := make([]uint64, entries)  // cycle of the entry's previous event
-	count := make([]int, entries)
-	for _, recs := range chunks {
-		for i := range recs {
-			r := &recs[i]
-			key := uint64(r.firstBit)<<32 | uint64(r.nbits)<<8 | uint64(r.kind)
-			code, ok := codes[key]
-			if !ok {
-				code = uint32(len(p.shapes)) //nolint:gosec // far fewer shapes occur than 2^32
-				codes[key] = code
-				p.shapes = append(p.shapes, shape{r.firstBit, r.nbits, r.kind})
-			}
-			r.code = code
-			// spans[e+1] accumulates entry e's sizes until the prefix sum.
-			p.spans[r.entry+1].data += uvarintLen(r.cycle-last[r.entry]) + uvarintLen(uint64(r.code))
-			last[r.entry] = r.cycle
-			count[r.entry]++
-		}
+// entryStream is one entry's part of a profile being encoded. Skip
+// offsets are relative to data until finish rebases them.
+type entryStream struct {
+	data []byte
+	skip []skipPoint
+	last uint64 // cycle of the entry's previous event
+	n    int    // events so far
+}
+
+func newProfEncoder(name string, entries, bitsPerEntry int) *profEncoder {
+	return &profEncoder{name: name, bitsPerEntry: bitsPerEntry, codes: make(map[uint64]uint32), ents: make([]entryStream, entries)}
+}
+
+// add encodes one event of entry; an entry's events arrive in recording
+// order, which is the order the profile keeps.
+func (enc *profEncoder) add(entry int, cycle uint64, firstBit, nbits uint16, kind AccessKind) {
+	key := uint64(firstBit)<<32 | uint64(nbits)<<8 | uint64(kind)
+	code, ok := enc.codes[key]
+	if !ok {
+		code = uint32(len(enc.shapes)) //nolint:gosec // far fewer shapes occur than 2^32
+		enc.codes[key] = code
+		enc.shapes = append(enc.shapes, shape{firstBit, nbits, kind})
 	}
-	for e, n := range count {
-		p.events += n
-		p.spans[e+1].data += p.spans[e].data
-		p.spans[e+1].skip = p.spans[e].skip + (n+profBlock-1)/profBlock
+	s := &enc.ents[entry]
+	if s.n%profBlock == 0 {
+		s.skip = grow(s.skip, 1)
+		s.skip = append(s.skip, skipPoint{base: s.last, off: len(s.data)})
+	}
+	s.data = grow(s.data, 2*binary.MaxVarintLen64)
+	s.data = binary.AppendUvarint(s.data, cycle-s.last)
+	s.data = binary.AppendUvarint(s.data, uint64(code))
+	s.last = cycle
+	s.n++
+}
+
+// grow returns s with room for n more elements, doubling its capacity
+// when it has not: everything a stream allocates on its way to its
+// final size stays below twice its final capacity (append's gentler
+// growth of large slices would allocate several times over).
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	c := 2 * cap(s)
+	if c < len(s)+n {
+		c = len(s) + n
+	}
+	out := make([]T, len(s), c)
+	copy(out, s)
+	return out
+}
+
+// finish returns the profile: every entry's stream and skip points
+// copied into one table each, entry-major, skip offsets rebased onto it.
+func (enc *profEncoder) finish() *Profile {
+	entries := len(enc.ents)
+	p := &Profile{Name: enc.name, Entries: entries, BitsPerEntry: enc.bitsPerEntry, shapes: enc.shapes, spans: make([]entrySpan, entries+1)}
+	for e, s := range enc.ents {
+		p.events += s.n
+		p.spans[e+1] = entrySpan{data: p.spans[e].data + len(s.data), skip: p.spans[e].skip + len(s.skip)}
 	}
 	p.data = make([]byte, p.spans[entries].data)
 	p.skip = make([]skipPoint, p.spans[entries].skip)
-
-	pos := make([]int, entries) // write offset into p.data
-	for e := range pos {
-		pos[e] = p.spans[e].data
-		last[e], count[e] = 0, 0
-	}
-	for _, recs := range chunks {
-		for _, r := range recs {
-			e := r.entry
-			if count[e]%profBlock == 0 {
-				p.skip[p.spans[e].skip+count[e]/profBlock] = skipPoint{base: last[e], off: pos[e]}
-			}
-			w := pos[e]
-			w += binary.PutUvarint(p.data[w:], r.cycle-last[e])
-			w += binary.PutUvarint(p.data[w:], uint64(r.code))
-			pos[e] = w
-			last[e] = r.cycle
-			count[e]++
+	for e := range enc.ents {
+		s := &enc.ents[e]
+		sp := p.spans[e]
+		copy(p.data[sp.data:], s.data)
+		for j, k := range s.skip {
+			p.skip[sp.skip+j] = skipPoint{base: k.base, off: sp.data + k.off}
 		}
+		*s = entryStream{} // the stream's garbage now, not the encoder's
 	}
 	return p
 }
@@ -266,50 +286,40 @@ func encodeProfile(name string, entries, bitsPerEntry int, chunks [][]flatEvent)
 // profiler is the recording state attached to an Array while profiling
 // is on. It exists only during fault-free golden replays, so it never
 // coexists with hot injection runs; the accessors gate on a single nil
-// check, keeping the disabled cost to one predictable branch. Events go
-// into fixed-size execution-order chunks — a full chunk is set aside
-// and a fresh one started, so recording never copies what it already
-// recorded (a golden replay logs millions of events per array; growing
-// one flat slice spends more time in copies than in the recording) —
-// and are encoded per entry only at StopProfile.
+// check, keeping the disabled cost to one predictable branch. An access
+// is appended to a small execution-order chunk, and a full chunk is
+// folded into the encoder and reused: the simulator's hot loop only
+// appends, and the encoder runs over a chunk that is still in cache.
 type profiler struct {
-	cycle  func() uint64
-	chunks [][]flatEvent // full chunks, in execution order
-	cur    []flatEvent   // chunk being filled, len < cap outside profRecord
+	cycle func() uint64
+	enc   *profEncoder
+	cur   []flatEvent // chunk being filled, len < cap outside profRecord
 }
 
-// flatEvent is one recorded access before per-entry encoding.
+// flatEvent is one recorded access before it is folded into the encoder.
 type flatEvent struct {
 	cycle           uint64
 	entry           int32
 	firstBit, nbits uint16
 	kind            AccessKind
-	code            uint32 // shape code, filled in by encodeProfile (sits in the struct's padding)
 }
 
-// profChunk is the event capacity of one recording chunk (~1.5 MiB).
-const profChunk = 1 << 16
-
-// chunkPool recycles recording chunks across profiling sessions and
-// arrays; a recycled chunk is re-sliced empty and overwritten by
-// appends, so it needs no zeroing either.
-var chunkPool sync.Pool
-
-func newChunk() []flatEvent {
-	if v := chunkPool.Get(); v != nil {
-		return (*v.(*[]flatEvent))[:0]
-	}
-	return make([]flatEvent, 0, profChunk)
-}
+// profChunk is the event capacity of one recording chunk (96 KiB).
+const profChunk = 1 << 12
 
 // StartProfile turns on liveness profiling, sampling the current cycle
 // from cycle on every access. Profiling records every read, write and
 // eviction per entry until StopProfile; it is meant for fault-free
 // golden replays, not for injection runs.
-func (a *Array) StartProfile(cycle func() uint64) {
+func (a *Array) StartProfile(cycle func() uint64) { a.startProfile(cycle, profChunk) }
+
+// startProfile is StartProfile with a chunk capacity of its own, which
+// lets tests cross chunk boundaries every few events.
+func (a *Array) startProfile(cycle func() uint64, chunk int) {
 	a.prof = &profiler{
 		cycle: cycle,
-		cur:   newChunk(),
+		enc:   newProfEncoder(a.name, a.entries, a.bitsPerEntry),
+		cur:   make([]flatEvent, 0, chunk),
 	}
 }
 
@@ -321,13 +331,16 @@ func (a *Array) StopProfile() *Profile {
 		return nil
 	}
 	a.prof = nil
-	all := append(p.chunks, p.cur)
-	prof := encodeProfile(a.name, a.entries, a.bitsPerEntry, all)
-	for i := range all {
-		chunkPool.Put(&all[i])
+	p.fold()
+	return p.enc.finish()
+}
+
+// fold encodes the chunk's events and empties it.
+func (p *profiler) fold() {
+	for _, r := range p.cur {
+		p.enc.add(int(r.entry), r.cycle, r.firstBit, r.nbits, r.kind)
 	}
-	p.chunks, p.cur = nil, nil
-	return prof
+	p.cur = p.cur[:0]
 }
 
 // profRecord appends one event for entry. Callers pass the same bit
@@ -335,8 +348,7 @@ func (a *Array) StopProfile() *Profile {
 func (a *Array) profRecord(kind AccessKind, entry, firstBit, nbits int) {
 	p := a.prof
 	if len(p.cur) == cap(p.cur) {
-		p.chunks = append(p.chunks, p.cur)
-		p.cur = newChunk()
+		p.fold()
 	}
 	p.cur = append(p.cur, flatEvent{
 		cycle:    p.cycle(),

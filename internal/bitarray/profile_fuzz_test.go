@@ -1,7 +1,9 @@
 package bitarray
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -72,12 +74,21 @@ func checkAgainstScan(t *testing.T, bitsPerEntry int, events [][]ProfileEvent) {
 // first-bit × length × kind reaches far more than 256 distinct shapes.
 const fuzzBits = 512
 
+// execEvent is one access in execution order: the order a recorder
+// sees, across entries.
+type execEvent struct {
+	entry int
+	ev    ProfileEvent
+}
+
 // decodeFuzzEvents reads four bytes per event: entry, cycle delta
 // (class in the top two bits: small including 0 for a tie, ×2^8, ×2^26,
-// ×2^33), first bit, and length with the kind in the top two bits.
-func decodeFuzzEvents(data []byte) [][]ProfileEvent {
+// ×2^33), first bit, and length with the kind in the top two bits. It
+// returns the events per entry and in execution order.
+func decodeFuzzEvents(data []byte) ([][]ProfileEvent, []execEvent) {
 	const entries = 5
 	events := make([][]ProfileEvent, entries)
+	var order []execEvent
 	var last [entries]uint64
 	for ; len(data) >= 4; data = data[4:] {
 		e := int(data[0]) % entries
@@ -91,14 +102,108 @@ func decodeFuzzEvents(data []byte) [][]ProfileEvent {
 			delta <<= 33
 		}
 		last[e] += delta
-		events[e] = append(events[e], ProfileEvent{
+		ev := ProfileEvent{
 			Cycle:    last[e],
 			FirstBit: uint16(data[2]),
 			NBits:    1 + uint16(data[3]&63),
 			Kind:     AccessKind(data[3]>>6) % 3,
-		})
+		}
+		events[e] = append(events[e], ev)
+		order = append(order, execEvent{e, ev})
 	}
-	return events
+	return events, order
+}
+
+// batchEncode is the two-pass encoder profiles were built with before
+// the recorder encoded as it went, kept as the reference both current
+// paths must reproduce byte for byte: the first pass assigns shape codes
+// in order of first appearance and sizes every entry's stream, the
+// second writes the streams and skip points in place.
+func batchEncode(name string, entries, bitsPerEntry int, order []execEvent) *Profile {
+	p := &Profile{Name: name, Entries: entries, BitsPerEntry: bitsPerEntry, spans: make([]entrySpan, entries+1)}
+	codes := make(map[shape]uint64)
+	code := make([]uint64, len(order))
+	last := make([]uint64, entries)
+	count := make([]int, entries)
+	for i, r := range order {
+		sh := shape{r.ev.FirstBit, r.ev.NBits, r.ev.Kind}
+		c, ok := codes[sh]
+		if !ok {
+			c = uint64(len(p.shapes))
+			codes[sh] = c
+			p.shapes = append(p.shapes, sh)
+		}
+		code[i] = c
+		p.spans[r.entry+1].data += len(binary.AppendUvarint(nil, r.ev.Cycle-last[r.entry])) + len(binary.AppendUvarint(nil, c))
+		last[r.entry] = r.ev.Cycle
+		count[r.entry]++
+	}
+	for e, n := range count {
+		p.events += n
+		p.spans[e+1].data += p.spans[e].data
+		p.spans[e+1].skip = p.spans[e].skip + (n+profBlock-1)/profBlock
+	}
+	p.data = make([]byte, p.spans[entries].data)
+	p.skip = make([]skipPoint, p.spans[entries].skip)
+	pos := make([]int, entries)
+	for e := range pos {
+		pos[e] = p.spans[e].data
+		last[e], count[e] = 0, 0
+	}
+	for i, r := range order {
+		e := r.entry
+		if count[e]%profBlock == 0 {
+			p.skip[p.spans[e].skip+count[e]/profBlock] = skipPoint{base: last[e], off: pos[e]}
+		}
+		pos[e] += binary.PutUvarint(p.data[pos[e]:], r.ev.Cycle-last[e])
+		pos[e] += binary.PutUvarint(p.data[pos[e]:], code[i])
+		last[e] = r.ev.Cycle
+		count[e]++
+	}
+	return p
+}
+
+// record plays order through an array's recorder with a chunk of the
+// given capacity and returns what StopProfile encodes.
+func record(name string, entries, bitsPerEntry int, order []execEvent, chunk int) *Profile {
+	a := New(name, entries, bitsPerEntry)
+	clk := &fakeClock{}
+	a.startProfile(clk.now, chunk)
+	for _, r := range order {
+		clk.c = r.ev.Cycle
+		a.profRecord(r.ev.Kind, r.entry, int(r.ev.FirstBit), int(r.ev.NBits))
+	}
+	return a.StopProfile()
+}
+
+// entryMajor is order regrouped entry by entry — the order NewProfile
+// reads its per-entry lists in.
+func entryMajor(events [][]ProfileEvent) []execEvent {
+	var out []execEvent
+	for e, evs := range events {
+		for _, ev := range evs {
+			out = append(out, execEvent{e, ev})
+		}
+	}
+	return out
+}
+
+// checkOneEncoder pins both ways into the encoder to the batch
+// reference: the recorder over the execution order (its chunk folded
+// every few events), and NewProfile over the per-entry lists.
+func checkOneEncoder(t *testing.T, bitsPerEntry int, events [][]ProfileEvent, order []execEvent) {
+	t.Helper()
+	entries := len(events)
+	for _, chunk := range []int{1, 7, profChunk} {
+		if got, want := record("x", entries, bitsPerEntry, order, chunk), batchEncode("x", entries, bitsPerEntry, order); !reflect.DeepEqual(got, want) {
+			t.Fatalf("recorder (chunk %d) encodes %d bytes, %d skip points, %d shapes; the batch encoder %d, %d, %d",
+				chunk, len(got.data), len(got.skip), len(got.shapes), len(want.data), len(want.skip), len(want.shapes))
+		}
+	}
+	if got, want := NewProfile("x", bitsPerEntry, events), batchEncode("x", entries, bitsPerEntry, entryMajor(events)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewProfile encodes %d bytes, %d skip points; the batch encoder %d, %d",
+			len(got.data), len(got.skip), len(want.data), len(want.skip))
+	}
 }
 
 func FuzzProfileNextCovering(f *testing.F) {
@@ -107,7 +212,9 @@ func FuzzProfileNextCovering(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096] // a thousand events cross every edge; longer inputs only slow the search
 		}
-		checkAgainstScan(t, fuzzBits, decodeFuzzEvents(data))
+		events, order := decodeFuzzEvents(data)
+		checkAgainstScan(t, fuzzBits, events)
+		checkOneEncoder(t, fuzzBits, events, order)
 	})
 }
 
@@ -167,7 +274,9 @@ func TestProfileEncodingProperties(t *testing.T) {
 		for round := 0; round < 50; round++ {
 			data := make([]byte, 4*rng.Intn(400))
 			rng.Read(data)
-			checkAgainstScan(t, fuzzBits, decodeFuzzEvents(data))
+			events, order := decodeFuzzEvents(data)
+			checkAgainstScan(t, fuzzBits, events)
+			checkOneEncoder(t, fuzzBits, events, order)
 		}
 	})
 }

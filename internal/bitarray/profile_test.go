@@ -1,6 +1,11 @@
 package bitarray
 
-import "testing"
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // fakeClock is a settable cycle source for profiling tests.
 type fakeClock struct{ c uint64 }
@@ -152,5 +157,113 @@ func TestProfileCoexistsWithObservation(t *testing.T) {
 	p := a.StopProfile()
 	if p.EventCount() != 1 {
 		t.Fatalf("EventCount = %d", p.EventCount())
+	}
+}
+
+// recorderStream is an access sequence long enough to fill the
+// recorder's chunk several times over: entry 0 first touches every
+// shape the sequence uses, in order, and then accesses go round the
+// entries with the clock advancing by 0–2 cycles. Because entry 0 shows
+// every shape first, the shapes appear in the same order whether the
+// events are read in execution order or entry by entry.
+func recorderStream(entries, n int) ([][]ProfileEvent, []execEvent) {
+	shapes := []ProfileEvent{
+		{FirstBit: 0, NBits: 64, Kind: AccessRead},
+		{FirstBit: 64, NBits: 64, Kind: AccessRead},
+		{FirstBit: 0, NBits: 64, Kind: AccessWrite},
+		{FirstBit: 64, NBits: 64, Kind: AccessWrite},
+		{FirstBit: 0, NBits: 128, Kind: AccessEvict},
+	}
+	events := make([][]ProfileEvent, entries)
+	var order []execEvent
+	var cycle uint64
+	add := func(e int, ev ProfileEvent) {
+		ev.Cycle = cycle
+		events[e] = append(events[e], ev)
+		order = append(order, execEvent{e, ev})
+	}
+	for _, sh := range shapes {
+		add(0, sh)
+	}
+	for i := 0; i < n; i++ {
+		cycle += uint64(i % 3)
+		sh := shapes[i%4]
+		if i%97 == 0 {
+			sh = shapes[4]
+		}
+		add((i*7)%entries, sh)
+	}
+	return events, order
+}
+
+// The recorder folds a full chunk into the encoder and reuses it; across
+// several such folds it must encode exactly what NewProfile encodes from
+// the same per-entry events, through the public StartProfile path.
+func TestProfileRecorderCrossesChunksLikeNewProfile(t *testing.T) {
+	const entries = 5
+	events, order := recorderStream(entries, 3*profChunk+profChunk/2)
+	a := New("l1d.data", entries, 128)
+	clk := &fakeClock{}
+	a.StartProfile(clk.now)
+	for _, r := range order {
+		clk.c = r.ev.Cycle
+		switch {
+		case r.ev.Kind == AccessEvict:
+			a.InvalidateObserve(r.entry)
+		case r.ev.Kind == AccessWrite:
+			a.WriteWord(r.entry, int(r.ev.FirstBit/64), clk.c)
+		default:
+			a.ReadWord(r.entry, int(r.ev.FirstBit/64))
+		}
+	}
+	got, want := a.StopProfile(), NewProfile("l1d.data", 128, events)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorded profile (%d bytes, %d skip points, %d shapes) differs from NewProfile's (%d, %d, %d)",
+			len(got.data), len(got.skip), len(got.shapes), len(want.data), len(want.skip), len(want.shapes))
+	}
+	if got.EventCount() != len(order) {
+		t.Fatalf("EventCount = %d, want %d", got.EventCount(), len(order))
+	}
+}
+
+// Recording costs memory in proportion to what it encodes, not to how
+// many events it saw: the bytes allocated between StartProfile and the
+// returned profile stay within a small multiple of the profile's size
+// plus one chunk. A recorder that buffered every event until
+// StopProfile (24 bytes each, against about two encoded) fails this.
+func TestProfileRecorderMemoryGrowsWithEncodedSize(t *testing.T) {
+	const (
+		entries = 16
+		n       = 1 << 20
+		c       = 6 // the per-entry streams double as they grow, then one copy out
+	)
+	a := New("rf.int", entries, 128)
+	clk := &fakeClock{}
+	runtime.GC()
+	runtime.GC() // nothing left over from earlier tests in a pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a.StartProfile(clk.now)
+	for i := 0; i < n; i++ {
+		clk.c++
+		if i%4 == 0 {
+			a.WriteWord(i%entries, (i/entries)%2, uint64(i))
+		} else {
+			a.ReadWord(i%entries, (i/entries)%2)
+		}
+	}
+	p := a.StopProfile()
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	chunk := uint64(profChunk) * uint64(unsafe.Sizeof(flatEvent{}))
+	limit := c*uint64(p.SizeBytes()) + chunk
+	t.Logf("%d events: %d bytes allocated, profile %d bytes (%.2f B/event), limit %d", n, alloc, p.SizeBytes(),
+		float64(p.SizeBytes())/n, limit)
+	if p.EventCount() != n {
+		t.Fatalf("EventCount = %d, want %d", p.EventCount(), n)
+	}
+	if alloc > limit {
+		t.Fatalf("recording %d events allocated %d bytes, more than %d × the %d-byte profile + one %d-byte chunk",
+			n, alloc, c, p.SizeBytes(), chunk)
 	}
 }

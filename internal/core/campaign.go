@@ -161,8 +161,9 @@ type runStats struct {
 	// Detail-window provenance: windowed marks a run executed under a
 	// detail window, entered/exited whether it was seeded from the fast
 	// tier and whether it handed off back to it; fastSteps counts the
-	// instructions executed functionally (entry plus tail) and
-	// detailCycles the cycles actually simulated cycle-accurately.
+	// instructions this run executed functionally (entry since the
+	// fast-forward rung it resumed from, plus tail) and detailCycles the
+	// cycles actually simulated cycle-accurately.
 	windowed      bool
 	windowEntered bool
 	windowExited  bool
@@ -412,12 +413,19 @@ func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 	}
 	// The record is fully extracted and every capture is a copy: the
 	// simulator is dead, so its RAM can go back to the boot pool.
-	if mr, ok := sim.(memReleaser); ok {
-		mr.ReleaseMemory()
-	}
+	release(sim)
 	return rec, nil
 }
 
 // memReleaser is the optional boot-pool hook of a simulator: a machine
 // that can hand its RAM back for recycling once a run is over.
 type memReleaser interface{ ReleaseMemory() }
+
+// release hands a dead machine's RAM and array storage back to the boot
+// pools. Every checkpoint, handoff capture and profile is a copy, so
+// nothing taken from the machine aliases what it releases.
+func release(sim Simulator) {
+	if mr, ok := sim.(memReleaser); ok {
+		mr.ReleaseMemory()
+	}
+}

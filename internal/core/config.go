@@ -400,8 +400,9 @@ type Attach struct {
 // masks) or generated deterministically from {seed, model, injections}
 // against the golden geometry. Two processes building the same cell of
 // the same config produce identical masks — the root of the distributed
-// path's byte-identity.
-func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache) (CampaignSpec, error) {
+// path's byte-identity. Its golden run and profiled replays build on
+// pool.
+func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, pool *planPool) (CampaignSpec, error) {
 	cell := c.Campaigns[i]
 	factory, err := resolve(cell.Tool, cell.Benchmark)
 	if err != nil {
@@ -409,7 +410,7 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache) (
 	}
 	masks := cell.Masks
 	if len(masks) == 0 {
-		golden, err := cache.Golden(cell.Tool, cell.Benchmark, factory)
+		golden, err := cache.golden(pool, cell.Tool, cell.Benchmark, factory)
 		if err != nil {
 			return CampaignSpec{}, err
 		}
@@ -431,7 +432,7 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache) (
 			// profile of the cell's structure — the same profile the
 			// pruner derives its plan from, so the equivalence classes
 			// agree by construction.
-			profs, perr := cache.Profiles(cell.Tool, cell.Benchmark, factory, nil, []string{cell.Structure})
+			profs, perr := cache.profiles(pool, cell.Tool, cell.Benchmark, factory, nil, []string{cell.Structure})
 			if perr != nil {
 				return CampaignSpec{}, perr
 			}
@@ -476,15 +477,19 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache) (
 	}, nil
 }
 
-// BuildSpecs materializes every cell of the config (see buildSpec).
+// BuildSpecs materializes every cell of the config (see buildSpec), the
+// cells concurrently under the config's Workers bound (see planPool);
+// the error of the first failing cell in cell order is returned.
 func (c CampaignConfig) BuildSpecs(resolve Resolver, cache *GoldenCache) ([]CampaignSpec, error) {
 	specs := make([]CampaignSpec, len(c.Campaigns))
-	for i := range c.Campaigns {
-		spec, err := c.buildSpec(i, resolve, cache)
-		if err != nil {
-			return nil, err
-		}
-		specs[i] = spec
+	pool := newPlanPool(c.Workers)
+	err := pool.each(len(specs), func(i int) error {
+		var err error
+		specs[i], err = c.buildSpec(i, resolve, cache, pool)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return specs, nil
 }
@@ -551,7 +556,7 @@ func RunShard(cfg CampaignConfig, campaign, lo, hi int, resolve Resolver, att At
 	if cache == nil {
 		cache = NewGoldenCache()
 	}
-	spec, err := cfg.buildSpec(campaign, resolve, cache)
+	spec, err := cfg.buildSpec(campaign, resolve, cache, newPlanPool(cfg.Workers))
 	if err != nil {
 		return nil, err
 	}

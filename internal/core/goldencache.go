@@ -43,7 +43,8 @@ type GoldenCache struct {
 	clock     uint64 // recency stamps
 	evictions uint64
 
-	golden, ladder, profile, signature hitCount
+	// counts splits each artifact kind's lookups into hits and builds.
+	counts struct{ golden, ladder, profile, signature hitCount }
 	// ffHits and ffBuilds count window entries seeded from a memoized
 	// fast-forward rung vs. rung captures built; the rows' ladders
 	// update them on the run path.
@@ -134,41 +135,47 @@ func (c *GoldenCache) entry(tool, bench string) *goldenEntry {
 }
 
 // row returns the row's entry with its reference run done, simulating
-// it on f's machine only on the first call.
-func (c *GoldenCache) row(tool, bench string, f Factory) (*goldenEntry, error) {
+// it on f's machine, under one of pool's slots, only on the first call.
+func (c *GoldenCache) row(pool *planPool, tool, bench string, f Factory) (*goldenEntry, error) {
 	e := c.entry(tool, bench)
 	built := false
 	e.once.Do(func() {
 		built = true
 		defer c.logBuild(e, "golden run", time.Now())
-		var sim Simulator
-		if e.golden, sim, e.err = goldenRun(f); e.err != nil {
-			return
-		}
-		e.golden.Benchmark = bench
-		arrs := sim.Structures()
-		e.geom = make(map[string]StructureGeom, len(arrs))
-		e.live = make(map[string][]int, len(arrs))
-		for name, arr := range arrs {
-			e.geom[name] = StructureGeom{Name: name, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry()}
-			var live []int
-			for i := 0; i < arr.Entries(); i++ {
-				if arr.EntryValid(i) {
-					live = append(live, i)
-				}
-			}
-			e.live[name] = live
-			e.bytes.Add(int64(8 * len(live)))
-		}
-		if mr, ok := sim.(memReleaser); ok {
-			mr.ReleaseMemory()
-		}
+		pool.work(func() { e.err = e.runGolden(f, bench) })
 	})
-	c.golden.note(built)
+	c.counts.golden.note(built)
 	if e.err != nil {
 		return nil, e.err
 	}
 	return e, nil
+}
+
+// runGolden performs the row's reference run and keeps the geometry and
+// the live entries of every structure of the finished machine.
+func (e *goldenEntry) runGolden(f Factory, bench string) error {
+	golden, sim, err := goldenRun(f)
+	if err != nil {
+		return err
+	}
+	e.golden = golden
+	e.golden.Benchmark = bench
+	arrs := sim.Structures()
+	e.geom = make(map[string]StructureGeom, len(arrs))
+	e.live = make(map[string][]int, len(arrs))
+	for name, arr := range arrs {
+		e.geom[name] = StructureGeom{Name: name, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry()}
+		var live []int
+		for i := 0; i < arr.Entries(); i++ {
+			if arr.EntryValid(i) {
+				live = append(live, i)
+			}
+		}
+		e.live[name] = live
+		e.bytes.Add(int64(8 * len(live)))
+	}
+	release(sim)
+	return nil
 }
 
 // logBuild reports one cold build on Logf.
@@ -182,8 +189,16 @@ func (c *GoldenCache) logBuild(e *goldenEntry, artifact string, start time.Time)
 // row, simulating it on f's machine only on the first call. The returned
 // GoldenInfo carries Benchmark but no Structure; campaign code copies it
 // and fills the cell-specific fields.
+//
+// The exported lookups build on the caller's goroutine, except Profiles,
+// whose replays run GOMAXPROCS at a time; a campaign's plan calls their
+// unexported twins with its own pool instead (see planPool).
 func (c *GoldenCache) Golden(tool, bench string, f Factory) (GoldenInfo, error) {
-	e, err := c.row(tool, bench, f)
+	return c.golden(nil, tool, bench, f)
+}
+
+func (c *GoldenCache) golden(pool *planPool, tool, bench string, f Factory) (GoldenInfo, error) {
+	e, err := c.row(pool, tool, bench, f)
 	if err != nil {
 		return GoldenInfo{}, err
 	}
@@ -200,7 +215,7 @@ func (c *GoldenCache) Golden(tool, bench string, f Factory) (GoldenInfo, error) 
 // (as opposed to served from memory) — the figure tests assert exactly
 // one per {tool, benchmark} row, the fleet tests one per row per worker.
 func (c *GoldenCache) Runs() int {
-	return int(c.golden.builds.Load()) //nolint:gosec // a count of simulations
+	return int(c.counts.golden.builds.Load()) //nolint:gosec // a count of simulations
 }
 
 // Observe fills the cache fields of a telemetry snapshot: what the
@@ -209,10 +224,11 @@ func (c *GoldenCache) Runs() int {
 // (Geometry, live-entry, ladder and profile lookups route through the
 // reference run, so their reuse of it counts as golden hits too.)
 func (c *GoldenCache) Observe(s *telemetry.Snapshot) {
-	s.GoldenRuns, s.GoldenHits = c.golden.builds.Load(), c.golden.hits.Load()
-	s.LadderBuilds, s.LadderHits = c.ladder.builds.Load(), c.ladder.hits.Load()
-	s.ProfileBuilds, s.ProfileHits = c.profile.builds.Load(), c.profile.hits.Load()
-	s.SignatureBuilds, s.SignatureHits = c.signature.builds.Load(), c.signature.hits.Load()
+	n := &c.counts
+	s.GoldenRuns, s.GoldenHits = n.golden.builds.Load(), n.golden.hits.Load()
+	s.LadderBuilds, s.LadderHits = n.ladder.builds.Load(), n.ladder.hits.Load()
+	s.ProfileBuilds, s.ProfileHits = n.profile.builds.Load(), n.profile.hits.Load()
+	s.SignatureBuilds, s.SignatureHits = n.signature.builds.Load(), n.signature.hits.Load()
 	s.FFRungBuilds, s.FFRungHits = c.ffBuilds.Load(), c.ffHits.Load()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -228,7 +244,7 @@ func (c *GoldenCache) Observe(s *telemetry.Snapshot) {
 // Geometry returns the {entries, bitsPerEntry} geometry of one structure
 // on the row's machine. ok is false when the tool has no such structure.
 func (c *GoldenCache) Geometry(tool, bench string, f Factory, structure string) (entries, bits int, ok bool, err error) {
-	e, err := c.row(tool, bench, f)
+	e, err := c.row(nil, tool, bench, f)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -241,7 +257,7 @@ func (c *GoldenCache) Geometry(tool, bench string, f Factory, structure string) 
 // pre-scheduler path simulated a twin from boot for every campaign).
 // Callers must not modify the returned slice.
 func (c *GoldenCache) LiveEntries(tool, bench string, f Factory, structure string) ([]int, error) {
-	e, err := c.row(tool, bench, f)
+	e, err := c.row(nil, tool, bench, f)
 	if err != nil {
 		return nil, err
 	}
@@ -257,19 +273,23 @@ func (c *GoldenCache) LiveEntries(tool, bench string, f Factory, structure strin
 // one machine. An empty ladder means the simulator cannot checkpoint;
 // runs boot from scratch.
 func (c *GoldenCache) Ladder(tool, bench string, f Factory, k int) ([]LadderRung, error) {
-	e, err := c.row(tool, bench, f)
+	return c.ladder(nil, tool, bench, f, k)
+}
+
+func (c *GoldenCache) ladder(pool *planPool, tool, bench string, f Factory, k int) ([]LadderRung, error) {
+	e, err := c.row(pool, tool, bench, f)
 	if err != nil {
 		return nil, err
 	}
 	e.ladderMu.Lock()
 	defer e.ladderMu.Unlock()
 	rungs, ok := e.ladders[k]
-	c.ladder.note(!ok)
+	c.counts.ladder.note(!ok)
 	if ok {
 		return rungs, nil
 	}
 	start := time.Now()
-	rungs = makeLadder(f, e.golden, k)
+	pool.work(func() { rungs = makeLadder(f, e.golden, k) })
 	if e.ladders == nil {
 		e.ladders = make(map[int][]LadderRung)
 	}
@@ -300,20 +320,24 @@ func stateBytes(state any) int {
 // error) means the simulator cannot be profiled and pruning is off for
 // the row.
 func (c *GoldenCache) Profiles(tool, bench string, f Factory, rungs []LadderRung, structures []string) ([]prune.Profiles, error) {
-	e, err := c.row(tool, bench, f)
+	return c.profiles(newPlanPool(0), tool, bench, f, rungs, structures)
+}
+
+func (c *GoldenCache) profiles(pool *planPool, tool, bench string, f Factory, rungs []LadderRung, structures []string) ([]prune.Profiles, error) {
+	e, err := c.row(pool, tool, bench, f)
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%v|%q", rungCycles(rungs), structures)
+	key := profileKey(rungs, structures)
 	e.profMu.Lock()
 	defer e.profMu.Unlock()
 	p, ok := e.profiles[key]
-	c.profile.note(!ok)
+	c.counts.profile.note(!ok)
 	if ok {
 		return p, nil
 	}
 	start := time.Now()
-	if p, err = buildRowProfiles(f, rungs, structures, e.golden); err != nil {
+	if p, err = buildRowProfiles(pool, f, rungs, structures, e.golden); err != nil {
 		return nil, err
 	}
 	if e.profiles == nil {
@@ -337,15 +361,40 @@ func (c *GoldenCache) Profiles(tool, bench string, f Factory, rungs []LadderRung
 // commit probe; divergence records for the row then carry the
 // corruption footprint but no divergence verdict.
 func (c *GoldenCache) CommitSignature(tool, bench string, f Factory) (*divergence.Signature, error) {
+	return c.commitSignature(nil, tool, bench, f)
+}
+
+func (c *GoldenCache) commitSignature(pool *planPool, tool, bench string, f Factory) (*divergence.Signature, error) {
 	e := c.entry(tool, bench)
 	e.sigMu.Lock()
 	defer e.sigMu.Unlock()
 	if e.sig != nil {
-		c.signature.note(false)
+		c.counts.signature.note(false)
 		return e.sig, nil
 	}
 	start := time.Now()
+	var sig *divergence.Signature
+	var err error
+	pool.work(func() { sig, err = signatureReplay(f) })
+	if err != nil {
+		return nil, fmt.Errorf("core: signature replay for %s/%s %w", tool, bench, err)
+	}
+	if sig == nil {
+		return nil, nil
+	}
+	e.sig = sig
+	e.bytes.Add(int64(8 * len(sig.Hashes)))
+	c.counts.signature.note(true)
+	c.logBuild(e, "commit signature", start)
+	return e.sig, nil
+}
+
+// signatureReplay runs one fault-free replay with a commit probe and
+// returns its signature; nil (no error) when the simulator exposes no
+// commit probe.
+func signatureReplay(f Factory) (*divergence.Signature, error) {
 	sim := f()
+	defer release(sim)
 	cp, ok := sim.(CommitProbed)
 	if !ok {
 		return nil, nil
@@ -354,14 +403,10 @@ func (c *GoldenCache) CommitSignature(tool, bench string, f Factory) (*divergenc
 	cp.SetCommitProbe(b)
 	res := sim.Run(1 << 62)
 	if res.Status != RunCompleted {
-		return nil, fmt.Errorf("core: signature replay for %s/%s did not complete: %v (%s)", tool, bench, res.Status, res.AssertMsg)
+		return nil, fmt.Errorf("did not complete: %v (%s)", res.Status, res.AssertMsg)
 	}
 	sig := b.Signature()
-	e.sig = &sig
-	e.bytes.Add(int64(8 * len(sig.Hashes)))
-	c.signature.note(true)
-	c.logBuild(e, "commit signature", start)
-	return e.sig, nil
+	return &sig, nil
 }
 
 // FFLadder returns the memoized functional fast-forward rung ladder of
@@ -390,6 +435,12 @@ func (c *GoldenCache) FFLadder(tool, bench string, golden GoldenInfo, rungs int,
 		e.ffs[key] = ff
 	}
 	return ff
+}
+
+// profileKey is what determines a row's liveness profiles: the replay
+// trajectories (rung capture cycles) and the profiled structure set.
+func profileKey(rungs []LadderRung, structures []string) string {
+	return fmt.Sprintf("%v|%q", rungCycles(rungs), structures)
 }
 
 // rungCycles projects a ladder onto its capture cycles — the part of a

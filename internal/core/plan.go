@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/divergence"
 	"repro/internal/fault"
@@ -85,19 +87,22 @@ type matrixPlan struct {
 // planMatrix is the plan stage of the scheduler. It resolves goldens,
 // validates masks, places restore rungs, builds prune plans, replays the
 // journal and ends with a disposition per mask plus the verify samples.
-// It reads the golden cache (building what is missing) and the journal's
-// past entries; it simulates no injection and touches no sink, and —
-// Workers playing no part — it is a pure function of the config, the
-// mask populations and the journal. windows, when non-nil, makes it a
-// shard's plan: the same plan with everything outside the window
+// It reads the golden cache (building what is missing, at most Workers
+// simulations at a time — see planPool) and the journal's past entries;
+// it simulates no injection and touches no sink, and — Workers deciding
+// only how fast it gets there — it is a pure function of the config,
+// the mask populations and the journal. windows, when non-nil, makes it
+// a shard's plan: the same plan with everything outside the window
 // disposed dispOutOfWindow, and prune-verify sampling only masks whose
 // comparison record exists in the window.
 func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) (*matrixPlan, error) {
+	pool := newPlanPool(cfg.Workers)
 	p := &matrixPlan{cells: make([]cellPlan, len(specs))}
-	for i, spec := range specs {
-		g, err := cache.Golden(spec.Tool, spec.Benchmark, spec.Factory)
+	err := pool.each(len(specs), func(i int) error {
+		spec := specs[i]
+		g, err := cache.golden(pool, spec.Tool, spec.Benchmark, spec.Factory)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		g.Tool, g.Benchmark, g.Structure = spec.Tool, spec.Benchmark, spec.Structure
 		c := &p.cells[i]
@@ -107,6 +112,10 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 		if windows != nil {
 			c.win = windows[i]
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Fail malformed masks at plan time, before anything simulates:
@@ -134,7 +143,7 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 	}
 
 	if cfg.UseCheckpoint {
-		if err := planRungs(cfg, specs, p.cells, cache); err != nil {
+		if err := planRungs(cfg, specs, p.cells, cache, pool); err != nil {
 			return nil, err
 		}
 	}
@@ -144,13 +153,17 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 	// provably-dead masks Masked and collapses interval-equivalent masks.
 	if cfg.Prune || cfg.Exhaustive || cfg.PruneVerify > 0 {
 		structures := maskStructures(specs)
-		for i, spec := range specs {
-			c := &p.cells[i]
-			profiles, err := cache.Profiles(spec.Tool, spec.Benchmark, spec.Factory, c.rungs, structures)
+		err := pool.each(len(specs), func(i int) error {
+			spec, c := specs[i], &p.cells[i]
+			profiles, err := cache.profiles(pool, spec.Tool, spec.Benchmark, spec.Factory, c.rungs, structures)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			c.prune = planMasks(spec.Masks, c.rungs, profiles)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -158,12 +171,14 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 	// row. A shard has no sink to ask, so its config decides.
 	p.probe = att.Divergence != nil || (windows != nil && cfg.Divergence)
 	if p.probe {
-		for i, spec := range specs {
-			sig, err := cache.CommitSignature(spec.Tool, spec.Benchmark, spec.Factory)
-			if err != nil {
-				return nil, err
-			}
+		err := pool.each(len(specs), func(i int) error {
+			spec := specs[i]
+			sig, err := cache.commitSignature(pool, spec.Tool, spec.Benchmark, spec.Factory)
 			p.cells[i].sig = sig
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -209,38 +224,45 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 // ladder (K >= 2) the rungs sit at fixed fractions of the golden run and
 // are memoized in the cache; the legacy single checkpoint is placed just
 // before the earliest fault of the row's campaigns and wrapped as a
-// one-rung ladder.
-func planRungs(cfg CampaignConfig, specs []CampaignSpec, cells []cellPlan, cache *GoldenCache) error {
+// one-rung ladder. Rows are resolved on pool, one task each.
+func planRungs(cfg CampaignConfig, specs []CampaignSpec, cells []cellPlan, cache *GoldenCache, pool *planPool) error {
 	earliest := make(map[goldenKey]uint64)
-	for _, spec := range specs {
-		key := goldenKey{spec.Tool, spec.Benchmark}
-		e, ok := earliest[key]
-		if !ok {
-			e = ^uint64(0)
-		}
-		for _, m := range spec.Masks {
-			if c := minSiteCycle(m); c < e {
-				e = c
-			}
-		}
-		earliest[key] = e
-	}
-	rows := make(map[goldenKey][]LadderRung)
+	rowOf := make(map[goldenKey]int)
+	var first []int // the first cell of every row, in cell order
 	for i, spec := range specs {
 		key := goldenKey{spec.Tool, spec.Benchmark}
-		rungs, done := rows[key]
-		if !done {
-			if cfg.CheckpointLadder >= 2 {
-				var err error
-				if rungs, err = cache.Ladder(key.tool, key.bench, spec.Factory, cfg.CheckpointLadder); err != nil {
-					return err
-				}
-			} else if cp, cpCycle := makeCheckpoint(spec.Factory, cells[i].golden, earliest[key]); cp != nil {
-				rungs = []LadderRung{{State: cp, Cycle: cpCycle}}
-			}
-			rows[key] = rungs
+		if _, ok := rowOf[key]; !ok {
+			rowOf[key] = len(first)
+			first = append(first, i)
+			earliest[key] = ^uint64(0)
 		}
-		cells[i].rungs = rungs
+		for _, m := range spec.Masks {
+			if c := minSiteCycle(m); c < earliest[key] {
+				earliest[key] = c
+			}
+		}
+	}
+	ladders := make([][]LadderRung, len(first))
+	err := pool.each(len(first), func(r int) error {
+		spec := specs[first[r]]
+		key := goldenKey{spec.Tool, spec.Benchmark}
+		if cfg.CheckpointLadder >= 2 {
+			var err error
+			ladders[r], err = cache.ladder(pool, key.tool, key.bench, spec.Factory, cfg.CheckpointLadder)
+			return err
+		}
+		pool.work(func() {
+			if cp, cpCycle := makeCheckpoint(spec.Factory, cells[first[r]].golden, earliest[key]); cp != nil {
+				ladders[r] = []LadderRung{{State: cp, Cycle: cpCycle}}
+			}
+		})
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for i, spec := range specs {
+		cells[i].rungs = ladders[rowOf[goldenKey{spec.Tool, spec.Benchmark}]]
 	}
 	return nil
 }
@@ -319,7 +341,9 @@ func makeCheckpoint(f Factory, golden GoldenInfo, earliest uint64) (any, uint64)
 	if limit := golden.Cycles * 4 / 5; target > limit {
 		target = limit
 	}
-	base, ok := f().(Checkpointer)
+	sim := f()
+	defer release(sim)
+	base, ok := sim.(Checkpointer)
 	if !ok || target == 0 {
 		return nil, 0
 	}
@@ -332,4 +356,69 @@ func makeCheckpoint(f Factory, golden GoldenInfo, earliest uint64) (any, uint64)
 		return nil, 0
 	}
 	return st, reached
+}
+
+// planPool bounds the plan stage's simulations — golden runs, checkpoint
+// ladders, profiled and signature replays — at the campaign's effective
+// Workers. The plan fans out over cells and rows, and a row's profile
+// build fans out again over its replays, but there is one bound for all
+// of it: only a simulation holds a slot (work), never a goroutine that
+// waits on a task or on another build's lock, so nested fan-out cannot
+// deadlock. A one-slot pool runs every task on the caller's goroutine in
+// order: the serial plan a fleet worker with Workers 1 keeps.
+//
+// Concurrency cannot change what the plan builds: every artifact is a
+// deterministic function of its GoldenCache key, and the cache builds
+// each key once (per-row once, per-artifact locks) whoever asks first.
+type planPool struct{ slots chan struct{} }
+
+// newPlanPool returns a pool of workers slots; 0 means GOMAXPROCS.
+func newPlanPool(workers int) *planPool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &planPool{slots: make(chan struct{}, workers)}
+}
+
+// work runs one simulation holding a slot. A nil pool bounds nothing:
+// fn runs on the caller's goroutine.
+func (p *planPool) work(fn func()) {
+	if p == nil {
+		fn()
+		return
+	}
+	p.slots <- struct{}{}
+	defer func() { <-p.slots }()
+	fn()
+}
+
+// each runs fn(0), …, fn(n-1) as tasks and returns the error of the
+// lowest index that failed. A wider-than-one pool starts them all at
+// once (each task's simulations queue for slots); a nil or one-slot pool
+// runs them in order and stops at the first error.
+func (p *planPool) each(n int, fn func(i int) error) error {
+	if p == nil || cap(p.slots) == 1 || n == 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

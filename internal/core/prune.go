@@ -49,7 +49,9 @@ func selectRung(rungs []LadderRung, minSite uint64) int {
 // the previous rung. Rungs the drain overshoots (or the program end
 // preempts) are dropped; a nil ladder falls back to boot-only runs.
 func makeLadder(f Factory, golden GoldenInfo, k int) []LadderRung {
-	base, ok := f().(Checkpointer)
+	sim := f()
+	defer release(sim)
+	base, ok := sim.(Checkpointer)
 	if !ok || k < 1 {
 		return nil
 	}
@@ -87,6 +89,7 @@ func makeLadder(f Factory, golden GoldenInfo, k int) []LadderRung {
 // replay is an error, not a degradation.
 func profileReplay(f Factory, rung *LadderRung, structures []string, golden GoldenInfo) (prune.Profiles, error) {
 	sim := f()
+	defer release(sim)
 	cs, ok := sim.(CycleSource)
 	if !ok {
 		return nil, nil
@@ -146,25 +149,24 @@ func maskStructures(specs []CampaignSpec) []string {
 	return names
 }
 
-// buildRowProfiles runs the profiled replays of one row: index 0 is the
-// boot trajectory, index r+1 the replay restored from rung r. A nil
-// result (no error) means the simulator cannot be profiled.
-func buildRowProfiles(f Factory, rungs []LadderRung, structures []string, golden GoldenInfo) ([]prune.Profiles, error) {
-	boot, err := profileReplay(f, nil, structures, golden)
-	if err != nil {
-		return nil, err
-	}
-	if boot == nil {
-		return nil, nil
-	}
+// buildRowProfiles runs the profiled replays of one row as tasks on
+// pool: index 0 is the boot trajectory, index r+1 the replay restored
+// from rung r. Each replay is its own machine and trajectory, so they
+// run in any order and at once; the first error in index order wins. A
+// nil result (no error) means the simulator cannot be profiled.
+func buildRowProfiles(pool *planPool, f Factory, rungs []LadderRung, structures []string, golden GoldenInfo) ([]prune.Profiles, error) {
 	profiles := make([]prune.Profiles, 1+len(rungs))
-	profiles[0] = boot
-	for i := range rungs {
-		p, err := profileReplay(f, &rungs[i], structures, golden)
-		if err != nil {
-			return nil, err
+	err := pool.each(len(profiles), func(i int) error {
+		var rung *LadderRung
+		if i > 0 {
+			rung = &rungs[i-1]
 		}
-		profiles[1+i] = p
+		var err error
+		pool.work(func() { profiles[i], err = profileReplay(f, rung, structures, golden) })
+		return err
+	})
+	if err != nil || profiles[0] == nil {
+		return nil, err
 	}
 	return profiles, nil
 }

@@ -93,10 +93,12 @@ func ResultOfInterp(r interp.Result) RunResult {
 // instruction instead of from boot; the functional tier is
 // deterministic, so the captured state — and everything downstream of
 // it — is identical either way. It reports whether the machine was
-// seeded and the fast-forwarded step count; a prefix the functional
-// model finishes before the entry (or an entry of zero) leaves the
-// machine untouched and the caller falls back to a checkpoint rung or
-// boot.
+// seeded and how many instructions the functional tier executed to get
+// there: from the rung it resumed from, not the rung's inherited prefix
+// from boot, which no machine of this run executed. A prefix the
+// functional model finishes before the entry (or an entry of zero)
+// leaves the machine untouched and the caller falls back to a
+// checkpoint rung or boot.
 func windowEntry(wi Windower, golden GoldenInfo, entry uint64, ff *ffLadder, noDecode bool) (seeded bool, steps uint64) {
 	if entry == 0 || golden.Cycles == 0 {
 		return false, 0
@@ -113,9 +115,9 @@ func windowEntry(wi Windower, golden GoldenInfo, entry uint64, ff *ffLadder, noD
 		}
 	}
 	// Seeded machines inherit the rung's step count, so the remaining
-	// slice lands exactly on entryInstr and fr.Steps reports the same
-	// total a from-boot fast-forward would.
-	fr := fm.Continue(entryInstr - fm.Steps())
+	// slice lands exactly on entryInstr.
+	from := fm.Steps()
+	fr := fm.Continue(entryInstr - from)
 	if fr.Outcome != interp.StepLimit {
 		// The program completes (or crashes — impossible fault-free)
 		// before the window opens at functional pace: no prefix to skip.
@@ -129,7 +131,7 @@ func windowEntry(wi Windower, golden GoldenInfo, entry uint64, ff *ffLadder, noD
 	// the window edge so absolute fault cycles keep their meaning.
 	st.Cycle = entry
 	wi.SeedArch(st)
-	return true, fr.Steps
+	return true, fr.Steps - from
 }
 
 // windowTail finishes a run that left its detail window on the

@@ -223,6 +223,41 @@ func TestWindowVerifyAgrees(t *testing.T) {
 	}
 }
 
+// FastSteps counts what the functional tier executed for a run. A window
+// entry resumed from a fast-forward rung executes only the stretch past
+// the rung, so the same campaign reports fewer functional steps with the
+// rung ladder than fast-forwarding every entry from boot — with every
+// record identical, since the ladder only changes where the replay
+// starts.
+func TestFastStepsCountExecutedInstructions(t *testing.T) {
+	f := qsortFactory(t, sims.GeFINX86)
+	specs := windowSpecs(t, sims.GeFINX86, f, 12, 41)[:1] // rf.int
+	run := func(ffRungs int) (*core.CampaignResult, telemetry.Snapshot) {
+		col := telemetry.New()
+		res, err := runSpecs(specs, core.CampaignConfig{
+			Workers: 2, DetailWindow: true, WindowPre: 2000, WindowPost: 1000, FFRungs: ffRungs,
+		}, core.Attach{Telemetry: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0], col.Snapshot()
+	}
+	boot, bootSnap := run(-1)
+	laddered, ladderSnap := run(0)
+	if !reflect.DeepEqual(boot.Records, laddered.Records) {
+		t.Fatal("records differ across fast-forward settings")
+	}
+	if bootSnap.WindowEntries == 0 || ladderSnap.FFRungHits+ladderSnap.FFRungBuilds == 0 {
+		t.Fatalf("no window entry used the rung ladder: %d entries, %d rung hits, %d builds",
+			bootSnap.WindowEntries, ladderSnap.FFRungHits, ladderSnap.FFRungBuilds)
+	}
+	if ladderSnap.FastSteps >= bootSnap.FastSteps {
+		t.Fatalf("%d functional steps with the rung ladder, %d from boot: entries resumed from a rung counted its prefix",
+			ladderSnap.FastSteps, bootSnap.FastSteps)
+	}
+	t.Logf("functional steps: %d from boot, %d from rungs", bootSnap.FastSteps, ladderSnap.FastSteps)
+}
+
 // TestWindowComposesWithPruneLadderResume is the composition
 // differential: detail-window execution stacked with liveness pruning
 // (plus its verify guard), a checkpoint ladder, and a journal resumed

@@ -37,23 +37,23 @@ type liveInterval struct {
 // fault population.
 func (iv liveInterval) mass() uint64 { return iv.hi - iv.lo + 1 }
 
-// intervals walks the profile and enumerates the liveness intervals of
-// every (entry, bit) site over injection cycles [1, MaxCycle], in
+// walkIntervals walks the profile and hands visit the liveness intervals
+// of every (entry, bit) site over injection cycles [1, MaxCycle], in
 // deterministic entry-major, bit-minor, cycle-ascending order. The
 // interval masses of one site sum to MaxCycle, so the total mass is
-// exactly the uniform population Entries×BitsPerEntry×MaxCycle.
-func intervals(spec GeneratorSpec, profile *bitarray.Profile) ([]liveInterval, error) {
+// exactly the uniform population Entries×BitsPerEntry×MaxCycle. A real
+// cell has tens of millions of intervals, so nothing here keeps them.
+func walkIntervals(spec GeneratorSpec, profile *bitarray.Profile, visit func(liveInterval)) error {
 	if spec.Entries <= 0 || spec.BitsPerEntry <= 0 {
-		return nil, fmt.Errorf("fault: generator spec for %q has bad geometry %d×%d",
+		return fmt.Errorf("fault: generator spec for %q has bad geometry %d×%d",
 			spec.Structure, spec.Entries, spec.BitsPerEntry)
 	}
 	if spec.MaxCycle == 0 {
-		return nil, fmt.Errorf("fault: generator spec for %q has zero max cycle", spec.Structure)
+		return fmt.Errorf("fault: generator spec for %q has zero max cycle", spec.Structure)
 	}
 	if profile == nil {
-		return nil, fmt.Errorf("fault: no liveness profile for %q", spec.Structure)
+		return fmt.Errorf("fault: no liveness profile for %q", spec.Structure)
 	}
-	var out []liveInterval
 	for e := 0; e < spec.Entries; e++ {
 		for b := 0; b < spec.BitsPerEntry; b++ {
 			lo := uint64(1)
@@ -67,12 +67,12 @@ func intervals(spec GeneratorSpec, profile *bitarray.Profile) ([]liveInterval, e
 					}
 					live = ev.Kind == bitarray.AccessRead
 				}
-				out = append(out, liveInterval{entry: e, bit: b, lo: lo, hi: hi, live: live})
+				visit(liveInterval{entry: e, bit: b, lo: lo, hi: hi, live: live})
 				lo = hi + 1
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // EnumerateExhaustive produces the equivalence-class-collapsed census of
@@ -92,12 +92,8 @@ func EnumerateExhaustive(spec GeneratorSpec, profile *bitarray.Profile) ([]Mask,
 	if spec.SitesPerMask > 1 {
 		return nil, fmt.Errorf("fault: exhaustive enumeration covers single-site masks only")
 	}
-	ivs, err := intervals(spec, profile)
-	if err != nil {
-		return nil, err
-	}
-	masks := make([]Mask, 0, len(ivs))
-	for _, iv := range ivs {
+	var masks []Mask
+	err := walkIntervals(spec, profile, func(iv liveInterval) {
 		masks = append(masks, Mask{
 			ID: len(masks),
 			Sites: []Site{{
@@ -109,6 +105,9 @@ func EnumerateExhaustive(spec GeneratorSpec, profile *bitarray.Profile) ([]Mask,
 			}},
 			Weight: float64(iv.mass()),
 		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return masks, nil
 }
@@ -135,27 +134,23 @@ func GenerateImportance(spec GeneratorSpec, profile *bitarray.Profile, boost flo
 	if boost <= 0 {
 		boost = DefaultImportanceBoost
 	}
-	ivs, err := intervals(spec, profile)
-	if err != nil {
+	// The two strata — live and dead intervals — are known by their
+	// masses alone until a draw lands: one walk sums the masses, the
+	// draws pick a stratum and a position in it, and a second walk turns
+	// each position into the cycle of the interval holding it. The
+	// intervals themselves are never held (a real cell has tens of
+	// millions).
+	var mass [2]uint64 // dead, live
+	stratum := func(iv liveInterval) int {
+		if iv.live {
+			return 1
+		}
+		return 0
+	}
+	if err := walkIntervals(spec, profile, func(iv liveInterval) { mass[stratum(iv)] += iv.mass() }); err != nil {
 		return nil, err
 	}
-	// Split the population into the live and dead strata, each a list of
-	// intervals with a cumulative-mass index for O(log n) positional
-	// draws.
-	var live, dead []liveInterval
-	var liveCum, deadCum []uint64
-	var liveMass, deadMass uint64
-	for _, iv := range ivs {
-		if iv.live {
-			liveMass += iv.mass()
-			live = append(live, iv)
-			liveCum = append(liveCum, liveMass)
-		} else {
-			deadMass += iv.mass()
-			dead = append(dead, iv)
-			deadCum = append(deadCum, deadMass)
-		}
-	}
+	deadMass, liveMass := mass[0], mass[1]
 	total := liveMass + deadMass
 	// The live-stratum draw probability: boosted share of the total mass.
 	// Degenerate strata collapse to plain uniform sampling of the other.
@@ -167,32 +162,44 @@ func GenerateImportance(spec GeneratorSpec, profile *bitarray.Profile, boost flo
 			beta = boost * float64(liveMass) / (boost*float64(liveMass) + float64(deadMass))
 		}
 	}
-	// draw picks the cycle at global stratum offset off.
-	draw := func(ivs []liveInterval, cum []uint64, off uint64) Site {
-		i := sort.Search(len(cum), func(j int) bool { return cum[j] > off })
-		iv := ivs[i]
-		before := cum[i] - iv.mass()
-		return Site{
-			Structure: spec.Structure,
-			Entry:     iv.entry,
-			Bit:       iv.bit,
-			Model:     ModelTransient,
-			Cycle:     iv.lo + (off - before),
-		}
+	type draw struct {
+		mask int
+		off  uint64 // position in the stratum's mass, in walk order
 	}
+	var draws [2][]draw
 	rng := rand.New(rand.NewSource(spec.Seed))
 	masks := make([]Mask, spec.Count)
 	for i := range masks {
-		var s Site
-		var w float64
+		masks[i].ID = i
 		if rng.Float64() < beta {
-			s = draw(live, liveCum, uint64(rng.Int63n(int64(liveMass)))) //nolint:gosec // masses fit int64
-			w = float64(liveMass) / (beta * float64(total))
+			draws[1] = append(draws[1], draw{i, uint64(rng.Int63n(int64(liveMass)))}) //nolint:gosec // masses fit int64
+			masks[i].Weight = float64(liveMass) / (beta * float64(total))
 		} else {
-			s = draw(dead, deadCum, uint64(rng.Int63n(int64(deadMass)))) //nolint:gosec // masses fit int64
-			w = float64(deadMass) / ((1 - beta) * float64(total))
+			draws[0] = append(draws[0], draw{i, uint64(rng.Int63n(int64(deadMass)))}) //nolint:gosec // masses fit int64
+			masks[i].Weight = float64(deadMass) / ((1 - beta) * float64(total))
 		}
-		masks[i] = Mask{ID: i, Sites: []Site{s}, Weight: w}
+	}
+	for _, d := range draws {
+		sort.Slice(d, func(a, b int) bool { return d[a].off < d[b].off })
+	}
+	var next [2]int
+	var before [2]uint64 // stratum mass of the intervals walked so far
+	err := walkIntervals(spec, profile, func(iv liveInterval) {
+		s := stratum(iv)
+		end := before[s] + iv.mass()
+		for d := draws[s]; next[s] < len(d) && d[next[s]].off < end; next[s]++ {
+			masks[d[next[s]].mask].Sites = []Site{{
+				Structure: spec.Structure,
+				Entry:     iv.entry,
+				Bit:       iv.bit,
+				Model:     ModelTransient,
+				Cycle:     iv.lo + (d[next[s]].off - before[s]),
+			}}
+		}
+		before[s] = end
+	})
+	if err != nil {
+		return nil, err
 	}
 	return masks, nil
 }

@@ -2,7 +2,10 @@ package fault
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/bitarray"
@@ -195,4 +198,110 @@ func TestGenerateImportanceRejectsBadSpecs(t *testing.T) {
 	if _, err := GenerateImportance(spec, nil, 0); err == nil {
 		t.Fatal("nil-profile importance sampling accepted")
 	}
+}
+
+// referenceImportance is the sampler as first written, over a
+// materialized interval list with cumulative-mass indexes — the
+// reference the streaming sampler must reproduce mask for mask.
+func referenceImportance(spec GeneratorSpec, profile *bitarray.Profile, boost float64) []Mask {
+	if boost <= 0 {
+		boost = DefaultImportanceBoost
+	}
+	var live, dead []liveInterval
+	var liveCum, deadCum []uint64
+	var liveMass, deadMass uint64
+	_ = walkIntervals(spec, profile, func(iv liveInterval) {
+		if iv.live {
+			liveMass += iv.mass()
+			live, liveCum = append(live, iv), append(liveCum, liveMass)
+		} else {
+			deadMass += iv.mass()
+			dead, deadCum = append(dead, iv), append(deadCum, deadMass)
+		}
+	})
+	total := liveMass + deadMass
+	beta := 0.0
+	if liveMass > 0 {
+		beta = 1
+		if deadMass > 0 {
+			beta = boost * float64(liveMass) / (boost*float64(liveMass) + float64(deadMass))
+		}
+	}
+	draw := func(ivs []liveInterval, cum []uint64, off uint64) Site {
+		i := sort.Search(len(cum), func(j int) bool { return cum[j] > off })
+		return Site{Structure: spec.Structure, Entry: ivs[i].entry, Bit: ivs[i].bit, Model: ModelTransient,
+			Cycle: ivs[i].lo + (off - (cum[i] - ivs[i].mass()))}
+	}
+	rng := rand.New(rand.NewSource(spec.Seed))
+	masks := make([]Mask, spec.Count)
+	for i := range masks {
+		if rng.Float64() < beta {
+			masks[i] = Mask{ID: i, Sites: []Site{draw(live, liveCum, uint64(rng.Int63n(int64(liveMass))))},
+				Weight: float64(liveMass) / (beta * float64(total))}
+		} else {
+			masks[i] = Mask{ID: i, Sites: []Site{draw(dead, deadCum, uint64(rng.Int63n(int64(deadMass))))},
+				Weight: float64(deadMass) / ((1 - beta) * float64(total))}
+		}
+	}
+	return masks
+}
+
+// wideProfile is a register-file-like profile with about half a million
+// liveness intervals: every word of four 128-bit entries is written and
+// read back, alternately, every few cycles.
+func wideProfile() (GeneratorSpec, *bitarray.Profile) {
+	const entries, maxCycle = 4, 20000
+	events := make([][]bitarray.ProfileEvent, entries)
+	for e := range events {
+		for c := uint64(1 + e); c < maxCycle; c += 20 {
+			kind := bitarray.AccessWrite
+			if c/20%2 == 1 {
+				kind = bitarray.AccessRead
+			}
+			for w := uint16(0); w < 2; w++ {
+				events[e] = append(events[e], bitarray.ProfileEvent{Cycle: c + uint64(w), FirstBit: 64 * w, NBits: 64, Kind: kind})
+			}
+		}
+	}
+	return GeneratorSpec{Structure: "rf", Entries: entries, BitsPerEntry: 128, MaxCycle: maxCycle,
+		Model: ModelTransient, Count: 300, Seed: 5}, bitarray.NewProfile("rf", 128, events)
+}
+
+// The sampler draws the reference's masks without holding the
+// population's intervals: what it allocates grows with the masks it
+// returns, not with the half a million intervals it walks (the
+// materializing sampler allocated 242 MB on this profile).
+func TestGenerateImportanceStreamsTheIntervals(t *testing.T) {
+	spec, prof := wideProfile()
+	for _, boost := range []float64{0, 40} {
+		got, err := GenerateImportance(spec, prof, boost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceImportance(spec, prof, boost); !reflect.DeepEqual(got, want) {
+			t.Fatalf("boost %v: streamed draws differ from the reference", boost)
+		}
+	}
+	small := testGenSpec(300)
+	if got, want := mustImportance(t, small, testProfile()), referenceImportance(small, testProfile(), DefaultImportanceBoost); !reflect.DeepEqual(got, want) {
+		t.Fatal("streamed draws differ from the reference on the small profile")
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mustImportance(t, spec, prof)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("drawing %d masks allocated %d bytes: the intervals were materialized", spec.Count, alloc)
+	}
+}
+
+func mustImportance(t *testing.T, spec GeneratorSpec, prof *bitarray.Profile) []Mask {
+	t.Helper()
+	masks, err := GenerateImportance(spec, prof, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return masks
 }

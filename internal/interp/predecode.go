@@ -27,9 +27,13 @@ type decodeCache struct {
 	slots []atomic.Pointer[isa.Inst]
 }
 
-// caches maps each linked image to its predecode table. Images are
-// linked once per {tool, benchmark} row and shared by every machine
-// boot (sims.Factory), so the registry stays row-sized.
+// caches maps each linked image to its predecode table. It is never
+// evicted: a registered benchmark is linked once per process per target
+// (workload.Linked) and every factory and machine boot shares that image
+// (sims.Factory), so the registry holds at most one table per {benchmark,
+// target} however many campaigns and shards a process serves. Only a
+// Workload built outside the benchmark table (tests' generated programs)
+// links a fresh image, and adds a table, per factory.
 var caches sync.Map // *asm.Image -> *decodeCache
 
 // decodeHits and decodeMisses accumulate, process-wide, the dynamic

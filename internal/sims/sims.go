@@ -53,14 +53,15 @@ func ShortLabel(tool string) string {
 }
 
 // Factory builds a simulator factory for one tool running one benchmark.
-// The image is linked once and shared; every factory call boots a fresh
-// machine.
+// The image is the benchmark's per-process link (workload.Linked), shared
+// by every factory of the same {benchmark, target}; every factory call
+// boots a fresh machine.
 func Factory(tool string, w workload.Workload) (core.Factory, error) {
 	for _, t := range tools {
 		if t.name != tool {
 			continue
 		}
-		img, err := w.Image(t.target)
+		img, err := w.Linked(t.target)
 		if err != nil {
 			return nil, err
 		}

@@ -82,9 +82,11 @@ type RunEvent struct {
 	// the fault settled, WindowHeld that it instead reached the end of
 	// the program or the cycle limit with its window still open (a run
 	// that ended early-masked or crashed inside its window is neither).
-	// FastSteps counts the instructions executed on the functional tier
-	// (entry fast-forward plus tail) and DetailCycles the cycles actually
-	// simulated cycle-accurately.
+	// FastSteps counts the instructions the run executed on the
+	// functional tier — the entry fast-forward from the rung it resumed
+	// from (a rung's own prefix is the fast-forward ladder's one-time
+	// cost, not the run's), plus the tail — and DetailCycles the cycles
+	// actually simulated cycle-accurately.
 	Windowed      bool
 	WindowEntered bool
 	WindowExited  bool

@@ -12,6 +12,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -25,23 +26,37 @@ type Workload struct {
 	Build func() *asm.Program
 	// Reference computes the expected output file contents.
 	Reference func() []byte
+
+	// linked memoizes the images of a registered benchmark (nil for a
+	// Workload a caller builds itself); see Linked.
+	linked *linkedImages
+}
+
+// linkedImages is the per-process link of one registered benchmark, one
+// image per target, each linked on first use.
+type linkedImages [2]struct {
+	once sync.Once
+	img  *asm.Image
+	err  error
+}
+
+// table is the registered benchmarks, in the paper's order of
+// presentation; every copy of an entry shares its linked images.
+var table = []Workload{
+	{Name: "djpeg", Build: buildDJPEG, Reference: refDJPEG, linked: new(linkedImages)},
+	{Name: "search", Build: buildSearch, Reference: refSearch, linked: new(linkedImages)},
+	{Name: "smooth", Build: buildSmooth, Reference: refSmooth, linked: new(linkedImages)},
+	{Name: "edge", Build: buildEdge, Reference: refEdge, linked: new(linkedImages)},
+	{Name: "corner", Build: buildCorner, Reference: refCorner, linked: new(linkedImages)},
+	{Name: "sha", Build: buildSHA, Reference: refSHA, linked: new(linkedImages)},
+	{Name: "fft", Build: buildFFT, Reference: refFFT, linked: new(linkedImages)},
+	{Name: "qsort", Build: buildQsort, Reference: refQsort, linked: new(linkedImages)},
+	{Name: "cjpeg", Build: buildCJPEG, Reference: refCJPEG, linked: new(linkedImages)},
+	{Name: "caes", Build: buildAES, Reference: refAES, linked: new(linkedImages)},
 }
 
 // All returns the ten benchmarks in the paper's order of presentation.
-func All() []Workload {
-	return []Workload{
-		{Name: "djpeg", Build: buildDJPEG, Reference: refDJPEG},
-		{Name: "search", Build: buildSearch, Reference: refSearch},
-		{Name: "smooth", Build: buildSmooth, Reference: refSmooth},
-		{Name: "edge", Build: buildEdge, Reference: refEdge},
-		{Name: "corner", Build: buildCorner, Reference: refCorner},
-		{Name: "sha", Build: buildSHA, Reference: refSHA},
-		{Name: "fft", Build: buildFFT, Reference: refFFT},
-		{Name: "qsort", Build: buildQsort, Reference: refQsort},
-		{Name: "cjpeg", Build: buildCJPEG, Reference: refCJPEG},
-		{Name: "caes", Build: buildAES, Reference: refAES},
-	}
-}
+func All() []Workload { return append([]Workload(nil), table...) }
 
 // Names returns the benchmark names in order.
 func Names() []string {
@@ -54,7 +69,7 @@ func Names() []string {
 
 // ByName looks a benchmark up.
 func ByName(name string) (Workload, error) {
-	for _, w := range All() {
+	for _, w := range table {
 		if w.Name == name {
 			return w, nil
 		}
@@ -62,13 +77,31 @@ func ByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Names())
 }
 
-// Image builds and links the benchmark for a target ISA.
+// Image builds and links the benchmark for a target ISA — a fresh image
+// on every call.
 func (w Workload) Image(t asm.Target) (*asm.Image, error) {
 	img, err := w.Build().Build(t)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
 	return img, nil
+}
+
+// Linked returns the benchmark's image for a target ISA, linked once per
+// process for a registered benchmark (All, ByName) and shared by every
+// caller; safe for concurrent use. Images are immutable once linked, so
+// sharing one changes nothing a machine booted on it computes, and every
+// per-image table (the interpreter's predecode registry) stays bounded by
+// the benchmark table. A Workload built outside the table has no
+// registered identity — its Name may collide with another's — and is
+// linked afresh, as Image does.
+func (w Workload) Linked(t asm.Target) (*asm.Image, error) {
+	if w.linked == nil || int(t) >= len(w.linked) {
+		return w.Image(t)
+	}
+	l := &w.linked[t]
+	l.once.Do(func() { l.img, l.err = w.Image(t) })
+	return l.img, l.err
 }
 
 // ---- Shared emit helpers ------------------------------------------------------
