@@ -270,9 +270,9 @@ func BenchmarkInOrderAblation(b *testing.B) {
 
 // BenchmarkCheckpointAblation measures checkpoint-based prefix sharing:
 // the same campaign with every run booted from scratch versus runs whose
-// faults start beyond the checkpoint restored from a shared
-// drained-machine snapshot (the paper's use of simulator checkpoints to
-// speed up campaigns).
+// faults start beyond a rung restored from the row's shared checkpoint
+// ladder (the paper's use of simulator checkpoints to speed up
+// campaigns).
 func BenchmarkCheckpointAblation(b *testing.B) {
 	w, err := workload.ByName("qsort")
 	if err != nil {
@@ -571,11 +571,10 @@ func BenchmarkPruneAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointLadder measures the checkpoint ladder against the
-// legacy single earliest-fault checkpoint on a campaign whose faults
-// are spread over the whole run: the single checkpoint sits at the
-// earliest fault (helping nobody else), while the ladder gives every
-// run the highest rung below its own first fault.
+// BenchmarkCheckpointLadder measures a dense checkpoint ladder against a
+// one-rung one on a campaign whose faults are spread over the whole run:
+// the single rung at mid-run helps only the later half, while six give
+// every run a rung close below its own first fault.
 func BenchmarkCheckpointLadder(b *testing.B) {
 	w, err := workload.ByName("qsort")
 	if err != nil {
@@ -607,7 +606,7 @@ func BenchmarkCheckpointLadder(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
 		ladder int
-	}{{"single-checkpoint", 0}, {"ladder-6", 6}} {
+	}{{"one-rung", 1}, {"ladder-6", 6}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := runSpecs(spec(), core.CampaignConfig{

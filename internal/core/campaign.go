@@ -129,9 +129,9 @@ func RunOne(f Factory, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, ea
 
 // minSiteCycle returns the earliest fault activation of the mask. An
 // empty (fault-free) mask reports ^uint64(0) — "no fault ever" — which
-// is correct for earliest-fault aggregation but must NOT be fed to
-// selectRung: a fault-free run is defined to boot from scratch, not to
-// restore the highest checkpoint rung (runInjection guards this).
+// must NOT be fed to selectRung: a fault-free run is defined to boot
+// from scratch, not to restore the highest checkpoint rung
+// (runInjection guards this).
 func minSiteCycle(m fault.Mask) uint64 {
 	min := ^uint64(0)
 	for _, s := range m.Sites {

@@ -30,7 +30,8 @@ func cacheCounts(c *core.GoldenCache) telemetry.Snapshot {
 // caches, a prune + ladder + window config over three rows yields the
 // same golden references, rung cycles, encoded profiles, prune
 // decisions, dispositions, verify samples and cache counters, and the
-// same number of cold builds (their log lines may come in any order).
+// same number of cold builds (their log lines may come in any order):
+// per row a golden run, a ladder and one profiled boot replay.
 func TestConcurrentPlanMatchesSerial(t *testing.T) {
 	cfg := core.CampaignConfig{
 		Injections: 40, Seed: 11,
@@ -62,8 +63,8 @@ func TestConcurrentPlanMatchesSerial(t *testing.T) {
 	}
 	serial, serialCounts, serialBuilds := plan(1)
 	for _, c := range serial {
-		if len(c.RungCycles) != 3 || len(c.Profiles) != 4 || c.Prune == nil || c.Prune.Simulated == len(c.Disp) {
-			t.Fatalf("%s: %d rungs, %d profiled trajectories, prune plan %v: the plan exercised too little",
+		if len(c.RungCycles) != 3 || len(c.Profiles) != 2 || c.Prune == nil || c.Prune.Simulated == len(c.Disp) {
+			t.Fatalf("%s: %d rungs, %d profiled structures, prune plan %v: the plan exercised too little",
 				c.Golden.Tool, len(c.RungCycles), len(c.Profiles), c.Prune)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bitarray"
 	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
@@ -89,11 +88,12 @@ type CampaignConfig struct {
 	TimeoutFactor uint64 `json:"timeout_factor,omitempty"`
 	// DisableEarlyStop turns off the §III.B optimizations (ablation).
 	DisableEarlyStop bool `json:"disable_early_stop,omitempty"`
-	// UseCheckpoint shares each row's fault-free prefix via drained-
-	// machine checkpoints: every run whose faults all start beyond a
-	// restore point is seeded from it. Opt-in because restored runs see a
-	// drained pipeline at the checkpoint, which can shift borderline
-	// outcomes relative to boot-runs of the same masks.
+	// UseCheckpoint shares each row's fault-free prefix via a ladder of
+	// checkpoints of the machine in flight: every run whose faults all
+	// start beyond a rung is seeded from the highest such rung. A restored
+	// run is the boot run of the same mask from the rung on, so records
+	// are identical with checkpoints on or off (a detail window may still
+	// be entered from a rung rather than from the functional tier).
 	UseCheckpoint bool `json:"use_checkpoint,omitempty"`
 	// Workers is the simulation worker-pool size of the executing
 	// process — each distributed worker applies it locally; 0 means
@@ -105,8 +105,7 @@ type CampaignConfig struct {
 	Prune       bool `json:"prune,omitempty"`
 	PruneVerify int  `json:"prune_verify,omitempty"`
 	// CheckpointLadder is the number of evenly spaced restore rungs per
-	// row (>= 2, with UseCheckpoint); 0 keeps the legacy single
-	// checkpoint.
+	// row, with UseCheckpoint; 0 means the default ladder of 4.
 	CheckpointLadder int `json:"checkpoint_ladder,omitempty"`
 	// RunWallLimit bounds the host wall-clock time of a single run
 	// (serialized as nanoseconds); 0 is off.
@@ -227,8 +226,8 @@ func (c CampaignConfig) Validate() error {
 	if c.PruneVerify < 0 {
 		return bad("prune_verify", "negative sample size %d", c.PruneVerify)
 	}
-	if c.CheckpointLadder < 0 || c.CheckpointLadder == 1 {
-		return bad("checkpoint_ladder", "%d rungs (want 0, or >= 2)", c.CheckpointLadder)
+	if c.CheckpointLadder < 0 {
+		return bad("checkpoint_ladder", "negative rung count %d", c.CheckpointLadder)
 	}
 	if c.RunWallLimit < 0 {
 		return bad("run_wall_limit_ns", "negative limit %d", c.RunWallLimit)
@@ -432,14 +431,11 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, p
 			// profile of the cell's structure — the same profile the
 			// pruner derives its plan from, so the equivalence classes
 			// agree by construction.
-			profs, perr := cache.profiles(pool, cell.Tool, cell.Benchmark, factory, nil, []string{cell.Structure})
+			profs, perr := cache.profiles(pool, cell.Tool, cell.Benchmark, factory, []string{cell.Structure})
 			if perr != nil {
 				return CampaignSpec{}, perr
 			}
-			var prof *bitarray.Profile
-			if len(profs) > 0 {
-				prof = profs[0][cell.Structure]
-			}
+			prof := profs[cell.Structure]
 			if prof == nil {
 				return CampaignSpec{}, fmt.Errorf("core: campaigns[%d]: %s/%s exposes no liveness profile for %s (simulator has no cycle source)",
 					i, cell.Tool, cell.Benchmark, cell.Structure)

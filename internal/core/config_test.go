@@ -44,7 +44,6 @@ func TestCampaignConfigValidate(t *testing.T) {
 		{"unknown model", "model", func(c *core.CampaignConfig) { c.Model = "cosmic" }},
 		{"negative workers", "workers", func(c *core.CampaignConfig) { c.Workers = -2 }},
 		{"negative prune verify", "prune_verify", func(c *core.CampaignConfig) { c.PruneVerify = -1 }},
-		{"one-rung ladder", "checkpoint_ladder", func(c *core.CampaignConfig) { c.CheckpointLadder = 1 }},
 		{"negative ladder", "checkpoint_ladder", func(c *core.CampaignConfig) { c.CheckpointLadder = -3 }},
 		{"negative wall limit", "run_wall_limit_ns", func(c *core.CampaignConfig) { c.RunWallLimit = -1 }},
 		{"empty tool", "campaigns[0].tool", func(c *core.CampaignConfig) { c.Campaigns[0].Tool = "" }},

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/prune"
+import (
+	"fmt"
+
+	"repro/internal/prune"
+)
 
 // PlannedCell is what the plan decided for one cell, with the artifacts
 // it decided from: the part of a plan that must not depend on how many
@@ -8,7 +12,7 @@ import "repro/internal/prune"
 type PlannedCell struct {
 	Golden          GoldenInfo
 	RungCycles      []uint64
-	Profiles        []prune.Profiles
+	Profiles        prune.Profiles
 	Prune           *prune.Plan
 	Disp            []disposition
 	Verify, WVerify []int
@@ -33,10 +37,14 @@ func PlanConfig(cfg CampaignConfig, resolve Resolver, cache *GoldenCache) ([]Pla
 		e := cache.rows[goldenKey{specs[i].Tool, specs[i].Benchmark}]
 		cache.mu.Unlock()
 		e.profMu.Lock()
-		profiles := e.profiles[profileKey(c.rungs, structures)]
+		profiles := e.profiles[fmt.Sprintf("%q", structures)]
 		e.profMu.Unlock()
+		cycles := make([]uint64, len(c.rungs))
+		for r, rung := range c.rungs {
+			cycles[r] = rung.Cycle
+		}
 		out[i] = PlannedCell{
-			Golden: c.golden, RungCycles: rungCycles(c.rungs), Profiles: profiles,
+			Golden: c.golden, RungCycles: cycles, Profiles: profiles,
 			Prune: c.prune, Disp: c.disp, Verify: c.verify, WVerify: c.wverify,
 		}
 	}

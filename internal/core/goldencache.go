@@ -26,8 +26,8 @@ const maxGoldenRows = 32
 // of every campaign it serves.
 //
 // Each artifact is keyed by exactly what determines it — the row, plus
-// the ladder's K, the profiled rung cycles and structure set, the
-// fast-forward quantum and decode mode — and the simulators are
+// the ladder's K, the profiled structure set, the fast-forward quantum
+// and decode mode — and the simulators are
 // deterministic, so a hit returns what a rebuild would have produced:
 // sharing across shards, campaigns and configs leaves every output
 // byte-identical. Callers hold what they were handed by reference, so
@@ -94,7 +94,7 @@ type goldenEntry struct {
 	ladders  map[int][]LadderRung // by K
 
 	profMu   sync.Mutex
-	profiles map[string][]prune.Profiles // by rung cycles and structure set
+	profiles map[string]prune.Profiles // by structure set
 
 	sigMu sync.Mutex
 	sig   *divergence.Signature
@@ -190,9 +190,9 @@ func (c *GoldenCache) logBuild(e *goldenEntry, artifact string, start time.Time)
 // GoldenInfo carries Benchmark but no Structure; campaign code copies it
 // and fills the cell-specific fields.
 //
-// The exported lookups build on the caller's goroutine, except Profiles,
-// whose replays run GOMAXPROCS at a time; a campaign's plan calls their
-// unexported twins with its own pool instead (see planPool).
+// The exported lookups build on the caller's goroutine; a campaign's
+// plan calls their unexported twins with its own pool instead (see
+// planPool).
 func (c *GoldenCache) Golden(tool, bench string, f Factory) (GoldenInfo, error) {
 	return c.golden(nil, tool, bench, f)
 }
@@ -311,24 +311,30 @@ func stateBytes(state any) int {
 	return 0
 }
 
-// Profiles returns the memoized liveness profiles of the row's replay
-// trajectories (boot plus one per rung) for one profiled-structure set,
-// running the profiled replays only on the first call. Memoization is
-// keyed by the rung capture cycles and the structure names: a shard
-// worker re-planning the same campaign hits the memo instead of
-// re-simulating 1+len(rungs) golden replays per shard. A nil result (no
-// error) means the simulator cannot be profiled and pruning is off for
-// the row.
+// Profiles returns the memoized liveness profiles of the row's boot run
+// for one profiled-structure set, running the profiled replay only on
+// the first call. A shard worker re-planning the same campaign hits the
+// memo instead of re-simulating a golden replay per shard. The result
+// holds one profile set: every checkpoint rung is the boot run in
+// flight, so the boot profile is the profile of every trajectory a run
+// can follow, and rungs is ignored — it stays in the signature only
+// because the benchmark module in bench/ compiles against it. A nil
+// result (no error) means the simulator cannot be profiled and pruning
+// is off for the row.
 func (c *GoldenCache) Profiles(tool, bench string, f Factory, rungs []LadderRung, structures []string) ([]prune.Profiles, error) {
-	return c.profiles(newPlanPool(0), tool, bench, f, rungs, structures)
+	p, err := c.profiles(nil, tool, bench, f, structures)
+	if p == nil {
+		return nil, err
+	}
+	return []prune.Profiles{p}, nil
 }
 
-func (c *GoldenCache) profiles(pool *planPool, tool, bench string, f Factory, rungs []LadderRung, structures []string) ([]prune.Profiles, error) {
+func (c *GoldenCache) profiles(pool *planPool, tool, bench string, f Factory, structures []string) (prune.Profiles, error) {
 	e, err := c.row(pool, tool, bench, f)
 	if err != nil {
 		return nil, err
 	}
-	key := profileKey(rungs, structures)
+	key := fmt.Sprintf("%q", structures)
 	e.profMu.Lock()
 	defer e.profMu.Unlock()
 	p, ok := e.profiles[key]
@@ -337,19 +343,18 @@ func (c *GoldenCache) profiles(pool *planPool, tool, bench string, f Factory, ru
 		return p, nil
 	}
 	start := time.Now()
-	if p, err = buildRowProfiles(pool, f, rungs, structures, e.golden); err != nil {
+	pool.work(func() { p, err = profileReplay(f, structures, e.golden) })
+	if err != nil {
 		return nil, err
 	}
 	if e.profiles == nil {
-		e.profiles = make(map[string][]prune.Profiles)
+		e.profiles = make(map[string]prune.Profiles)
 	}
 	e.profiles[key] = p
-	for _, ps := range p {
-		for _, prof := range ps {
-			e.bytes.Add(int64(prof.SizeBytes()))
-		}
+	for _, prof := range p {
+		e.bytes.Add(int64(prof.SizeBytes()))
 	}
-	c.logBuild(e, fmt.Sprintf("liveness profiles of %q over %d replays", structures, 1+len(rungs)), start)
+	c.logBuild(e, fmt.Sprintf("liveness profiles of %q", structures), start)
 	return p, nil
 }
 
@@ -435,20 +440,4 @@ func (c *GoldenCache) FFLadder(tool, bench string, golden GoldenInfo, rungs int,
 		e.ffs[key] = ff
 	}
 	return ff
-}
-
-// profileKey is what determines a row's liveness profiles: the replay
-// trajectories (rung capture cycles) and the profiled structure set.
-func profileKey(rungs []LadderRung, structures []string) string {
-	return fmt.Sprintf("%v|%q", rungCycles(rungs), structures)
-}
-
-// rungCycles projects a ladder onto its capture cycles — the part of a
-// rung that identifies the replay trajectory it induces.
-func rungCycles(rungs []LadderRung) []uint64 {
-	out := make([]uint64, len(rungs))
-	for i, r := range rungs {
-		out[i] = r.Cycle
-	}
-	return out
 }

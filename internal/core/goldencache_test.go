@@ -50,8 +50,8 @@ func TestGoldenCacheMemosAreKeyedByParameters(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, set := range sets {
 			p, err := cache.Profiles(tool, bench, f, l2, set)
-			if err != nil || len(p) != 1+len(l2) || len(p[0]) != len(set) {
-				t.Fatalf("Profiles(%q): %d trajectories, %v", set, len(p), err)
+			if err != nil || len(p) != 1 || len(p[0]) != len(set) {
+				t.Fatalf("Profiles(%q): %d profile sets, %v; want the boot run's alone", set, len(p), err)
 			}
 		}
 	}

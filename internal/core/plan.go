@@ -84,6 +84,10 @@ type matrixPlan struct {
 	probe bool
 }
 
+// defaultCheckpointRungs is the ladder K of a campaign that asks for
+// checkpoints without naming one.
+const defaultCheckpointRungs = 4
+
 // planMatrix is the plan stage of the scheduler. It resolves goldens,
 // validates masks, places restore rungs, builds prune plans, replays the
 // journal and ends with a disposition per mask plus the verify samples.
@@ -142,25 +146,38 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 		}
 	}
 
+	// Checkpoint ladders: K rungs at fixed fractions of the golden run,
+	// built once per row in the cache and shared by the row's cells. Every
+	// run still decides individually which rung (if any) its earliest
+	// fault permits.
 	if cfg.UseCheckpoint {
-		if err := planRungs(cfg, specs, p.cells, cache, pool); err != nil {
+		k := cfg.CheckpointLadder
+		if k == 0 {
+			k = defaultCheckpointRungs
+		}
+		err := pool.each(len(specs), func(i int) error {
+			spec := specs[i]
+			var err error
+			p.cells[i].rungs, err = cache.ladder(pool, spec.Tool, spec.Benchmark, spec.Factory, k)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
 
-	// Liveness pruning: one profiled fault-free replay per row trajectory
-	// (boot plus one per rung, memoized in the cache) classifies
-	// provably-dead masks Masked and collapses interval-equivalent masks.
+	// Liveness pruning: one profiled fault-free boot replay per row
+	// (memoized in the cache) classifies provably-dead masks Masked and
+	// collapses interval-equivalent masks.
 	if cfg.Prune || cfg.Exhaustive || cfg.PruneVerify > 0 {
 		structures := maskStructures(specs)
 		err := pool.each(len(specs), func(i int) error {
-			spec, c := specs[i], &p.cells[i]
-			profiles, err := cache.profiles(pool, spec.Tool, spec.Benchmark, spec.Factory, c.rungs, structures)
-			if err != nil {
-				return err
+			spec := specs[i]
+			profiles, err := cache.profiles(pool, spec.Tool, spec.Benchmark, spec.Factory, structures)
+			if profiles != nil {
+				p.cells[i].prune = prune.BuildPlan(spec.Masks, []prune.Profiles{profiles}, nil)
 			}
-			c.prune = planMasks(spec.Masks, c.rungs, profiles)
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -216,55 +233,6 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 		planDispositions(cfg, specs[i].Masks, journaled[i], &p.cells[i])
 	}
 	return p, nil
-}
-
-// planRungs resolves the restore points once per {tool, benchmark} row
-// and shares them across the row's cells; every run still decides
-// individually which rung (if any) its earliest fault permits. With a
-// ladder (K >= 2) the rungs sit at fixed fractions of the golden run and
-// are memoized in the cache; the legacy single checkpoint is placed just
-// before the earliest fault of the row's campaigns and wrapped as a
-// one-rung ladder. Rows are resolved on pool, one task each.
-func planRungs(cfg CampaignConfig, specs []CampaignSpec, cells []cellPlan, cache *GoldenCache, pool *planPool) error {
-	earliest := make(map[goldenKey]uint64)
-	rowOf := make(map[goldenKey]int)
-	var first []int // the first cell of every row, in cell order
-	for i, spec := range specs {
-		key := goldenKey{spec.Tool, spec.Benchmark}
-		if _, ok := rowOf[key]; !ok {
-			rowOf[key] = len(first)
-			first = append(first, i)
-			earliest[key] = ^uint64(0)
-		}
-		for _, m := range spec.Masks {
-			if c := minSiteCycle(m); c < earliest[key] {
-				earliest[key] = c
-			}
-		}
-	}
-	ladders := make([][]LadderRung, len(first))
-	err := pool.each(len(first), func(r int) error {
-		spec := specs[first[r]]
-		key := goldenKey{spec.Tool, spec.Benchmark}
-		if cfg.CheckpointLadder >= 2 {
-			var err error
-			ladders[r], err = cache.ladder(pool, key.tool, key.bench, spec.Factory, cfg.CheckpointLadder)
-			return err
-		}
-		pool.work(func() {
-			if cp, cpCycle := makeCheckpoint(spec.Factory, cells[first[r]].golden, earliest[key]); cp != nil {
-				ladders[r] = []LadderRung{{State: cp, Cycle: cpCycle}}
-			}
-		})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, spec := range specs {
-		cells[i].rungs = ladders[rowOf[goldenKey{spec.Tool, spec.Benchmark}]]
-	}
-	return nil
 }
 
 // planDispositions decides how every mask of one cell is settled, in
@@ -325,46 +293,13 @@ func sampleWindowVerify(sim []int, n int) []int {
 	return out
 }
 
-// makeCheckpoint captures the fault-free prefix of a row on a drained
-// machine: the target sits at one fifth of the golden run, pushed later
-// when every checkpoint-enabled fault of the row starts later still, and
-// capped at four fifths.
-func makeCheckpoint(f Factory, golden GoldenInfo, earliest uint64) (any, uint64) {
-	// Leave room for the drain overshoot: the machine settles some
-	// cycles past the target, and the checkpoint must still precede
-	// the earliest fault.
-	const drainMargin = 2000
-	target := golden.Cycles / 5
-	if earliest != ^uint64(0) && earliest > drainMargin && earliest-drainMargin > target {
-		target = earliest - drainMargin
-	}
-	if limit := golden.Cycles * 4 / 5; target > limit {
-		target = limit
-	}
-	sim := f()
-	defer release(sim)
-	base, ok := sim.(Checkpointer)
-	if !ok || target == 0 {
-		return nil, 0
-	}
-	reached, finished, err := base.RunTo(target)
-	if err != nil || finished || reached >= earliest {
-		return nil, 0
-	}
-	st, err := base.Checkpoint()
-	if err != nil {
-		return nil, 0
-	}
-	return st, reached
-}
-
 // planPool bounds the plan stage's simulations — golden runs, checkpoint
 // ladders, profiled and signature replays — at the campaign's effective
-// Workers. The plan fans out over cells and rows, and a row's profile
-// build fans out again over its replays, but there is one bound for all
-// of it: only a simulation holds a slot (work), never a goroutine that
-// waits on a task or on another build's lock, so nested fan-out cannot
-// deadlock. A one-slot pool runs every task on the caller's goroutine in
+// Workers. The plan fans out over cells, and a cell's lookups may wait
+// on a build another cell of the row started, but there is one bound
+// for all of it: only a simulation holds a slot (work), never a
+// goroutine that waits on a task or on another build's lock, so the
+// fan-out cannot deadlock. A one-slot pool runs every task on the caller's goroutine in
 // order: the serial plan a fleet worker with Workers 1 keeps.
 //
 // Concurrency cannot change what the plan builds: every artifact is a

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/bitarray"
-	"repro/internal/fault"
 	"repro/internal/prune"
 )
 
@@ -17,10 +16,10 @@ type CycleSource interface {
 	CurrentCycle() uint64
 }
 
-// LadderRung is one restore point of a checkpoint ladder: a drained
-// machine state and the cycle it was captured at. Rungs are ordered by
-// cycle; an injection run restores from the highest rung strictly below
-// its earliest fault cycle.
+// LadderRung is one restore point of a checkpoint ladder: the machine in
+// flight at the start of Cycle. Rungs are ordered by cycle; an injection
+// run restores from the highest rung strictly below its earliest fault
+// cycle and is, from there on, the boot run of the same mask.
 type LadderRung struct {
 	State any
 	Cycle uint64
@@ -28,9 +27,7 @@ type LadderRung struct {
 
 // selectRung returns the index of the highest rung whose cycle precedes
 // minSite (the run can only restore state captured before its first
-// fault applies), or -1 when the run must boot from scratch. The
-// strict inequality matches the single-checkpoint rule: a fault starting
-// exactly at the capture cycle boots from scratch.
+// fault applies), or -1 when the run must boot from scratch.
 func selectRung(rungs []LadderRung, minSite uint64) int {
 	best := -1
 	for i, r := range rungs {
@@ -42,12 +39,13 @@ func selectRung(rungs []LadderRung, minSite uint64) int {
 	return best
 }
 
-// makeLadder captures k evenly spaced drained checkpoints along the
-// fault-free run by chaining RunTo on a single machine: rung i targets
-// (i+1)/(k+1) of the golden cycle count. Dirty-page memory snapshots
-// make every capture after the first a delta of the pages touched since
-// the previous rung. Rungs the drain overshoots (or the program end
-// preempts) are dropped; a nil ladder falls back to boot-only runs.
+// makeLadder captures k evenly spaced checkpoints along the fault-free
+// run by chaining RunTo on a single machine: rung i is the machine at
+// the start of cycle (i+1)/(k+1) of the golden cycle count. Dirty-page
+// memory snapshots make every capture after the first a delta of the
+// pages touched since the previous rung. Targets that coincide (a tiny
+// golden run) or that the program end preempts are dropped; a nil ladder
+// falls back to boot-only runs.
 func makeLadder(f Factory, golden GoldenInfo, k int) []LadderRung {
 	sim := f()
 	defer release(sim)
@@ -66,9 +64,6 @@ func makeLadder(f Factory, golden GoldenInfo, k int) []LadderRung {
 		if err != nil || finished {
 			break
 		}
-		if reached <= last {
-			continue
-		}
 		st, err := base.Checkpoint()
 		if err != nil {
 			break
@@ -79,29 +74,21 @@ func makeLadder(f Factory, golden GoldenInfo, k int) []LadderRung {
 	return rungs
 }
 
-// profileReplay runs one fault-free replay of a row — from boot when
-// rung is nil, else restored from the rung — with liveness profiling on
-// the named structures, and returns the per-structure profiles. It
-// returns (nil, nil) when the simulator cannot be profiled (no
-// CycleSource), which disables pruning rather than failing the
-// campaign. The replay must finish like the golden run with the golden
-// output: pruning verdicts derive from this trajectory, so a divergent
-// replay is an error, not a degradation.
-func profileReplay(f Factory, rung *LadderRung, structures []string, golden GoldenInfo) (prune.Profiles, error) {
+// profileReplay runs one profiled fault-free boot run of a row, with
+// liveness profiling on the named structures, and returns the
+// per-structure profiles. It returns nil (no error) when the simulator
+// cannot be profiled (no CycleSource), which disables pruning rather
+// than failing the campaign. The replay must finish like the golden run
+// with the golden output: pruning verdicts derive from this trajectory,
+// so a divergent replay is an error, not a degradation. Every run —
+// booted, or restored from a checkpoint rung — follows this trajectory
+// until its fault applies.
+func profileReplay(f Factory, structures []string, golden GoldenInfo) (prune.Profiles, error) {
 	sim := f()
 	defer release(sim)
 	cs, ok := sim.(CycleSource)
 	if !ok {
 		return nil, nil
-	}
-	if rung != nil {
-		ck, ok := sim.(Checkpointer)
-		if !ok {
-			return nil, nil
-		}
-		if err := ck.Restore(rung.State); err != nil {
-			return nil, fmt.Errorf("core: profiled replay restore: %w", err)
-		}
 	}
 	arrs := sim.Structures()
 	var profiled []*bitarray.Array
@@ -131,7 +118,7 @@ func profileReplay(f Factory, rung *LadderRung, structures []string, golden Gold
 
 // maskStructures returns the sorted union of structure names targeted by
 // any site of any mask of the specs — the arrays a row's profiled
-// replays need to record.
+// replay needs to record.
 func maskStructures(specs []CampaignSpec) []string {
 	set := make(map[string]bool)
 	for _, spec := range specs {
@@ -147,50 +134,6 @@ func maskStructures(specs []CampaignSpec) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// buildRowProfiles runs the profiled replays of one row as tasks on
-// pool: index 0 is the boot trajectory, index r+1 the replay restored
-// from rung r. Each replay is its own machine and trajectory, so they
-// run in any order and at once; the first error in index order wins. A
-// nil result (no error) means the simulator cannot be profiled.
-func buildRowProfiles(pool *planPool, f Factory, rungs []LadderRung, structures []string, golden GoldenInfo) ([]prune.Profiles, error) {
-	profiles := make([]prune.Profiles, 1+len(rungs))
-	err := pool.each(len(profiles), func(i int) error {
-		var rung *LadderRung
-		if i > 0 {
-			rung = &rungs[i-1]
-		}
-		var err error
-		pool.work(func() { profiles[i], err = profileReplay(f, rung, structures, golden) })
-		return err
-	})
-	if err != nil || profiles[0] == nil {
-		return nil, err
-	}
-	return profiles, nil
-}
-
-// planMasks builds the pruning plan of one cell's masks against its
-// row's profiles: each mask is classified against the profile of the
-// trajectory its run would actually follow (boot, or its selected
-// ladder rung — rungs is nil when checkpoints are off), which keeps
-// plan-time verdicts and runtime restores consistent.
-func planMasks(masks []fault.Mask, rungs []LadderRung, profiles []prune.Profiles) *prune.Plan {
-	if profiles == nil {
-		return nil
-	}
-	rungOf := make([]int, len(masks))
-	for m, mask := range masks {
-		// Empty masks boot from scratch (see runInjection); keeping the
-		// plan-time rung in step with the runtime restore decision is
-		// what makes pruning verdicts trajectory-sound.
-		rungOf[m] = -1
-		if len(mask.Sites) > 0 {
-			rungOf[m] = selectRung(rungs, minSiteCycle(mask))
-		}
-	}
-	return prune.BuildPlan(masks, profiles, rungOf)
 }
 
 // sampleVerify picks up to n pruned mask indices of a plan, evenly

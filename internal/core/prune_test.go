@@ -215,35 +215,6 @@ func TestPruneDifferentialRealSims(t *testing.T) {
 	}
 }
 
-// The checkpoint ladder alone (no pruning) must not change any verdict
-// relative to the legacy single checkpoint, and restored runs must be
-// visible on the telemetry gauges.
-func TestCheckpointLadderMatchesLegacy(t *testing.T) {
-	legacy, err := runSpecs(pruneSpecsFor(t, sims.GeFINX86), core.CampaignConfig{Workers: 4, UseCheckpoint: true}, core.Attach{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collector := telemetry.New()
-	ladder, err := runSpecs(pruneSpecsFor(t, sims.GeFINX86), core.CampaignConfig{
-		Workers: 4, UseCheckpoint: true, CheckpointLadder: 4,
-	}, core.Attach{Telemetry: collector})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range legacy {
-		want := classesOf(t, legacy[s].Records)
-		got := classesOf(t, ladder[s].Records)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s mask %d: ladder %v, legacy %v", legacy[s].Golden.Structure, i, got[i], want[i])
-			}
-		}
-	}
-	if collector.Snapshot().LadderRestores == 0 {
-		t.Error("no run restored from a ladder rung")
-	}
-}
-
 // A simulator without a cycle source cannot be profiled; pruning must
 // degrade to simulating everything rather than failing or misclassifying.
 func TestPruneWithoutCycleSourceDegrades(t *testing.T) {

@@ -163,17 +163,20 @@ type CommitProbed interface {
 // Checkpointer is the optional checkpointing capability of a simulator
 // (both simulators implement it). The campaign controller uses it the
 // way the paper uses simulator checkpoints: the fault-free prefix of the
-// run is executed once, captured on a drained machine, and restored into
-// every injection run whose faults start beyond the checkpoint.
+// run is executed once, captured with everything in flight, and restored
+// into every injection run whose faults start beyond the checkpoint. A
+// machine restored at cycle c is, cycle for cycle, the boot run from c
+// on, so a restored run records exactly what the boot run of the same
+// mask records.
 type Checkpointer interface {
-	// RunTo simulates fault-free until the machine drains at or beyond
-	// the target cycle; it reports the cycle reached and whether the
-	// program finished first.
+	// RunTo simulates fault-free up to the start of the target cycle; it
+	// reports the cycle reached and whether the program finished first.
 	RunTo(target uint64) (reached uint64, finished bool, err error)
-	// Checkpoint captures the drained machine state.
+	// Checkpoint captures the machine as it stands between two cycles.
 	Checkpoint() (any, error)
 	// Restore loads a checkpoint captured by a machine of the same
-	// configuration; the state is copied.
+	// configuration, whatever the machine held before; the state is
+	// copied, so one checkpoint may seed many machines concurrently.
 	Restore(state any) error
 }
 

@@ -19,14 +19,34 @@ type windower interface {
 	Run(limit uint64) core.RunResult
 }
 
+// drainedCapture runs sim to the first cycle at or after from at which
+// nothing speculative is in flight and captures its architectural state
+// there. A core is drained for the few cycles after a flush — a
+// mispredicted branch or a syscall — while fetch waits out the redirect
+// penalty; CaptureArch refuses every other cycle. It reports finished
+// when the program ends first.
+func drainedCapture(t *testing.T, sim windower, from uint64) (st *handoff.State, finished bool) {
+	t.Helper()
+	for c := from; ; c++ {
+		if _, finished, err := sim.RunTo(c); err != nil {
+			t.Fatal(err)
+		} else if finished {
+			return nil, true
+		}
+		if st, err := sim.CaptureArch(); err == nil {
+			return st, false
+		}
+	}
+}
+
 // TestCaptureMatchesInterp is the any-point equality cross-check of the
-// handoff layer: drain each cycle-accurate core mid-run, capture its
-// architectural state, and demand bit-exact equality with a functional
-// machine run to the same committed-instruction count — for every tool
-// and every workload, at two different handoff points. This is the
-// soundness base of detail-window execution: if the two tiers disagree
-// architecturally at an arbitrary drained point, handing a run between
-// them would silently change its outcome.
+// handoff layer: capture each cycle-accurate core's architectural state
+// at a drained point mid-run and demand bit-exact equality with a
+// functional machine run to the same committed-instruction count — for
+// every tool and every workload, at two different handoff points. This
+// is the soundness base of detail-window execution: if the two tiers
+// disagree architecturally at an arbitrary drained point, handing a run
+// between them would silently change its outcome.
 func TestCaptureMatchesInterp(t *testing.T) {
 	for _, tool := range sims.Tools() {
 		for _, w := range workload.All() {
@@ -35,22 +55,19 @@ func TestCaptureMatchesInterp(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				captured := 0
 				for _, target := range []uint64{1500, 6000} {
 					sim, ok := f().(windower)
 					if !ok {
 						t.Fatalf("%s simulator is not window-capable", tool)
 					}
-					if _, finished, err := sim.RunTo(target); err != nil {
-						t.Fatal(err)
-					} else if finished {
+					st, finished := drainedCapture(t, sim, target)
+					if finished {
 						// Program shorter than the handoff point; the other
 						// target still covers the workload.
 						continue
 					}
-					st, err := sim.CaptureArch()
-					if err != nil {
-						t.Fatal(err)
-					}
+					captured++
 					if st.Committed == 0 {
 						t.Fatalf("capture at cycle target %d committed nothing", target)
 					}
@@ -61,6 +78,9 @@ func TestCaptureMatchesInterp(t *testing.T) {
 					if err := handoff.Equal(fm.Capture(), st); err != nil {
 						t.Fatalf("cycle target %d (committed %d): %v", target, st.Committed, err)
 					}
+				}
+				if captured == 0 {
+					t.Fatal("the program ended before either handoff point")
 				}
 			})
 		}

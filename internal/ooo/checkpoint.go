@@ -5,17 +5,23 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
 )
 
-// Checkpoint is a complete drained-machine state: memory, kernel, every
-// storage array, all front-end predictor state and the architectural
-// register mapping. The paper's injectors use simulator checkpoints to
-// share the common prefix of injection runs; campaigns restore one
-// checkpoint into many fresh machines and inject only faults whose start
-// cycle lies beyond it.
+// Checkpoint is a complete state of a machine in flight, taken between
+// two cycles: memory, kernel, every storage array, all front-end
+// predictor state, the rename state, and everything the pipeline holds
+// between its stages — the reorder buffer, the issue and load/store
+// queues, the fetch queue, the operations in execution and a pending
+// front-end stall. A machine restored from a checkpoint taken at cycle c
+// runs on from c exactly as the machine it was taken on: the same
+// cycles, accesses, commits and statistics. The paper's injectors use
+// simulator checkpoints to share the common prefix of injection runs;
+// campaigns restore one checkpoint into many fresh machines and inject
+// only faults whose start cycle lies beyond it.
 type Checkpoint struct {
 	// Tool is the Name of the machine that took the checkpoint. Restore
 	// accepts no other: two tools, or one tool's two ISAs, can share every
@@ -41,72 +47,72 @@ type Checkpoint struct {
 	Tour           *branch.TournamentState
 	RAS            *branch.RASState
 	IntRF, FPRF    *pipeline.RegFileState
+	ROB            *pipeline.ROBState
+	IQ             *pipeline.IQState
+	LSQ            *pipeline.LSQState
+
+	// The core's own bookkeeping between stages (see CPU).
+	fetchQ       []pipeline.FetchedUop
+	fetchBlocked bool
+	fetchReady   uint64
+	inflight     []inflightOp
+	rasSnaps     [][2]int
+	instHeads    []bool
 }
 
 // SizeBytes estimates the heap the checkpoint retains: RAM pages not
 // shared with the previous rung and the cache contents. The TLB,
-// predictor and register-file states are kilobytes and left out.
+// predictor and pipeline states are kilobytes and left out.
 func (cp *Checkpoint) SizeBytes() int {
 	return cp.Mem.SizeBytes() + cp.L1I.SizeBytes() + cp.L1D.SizeBytes() + cp.L2.SizeBytes()
 }
 
-// drained reports whether no speculative state is in flight.
-func (c *CPU) drained() bool {
-	return c.rob.Empty() && c.fetchQ.Len() == 0 && len(c.inflight) == 0 &&
-		c.iq.Len() == 0 && c.lsq.Loads()+c.lsq.Stores() == 0
-}
-
-// RunTo simulates fault-free until the machine drains at or beyond the
-// target cycle. It returns the cycle reached and whether the program
-// finished before the target was reached (in which case no checkpoint
-// can be taken).
+// RunTo runs the machine fault-free up to the start of the target
+// cycle — Run's cycle loop, stopped at the target instead of at a cycle
+// limit — so a checkpoint taken there is the machine in flight. It
+// returns the cycle reached and whether the program finished first (in
+// which case no checkpoint can be taken).
 func (c *CPU) RunTo(target uint64) (reached uint64, finished bool, err error) {
-	limit := target*4 + 1_000_000
-	for c.cycle < limit {
-		c.commit()
-		if c.finished {
-			return c.cycle, true, nil
-		}
-		c.complete()
-		c.issue()
-		c.rename()
-		if c.cycle < target {
-			c.fetch()
-		} else if c.drained() {
-			c.cycle++
-			c.stats.Cycles = c.cycle
-			return c.cycle, false, nil
-		}
-		c.cycle++
-		c.stats.Cycles = c.cycle
+	res := c.Run(target)
+	switch {
+	case c.finished:
+		return c.cycle, true, nil
+	case res.Status != core.RunCycleLimit || res.CommitStalled:
+		return c.cycle, false, fmt.Errorf("%s: fault-free run to cycle %d stopped at %d: %v (%s)",
+			c.cfg.Pkg, target, c.cycle, res.Status, res.AssertMsg)
 	}
-	return c.cycle, false, fmt.Errorf("%s: machine did not drain by cycle %d", c.cfg.Pkg, limit)
+	return c.cycle, false, nil
 }
 
-// Checkpoint captures the drained machine. It returns an error when
-// speculative state is still in flight.
+// Checkpoint captures the machine as it stands between two cycles.
 func (c *CPU) Checkpoint() (any, error) {
-	if !c.drained() {
-		return nil, fmt.Errorf("%s: checkpoint requires a drained machine", c.cfg.Pkg)
-	}
 	cp := &Checkpoint{
-		Tool:       c.cfg.Name,
-		PC:         c.pc,
-		Cycle:      c.cycle,
-		LastCommit: c.lastCommit,
-		Mem:        c.mem.SnapshotPaged(),
-		Kern:       c.kern.Clone(),
-		Stats:      c.stats,
-		L1I:        c.l1i.State(),
-		L1D:        c.l1d.State(),
-		L2:         c.l2.State(),
-		DTLB:       c.dtlb.State(),
-		ITLB:       c.itlb.State(),
-		BTBDir:     c.btbDir.State(),
-		Tour:       c.tour.State(),
-		RAS:        c.ras.State(),
-		IntRF:      c.intRF.State(),
-		FPRF:       c.fpRF.State(),
+		Tool:         c.cfg.Name,
+		PC:           c.pc,
+		Cycle:        c.cycle,
+		LastCommit:   c.lastCommit,
+		Mem:          c.mem.SnapshotPaged(),
+		Kern:         c.kern.Clone(),
+		Stats:        c.stats,
+		L1I:          c.l1i.State(),
+		L1D:          c.l1d.State(),
+		L2:           c.l2.State(),
+		DTLB:         c.dtlb.State(),
+		ITLB:         c.itlb.State(),
+		BTBDir:       c.btbDir.State(),
+		Tour:         c.tour.State(),
+		RAS:          c.ras.State(),
+		IntRF:        c.intRF.State(),
+		FPRF:         c.fpRF.State(),
+		ROB:          c.rob.State(),
+		IQ:           c.iq.State(),
+		LSQ:          c.lsq.State(),
+		fetchQ:       c.fetchQ.Snapshot(),
+		fetchBlocked: c.fetchBlocked,
+		fetchReady:   c.fetchReady,
+		inflight:     append([]inflightOp(nil), c.inflight...),
+		rasSnaps:     append([][2]int(nil), c.rasSnaps...),
+		instHeads:    append([]bool(nil), c.instHeads...),
 	}
 	if c.splitBTB() {
 		cp.BTBInd = c.btbInd.State()
@@ -114,8 +120,8 @@ func (c *CPU) Checkpoint() (any, error) {
 	return cp, nil
 }
 
-// Restore loads a checkpoint into this (freshly built) machine. The
-// checkpoint is copied, so one checkpoint may seed many machines
+// Restore loads a checkpoint into this machine, whatever it held before.
+// The checkpoint is copied, so one checkpoint may seed many machines
 // concurrently.
 func (c *CPU) Restore(state any) error {
 	cp, ok := state.(*Checkpoint)
@@ -141,16 +147,18 @@ func (c *CPU) Restore(state any) error {
 	c.ras.SetState(cp.RAS)
 	c.intRF.SetState(cp.IntRF)
 	c.fpRF.SetState(cp.FPRF)
+	c.rob.SetState(cp.ROB)
+	c.iq.SetState(cp.IQ)
+	c.lsq.SetState(cp.LSQ)
+	c.fetchQ.Restore(cp.fetchQ)
+	c.fetchBlocked = cp.fetchBlocked
+	c.fetchReady = cp.fetchReady
+	c.inflight = append(c.inflight[:0], cp.inflight...)
+	copy(c.rasSnaps, cp.rasSnaps)
+	copy(c.instHeads, cp.instHeads)
 	c.pc = cp.PC
 	c.cycle = cp.Cycle
 	c.lastCommit = cp.LastCommit
-	c.rob.FlushAll()
-	c.iq.FlushAll()
-	c.lsq.FlushAll()
-	c.fetchQ.Reset()
-	c.inflight = c.inflight[:0]
-	c.fetchBlocked = false
-	c.fetchReady = c.cycle
 	c.finished = false
 	return nil
 }

@@ -2,7 +2,10 @@ package ooo_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/asm/progen"
@@ -160,10 +163,29 @@ func TestRegisterFileFaultSweep(t *testing.T) {
 	}
 }
 
-// pcStream records the committed-PC stream of a run.
-type pcStream struct{ pcs []uint64 }
+// commit is one committed instruction as a commit probe sees it.
+type commit struct{ pc, index, cycle uint64 }
 
-func (s *pcStream) Commit(pc, _, _ uint64) { s.pcs = append(s.pcs, pc) }
+// commitStream records the committed-instruction stream of a run.
+type commitStream struct{ commits []commit }
+
+func (s *commitStream) Commit(pc, index, cycle uint64) {
+	s.commits = append(s.commits, commit{pc, index, cycle})
+}
+
+// commitsFrom returns the commits at or after cycle.
+func commitsFrom(commits []commit, cycle uint64) []commit {
+	return commits[sort.Search(len(commits), func(i int) bool { return commits[i].cycle >= cycle }):]
+}
+
+// pcs projects commits onto their PCs.
+func pcs(commits []commit) []uint64 {
+	out := make([]uint64, len(commits))
+	for i, c := range commits {
+		out[i] = c.pc
+	}
+	return out
+}
 
 func benchBooter(t *testing.T, tool, bench string) func() *ooo.CPU {
 	t.Helper()
@@ -174,10 +196,9 @@ func benchBooter(t *testing.T, tool, bench string) func() *ooo.CPU {
 	return booter(t, tool, w)
 }
 
-// midStreamCycle returns the first cycle at or after from at which the
-// fetch queue is mid-stream when the front end is cut off: rename has
-// consumed part of it this cycle (the head index is off zero) and
-// micro-ops are still waiting behind it (the tail is not empty). Such
+// midStreamCycle returns the first cycle at or after from whose rename
+// consumes part of the fetch queue (the head index moves off zero) and
+// leaves micro-ops waiting behind it (the tail is not empty). Such
 // cycles are about one in a hundred — rename usually keeps up with
 // fetch — so a probe machine plays Run's cycle by hand to find one.
 func midStreamCycle(t *testing.T, m *ooo.CPU, from uint64) uint64 {
@@ -194,44 +215,182 @@ func midStreamCycle(t *testing.T, m *ooo.CPU, from uint64) uint64 {
 	return 0
 }
 
-// finish runs m to the end under a commit probe.
-func finish(t *testing.T, m *ooo.CPU) (core.RunResult, map[string]uint64, []uint64) {
+// checkpointAt runs a fresh machine to cycle and checkpoints it there.
+func checkpointAt(t *testing.T, boot func() *ooo.CPU, cycle uint64) *ooo.Checkpoint {
 	t.Helper()
-	var s pcStream
+	m := boot()
+	defer m.ReleaseMemory()
+	if _, finished, err := m.RunTo(cycle); err != nil || finished {
+		t.Fatalf("RunTo(%d): finished=%v err=%v", cycle, finished, err)
+	}
+	cp, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp.(*ooo.Checkpoint)
+}
+
+// stallCheckpoint returns the checkpoint of the first cycle at or after
+// from with a front-end stall pending — an instruction-cache or TLB miss,
+// or the redirect penalty of a flush — taken on one probe machine.
+func stallCheckpoint(t *testing.T, boot func() *ooo.CPU, from uint64) *ooo.Checkpoint {
+	t.Helper()
+	m := boot()
+	defer m.ReleaseMemory()
+	for c := from; ; c++ {
+		if _, finished, err := m.RunTo(c); err != nil || finished {
+			t.Fatalf("no front-end stall pending from cycle %d on (finished=%v err=%v)", from, finished, err)
+		}
+		cp, err := m.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp := cp.(*ooo.Checkpoint); cp.StallPending() {
+			return cp
+		}
+	}
+}
+
+// run is everything a run to the end shows: its result, statistics,
+// committed instructions and, when profiled, every access of every
+// faultable array.
+type run struct {
+	res      core.RunResult
+	stats    map[string]uint64
+	commits  []commit
+	profiles map[string]*bitarray.Profile
+}
+
+// finish runs m to the end under a commit probe, profiling every
+// faultable array when profile is set.
+func finish(t *testing.T, m *ooo.CPU, profile bool) run {
+	t.Helper()
+	var s commitStream
 	m.SetCommitProbe(&s)
+	arrs := m.Structures()
+	if profile {
+		for _, a := range arrs {
+			a.StartProfile(m.CurrentCycle)
+		}
+	}
 	res := m.Run(1 << 62)
 	if res.Status != core.RunCompleted {
 		t.Fatalf("run ended with %v (%s)", res.Status, res.AssertMsg)
 	}
-	return res, m.Stats(), s.pcs
+	r := run{res: res, stats: m.Stats(), commits: s.commits}
+	if profile {
+		r.profiles = make(map[string]*bitarray.Profile, len(arrs))
+		for name, a := range arrs {
+			r.profiles[name] = a.StopProfile()
+		}
+	}
+	m.ReleaseMemory()
+	return r
 }
 
-// TestCheckpointAcrossMidStreamFetchQueue cuts the front end off at a
-// cycle where the fetch queue has a non-zero head and a non-empty tail,
-// drains, checkpoints, and restores into a fresh machine and into a used
-// one whose own queue, ROB and issue queue are busy. Both must finish
-// exactly like the checkpointed machine running on uninterrupted:
-// statistics, committed-PC stream and run result.
+// sameFrom reports the first difference between what run got shows from
+// cycle cut on and what want shows from cut on, or "" when there is none.
+func sameFrom(want, got run, cut uint64) string {
+	if !reflect.DeepEqual(got.res, want.res) {
+		return fmt.Sprintf("result: %v at cycle %d after %d instructions, boot run %v at %d after %d",
+			got.res.Status, got.res.Cycles, got.res.Committed, want.res.Status, want.res.Cycles, want.res.Committed)
+	}
+	for k, v := range want.stats {
+		if got.stats[k] != v {
+			return fmt.Sprintf("stat %s = %d, boot run %d", k, got.stats[k], v)
+		}
+	}
+	if w := commitsFrom(want.commits, cut); !slices.Equal(got.commits, w) {
+		return fmt.Sprintf("committed-instruction stream differs (%d vs %d commits from cycle %d)", len(got.commits), len(w), cut)
+	}
+	for name, wp := range want.profiles {
+		if e, ok := sameEvents(wp, got.profiles[name], cut); !ok {
+			return fmt.Sprintf("array %s entry %d: accesses differ from cycle %d on", name, e, cut)
+		}
+	}
+	return ""
+}
+
+// sameEvents compares, entry by entry, the events of want at or after
+// cut with every event of got.
+func sameEvents(want, got *bitarray.Profile, cut uint64) (entry int, ok bool) {
+	if got == nil || got.Entries != want.Entries {
+		return -1, false
+	}
+	for e := 0; e < want.Entries; e++ {
+		wi, gi := want.Events(e), got.Events(e)
+		w, wok := wi.Next()
+		for wok && w.Cycle < cut {
+			w, wok = wi.Next()
+		}
+		for {
+			g, gok := gi.Next()
+			if wok != gok || w != g {
+				return e, false
+			}
+			if !wok {
+				break
+			}
+			w, wok = wi.Next()
+		}
+	}
+	return 0, true
+}
+
+// TestCheckpointRestoresTheBootRun is the exactness pin of checkpoints:
+// for every tool on qsort and sha, a machine restored at cycle c and run
+// to the end is the boot run from c on — the same run result and
+// statistics, the same committed instructions at the same cycles, and on
+// every faultable array the same reads, writes and evictions of the same
+// bits at the same cycles. The cuts include a cycle with a front-end
+// stall pending, one with micro-ops left waiting in the fetch queue
+// mid-stream, and the middle of the run.
+func TestCheckpointRestoresTheBootRun(t *testing.T) {
+	for _, tool := range tools {
+		for _, bench := range []string{"qsort", "sha"} {
+			t.Run(tool.name+"/"+bench, func(t *testing.T) {
+				boot := benchBooter(t, tool.name, bench)
+				want := finish(t, boot(), true)
+				cuts := []struct {
+					name string
+					cp   *ooo.Checkpoint
+				}{
+					{"stall pending", stallCheckpoint(t, boot, want.res.Cycles/4)},
+					{"queue mid-stream", checkpointAt(t, boot, midStreamCycle(t, boot(), 10_000)+1)},
+					{"half way", checkpointAt(t, boot, want.res.Cycles/2)},
+				}
+				for _, cut := range cuts {
+					if cut.name == "queue mid-stream" && cut.cp.Queued() == 0 {
+						t.Fatalf("%s: cycle %d has an empty fetch queue", cut.name, cut.cp.Cycle)
+					}
+					m := boot()
+					if err := m.Restore(cut.cp); err != nil {
+						t.Fatal(err)
+					}
+					if diff := sameFrom(want, finish(t, m, true), cut.cp.Cycle); diff != "" {
+						t.Errorf("restored at cycle %d (%s): %s", cut.cp.Cycle, cut.name, diff)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCheckpointAcrossMidStreamFetchQueue checkpoints at a cycle whose
+// rename left micro-ops waiting in the fetch queue with its head index
+// off zero, and restores into a fresh machine and into a used one whose
+// own queue, ROB and issue queue are busy. Both must finish exactly like
+// a straight run from boot: run result, statistics and committed
+// instructions from the cut on.
 func TestCheckpointAcrossMidStreamFetchQueue(t *testing.T) {
 	for _, tool := range tools {
 		t.Run(tool.name, func(t *testing.T) {
 			boot := benchBooter(t, tool.name, tool.frontEndBench)
-			// A checkpoint does not carry a pending front-end stall (Restore
-			// resumes fetching at once), so take one where none is pending: the
-			// restored machines then owe the uninterrupted one nothing.
-			var base *ooo.CPU
-			for target := uint64(20_000); base == nil || base.FetchStalled(); target++ {
-				target = midStreamCycle(t, boot(), target)
-				base = boot()
-				if _, finished, err := base.RunTo(target); err != nil || finished {
-					t.Fatalf("RunTo(%d): finished=%v err=%v", target, finished, err)
-				}
+			want := finish(t, boot(), false)
+			cp := checkpointAt(t, boot, midStreamCycle(t, boot(), 20_000)+1)
+			if cp.Queued() == 0 {
+				t.Fatalf("cycle %d has an empty fetch queue", cp.Cycle)
 			}
-			cp, err := base.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRes, wantStats, wantPCs := finish(t, base)
 
 			used := boot()
 			used.Run(midStreamCycle(t, boot(), 50_000) + 1)
@@ -242,18 +401,8 @@ func TestCheckpointAcrossMidStreamFetchQueue(t *testing.T) {
 				if err := m.Restore(cp); err != nil {
 					t.Fatal(err)
 				}
-				res, stats, pcs := finish(t, m)
-				if !reflect.DeepEqual(res, wantRes) {
-					t.Errorf("%s: result differs: %d cycles, %d instructions, exit %d; uninterrupted %d, %d, %d",
-						name, res.Cycles, res.Committed, res.ExitCode, wantRes.Cycles, wantRes.Committed, wantRes.ExitCode)
-				}
-				for k, v := range wantStats {
-					if stats[k] != v {
-						t.Errorf("%s: stat %s = %d, uninterrupted %d", name, k, stats[k], v)
-					}
-				}
-				if !reflect.DeepEqual(pcs, wantPCs) {
-					t.Errorf("%s: committed-PC stream differs from the uninterrupted run (%d vs %d instructions)", name, len(pcs), len(wantPCs))
+				if diff := sameFrom(want, finish(t, m, false), cp.Cycle); diff != "" {
+					t.Errorf("%s machine restored at cycle %d: %s", name, cp.Cycle, diff)
 				}
 			}
 		})
@@ -290,17 +439,18 @@ func TestWindowHandoffAcrossMidStreamFetchQueue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRes, _, wantPCs := finish(t, base)
+			want := finish(t, base, false)
 
 			seeded := boot()
 			seeded.SeedArch(st)
-			res, _, pcs := finish(t, seeded)
+			got := finish(t, seeded, false)
+			res, wantRes := got.res, want.res
 			if res.ExitCode != wantRes.ExitCode || res.Committed != wantRes.Committed || !bytes.Equal(res.Output, wantRes.Output) {
 				t.Errorf("seeded run: exit %d, %d instructions; windowed machine: exit %d, %d instructions (outputs equal: %v)",
 					res.ExitCode, res.Committed, wantRes.ExitCode, wantRes.Committed, bytes.Equal(res.Output, wantRes.Output))
 			}
-			if !reflect.DeepEqual(pcs, wantPCs) {
-				t.Errorf("seeded run commits a different instruction stream (%d vs %d instructions)", len(pcs), len(wantPCs))
+			if !reflect.DeepEqual(pcs(got.commits), pcs(want.commits)) {
+				t.Errorf("seeded run commits a different instruction stream (%d vs %d instructions)", len(got.commits), len(want.commits))
 			}
 		})
 	}

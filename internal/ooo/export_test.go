@@ -1,8 +1,8 @@
 package ooo
 
-// Test hooks: the trait table a machine carries, and stepping for the
+// Test hooks: the trait table a machine carries, stepping for the
 // front-end tests, which play Run's cycle by hand to find a cycle where
-// the fetch queue is mid-stream.
+// the fetch queue is mid-stream, and what a checkpoint caught in flight.
 
 // Traits returns the trait table the machine was booted with.
 func (c *CPU) Traits() Traits { return c.t }
@@ -13,10 +13,6 @@ func (c *CPU) Finished() bool { return c.finished }
 // FetchQueueLen is the number of micro-ops waiting between fetch and
 // rename.
 func (c *CPU) FetchQueueLen() int { return c.fetchQ.Len() }
-
-// FetchStalled reports a pending front-end stall, which a checkpoint
-// does not carry.
-func (c *CPU) FetchStalled() bool { return c.fetchReady > c.cycle }
 
 // Busy reports work in the fetch queue, the ROB and the issue queue at
 // once.
@@ -36,3 +32,11 @@ func (c *CPU) StepFetch() {
 	c.fetch()
 	c.cycle++
 }
+
+// StallPending reports a front-end stall the checkpoint caught: fetch
+// resumes only at a later cycle.
+func (cp *Checkpoint) StallPending() bool { return cp.fetchReady > cp.Cycle }
+
+// Queued is the number of micro-ops the checkpoint caught between fetch
+// and rename.
+func (cp *Checkpoint) Queued() int { return len(cp.fetchQ) }

@@ -1,8 +1,9 @@
 // Package ooo is the one out-of-order core behind both injectors: the
-// cycle loop, the drained-machine checkpoint and the detail window are
-// written once here, and a tool — MaFIN's MARSS, GeFIN's Gem5 — is a
-// Config (its Table II column: sizes, cache and BTB organisation) plus a
-// Traits value (the design differences the paper's Remarks name). The
+// cycle loop, the checkpoint of the machine in flight and the detail
+// window are written once here, and a tool — MaFIN's MARSS, GeFIN's
+// Gem5 — is a Config (its Table II column: sizes, cache and BTB
+// organisation) plus a Traits value (the design differences the paper's
+// Remarks name). The
 // tool packages internal/marss and internal/gem5 own those values; nothing
 // else constructs a Traits, so a trait is a code path of a tool, never an
 // option of a campaign.

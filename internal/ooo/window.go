@@ -19,6 +19,13 @@ import (
 // scheduler seeds functional-tier machines from it.
 func (c *CPU) Image() *asm.Image { return c.img }
 
+// drained reports whether no speculative state is in flight: the state
+// the window's exit waits for, so an architectural capture is complete.
+func (c *CPU) drained() bool {
+	return c.rob.Empty() && c.fetchQ.Len() == 0 && len(c.inflight) == 0 &&
+		c.iq.Len() == 0 && c.lsq.Loads()+c.lsq.Stores() == 0
+}
+
 // CaptureArch snapshots the architecturally visible machine state for a
 // handoff to the functional tier. The machine must be drained (nothing
 // speculative in flight), so the committed register mapping, RAM and

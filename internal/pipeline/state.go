@@ -1,9 +1,14 @@
 package pipeline
 
-// RegFileState is a deep copy of a physical register file, its rename
-// tables and allocation state, used by the simulators' checkpointing
-// support. Checkpoints are taken on drained machines, where the
-// speculative RAT equals the committed RAT.
+// The states below are deep copies of the pipeline structures, used by
+// the simulators' checkpointing support. A checkpoint is taken on a
+// machine in flight, so each state carries everything its structure
+// holds between two cycles, and restoring it makes the structure that
+// one, whatever it held before. States are copied on restore, so one
+// state may seed many machines concurrently.
+
+// RegFileState is a physical register file, its rename tables and its
+// allocation state: the speculative and the committed mapping both.
 type RegFileState struct {
 	Arr       []uint64
 	Ready     []bool
@@ -35,8 +40,7 @@ func (r *RegFile) State() *RegFileState {
 	return s
 }
 
-// SetState restores a previously captured state (copied, so one state
-// may seed many register files).
+// SetState restores a previously captured state.
 func (r *RegFile) SetState(s *RegFileState) {
 	r.arr.RestoreSnapshot(s.Arr)
 	copy(r.ready, s.Ready)
@@ -46,4 +50,93 @@ func (r *RegFile) SetState(s *RegFileState) {
 	copy(r.commitRAT, s.CommitRAT)
 	r.reads = s.Reads
 	r.writes = s.Writes
+}
+
+// ROBState is the reorder buffer's in-flight entries, kept at their
+// ring positions: the issue queue, the load/store queue and the core
+// link to entries by index.
+type ROBState struct {
+	entries []ROBEntry // oldest first
+	head    int
+	seq     uint64
+}
+
+// State captures the reorder buffer.
+func (r *ROB) State() *ROBState {
+	s := &ROBState{entries: make([]ROBEntry, 0, r.count), head: r.head, seq: r.seq}
+	r.Walk(func(_ int, e *ROBEntry) bool {
+		s.entries = append(s.entries, *e)
+		return true
+	})
+	return s
+}
+
+// SetState restores a previously captured state.
+func (r *ROB) SetState(s *ROBState) {
+	r.head, r.count, r.seq = s.head, len(s.entries), s.seq
+	for i, e := range s.entries {
+		r.entries[(r.head+i)%len(r.entries)] = e
+	}
+}
+
+// IQState is the issue queue: the payload array and which slot holds
+// which micro-op, in age order.
+type IQState struct {
+	payload  []uint64
+	occupied []bool
+	robIdx   []int
+	age      []int
+}
+
+// State captures the issue queue.
+func (q *IQ) State() *IQState {
+	return &IQState{
+		payload:  q.arr.Snapshot(),
+		occupied: append([]bool(nil), q.occupied...),
+		robIdx:   append([]int(nil), q.robIdx...),
+		age:      append([]int(nil), q.age...),
+	}
+}
+
+// SetState restores a previously captured state.
+func (q *IQ) SetState(s *IQState) {
+	q.arr.RestoreSnapshot(s.payload)
+	copy(q.occupied, s.occupied)
+	copy(q.robIdx, s.robIdx)
+	q.age = append(q.age[:0], s.age...)
+}
+
+// LSQState is the load/store queue: its entries and its data array.
+type LSQState struct {
+	entries       []lsqEntry
+	data          []uint64
+	loads, stores int
+}
+
+// State captures the load/store queue.
+func (q *LSQ) State() *LSQState {
+	return &LSQState{
+		entries: append([]lsqEntry(nil), q.entries...),
+		data:    q.data.Snapshot(),
+		loads:   q.loads,
+		stores:  q.stores,
+	}
+}
+
+// SetState restores a previously captured state.
+func (q *LSQ) SetState(s *LSQState) {
+	copy(q.entries, s.entries)
+	q.data.RestoreSnapshot(s.data)
+	q.loads, q.stores = s.loads, s.stores
+}
+
+// Snapshot returns a copy of the queued micro-ops, oldest first.
+func (q *FetchQueue) Snapshot() []FetchedUop {
+	return append([]FetchedUop(nil), q.buf[q.head:]...)
+}
+
+// Restore makes the queue hold a copy of uops, oldest first.
+func (q *FetchQueue) Restore(uops []FetchedUop) {
+	q.buf = append(q.buf[:0], uops...)
+	q.head = 0
 }

@@ -12,10 +12,12 @@
 // as live state; one whose bit is never accessed again rides along to a
 // completed run with golden output. All three are Masked with certainty.
 // Two transient faults of the same bit whose injection cycles fall
-// between the same two consecutive covering accesses (and which would
-// start from the same restore point) face identical machine state at the
-// first read of the bit, so their runs — and verdicts — are identical;
-// simulating one representative decides the whole class.
+// between the same two consecutive covering accesses face identical
+// machine state at the first read of the bit, so their runs — and
+// verdicts — are identical; simulating one representative decides the
+// whole class. That holds whichever checkpoint rung a run restores from:
+// a rung is the machine in flight, so a restored run is the boot run
+// from the rung on, and the boot profile describes every trajectory.
 //
 // The engine only ever prunes when the profile proves the outcome; any
 // uncertainty (non-transient models, missing profiles, out-of-range
@@ -80,42 +82,34 @@ type Plan struct {
 	Simulated  int
 }
 
-// Profiles maps structure name → liveness profile of one fault-free
-// trajectory (boot, or restored from one checkpoint rung).
+// Profiles maps structure name → liveness profile of the fault-free boot
+// run.
 type Profiles map[string]*bitarray.Profile
 
-// classKey identifies an equivalence class: same restore point, same bit,
-// and the same next covering access (by per-entry event index, which
-// pins the inter-access interval the injection cycles fall into).
+// classKey identifies an equivalence class: same bit and the same next
+// covering access (by per-entry event index, which pins the
+// inter-access interval the injection cycles fall into).
 type classKey struct {
-	rung      int
 	structure string
 	entry     int
 	bit       int
 	event     int
 }
 
-// BuildPlan classifies every mask against the liveness profile of the
-// trajectory its run would follow. profiles[rungOf[i]+1] is the profile
-// set of mask i — index 0 is the boot trajectory, index r+1 the replay
-// restored from checkpoint rung r — so pruning stays sound when runs
-// restore from mid-run checkpoints: the profile is taken from the same
-// restore point the pruned run would have started at. A nil rungOf means
-// every mask boots from scratch. A nil or missing profile set degrades
-// that mask to Simulate.
+// BuildPlan classifies every mask against profiles[0], the liveness
+// profile set of the boot run; a nil set degrades every mask to
+// Simulate. profiles takes a slice and rungOf is ignored only because
+// the benchmark module in bench/ compiles against this signature;
+// ROADMAP item 8(a), the change that may touch bench/, removes both.
 func BuildPlan(masks []fault.Mask, profiles []Profiles, rungOf []int) *Plan {
 	plan := &Plan{Decisions: make([]Decision, len(masks))}
+	var ps Profiles
+	if len(profiles) > 0 {
+		ps = profiles[0]
+	}
 	seen := make(map[classKey]int)
 	for i, m := range masks {
-		rung := -1
-		if rungOf != nil {
-			rung = rungOf[i]
-		}
-		var ps Profiles
-		if pi := rung + 1; pi >= 0 && pi < len(profiles) {
-			ps = profiles[pi]
-		}
-		d := classify(m, ps, rung, i, seen)
+		d := classify(m, ps, i, seen)
 		plan.Decisions[i] = d
 		switch d.Action {
 		case Dead:
@@ -131,7 +125,7 @@ func BuildPlan(masks []fault.Mask, profiles []Profiles, rungOf []int) *Plan {
 
 // classify decides one mask. seen maps equivalence classes to the index
 // of their first (representative) mask.
-func classify(m fault.Mask, ps Profiles, rung, idx int, seen map[classKey]int) Decision {
+func classify(m fault.Mask, ps Profiles, idx int, seen map[classKey]int) Decision {
 	if ps == nil || len(m.Sites) == 0 {
 		return Decision{Action: Simulate}
 	}
@@ -164,7 +158,7 @@ func classify(m fault.Mask, ps Profiles, rung, idx int, seen map[classKey]int) D
 			}
 		default: // read: the fault is live, the run must be simulated
 			allDead = false
-			liveKey = classKey{rung: rung, structure: s.Structure, entry: s.Entry, bit: s.Bit, event: evIdx}
+			liveKey = classKey{structure: s.Structure, entry: s.Entry, bit: s.Bit, event: evIdx}
 		}
 	}
 	if allDead {

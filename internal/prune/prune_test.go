@@ -73,14 +73,16 @@ func TestBuildPlanEquivalenceCollapse(t *testing.T) {
 	}
 }
 
-func TestBuildPlanRungsSeparateClasses(t *testing.T) {
-	// The same interval on different restore trajectories must not
-	// collapse together: the machine state at the read differs.
+func TestBuildPlanClassesIgnoreTheRestorePoint(t *testing.T) {
+	// Two masks in one interval collapse whichever rung each run would
+	// restore from: a restored run is the boot run from its rung on, so
+	// the machine state at the read is the same. The plan reads the boot
+	// profile set alone, whatever else it is handed.
 	ps := prof(bitarray.ProfileEvent{Cycle: 100, FirstBit: 0, NBits: 64, Kind: bitarray.AccessRead})
 	masks := []fault.Mask{mask(0, 10), mask(1, 20)}
-	plan := BuildPlan(masks, []Profiles{ps, ps}, []int{-1, 0})
-	if d := plan.Decisions[1]; d.Action != Simulate {
-		t.Fatalf("mask on a different rung collapsed: %v", d.Action)
+	plan := BuildPlan(masks, []Profiles{ps, nil}, []int{-1, 0})
+	if d := plan.Decisions[1]; d.Action != Replicate || d.Rep != 0 {
+		t.Fatalf("mask 1, in mask 0's interval: %v rep=%d, want a replica of mask 0", d.Action, d.Rep)
 	}
 }
 

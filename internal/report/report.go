@@ -218,8 +218,7 @@ func RunFigure(spec FigureSpec, opt Options, progress io.Writer) (*FigureData, e
 // campaign is flattened into one shared run queue executed by a single
 // global worker pool, the golden reference of each {tool, benchmark} row
 // is simulated exactly once for the whole matrix, and (UseCheckpoint)
-// each row's fault-free prefix checkpoint is shared across its
-// structures. Output is deterministic for a fixed seed and identical to
+// each row's checkpoint ladder is shared across its structures. Output is deterministic for a fixed seed and identical to
 // running the campaigns one at a time.
 //
 // A non-nil progress writer receives structured periodic progress lines

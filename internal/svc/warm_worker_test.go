@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -130,15 +131,41 @@ func TestWarmWorkerSharesArtifactsAcrossCampaigns(t *testing.T) {
 	// resolver a deterministic hook between shards: at A's third shard
 	// the higher-priority B is submitted, so B's shards run before A's
 	// remaining ones; at the second-to-last shard overall the row is
-	// pushed out of the cache by filler rows.
+	// pushed out of the cache by filler rows. served records which
+	// campaign each shard came from, in run order.
 	cache := core.NewGoldenCache()
 	submittedB := make(chan api.CampaignStatus, 1)
-	var shards, fillers int // the worker's until it has stopped
+	var (
+		shards, fillers int      // the worker's until it has stopped
+		served          []string // "a" or "b" per shard
+		idB             string
+	)
 	resolve := func(tool, bench string) (core.Factory, error) {
 		shards++
+		from := "a"
+		if idB != "" {
+			for _, ws := range s.Fleet(idB) {
+				if ws.ID == "w" && ws.Shard >= 0 {
+					from = "b"
+				}
+			}
+		}
+		served = append(served, from)
 		switch shards {
 		case 3:
-			submittedB <- submit("b", cfgB, 1)
+			st := submit("b", cfgB, 1)
+			// A lease skips a campaign still planning (no shard ledger
+			// yet) and falls through to A. Hold A's third shard until B is
+			// running, so B's shards are the worker's next three however
+			// slowly B's planning goroutine gets scheduled.
+			for {
+				if got, err := s.Get("", st.ID); err != nil || (got.State != api.StateQueued && got.State != api.StatePlanning) {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			idB = st.ID
+			submittedB <- st
 		case shardsA + shardsB - 1:
 			before := observeCache(cache).CacheEvictions
 			for ; observeCache(cache).CacheEvictions == before; fillers++ {
@@ -196,11 +223,19 @@ func TestWarmWorkerSharesArtifactsAcrossCampaigns(t *testing.T) {
 	if got, want := cache.Runs(), 2+fillers; got != want {
 		t.Errorf("worker cache ran %d golden simulations, want %d (row once, once more after eviction, %d fillers)", got, want, fillers)
 	}
+	if want := []string{"a", "a", "a", "b", "b", "b", "a", "a", "a"}; !reflect.DeepEqual(served, want) {
+		t.Errorf("shards ran in campaign order %v, want %v", served, want)
+	}
+	// A's K=2 ladder and rf.int profile, B's K=3 ladder and l1d.data
+	// profile: each built once, never once per shard, and rebuilt once
+	// after the eviction for each campaign a later shard served.
+	rebuilt := map[string]bool{}
+	for _, c := range served[shardsA+shardsB-2:] {
+		rebuilt[c] = true
+	}
 	cs := observeCache(cache)
-	// K=2 and K=3 ladders, each rebuilt at most once after the eviction:
-	// never one per shard.
-	if cs.LadderBuilds < 2 || cs.LadderBuilds > 3 || cs.ProfileBuilds < 2 || cs.ProfileBuilds > 3 {
-		t.Errorf("%d ladder builds and %d profile builds for %d shards, want 2–3 of each", cs.LadderBuilds, cs.ProfileBuilds, shards)
+	if want := uint64(2 + len(rebuilt)); cs.LadderBuilds != want || cs.ProfileBuilds != want {
+		t.Errorf("%d ladder builds and %d profile builds for %d shards, want %d of each", cs.LadderBuilds, cs.ProfileBuilds, shards, want)
 	}
 	if cs.LadderHits+cs.LadderBuilds != uint64(shards) {
 		t.Errorf("%d ladder lookups for %d shards", cs.LadderHits+cs.LadderBuilds, shards)
