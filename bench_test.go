@@ -269,10 +269,10 @@ func BenchmarkInOrderAblation(b *testing.B) {
 }
 
 // BenchmarkCheckpointAblation measures checkpoint-based prefix sharing:
-// the same campaign with every run booted from scratch versus runs whose
-// faults start beyond a rung restored from the row's shared checkpoint
-// ladder (the paper's use of simulator checkpoints to speed up
-// campaigns).
+// the masks booted one by one with core.RunOne versus the campaign,
+// whose runs restore from the highest rung of the row's shared
+// checkpoint ladder below their first fault (the paper's use of
+// simulator checkpoints to speed up campaigns).
 func BenchmarkCheckpointAblation(b *testing.B) {
 	w, err := workload.ByName("qsort")
 	if err != nil {
@@ -301,21 +301,25 @@ func BenchmarkCheckpointAblation(b *testing.B) {
 			masks[i].Sites[j].Cycle += 2 * golden.Cycles / 3
 		}
 	}
-	for _, mode := range []struct {
-		name string
-		use  bool
-	}{{"from-boot", false}, {"from-checkpoint", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := runSpecs([]core.CampaignSpec{{
-					Tool: sims.MaFINX86, Benchmark: "qsort", Structure: "rf.int",
-					Masks: masks, Factory: factory,
-				}}, core.CampaignConfig{Workers: 1, UseCheckpoint: mode.use}, core.Attach{}); err != nil {
+	b.Run("from-boot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, m := range masks {
+				if _, err := core.RunOne(factory, m, golden, 0, true); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
+		}
+	})
+	b.Run("from-checkpoint", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := runSpecs([]core.CampaignSpec{{
+				Tool: sims.MaFINX86, Benchmark: "qsort", Structure: "rf.int",
+				Masks: masks, Factory: factory,
+			}}, core.CampaignConfig{Workers: 1}, core.Attach{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkMatrixScheduler measures the cross-campaign matrix scheduler:
@@ -610,7 +614,7 @@ func BenchmarkCheckpointLadder(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := runSpecs(spec(), core.CampaignConfig{
-					Workers: 4, UseCheckpoint: true, CheckpointLadder: mode.ladder,
+					Workers: 4, CheckpointLadder: mode.ladder,
 				}, core.Attach{}); err != nil {
 					b.Fatal(err)
 				}
@@ -698,8 +702,8 @@ func BenchmarkDetailWindow(b *testing.B) {
 	run := func(window, reference bool) uint64 {
 		var runs uint64
 		opt := core.CampaignConfig{
-			Workers: 4, UseCheckpoint: true,
-			Prune: true, CheckpointLadder: 3,
+			Workers: 4,
+			Prune:   true, CheckpointLadder: 3,
 		}
 		if window {
 			opt.DetailWindow = true
@@ -731,8 +735,8 @@ func BenchmarkDetailWindow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				col := telemetry.New()
 				opt := core.CampaignConfig{
-					Workers: 4, UseCheckpoint: true,
-					Prune: true, CheckpointLadder: 3,
+					Workers: 4,
+					Prune:   true, CheckpointLadder: 3,
 				}
 				if mode.window {
 					opt.DetailWindow = true
@@ -836,8 +840,8 @@ func BenchmarkDetailWindowDivergence(b *testing.B) {
 	run := func(div bool) uint64 {
 		var runs uint64
 		opt := core.CampaignConfig{
-			Workers: 4, UseCheckpoint: true,
-			Prune: true, CheckpointLadder: 3,
+			Workers: 4,
+			Prune:   true, CheckpointLadder: 3,
 			DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
 		}
 		att := core.Attach{Telemetry: telemetry.New(), Golden: cache}
@@ -948,8 +952,8 @@ func BenchmarkWindowEntryLadder(b *testing.B) {
 	run := func(ffRungs int) uint64 {
 		var runs uint64
 		opt := core.CampaignConfig{
-			Workers: 4, UseCheckpoint: true,
-			Prune: true, CheckpointLadder: 3,
+			Workers: 4,
+			Prune:   true, CheckpointLadder: 3,
 			DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
 			FFRungs: ffRungs,
 		}

@@ -1,6 +1,10 @@
 package cache
 
-import "repro/internal/bitarray"
+import (
+	"unsafe"
+
+	"repro/internal/bitarray"
+)
 
 // State is a deep copy of a cache's full contents — arrays, metadata and
 // counters — used by the simulators' checkpointing support (the paper's
@@ -18,7 +22,7 @@ type State struct {
 
 // SizeBytes is the heap the state retains.
 func (s *State) SizeBytes() int {
-	return s.Tags.SizeBytes() + s.Valid.SizeBytes() + s.Data.SizeBytes() + s.LRU.SizeBytes() + 4*cap(s.Dirty)
+	return int(unsafe.Sizeof(*s)) + s.Tags.SizeBytes() + s.Valid.SizeBytes() + s.Data.SizeBytes() + s.LRU.SizeBytes() + 4*cap(s.Dirty)
 }
 
 // State captures the cache.
@@ -63,34 +67,38 @@ func (c *Cache) Release() {
 	c.data.Release()
 }
 
-// TLBState is a deep copy of a TLB.
+// TLBState is a copy of a TLB, kept sparse like a cache's State: only
+// the entries (and LRU stamps) with a non-zero word.
 type TLBState struct {
-	Valid, Tags, PPNs []uint64
-	LRU               []uint64
-	Clock             uint64
-	Stats             TLBStats
+	Valid, Tags, PPNs, LRU *bitarray.Sparse
+	Clock                  uint64
+	Stats                  TLBStats
+}
+
+// SizeBytes is the heap the state retains.
+func (s *TLBState) SizeBytes() int {
+	return int(unsafe.Sizeof(*s)) + s.Valid.SizeBytes() + s.Tags.SizeBytes() + s.PPNs.SizeBytes() + s.LRU.SizeBytes()
 }
 
 // State captures the TLB.
 func (t *TLB) State() *TLBState {
-	s := &TLBState{
-		Valid: t.valid.Snapshot(),
-		Tags:  t.tags.Snapshot(),
-		PPNs:  t.ppns.Snapshot(),
-		LRU:   make([]uint64, len(t.lru)),
+	return &TLBState{
+		Valid: t.valid.SnapshotSparse(),
+		Tags:  t.tags.SnapshotSparse(),
+		PPNs:  t.ppns.SnapshotSparse(),
+		LRU:   bitarray.Sparsify(t.lru, 1),
 		Clock: t.clock,
 		Stats: t.stats,
 	}
-	copy(s.LRU, t.lru)
-	return s
 }
 
-// SetState restores a previously captured state.
+// SetState restores a previously captured state, whatever the TLB held
+// before.
 func (t *TLB) SetState(s *TLBState) {
-	t.valid.RestoreSnapshot(s.Valid)
-	t.tags.RestoreSnapshot(s.Tags)
-	t.ppns.RestoreSnapshot(s.PPNs)
-	copy(t.lru, s.LRU)
+	t.valid.RestoreSparse(s.Valid)
+	t.tags.RestoreSparse(s.Tags)
+	t.ppns.RestoreSparse(s.PPNs)
+	s.LRU.Scatter(t.lru)
 	t.clock = s.Clock
 	t.stats = s.Stats
 }

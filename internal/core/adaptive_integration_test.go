@@ -233,7 +233,6 @@ func TestAdaptiveStopComposesWithPruneLadderWindow(t *testing.T) {
 		cfg.Injections = 2000
 		cfg.Workers = workers
 		cfg.Prune = true
-		cfg.UseCheckpoint = true
 		cfg.CheckpointLadder = 3
 		cfg.DetailWindow = true
 		cfg.WindowPre = 2000

@@ -36,8 +36,8 @@ func TestConcurrentPlanMatchesSerial(t *testing.T) {
 	cfg := core.CampaignConfig{
 		Injections: 40, Seed: 11,
 		Prune: true, PruneVerify: 5,
-		UseCheckpoint: true, CheckpointLadder: 3,
-		DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 3,
+		CheckpointLadder: 3,
+		DetailWindow:     true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 3,
 	}
 	for _, tool := range sims.Tools() {
 		for _, structure := range []string{"rf.int", "l1d.data"} {

@@ -88,12 +88,12 @@ type CampaignConfig struct {
 	TimeoutFactor uint64 `json:"timeout_factor,omitempty"`
 	// DisableEarlyStop turns off the §III.B optimizations (ablation).
 	DisableEarlyStop bool `json:"disable_early_stop,omitempty"`
-	// UseCheckpoint shares each row's fault-free prefix via a ladder of
-	// checkpoints of the machine in flight: every run whose faults all
-	// start beyond a rung is seeded from the highest such rung. A restored
-	// run is the boot run of the same mask from the rung on, so records
-	// are identical with checkpoints on or off (a detail window may still
-	// be entered from a rung rather than from the functional tier).
+	// UseCheckpoint is ignored: every campaign shares its rows' fault-free
+	// prefix through the checkpoint ladder (see CheckpointLadder). The
+	// field stays only so that old configs and /v1 submissions carrying it
+	// still decode, and because the benchmark module in bench/ compiles
+	// against it; ROADMAP item 8(a), the change that may touch bench/,
+	// removes it.
 	UseCheckpoint bool `json:"use_checkpoint,omitempty"`
 	// Workers is the simulation worker-pool size of the executing
 	// process — each distributed worker applies it locally; 0 means
@@ -105,7 +105,14 @@ type CampaignConfig struct {
 	Prune       bool `json:"prune,omitempty"`
 	PruneVerify int  `json:"prune_verify,omitempty"`
 	// CheckpointLadder is the number of evenly spaced restore rungs per
-	// row, with UseCheckpoint; 0 means the default ladder of 4.
+	// row; 0 means the default ladder of 4. Every run whose faults all
+	// start beyond a rung is seeded from the highest such rung, the
+	// machine in flight there, so it is the boot run of the same mask
+	// from the rung on and K changes no record outside a detail window.
+	// Under one it does: a window whose entry falls at or below a rung
+	// opens cycle-accurately from that rung instead of from the
+	// functional tier's approximate entry, so K decides how many windows
+	// are entered exactly.
 	CheckpointLadder int `json:"checkpoint_ladder,omitempty"`
 	// RunWallLimit bounds the host wall-clock time of a single run
 	// (serialized as nanoseconds); 0 is off.
@@ -399,8 +406,8 @@ type Attach struct {
 // masks) or generated deterministically from {seed, model, injections}
 // against the golden geometry. Two processes building the same cell of
 // the same config produce identical masks — the root of the distributed
-// path's byte-identity. Its golden run and profiled replays build on
-// pool.
+// path's byte-identity. Its golden run, profiled replays and — for
+// generated masks — the row's checkpoint ladder build on pool.
 func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, pool *planPool) (CampaignSpec, error) {
 	cell := c.Campaigns[i]
 	factory, err := resolve(cell.Tool, cell.Benchmark)
@@ -408,6 +415,10 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, p
 		return CampaignSpec{}, err
 	}
 	masks := cell.Masks
+	var (
+		rungs   []LadderRung
+		ladderK int
+	)
 	if len(masks) == 0 {
 		golden, err := cache.golden(pool, cell.Tool, cell.Benchmark, factory)
 		if err != nil {
@@ -466,11 +477,26 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, p
 				}
 			}
 		}
+		// Every campaign restores from its row's ladder. Building it in
+		// the task that ran the golden run starts it when that run ends,
+		// not when the last row's does.
+		ladderK = c.ladderRungs()
+		if rungs, err = cache.ladder(pool, cell.Tool, cell.Benchmark, factory, ladderK); err != nil {
+			return CampaignSpec{}, err
+		}
 	}
 	return CampaignSpec{
 		Tool: cell.Tool, Benchmark: cell.Benchmark, Structure: cell.Structure,
-		Masks: masks, Factory: factory,
+		Masks: masks, Factory: factory, rungs: rungs, ladderK: ladderK,
 	}, nil
+}
+
+// ladderRungs is the campaign's checkpoint-ladder K.
+func (c CampaignConfig) ladderRungs() int {
+	if c.CheckpointLadder == 0 {
+		return defaultCheckpointRungs
+	}
+	return c.CheckpointLadder
 }
 
 // BuildSpecs materializes every cell of the config (see buildSpec), the

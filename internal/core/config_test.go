@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -137,7 +138,7 @@ func TestRunShardUnionMatchesRunConfig(t *testing.T) {
 			{Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int"},
 		},
 		Injections: 8, Seed: 7,
-		Prune: true, UseCheckpoint: true, CheckpointLadder: 2,
+		Prune: true, CheckpointLadder: 2,
 	}
 	full, err := core.RunConfig(cfg, resolve, core.Attach{})
 	if err != nil {
@@ -191,6 +192,37 @@ func TestRunShardUnionMatchesRunConfig(t *testing.T) {
 	// re-simulate, plan-time work.
 	if runs := shared.Runs(); runs == 0 {
 		t.Fatal("shared cache recorded no golden runs")
+	}
+}
+
+// A config written when checkpointing was a switch still decodes and
+// validates, and use_checkpoint, whatever its value, is a no-op: every
+// campaign restores from its row's ladder, so true, false and no key at
+// all record the same runs.
+func TestUseCheckpointDecodesAsANoOp(t *testing.T) {
+	resolve := simsResolver(t)
+	cache := core.NewGoldenCache()
+	var want []core.LogRecord
+	for i, knob := range []string{`"use_checkpoint": true, `, `"use_checkpoint": false, `, ``} {
+		doc := `{` + knob + `"campaigns": [{"tool": "gefin-x86", "benchmark": "qsort", "structure": "rf.int"}], "injections": 6, "seed": 4}`
+		dec := json.NewDecoder(strings.NewReader(doc))
+		dec.DisallowUnknownFields()
+		var cfg core.CampaignConfig
+		if err := dec.Decode(&cfg); err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		res, err := core.RunConfig(cfg, resolve, core.Attach{Golden: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = res[0].Records
+		} else if !reflect.DeepEqual(res[0].Records, want) {
+			t.Errorf("%s: records differ from use_checkpoint true", doc)
+		}
 	}
 }
 

@@ -236,8 +236,8 @@ func TestMatrixJournalResumeDifferential(t *testing.T) {
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
 		res, err := runSpecs(buildSpecs(), core.CampaignConfig{
-			Workers: 4, UseCheckpoint: true,
-			Prune: true, PruneVerify: 2, CheckpointLadder: 3,
+			Workers: 4,
+			Prune:   true, PruneVerify: 2, CheckpointLadder: 3,
 		}, core.Attach{Telemetry: col, Journal: j, Resume: resume})
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +292,7 @@ func TestEmptyMaskBootsFromScratch(t *testing.T) {
 	res, err := runSpecs([]core.CampaignSpec{{
 		Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int",
 		Masks: []fault.Mask{{ID: 0}}, Factory: f,
-	}}, core.CampaignConfig{Workers: 1, UseCheckpoint: true, CheckpointLadder: 3}, core.Attach{Telemetry: col})
+	}}, core.CampaignConfig{Workers: 1, CheckpointLadder: 3}, core.Attach{Telemetry: col})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestDivergenceWithPruneAndLadder(t *testing.T) {
 		Injections: 12,
 		Seed:       9,
 		Divergence: true,
-		Prune:      true, UseCheckpoint: true, CheckpointLadder: 2,
+		Prune:      true, CheckpointLadder: 2,
 	}
 	ref := base
 	ref.Workers = 1

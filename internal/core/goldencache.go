@@ -78,14 +78,15 @@ type goldenEntry struct {
 	bytes atomic.Int64
 
 	// The reference run and what is kept of its finished machine: the
-	// geometry and the live entries of every structure. The machine
-	// itself (RAM image and every array) is let go. Written once under
-	// once, read-only afterwards.
-	once   sync.Once
-	golden GoldenInfo
-	geom   map[string]StructureGeom
-	live   map[string][]int
-	err    error
+	// geometry and the live entries of every structure, and whether it
+	// can checkpoint. The machine itself (RAM image and every array) is
+	// let go. Written once under once, read-only afterwards.
+	once        sync.Once
+	golden      GoldenInfo
+	geom        map[string]StructureGeom
+	live        map[string][]int
+	checkpoints bool
+	err         error
 
 	// Each derived artifact has its own lock: building one simulates
 	// most of a golden run, and lookups of the others must not wait
@@ -160,6 +161,7 @@ func (e *goldenEntry) runGolden(f Factory, bench string) error {
 	}
 	e.golden = golden
 	e.golden.Benchmark = bench
+	_, e.checkpoints = sim.(Checkpointer)
 	arrs := sim.Structures()
 	e.geom = make(map[string]StructureGeom, len(arrs))
 	e.live = make(map[string][]int, len(arrs))
@@ -270,15 +272,15 @@ func (c *GoldenCache) LiveEntries(tool, bench string, f Factory, structure strin
 
 // Ladder returns the memoized K-rung checkpoint ladder of the {tool,
 // bench} row, capturing it on first use by chaining RunTo/Checkpoint on
-// one machine. An empty ladder means the simulator cannot checkpoint;
-// runs boot from scratch.
+// one machine. A simulator that cannot checkpoint has an empty ladder,
+// built and counted never: its runs boot from scratch.
 func (c *GoldenCache) Ladder(tool, bench string, f Factory, k int) ([]LadderRung, error) {
 	return c.ladder(nil, tool, bench, f, k)
 }
 
 func (c *GoldenCache) ladder(pool *planPool, tool, bench string, f Factory, k int) ([]LadderRung, error) {
 	e, err := c.row(pool, tool, bench, f)
-	if err != nil {
+	if err != nil || !e.checkpoints {
 		return nil, err
 	}
 	e.ladderMu.Lock()

@@ -84,8 +84,7 @@ type matrixPlan struct {
 	probe bool
 }
 
-// defaultCheckpointRungs is the ladder K of a campaign that asks for
-// checkpoints without naming one.
+// defaultCheckpointRungs is the ladder K of a campaign that names none.
 const defaultCheckpointRungs = 4
 
 // planMatrix is the plan stage of the scheduler. It resolves goldens,
@@ -102,6 +101,16 @@ const defaultCheckpointRungs = 4
 func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) (*matrixPlan, error) {
 	pool := newPlanPool(cfg.Workers)
 	p := &matrixPlan{cells: make([]cellPlan, len(specs))}
+	// Golden references and checkpoint ladders, for every campaign: K
+	// rungs at fixed fractions of the golden run, built once per row in
+	// the cache and shared by the row's cells. A rung is the boot run in
+	// flight, so restoring one changes no record; every run decides
+	// individually which rung (if any) its earliest fault permits. A
+	// simulator that cannot checkpoint gets an empty ladder and boots
+	// every run. A cell's ladder follows its own golden run in one task
+	// (in BuildSpecs' task when it generated the masks), so a row's
+	// ladder does not wait for the other rows' golden runs.
+	k := cfg.ladderRungs()
 	err := pool.each(len(specs), func(i int) error {
 		spec := specs[i]
 		g, err := cache.golden(pool, spec.Tool, spec.Benchmark, spec.Factory)
@@ -116,7 +125,12 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 		if windows != nil {
 			c.win = windows[i]
 		}
-		return nil
+		if spec.ladderK == k {
+			c.rungs = spec.rungs
+			return nil
+		}
+		c.rungs, err = cache.ladder(pool, spec.Tool, spec.Benchmark, spec.Factory, k)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -143,26 +157,6 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 				}
 				return nil, fmt.Errorf("core: campaign %s: %v", p.cells[i].key, err)
 			}
-		}
-	}
-
-	// Checkpoint ladders: K rungs at fixed fractions of the golden run,
-	// built once per row in the cache and shared by the row's cells. Every
-	// run still decides individually which rung (if any) its earliest
-	// fault permits.
-	if cfg.UseCheckpoint {
-		k := cfg.CheckpointLadder
-		if k == 0 {
-			k = defaultCheckpointRungs
-		}
-		err := pool.each(len(specs), func(i int) error {
-			spec := specs[i]
-			var err error
-			p.cells[i].rungs, err = cache.ladder(pool, spec.Tool, spec.Benchmark, spec.Factory, k)
-			return err
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 

@@ -111,8 +111,8 @@ func TestShardPlanIsAWindowOfThePlan(t *testing.T) {
 		Campaigns: []CampaignCell{{Tool: "plan", Benchmark: "b", Structure: "r", Masks: masks}},
 		Workers:   1,
 		Prune:     true, PruneVerify: 8,
-		UseCheckpoint: true, CheckpointLadder: 3,
-		DetailWindow: true, WindowVerify: 4,
+		CheckpointLadder: 3,
+		DetailWindow:     true, WindowVerify: 4,
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

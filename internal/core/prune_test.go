@@ -182,21 +182,20 @@ func pruneSpecsFor(t *testing.T, tool string) []core.CampaignSpec {
 }
 
 // Pruned and unpruned matrices must classify identically on the real
-// simulators — both tools, both ISAs — with and without checkpoint
-// restores in play. PruneVerify doubles as an in-matrix differential
-// assertion on a sample of the pruned masks.
+// simulators — both tools, both ISAs — at the default ladder and at
+// another K. PruneVerify doubles as an in-matrix differential assertion
+// on a sample of the pruned masks.
 func TestPruneDifferentialRealSims(t *testing.T) {
 	for _, tool := range []string{sims.MaFINX86, sims.GeFINX86, sims.GeFINARM} {
 		for _, ladder := range []int{0, 3} {
-			useCP := ladder > 0
 			plain, err := runSpecs(pruneSpecsFor(t, tool), core.CampaignConfig{
-				Workers: 4, UseCheckpoint: useCP, CheckpointLadder: ladder,
+				Workers: 4, CheckpointLadder: ladder,
 			}, core.Attach{})
 			if err != nil {
 				t.Fatalf("%s ladder=%d plain: %v", tool, ladder, err)
 			}
 			pruned, err := runSpecs(pruneSpecsFor(t, tool), core.CampaignConfig{
-				Workers: 4, UseCheckpoint: useCP, CheckpointLadder: ladder, Prune: true, PruneVerify: 6,
+				Workers: 4, CheckpointLadder: ladder, Prune: true, PruneVerify: 6,
 			}, core.Attach{})
 			if err != nil {
 				t.Fatalf("%s ladder=%d pruned: %v", tool, ladder, err)
@@ -274,7 +273,7 @@ func TestPruneConcurrentMatricesSharedCache(t *testing.T) {
 				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int",
 				Masks: masks, Factory: f,
 			}}, core.CampaignConfig{
-				Workers: 2, UseCheckpoint: true, Prune: true, CheckpointLadder: 3,
+				Workers: 2, Prune: true, CheckpointLadder: 3,
 			}, core.Attach{Golden: cache, Telemetry: collector})
 		}(r)
 	}

@@ -41,7 +41,7 @@ func TestBenchPopulationWindowsCloseAndVerify(t *testing.T) {
 		t.Skip("four windowed cells with full verification")
 	}
 	cfg := core.CampaignConfig{
-		LiveOnly: true, Prune: true, UseCheckpoint: true, CheckpointLadder: 3,
+		LiveOnly: true, Prune: true, CheckpointLadder: 3,
 		DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
 		Injections: 150, Seed: 11, WindowVerify: 150, Workers: 2,
 	}

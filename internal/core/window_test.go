@@ -276,8 +276,8 @@ func TestWindowComposesWithPruneLadderResume(t *testing.T) {
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
 		res, err := runSpecs(buildSpecs(), core.CampaignConfig{
-			Workers: 4, UseCheckpoint: true,
-			Prune: true, PruneVerify: 2, CheckpointLadder: 3,
+			Workers: 4,
+			Prune:   true, PruneVerify: 2, CheckpointLadder: 3,
 			DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 3,
 		}, core.Attach{Telemetry: col, Journal: j, Resume: resume})
 		if err != nil {

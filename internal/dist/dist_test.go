@@ -127,7 +127,6 @@ func TestDistributedMatrixDifferential(t *testing.T) {
 		{"prune+ladder", func(c *core.CampaignConfig) {
 			c.Prune = true
 			c.PruneVerify = 2
-			c.UseCheckpoint = true
 			c.CheckpointLadder = 3
 		}},
 		{"window", func(c *core.CampaignConfig) {
@@ -141,7 +140,6 @@ func TestDistributedMatrixDifferential(t *testing.T) {
 			c.WindowPre = 2000
 			c.WindowPost = 1000
 			c.Prune = true
-			c.UseCheckpoint = true
 			c.CheckpointLadder = 3
 		}},
 	}

@@ -160,7 +160,6 @@ func TestDistributedEventStreamMatchesSingleNode(t *testing.T) {
 		Seed:       7,
 	})
 	cfg.Prune = true
-	cfg.UseCheckpoint = true
 	cfg.CheckpointLadder = 3
 	cfg.DetailWindow = true
 	cfg.WindowPre = 2000

@@ -7,7 +7,12 @@
 // outcomes.
 package mem
 
-import "sync"
+import (
+	"math/bits"
+	"slices"
+	"sync"
+	"unsafe"
+)
 
 // Address map of the simulated machine.
 const (
@@ -242,19 +247,21 @@ func (m *Memory) RestoreSnapshot(s []byte) {
 
 // ---- Paged snapshots -------------------------------------------------------
 
-// PagedSnapshot is a page-granular RAM image. A nil page is all zeroes;
-// pages clean since the previous snapshot of the same machine are shared
-// with it by reference. Snapshots are immutable once taken, so one
-// snapshot may seed many machines concurrently.
+// PagedSnapshot is a page-granular RAM image that keeps the pages it
+// holds and nothing else: a page it does not list is all zeroes. Pages
+// clean since the previous snapshot of the same machine are shared with
+// it by reference. Snapshots are immutable once taken, so one snapshot
+// may seed many machines concurrently.
 type PagedSnapshot struct {
-	pages [numPages][]byte
-	own   int // pages copied for this snapshot rather than shared with its base
+	index []uint16 // page numbers held, ascending
+	pages [][]byte // pages[i] is page index[i]
+	own   int      // pages copied for this snapshot rather than shared with its base
 }
 
 // SizeBytes estimates the heap this snapshot adds to what its sharing
-// base already holds: the pages it copied plus its page table.
+// base already holds: the pages it copied, its page list and itself.
 func (s *PagedSnapshot) SizeBytes() int {
-	return s.own*int(PageSize) + len(s.pages)*24 // a slice header per page
+	return s.own*int(PageSize) + 2*cap(s.index) + 24*cap(s.pages) + int(unsafe.Sizeof(*s))
 }
 
 // markDirty flags the pages of [addr, addr+n) as written. Out-of-range
@@ -279,58 +286,73 @@ func bmBit(bm *[bmWords]uint64, p int) bool {
 
 // SnapshotPaged captures RAM as a paged snapshot. Pages untouched since
 // the machine's previous paged snapshot (or restore) are shared with it;
-// pages never written at all stay nil. The returned snapshot becomes the
-// new sharing base of this machine.
+// pages never written at all are not held. The returned snapshot becomes
+// the new sharing base of this machine.
 func (m *Memory) SnapshotPaged() *PagedSnapshot {
-	s := &PagedSnapshot{}
+	// Every page a snapshot holds has been written since boot or the last
+	// restore, so the nonzero pages bound the list.
+	held := 0
+	for _, w := range m.nonzero {
+		held += bits.OnesCount64(w)
+	}
+	s := &PagedSnapshot{index: make([]uint16, 0, held), pages: make([][]byte, 0, held)}
+	base, j := m.lastSnap, 0 // j walks base's page list alongside p
 	for p := 0; p < numPages; p++ {
+		var shared []byte
+		if base != nil && j < len(base.index) && int(base.index[j]) == p {
+			shared = base.pages[j]
+			j++
+		}
+		var pg []byte
 		switch {
-		case m.lastSnap != nil && !bmBit(&m.dirty, p):
-			s.pages[p] = m.lastSnap.pages[p]
+		case base != nil && !bmBit(&m.dirty, p):
+			pg = shared
 		case !bmBit(&m.nonzero, p):
-			// Never written: all zeroes, keep nil.
+			// Never written: all zeroes, not held.
 		default:
-			pg := make([]byte, PageSize)
+			pg = make([]byte, PageSize)
 			copy(pg, m.ram[uint64(p)*PageSize:])
-			s.pages[p] = pg
 			s.own++
 		}
+		if pg != nil {
+			s.index = append(s.index, uint16(p))
+			s.pages = append(s.pages, pg)
+		}
 	}
-	for i := range m.dirty {
-		m.dirty[i] = 0
-	}
+	clear(m.dirty[:])
 	m.lastSnap = s
 	return s
 }
 
 // RestorePaged loads a paged snapshot into RAM, copying only pages that
-// can differ: nil (all-zero) snapshot pages are skipped unless this
-// memory has written the page, and a fresh machine restores a small
-// program in a handful of page copies instead of a full-RAM copy. The
-// snapshot becomes the machine's new sharing base.
+// can differ: a page the snapshot does not hold is cleared only if this
+// memory has written it, and a fresh machine restores a small program in
+// a handful of page copies instead of a full-RAM copy. The snapshot
+// becomes the machine's new sharing base.
 func (m *Memory) RestorePaged(s *PagedSnapshot) {
+	j := 0 // walks s's page list alongside p
 	for p := 0; p < numPages; p++ {
-		pg := s.pages[p]
 		off := uint64(p) * PageSize
-		if pg == nil {
-			if bmBit(&m.nonzero, p) {
-				page := m.ram[off : off+PageSize]
-				for i := range page {
-					page[i] = 0
-				}
-				m.nonzero[p>>6] &^= 1 << uint(p&63)
-			}
+		if j < len(s.index) && int(s.index[j]) == p {
+			copy(m.ram[off:off+PageSize], s.pages[j])
+			m.nonzero[p>>6] |= 1 << uint(p&63)
+			j++
 			continue
 		}
-		copy(m.ram[off:], pg)
-		m.nonzero[p>>6] |= 1 << uint(p&63)
+		if bmBit(&m.nonzero, p) {
+			clear(m.ram[off : off+PageSize])
+			m.nonzero[p>>6] &^= 1 << uint(p&63)
+		}
 	}
-	for i := range m.dirty {
-		m.dirty[i] = 0
-	}
+	clear(m.dirty[:])
 	m.lastSnap = s
 }
 
 // Page returns the snapshot's page p (nil when all zeroes); tests use it
 // to assert copy-on-write sharing.
-func (s *PagedSnapshot) Page(p int) []byte { return s.pages[p] }
+func (s *PagedSnapshot) Page(p int) []byte {
+	if i, ok := slices.BinarySearch(s.index, uint16(p)); ok && p >= 0 && p < numPages {
+		return s.pages[i]
+	}
+	return nil
+}

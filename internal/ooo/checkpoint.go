@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -60,11 +61,23 @@ type Checkpoint struct {
 	instHeads    []bool
 }
 
-// SizeBytes estimates the heap the checkpoint retains: RAM pages not
-// shared with the previous rung and the cache contents. The TLB,
-// predictor and pipeline states are kilobytes and left out.
+// SizeBytes is the heap the checkpoint retains beyond the RAM pages it
+// shares with the previous rung of its ladder: every component — the
+// pages it copied, kernel, caches, TLBs, predictors, register files,
+// ROB, issue and load/store queues, fetch queue and the operations in
+// execution.
 func (cp *Checkpoint) SizeBytes() int {
-	return cp.Mem.SizeBytes() + cp.L1I.SizeBytes() + cp.L1D.SizeBytes() + cp.L2.SizeBytes()
+	n := int(unsafe.Sizeof(*cp)) + cp.Mem.SizeBytes() +
+		cap(cp.Kern.Output) + int(unsafe.Sizeof(kernel.Event{}))*cap(cp.Kern.Events) +
+		cp.L1I.SizeBytes() + cp.L1D.SizeBytes() + cp.L2.SizeBytes() +
+		cp.DTLB.SizeBytes() + cp.ITLB.SizeBytes() + cp.BTBDir.SizeBytes() + cp.Tour.SizeBytes() + cp.RAS.SizeBytes() +
+		cp.IntRF.SizeBytes() + cp.FPRF.SizeBytes() + cp.ROB.SizeBytes() + cp.IQ.SizeBytes() + cp.LSQ.SizeBytes() +
+		int(unsafe.Sizeof(pipeline.FetchedUop{}))*cap(cp.fetchQ) + int(unsafe.Sizeof(inflightOp{}))*cap(cp.inflight) +
+		int(unsafe.Sizeof([2]int{}))*cap(cp.rasSnaps) + cap(cp.instHeads)
+	if cp.BTBInd != nil {
+		n += cp.BTBInd.SizeBytes()
+	}
+	return n
 }
 
 // RunTo runs the machine fault-free up to the start of the target

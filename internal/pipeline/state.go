@@ -1,5 +1,7 @@
 package pipeline
 
+import "unsafe"
+
 // The states below are deep copies of the pipeline structures, used by
 // the simulators' checkpointing support. A checkpoint is taken on a
 // machine in flight, so each state carries everything its structure
@@ -18,6 +20,12 @@ type RegFileState struct {
 	CommitRAT []uint16
 	Reads     uint64
 	Writes    uint64
+}
+
+// SizeBytes is the heap the state retains.
+func (s *RegFileState) SizeBytes() int {
+	return int(unsafe.Sizeof(*s)) + 8*cap(s.Arr) + cap(s.Ready) + cap(s.Live) +
+		2*(cap(s.Free)+cap(s.RAT)+cap(s.CommitRAT))
 }
 
 // State captures the register file.
@@ -61,6 +69,11 @@ type ROBState struct {
 	seq     uint64
 }
 
+// SizeBytes is the heap the state retains.
+func (s *ROBState) SizeBytes() int {
+	return int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(ROBEntry{}))*cap(s.entries)
+}
+
 // State captures the reorder buffer.
 func (r *ROB) State() *ROBState {
 	s := &ROBState{entries: make([]ROBEntry, 0, r.count), head: r.head, seq: r.seq}
@@ -88,6 +101,12 @@ type IQState struct {
 	age      []int
 }
 
+// SizeBytes is the heap the state retains.
+func (s *IQState) SizeBytes() int {
+	return int(unsafe.Sizeof(*s)) + 8*cap(s.payload) + cap(s.occupied) +
+		int(unsafe.Sizeof(0))*(cap(s.robIdx)+cap(s.age))
+}
+
 // State captures the issue queue.
 func (q *IQ) State() *IQState {
 	return &IQState{
@@ -111,6 +130,11 @@ type LSQState struct {
 	entries       []lsqEntry
 	data          []uint64
 	loads, stores int
+}
+
+// SizeBytes is the heap the state retains.
+func (s *LSQState) SizeBytes() int {
+	return int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(lsqEntry{}))*cap(s.entries) + 8*cap(s.data)
 }
 
 // State captures the load/store queue.

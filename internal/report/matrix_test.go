@@ -189,7 +189,7 @@ func TestRunFiguresKeepsOneCacheRowPerRow(t *testing.T) {
 	opt := Options{
 		Campaign: core.CampaignConfig{
 			Injections: 6, Seed: 3, Workers: 2,
-			UseCheckpoint: true, CheckpointLadder: 3, Prune: true,
+			CheckpointLadder: 3, Prune: true,
 		},
 		Benchmarks:  []string{"qsort"},
 		Tools:       []string{sims.GeFINX86, sims.GeFINARM},

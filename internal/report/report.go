@@ -217,9 +217,10 @@ func RunFigure(spec FigureSpec, opt Options, progress io.Writer) (*FigureData, e
 // cross-campaign matrix scheduler: every {figure, benchmark, tool}
 // campaign is flattened into one shared run queue executed by a single
 // global worker pool, the golden reference of each {tool, benchmark} row
-// is simulated exactly once for the whole matrix, and (UseCheckpoint)
-// each row's checkpoint ladder is shared across its structures. Output is deterministic for a fixed seed and identical to
-// running the campaigns one at a time.
+// is simulated exactly once for the whole matrix, and each row's
+// checkpoint ladder is shared across its structures. Output is
+// deterministic for a fixed seed and identical to running the campaigns
+// one at a time.
 //
 // A non-nil progress writer receives structured periodic progress lines
 // (runs/s, Mcycles/s, worker utilization, outcome drift) from the

@@ -99,46 +99,49 @@ func TestCheckpointRejectsForeignState(t *testing.T) {
 	}
 }
 
-// TestCampaignWithCheckpointMatchesOutcomeMix: a checkpointed campaign
-// records every injection exactly as the boot-run campaign does. A
-// restored run faces the same machine state at injection time as the
-// boot run of the same mask, so the records — status, output, cycles,
-// committed count — are equal, not merely the outcome mix.
+// TestCampaignWithCheckpointMatchesOutcomeMix: every campaign restores
+// its runs from the row's checkpoint ladder, and records every injection
+// exactly as booting it does. core.RunOne, which boots a fresh machine
+// per mask, is the reference: a restored run faces the same machine
+// state at injection time as the boot run of the same mask, so the
+// records — status, output, cycles, committed count — are equal, not
+// merely the outcome mix, on every tool and structure kind (register
+// file, cache data array, load/store queue).
 func TestCampaignWithCheckpointMatchesOutcomeMix(t *testing.T) {
 	w, _ := workload.ByName("qsort")
-	factory, _ := Factory(GeFINX86, w)
-	golden, err := core.Golden(factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := factory()
-	arr := sim.Structures()["rf.int"]
-	masks, _ := fault.Generate(fault.GeneratorSpec{
-		Structure: "rf.int", Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
-		MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 24, Seed: 9,
-	})
-	run := func(useCP bool) ([]core.LogRecord, uint64) {
-		col := telemetry.New()
-		res, err := core.RunConfig(core.CampaignConfig{
-			Campaigns:     []core.CampaignCell{{Tool: GeFINX86, Benchmark: "qsort", Structure: "rf.int", Masks: masks}},
-			UseCheckpoint: useCP, Workers: 2,
-		}, func(string, string) (core.Factory, error) { return factory, nil }, core.Attach{Telemetry: col})
+	for _, tool := range Tools() {
+		factory, _ := Factory(tool, w)
+		golden, err := core.Golden(factory)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res[0].Records, col.Snapshot().LadderRestores
-	}
-	plain, _ := run(false)
-	ckpt, restores := run(true)
-	if restores == 0 {
-		t.Fatal("no run of the checkpointed campaign restored from a rung")
-	}
-	if len(plain) != len(ckpt) {
-		t.Fatalf("%d records booted, %d checkpointed", len(plain), len(ckpt))
-	}
-	for i := range plain {
-		if !reflect.DeepEqual(ckpt[i], plain[i]) {
-			t.Errorf("mask %d: checkpointed %+v, booted %+v", plain[i].MaskID, ckpt[i], plain[i])
+		cache := core.NewGoldenCache()
+		for _, structure := range []string{"rf.int", "l1d.data", "lsq.data"} {
+			arr := factory().Structures()[structure]
+			masks, _ := fault.Generate(fault.GeneratorSpec{
+				Structure: structure, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
+				MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 8, Seed: 9,
+			})
+			col := telemetry.New()
+			res, err := core.RunConfig(core.CampaignConfig{
+				Campaigns: []core.CampaignCell{{Tool: tool, Benchmark: "qsort", Structure: structure, Masks: masks}},
+				Workers:   2,
+			}, func(string, string) (core.Factory, error) { return factory, nil }, core.Attach{Golden: cache, Telemetry: col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if col.Snapshot().LadderRestores == 0 {
+				t.Fatalf("%s × %s: no run restored from a rung", tool, structure)
+			}
+			for i, m := range masks {
+				boot, err := core.RunOne(factory, m, res[0].Golden, 0, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res[0].Records[i]; !reflect.DeepEqual(got, boot) {
+					t.Errorf("%s × %s mask %d: campaign %+v, boot run %+v", tool, structure, m.ID, got, boot)
+				}
+			}
 		}
 	}
 }

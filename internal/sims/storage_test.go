@@ -60,6 +60,63 @@ func TestRebootAllocatesAFraction(t *testing.T) {
 	}
 }
 
+// TestCheckpointSizeIsWhatItAllocates: a rung's SizeBytes counts every
+// component of the machine — within 10% of the bytes Checkpoint()
+// allocates — and a rung stores what the machine holds, not what it
+// could: at most 90 KB half way through qsort and sha on every tool
+// (dense BTBs, local histories, TLBs and a full page table made it
+// 150–163 KB on qsort).
+func TestCheckpointSizeIsWhatItAllocates(t *testing.T) {
+	const limit = 90 << 10
+	for _, bench := range []string{"qsort", "sha"} {
+		w, err := workload.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tool := range Tools() {
+			f, err := Factory(tool, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := core.Golden(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck := f().(core.Checkpointer)
+			if _, finished, err := ck.RunTo(g.Cycles / 2); err != nil || finished {
+				t.Fatalf("%s/%s: RunTo: finished=%v err=%v", tool, bench, finished, err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st, err := ck.Checkpoint()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp := st.(*ooo.Checkpoint)
+			alloc, size := int(after.TotalAlloc-before.TotalAlloc), cp.SizeBytes()
+			t.Logf("%s/%s: SizeBytes %d B, allocated %d B (memory %d, caches %d, TLBs %d, BTBs %d, predictor %d, register files %d, ROB %d)",
+				tool, bench, size, alloc, cp.Mem.SizeBytes(), cp.L1I.SizeBytes()+cp.L1D.SizeBytes()+cp.L2.SizeBytes(),
+				cp.DTLB.SizeBytes()+cp.ITLB.SizeBytes(), btbBytes(cp), cp.Tour.SizeBytes(),
+				cp.IntRF.SizeBytes()+cp.FPRF.SizeBytes(), cp.ROB.SizeBytes())
+			if d := size - alloc; 10*d > alloc || -10*d > alloc {
+				t.Errorf("%s/%s: SizeBytes %d, Checkpoint allocated %d: want within 10%%", tool, bench, size, alloc)
+			}
+			if size > limit {
+				t.Errorf("%s/%s: a mid-run rung retains %d bytes, want at most %d", tool, bench, size, limit)
+			}
+		}
+	}
+}
+
+func btbBytes(cp *ooo.Checkpoint) int {
+	n := cp.BTBDir.SizeBytes()
+	if cp.BTBInd != nil {
+		n += cp.BTBInd.SizeBytes()
+	}
+	return n
+}
+
 // TestQsortRungStoresWhatTheCachesHold: the cache states of a mid-run
 // qsort checkpoint cost under 15% of a dense copy of the arrays.
 func TestQsortRungStoresWhatTheCachesHold(t *testing.T) {

@@ -85,12 +85,12 @@ func TestWarmWorkerSharesArtifactsAcrossCampaigns(t *testing.T) {
 	}
 	cfgA := core.CampaignConfig{
 		Campaigns: cell("rf.int"), Injections: 24, Seed: 5, Workers: 1, LiveOnly: true,
-		Prune: true, UseCheckpoint: true, CheckpointLadder: 2,
+		Prune: true, CheckpointLadder: 2,
 		DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
 	}
 	cfgB := core.CampaignConfig{
 		Campaigns: cell("l1d.data"), Injections: 12, Seed: 9, Workers: 1,
-		Prune: true, UseCheckpoint: true, CheckpointLadder: 3,
+		Prune: true, CheckpointLadder: 3,
 		DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
 		FFRungs: 8, NoDecodeCache: true,
 	}

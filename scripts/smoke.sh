@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI smoke test for the telemetry layer and the campaign engine: run one
 # tiny campaign with tracing, the metrics endpoint, and the
-# final-snapshot dump all enabled, then a second campaign with liveness
-# pruning, the checkpoint ladder, and the -prune-verify differential
+# final-snapshot dump all enabled (every campaign restores its runs from
+# its row's checkpoint ladder), then a second campaign with liveness
+# pruning, a 3-rung ladder, and the -prune-verify differential
 # guard on top, then a detail-window campaign with the -window-verify
 # differential guard, then a figures round (the same window flags through
 # the paper-regeneration CLI), then a kill-and-resume round and a distributed
@@ -49,7 +50,7 @@ key="${tool}__${bench}__${structure}"
 go run ./cmd/faultcamp \
     -tool "$tool" -bench "$bench" -structure "$structure" \
     -n 40 -seed 2 -logs "$tmp/logs" \
-    -prune -prune-verify 25 -checkpoint -ladder 3 \
+    -prune -prune-verify 25 -ladder 3 \
     -trace -snapshot-json "$tmp/snap_prune.json" \
     -progress-every 500ms
 
@@ -83,7 +84,7 @@ go run ./scripts/smokecheck \
 go run ./cmd/faultcamp \
     -tool mafin-x86 -bench "$bench" -structure l1d.data \
     -n 100 -seed 7 -live-only -logs "$tmp/logs" \
-    -prune -checkpoint -ladder 3 -detail-window -window-verify 100 \
+    -prune -ladder 3 -detail-window -window-verify 100 \
     -trace -quiet -snapshot-json "$tmp/snap_mafin_l1d.json"
 
 go run ./scripts/smokecheck \
@@ -475,12 +476,12 @@ key="${tool}__${bench}__${structure}"
 "$tmp/faultcamp" \
     -tool "$tool" -bench "$bench" -structure "$structure" \
     -n 40 -seed 2 -logs "$tmp/svc_prune_ref" \
-    -prune -checkpoint -ladder 3 -trace -quiet
+    -prune -ladder 3 -trace -quiet
 
 "$tmp/faultcampd" \
     -tool "$tool" -bench "$bench" -structure "$structure" \
     -n 40 -seed 2 -logs "$tmp/svc_prune" \
-    -prune -checkpoint -ladder 3 \
+    -prune -ladder 3 \
     -shard-size 10 -addr-file "$tmp/oneshot.addr" \
     -trace -quiet -snapshot-json "$tmp/snap_svc_prune.json" &
 ospid=$!
