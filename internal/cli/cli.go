@@ -60,8 +60,6 @@ func Campaign(fs *flag.FlagSet, defaultN int) *CampaignFlags {
 	fs.Uint64Var(&c.WindowPre, "window-pre", 2000, "cycle-accurate margin before the earliest fault arms (with -detail-window)")
 	fs.Uint64Var(&c.WindowPost, "window-post", 1000, "cycle-accurate margin after the last fault settles (with -detail-window)")
 	fs.IntVar(&c.WindowVerify, "window-verify", 0, "re-simulate up to this many windowed masks per campaign fully cycle-accurately and fail on a class mismatch (implies -detail-window)")
-	fs.IntVar(&c.FFRungs, "ff-rungs", 0, "functional fast-forward rungs per row window entries resume from (with -detail-window; 0: default ladder, negative: fast-forward from boot)")
-	fs.BoolVar(&c.NoDecodeCache, "no-decode-cache", false, "run the functional tier without the predecoded-instruction cache (with -detail-window; reference behaviour, byte-identical results)")
 	fs.BoolVar(&c.Divergence, "divergence", false, "record per-run divergence provenance (first architectural divergence vs golden, corruption footprint, masking depth) to <key>.divergence.jsonl")
 	fs.Float64Var(&c.StopMargin, "stop-margin", 0, "stop a campaign early once every outcome-class proportion is known to this ± margin at -stop-confidence (0: run the full budget)")
 	fs.Float64Var(&c.StopConfidence, "stop-confidence", 0.99, "confidence level of the -stop-margin sequential stopping rule")
@@ -85,13 +83,13 @@ func (f *CampaignFlags) Apply(cells []core.CampaignCell) core.CampaignConfig {
 	cfg := f.cfg
 	cfg.Campaigns = cells
 	// A flag that carries a default binds only when its feature is armed:
-	// a windowless config must not grow schema-v2/v4 fields (or trip
+	// a windowless config must not grow schema-v2 fields (or trip
 	// validation) because of the margin defaults, nor a fixed-budget one
 	// schema-v5 fields because of -stop-confidence. An explicit
 	// -stop-check-every without a margin stays bound, so Validate rejects
 	// it instead of silently dropping the flag.
 	if !cfg.DetailWindow && cfg.WindowVerify == 0 {
-		cfg.WindowPre, cfg.WindowPost, cfg.FFRungs, cfg.NoDecodeCache = 0, 0, 0, false
+		cfg.WindowPre, cfg.WindowPost = 0, 0
 	}
 	if cfg.StopMargin == 0 {
 		cfg.StopConfidence = 0

@@ -293,7 +293,7 @@ func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 			if entry > rungCycle {
 				t0 := time.Now()
 				var fast uint64
-				seeded, fast = windowEntry(wi, golden, entry, ff, win.noDecode)
+				seeded, fast = windowEntry(wi, golden, entry, ff)
 				if seeded {
 					startCycle = entry
 					if stats != nil {
@@ -385,7 +385,7 @@ func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 		}
 		t1 := time.Now()
 		var tailSteps uint64
-		res, tailSteps = windowTail(wi.Image(), st, golden, timeoutFactor, win.noDecode)
+		res, tailSteps = windowTail(wi.Image(), st, golden, timeoutFactor)
 		if stats != nil {
 			stats.windowExited = true
 			stats.fastSteps += tailSteps

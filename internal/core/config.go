@@ -23,9 +23,10 @@ import (
 //	3 — divergence-provenance recording (divergence). Served as the
 //	    lowest version that can express the config, as before.
 //	4 — functional-tier turbo knobs (ff_rungs, no_decode_cache). Both
-//	    only tune how windowed runs execute — results are byte-identical
-//	    across settings — so a config leaving them at zero is still
-//	    served at the lowest version expressing it.
+//	    only tuned how windowed runs execute, with byte-identical
+//	    results across settings. Both fields are retired — the predecode
+//	    cache and the fast-forward ladder are unconditional — so the
+//	    keys decode as no-ops and no config is served at version 4.
 //	5 — adaptive campaign control (stop_margin, stop_confidence,
 //	    stop_check_every, exhaustive, importance_sampling). As before, a
 //	    config using none of them is served at the lowest version that
@@ -130,16 +131,6 @@ type CampaignConfig struct {
 	WindowPre    uint64 `json:"window_pre_cycles,omitempty"`
 	WindowPost   uint64 `json:"window_post_cycles,omitempty"`
 	WindowVerify int    `json:"window_verify,omitempty"`
-	// FFRungs sizes the functional fast-forward rung ladder window
-	// entries resume from (per {tool, benchmark} row, memoized lazily):
-	// 0 means the default ladder, negative disables it so every entry
-	// fast-forwards from boot. NoDecodeCache forces every functional
-	// dispatch through the slow byte-level decoder instead of the
-	// per-image predecoded instruction cache. Both are pure performance
-	// knobs for windowed execution — records, traces, journals and
-	// divergence files are byte-identical across settings.
-	FFRungs       int  `json:"ff_rungs,omitempty"`
-	NoDecodeCache bool `json:"no_decode_cache,omitempty"`
 	// Divergence enables provenance recording: every run is probed
 	// against the golden commit-stream signature and a per-mask
 	// divergence record (first architectural divergence, corruption
@@ -194,9 +185,6 @@ func (c CampaignConfig) WireSchemaVersion() int {
 	if c.usesAdaptive() {
 		return 5
 	}
-	if c.FFRungs != 0 || c.NoDecodeCache {
-		return 4
-	}
 	if c.Divergence {
 		return 3
 	}
@@ -244,9 +232,6 @@ func (c CampaignConfig) Validate() error {
 	}
 	if !c.DetailWindow && c.WindowVerify == 0 && (c.WindowPre != 0 || c.WindowPost != 0) {
 		return bad("detail_window", "window margins set but windowing is off")
-	}
-	if !c.DetailWindow && c.WindowVerify == 0 && c.FFRungs != 0 {
-		return bad("ff_rungs", "fast-forward rungs set but windowing is off")
 	}
 	// Adaptive campaign control. The comparisons are NaN-safe: a NaN
 	// margin or confidence fails the positive-range test and is rejected

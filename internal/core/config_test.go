@@ -195,33 +195,36 @@ func TestRunShardUnionMatchesRunConfig(t *testing.T) {
 	}
 }
 
-// A config written when checkpointing was a switch still decodes and
-// validates, and use_checkpoint, whatever its value, is a no-op: every
-// campaign restores from its row's ladder, so true, false and no key at
-// all record the same runs.
-func TestUseCheckpointDecodesAsANoOp(t *testing.T) {
+// A config written with a retired knob still decodes and validates, and
+// the knob, whatever its value, is a no-op. use_checkpoint was a switch
+// before every campaign restored from its row's ladder; ff_rungs and
+// no_decode_cache tuned the functional tier before the fast-forward
+// ladder and the predecode cache became unconditional. Each decodes the
+// way faultcampd -config and /v1 submissions do (unknown keys ignored)
+// and records exactly what the bare config does, windowed or not.
+func TestRetiredKeysDecodeAsNoOps(t *testing.T) {
 	resolve := simsResolver(t)
 	cache := core.NewGoldenCache()
-	var want []core.LogRecord
-	for i, knob := range []string{`"use_checkpoint": true, `, `"use_checkpoint": false, `, ``} {
-		doc := `{` + knob + `"campaigns": [{"tool": "gefin-x86", "benchmark": "qsort", "structure": "rf.int"}], "injections": 6, "seed": 4}`
-		dec := json.NewDecoder(strings.NewReader(doc))
-		dec.DisallowUnknownFields()
-		var cfg core.CampaignConfig
-		if err := dec.Decode(&cfg); err != nil {
-			t.Fatalf("%s: %v", doc, err)
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("%s: %v", doc, err)
-		}
-		res, err := core.RunConfig(cfg, resolve, core.Attach{Golden: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			want = res[0].Records
-		} else if !reflect.DeepEqual(res[0].Records, want) {
-			t.Errorf("%s: records differ from use_checkpoint true", doc)
+	for _, window := range []string{``, `"detail_window": true, `} {
+		var want []core.LogRecord
+		for i, knob := range []string{``, `"use_checkpoint": true, `, `"use_checkpoint": false, `, `"ff_rungs": -1, `, `"no_decode_cache": true, `} {
+			doc := `{` + window + knob + `"campaigns": [{"tool": "gefin-x86", "benchmark": "qsort", "structure": "rf.int"}], "injections": 6, "seed": 4}`
+			var cfg core.CampaignConfig
+			if err := json.Unmarshal([]byte(doc), &cfg); err != nil {
+				t.Fatalf("%s: %v", doc, err)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s: %v", doc, err)
+			}
+			res, err := core.RunConfig(cfg, resolve, core.Attach{Golden: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want = res[0].Records
+			} else if !reflect.DeepEqual(res[0].Records, want) {
+				t.Errorf("%s: records differ from the bare config", doc)
+			}
 		}
 	}
 }

@@ -50,3 +50,15 @@ func PlanConfig(cfg CampaignConfig, resolve Resolver, cache *GoldenCache) ([]Pla
 	}
 	return out, nil
 }
+
+// BootWindowEntries installs an empty functional fast-forward ladder
+// (quantum 0) on the {tool, bench} row of cache. machineAt answers nil
+// for it, so every window entry on the row fast-forwards from boot: the
+// reference the ladder must reproduce byte for byte. Call it before the
+// row's first campaign plans.
+func BootWindowEntries(cache *GoldenCache, tool, bench string) {
+	e := cache.entry(tool, bench)
+	e.ffMu.Lock()
+	e.ff = &ffLadder{}
+	e.ffMu.Unlock()
+}

@@ -9,12 +9,11 @@ import (
 	"repro/internal/interp"
 )
 
-// defaultFFRungs is the rung count of the functional fast-forward
-// ladder when the FFRungs knob is left at zero: enough rungs that the
-// average window entry replays under 1/64th of the golden prefix,
-// while the COW paged snapshots keep the memoized states far below
-// rungs × memory size.
-const defaultFFRungs = 32
+// ffRungs is the rung count of every row's functional fast-forward
+// ladder: enough rungs that the average window entry replays under
+// 1/64th of the golden prefix, while the COW paged snapshots keep the
+// memoized states far below rungs × memory size.
+const ffRungs = 32
 
 // ffLadder memoizes functional-tier architectural states at quantized
 // step points of a row's fault-free prefix — the functional twin of the
@@ -33,8 +32,7 @@ const defaultFFRungs = 32
 // pages copy-on-write with the snapshot they resumed from, bounding
 // ladder size.
 type ffLadder struct {
-	quantum  uint64 // steps between rung points; 0 disables the ladder
-	noDecode bool   // build rungs with the decode cache disabled too
+	quantum uint64 // steps between rung points; 0 disables the ladder
 	// hits and builds alias the owning GoldenCache's matrix-wide
 	// counters (the ff_rung telemetry gauges), bytes its row's estimate
 	// of retained heap.
@@ -45,8 +43,8 @@ type ffLadder struct {
 	rungs map[uint64]*handoff.State // step → capture; nil = prefix ends before step
 }
 
-func newFFLadder(quantum uint64, noDecode bool, hits, builds *atomic.Uint64, bytes *atomic.Int64) *ffLadder {
-	return &ffLadder{quantum: quantum, noDecode: noDecode, hits: hits, builds: builds, bytes: bytes,
+func newFFLadder(quantum uint64, hits, builds *atomic.Uint64, bytes *atomic.Int64) *ffLadder {
+	return &ffLadder{quantum: quantum, hits: hits, builds: builds, bytes: bytes,
 		rungs: make(map[uint64]*handoff.State)}
 }
 
@@ -68,11 +66,7 @@ func (l *ffLadder) machineAt(img *asm.Image, entryInstr uint64) *interp.Machine 
 	if st == nil {
 		return nil
 	}
-	m := interp.Seed(img, st)
-	if l.noDecode {
-		m.DisableDecodeCache()
-	}
-	return m
+	return interp.Seed(img, st)
 }
 
 // rung returns the memoized capture at the given step, building it on
@@ -97,9 +91,6 @@ func (l *ffLadder) rung(img *asm.Image, step uint64) *handoff.State {
 	}
 	if fm == nil {
 		fm = interp.New(img)
-	}
-	if l.noDecode {
-		fm.DisableDecodeCache()
 	}
 	fr := fm.Continue(step - fm.Steps())
 	if fr.Outcome != interp.StepLimit {

@@ -28,7 +28,8 @@ func (c *captureWindower) CaptureArch() (*handoff.State, error) { return nil, ni
 // functional fast-forward rung ladder, on every workload and both ISAs:
 // windowEntry seeded through a rung must hand the simulator an
 // architectural state byte-identical (handoff.Equal) to the one a
-// from-boot fast-forward captures at the same step. Each path reports
+// from-boot fast-forward captures at the same step. The from-boot side
+// runs on the empty ladder BootWindowEntries installs. Each path reports
 // the steps it executed: the whole prefix from boot, only the stretch
 // past the rung through the ladder (the rung's own prefix is the
 // ladder's one-time cost, not the run's). Run twice per entry so both
@@ -53,17 +54,17 @@ func TestWindowEntryRungStateIdentity(t *testing.T) {
 				golden := GoldenInfo{Cycles: total, Committed: total}
 				var hits, builds atomic.Uint64
 				var bytes atomic.Int64
-				ladder := newFFLadder(total/8, false, &hits, &builds, &bytes)
+				ladder := newFFLadder(total/8, &hits, &builds, &bytes)
 
 				for _, entry := range []uint64{total / 3, total / 2, 3 * total / 4} {
 					for pass := 0; pass < 2; pass++ {
 						boot := &captureWindower{img: img}
-						seeded, steps := windowEntry(boot, golden, entry, nil, false)
+						seeded, steps := windowEntry(boot, golden, entry, &ffLadder{})
 						if !seeded {
 							t.Fatalf("entry %d: from-boot fast-forward did not seed", entry)
 						}
 						rung := &captureWindower{img: img}
-						rseeded, rsteps := windowEntry(rung, golden, entry, ladder, false)
+						rseeded, rsteps := windowEntry(rung, golden, entry, ladder)
 						if !rseeded {
 							t.Fatalf("entry %d: rung fast-forward did not seed", entry)
 						}

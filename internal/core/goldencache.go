@@ -65,12 +65,6 @@ func (h *hitCount) note(built bool) {
 
 type goldenKey struct{ tool, bench string }
 
-// ffKey is what determines a functional fast-forward ladder on a row.
-type ffKey struct {
-	quantum  uint64
-	noDecode bool
-}
-
 type goldenEntry struct {
 	key  goldenKey
 	used uint64 // recency stamp, under GoldenCache.mu
@@ -101,7 +95,7 @@ type goldenEntry struct {
 	sig   *divergence.Signature
 
 	ffMu sync.Mutex
-	ffs  map[ffKey]*ffLadder
+	ff   *ffLadder
 }
 
 // NewGoldenCache returns an empty memoizer.
@@ -417,29 +411,20 @@ func signatureReplay(f Factory) (*divergence.Signature, error) {
 }
 
 // FFLadder returns the memoized functional fast-forward rung ladder of
-// the {tool, bench} row for the given rung count and decode mode,
-// creating it (empty) on first use. Unlike the detailed checkpoint
-// ladder, creation costs nothing: rungs are captured lazily on the run
-// path, each from the nearest lower rung. golden supplies the committed
-// count the rung quantum is derived from.
-func (c *GoldenCache) FFLadder(tool, bench string, golden GoldenInfo, rungs int, noDecode bool) *ffLadder {
-	if rungs <= 0 || golden.Committed == 0 {
-		return nil
-	}
-	key := ffKey{golden.Committed / uint64(rungs), noDecode} //nolint:gosec // rungs > 0
-	if key.quantum == 0 {
+// the {tool, bench} row, creating it (empty) on first use. Unlike the
+// detailed checkpoint ladder, creation costs nothing: rungs are
+// captured lazily on the run path, each from the nearest lower rung.
+// golden supplies the committed count the rung quantum is derived from.
+func (c *GoldenCache) FFLadder(tool, bench string, golden GoldenInfo) *ffLadder {
+	quantum := golden.Committed / ffRungs
+	if quantum == 0 {
 		return nil
 	}
 	e := c.entry(tool, bench)
 	e.ffMu.Lock()
 	defer e.ffMu.Unlock()
-	ff, ok := e.ffs[key]
-	if !ok {
-		ff = newFFLadder(key.quantum, noDecode, &c.ffHits, &c.ffBuilds, &e.bytes)
-		if e.ffs == nil {
-			e.ffs = make(map[ffKey]*ffLadder)
-		}
-		e.ffs[key] = ff
+	if e.ff == nil {
+		e.ff = newFFLadder(quantum, &c.ffHits, &c.ffBuilds, &e.bytes)
 	}
-	return ff
+	return e.ff
 }

@@ -209,17 +209,12 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 	}
 
 	if cfg.DetailWindow || cfg.WindowVerify > 0 {
-		p.win = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost, noDecode: cfg.NoDecodeCache}
-		p.winNoExit = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost, noDecode: cfg.NoDecodeCache, noExit: true}
+		p.win = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost}
+		p.winNoExit = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost, noExit: true}
 		// The functional fast-forward rung ladder is resolved once per
 		// row; the rungs themselves are captured lazily on the run path.
-		if n := cfg.FFRungs; n >= 0 {
-			if n == 0 {
-				n = defaultFFRungs
-			}
-			for i, spec := range specs {
-				p.cells[i].ff = cache.FFLadder(spec.Tool, spec.Benchmark, p.cells[i].golden, n, cfg.NoDecodeCache)
-			}
+		for i, spec := range specs {
+			p.cells[i].ff = cache.FFLadder(spec.Tool, spec.Benchmark, p.cells[i].golden)
 		}
 	}
 

@@ -43,9 +43,6 @@ type windowConfig struct {
 	// to the functional tail, so any class disagreement indicts the
 	// window-exit proof, not the entry.
 	noExit bool
-	// noDecode runs the functional tier without the predecoded
-	// instruction cache (the -no-decode-cache reference behaviour).
-	noDecode bool
 }
 
 // StatusOfOutcome maps a functional-tier outcome onto the campaign
@@ -99,7 +96,7 @@ func ResultOfInterp(r interp.Result) RunResult {
 // functional model finishes before the entry (or an entry of zero)
 // leaves the machine untouched and the caller falls back to a
 // checkpoint rung or boot.
-func windowEntry(wi Windower, golden GoldenInfo, entry uint64, ff *ffLadder, noDecode bool) (seeded bool, steps uint64) {
+func windowEntry(wi Windower, golden GoldenInfo, entry uint64, ff *ffLadder) (seeded bool, steps uint64) {
 	if entry == 0 || golden.Cycles == 0 {
 		return false, 0
 	}
@@ -110,9 +107,6 @@ func windowEntry(wi Windower, golden GoldenInfo, entry uint64, ff *ffLadder, noD
 	fm := ff.machineAt(wi.Image(), entryInstr)
 	if fm == nil {
 		fm = interp.New(wi.Image())
-		if noDecode {
-			fm.DisableDecodeCache()
-		}
 	}
 	// Seeded machines inherit the rung's step count, so the remaining
 	// slice lands exactly on entryInstr.
@@ -140,7 +134,7 @@ func windowEntry(wi Windower, golden GoldenInfo, entry uint64, ff *ffLadder, noD
 // cycle budget (golden committed count times the timeout factor). Tail
 // cycles are accounted at one instruction per cycle on top of the
 // capture cycle.
-func windowTail(img *asm.Image, st *handoff.State, golden GoldenInfo, timeoutFactor uint64, noDecode bool) (RunResult, uint64) {
+func windowTail(img *asm.Image, st *handoff.State, golden GoldenInfo, timeoutFactor uint64) (RunResult, uint64) {
 	stepBudget := golden.Committed * timeoutFactor
 	if st.Committed >= stepBudget {
 		// The window itself consumed the whole instruction budget; the
@@ -155,9 +149,6 @@ func windowTail(img *asm.Image, st *handoff.State, golden GoldenInfo, timeoutFac
 		}, 0
 	}
 	tail := interp.Seed(img, st)
-	if noDecode {
-		tail.DisableDecodeCache()
-	}
 	tr := tail.Continue(stepBudget - st.Committed)
 	tail.Release()
 	tailSteps := tr.Steps - st.Committed

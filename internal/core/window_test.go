@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/sims"
 	"repro/internal/telemetry"
@@ -226,26 +227,33 @@ func TestWindowVerifyAgrees(t *testing.T) {
 // FastSteps counts what the functional tier executed for a run. A window
 // entry resumed from a fast-forward rung executes only the stretch past
 // the rung, so the same campaign reports fewer functional steps with the
-// rung ladder than fast-forwarding every entry from boot — with every
-// record identical, since the ladder only changes where the replay
-// starts.
+// rung ladder than fast-forwarding every entry from boot (the row
+// BootWindowEntries empties) — with every record identical, since the
+// ladder only changes where the replay starts.
 func TestFastStepsCountExecutedInstructions(t *testing.T) {
 	f := qsortFactory(t, sims.GeFINX86)
 	specs := windowSpecs(t, sims.GeFINX86, f, 12, 41)[:1] // rf.int
-	run := func(ffRungs int) (*core.CampaignResult, telemetry.Snapshot) {
+	run := func(fromBoot bool) (*core.CampaignResult, telemetry.Snapshot) {
+		cache := core.NewGoldenCache()
+		if fromBoot {
+			core.BootWindowEntries(cache, sims.GeFINX86, "qsort")
+		}
 		col := telemetry.New()
 		res, err := runSpecs(specs, core.CampaignConfig{
-			Workers: 2, DetailWindow: true, WindowPre: 2000, WindowPost: 1000, FFRungs: ffRungs,
-		}, core.Attach{Telemetry: col})
+			Workers: 2, DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
+		}, core.Attach{Telemetry: col, Golden: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res[0], col.Snapshot()
 	}
-	boot, bootSnap := run(-1)
-	laddered, ladderSnap := run(0)
+	boot, bootSnap := run(true)
+	laddered, ladderSnap := run(false)
 	if !reflect.DeepEqual(boot.Records, laddered.Records) {
 		t.Fatal("records differ across fast-forward settings")
+	}
+	if bootSnap.FFRungHits+bootSnap.FFRungBuilds != 0 {
+		t.Fatalf("the from-boot reference used a rung: %d hits, %d builds", bootSnap.FFRungHits, bootSnap.FFRungBuilds)
 	}
 	if bootSnap.WindowEntries == 0 || ladderSnap.FFRungHits+ladderSnap.FFRungBuilds == 0 {
 		t.Fatalf("no window entry used the rung ladder: %d entries, %d rung hits, %d builds",
@@ -256,6 +264,93 @@ func TestFastStepsCountExecutedInstructions(t *testing.T) {
 			ladderSnap.FastSteps, bootSnap.FastSteps)
 	}
 	t.Logf("functional steps: %d from boot, %d from rungs", bootSnap.FastSteps, ladderSnap.FastSteps)
+}
+
+// TestTurboTierIsTheReference holds the functional tier's fast-forward
+// rung ladder to the from-boot reference on every tool: the same
+// windowed matrix — pruned, window-verified, with divergence provenance,
+// a journal and a trace attached — runs once on the rows' ladders and
+// once on rows BootWindowEntries emptied, so every window entry
+// fast-forwards from boot. Records, trace, journal and divergence file
+// must be byte-identical. The predecode cache under both runs is held to
+// the slow decoder by internal/interp's TestDecodeCacheEquivalence and
+// FuzzPredecodeMatchesDecode.
+func TestTurboTierIsTheReference(t *testing.T) {
+	tools := []string{sims.MaFINX86, sims.GeFINX86, sims.GeFINARM}
+	var cells []core.CampaignCell
+	for _, tool := range tools {
+		for _, structure := range []string{"rf.int", "l1d.data"} {
+			cells = append(cells, core.CampaignCell{Tool: tool, Benchmark: "qsort", Structure: structure})
+		}
+	}
+	// One worker: the journal appends in completion order.
+	cfg := core.CampaignConfig{
+		Campaigns: cells, Injections: 16, Seed: 11, Workers: 1, LiveOnly: true, Prune: true,
+		DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 2, Divergence: true,
+	}
+	run := func(name string, fromBoot bool) ([]*core.CampaignResult, [3][]byte, telemetry.Snapshot) {
+		cache := core.NewGoldenCache()
+		if fromBoot {
+			for _, tool := range tools {
+				core.BootWindowEntries(cache, tool, "qsort")
+			}
+		}
+		path := filepath.Join(t.TempDir(), name+".journal.jsonl")
+		j, err := fault.OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := telemetry.New()
+		trace := telemetry.NewTraceSink()
+		col.AddSink(trace)
+		div := divergence.NewSink()
+		res, err := core.RunConfig(cfg, simsResolver(t), core.Attach{
+			Telemetry: col, Journal: j, Divergence: div, Golden: cache,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var tb, db bytes.Buffer
+		if err := trace.Flush(&tb); err != nil {
+			t.Fatal(err)
+		}
+		if err := div.Flush(&db); err != nil {
+			t.Fatal(err)
+		}
+		journal, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, [3][]byte{tb.Bytes(), db.Bytes(), journal}, col.Snapshot()
+	}
+	ref, refFiles, refSnap := run("boot", true)
+	turbo, turboFiles, turboSnap := run("turbo", false)
+
+	if refSnap.FFRungHits+refSnap.FFRungBuilds != 0 {
+		t.Fatalf("the from-boot reference used a rung: %d hits, %d builds", refSnap.FFRungHits, refSnap.FFRungBuilds)
+	}
+	if turboSnap.WindowEntries == 0 || turboSnap.FFRungHits+turboSnap.FFRungBuilds == 0 {
+		t.Fatalf("no window entry used the rung ladder: %d entries, %d rung hits, %d builds",
+			turboSnap.WindowEntries, turboSnap.FFRungHits, turboSnap.FFRungBuilds)
+	}
+	for i := range ref {
+		if !reflect.DeepEqual(turbo[i].Records, ref[i].Records) {
+			t.Errorf("%s: records differ from the from-boot reference", cells[i].Tool+"/"+cells[i].Structure)
+		}
+	}
+	for i, name := range []string{"trace", "divergence file", "journal"} {
+		if len(refFiles[i]) == 0 {
+			t.Errorf("the reference wrote an empty %s", name)
+		}
+		if !bytes.Equal(turboFiles[i], refFiles[i]) {
+			t.Errorf("%s differs from the from-boot reference (%d vs %d bytes)", name, len(turboFiles[i]), len(refFiles[i]))
+		}
+	}
+	t.Logf("%d window entries, %d rung hits, %d rung builds; functional steps %d from boot, %d from rungs",
+		turboSnap.WindowEntries, turboSnap.FFRungHits, turboSnap.FFRungBuilds, refSnap.FastSteps, turboSnap.FastSteps)
 }
 
 // TestWindowComposesWithPruneLadderResume is the composition

@@ -113,9 +113,9 @@ func newMachine(img *asm.Image) *Machine {
 }
 
 // DisableDecodeCache forces every dispatch through the slow
-// Fetch+Decode path. The -no-decode-cache knob and the equivalence
-// tests use it to produce the reference behaviour the cached path must
-// match byte for byte.
+// Fetch+Decode path. The equivalence test, the predecode fuzz target
+// and the dispatch benchmark use it to produce the reference behaviour
+// the cached path must match byte for byte.
 func (m *Machine) DisableDecodeCache() { m.cache = nil }
 
 // New builds a functional machine for the image.

@@ -73,7 +73,7 @@ func referenceJournals(t *testing.T, cfg core.CampaignConfig) map[string][]byte 
 // TestWarmWorkerSharesArtifactsAcrossCampaigns is the sharing claim of
 // the long-lived worker cache: one fleet worker serves two campaigns on
 // the same {tool, benchmark} row that differ in everything an artifact
-// is keyed on — ladder K, fast-forward rungs, decode mode, structure —
+// is keyed on — ladder K and structure —
 // with the second campaign's shards running in the middle of the
 // first's and the row evicted from the cache part-way through. Each
 // campaign's logs, trace and journal must be byte-identical to its
@@ -92,7 +92,6 @@ func TestWarmWorkerSharesArtifactsAcrossCampaigns(t *testing.T) {
 		Campaigns: cell("l1d.data"), Injections: 12, Seed: 9, Workers: 1,
 		Prune: true, CheckpointLadder: 3,
 		DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
-		FFRungs: 8, NoDecodeCache: true,
 	}
 	const shardsA, shardsB = 6, 3 // at the test service's ShardSize of 4
 

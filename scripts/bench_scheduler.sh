@@ -2,10 +2,8 @@
 # Runs the matrix-scheduler benchmarks (the bare scheduler and the
 # telemetry-overhead variant), the pruning-engine benchmarks (the
 # prune ablation, the checkpoint ladder, and the golden-run profiling
-# overhead guard), the detail-window ablation, and the functional-tier
-# turbo benchmarks (interpreter dispatch with the predecode cache
-# on/off, window entries from boot vs. the fast-forward rung ladder),
-# and writes the machine-readable baselines
+# overhead guard), the detail-window ablation, and the interpreter
+# dispatch benchmark (predecode cache on/off), and writes the machine-readable baselines
 # results/BENCH_scheduler.json, results/BENCH_prune.json,
 # results/BENCH_window.json and results/BENCH_interp.json via
 # scripts/benchjson.
@@ -39,7 +37,5 @@ echo "wrote results/BENCH_window.json"
 
 go test -run '^$' -bench '^BenchmarkInterpDispatch$' -benchtime 200x \
     -count "$count" . | tee "$out"
-go test -run '^$' -bench '^BenchmarkWindowEntryLadder$' -benchtime 3x \
-    -count "$count" . | tee -a "$out"
 go run ./scripts/benchjson <"$out" >results/BENCH_interp.json
 echo "wrote results/BENCH_interp.json"
