@@ -120,7 +120,7 @@ func main() {
 	fmt.Printf("campaign %s: %d injections in %.1fs\n", key, len(res.Records), time.Since(start).Seconds())
 	fmt.Printf("  %s\n", b)
 	if b.Weighted() {
-		fmt.Printf("  weighted (Horvitz-Thompson): Masked=%5.2f%% vuln=%5.2f%% (weight sum %.1f)\n",
+		fmt.Printf("  census (cycle mass): Masked=%5.2f%% vuln=%5.2f%% (weight sum %.1f)\n",
 			b.WeightedPct(core.ClassMasked), b.WeightedVulnerability(), b.WeightSum)
 	}
 	if a := res.Adaptive; a != nil {

@@ -64,8 +64,8 @@ func main() {
 
 	// The shared campaign knobs arrive as one config; the figure specs
 	// supply the cells later, so the knob cross-rules (stop margin domain,
-	// exhaustive/importance-sampling exclusions) are validated against a
-	// representative probe cell.
+	// exhaustive exclusions) are validated against a representative probe
+	// cell.
 	cfg := cf.Apply([]core.CampaignCell{{Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int"}})
 	if err := cfg.Validate(); err != nil {
 		fatal(err)

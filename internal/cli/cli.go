@@ -65,7 +65,6 @@ func Campaign(fs *flag.FlagSet, defaultN int) *CampaignFlags {
 	fs.Float64Var(&c.StopConfidence, "stop-confidence", 0.99, "confidence level of the -stop-margin sequential stopping rule")
 	fs.IntVar(&c.StopCheckEvery, "stop-check-every", 0, "evaluate the -stop-margin rule every this many completed runs (0: default cadence)")
 	fs.BoolVar(&c.Exhaustive, "exhaustive", false, "replace sampling with the equivalence-class-collapsed census of the whole single-bit transient fault population (implies -prune)")
-	fs.BoolVar(&c.ImportanceSampling, "importance-sampling", false, "oversample live fault sites from the golden-run liveness profile, with Horvitz-Thompson weights keeping the reported proportions unbiased")
 	return f
 }
 

@@ -33,6 +33,7 @@ func TestApplyStampsTheLowestSchemaVersion(t *testing.T) {
 		{[]string{"-window-verify", "3"}, 2},
 		{[]string{"-divergence"}, 3},
 		{[]string{"-stop-margin", "0.05"}, 5},
+		{[]string{"-exhaustive"}, 5},
 		{[]string{"-detail-window", "-stop-margin", "0.05"}, 5},
 	} {
 		f, err := parse(t, tc.args...)
@@ -52,11 +53,11 @@ func TestApplyStampsTheLowestSchemaVersion(t *testing.T) {
 	}
 }
 
-// The functional-tier knobs are gone: the predecode cache and the
-// fast-forward rung ladder are unconditional, so their flags are
-// unknown.
+// Retired knobs are gone: the predecode cache and the fast-forward rung
+// ladder are unconditional, and the weighted sampler gave way to the
+// uniform draw, so their flags are unknown.
 func TestRetiredFlagsAreUnknown(t *testing.T) {
-	for _, arg := range []string{"-ff-rungs=-1", "-no-decode-cache"} {
+	for _, arg := range []string{"-ff-rungs=-1", "-no-decode-cache", "-importance-sampling"} {
 		_, err := parse(t, "-detail-window", arg)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%s: parse error %v, want an unknown flag", arg, err)

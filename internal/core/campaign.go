@@ -40,9 +40,9 @@ type LogRecord struct {
 	FatalExc      string       `json:"fatal_exc,omitempty"`
 	AssertMsg     string       `json:"assert_msg,omitempty"`
 	CommitStalled bool         `json:"commit_stalled,omitempty"`
-	// Weight is the mask's Horvitz–Thompson sampling weight (zero reads
-	// as 1); importance-sampled campaigns carry it into the logs so the
-	// reweighted estimators work from the records alone.
+	// Weight is the mask's census cycle mass (zero reads as 1); census
+	// campaigns carry it into the logs so the population-share
+	// estimators work from the records alone.
 	Weight float64 `json:"weight,omitempty"`
 }
 

@@ -30,7 +30,9 @@ import (
 //	5 — adaptive campaign control (stop_margin, stop_confidence,
 //	    stop_check_every, exhaustive, importance_sampling). As before, a
 //	    config using none of them is served at the lowest version that
-//	    expresses it.
+//	    expresses it. The last of them is retired — a uniform draw
+//	    estimates the same class proportions — so its key decodes as a
+//	    no-op.
 const ConfigSchemaVersion = 5
 
 // CampaignCell is one {tool, benchmark, structure} campaign of a
@@ -151,17 +153,13 @@ type CampaignConfig struct {
 	// Exhaustive replaces sampling with the equivalence-class-collapsed
 	// census of the whole single-bit transient fault population: one
 	// cycle-mass-weighted representative mask per liveness interval per
-	// (entry, bit), enumerated from the golden-run profile. Implies
-	// Prune; the cell result is stamped complete with zero margin.
-	// Mutually exclusive with explicit masks, generated-count sampling
-	// knobs, live_only, importance_sampling and stop_margin.
+	// (entry, bit), enumerated from the golden-run profile. Each mask
+	// weighs the cycles its interval covers, so the weights tile the
+	// population and the weighted shares are exact. Implies Prune; the
+	// cell result is stamped complete with zero margin. Mutually
+	// exclusive with explicit masks, generated-count sampling knobs,
+	// live_only and stop_margin.
 	Exhaustive bool `json:"exhaustive,omitempty"`
-	// ImportanceSampling draws the generated masks preferentially from
-	// the live portion of the fault population (golden-run liveness as
-	// the importance distribution), carrying Horvitz–Thompson weights
-	// that keep the reported class proportions unbiased. Mutually
-	// exclusive with explicit masks, live_only and exhaustive.
-	ImportanceSampling bool `json:"importance_sampling,omitempty"`
 }
 
 // usesWindow reports whether any detail-window field is in use — the
@@ -175,7 +173,7 @@ func (c CampaignConfig) usesWindow() bool {
 // the schema-version-5 surface.
 func (c CampaignConfig) usesAdaptive() bool {
 	return c.StopMargin != 0 || c.StopConfidence != 0 || c.StopCheckEvery != 0 ||
-		c.Exhaustive || c.ImportanceSampling
+		c.Exhaustive
 }
 
 // WireSchemaVersion is the schema version a zero-version config is
@@ -258,22 +256,11 @@ func (c CampaignConfig) Validate() error {
 		if c.StopMargin != 0 {
 			return bad("exhaustive", "a census has nothing to stop early (unset stop_margin)")
 		}
-		if c.ImportanceSampling {
-			return bad("exhaustive", "a census has nothing to sample (unset importance_sampling)")
-		}
 		if c.LiveOnly {
 			return bad("exhaustive", "the census already enumerates liveness exactly (unset live_only)")
 		}
 		if c.model() != fault.ModelTransient {
 			return bad("exhaustive", "the census covers transient faults only, not %q", c.Model)
-		}
-	}
-	if c.ImportanceSampling {
-		if c.LiveOnly {
-			return bad("importance_sampling", "mutually exclusive with live_only")
-		}
-		if c.model() != fault.ModelTransient {
-			return bad("importance_sampling", "covers transient faults only, not %q", c.Model)
 		}
 	}
 	for i, cell := range c.Campaigns {
@@ -293,12 +280,8 @@ func (c CampaignConfig) Validate() error {
 		if cell.Seed < 0 {
 			return bad(field("seed"), "negative seed %d", cell.Seed)
 		}
-		if (c.Exhaustive || c.ImportanceSampling) && len(cell.Masks) > 0 {
-			knob := "exhaustive"
-			if c.ImportanceSampling {
-				knob = "importance_sampling"
-			}
-			return bad(field("masks"), "explicit masks are mutually exclusive with %s", knob)
+		if c.Exhaustive && len(cell.Masks) > 0 {
+			return bad(field("masks"), "explicit masks are mutually exclusive with exhaustive")
 		}
 		// An exhaustive cell's population comes from the census, not an
 		// injection count.
@@ -421,12 +404,10 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, p
 			MaxCycle: golden.Cycles, Model: c.model(),
 			Count: c.MaskCount(i), Seed: c.cellSeed(i),
 		}
-		switch {
-		case c.Exhaustive, c.ImportanceSampling:
-			// Both profile-driven generators read the boot liveness
-			// profile of the cell's structure — the same profile the
-			// pruner derives its plan from, so the equivalence classes
-			// agree by construction.
+		if c.Exhaustive {
+			// The census reads the boot liveness profile of the cell's
+			// structure — the same profile the pruner derives its plan
+			// from, so the equivalence classes agree by construction.
 			profs, perr := cache.profiles(pool, cell.Tool, cell.Benchmark, factory, []string{cell.Structure})
 			if perr != nil {
 				return CampaignSpec{}, perr
@@ -436,12 +417,8 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, p
 				return CampaignSpec{}, fmt.Errorf("core: campaigns[%d]: %s/%s exposes no liveness profile for %s (simulator has no cycle source)",
 					i, cell.Tool, cell.Benchmark, cell.Structure)
 			}
-			if c.Exhaustive {
-				masks, err = fault.EnumerateExhaustive(genSpec, prof)
-			} else {
-				masks, err = fault.GenerateImportance(genSpec, prof, 0)
-			}
-		default:
+			masks, err = fault.EnumerateExhaustive(genSpec, prof)
+		} else {
 			masks, err = fault.Generate(genSpec)
 		}
 		if err != nil {

@@ -70,27 +70,14 @@ func TestCampaignConfigValidate(t *testing.T) {
 			c.Exhaustive = true
 			c.StopMargin, c.StopConfidence = 0.05, 0.99
 		}},
-		{"exhaustive with importance sampling", "exhaustive", func(c *core.CampaignConfig) {
-			c.Exhaustive, c.ImportanceSampling = true, true
-		}},
 		{"exhaustive with live-only", "exhaustive", func(c *core.CampaignConfig) {
 			c.Exhaustive, c.LiveOnly = true, true
 		}},
 		{"exhaustive with permanent model", "exhaustive", func(c *core.CampaignConfig) {
 			c.Exhaustive, c.Model = true, "permanent"
 		}},
-		{"importance sampling with live-only", "importance_sampling", func(c *core.CampaignConfig) {
-			c.ImportanceSampling, c.LiveOnly = true, true
-		}},
-		{"importance sampling with intermittent model", "importance_sampling", func(c *core.CampaignConfig) {
-			c.ImportanceSampling, c.Model = true, "intermittent"
-		}},
 		{"explicit masks with exhaustive", "campaigns[0].masks", func(c *core.CampaignConfig) {
 			c.Exhaustive = true
-			c.Campaigns[0].Masks = []fault.Mask{{Sites: []fault.Site{{Structure: "s", Model: "transient"}}}}
-		}},
-		{"explicit masks with importance sampling", "campaigns[0].masks", func(c *core.CampaignConfig) {
-			c.ImportanceSampling = true
 			c.Campaigns[0].Masks = []fault.Mask{{Sites: []fault.Site{{Structure: "s", Model: "transient"}}}}
 		}},
 	}
@@ -199,15 +186,17 @@ func TestRunShardUnionMatchesRunConfig(t *testing.T) {
 // the knob, whatever its value, is a no-op. use_checkpoint was a switch
 // before every campaign restored from its row's ladder; ff_rungs and
 // no_decode_cache tuned the functional tier before the fast-forward
-// ladder and the predecode cache became unconditional. Each decodes the
-// way faultcampd -config and /v1 submissions do (unknown keys ignored)
-// and records exactly what the bare config does, windowed or not.
+// ladder and the predecode cache became unconditional; the weighted
+// sampler drew a sample of the same class proportions a uniform draw
+// estimates, and was deleted. Each decodes the way faultcampd -config and
+// /v1 submissions do (unknown keys ignored) and records exactly what the
+// bare config does, windowed or not.
 func TestRetiredKeysDecodeAsNoOps(t *testing.T) {
 	resolve := simsResolver(t)
 	cache := core.NewGoldenCache()
 	for _, window := range []string{``, `"detail_window": true, `} {
 		var want []core.LogRecord
-		for i, knob := range []string{``, `"use_checkpoint": true, `, `"use_checkpoint": false, `, `"ff_rungs": -1, `, `"no_decode_cache": true, `} {
+		for i, knob := range []string{``, `"use_checkpoint": true, `, `"use_checkpoint": false, `, `"ff_rungs": -1, `, `"no_decode_cache": true, `, `"importance_sampling": true, `} {
 			doc := `{` + window + knob + `"campaigns": [{"tool": "gefin-x86", "benchmark": "qsort", "structure": "rf.int"}], "injections": 6, "seed": 4}`
 			var cfg core.CampaignConfig
 			if err := json.Unmarshal([]byte(doc), &cfg); err != nil {

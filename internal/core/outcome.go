@@ -308,7 +308,6 @@ func (s *CellSinks) Commit(run ShardRun, dispatched bool) error {
 			DetailCycles:   run.DetailCycles,
 			Diverged:       run.Diverged,
 			Stopped:        run.Stopped(),
-			Weight:         rec.Weight,
 		})
 	}
 	return nil

@@ -93,7 +93,7 @@ func TestCommitProjections(t *testing.T) {
 				WatchedReads: 40, WatchedWrites: 30, ObservedReads: 4, ObservedWrites: 3,
 				RepMask: -1, LadderRestored: true, RungCycle: 64,
 				Windowed: true, WindowEntered: true, WindowExited: true, FastSteps: 900, DetailCycles: 55,
-				Diverged: true, Weight: 2,
+				Diverged: true,
 			},
 		},
 		{
@@ -107,8 +107,8 @@ func TestCommitProjections(t *testing.T) {
 			},
 		},
 		{
-			// The representative's verdict under the replica's own identity
-			// and sampling weight; none of the representative's extras.
+			// The representative's verdict under the replica's own identity;
+			// none of the representative's extras.
 			name: "replicated",
 			run:  func() ShardRun { return replicated(2, masks[2], 0).Resolve(simRec) },
 			trace: `{"schema_version":1,"campaign":"gefin-x86/qsort/rf.int","mask_id":12,"sites":[{"core":0,"structure":"rf.int","entry":1,"bit":3,"model":"transient","cycle":101}],` +
@@ -116,7 +116,7 @@ func TestCommitProjections(t *testing.T) {
 			div: divergence.Record{Campaign: key, MaskID: 12, Status: "early-masked", Class: "Masked", Cycles: 700, Pruned: "replicated"},
 			event: telemetry.RunEvent{
 				MaskID: 12, Sites: masks[2].Sites, Status: "early-masked", Class: "Masked", Cycles: 700,
-				Pruned: "replicated", RepMask: 10, Weight: 4,
+				Pruned: "replicated", RepMask: 10,
 			},
 		},
 		{
@@ -129,7 +129,7 @@ func TestCommitProjections(t *testing.T) {
 				`"status":"stopped-early","class":"Stopped","cycles":0,"observed":false,"stopped_early":true}`,
 			div: divergence.Record{Campaign: key, MaskID: 13, Status: "stopped-early", Class: "Stopped"},
 			event: telemetry.RunEvent{
-				MaskID: 13, Sites: masks[3].Sites, Status: "stopped-early", Class: "Stopped", RepMask: -1, Stopped: true, Weight: 1.5,
+				MaskID: 13, Sites: masks[3].Sites, Status: "stopped-early", Class: "Stopped", RepMask: -1, Stopped: true,
 			},
 		},
 		{
@@ -158,7 +158,7 @@ func TestCommitProjections(t *testing.T) {
 			},
 			event: telemetry.RunEvent{
 				MaskID: 10, Sites: masks[0].Sites, Status: "early-masked", Class: "Masked", Cycles: 700,
-				Observed: true, FirstObsCycle: 120, EarlyStop: "overwritten", RepMask: -1, Resumed: true, Weight: 2,
+				Observed: true, FirstObsCycle: 120, EarlyStop: "overwritten", RepMask: -1, Resumed: true,
 			},
 		},
 	}
@@ -203,6 +203,11 @@ func TestCommitProjections(t *testing.T) {
 		if snap := col.Snapshot(); snap.RunsStarted != 1 || snap.RunsDone != 1 {
 			t.Errorf("%s: collector counts started=%d done=%d, want 1/1", tc.name, snap.RunsStarted, snap.RunsDone)
 		}
+	}
+
+	// A replica keeps its own census weight, not the representative's.
+	if w := replicated(2, masks[2], 0).Resolve(simRec).Record.Weight; w != 4 {
+		t.Errorf("replica record weight %v, want its own 4", w)
 	}
 
 	// A run the scheduler dispatched was counted as started then.

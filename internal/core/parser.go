@@ -112,10 +112,10 @@ type Breakdown struct {
 	Total   int
 	Counts  map[Class]int
 	Details map[Detail]int
-	// Weights and WeightSum carry the Horvitz–Thompson weight mass per
-	// class — the self-normalized estimator of importance-sampled
-	// campaigns. A record without a weight counts as weight 1, so for
-	// uniform campaigns WeightedPct degenerates to Pct exactly.
+	// Weights and WeightSum carry the weight mass per class — the census
+	// cycle mass each record stands for. A record without a weight
+	// counts as weight 1, so for uniform campaigns WeightedPct
+	// degenerates to Pct exactly.
 	Weights   map[Class]float64
 	WeightSum float64
 	// NonUnit records that at least one run carried a weight other than
@@ -163,10 +163,10 @@ func (b Breakdown) Pct(c Class) float64 {
 	return 100 * float64(b.Counts[c]) / float64(b.Total)
 }
 
-// WeightedPct returns the Horvitz–Thompson self-normalized percentage of
-// the class — the unbiased estimate of its uniform-population proportion
-// under importance-sampled (or cycle-mass-weighted exhaustive) mask
-// populations. Equal to Pct when every record weighs 1.
+// WeightedPct returns the weight-normalized percentage of the class —
+// its exact share of the uniform fault population under a census, whose
+// records weigh their cycle mass. Equal to Pct when every record weighs
+// 1.
 func (b Breakdown) WeightedPct(c Class) float64 {
 	if b.WeightSum == 0 {
 		return 0

@@ -354,11 +354,18 @@ func (r *matrixRun) execute() error {
 				if q.verify >= 0 {
 					// Prune-verify re-run: simulate a pruned mask for the
 					// differential check, bypassing telemetry, the journal
-					// and the results entirely. It runs under the same
-					// window policy as the real runs — the check is about
-					// the prune verdict, not the execution tier.
+					// and the results entirely. A dead verdict is a proof
+					// about the exact run, so a dead mask runs with no
+					// window: restored from its exact rung and cycle-accurate
+					// to the end. A replica's planned verdict is its
+					// representative's record, so it runs under the same
+					// window policy as that record did.
+					win := plan.win
+					if c.disp[q.mask].kind == dispDead {
+						win = nil
+					}
 					rec, err := runGuarded(spec.Factory, c.rungs, mask, c.golden,
-						cfg.TimeoutFactor, !cfg.DisableEarlyStop, plan.win, c.ff, cfg.RunWallLimit, nil)
+						cfg.TimeoutFactor, !cfg.DisableEarlyStop, win, c.ff, cfg.RunWallLimit, nil)
 					if err != nil {
 						noteErr(i, err)
 						return

@@ -268,12 +268,16 @@ func TestFastStepsCountExecutedInstructions(t *testing.T) {
 
 // TestTurboTierIsTheReference holds the functional tier's fast-forward
 // rung ladder to the from-boot reference on every tool: the same
-// windowed matrix — pruned, window-verified, with divergence provenance,
-// a journal and a trace attached — runs once on the rows' ladders and
-// once on rows BootWindowEntries emptied, so every window entry
-// fast-forwards from boot. Records, trace, journal and divergence file
-// must be byte-identical. The predecode cache under both runs is held to
-// the slow decoder by internal/interp's TestDecodeCacheEquivalence and
+// windowed matrix — pruned and prune-verified, window-verified, with
+// divergence provenance, a journal and a trace attached — runs once on
+// the rows' ladders and once on rows BootWindowEntries emptied, so every
+// window entry fast-forwards from boot. Records, trace, journal and
+// divergence file must be byte-identical. Prune-verify re-runs every
+// pruned mask, a dead one without the window: the dead verdict is a
+// proof about the exact run, which the functional window entry only
+// approximates (re-run windowed, dead mafin-x86 × rf.int mask 3 comes
+// out SDC). The predecode cache under both runs is held to the
+// slow decoder by internal/interp's TestDecodeCacheEquivalence and
 // FuzzPredecodeMatchesDecode.
 func TestTurboTierIsTheReference(t *testing.T) {
 	tools := []string{sims.MaFINX86, sims.GeFINX86, sims.GeFINARM}
@@ -285,7 +289,7 @@ func TestTurboTierIsTheReference(t *testing.T) {
 	}
 	// One worker: the journal appends in completion order.
 	cfg := core.CampaignConfig{
-		Campaigns: cells, Injections: 16, Seed: 11, Workers: 1, LiveOnly: true, Prune: true,
+		Campaigns: cells, Injections: 16, Seed: 11, Workers: 1, LiveOnly: true, Prune: true, PruneVerify: 16,
 		DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 2, Divergence: true,
 	}
 	run := func(name string, fromBoot bool) ([]*core.CampaignResult, [3][]byte, telemetry.Snapshot) {

@@ -84,11 +84,10 @@ type Mask struct {
 	// ID is the experiment index within the campaign, for log matching.
 	ID    int    `json:"id"`
 	Sites []Site `json:"sites"`
-	// Weight is the Horvitz–Thompson sampling weight of the mask: the
-	// ratio of its uniform draw probability to the probability the
-	// generator actually drew it with. Uniformly generated masks leave
-	// it zero (read as 1); importance-sampled and exhaustive masks carry
-	// the weight the estimators need to stay unbiased.
+	// Weight is the share of the uniform fault population the mask
+	// stands for. Uniformly generated masks leave it zero (read as 1); a
+	// census mask carries the cycle mass of its liveness interval, so the
+	// census weights tile Entries×BitsPerEntry×MaxCycle.
 	Weight float64 `json:"weight,omitempty"`
 }
 

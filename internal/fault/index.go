@@ -46,8 +46,8 @@ type OutcomeIndex struct {
 	Benchmark     string `json:"benchmark"`
 	Structure     string `json:"structure"`
 
-	// Runs counts committed run records; WeightSum is the importance
-	// weight mass behind them (equal to Runs when sampling is uniform).
+	// Runs counts committed run records; WeightSum is the census cycle
+	// mass behind them (equal to Runs when sampling is uniform).
 	Runs      int     `json:"runs"`
 	WeightSum float64 `json:"weight_sum,omitempty"`
 

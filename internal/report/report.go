@@ -387,9 +387,9 @@ func (fd *FigureData) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-10s %-6s %8s %8s %8s %8s %8s %8s %8s\n",
 		"benchmark", "tool", "Masked", "SDC", "DUE", "Timeout", "Crash", "Assert", "vuln")
 	row := func(name, tool string, b core.Breakdown) {
-		// Importance-sampled (and census) cells render their
-		// Horvitz–Thompson reweighted proportions — the raw run shares
-		// are biased toward live sites by construction.
+		// Census cells render their cycle-mass-weighted proportions —
+		// one representative stands for its whole liveness interval, so
+		// the raw run shares over-count short intervals.
 		pct, vuln := b.Pct, b.Vulnerability()
 		if b.Weighted() {
 			pct, vuln = b.WeightedPct, b.WeightedVulnerability()

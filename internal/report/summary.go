@@ -126,7 +126,7 @@ func RenderDominantClasses(w io.Writer, figs []*FigureData) {
 		for _, tool := range fd.Tools() {
 			b := fd.Average(tool)
 			// Weight mass equals the raw count on uniform campaigns and
-			// the unbiased population share on importance-sampled ones.
+			// the population share on census ones.
 			best := core.ClassSDC
 			bestN := -1.0
 			for _, c := range core.Classes {

@@ -78,13 +78,11 @@ type Snapshot struct {
 	FastPathRate   float64 `json:"fast_path_rate"`
 
 	// Adaptive-campaign gauges: runs cancelled by a cell's sequential
-	// stopping rule, cells that stopped before their fixed budget, the
-	// widest achieved margin across decided cells, and the sum of
-	// Horvitz–Thompson importance weights folded into the estimators.
-	StoppedRuns         uint64  `json:"stopped_runs"`
-	CellsStoppedEarly   uint64  `json:"cells_stopped_early"`
-	EffectiveMargin     float64 `json:"effective_margin"`
-	ImportanceWeightSum float64 `json:"importance_weight_sum"`
+	// stopping rule, cells that stopped before their fixed budget, and
+	// the widest achieved margin across decided cells.
+	StoppedRuns       uint64  `json:"stopped_runs"`
+	CellsStoppedEarly uint64  `json:"cells_stopped_early"`
+	EffectiveMargin   float64 `json:"effective_margin"`
 
 	StatusCounts map[string]uint64  `json:"status_counts"`
 	ClassCounts  map[string]uint64  `json:"class_counts"`
@@ -163,7 +161,6 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 		s.ObservedWrites += o.ObservedWrites
 		s.StoppedRuns += o.StoppedRuns
 		s.CellsStoppedEarly += o.CellsStoppedEarly
-		s.ImportanceWeightSum += o.ImportanceWeightSum
 		if o.EffectiveMargin > s.EffectiveMargin {
 			// The fleet's effective margin is its worst cell's, so the
 			// max — not the sum — survives merging.
@@ -294,9 +291,6 @@ func (s Snapshot) ProgressLine() string {
 	if s.CellsStoppedEarly > 0 {
 		fmt.Fprintf(&b, "  stopped %dcell/%drun (margin %.3f)", s.CellsStoppedEarly, s.StoppedRuns, s.EffectiveMargin)
 	}
-	if s.ImportanceWeightSum > 0 {
-		fmt.Fprintf(&b, "  wsum %.1f", s.ImportanceWeightSum)
-	}
 	if s.PanicsContained > 0 {
 		fmt.Fprintf(&b, "  panics %d", s.PanicsContained)
 	}
@@ -393,7 +387,6 @@ var metricDefs = []metricDef{
 	{"StoppedRuns", "stopped_runs_total", "counter", "Runs cancelled by a cell's sequential stopping rule."},
 	{"CellsStoppedEarly", "cells_stopped_early_total", "counter", "Campaign cells whose stopping rule fired before the fixed budget."},
 	{"EffectiveMargin", "effective_margin", "gauge", "Widest achieved confidence-interval half-width across decided cells."},
-	{"ImportanceWeightSum", "importance_weight_sum", "gauge", "Sum of Horvitz-Thompson importance weights across finished runs."},
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition

@@ -101,9 +101,6 @@ type RunEvent struct {
 	// before simulation. Stopped events carry zero Cycles/Wall and are
 	// excluded from the throughput gauges, like pruned ones.
 	Stopped bool
-	// Weight is the record's Horvitz–Thompson sampling weight; zero for
-	// uniformly drawn masks (read as 1 by the estimators).
-	Weight float64
 }
 
 // Sink consumes run-end events, e.g. the JSONL trace writer. RunEvent
@@ -185,10 +182,9 @@ type Collector struct {
 	watchedReads, watchedWrites   atomic.Uint64
 	observedReads, observedWrites atomic.Uint64
 
-	stoppedRuns      atomic.Uint64
-	cellsStopped     atomic.Uint64
-	effectiveMargin  atomic.Uint64 // math.Float64bits, CAS-max across cells
-	importanceWeight atomic.Uint64 // math.Float64bits, CAS-add of run weights
+	stoppedRuns     atomic.Uint64
+	cellsStopped    atomic.Uint64
+	effectiveMargin atomic.Uint64 // math.Float64bits, CAS-max across cells
 
 	statuses counterMap
 	classes  counterMap
@@ -248,18 +244,6 @@ func (c *Collector) ObserveCellMargin(margin float64) {
 			return
 		}
 		if c.effectiveMargin.CompareAndSwap(old, math.Float64bits(margin)) {
-			return
-		}
-	}
-}
-
-// addWeight CAS-adds one run's importance weight into the float
-// accumulator.
-func (c *Collector) addWeight(w float64) {
-	for {
-		old := c.importanceWeight.Load()
-		next := math.Float64bits(math.Float64frombits(old) + w)
-		if c.importanceWeight.CompareAndSwap(old, next) {
 			return
 		}
 	}
@@ -352,9 +336,6 @@ func (c *Collector) RunDone(cs *CampaignStats, ev RunEvent) {
 	if ev.Stopped {
 		c.stoppedRuns.Add(1)
 	}
-	if ev.Weight > 0 {
-		c.addWeight(ev.Weight)
-	}
 	if ev.Windowed {
 		c.windowedRuns.Add(1)
 	}
@@ -387,34 +368,33 @@ func (c *Collector) RunDone(cs *CampaignStats, ev RunEvent) {
 // final snapshot after the scheduler returns is exact.
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
-		Workers:             int(c.workers.Load()),
-		RunsQueued:          c.queued.Load(),
-		RunsStarted:         c.started.Load(),
-		RunsDone:            c.done.Load(),
-		EarlyStops:          c.earlyStops.Load(),
-		DivergedRuns:        c.divergedRuns.Load(),
-		PrunedDead:          c.prunedDead.Load(),
-		PrunedReplicated:    c.prunedReplicated.Load(),
-		LadderRestores:      c.ladderRestores.Load(),
-		Resumed:             c.resumed.Load(),
-		PanicsContained:     c.panicsContained.Load(),
-		SimCycles:           c.simCycles.Load(),
-		WindowedRuns:        c.windowedRuns.Load(),
-		WindowEntries:       c.windowEntries.Load(),
-		WindowExits:         c.windowExits.Load(),
-		WindowHolds:         c.windowHolds.Load(),
-		FastSteps:           c.fastSteps.Load(),
-		DetailCycles:        c.detailCycles.Load(),
-		WatchedReads:        c.watchedReads.Load(),
-		WatchedWrites:       c.watchedWrites.Load(),
-		ObservedReads:       c.observedReads.Load(),
-		ObservedWrites:      c.observedWrites.Load(),
-		StoppedRuns:         c.stoppedRuns.Load(),
-		CellsStoppedEarly:   c.cellsStopped.Load(),
-		EffectiveMargin:     math.Float64frombits(c.effectiveMargin.Load()),
-		ImportanceWeightSum: math.Float64frombits(c.importanceWeight.Load()),
-		StatusCounts:        c.statuses.snapshot(),
-		ClassCounts:         c.classes.snapshot(),
+		Workers:           int(c.workers.Load()),
+		RunsQueued:        c.queued.Load(),
+		RunsStarted:       c.started.Load(),
+		RunsDone:          c.done.Load(),
+		EarlyStops:        c.earlyStops.Load(),
+		DivergedRuns:      c.divergedRuns.Load(),
+		PrunedDead:        c.prunedDead.Load(),
+		PrunedReplicated:  c.prunedReplicated.Load(),
+		LadderRestores:    c.ladderRestores.Load(),
+		Resumed:           c.resumed.Load(),
+		PanicsContained:   c.panicsContained.Load(),
+		SimCycles:         c.simCycles.Load(),
+		WindowedRuns:      c.windowedRuns.Load(),
+		WindowEntries:     c.windowEntries.Load(),
+		WindowExits:       c.windowExits.Load(),
+		WindowHolds:       c.windowHolds.Load(),
+		FastSteps:         c.fastSteps.Load(),
+		DetailCycles:      c.detailCycles.Load(),
+		WatchedReads:      c.watchedReads.Load(),
+		WatchedWrites:     c.watchedWrites.Load(),
+		ObservedReads:     c.observedReads.Load(),
+		ObservedWrites:    c.observedWrites.Load(),
+		StoppedRuns:       c.stoppedRuns.Load(),
+		CellsStoppedEarly: c.cellsStopped.Load(),
+		EffectiveMargin:   math.Float64frombits(c.effectiveMargin.Load()),
+		StatusCounts:      c.statuses.snapshot(),
+		ClassCounts:       c.classes.snapshot(),
 	}
 	if start := c.startNanos.Load(); start != 0 {
 		s.ElapsedSeconds = time.Since(time.Unix(0, start)).Seconds()

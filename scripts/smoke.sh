@@ -81,16 +81,19 @@ go run ./scripts/smokecheck \
 # to RAM again (DESIGN §12); the benchmark's own population (seed 7,
 # live-only) has consumed faults, -window-verify covers every windowed
 # mask, and smokecheck -window asserts the windows do close.
+# -prune-verify covers every pruned mask: a dead one re-runs without the
+# window, because its verdict is a proof about the exact run (mask 77 is
+# dead but simulates SDC when its window is entered functionally).
 go run ./cmd/faultcamp \
     -tool mafin-x86 -bench "$bench" -structure l1d.data \
     -n 100 -seed 7 -live-only -logs "$tmp/logs" \
-    -prune -ladder 3 -detail-window -window-verify 100 \
+    -prune -prune-verify 100 -ladder 3 -detail-window -window-verify 100 \
     -trace -quiet -snapshot-json "$tmp/snap_mafin_l1d.json"
 
 go run ./scripts/smokecheck \
     -logs "$tmp/logs" -key "mafin-x86__${bench}__l1d.data" \
     -snapshot "$tmp/snap_mafin_l1d.json" -prune -window
-echo "smoke: MaFIN L1D windows close by content and verify on every windowed mask"
+echo "smoke: MaFIN L1D windows close by content and verify on every windowed and pruned mask"
 
 # Windowed round: the default windowed campaign (the functional tier
 # always runs with its predecoded-instruction cache and fast-forward
