@@ -57,12 +57,6 @@ type CampaignSpec struct {
 	Structure string
 	Masks     []fault.Mask
 	Factory   Factory
-
-	// rungs is the row's ladder of ladderK rungs when BuildSpecs built it
-	// right after the golden run the masks were generated against;
-	// ladderK is 0 when it did not, and the plan looks the ladder up.
-	rungs   []LadderRung
-	ladderK int
 }
 
 // CampaignResult is the outcome of a whole campaign.

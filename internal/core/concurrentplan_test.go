@@ -24,14 +24,15 @@ func cacheCounts(c *core.GoldenCache) telemetry.Snapshot {
 	}
 }
 
-// The plan's golden runs, checkpoint ladders and profiled replays build
-// concurrently under Workers, and that may change when each exists but
+// The plan's golden runs and the replays that build checkpoint ladders
+// and liveness profiles run concurrently under Workers, and that may change when each exists but
 // never what it is: planned at Workers 1 and at Workers 4 on fresh
 // caches, a prune + ladder + window config over three rows yields the
 // same golden references, rung cycles, encoded profiles, prune
 // decisions, dispositions, verify samples and cache counters, and the
 // same number of cold builds (their log lines may come in any order):
-// per row a golden run, a ladder and one profiled boot replay.
+// per row a golden run and one replay that builds both the ladder and
+// the profiles.
 func TestConcurrentPlanMatchesSerial(t *testing.T) {
 	cfg := core.CampaignConfig{
 		Injections: 40, Seed: 11,
@@ -78,8 +79,8 @@ func TestConcurrentPlanMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(wideCounts, serialCounts) {
 		t.Fatalf("cache counters at Workers 4 %+v, at Workers 1 %+v", wideCounts, serialCounts)
 	}
-	if wideBuilds != serialBuilds || serialBuilds != 3*(1+1+1) {
-		t.Fatalf("%d cold builds at Workers 4, %d at Workers 1; want a golden run, a ladder and a profile set per row", wideBuilds, serialBuilds)
+	if wideBuilds != serialBuilds || serialBuilds != 3*(1+1) {
+		t.Fatalf("%d cold builds at Workers 4, %d at Workers 1; want a golden run and one replay per row", wideBuilds, serialBuilds)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/divergence"
@@ -374,8 +375,8 @@ type Attach struct {
 // masks) or generated deterministically from {seed, model, injections}
 // against the golden geometry. Two processes building the same cell of
 // the same config produce identical masks — the root of the distributed
-// path's byte-identity. Its golden run, profiled replays and — for
-// generated masks — the row's checkpoint ladder build on pool.
+// path's byte-identity. Its golden run and — for a census — the row's
+// replay build on pool.
 func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, pool *planPool) (CampaignSpec, error) {
 	cell := c.Campaigns[i]
 	factory, err := resolve(cell.Tool, cell.Benchmark)
@@ -383,10 +384,6 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, p
 		return CampaignSpec{}, err
 	}
 	masks := cell.Masks
-	var (
-		rungs   []LadderRung
-		ladderK int
-	)
 	if len(masks) == 0 {
 		golden, err := cache.golden(pool, cell.Tool, cell.Benchmark, factory)
 		if err != nil {
@@ -408,11 +405,11 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, p
 			// The census reads the boot liveness profile of the cell's
 			// structure — the same profile the pruner derives its plan
 			// from, so the equivalence classes agree by construction.
-			profs, perr := cache.profiles(pool, cell.Tool, cell.Benchmark, factory, []string{cell.Structure})
-			if perr != nil {
-				return CampaignSpec{}, perr
+			d, derr := cache.derived(pool, cell.Tool, cell.Benchmark, factory, c.want())
+			if derr != nil {
+				return CampaignSpec{}, derr
 			}
-			prof := profs[cell.Structure]
+			prof := d.profiles[cell.Structure]
 			if prof == nil {
 				return CampaignSpec{}, fmt.Errorf("core: campaigns[%d]: %s/%s exposes no liveness profile for %s (simulator has no cycle source)",
 					i, cell.Tool, cell.Benchmark, cell.Structure)
@@ -439,18 +436,44 @@ func (c CampaignConfig) buildSpec(i int, resolve Resolver, cache *GoldenCache, p
 				}
 			}
 		}
-		// Every campaign restores from its row's ladder. Building it in
-		// the task that ran the golden run starts it when that run ends,
-		// not when the last row's does.
-		ladderK = c.ladderRungs()
-		if rungs, err = cache.ladder(pool, cell.Tool, cell.Benchmark, factory, ladderK); err != nil {
-			return CampaignSpec{}, err
-		}
 	}
 	return CampaignSpec{
 		Tool: cell.Tool, Benchmark: cell.Benchmark, Structure: cell.Structure,
-		Masks: masks, Factory: factory, rungs: rungs, ladderK: ladderK,
+		Masks: masks, Factory: factory,
 	}, nil
+}
+
+// want names every golden-derived artifact the config's plan asks each
+// row for: the checkpoint ladder of every campaign, the liveness
+// profiles of every structure the config targets when anything prunes
+// or takes a census, and the commit signature when divergence is
+// measured.
+func (c CampaignConfig) want() derivedWant {
+	w := derivedWant{k: c.ladderRungs(), sig: c.Divergence}
+	if c.Prune || c.Exhaustive || c.PruneVerify > 0 {
+		w.structures = c.targetStructures()
+	}
+	return w
+}
+
+// targetStructures returns the sorted union of the cells' structures
+// and the structures their explicit masks' sites target.
+func (c CampaignConfig) targetStructures() []string {
+	set := make(map[string]bool)
+	for _, cell := range c.Campaigns {
+		set[cell.Structure] = true
+		for _, m := range cell.Masks {
+			for _, s := range m.Sites {
+				set[s.Structure] = true
+			}
+		}
+	}
+	names := make([]string, 0, len(set))
+	for n := range set {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // ladderRungs is the campaign's checkpoint-ladder K.
@@ -463,13 +486,21 @@ func (c CampaignConfig) ladderRungs() int {
 
 // BuildSpecs materializes every cell of the config (see buildSpec), the
 // cells concurrently under the config's Workers bound (see planPool);
-// the error of the first failing cell in cell order is returned.
+// the error of the first failing cell in cell order is returned. A cell
+// whose masks are generated ran its row's golden run in its task, and
+// asks there for everything the plan will ask the row for: the row's
+// replay then starts when its golden run ends, not when the last row's
+// does, and the plan's lookup is a hit.
 func (c CampaignConfig) BuildSpecs(resolve Resolver, cache *GoldenCache) ([]CampaignSpec, error) {
 	specs := make([]CampaignSpec, len(c.Campaigns))
 	pool := newPlanPool(c.Workers)
+	want := c.want()
 	err := pool.each(len(specs), func(i int) error {
 		var err error
-		specs[i], err = c.buildSpec(i, resolve, cache, pool)
+		if specs[i], err = c.buildSpec(i, resolve, cache, pool); err != nil || len(c.Campaigns[i].Masks) > 0 {
+			return err
+		}
+		_, err = cache.derived(pool, specs[i].Tool, specs[i].Benchmark, specs[i].Factory, want)
 		return err
 	})
 	if err != nil {

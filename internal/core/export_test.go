@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-
+	"repro/internal/divergence"
 	"repro/internal/prune"
 )
 
@@ -30,15 +29,17 @@ func PlanConfig(cfg CampaignConfig, resolve Resolver, cache *GoldenCache) ([]Pla
 	if err != nil {
 		return nil, err
 	}
-	structures := maskStructures(specs)
 	out := make([]PlannedCell, len(specs))
 	for i, c := range p.cells {
 		cache.mu.Lock()
 		e := cache.rows[goldenKey{specs[i].Tool, specs[i].Benchmark}]
 		cache.mu.Unlock()
-		e.profMu.Lock()
-		profiles := e.profiles[fmt.Sprintf("%q", structures)]
-		e.profMu.Unlock()
+		profiles := make(prune.Profiles)
+		e.mu.Lock()
+		for _, s := range cfg.want().structures {
+			profiles[s] = e.profiles[s]
+		}
+		e.mu.Unlock()
 		cycles := make([]uint64, len(c.rungs))
 		for r, rung := range c.rungs {
 			cycles[r] = rung.Cycle
@@ -50,6 +51,17 @@ func PlanConfig(cfg CampaignConfig, resolve Resolver, cache *GoldenCache) ([]Pla
 	}
 	return out, nil
 }
+
+// Derive asks cache, in one lookup, for the row's k-rung ladder, the
+// liveness profiles of structures and, with sig, the commit signature.
+func Derive(cache *GoldenCache, tool, bench string, f Factory, k int, structures []string, sig bool) ([]LadderRung, prune.Profiles, *divergence.Signature, error) {
+	d, err := cache.derived(nil, tool, bench, f, derivedWant{k: k, structures: structures, sig: sig})
+	return d.rungs, d.profiles, d.sig, err
+}
+
+// Replays reports how many fault-free replays the cache ran to build
+// ladders, profiles and signatures (golden runs are Runs).
+func Replays(c *GoldenCache) int { return int(c.replays.Load()) }
 
 // BootWindowEntries installs an empty functional fast-forward ladder
 // (quantum 0) on the {tool, bench} row of cache. machineAt answers nil

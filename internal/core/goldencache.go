@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitarray"
 	"repro/internal/divergence"
 	"repro/internal/prune"
 	"repro/internal/telemetry"
@@ -25,17 +27,20 @@ const maxGoldenRows = 32
 // campaign of a row; a fleet worker shares all of it across every shard
 // of every campaign it serves.
 //
-// Each artifact is keyed by exactly what determines it — the row, plus
-// the ladder's K, the profiled structure set, the fast-forward quantum
-// and decode mode — and the simulators are
-// deterministic, so a hit returns what a rebuild would have produced:
+// The ladders, profiles and signature are observations of the same
+// fault-free trajectory, so one replay of the row builds whichever of
+// them a lookup misses. Each artifact is keyed by exactly what
+// determines it — the row, plus the ladder's K, the profiled structure
+// or the fast-forward quantum — and the simulators are deterministic,
+// so a hit returns what a rebuild would have produced:
 // sharing across shards, campaigns and configs leaves every output
 // byte-identical. Callers hold what they were handed by reference, so
 // evicting a row never invalidates a run in flight; it only means the
 // next caller rebuilds. Safe for concurrent use.
 type GoldenCache struct {
-	// Logf, when non-nil, receives one line per cold build naming the
-	// row, the artifact and the wall time. Set it before the first use.
+	// Logf, when non-nil, receives one line per golden run and per
+	// replay naming the row, every artifact built and the wall time. Set
+	// it before the first use.
 	Logf func(format string, args ...any)
 
 	mu        sync.Mutex
@@ -43,8 +48,10 @@ type GoldenCache struct {
 	clock     uint64 // recency stamps
 	evictions uint64
 
-	// counts splits each artifact kind's lookups into hits and builds.
-	counts struct{ golden, ladder, profile, signature hitCount }
+	// counts splits each artifact kind's lookups into hits and builds;
+	// replays counts the fault-free replays that built them.
+	counts  struct{ golden, ladder, profile, signature hitCount }
+	replays atomic.Uint64
 	// ffHits and ffBuilds count window entries seeded from a memoized
 	// fast-forward rung vs. rung captures built; the rows' ladders
 	// update them on the run path.
@@ -72,27 +79,23 @@ type goldenEntry struct {
 	bytes atomic.Int64
 
 	// The reference run and what is kept of its finished machine: the
-	// geometry and the live entries of every structure, and whether it
-	// can checkpoint. The machine itself (RAM image and every array) is
-	// let go. Written once under once, read-only afterwards.
-	once        sync.Once
-	golden      GoldenInfo
-	geom        map[string]StructureGeom
-	live        map[string][]int
-	checkpoints bool
-	err         error
+	// geometry and the live entries of every structure, and which
+	// derived artifacts it can build. The machine itself (RAM image and
+	// every array) is let go. Written once under once, read-only
+	// afterwards.
+	once                          sync.Once
+	golden                        GoldenInfo
+	geom                          map[string]StructureGeom
+	live                          map[string][]int
+	checkpoints, profiled, probed bool
+	err                           error
 
-	// Each derived artifact has its own lock: building one simulates
-	// most of a golden run, and lookups of the others must not wait
-	// behind it.
-	ladderMu sync.Mutex
+	// The derived artifacts, all built by the row's replays (see
+	// derived) under one lock.
+	mu       sync.Mutex
 	ladders  map[int][]LadderRung // by K
-
-	profMu   sync.Mutex
-	profiles map[string]prune.Profiles // by structure set
-
-	sigMu sync.Mutex
-	sig   *divergence.Signature
+	profiles prune.Profiles       // by structure
+	sig      *divergence.Signature
 
 	ffMu sync.Mutex
 	ff   *ffLadder
@@ -155,7 +158,10 @@ func (e *goldenEntry) runGolden(f Factory, bench string) error {
 	}
 	e.golden = golden
 	e.golden.Benchmark = bench
+	e.ladders, e.profiles = make(map[int][]LadderRung), make(prune.Profiles)
 	_, e.checkpoints = sim.(Checkpointer)
+	_, e.profiled = sim.(CycleSource)
+	_, e.probed = sim.(CommitProbed)
 	arrs := sim.Structures()
 	e.geom = make(map[string]StructureGeom, len(arrs))
 	e.live = make(map[string][]int, len(arrs))
@@ -217,7 +223,7 @@ func (c *GoldenCache) Runs() int {
 // Observe fills the cache fields of a telemetry snapshot: what the
 // cache holds and how its lookups split into memoized hits and builds,
 // per artifact kind. Collectors poll it as their cache source.
-// (Geometry, live-entry, ladder and profile lookups route through the
+// (Geometry, live-entry and derived-artifact lookups route through the
 // reference run, so their reuse of it counts as golden hits too.)
 func (c *GoldenCache) Observe(s *telemetry.Snapshot) {
 	n := &c.counts
@@ -266,35 +272,11 @@ func (c *GoldenCache) LiveEntries(tool, bench string, f Factory, structure strin
 
 // Ladder returns the memoized K-rung checkpoint ladder of the {tool,
 // bench} row, capturing it on first use by chaining RunTo/Checkpoint on
-// one machine. A simulator that cannot checkpoint has an empty ladder,
-// built and counted never: its runs boot from scratch.
+// the row's replay. A simulator that cannot checkpoint has an empty
+// ladder, built and counted never: its runs boot from scratch.
 func (c *GoldenCache) Ladder(tool, bench string, f Factory, k int) ([]LadderRung, error) {
-	return c.ladder(nil, tool, bench, f, k)
-}
-
-func (c *GoldenCache) ladder(pool *planPool, tool, bench string, f Factory, k int) ([]LadderRung, error) {
-	e, err := c.row(pool, tool, bench, f)
-	if err != nil || !e.checkpoints {
-		return nil, err
-	}
-	e.ladderMu.Lock()
-	defer e.ladderMu.Unlock()
-	rungs, ok := e.ladders[k]
-	c.counts.ladder.note(!ok)
-	if ok {
-		return rungs, nil
-	}
-	start := time.Now()
-	pool.work(func() { rungs = makeLadder(f, e.golden, k) })
-	if e.ladders == nil {
-		e.ladders = make(map[int][]LadderRung)
-	}
-	e.ladders[k] = rungs
-	for _, r := range rungs {
-		e.bytes.Add(int64(stateBytes(r.State)))
-	}
-	c.logBuild(e, fmt.Sprintf("%d-rung checkpoint ladder", k), start)
-	return rungs, nil
+	d, err := c.derived(nil, tool, bench, f, derivedWant{k: k})
+	return d.rungs, err
 }
 
 // stateBytes estimates the heap a captured machine state retains; the
@@ -308,106 +290,207 @@ func stateBytes(state any) int {
 }
 
 // Profiles returns the memoized liveness profiles of the row's boot run
-// for one profiled-structure set, running the profiled replay only on
-// the first call. A shard worker re-planning the same campaign hits the
-// memo instead of re-simulating a golden replay per shard. The result
-// holds one profile set: every checkpoint rung is the boot run in
-// flight, so the boot profile is the profile of every trajectory a run
-// can follow, and rungs is ignored — it stays in the signature only
-// because the benchmark module in bench/ compiles against it. A nil
-// result (no error) means the simulator cannot be profiled and pruning
-// is off for the row.
+// for the named structures, profiling the missing ones on the row's
+// replay. A shard worker re-planning the same campaign hits the memo
+// instead of re-simulating a golden replay per shard. The result holds
+// one profile set: every checkpoint rung is the boot run in flight, so
+// the boot profile is the profile of every trajectory a run can follow,
+// and rungs is ignored — it stays in the signature only because the
+// benchmark module in bench/ compiles against it. A nil result (no
+// error) means the simulator cannot be profiled and pruning is off for
+// the row.
 func (c *GoldenCache) Profiles(tool, bench string, f Factory, rungs []LadderRung, structures []string) ([]prune.Profiles, error) {
-	p, err := c.profiles(nil, tool, bench, f, structures)
-	if p == nil {
+	d, err := c.derived(nil, tool, bench, f, derivedWant{structures: structures})
+	if d.profiles == nil {
 		return nil, err
 	}
-	return []prune.Profiles{p}, nil
-}
-
-func (c *GoldenCache) profiles(pool *planPool, tool, bench string, f Factory, structures []string) (prune.Profiles, error) {
-	e, err := c.row(pool, tool, bench, f)
-	if err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("%q", structures)
-	e.profMu.Lock()
-	defer e.profMu.Unlock()
-	p, ok := e.profiles[key]
-	c.counts.profile.note(!ok)
-	if ok {
-		return p, nil
-	}
-	start := time.Now()
-	pool.work(func() { p, err = profileReplay(f, structures, e.golden) })
-	if err != nil {
-		return nil, err
-	}
-	if e.profiles == nil {
-		e.profiles = make(map[string]prune.Profiles)
-	}
-	e.profiles[key] = p
-	for _, prof := range p {
-		e.bytes.Add(int64(prof.SizeBytes()))
-	}
-	c.logBuild(e, fmt.Sprintf("liveness profiles of %q", structures), start)
-	return p, nil
+	return []prune.Profiles{d.profiles}, nil
 }
 
 // CommitSignature returns the memoized golden commit-stream signature
 // of the {tool, bench} row — the per-block hash sequence of fault-free
 // committed-instruction PCs that divergence probes compare injected
-// runs against — building it on first use with one probed golden
-// replay. A nil signature (no error) means the simulator exposes no
-// commit probe; divergence records for the row then carry the
-// corruption footprint but no divergence verdict.
+// runs against — recording it on first use on the row's replay. A nil
+// signature (no error) means the simulator exposes no commit probe;
+// divergence records for the row then carry the corruption footprint
+// but no divergence verdict.
 func (c *GoldenCache) CommitSignature(tool, bench string, f Factory) (*divergence.Signature, error) {
-	return c.commitSignature(nil, tool, bench, f)
+	d, err := c.derived(nil, tool, bench, f, derivedWant{sig: true})
+	return d.sig, err
 }
 
-func (c *GoldenCache) commitSignature(pool *planPool, tool, bench string, f Factory) (*divergence.Signature, error) {
-	e := c.entry(tool, bench)
-	e.sigMu.Lock()
-	defer e.sigMu.Unlock()
-	if e.sig != nil {
-		c.counts.signature.note(false)
-		return e.sig, nil
+// derivedWant names the artifacts a lookup needs from the row's
+// fault-free replay: the K-rung checkpoint ladder (k 0: none), the
+// liveness profiles of the named structures and the commit signature.
+type derivedWant struct {
+	k          int
+	structures []string
+	sig        bool
+}
+
+// String names the artifacts, for build log lines and replay errors.
+func (w derivedWant) String() string {
+	var parts []string
+	if w.k > 0 {
+		parts = append(parts, fmt.Sprintf("%d-rung checkpoint ladder", w.k))
 	}
-	start := time.Now()
-	var sig *divergence.Signature
-	var err error
-	pool.work(func() { sig, err = signatureReplay(f) })
+	if len(w.structures) > 0 {
+		parts = append(parts, fmt.Sprintf("liveness profiles of %q", w.structures))
+	}
+	if w.sig {
+		parts = append(parts, "commit signature")
+	}
+	return strings.Join(parts, ", ")
+}
+
+// derivedArtifacts is what a lookup gets: nil where it asked for
+// nothing or the row's machine cannot build it.
+type derivedArtifacts struct {
+	rungs    []LadderRung
+	profiles prune.Profiles
+	sig      *divergence.Signature
+}
+
+// derived returns the row's artifacts named by want, building every
+// missing one on a single fault-free replay (under one of pool's slots)
+// and memoizing it: ladders by K, profiles by structure — profiling is
+// observational, so a structure's profile does not depend on what was
+// profiled beside it. The row's lock is held across the replay, but
+// only the replay holds a slot. What the row's machine cannot build is
+// left out: no ladder without Checkpointer, no profiles without
+// CycleSource nor of a structure the machine lacks, no signature
+// without a commit probe. Each artifact kind counts one hit or one
+// build per lookup that names it.
+func (c *GoldenCache) derived(pool *planPool, tool, bench string, f Factory, want derivedWant) (derivedArtifacts, error) {
+	e, err := c.row(pool, tool, bench, f)
 	if err != nil {
-		return nil, fmt.Errorf("core: signature replay for %s/%s %w", tool, bench, err)
+		return derivedArtifacts{}, err
 	}
-	if sig == nil {
-		return nil, nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var d derivedArtifacts
+	var miss derivedWant
+	if _, ok := e.ladders[want.k]; want.k > 0 && e.checkpoints && !ok {
+		miss.k = want.k
 	}
-	e.sig = sig
-	e.bytes.Add(int64(8 * len(sig.Hashes)))
-	c.counts.signature.note(true)
-	c.logBuild(e, "commit signature", start)
-	return e.sig, nil
+	for _, s := range want.structures {
+		if _, ok := e.geom[s]; ok && e.profiled {
+			if d.profiles == nil {
+				d.profiles = make(prune.Profiles, len(want.structures))
+			}
+			d.profiles[s] = e.profiles[s]
+			if d.profiles[s] == nil {
+				miss.structures = append(miss.structures, s)
+			}
+		}
+	}
+	miss.sig = want.sig && e.probed && e.sig == nil
+	if miss.k > 0 || len(miss.structures) > 0 || miss.sig {
+		start := time.Now()
+		pool.work(func() { err = e.replay(f, miss) })
+		c.replays.Add(1)
+		if err != nil {
+			return derivedArtifacts{}, fmt.Errorf("core: %s/%s: replay for the %s: %w", tool, bench, miss, err)
+		}
+		c.logBuild(e, miss.String(), start)
+	}
+	if want.k > 0 && e.checkpoints {
+		c.counts.ladder.note(miss.k > 0)
+		d.rungs = e.ladders[want.k]
+	}
+	if d.profiles != nil {
+		c.counts.profile.note(len(miss.structures) > 0)
+		for _, s := range miss.structures {
+			d.profiles[s] = e.profiles[s]
+		}
+	}
+	if want.sig && e.probed {
+		c.counts.signature.note(miss.sig)
+		d.sig = e.sig
+	}
+	return d, nil
 }
 
-// signatureReplay runs one fault-free replay with a commit probe and
-// returns its signature; nil (no error) when the simulator exposes no
-// commit probe.
-func signatureReplay(f Factory) (*divergence.Signature, error) {
+// replay runs the row's fault-free boot run once more and observes on it
+// every artifact want names, memoizing each: it profiles the named
+// structures, records the commit signature and captures want.k evenly
+// spaced checkpoints by chaining RunTo — rung i is the machine at the
+// start of cycle (i+1)/(k+1) of the golden cycle count; targets that
+// coincide (a tiny golden run) are dropped. Dirty-page memory snapshots
+// make every capture after the first a delta of the pages touched since
+// the previous rung, and Checkpoint reads the arrays through their
+// snapshots, which the profiler does not see. The replay must end like
+// the golden run — completed, no kernel events, the golden output,
+// cycle count and committed count — because every artifact is an
+// observation of that trajectory: a replay that strays, or a rung that
+// cannot be taken, is an error naming the cycle, never a shorter ladder.
+// want must be buildable on f's machine; the caller holds e.mu.
+func (e *goldenEntry) replay(f Factory, want derivedWant) error {
 	sim := f()
 	defer release(sim)
-	cp, ok := sim.(CommitProbed)
-	if !ok {
-		return nil, nil
+	profiled := make([]*bitarray.Array, len(want.structures))
+	arrs := sim.Structures()
+	for i, name := range want.structures {
+		profiled[i] = arrs[name]
+		profiled[i].StartProfile(sim.(CycleSource).CurrentCycle)
 	}
-	b := divergence.NewSignatureBuilder()
-	cp.SetCommitProbe(b)
+	var sb *divergence.SignatureBuilder
+	if want.sig {
+		sb = divergence.NewSignatureBuilder()
+		sim.(CommitProbed).SetCommitProbe(sb)
+	}
+	var rungs []LadderRung
+	var last uint64
+	for i := 0; i < want.k; i++ {
+		target := e.golden.Cycles * uint64(i+1) / uint64(want.k+1) //nolint:gosec // i, k are small positives
+		if target == 0 || target <= last {
+			continue
+		}
+		ck := sim.(Checkpointer)
+		reached, finished, err := ck.RunTo(target)
+		if err != nil {
+			return fmt.Errorf("running to cycle %d: %w", target, err)
+		}
+		if finished {
+			return fmt.Errorf("program ended at cycle %d, before rung cycle %d", reached, target)
+		}
+		st, err := ck.Checkpoint()
+		if err != nil {
+			return fmt.Errorf("checkpoint at cycle %d: %w", reached, err)
+		}
+		rungs = append(rungs, LadderRung{State: st, Cycle: reached})
+		last = reached
+	}
 	res := sim.Run(1 << 62)
-	if res.Status != RunCompleted {
-		return nil, fmt.Errorf("did not complete: %v (%s)", res.Status, res.AssertMsg)
+	g := e.golden
+	switch {
+	case res.Status != RunCompleted:
+		return fmt.Errorf("did not complete: %v at cycle %d (%s)", res.Status, res.Cycles, res.AssertMsg)
+	case len(res.Events) != 0:
+		return fmt.Errorf("recorded %d kernel events by cycle %d", len(res.Events), res.Cycles)
+	case hashOutput(res.Output) != g.OutputHash:
+		return fmt.Errorf("output %s differs from golden %s at cycle %d", hashOutput(res.Output), g.OutputHash, res.Cycles)
+	case res.Cycles != g.Cycles || res.Committed != g.Committed:
+		return fmt.Errorf("ended at cycle %d with %d committed, the golden run at cycle %d with %d",
+			res.Cycles, res.Committed, g.Cycles, g.Committed)
 	}
-	sig := b.Signature()
-	return &sig, nil
+	if want.k > 0 {
+		e.ladders[want.k] = rungs
+		for _, r := range rungs {
+			e.bytes.Add(int64(stateBytes(r.State)))
+		}
+	}
+	for i, arr := range profiled {
+		p := arr.StopProfile()
+		e.profiles[want.structures[i]] = p
+		e.bytes.Add(int64(p.SizeBytes()))
+	}
+	if sb != nil {
+		sig := sb.Signature()
+		e.sig = &sig
+		e.bytes.Add(int64(8 * len(sig.Hashes)))
+	}
+	return nil
 }
 
 // FFLadder returns the memoized functional fast-forward rung ladder of

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/divergence"
 	"repro/internal/sims"
 	"repro/internal/telemetry"
 )
@@ -171,5 +174,146 @@ func TestGoldenCacheBoundsItsRows(t *testing.T) {
 	wg.Wait()
 	if s := observe(cache); s.CacheRows >= rows {
 		t.Fatalf("%d rows resident after concurrent use", s.CacheRows)
+	}
+}
+
+// One replay builds what separate requests build: on every tool, a
+// 4-rung ladder, two profiles and the commit signature asked for in one
+// lookup equal the same artifacts asked for one at a time on a fresh
+// cache — so taking checkpoints and recording the commit stream leave
+// the profiles alone (Checkpoint reads arrays through their snapshots,
+// which the profiler does not see) — and every rung of the one pass,
+// restored and run to the end, is the boot run.
+func TestOneReplayBuildsWhatSeparateRequestsBuild(t *testing.T) {
+	structures := []string{"l1d.data", "rf.int"}
+	for _, tool := range sims.Tools() {
+		t.Run(tool, func(t *testing.T) {
+			f := qsortFactory(t, tool)
+			one := core.NewGoldenCache()
+			rungs, profiles, sig, err := core.Derive(one, tool, "qsort", f, 4, structures, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rungs) != 4 || len(profiles) != 2 || sig == nil {
+				t.Fatalf("one pass built %d rungs, %d profiles, signature %v", len(rungs), len(profiles), sig != nil)
+			}
+			if n := core.Replays(one); n != 1 {
+				t.Fatalf("one request ran %d replays", n)
+			}
+
+			apart := core.NewGoldenCache()
+			ladder, err := apart.Ladder(tool, "qsort", f, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range ladder {
+				if r.Cycle != rungs[i].Cycle {
+					t.Fatalf("rung %d at cycle %d apart, %d in one pass", i, r.Cycle, rungs[i].Cycle)
+				}
+			}
+			for _, s := range structures {
+				p, err := apart.Profiles(tool, "qsort", f, nil, []string{s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(p[0][s], profiles[s]) {
+					t.Fatalf("%s: the profile of the one pass differs from the profile-only replay's", s)
+				}
+			}
+			alone, err := apart.CommitSignature(tool, "qsort", f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(alone, sig) {
+				t.Fatal("the signature of the one pass differs from the signature-only replay's")
+			}
+			if n := core.Replays(apart); n != 4 {
+				t.Fatalf("four one-artifact requests ran %d replays, want 4", n)
+			}
+
+			boot := f()
+			want := boot.Run(1 << 62)
+			for i, r := range rungs {
+				sim := f()
+				if err := sim.(core.Checkpointer).Restore(r.State); err != nil {
+					t.Fatal(err)
+				}
+				got := sim.Run(1 << 62)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(sim.Stats(), boot.Stats()) {
+					t.Fatalf("rung %d (cycle %d) restored and run to the end: %v at cycle %d, boot run %v at cycle %d (or statistics differ)",
+						i, r.Cycle, got.Status, got.Cycles, want.Status, want.Cycles)
+				}
+			}
+		})
+	}
+}
+
+// A cold pruned campaign with divergence runs one golden run and one
+// replay per row: the ladder, the profiles and the signature come from
+// the same pass, and the plan's lookup finds them.
+func TestColdPrunedRowRunsOneReplay(t *testing.T) {
+	cfg := core.CampaignConfig{
+		Campaigns: []core.CampaignCell{
+			{Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int"},
+			{Tool: sims.MaFINX86, Benchmark: "qsort", Structure: "l1d.data"},
+		},
+		Injections: 8, Seed: 5, Workers: 2,
+		Prune: true, Divergence: true,
+	}
+	cache := core.NewGoldenCache()
+	att := core.Attach{Golden: cache, Divergence: divergence.NewSink()}
+	if _, err := core.RunConfig(cfg, simsResolver(t), att); err != nil {
+		t.Fatal(err)
+	}
+	if runs, replays := cache.Runs(), core.Replays(cache); runs != 2 || replays != 2 {
+		t.Fatalf("%d golden runs and %d replays for 2 rows, want 2 and 2", runs, replays)
+	}
+	s := observe(cache)
+	if s.LadderBuilds != 2 || s.ProfileBuilds != 2 || s.SignatureBuilds != 2 {
+		t.Fatalf("%d ladder, %d profile and %d signature builds, want 2 of each", s.LadderBuilds, s.ProfileBuilds, s.SignatureBuilds)
+	}
+}
+
+// brokenLadderSim is profSim with a checkpoint ladder whose second
+// capture fails.
+type brokenLadderSim struct {
+	*profSim
+	captures int
+}
+
+func (s *brokenLadderSim) RunTo(target uint64) (uint64, bool, error) {
+	s.cycle = target
+	return target, false, nil
+}
+
+func (s *brokenLadderSim) Checkpoint() (any, error) {
+	if s.captures++; s.captures == 2 {
+		return nil, errors.New("disk full")
+	}
+	return s.cycle, nil
+}
+
+func (s *brokenLadderSim) Restore(any) error { return nil }
+
+// A rung that cannot be captured fails the campaign with an error
+// naming the row, the artifact and the cycle, instead of handing the
+// campaign a shorter ladder.
+func TestFailedCheckpointIsNamed(t *testing.T) {
+	cfg := core.CampaignConfig{
+		Campaigns:        []core.CampaignCell{{Tool: "fake", Benchmark: "b", Structure: "s"}},
+		Injections:       4,
+		CheckpointLadder: 3,
+	}
+	resolve := func(string, string) (core.Factory, error) {
+		return func() core.Simulator { return &brokenLadderSim{profSim: newProfSim()} }, nil
+	}
+	_, err := core.RunConfig(cfg, resolve, core.Attach{})
+	if err == nil {
+		t.Fatal("a campaign ran on a ladder whose second checkpoint failed")
+	}
+	for _, want := range []string{"fake/b", "3-rung checkpoint ladder", "checkpoint at cycle 50", "disk full"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
 	}
 }

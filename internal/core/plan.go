@@ -101,16 +101,22 @@ const defaultCheckpointRungs = 4
 func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) (*matrixPlan, error) {
 	pool := newPlanPool(cfg.Workers)
 	p := &matrixPlan{cells: make([]cellPlan, len(specs))}
-	// Golden references and checkpoint ladders, for every campaign: K
-	// rungs at fixed fractions of the golden run, built once per row in
-	// the cache and shared by the row's cells. A rung is the boot run in
-	// flight, so restoring one changes no record; every run decides
+	// Divergence provenance needs the golden commit signature. A shard
+	// has no sink to ask, so its config decides.
+	p.probe = att.Divergence != nil || (windows != nil && cfg.Divergence)
+	want := cfg.want()
+	want.sig = p.probe
+	// Per cell, in one task: the golden reference, the masks checked
+	// against its geometry, then the row's derived artifacts in one
+	// lookup (a hit when BuildSpecs asked already; otherwise one replay
+	// of the row builds them, memoized in the cache and shared by the
+	// row's cells). The checkpoint ladder holds K rungs at fixed
+	// fractions of the golden run; a rung is the boot run in flight, so
+	// restoring one changes no record, and every run decides
 	// individually which rung (if any) its earliest fault permits. A
 	// simulator that cannot checkpoint gets an empty ladder and boots
-	// every run. A cell's ladder follows its own golden run in one task
-	// (in BuildSpecs' task when it generated the masks), so a row's
-	// ladder does not wait for the other rows' golden runs.
-	k := cfg.ladderRungs()
+	// every run. Liveness pruning classifies provably-dead masks Masked
+	// and collapses interval-equivalent masks from the boot profiles.
 	err := pool.each(len(specs), func(i int) error {
 		spec := specs[i]
 		g, err := cache.golden(pool, spec.Tool, spec.Benchmark, spec.Factory)
@@ -125,72 +131,21 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 		if windows != nil {
 			c.win = windows[i]
 		}
-		if spec.ladderK == k {
-			c.rungs = spec.rungs
-			return nil
+		if err := validateMasks(cache, spec, c.key); err != nil {
+			return err
 		}
-		c.rungs, err = cache.ladder(pool, spec.Tool, spec.Benchmark, spec.Factory, k)
-		return err
+		d, err := cache.derived(pool, spec.Tool, spec.Benchmark, spec.Factory, want)
+		if err != nil {
+			return err
+		}
+		c.rungs, c.sig = d.rungs, d.sig
+		if d.profiles != nil {
+			c.prune = prune.BuildPlan(spec.Masks, []prune.Profiles{d.profiles}, nil)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	// Fail malformed masks at plan time, before anything simulates:
-	// arming a fault outside its structure's geometry panics deep inside
-	// the bitarray, so a typo in a hand-edited mask file must be named up
-	// front (mask ID and site) rather than surface as a contained panic
-	// halfway through a long campaign.
-	for i, spec := range specs {
-		var geomErr error
-		geom := func(structure string) (int, int, bool) {
-			entries, bits, ok, err := cache.Geometry(spec.Tool, spec.Benchmark, spec.Factory, structure)
-			if err != nil {
-				geomErr = err
-			}
-			return entries, bits, ok && err == nil
-		}
-		for _, m := range spec.Masks {
-			if err := m.ValidateSites(geom); err != nil {
-				if geomErr != nil {
-					return nil, geomErr
-				}
-				return nil, fmt.Errorf("core: campaign %s: %v", p.cells[i].key, err)
-			}
-		}
-	}
-
-	// Liveness pruning: one profiled fault-free boot replay per row
-	// (memoized in the cache) classifies provably-dead masks Masked and
-	// collapses interval-equivalent masks.
-	if cfg.Prune || cfg.Exhaustive || cfg.PruneVerify > 0 {
-		structures := maskStructures(specs)
-		err := pool.each(len(specs), func(i int) error {
-			spec := specs[i]
-			profiles, err := cache.profiles(pool, spec.Tool, spec.Benchmark, spec.Factory, structures)
-			if profiles != nil {
-				p.cells[i].prune = prune.BuildPlan(spec.Masks, []prune.Profiles{profiles}, nil)
-			}
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Divergence provenance: the golden commit-stream signature, once per
-	// row. A shard has no sink to ask, so its config decides.
-	p.probe = att.Divergence != nil || (windows != nil && cfg.Divergence)
-	if p.probe {
-		err := pool.each(len(specs), func(i int) error {
-			spec := specs[i]
-			sig, err := cache.commitSignature(pool, spec.Tool, spec.Benchmark, spec.Factory)
-			p.cells[i].sig = sig
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	// Resume: the journal's acknowledged runs, per cell by mask index.
@@ -222,6 +177,31 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 		planDispositions(cfg, specs[i].Masks, journaled[i], &p.cells[i])
 	}
 	return p, nil
+}
+
+// validateMasks fails malformed masks at plan time, before anything
+// simulates: arming a fault outside its structure's geometry panics deep
+// inside the bitarray, so a typo in a hand-edited mask file must be
+// named up front (mask ID and site) rather than surface as a contained
+// panic halfway through a long campaign.
+func validateMasks(cache *GoldenCache, spec CampaignSpec, key string) error {
+	var geomErr error
+	geom := func(structure string) (int, int, bool) {
+		entries, bits, ok, err := cache.Geometry(spec.Tool, spec.Benchmark, spec.Factory, structure)
+		if err != nil {
+			geomErr = err
+		}
+		return entries, bits, ok && err == nil
+	}
+	for _, m := range spec.Masks {
+		if err := m.ValidateSites(geom); err != nil {
+			if geomErr != nil {
+				return geomErr
+			}
+			return fmt.Errorf("core: campaign %s: %v", key, err)
+		}
+	}
+	return nil
 }
 
 // planDispositions decides how every mask of one cell is settled, in
@@ -282,18 +262,19 @@ func sampleWindowVerify(sim []int, n int) []int {
 	return out
 }
 
-// planPool bounds the plan stage's simulations — golden runs, checkpoint
-// ladders, profiled and signature replays — at the campaign's effective
-// Workers. The plan fans out over cells, and a cell's lookups may wait
-// on a build another cell of the row started, but there is one bound
-// for all of it: only a simulation holds a slot (work), never a
+// planPool bounds the plan stage's simulations — golden runs and the
+// replays that build their derived artifacts — at the campaign's
+// effective Workers. The plan fans out over cells, and a cell's lookups
+// may wait on a build another cell of the row started, but there is one
+// bound for all of it: only a simulation holds a slot (work), never a
 // goroutine that waits on a task or on another build's lock, so the
-// fan-out cannot deadlock. A one-slot pool runs every task on the caller's goroutine in
-// order: the serial plan a fleet worker with Workers 1 keeps.
+// fan-out cannot deadlock. A one-slot pool runs every task on the
+// caller's goroutine in order: the serial plan a fleet worker with
+// Workers 1 keeps.
 //
 // Concurrency cannot change what the plan builds: every artifact is a
 // deterministic function of its GoldenCache key, and the cache builds
-// each key once (per-row once, per-artifact locks) whoever asks first.
+// each key once (per-row once, per-row replay lock) whoever asks first.
 type planPool struct{ slots chan struct{} }
 
 // newPlanPool returns a pool of workers slots; 0 means GOMAXPROCS.
