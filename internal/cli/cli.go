@@ -53,7 +53,7 @@ func Campaign(fs *flag.FlagSet, defaultN int) *CampaignFlags {
 	fs.BoolVar(&c.DisableEarlyStop, "no-early-stop", false, "disable the §III.B early-stop optimizations")
 	fs.BoolVar(&c.Prune, "prune", false, "classify provably-masked faults from the golden-run liveness profile without simulating them")
 	fs.IntVar(&c.PruneVerify, "prune-verify", 0, "simulate up to this many pruned masks per campaign and fail on a class mismatch (implies -prune)")
-	fs.IntVar(&c.CheckpointLadder, "ladder", 0, "checkpoint rungs per row every run restores from the highest one below its first fault (0: the default of 4); outside -detail-window records do not depend on it, under it windows entered at or below a rung open exactly from it")
+	fs.IntVar(&c.CheckpointLadder, "ladder", 0, "checkpoint rungs per row: the entry points unwindowed runs fork from on the way to their first fault, and windowed runs restore (0: the default of 4); outside -detail-window records do not depend on it, under it windows entered at or below a rung open exactly from it")
 	fs.DurationVar(&c.RunWallLimit, "run-wall-limit", 0, "per-run wall-clock backstop: classify a run as Timeout after this much host time (0: off)")
 	fs.BoolVar(&c.LiveOnly, "live-only", false, "restrict generated faults to entries live at the end of the golden run (conditional vulnerability)")
 	fs.BoolVar(&c.DetailWindow, "detail-window", false, "simulate cycle-accurately only inside a detail window around each fault, functionally everywhere else")

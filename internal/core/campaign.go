@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bitarray"
@@ -129,9 +130,9 @@ func RunOne(f Factory, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, ea
 
 // minSiteCycle returns the earliest fault activation of the mask. An
 // empty (fault-free) mask reports ^uint64(0) — "no fault ever" — which
-// must NOT be fed to selectRung: a fault-free run is defined to boot
-// from scratch, not to restore the highest checkpoint rung
-// (runInjection guards this).
+// must NOT be fed to selectRung or forkCycle: a fault-free run is
+// defined to boot from scratch, not to restore the highest checkpoint
+// rung (runInjection guards this).
 func minSiteCycle(m fault.Mask) uint64 {
 	min := ^uint64(0)
 	for _, s := range m.Sites {
@@ -154,10 +155,15 @@ type runStats struct {
 	writes      uint64
 	obsReads    uint64
 	obsWrites   uint64
-	// restored reports whether the run started from a checkpoint rung,
-	// and rungCycle which cycle that rung was captured at.
-	restored  bool
-	rungCycle uint64
+	// restored reports whether the run started from a fault-free machine
+	// past boot — a checkpoint rung, or its fork cycle for an unwindowed
+	// run — and rungCycle that cycle. forkCycles and forkWall are what
+	// an unwindowed run spent getting there: the cycles it advanced
+	// fault-free, and the host time of the restore and the advance.
+	restored   bool
+	rungCycle  uint64
+	forkCycles uint64
+	forkWall   time.Duration
 	// Detail-window provenance: windowed marks a run executed under a
 	// detail window, entered/exited whether it was seeded from the fast
 	// tier and whether it handed off back to it; fastSteps counts the
@@ -200,6 +206,20 @@ func (s *runStats) earlyStopReason() string {
 	}
 }
 
+// armed takes the watched arrays' access counters as the fault is armed.
+// The machine may have advanced fault-free from boot or a checkpoint to
+// get there, and those accesses are not the faulty run's: the counters
+// start at minus what the arrays read so far, and gather's sums land,
+// modulo 2^64, on the accesses made after arming.
+func (s *runStats) armed(watch []*bitarray.Array) {
+	for _, arr := range watch {
+		s.reads -= arr.Reads()
+		s.writes -= arr.Writes()
+		s.obsReads -= arr.ObservedReads()
+		s.obsWrites -= arr.ObservedWrites()
+	}
+}
+
 // gather reads the post-run state of the watched arrays.
 func (s *runStats) gather(watch []*bitarray.Array) {
 	for _, arr := range watch {
@@ -236,20 +256,152 @@ func RunOneFrom(f Factory, cp any, cpCycle uint64, m fault.Mask, golden GoldenIn
 	if cp != nil {
 		rungs = []LadderRung{{State: cp, Cycle: cpCycle}}
 	}
-	return runInjection(f, rungs, m, golden, timeoutFactor, earlyStop, nil, nil, nil)
+	return runInjection(f, rungs, m, golden, timeoutFactor, earlyStop, nil, nil, nil, nil)
+}
+
+// forkRow is the fork point of one {tool, benchmark} row of a campaign
+// execution: the most advanced fault-free checkpoint an unwindowed run
+// of the row published, and how many of the row's unwindowed runs are
+// still queued. The row lets its point go at the last dispatch, so a
+// campaign holds at most one fork point per row and none for a row that
+// is done.
+type forkRow struct {
+	mu      sync.Mutex
+	point   forkPoint // State nil: none yet, or released
+	pending int
+}
+
+// forkPoint is a fault-free machine a run published at its fork cycle.
+// In a campaign that measures divergence, probe is the state there of
+// the golden commit-stream probe the run's chain attached at the rung
+// (or boot) it started from — the probe a run restoring that rung
+// attaches — so a run forking here goes on folding the stream exactly
+// as that probe would.
+type forkPoint struct {
+	LadderRung
+	probe *divergence.Probe
+}
+
+// dispatch hands a run leaving the queue the row's current fork point.
+func (r *forkRow) dispatch() forkPoint {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := r.point
+	if r.pending--; r.pending == 0 {
+		r.point = forkPoint{}
+	}
+	return p
+}
+
+// wants reports whether a point at cycle c would be the row's new fork
+// point: a run of the row is still queued and c lies beyond its point.
+func (r *forkRow) wants(c uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.pending > 0 && (r.point.State == nil || c > r.point.Cycle)
+}
+
+// publish makes p the row's fork point if the row still wants it.
+func (r *forkRow) publish(p forkPoint) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.pending > 0 && (r.point.State == nil || p.Cycle > r.point.Cycle) {
+		r.point = p
+	}
+}
+
+// fork is what an unwindowed run of a campaign execution forks from:
+// its row, the row's fork point as it stood at dispatch, and the golden
+// commit signature when the campaign measures divergence.
+type fork struct {
+	row   *forkRow
+	point forkPoint
+	sig   *divergence.Signature
+}
+
+// forkCycle is the cycle an unwindowed run whose earliest fault
+// activates at minSite forks off the fault-free trajectory: the last
+// cycle selectRung's strict bound admits, clamped below the end of the
+// golden run so that the advance never finishes the program.
+func forkCycle(minSite uint64, golden GoldenInfo) uint64 {
+	c := min(minSite, golden.Cycles)
+	if c > 0 {
+		c--
+	}
+	return c
+}
+
+// forkAdvanced, when non-nil, is told the cycles of every fork advance;
+// tests count them through it.
+var forkAdvanced func(golden GoldenInfo, cycles uint64)
+
+// advance brings ck, a fresh machine, fault-free to the start of cycle
+// at. It restores the later of the run's fork point (if at or below at)
+// and base, the rung selectRung picked (nil for none), or keeps the boot
+// state when there is neither; runs to at; and checkpoints there when
+// the row wants the point. div, when non-nil, is the run's fresh commit
+// probe: it takes the fork point's probe state when the advance starts
+// there and watches the advance through cp. It reports the cycles it
+// simulated.
+func (fk *fork) advance(ck Checkpointer, cp CommitProbed, base *LadderRung, at uint64, div *divergence.Probe) (uint64, error) {
+	from := base
+	p := fk.point
+	if p.State != nil && p.Cycle <= at && (from == nil || p.Cycle > from.Cycle) {
+		from = &p.LadderRung
+		if div != nil {
+			*div = *p.probe
+		}
+	}
+	var cycle uint64
+	if from != nil {
+		if err := ck.Restore(from.State); err != nil {
+			return 0, fmt.Errorf("restoring cycle %d: %w", from.Cycle, err)
+		}
+		cycle = from.Cycle
+	}
+	if div != nil {
+		cp.SetCommitProbe(div)
+	}
+	if cycle == at {
+		return 0, nil
+	}
+	reached, finished, err := ck.RunTo(at)
+	switch {
+	case err != nil:
+		return 0, err
+	case finished:
+		return 0, fmt.Errorf("program ended at cycle %d", reached)
+	}
+	if fk.row.wants(at) {
+		st, err := ck.Checkpoint()
+		if err != nil {
+			return 0, fmt.Errorf("checkpoint: %w", err)
+		}
+		pt := forkPoint{LadderRung: LadderRung{State: st, Cycle: at}}
+		if div != nil {
+			snap := *div
+			pt.probe = &snap
+		}
+		fk.row.publish(pt)
+	}
+	return at - cycle, nil
 }
 
 // runInjection is RunOneFrom plus optional telemetry gathering; stats is
 // nil when no collector is attached, keeping the uninstrumented path
 // identical to the pre-telemetry one. rungs is the (possibly empty)
 // checkpoint ladder of the campaign's row; the run restores the highest
-// rung captured before its earliest fault, or boots from scratch. win,
-// when non-nil on a window-capable simulator, turns on detail-window
-// execution: the run fast-forwards to just before its earliest fault on
-// the functional tier, simulates cycle-accurately only until the fault
-// provably settles (or, for win.noExit, to the end — the verify mode),
-// and finishes functionally.
-func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool, win *windowConfig, ff *ffLadder, stats *runStats) (LogRecord, error) {
+// rung captured before its earliest fault, or boots from scratch. fk,
+// when non-nil (a scheduled run with no window), forks the run at its
+// fault instead: the machine advances fault-free from the later of that
+// rung and the row's fork point to forkCycle, offers the row a
+// checkpoint there, and only then arms the fault. win, when non-nil on
+// a window-capable simulator, turns on detail-window execution: the run
+// fast-forwards to just before its earliest fault on the functional
+// tier, simulates cycle-accurately only until the fault provably
+// settles (or, for win.noExit, to the end — the verify mode), and
+// finishes functionally.
+func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool, win *windowConfig, fk *fork, ff *ffLadder, stats *runStats) (LogRecord, error) {
 	sim := f()
 	wi, _ := sim.(Windower)
 	// Fault-free masks never window: with no site there is no window to
@@ -259,7 +411,7 @@ func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 		stats.windowed = canWindow
 	}
 	// startCycle is where cycle-accurate simulation begins (window
-	// entry, rung cycle, or boot at zero) — the base of the
+	// entry, rung or fork cycle, or boot at zero) — the base of the
 	// detail-cycles accounting.
 	var startCycle uint64
 	seeded := false
@@ -299,15 +451,52 @@ func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 				}
 			}
 		}
-		if !seeded && ri >= 0 {
-			if ck, ok := sim.(Checkpointer); ok {
-				if err := ck.Restore(rungs[ri].State); err != nil {
-					return LogRecord{}, fmt.Errorf("core: restoring checkpoint: %w", err)
-				}
-				startCycle = rungs[ri].Cycle
-				if stats != nil {
-					stats.restored, stats.rungCycle = true, rungs[ri].Cycle
-				}
+		ck, _ := sim.(Checkpointer)
+		switch {
+		case seeded || ck == nil:
+			// Seeded at the window entry, or a machine with nothing to
+			// restore: it runs from where it stands.
+		case fk != nil:
+			// The fork cycle, not the point the advance started from, is
+			// what the run reports: it is the same whichever fork point
+			// the row had published when the run was dispatched.
+			t0 := time.Now()
+			at := forkCycle(minSite, golden)
+			var base *LadderRung
+			if ri >= 0 {
+				base = &rungs[ri]
+			}
+			// In a campaign that measures divergence every advance folds
+			// the stream, a verify re-run's too: the points it publishes
+			// must carry the probe state for the runs that restore them.
+			cp, _ := sim.(CommitProbed)
+			var div *divergence.Probe
+			switch {
+			case cp == nil || fk.sig == nil:
+			case stats != nil && stats.div != nil:
+				div = stats.div
+			default:
+				div = divergence.NewProbe(fk.sig)
+			}
+			advanced, err := fk.advance(ck, cp, base, at, div)
+			if err != nil {
+				return LogRecord{}, fmt.Errorf("core: %s/%s mask %d: fork at cycle %d: %w", golden.Tool, golden.Benchmark, m.ID, at, err)
+			}
+			if forkAdvanced != nil {
+				forkAdvanced(golden, advanced)
+			}
+			startCycle = at
+			if stats != nil {
+				stats.restored, stats.rungCycle = at > 0, at
+				stats.forkCycles, stats.forkWall = advanced, time.Since(t0)
+			}
+		case ri >= 0:
+			if err := ck.Restore(rungs[ri].State); err != nil {
+				return LogRecord{}, fmt.Errorf("core: restoring checkpoint: %w", err)
+			}
+			startCycle = rungs[ri].Cycle
+			if stats != nil {
+				stats.restored, stats.rungCycle = true, rungs[ri].Cycle
 			}
 		}
 	}
@@ -348,8 +537,9 @@ func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 	}
 	sim.WatchArrays(watch)
 	sim.SetEarlyStop(earlyStop)
-	if stats != nil && stats.div != nil {
-		if cp, ok := sim.(CommitProbed); ok {
+	if stats != nil {
+		stats.armed(watch)
+		if cp, ok := sim.(CommitProbed); ok && stats.div != nil {
 			cp.SetCommitProbe(stats.div)
 		}
 	}

@@ -109,10 +109,11 @@ type CampaignConfig struct {
 	Prune       bool `json:"prune,omitempty"`
 	PruneVerify int  `json:"prune_verify,omitempty"`
 	// CheckpointLadder is the number of evenly spaced restore rungs per
-	// row; 0 means the default ladder of 4. Every run whose faults all
-	// start beyond a rung is seeded from the highest such rung, the
-	// machine in flight there, so it is the boot run of the same mask
-	// from the rung on and K changes no record outside a detail window.
+	// row; 0 means the default ladder of 4. A run with no window forks
+	// at its fault from the highest rung below it or the row's fork
+	// point, whichever is later: the machine in flight there, so it is
+	// the boot run of the same mask from there on and K changes no
+	// record outside a detail window.
 	// Under one it does: a window whose entry falls at or below a rung
 	// opens cycle-accurately from that rung instead of from the
 	// functional tier's approximate entry, so K decides how many windows

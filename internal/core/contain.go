@@ -30,7 +30,7 @@ func (e *PanicError) Error() string {
 // classified as a RunAssert record, keeping the campaign alive; any
 // other panic becomes a PanicError the scheduler surfaces through its
 // deterministic first-error ordering.
-func runContained(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool, win *windowConfig, ff *ffLadder, stats *runStats) (rec LogRecord, err error) {
+func runContained(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool, win *windowConfig, fk *fork, ff *ffLadder, stats *runStats) (rec LogRecord, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -50,7 +50,7 @@ func runContained(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 		rec = LogRecord{}
 		err = &PanicError{MaskID: m.ID, Value: r, Stack: debug.Stack()}
 	}()
-	return runInjection(f, rungs, m, golden, timeoutFactor, earlyStop, win, ff, stats)
+	return runInjection(f, rungs, m, golden, timeoutFactor, earlyStop, win, fk, ff, stats)
 }
 
 // wallTimeoutRecord is the record of a run that exceeded the wall-clock
@@ -74,9 +74,9 @@ func wallTimeoutRecord(m fault.Mask) LogRecord {
 // its own private runStats so the worker slot can move on without a data
 // race); the cycle budget bounds simulated time, the wall limit bounds
 // host time when a simulator bug stops cycles from advancing at all.
-func runGuarded(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool, win *windowConfig, ff *ffLadder, wallLimit time.Duration, stats *runStats) (LogRecord, error) {
+func runGuarded(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool, win *windowConfig, fk *fork, ff *ffLadder, wallLimit time.Duration, stats *runStats) (LogRecord, error) {
 	if wallLimit <= 0 {
-		return runContained(f, rungs, m, golden, timeoutFactor, earlyStop, win, ff, stats)
+		return runContained(f, rungs, m, golden, timeoutFactor, earlyStop, win, fk, ff, stats)
 	}
 	type result struct {
 		rec   LogRecord
@@ -92,7 +92,7 @@ func runGuarded(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, 
 			// unchanged.
 			inner = &runStats{div: stats.div, footprint: stats.footprint}
 		}
-		rec, err := runContained(f, rungs, m, golden, timeoutFactor, earlyStop, win, ff, inner)
+		rec, err := runContained(f, rungs, m, golden, timeoutFactor, earlyStop, win, fk, ff, inner)
 		ch <- result{rec, err, inner}
 	}()
 	timer := time.NewTimer(wallLimit)

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/divergence"
+	"repro/internal/fault"
 	"repro/internal/prune"
 )
 
@@ -73,4 +76,31 @@ func BootWindowEntries(cache *GoldenCache, tool, bench string) {
 	e.ffMu.Lock()
 	e.ff = &ffLadder{}
 	e.ffMu.Unlock()
+}
+
+// CountForkAdvances runs fn and returns the cycles the unwindowed runs
+// it starts advanced fault-free to their fork cycles, per "tool/bench"
+// row.
+func CountForkAdvances(fn func()) map[string]uint64 {
+	var mu sync.Mutex
+	n := make(map[string]uint64)
+	forkAdvanced = func(g GoldenInfo, cycles uint64) {
+		mu.Lock()
+		n[g.Tool+"/"+g.Benchmark] += cycles
+		mu.Unlock()
+	}
+	defer func() { forkAdvanced = nil }()
+	fn()
+	return n
+}
+
+// RunFromRung runs mask m the way a run with no fork point does: from
+// the highest of rungs below its first fault (or boot), with a fresh
+// commit probe against sig attached there. It returns the probe's
+// verdict beside the record — the divergence reference of a forked run.
+func RunFromRung(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, sig *divergence.Signature) (LogRecord, bool, uint64, uint64, error) {
+	stats := &runStats{div: divergence.NewProbe(sig)}
+	rec, err := runInjection(f, rungs, m, golden, 0, true, nil, nil, nil, stats)
+	diverged, cycle, index := stats.div.Diverged()
+	return rec, diverged, cycle, index, err
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,7 +44,12 @@ type matrixRun struct {
 	// queue is every injection run, cell-major and mask-minor, with each
 	// cell's prune-verify and window-verify re-runs riding behind its
 	// masks; their records land in the side tables, never in the results.
-	queue       []scheduledRun
+	// With no window and no stopping rule it is then ordered by row and
+	// first fault (see newMatrixRun).
+	queue []scheduledRun
+	// forks holds each cell's row fork point; the cells of one {tool,
+	// benchmark} row share it.
+	forks       []*forkRow
 	workers     int
 	sinks       []CellSinks
 	records     [][]LogRecord
@@ -155,6 +162,37 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 		}
 	}
 
+	// One fork point per {tool, benchmark} row, counting the row's
+	// unwindowed runs. With no window and no stopping rule the queue is
+	// ordered by (row in first-appearance order, first fault, position):
+	// each row's runs then fork in turn further up one fault-free chain,
+	// the longest runs first. A stopping rule gates dispatch on mask
+	// order, so an adaptive queue keeps it; its runs still fork.
+	r.forks = make([]*forkRow, n)
+	rank := make([]int, n)
+	rows := make(map[goldenKey]int)
+	var rowForks []*forkRow
+	for i, spec := range specs {
+		k := goldenKey{spec.Tool, spec.Benchmark}
+		if _, ok := rows[k]; !ok {
+			rows[k] = len(rowForks)
+			rowForks = append(rowForks, &forkRow{})
+		}
+		rank[i] = rows[k]
+		r.forks[i] = rowForks[rank[i]]
+	}
+	for _, q := range r.queue {
+		if r.window(q) == nil {
+			r.forks[q.cell].pending++
+		}
+	}
+	if plan.win == nil && cfg.StopMargin <= 0 {
+		slices.SortStableFunc(r.queue, func(a, b scheduledRun) int {
+			return cmp.Or(cmp.Compare(rank[a.cell], rank[b.cell]),
+				cmp.Compare(minSiteCycle(specs[a.cell].Masks[a.mask]), minSiteCycle(specs[b.cell].Masks[b.mask])))
+		})
+	}
+
 	// Journaled completions are prefed to the stoppers (stopped provenance
 	// rows excluded — they are settled outcomes of the previous process's
 	// stop decision, which this process re-derives from the real
@@ -212,6 +250,22 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 		tel.AddQueued(totalMasks)
 	}
 	return r, nil
+}
+
+// window is the detail-window policy run q executes under: the
+// campaign's for a real run, the no-exit variant for a window-verify
+// re-run, and none for the prune-verify re-run of a dead mask — a dead
+// verdict is a proof about the exact run. A replica's planned verdict is
+// its representative's record, so its re-run takes the campaign's
+// policy, as that record did.
+func (r *matrixRun) window(q scheduledRun) *windowConfig {
+	switch {
+	case q.wverify >= 0:
+		return r.plan.winNoExit
+	case q.verify >= 0 && r.plan.cells[q.cell].disp[q.mask].kind == dispDead:
+		return nil
+	}
+	return r.plan.win
 }
 
 // commit is the one exit of a mask from the scheduler: its record joins
@@ -314,6 +368,9 @@ func (r *matrixRun) execute() error {
 				s := stoppers[q.cell]
 				if s.cancelled(id) {
 					taken[j] = true
+					if r.window(q) == nil {
+						r.forks[q.cell].dispatch() // leaves the row's count
+					}
 					continue
 				}
 				if !s.dispatchable(id) {
@@ -351,39 +408,26 @@ func (r *matrixRun) execute() error {
 				q := queue[i]
 				spec, c := &r.specs[q.cell], &plan.cells[q.cell]
 				mask := spec.Masks[q.mask]
-				if q.verify >= 0 {
-					// Prune-verify re-run: simulate a pruned mask for the
-					// differential check, bypassing telemetry, the journal
-					// and the results entirely. A dead verdict is a proof
-					// about the exact run, so a dead mask runs with no
-					// window: restored from its exact rung and cycle-accurate
-					// to the end. A replica's planned verdict is its
-					// representative's record, so it runs under the same
-					// window policy as that record did.
-					win := plan.win
-					if c.disp[q.mask].kind == dispDead {
-						win = nil
-					}
-					rec, err := runGuarded(spec.Factory, c.rungs, mask, c.golden,
-						cfg.TimeoutFactor, !cfg.DisableEarlyStop, win, c.ff, cfg.RunWallLimit, nil)
-					if err != nil {
-						noteErr(i, err)
-						return
-					}
-					r.verifyRecs[q.cell][q.verify] = rec
-					continue
+				win := r.window(q)
+				var fk *fork
+				if win == nil {
+					fk = &fork{row: r.forks[q.cell], point: r.forks[q.cell].dispatch(), sig: c.sig}
 				}
-				if q.wverify >= 0 {
-					// Window-verify re-run: simulate a windowed mask fully
-					// cycle-accurately from the same window entry, bypassing
-					// telemetry, the journal and the results entirely.
+				if q.verify >= 0 || q.wverify >= 0 {
+					// A prune-verify or window-verify re-run: simulated to
+					// cross-check a settled verdict, bypassing telemetry, the
+					// journal and the results entirely.
 					rec, err := runGuarded(spec.Factory, c.rungs, mask, c.golden,
-						cfg.TimeoutFactor, !cfg.DisableEarlyStop, plan.winNoExit, c.ff, cfg.RunWallLimit, nil)
+						cfg.TimeoutFactor, !cfg.DisableEarlyStop, win, fk, c.ff, cfg.RunWallLimit, nil)
 					if err != nil {
 						noteErr(i, err)
 						return
 					}
-					r.wverifyRecs[q.cell][q.wverify] = rec
+					if q.verify >= 0 {
+						r.verifyRecs[q.cell][q.verify] = rec
+					} else {
+						r.wverifyRecs[q.cell][q.wverify] = rec
+					}
 					continue
 				}
 				// The extras cost a little per run, so they are gathered only
@@ -402,7 +446,7 @@ func (r *matrixRun) execute() error {
 					tel.RunStarted()
 				}
 				rec, err := runGuarded(spec.Factory, c.rungs, mask, c.golden,
-					cfg.TimeoutFactor, !cfg.DisableEarlyStop, plan.win, c.ff, cfg.RunWallLimit, stats)
+					cfg.TimeoutFactor, !cfg.DisableEarlyStop, win, fk, c.ff, cfg.RunWallLimit, stats)
 				if err != nil {
 					noteErr(i, err)
 					return
@@ -597,10 +641,11 @@ func (r *matrixRun) results() []*CampaignResult {
 }
 
 // emitRunSpans emits the span of one injection run plus its execution
-// phases, synthesized from the per-run stats: fast-forward (functional
-// window entry), window (the cycle-accurate section — the whole run
-// when no window applies is not a phase of its own), and drain (the
-// functional tail after window exit).
+// phases, synthesized from the per-run stats. A run with no window has
+// two: fork (restore and fault-free advance to the fork cycle) and
+// detail (the faulty run from there). A windowed run has fast-forward
+// (functional window entry), window (the cycle-accurate section) and
+// drain (the functional tail after window exit).
 func emitRunSpans(tr *telemetry.Tracer, parent, worker, campaign string, rec LogRecord, stats *runStats, start time.Time) {
 	mask := rec.MaskID
 	run := telemetry.Span{
@@ -633,12 +678,19 @@ func emitRunSpans(tr *telemetry.Tracer, parent, worker, campaign string, rec Log
 		})
 		t = t.Add(wall)
 	}
+	if !stats.windowed {
+		var detail uint64
+		if rec.Cycles > stats.rungCycle {
+			detail = rec.Cycles - stats.rungCycle
+		}
+		phase("fork", stats.forkWall, stats.forkCycles, 0)
+		phase("detail", stats.detailWall, detail, 0)
+		return
+	}
 	if stats.windowEntered {
 		phase("fast-forward", stats.entryWall, 0, stats.entrySteps)
 	}
-	if stats.windowed {
-		phase("window", stats.detailWall, stats.detailCycles, 0)
-	}
+	phase("window", stats.detailWall, stats.detailCycles, 0)
 	if stats.windowExited {
 		phase("drain", stats.tailWall, 0, stats.tailSteps)
 	}

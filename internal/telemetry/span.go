@@ -26,7 +26,8 @@ const SpanSchemaVersion = 1
 // cell span one {tool, benchmark, structure} campaign within it, a
 // shard span one leased mask range of the distributed protocol, a run
 // span one injection run, and a phase span one tier of a run
-// (golden/fast-forward/window/drain on workers, merge on the
+// (golden, fork/detail for a run with no window and
+// fast-forward/window/drain for a windowed one on workers, merge on the
 // coordinator).
 const (
 	SpanCampaign = "campaign"

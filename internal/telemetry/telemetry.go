@@ -64,9 +64,10 @@ type RunEvent struct {
 	// RepMask is the representative's mask ID for replicated runs, -1
 	// otherwise.
 	RepMask int
-	// LadderRestored reports that the run restored from a checkpoint
-	// rung (rather than booting), and RungCycle the capture cycle of
-	// that rung.
+	// LadderRestored reports that the run started from a fault-free
+	// machine past boot (rather than booting), and RungCycle that cycle:
+	// the checkpoint rung a windowed run restored, or the fork cycle an
+	// unwindowed run advanced to before its fault was armed.
 	LadderRestored bool
 	RungCycle      uint64
 	// Resumed marks a run whose record was loaded from the durable run
