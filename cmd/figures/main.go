@@ -73,6 +73,7 @@ func main() {
 	opt := report.Options{Campaign: cfg}
 	opt.Parser = core.Parser{GroupSimCrashWithAssert: *groupSim}
 	opt.Telemetry = obs.Collector
+	opt.Tracer = obs.Tracer
 	opt.ProgressEvery = tf.ProgressEvery
 	if *benchCSV != "" {
 		opt.Benchmarks = strings.Split(*benchCSV, ",")
@@ -89,6 +90,9 @@ func main() {
 	}
 	if obs.Trace != nil && opt.Logs == nil {
 		fatal(fmt.Errorf("-trace requires -logs (the trace lives in the logs repository)"))
+	}
+	if obs.Tracer != nil && opt.Logs == nil {
+		fatal(fmt.Errorf("-spans requires -logs (the span trace lives in the logs repository)"))
 	}
 	if cfg.Divergence && opt.Logs == nil {
 		fatal(fmt.Errorf("-divergence requires -logs (the divergence files live in the logs repository)"))
@@ -167,6 +171,13 @@ func main() {
 		}
 		if tracePath != "" {
 			fmt.Fprintf(os.Stderr, "trace: %s (%d records)\n", tracePath, obs.Trace.Len())
+		}
+		spansPath, err := obs.FlushSpans(opt.Logs, "matrix")
+		if err != nil {
+			fatal(err)
+		}
+		if spansPath != "" {
+			fmt.Fprintf(os.Stderr, "spans: %s\n", spansPath)
 		}
 	}
 	if _, err := obs.Finish(tf); err != nil {

@@ -233,18 +233,7 @@ func (o *Observability) FlushTrace(logs *core.LogsRepo, key string) (string, err
 	if o.Trace == nil {
 		return "", nil
 	}
-	f, err := logs.CreateTrace(key)
-	if err != nil {
-		return "", err
-	}
-	if err := o.Trace.Flush(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", err
-	}
-	return logs.TracePath(key), nil
+	return writeArtifact(logs, logs.TracePath(key), o.Trace.Flush)
 }
 
 // FlushSpans writes the buffered spans (when -spans is active) into the
@@ -254,18 +243,7 @@ func (o *Observability) FlushSpans(logs *core.LogsRepo, key string) (string, err
 	if o.spanBuf == nil {
 		return "", nil
 	}
-	f, err := logs.CreateSpans(key)
-	if err != nil {
-		return "", err
-	}
-	if err := o.spanBuf.Flush(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", err
-	}
-	return logs.SpansPath(key), nil
+	return writeArtifact(logs, logs.SpansPath(key), o.spanBuf.Flush)
 }
 
 // FlushDivergence writes a divergence sink into the logs repository
@@ -274,16 +252,13 @@ func FlushDivergence(sink *divergence.Sink, logs *core.LogsRepo, key string) (st
 	if sink == nil {
 		return "", nil
 	}
-	f, err := logs.CreateDivergence(key)
-	if err != nil {
+	return writeArtifact(logs, logs.DivergencePath(key), sink.Flush)
+}
+
+// writeArtifact writes one artifact file and reports its path.
+func writeArtifact(logs *core.LogsRepo, path string, write func(io.Writer) error) (string, error) {
+	if err := logs.WriteArtifact(path, write); err != nil {
 		return "", err
 	}
-	if err := sink.Flush(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", err
-	}
-	return logs.DivergencePath(key), nil
+	return path, nil
 }

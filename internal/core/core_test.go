@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"errors"
+	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -226,6 +229,43 @@ func TestLogsRepoRoundTrip(t *testing.T) {
 	}
 	if back.Adaptive != nil {
 		t.Fatalf("fixed-budget logs grew an adaptive trailer: %+v", back.Adaptive)
+	}
+}
+
+// An artifact whose flush fails leaves no file behind, and none of the
+// temp file it was written through; over an earlier artifact it leaves
+// that one whole.
+func TestFailedArtifactWriteLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := core.NewLogsRepo(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	torn := func(w io.Writer) error {
+		io.WriteString(w, `{"mask_id":0,"status":"compl`)
+		return boom
+	}
+	path := repo.SpansPath("T__b__s")
+	if err := repo.WriteArtifact(path, torn); !errors.Is(err, boom) {
+		t.Fatalf("failed flush returned %v, want %v", err, boom)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a failed flush left %v in the repository", entries)
+	}
+	const whole = "{\"mask_id\":0}\n"
+	if err := repo.WriteArtifact(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, whole)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.WriteArtifact(path, torn); !errors.Is(err, boom) {
+		t.Fatalf("failed flush returned %v, want %v", err, boom)
+	}
+	entries, _ := os.ReadDir(dir)
+	if got, _ := os.ReadFile(path); string(got) != whole || len(entries) != 1 {
+		t.Fatalf("after a failed rewrite the repository holds %v and the file reads %q, want only %q", entries, got, whole)
 	}
 }
 

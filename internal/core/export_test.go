@@ -49,10 +49,24 @@ func PlanConfig(cfg CampaignConfig, resolve Resolver, cache *GoldenCache) ([]Pla
 		}
 		out[i] = PlannedCell{
 			Golden: c.golden, RungCycles: cycles, Profiles: profiles,
-			Prune: c.prune, Disp: c.disp, Verify: c.verify, WVerify: c.wverify,
+			Prune: c.prune, Disp: c.disp,
 		}
+		out[i].Verify, out[i].WVerify = c.samples()
 	}
 	return out, nil
+}
+
+// samples splits the cell's guard checks back into the masks each guard
+// drew: prune-verify's and window-verify's.
+func (c cellPlan) samples() (verify, wverify []int) {
+	for _, k := range c.checks {
+		if k.prune {
+			verify = append(verify, k.mask)
+		} else {
+			wverify = append(wverify, k.mask)
+		}
+	}
+	return verify, wverify
 }
 
 // Derive asks cache, in one lookup, for the row's k-rung ladder, the

@@ -80,34 +80,26 @@ func (r *LogsRepo) CreateTrace(name string) (*os.File, error) {
 	return f, nil
 }
 
+// WriteArtifact writes one buffered artifact stream (a trace, span or
+// divergence file) to path through fault.AtomicWrite, as Store writes
+// the logs: a failed write or a crash leaves the old file or none,
+// never a torn one.
+func (r *LogsRepo) WriteArtifact(path string, write func(io.Writer) error) error {
+	err := fault.AtomicWrite(path, func(w *bufio.Writer) error { return write(w) })
+	if err != nil {
+		return fmt.Errorf("core: writing %s: %w", filepath.Base(path), err)
+	}
+	return nil
+}
+
 // TracePath returns the trace file path for a name.
 func (r *LogsRepo) TracePath(name string) string {
 	return filepath.Join(r.dir, name+".trace.jsonl")
 }
 
-// CreateDivergence creates (truncating) the JSONL divergence-provenance
-// file named name+".divergence.jsonl" in the repository.
-func (r *LogsRepo) CreateDivergence(name string) (*os.File, error) {
-	f, err := os.Create(r.DivergencePath(name))
-	if err != nil {
-		return nil, fmt.Errorf("core: creating divergence file for %s: %w", name, err)
-	}
-	return f, nil
-}
-
 // DivergencePath returns the divergence-provenance file path for a name.
 func (r *LogsRepo) DivergencePath(name string) string {
 	return filepath.Join(r.dir, name+".divergence.jsonl")
-}
-
-// CreateSpans creates (truncating) the JSONL span-trace file named
-// name+".spans.jsonl" in the repository.
-func (r *LogsRepo) CreateSpans(name string) (*os.File, error) {
-	f, err := os.Create(r.SpansPath(name))
-	if err != nil {
-		return nil, fmt.Errorf("core: creating spans file for %s: %w", name, err)
-	}
-	return f, nil
 }
 
 // SpansPath returns the span-trace file path for a name.

@@ -15,7 +15,7 @@ import (
 // spec still carries the full mask set, so plan-time artifacts whose
 // placement depends on the whole campaign (checkpoint positions, prune
 // plans, mask validation) are computed exactly as a single-node run
-// computes them; only dispositions and verify samples are windowed.
+// computes them; only dispositions and guard checks are windowed.
 type maskWindow struct{ lo, hi int }
 
 func (w maskWindow) holds(m int) bool { return m >= w.lo && m < w.hi }
@@ -67,19 +67,28 @@ type cellPlan struct {
 	// so positions (and therefore evaluation boundaries) are identical
 	// across resumes. Nil when the rule is off.
 	simOrder []int
-	// verify and wverify are the mask indexes the prune-verify and
-	// window-verify guards re-simulate.
-	verify, wverify []int
+	// checks are the cell's guard re-runs: prune-verify's, then
+	// window-verify's.
+	checks []guardCheck
+}
+
+// guardCheck is one re-run of a differential guard: mask re-simulated
+// under win, whose class must match the settled record of mask index
+// ref — the mask itself, or a replica's representative. prune says
+// -prune-verify drew it rather than -window-verify.
+type guardCheck struct {
+	mask, ref int
+	win       *windowConfig
+	prune     bool
 }
 
 // matrixPlan is the plan of a whole matrix: one cellPlan per spec plus
 // the run policy every cell shares.
 type matrixPlan struct {
 	cells []cellPlan
-	// win is the detail-window policy of the real runs and winNoExit the
-	// variant the window-verify re-runs use to stay cycle-accurate from
-	// the same window entry; both nil when windowing is off.
-	win, winNoExit *windowConfig
+	// win is the detail-window policy of the real runs; nil when
+	// windowing is off.
+	win *windowConfig
 	// probe: measure divergence provenance on every run.
 	probe bool
 }
@@ -89,14 +98,14 @@ const defaultCheckpointRungs = 4
 
 // planMatrix is the plan stage of the scheduler. It resolves goldens,
 // validates masks, places restore rungs, builds prune plans, replays the
-// journal and ends with a disposition per mask plus the verify samples.
+// journal and ends with a disposition per mask plus the guard checks.
 // It reads the golden cache (building what is missing, at most Workers
 // simulations at a time — see planPool) and the journal's past entries;
 // it simulates no injection and touches no sink, and — Workers deciding
 // only how fast it gets there — it is a pure function of the config,
 // the mask populations and the journal. windows, when non-nil, makes it
 // a shard's plan: the same plan with everything outside the window
-// disposed dispOutOfWindow, and prune-verify sampling only masks whose
+// disposed dispOutOfWindow, and prune-verify checking only masks whose
 // comparison record exists in the window.
 func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) (*matrixPlan, error) {
 	pool := newPlanPool(cfg.Workers)
@@ -165,7 +174,6 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 
 	if cfg.DetailWindow || cfg.WindowVerify > 0 {
 		p.win = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost}
-		p.winNoExit = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost, noExit: true}
 		// The functional fast-forward rung ladder is resolved once per
 		// row; the rungs themselves are captured lazily on the run path.
 		for i, spec := range specs {
@@ -174,7 +182,7 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 	}
 
 	for i := range specs {
-		planDispositions(cfg, specs[i].Masks, journaled[i], &p.cells[i])
+		planDispositions(cfg, specs[i].Masks, journaled[i], p.win, &p.cells[i])
 	}
 	return p, nil
 }
@@ -206,20 +214,29 @@ func validateMasks(cache *GoldenCache, spec CampaignSpec, key string) error {
 
 // planDispositions decides how every mask of one cell is settled, in
 // mask order — the prune plan first, then the journal, the rest
-// simulate — and draws the verify samples.
-func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]ShardRun, c *cellPlan) {
+// simulate — and plans the guard checks of the campaign's window policy
+// win.
+func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]ShardRun, win *windowConfig, c *cellPlan) {
 	c.disp = make([]disposition, len(masks))
-	var sim []int // the masks this process simulates
-	for m := c.win.lo; m < c.win.hi; m++ {
+	var pruned, sim []int // the cell's pruned masks; the masks this process simulates
+	for m := range masks {
+		var d prune.Decision
 		if c.prune != nil {
-			switch d := c.prune.Decisions[m]; d.Action {
-			case prune.Dead:
-				c.disp[m].kind = dispDead
-				continue
-			case prune.Replicate:
-				c.disp[m] = disposition{dispReplica, d.Rep}
-				continue
-			}
+			d = c.prune.Decisions[m]
+		}
+		if d.Action != prune.Simulate {
+			pruned = append(pruned, m)
+		}
+		if !c.win.holds(m) {
+			continue
+		}
+		switch d.Action {
+		case prune.Dead:
+			c.disp[m].kind = dispDead
+			continue
+		case prune.Replicate:
+			c.disp[m] = disposition{dispReplica, d.Rep}
+			continue
 		}
 		if cfg.StopMargin > 0 {
 			c.simOrder = append(c.simOrder, masks[m].ID)
@@ -234,30 +251,41 @@ func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]
 	}
 	// Prune-verify samples the whole cell's pruned masks and keeps those
 	// whose planned verdict this window can reproduce: a dead mask in the
-	// window, or a replica whose representative's record is simulated
-	// here too.
-	for _, m := range sampleVerify(c.prune, cfg.PruneVerify) {
-		if d := c.disp[m]; d.kind == dispDead || (d.kind == dispReplica && c.win.holds(d.rep)) {
-			c.verify = append(c.verify, m)
+	// window, re-run with no window (a dead verdict is a proof about the
+	// exact run), or a replica whose representative's record is simulated
+	// here too, re-run under the policy that record ran under.
+	for _, m := range sampleEvenly(pruned, cfg.PruneVerify) {
+		switch d := c.disp[m]; {
+		case d.kind == dispDead:
+			c.checks = append(c.checks, guardCheck{mask: m, ref: m, prune: true})
+		case d.kind == dispReplica && c.win.holds(d.rep):
+			c.checks = append(c.checks, guardCheck{mask: m, ref: d.rep, win: win, prune: true})
 		}
 	}
-	c.wverify = sampleWindowVerify(sim, cfg.WindowVerify)
+	// Window-verify samples the simulated masks, the runs that execute
+	// under the window, and re-runs each from the same entry without the
+	// exit.
+	if cfg.WindowVerify > 0 {
+		noExit := *win
+		noExit.noExit = true
+		for _, m := range sampleEvenly(sim, cfg.WindowVerify) {
+			c.checks = append(c.checks, guardCheck{mask: m, ref: m, win: &noExit})
+		}
+	}
 }
 
-// sampleWindowVerify picks up to n evenly spaced masks from the
-// simulated masks of one cell — the window-verify sample. Sampling the
-// queued masks (rather than all masks) keeps the guard about runs that
-// actually executed under the window policy.
-func sampleWindowVerify(sim []int, n int) []int {
-	if n <= 0 || len(sim) == 0 {
+// sampleEvenly picks up to n of idx, evenly spaced and in order — the
+// deterministic sample both guards draw.
+func sampleEvenly(idx []int, n int) []int {
+	if n <= 0 {
 		return nil
 	}
-	if len(sim) <= n {
-		return sim
+	if len(idx) <= n {
+		return idx
 	}
-	out := make([]int, 0, n)
-	for j := 0; j < n; j++ {
-		out = append(out, sim[j*len(sim)/n])
+	out := make([]int, n)
+	for j := range out {
+		out[j] = idx[j*len(idx)/n]
 	}
 	return out
 }

@@ -82,7 +82,8 @@ type planSummary struct {
 }
 
 func summarize(c cellPlan) planSummary {
-	return planSummary{c.key, c.disp, c.simOrder, c.verify, c.wverify}
+	verify, wverify := c.samples()
+	return planSummary{c.key, c.disp, c.simOrder, verify, wverify}
 }
 
 // A shard is a window of the same plan: for a prune + ladder +
@@ -142,9 +143,27 @@ func TestShardPlanIsAWindowOfThePlan(t *testing.T) {
 	if kinds[dispSimulate] == 0 || kinds[dispDead] == 0 || kinds[dispReplica] == 0 || kinds[dispOutOfWindow] != 0 {
 		t.Fatalf("dispositions %v: want simulated, dead and replicated masks and none out of window", kinds)
 	}
-	t.Logf("dispositions by kind %v, prune-verify %v, window-verify %v", kinds, whole.verify, whole.wverify)
-	if len(whole.verify) == 0 || len(whole.wverify) == 0 {
-		t.Fatalf("verify samples %v / %v: want both drawn", whole.verify, whole.wverify)
+	wholeVerify, wholeWVerify := whole.samples()
+	t.Logf("dispositions by kind %v, prune-verify %v, window-verify %v", kinds, wholeVerify, wholeWVerify)
+	if len(wholeVerify) == 0 || len(wholeWVerify) == 0 {
+		t.Fatalf("verify samples %v / %v: want both drawn", wholeVerify, wholeWVerify)
+	}
+	// A dead mask's check is exact (no window), a replica's runs under
+	// the campaign's policy against its representative's record, and a
+	// window-verify check re-runs its own mask without the exit.
+	for _, k := range whole.checks {
+		d, ok := whole.disp[k.mask], false
+		switch {
+		case !k.prune:
+			ok = d.kind == dispSimulate && k.ref == k.mask && k.win != nil && k.win.noExit
+		case d.kind == dispDead:
+			ok = k.ref == k.mask && k.win == nil
+		default:
+			ok = d.kind == dispReplica && k.ref == d.rep && k.win != nil && !k.win.noExit
+		}
+		if !ok {
+			t.Fatalf("check %+v of a mask disposed %+v", k, d)
+		}
 	}
 
 	wide := cfg
@@ -170,16 +189,17 @@ func TestShardPlanIsAWindowOfThePlan(t *testing.T) {
 					sim = append(sim, m)
 				}
 			}
-			for _, m := range whole.verify {
+			for _, m := range wholeVerify {
 				if d := whole.disp[m]; win.holds(m) && (d.kind == dispDead || win.holds(d.rep)) {
 					wantVerify = append(wantVerify, m)
 				}
 			}
-			if !reflect.DeepEqual(shard.verify, wantVerify) {
-				t.Fatalf("size %d window %v: prune-verify sample %v, want %v", size, win, shard.verify, wantVerify)
+			verify, wverify := shard.samples()
+			if !reflect.DeepEqual(verify, wantVerify) {
+				t.Fatalf("size %d window %v: prune-verify sample %v, want %v", size, win, verify, wantVerify)
 			}
-			if want := sampleWindowVerify(sim, cfg.WindowVerify); !reflect.DeepEqual(shard.wverify, want) {
-				t.Fatalf("size %d window %v: window-verify sample %v, want %v", size, win, shard.wverify, want)
+			if want := sampleEvenly(sim, cfg.WindowVerify); !reflect.DeepEqual(wverify, want) {
+				t.Fatalf("size %d window %v: window-verify sample %v, want %v", size, win, wverify, want)
 			}
 			disp = append(disp, shard.disp[win.lo:win.hi]...)
 		}

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/prune"
-
 // CycleSource is implemented by simulators whose current cycle can be
 // sampled while they run; the golden-run liveness profiler needs it to
 // stamp array accesses. Both simulators implement it. A simulator
@@ -31,27 +29,4 @@ func selectRung(rungs []LadderRung, minSite uint64) int {
 		best = i
 	}
 	return best
-}
-
-// sampleVerify picks up to n pruned mask indices of a plan, evenly
-// spaced over the pruned masks in mask order — a deterministic sample
-// for the -prune-verify differential mode.
-func sampleVerify(plan *prune.Plan, n int) []int {
-	if plan == nil || n <= 0 {
-		return nil
-	}
-	var pruned []int
-	for i, d := range plan.Decisions {
-		if d.Action != prune.Simulate {
-			pruned = append(pruned, i)
-		}
-	}
-	if len(pruned) <= n {
-		return pruned
-	}
-	out := make([]int, 0, n)
-	for j := 0; j < n; j++ {
-		out = append(out, pruned[j*len(pruned)/n])
-	}
-	return out
 }

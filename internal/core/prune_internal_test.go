@@ -1,9 +1,8 @@
 package core
 
 import (
+	"slices"
 	"testing"
-
-	"repro/internal/prune"
 )
 
 func TestSelectRung(t *testing.T) {
@@ -30,36 +29,35 @@ func TestSelectRung(t *testing.T) {
 	}
 }
 
+// Both guards draw with one sampler: up to n of the given mask indices
+// (a cell's pruned masks, or the masks it simulates), evenly spaced, in
+// order, deterministic.
 func TestSampleVerify(t *testing.T) {
-	plan := &prune.Plan{Decisions: []prune.Decision{
-		{Action: prune.Simulate},
-		{Action: prune.Dead},
-		{Action: prune.Replicate},
-		{Action: prune.Simulate},
-		{Action: prune.Dead},
-		{Action: prune.Dead},
-	}}
-	if got := sampleVerify(plan, 0); got != nil {
-		t.Errorf("n=0: %v", got)
+	pruned := []int{1, 2, 4, 5}        // prune-verify draws from the pruned masks
+	sim := []int{0, 3, 6, 7, 8, 9, 11} // window-verify from the simulated ones
+	cases := []struct {
+		idx  []int
+		n    int
+		want []int
+	}{
+		{pruned, 0, nil},
+		{pruned, -1, nil},
+		{nil, 5, nil},
+		{pruned, 10, pruned},
+		{pruned, 4, pruned},
+		{pruned, 2, []int{1, 4}},
+		{pruned, 3, []int{1, 2, 4}},
+		{sim, 7, sim},
+		{sim, 3, []int{0, 6, 8}},
+		{sim, 1, []int{0}},
 	}
-	if got := sampleVerify(nil, 5); got != nil {
-		t.Errorf("nil plan: %v", got)
-	}
-	all := sampleVerify(plan, 10)
-	if len(all) != 4 {
-		t.Fatalf("n=10: %v", all)
-	}
-	two := sampleVerify(plan, 2)
-	if len(two) != 2 {
-		t.Fatalf("n=2: %v", two)
-	}
-	// The sample is deterministic, evenly spaced, and only pruned masks.
-	for _, i := range two {
-		if plan.Decisions[i].Action == prune.Simulate {
-			t.Errorf("sampled a simulated mask %d", i)
+	for _, c := range cases {
+		got := sampleEvenly(c.idx, c.n)
+		if !slices.Equal(got, c.want) || (got == nil) != (c.want == nil) {
+			t.Errorf("sampleEvenly(%v, %d) = %v, want %v", c.idx, c.n, got, c.want)
 		}
-	}
-	if again := sampleVerify(plan, 2); again[0] != two[0] || again[1] != two[1] {
-		t.Errorf("sample not deterministic: %v vs %v", two, again)
+		if again := sampleEvenly(c.idx, c.n); !slices.Equal(again, got) {
+			t.Errorf("sampleEvenly(%v, %d) not deterministic: %v vs %v", c.idx, c.n, got, again)
+		}
 	}
 }

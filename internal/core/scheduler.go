@@ -19,14 +19,9 @@ import (
 type scheduledRun struct {
 	cell int // index into the specs (and the plan's cells)
 	mask int // index into that spec's mask slice
-	// verify is the slot index of a prune-verify run (simulated only to
-	// cross-check a pruned verdict, stored outside the records), or -1
-	// for a normal run.
-	verify int
-	// wverify is the slot index of a window-verify run (a windowed mask
-	// re-simulated fully cycle-accurately, stored outside the records),
-	// or -1 for a normal run.
-	wverify int
+	// check is the index of a guard re-run in its cell's checks (its
+	// record stored outside the records), or -1 for a normal run.
+	check int
 }
 
 // matrixRun is one pass of the scheduler over a planned matrix: the
@@ -42,20 +37,19 @@ type matrixRun struct {
 	shard bool
 
 	// queue is every injection run, cell-major and mask-minor, with each
-	// cell's prune-verify and window-verify re-runs riding behind its
-	// masks; their records land in the side tables, never in the results.
+	// cell's guard checks riding behind its masks; their records land in
+	// checkRecs, never in the results.
 	// With no window and no stopping rule it is then ordered by row and
 	// first fault (see newMatrixRun).
 	queue []scheduledRun
 	// forks holds each cell's row fork point; the cells of one {tool,
 	// benchmark} row share it.
-	forks       []*forkRow
-	workers     int
-	sinks       []CellSinks
-	records     [][]LogRecord
-	kept        [][]ShardRun
-	verifyRecs  [][]LogRecord
-	wverifyRecs [][]LogRecord
+	forks     []*forkRow
+	workers   int
+	sinks     []CellSinks
+	records   [][]LogRecord
+	kept      [][]ShardRun
+	checkRecs [][]LogRecord
 	// stoppers holds one sequential-confidence stopping rule per cell over
 	// its deterministic simulation order; nil when the rule is off.
 	stoppers  []*cellStopper
@@ -68,9 +62,9 @@ type matrixRun struct {
 // serialize behind long ones, in three stages. Plan (planMatrix) decides
 // how every mask will be settled from the golden cache and the journal's
 // past entries alone. Execute runs the masks disposed to simulate, plus
-// the verify re-runs, and commits each finished run before its worker
+// the guard checks, and commits each finished run before its worker
 // moves on. Settle commits what the stop decisions and the plan decided
-// without simulation, runs the two verify guards and assembles the
+// without simulation, compares the guard checks and assembles the
 // results. Every in-window mask is settled exactly once, as the outcome
 // its provenance constructor builds (see ShardRun), through its cell's
 // CellSinks. windows, when non-nil, is the shard mode: one mask window
@@ -131,10 +125,9 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 	n := len(specs)
 	r := &matrixRun{
 		cfg: cfg, specs: specs, att: att, plan: plan, shard: shard,
-		sinks:       make([]CellSinks, n),
-		records:     make([][]LogRecord, n),
-		verifyRecs:  make([][]LogRecord, n),
-		wverifyRecs: make([][]LogRecord, n),
+		sinks:     make([]CellSinks, n),
+		records:   make([][]LogRecord, n),
+		checkRecs: make([][]LogRecord, n),
 	}
 	if shard {
 		r.kept = make([][]ShardRun, n)
@@ -149,16 +142,12 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 		totalMasks += c.win.hi - c.win.lo
 		for m, d := range c.disp {
 			if d.kind == dispSimulate {
-				r.queue = append(r.queue, scheduledRun{cell: i, mask: m, verify: -1, wverify: -1})
+				r.queue = append(r.queue, scheduledRun{cell: i, mask: m, check: -1})
 			}
 		}
-		r.verifyRecs[i] = make([]LogRecord, len(c.verify))
-		for j, m := range c.verify {
-			r.queue = append(r.queue, scheduledRun{cell: i, mask: m, verify: j, wverify: -1})
-		}
-		r.wverifyRecs[i] = make([]LogRecord, len(c.wverify))
-		for j, m := range c.wverify {
-			r.queue = append(r.queue, scheduledRun{cell: i, mask: m, verify: -1, wverify: j})
+		r.checkRecs[i] = make([]LogRecord, len(c.checks))
+		for j, k := range c.checks {
+			r.queue = append(r.queue, scheduledRun{cell: i, mask: k.mask, check: j})
 		}
 	}
 
@@ -246,24 +235,17 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 		tel.Start(r.workers)
 		// Queue accounting counts masks, not queue slots: pruned and
 		// resumed masks complete without a worker (so queued == done
-		// holds), and verify re-runs are invisible to telemetry.
+		// holds), and guard checks are invisible to telemetry.
 		tel.AddQueued(totalMasks)
 	}
 	return r, nil
 }
 
 // window is the detail-window policy run q executes under: the
-// campaign's for a real run, the no-exit variant for a window-verify
-// re-run, and none for the prune-verify re-run of a dead mask — a dead
-// verdict is a proof about the exact run. A replica's planned verdict is
-// its representative's record, so its re-run takes the campaign's
-// policy, as that record did.
+// campaign's for a real run, its check's for a guard check.
 func (r *matrixRun) window(q scheduledRun) *windowConfig {
-	switch {
-	case q.wverify >= 0:
-		return r.plan.winNoExit
-	case q.verify >= 0 && r.plan.cells[q.cell].disp[q.mask].kind == dispDead:
-		return nil
+	if q.check >= 0 {
+		return r.plan.cells[q.cell].checks[q.check].win
 	}
 	return r.plan.win
 }
@@ -332,7 +314,7 @@ func (r *matrixRun) execute() error {
 	// current evaluation boundary — dispatching past the boundary would
 	// waste (and worse, make nondeterministic) runs the boundary may
 	// cancel. Entries a stop decision cancelled are consumed without
-	// dispatch; verify re-runs are never gated (they cross-check settled
+	// dispatch; guard checks are never gated (they cross-check settled
 	// verdicts, not the estimator's). A worker that finds only gated
 	// entries blocks until a completion advances a boundary or a failure
 	// stops the pool.
@@ -360,7 +342,7 @@ func (r *matrixRun) execute() error {
 					continue
 				}
 				q := queue[j]
-				if q.verify >= 0 || q.wverify >= 0 {
+				if q.check >= 0 {
 					taken[j] = true
 					return j, true
 				}
@@ -413,21 +395,17 @@ func (r *matrixRun) execute() error {
 				if win == nil {
 					fk = &fork{row: r.forks[q.cell], point: r.forks[q.cell].dispatch(), sig: c.sig}
 				}
-				if q.verify >= 0 || q.wverify >= 0 {
-					// A prune-verify or window-verify re-run: simulated to
-					// cross-check a settled verdict, bypassing telemetry, the
-					// journal and the results entirely.
+				if q.check >= 0 {
+					// A guard check: simulated to cross-check a settled
+					// verdict, bypassing telemetry, the journal and the
+					// results entirely.
 					rec, err := runGuarded(spec.Factory, c.rungs, mask, c.golden,
 						cfg.TimeoutFactor, !cfg.DisableEarlyStop, win, fk, c.ff, cfg.RunWallLimit, nil)
 					if err != nil {
 						noteErr(i, err)
 						return
 					}
-					if q.verify >= 0 {
-						r.verifyRecs[q.cell][q.verify] = rec
-					} else {
-						r.wverifyRecs[q.cell][q.wverify] = rec
-					}
+					r.checkRecs[q.cell][q.check] = rec
 					continue
 				}
 				// The extras cost a little per run, so they are gathered only
@@ -481,7 +459,7 @@ func (r *matrixRun) execute() error {
 
 // settle is the settle stage: it commits the masks execution did not —
 // the tails the stop decisions cancelled and the masks the plan settled
-// without simulation — and runs the two verify guards. It touches the
+// without simulation — and compares the guard checks. It touches the
 // sinks and the record tables, never a simulator.
 func (r *matrixRun) settle() error {
 	tel := r.att.Telemetry
@@ -555,53 +533,39 @@ func (r *matrixRun) settle() error {
 		}
 	}
 
+	// The differential guards: every check re-simulated a mask whose
+	// class must agree with the settled record it names — a pruned
+	// verdict (a replica's is its representative's record, which keeps
+	// the check meaningful in a shard, where replicated rows are filled
+	// at merge time), or a windowed record re-run cycle-accurately from
+	// the same entry, which indicts the window-exit proof or the
+	// functional tail. Classes, not raw statuses: a dead-pruned run
+	// reports "pruned" where the simulation reports "early-masked" or
+	// "completed" — all Masked.
 	for i := range r.plan.cells {
 		c := &r.plan.cells[i]
-		// The differential guard of -prune-verify: every sampled pruned
-		// mask was also simulated for real; its class must agree with the
-		// verdict the plan assigned. (Classes, not raw statuses: a
-		// dead-pruned run reports "pruned" where the simulation reports
-		// "early-masked" or "completed" — all Masked.)
-		for j, m := range c.verify {
-			// A replica's planned verdict is its representative's class;
-			// comparing against the representative's record directly keeps
-			// the check meaningful in a shard, where replicated rows are
-			// filled at merge time rather than here.
-			ri := m
-			if c.disp[m].kind == dispReplica {
-				ri = c.disp[m].rep
-			}
-			if r.records[i][ri].Status == RunStopped.String() || r.verifyRecs[i][j].Status == "" {
-				// The stop decision settled the comparison target (or
-				// cancelled the verify run before it dispatched); there is
-				// no planned verdict to check against.
+		for j, k := range c.checks {
+			ref, got := r.records[i][k.ref], r.checkRecs[i][j]
+			if ref.Status == RunStopped.String() || got.Status == "" {
+				// The stop decision settled the reference (or cancelled
+				// the check before it dispatched): nothing to compare.
 				continue
 			}
-			planned, _ := (Parser{}).Classify(r.records[i][ri])
-			simulated, _ := (Parser{}).Classify(r.verifyRecs[i][j])
-			if planned != simulated {
-				d := c.prune.Decisions[m]
+			settled, _ := (Parser{}).Classify(ref)
+			rerun, _ := (Parser{}).Classify(got)
+			if settled == rerun {
+				continue
+			}
+			id := r.specs[i].Masks[k.mask].ID
+			if k.prune {
+				d := c.prune.Decisions[k.mask]
 				return fmt.Errorf(
 					"core: prune-verify mismatch on %s mask %d (%s, reason %q): pruned class %s, simulated class %s (status %s)",
-					c.key, r.specs[i].Masks[m].ID, d.Action, d.Reason, planned, simulated, r.verifyRecs[i][j].Status)
+					c.key, id, d.Action, d.Reason, settled, rerun, got.Status)
 			}
-		}
-		// The differential guard of -window-verify: every sampled windowed
-		// mask was also re-simulated fully cycle-accurately from the same
-		// window entry; its outcome class must agree with the windowed
-		// record's. A disagreement indicts the window-exit proof (settle,
-		// drain or residual-safety) or the functional tail.
-		for j, m := range c.wverify {
-			if r.records[i][m].Status == RunStopped.String() || r.wverifyRecs[i][j].Status == "" {
-				continue // stop decision settled the windowed record
-			}
-			windowed, _ := (Parser{}).Classify(r.records[i][m])
-			full, _ := (Parser{}).Classify(r.wverifyRecs[i][j])
-			if windowed != full {
-				return fmt.Errorf(
-					"core: window-verify mismatch on %s mask %d: windowed class %s (status %s), cycle-accurate class %s (status %s)",
-					c.key, r.specs[i].Masks[m].ID, windowed, r.records[i][m].Status, full, r.wverifyRecs[i][j].Status)
-			}
+			return fmt.Errorf(
+				"core: window-verify mismatch on %s mask %d: windowed class %s (status %s), cycle-accurate class %s (status %s)",
+				c.key, id, settled, ref.Status, rerun, got.Status)
 		}
 	}
 	return nil

@@ -273,3 +273,35 @@ func TestRunFiguresArtifactsShareTheCampaignKey(t *testing.T) {
 		t.Fatal("the detail-window knobs were dropped: no run was windowed")
 	}
 }
+
+// RunFigures records the matrix's spans on opt.Tracer: one run span per
+// simulated mask, under its campaign's key.
+func TestRunFiguresEmitsRunSpans(t *testing.T) {
+	tracer := telemetry.NewTracer("t-figures", "c")
+	buf := telemetry.NewSpanBuffer()
+	tracer.AddSink(buf)
+	opt := Options{
+		Campaign:   core.CampaignConfig{Injections: 4, Seed: 3, Workers: 2},
+		Benchmarks: []string{"qsort"},
+		Tools:      []string{sims.GeFINX86},
+		Tracer:     tracer,
+	}
+	specs := []FigureSpec{Figures[0], Figures[1]}
+	if _, err := RunFigures(specs, opt, nil); err != nil {
+		t.Fatal(err)
+	}
+	runs := make(map[string]int)
+	for _, sp := range buf.Spans() {
+		if sp.Kind == telemetry.SpanRun {
+			runs[sp.Campaign]++
+		}
+	}
+	for _, spec := range specs {
+		if key := fault.CampaignKey(sims.GeFINX86, "qsort", spec.Structure); runs[key] != 4 {
+			t.Fatalf("run spans per campaign %v: want 4 under %s", runs, key)
+		}
+	}
+	if len(runs) != len(specs) {
+		t.Fatalf("run spans per campaign %v: want %d campaigns", runs, len(specs))
+	}
+}

@@ -83,6 +83,9 @@ type Options struct {
 	// progress writer is passed, RunFigures uses a private collector to
 	// drive the periodic progress lines.
 	Telemetry *telemetry.Collector
+	// Tracer, when non-nil, records the campaign's spans (matrix, cells,
+	// runs and their phases).
+	Tracer *telemetry.Tracer
 	// ProgressEvery sets the period of the progress reporter lines
 	// written to the progress writer (default 5s).
 	ProgressEvery time.Duration
@@ -162,7 +165,7 @@ func (o Options) cell(tool, bench, structure string) core.CampaignCell {
 func (o Options) runCells(cells []core.CampaignCell, cache *core.GoldenCache, collector *telemetry.Collector) ([]*core.CampaignResult, error) {
 	cfg := o.Campaign
 	cfg.Campaigns, cfg.Injections = cells, o.injections()
-	att := core.Attach{Golden: cache, Telemetry: collector}
+	att := core.Attach{Golden: cache, Telemetry: collector, Tracer: o.Tracer}
 	if cfg.Divergence && o.Logs != nil {
 		att.Divergence = divergence.NewSink()
 	}

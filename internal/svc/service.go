@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -626,35 +624,21 @@ func (s *Service) finalize(id string, cfg core.CampaignConfig, opts api.SubmitOp
 		}
 	}
 	if traceSink != nil {
-		if err := flushTo(logs.CreateTrace, akey, traceSink.Flush); err != nil {
+		if err := logs.WriteArtifact(logs.TracePath(akey), traceSink.Flush); err != nil {
 			return err
 		}
 	}
 	if dsink != nil {
-		if err := flushTo(logs.CreateDivergence, akey, dsink.Flush); err != nil {
+		if err := logs.WriteArtifact(logs.DivergencePath(akey), dsink.Flush); err != nil {
 			return err
 		}
 	}
 	if spanBuf != nil {
-		if err := flushTo(logs.CreateSpans, akey, spanBuf.Flush); err != nil {
+		if err := logs.WriteArtifact(logs.SpansPath(akey), spanBuf.Flush); err != nil {
 			return err
 		}
 	}
 	return s.opt.Index.Store(id, outcomeCells(cfg, keys, results, dsink))
-}
-
-// flushTo writes one buffered artifact stream into a freshly created
-// repository file.
-func flushTo(create func(string) (*os.File, error), key string, flush func(io.Writer) error) error {
-	f, err := create(key)
-	if err != nil {
-		return err
-	}
-	if err := flush(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // finish moves a campaign to its terminal state and persists it. On a
