@@ -503,8 +503,7 @@ func BenchmarkDataArrayAblation(b *testing.B) {
 // matrix at a fixed seed, once fully simulated and once with the pruner
 // settling dead and replicated masks at plan time. The pruned variant
 // pays the profiled fault-free replay up front; the acceptance bar is a
-// >=2x wall-clock speedup (results/BENCH_prune.json records the
-// measured pair).
+// >=2x wall-clock speedup (EXPERIMENTS.md quotes the measured pair).
 func BenchmarkPruneAblation(b *testing.B) {
 	w, err := workload.ByName("qsort")
 	if err != nil {
@@ -691,8 +690,8 @@ func BenchmarkGoldenProfileOverhead(b *testing.B) {
 // simulated runs. The baseline simulates rung-to-outcome
 // cycle-accurately; the windowed mode runs functionally everywhere
 // outside a ~3k-cycle detail window around the fault. The acceptance
-// bar is a >=5x runs/s speedup over the baseline mode
-// (results/BENCH_window.json records the measured set).
+// bar is a >=5x runs/s speedup over the baseline mode (EXPERIMENTS.md
+// quotes the measured set).
 func BenchmarkDetailWindow(b *testing.B) {
 	buildSpecs, _ := windowedCampaign(b)
 	for _, mode := range []struct {
@@ -792,7 +791,7 @@ func windowedCampaign(b *testing.B) (func() []core.CampaignSpec, *core.GoldenCac
 // divergence sink attached. The probe folds each committed PC into a
 // 64-instruction FNV block hash and stops comparing at the first
 // mismatching block, so the acceptance bar is <5% overhead
-// (results/BENCH_divergence.json records the measured pair).
+// (EXPERIMENTS.md quotes the measured pair).
 func BenchmarkDetailWindowDivergence(b *testing.B) {
 	buildSpecs, cache := windowedCampaign(b)
 	run := func(div bool) uint64 {
@@ -862,8 +861,8 @@ func BenchmarkDetailWindowDivergence(b *testing.B) {
 // BenchmarkInterpDispatch measures the functional interpreter's raw
 // dispatch rate (steps/s over a full fault-free qsort run, both ISAs)
 // with the predecoded-instruction cache on and off — the micro view of
-// the interpreter tax the cache eliminates
-// (results/BENCH_interp.json records the measured pairs).
+// the interpreter tax the cache eliminates (EXPERIMENTS.md quotes the
+// measured pairs).
 func BenchmarkInterpDispatch(b *testing.B) {
 	w, err := workload.ByName("qsort")
 	if err != nil {

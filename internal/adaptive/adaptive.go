@@ -150,9 +150,9 @@ func (e *Estimator) Counts() (classes []string, counts []uint64) {
 // outcome class at a time in the cell's deterministic order: the
 // estimator is consulted exactly when the fed count reaches a boundary
 // (every CheckEvery runs), and the rule fires once every class is
-// pinned to the margin. Whoever feeds it owns the order — the matrix
-// scheduler buffers completions into simulation order, the distributed
-// coordinator into mask order — and the rule owns everything else:
+// pinned to the margin. Whoever feeds it owns the order — core.StopRule,
+// which both campaign drivers drive, buffers completions into the cell's
+// simulation order — and the rule owns everything else:
 // cadence defaulting, boundary stepping, the decision and the one
 // exception that a decision with nothing left to cancel is not a stop.
 // Not safe for concurrent use.

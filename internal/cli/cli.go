@@ -174,17 +174,11 @@ func (t *TelemetryFlags) Start(errw io.Writer) (*Observability, error) {
 // flags asked for quiet. Each tick also broadcasts a "progress" frame
 // to the SSE subscribers.
 func (o *Observability) StartReporter(t *TelemetryFlags, w io.Writer) {
-	o.StartReporterLine(t, w, func() string { return o.Collector.Snapshot().ProgressLine() })
-}
-
-// StartReporterLine is StartReporter with a custom line renderer — the
-// distributed coordinator's progress view (per-worker lease columns) is
-// wider than one collector's snapshot.
-func (o *Observability) StartReporterLine(t *TelemetryFlags, w io.Writer, line func() string) {
 	if !t.Quiet && o.reporter == nil {
 		o.reporter = telemetry.StartReporterFunc(w, t.ProgressEvery, func() string {
-			o.Events.Progress(o.Collector.Snapshot())
-			return line()
+			snap := o.Collector.Snapshot()
+			o.Events.Progress(snap)
+			return snap.ProgressLine()
 		})
 	}
 }

@@ -96,7 +96,7 @@ type CampaignConfig struct {
 	// prefix through the checkpoint ladder (see CheckpointLadder). The
 	// field stays only so that old configs and /v1 submissions carrying it
 	// still decode, and because the benchmark module in bench/ compiles
-	// against it; ROADMAP item 8(a), the change that may touch bench/,
+	// against it; ROADMAP E(a), the change that may touch bench/,
 	// removes it.
 	UseCheckpoint bool `json:"use_checkpoint,omitempty"`
 	// Workers is the simulation worker-pool size of the executing

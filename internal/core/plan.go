@@ -62,11 +62,9 @@ type cellPlan struct {
 	// resumed holds the journaled outcomes of the masks disposed as
 	// resumed, in mask order.
 	resumed []ShardRun
-	// simOrder is the cell's simulation order under the stopping rule:
-	// the mask IDs of every plan-simulated mask, journaled ones included,
-	// so positions (and therefore evaluation boundaries) are identical
-	// across resumes. Nil when the rule is off.
-	simOrder []int
+	// stop is the cell's stopping rule over every in-window mask the
+	// plan simulates; nil when the rule is off or nothing simulates.
+	stop *StopRule
 	// checks are the cell's guard re-runs: prune-verify's, then
 	// window-verify's.
 	checks []guardCheck
@@ -182,7 +180,9 @@ func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gol
 	}
 
 	for i := range specs {
-		planDispositions(cfg, specs[i].Masks, journaled[i], p.win, &p.cells[i])
+		if err := planDispositions(cfg, specs[i].Masks, journaled[i], p.win, &p.cells[i]); err != nil {
+			return nil, err
+		}
 	}
 	return p, nil
 }
@@ -214,11 +214,13 @@ func validateMasks(cache *GoldenCache, spec CampaignSpec, key string) error {
 
 // planDispositions decides how every mask of one cell is settled, in
 // mask order — the prune plan first, then the journal, the rest
-// simulate — and plans the guard checks of the campaign's window policy
-// win.
-func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]ShardRun, win *windowConfig, c *cellPlan) {
+// simulate — builds the cell's stopping rule over the plan-simulated
+// masks and plans the guard checks of the campaign's window policy win.
+func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]ShardRun, win *windowConfig, c *cellPlan) error {
 	c.disp = make([]disposition, len(masks))
-	var pruned, sim []int // the cell's pruned masks; the masks this process simulates
+	// The cell's pruned masks; its plan-simulated masks, journaled ones
+	// included; the masks this process simulates.
+	var pruned, planned, sim []int
 	for m := range masks {
 		var d prune.Decision
 		if c.prune != nil {
@@ -238,9 +240,7 @@ func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]
 			c.disp[m] = disposition{dispReplica, d.Rep}
 			continue
 		}
-		if cfg.StopMargin > 0 {
-			c.simOrder = append(c.simOrder, masks[m].ID)
-		}
+		planned = append(planned, m)
 		if run, ok := journaled[m]; ok {
 			c.disp[m].kind = dispResumed
 			c.resumed = append(c.resumed, run)
@@ -248,6 +248,10 @@ func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]
 		}
 		c.disp[m].kind = dispSimulate
 		sim = append(sim, m)
+	}
+	var err error
+	if c.stop, err = newStopRule(cfg, planned); err != nil {
+		return err
 	}
 	// Prune-verify samples the whole cell's pruned masks and keeps those
 	// whose planned verdict this window can reproduce: a dead mask in the
@@ -272,6 +276,7 @@ func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]
 			c.checks = append(c.checks, guardCheck{mask: m, ref: m, win: &noExit})
 		}
 	}
+	return nil
 }
 
 // sampleEvenly picks up to n of idx, evenly spaced and in order — the

@@ -83,7 +83,11 @@ type planSummary struct {
 
 func summarize(c cellPlan) planSummary {
 	verify, wverify := c.samples()
-	return planSummary{c.key, c.disp, c.simOrder, verify, wverify}
+	var simOrder []int
+	if c.stop != nil {
+		simOrder = c.stop.sim
+	}
+	return planSummary{c.key, c.disp, simOrder, verify, wverify}
 }
 
 // A shard is a window of the same plan: for a prune + ladder +

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/divergence"
 	"repro/internal/interp"
 	"repro/internal/telemetry"
@@ -50,9 +49,6 @@ type matrixRun struct {
 	records   [][]LogRecord
 	kept      [][]ShardRun
 	checkRecs [][]LogRecord
-	// stoppers holds one sequential-confidence stopping rule per cell over
-	// its deterministic simulation order; nil when the rule is off.
-	stoppers  []*cellStopper
 	cellSpans []*telemetry.ActiveSpan
 }
 
@@ -90,10 +86,7 @@ func runMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gold
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := newMatrixRun(cfg, specs, att, cache, plan, windows != nil)
-	if err != nil {
-		return nil, nil, err
-	}
+	r := newMatrixRun(cfg, specs, att, cache, plan, windows != nil)
 	if tr != nil {
 		goldenSpan.End()
 		r.cellSpans = make([]*telemetry.ActiveSpan, len(specs))
@@ -118,10 +111,10 @@ func runMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gold
 }
 
 // newMatrixRun lays a plan out for execution: the flattened queue, the
-// result tables, the stoppers — prefed with the journaled completions —
-// and one CellSinks per cell, the campaign rows registered up front so
-// the run path never allocates or locks.
-func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, plan *matrixPlan, shard bool) (*matrixRun, error) {
+// result tables, the plan's stopping rules prefed with the journaled
+// completions, and one CellSinks per cell, the campaign rows registered
+// up front so the run path never allocates or locks.
+func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, plan *matrixPlan, shard bool) *matrixRun {
 	n := len(specs)
 	r := &matrixRun{
 		cfg: cfg, specs: specs, att: att, plan: plan, shard: shard,
@@ -182,31 +175,16 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 		})
 	}
 
-	// Journaled completions are prefed to the stoppers (stopped provenance
-	// rows excluded — they are settled outcomes of the previous process's
-	// stop decision, which this process re-derives from the real
+	// Journaled completions are prefed to the stopping rules (stopped
+	// provenance rows excluded — they are settled outcomes of the previous
+	// process's stop decision, which this process re-derives from the real
 	// completions alone), so a resumed campaign re-evaluates the rule at
 	// the same boundaries over the same class multisets and stops at the
 	// identical point.
-	if cfg.StopMargin > 0 {
-		r.stoppers = make([]*cellStopper, n)
-		for i := range specs {
-			rule, err := adaptive.NewRule(adaptive.Config{
-				Margin:     cfg.StopMargin,
-				Confidence: cfg.StopConfidence,
-				CheckEvery: cfg.StopCheckEvery,
-				Classes:    ClassStrings(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			r.stoppers[i] = newCellStopper(rule, plan.cells[i].simOrder)
-		}
-		for i := range plan.cells {
-			for _, run := range plan.cells[i].resumed {
-				if !run.Stopped() {
-					r.stoppers[i].noteCompleted(run.Record.MaskID, string(run.Class()))
-				}
+	for i := range plan.cells {
+		for _, run := range plan.cells[i].resumed {
+			if !run.Stopped() {
+				plan.cells[i].stop.Note(run.Index, string(run.Class()))
 			}
 		}
 	}
@@ -238,7 +216,7 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 		// holds), and guard checks are invisible to telemetry.
 		tel.AddQueued(totalMasks)
 	}
-	return r, nil
+	return r
 }
 
 // window is the detail-window policy run q executes under: the
@@ -279,9 +257,9 @@ func (r *matrixRun) execute() error {
 		}
 	}
 
-	cfg, plan, queue, stoppers := r.cfg, r.plan, r.queue, r.stoppers
+	cfg, plan, queue := r.cfg, r.plan, r.queue
 	tel, tr := r.att.Telemetry, r.att.Tracer
-	adaptiveOn := stoppers != nil
+	adaptiveOn := cfg.StopMargin > 0
 	var (
 		mu          sync.Mutex
 		next        int
@@ -309,8 +287,8 @@ func (r *matrixRun) execute() error {
 		mu.Unlock()
 	}
 	// takeNext hands a worker its next queue index. The fixed-budget path
-	// is the original O(1) cursor. With stoppers armed, dispatch scans
-	// for the first untaken entry whose mask sits below its cell's
+	// is the original O(1) cursor. With the stopping rule armed, dispatch
+	// scans for the first untaken entry whose mask sits below its cell's
 	// current evaluation boundary — dispatching past the boundary would
 	// waste (and worse, make nondeterministic) runs the boundary may
 	// cancel. Entries a stop decision cancelled are consumed without
@@ -346,16 +324,15 @@ func (r *matrixRun) execute() error {
 					taken[j] = true
 					return j, true
 				}
-				id := r.specs[q.cell].Masks[q.mask].ID
-				s := stoppers[q.cell]
-				if s.cancelled(id) {
+				s := plan.cells[q.cell].stop
+				if s.Cancelled(q.mask) {
 					taken[j] = true
 					if r.window(q) == nil {
 						r.forks[q.cell].dispatch() // leaves the row's count
 					}
 					continue
 				}
-				if !s.dispatchable(id) {
+				if !s.dispatchable(q.mask) {
 					gated = true
 					continue
 				}
@@ -435,11 +412,11 @@ func (r *matrixRun) execute() error {
 				}
 				run := simulated(q.mask, rec, stats, wall)
 				if adaptiveOn {
-					// Feed the cell's stopper and wake gated workers: the
+					// Feed the cell's rule and wake gated workers: the
 					// contiguous prefix may have extended past a boundary,
 					// releasing the next chunk — or deciding the cell.
 					mu.Lock()
-					stoppers[q.cell].noteCompleted(rec.MaskID, string(run.Class()))
+					c.stop.Note(q.mask, string(run.Class()))
 					cond.Broadcast()
 					mu.Unlock()
 				}
@@ -471,22 +448,20 @@ func (r *matrixRun) settle() error {
 	// know the shard's plan actions. Rows a resumed journal already
 	// settled keep their journaled record and get no duplicate telemetry
 	// or journal line.
-	for i, st := range r.stoppers {
-		if st == nil {
-			continue
-		}
-		if tel != nil {
-			if st.stopped() {
-				tel.CellStopped(st.rule.Margin())
-			} else if st.rule.N() > 0 {
-				tel.ObserveCellMargin(st.rule.Margin())
+	for i := range r.plan.cells {
+		st := r.plan.cells[i].stop
+		if info := st.Info(); tel != nil && info != nil {
+			if info.StoppedEarly {
+				tel.CellStopped(info.EffectiveMargin)
+			} else {
+				tel.ObserveCellMargin(info.EffectiveMargin)
 			}
 		}
-		if !st.stopped() {
+		if !st.Stopped() {
 			continue
 		}
 		for m, mask := range r.specs[i].Masks {
-			if !r.plan.cells[i].win.holds(m) || !st.cancelled(mask.ID) {
+			if !r.plan.cells[i].win.holds(m) || !st.Cancelled(m) {
 				continue
 			}
 			if r.records[i][m].Status != "" {
@@ -509,10 +484,10 @@ func (r *matrixRun) settle() error {
 			if d.kind != dispDead && d.kind != dispReplica {
 				continue
 			}
-			mask := r.specs[i].Masks[m]
-			if r.stoppers != nil && r.stoppers[i].cancelled(mask.ID) {
+			if c.stop.Cancelled(m) {
 				continue // settled as a stopped-early row above
 			}
+			mask := r.specs[i].Masks[m]
 			var err error
 			switch {
 			case d.kind == dispDead:
@@ -576,17 +551,7 @@ func (r *matrixRun) results() []*CampaignResult {
 	out := make([]*CampaignResult, len(r.specs))
 	for i := range r.specs {
 		c := &r.plan.cells[i]
-		out[i] = &CampaignResult{Golden: c.golden, Records: r.records[i]}
-		if r.stoppers != nil && r.stoppers[i] != nil {
-			st := r.stoppers[i]
-			out[i].Adaptive = &AdaptiveInfo{
-				StoppedEarly:    st.stopped(),
-				SimulatedRuns:   st.rule.N(),
-				PlannedRuns:     len(st.simOrder),
-				EffectiveMargin: st.rule.Margin(),
-				Confidence:      r.cfg.StopConfidence,
-			}
-		}
+		out[i] = &CampaignResult{Golden: c.golden, Records: r.records[i], Adaptive: c.stop.Info()}
 		if r.cfg.Exhaustive {
 			// An exhaustive cell enumerated its collapsed mask space; its
 			// estimate is a census, not a sample: complete, zero margin.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,16 +30,21 @@ func adaptiveConfig() core.CampaignConfig {
 	return cfg
 }
 
-// masksFor builds the coordinator-side mask populations exactly as
-// cmd/faultcampd wires it: one deterministic BuildSpecs pass.
-func masksFor(cfg core.CampaignConfig) func(int) ([]fault.Mask, error) {
+// cellFor builds the coordinator-side cells exactly as the campaign
+// service wires them: one deterministic BuildSpecs pass, then the
+// config's stopping rules over the same golden cache.
+func cellFor(cfg core.CampaignConfig) func(int) ([]fault.Mask, *core.StopRule, error) {
 	cache := core.NewGoldenCache()
-	return func(campaign int) ([]fault.Mask, error) {
+	return func(campaign int) ([]fault.Mask, *core.StopRule, error) {
 		specs, err := cfg.BuildSpecs(cli.Resolve, cache)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return specs[campaign].Masks, nil
+		stops, err := cfg.StopRules(specs, cache)
+		if err != nil {
+			return nil, nil, err
+		}
+		return specs[campaign].Masks, stops[campaign], nil
 	}
 }
 
@@ -64,7 +70,7 @@ func TestDistributedAdaptiveDifferential(t *testing.T) {
 		coord, err := dist.New(cfg, dist.CoordinatorOptions{
 			ShardSize: 10,
 			Telemetry: collector,
-			MasksFor:  masksFor(cfg),
+			Cell:      cellFor(cfg),
 			JournalFor: func(k string) (*fault.Journal, error) {
 				return fault.OpenJournal(logs.JournalPath(k))
 			},
@@ -172,17 +178,63 @@ func TestDistributedAdaptiveDifferential(t *testing.T) {
 	}
 }
 
+// TestDistributedAdaptivePrunedDifferential runs a pruned adaptive cell,
+// where most masks settle at plan time and the rule's order skips them,
+// on 1 and 2 workers: each fleet must feed the rule the same
+// plan-simulated runs, cancel the same tail and report the same
+// adaptive trailer as the single-node run.
+func TestDistributedAdaptivePrunedDifferential(t *testing.T) {
+	cfg := testConfig()
+	cfg.Campaigns = []core.CampaignCell{{Tool: "gefin-x86", Benchmark: "qsort", Structure: "l1d.data"}}
+	cfg.Injections = 200
+	cfg.Prune = true
+	cfg.StopMargin, cfg.StopConfidence, cfg.StopCheckEvery = 0.25, 0.99, 10
+
+	traced := func() (*telemetry.Collector, *telemetry.TraceSink) {
+		collector, sink := telemetry.New(), telemetry.NewTraceSink()
+		collector.AddSink(sink)
+		return collector, sink
+	}
+	collector, sink := traced()
+	want, err := core.RunConfig(cfg, cli.Resolve, core.Attach{Golden: core.NewGoldenCache(), Telemetry: collector})
+	if err != nil {
+		t.Fatalf("single-node run: %v", err)
+	}
+	wantLogs, wantTrace := storeAndRead(t, cfg, want, sink)
+	if a := want[0].Adaptive; a == nil || !a.StoppedEarly || a.PlannedRuns == cfg.Injections {
+		t.Fatalf("single-node adaptive info %+v: want a pruned cell that stops early", a)
+	}
+
+	for _, workers := range []int{1, 2} {
+		collector, sink := traced()
+		got := runFleet(t, cfg, dist.CoordinatorOptions{ShardSize: 25, Telemetry: collector, Cell: cellFor(cfg)}, workers)
+		gotLogs, gotTrace := storeAndRead(t, cfg, got, sink)
+		if !reflect.DeepEqual(got[0].Adaptive, want[0].Adaptive) {
+			t.Fatalf("workers=%d: adaptive info %+v, single-node %+v", workers, got[0].Adaptive, want[0].Adaptive)
+		}
+		for key, w := range wantLogs {
+			if !bytes.Equal(gotLogs[key], w) {
+				t.Fatalf("workers=%d: merged log %s differs from single-node\n--- distributed\n%s--- single-node\n%s",
+					workers, key, gotLogs[key], w)
+			}
+		}
+		if !bytes.Equal(gotTrace, wantTrace) {
+			t.Fatalf("workers=%d: merged trace differs from single-node", workers)
+		}
+	}
+}
+
 // The coordinator owns the stop decision, so configurations it cannot
 // arbitrate are rejected at construction.
 func TestDistributedAdaptiveRejections(t *testing.T) {
 	cfg := adaptiveConfig()
 	if _, err := dist.New(cfg, dist.CoordinatorOptions{ShardSize: 10}); err == nil {
-		t.Fatal("coordinator accepted an adaptive config without MasksFor")
+		t.Fatal("coordinator accepted an adaptive config without Cell")
 	}
 	ex := testConfig()
 	ex.Injections = 0
 	ex.Exhaustive = true
-	if _, err := dist.New(ex, dist.CoordinatorOptions{ShardSize: 10, MasksFor: masksFor(ex)}); err == nil {
+	if _, err := dist.New(ex, dist.CoordinatorOptions{ShardSize: 10, Cell: cellFor(ex)}); err == nil {
 		t.Fatal("coordinator accepted an exhaustive config (no fixed shard geometry)")
 	}
 }

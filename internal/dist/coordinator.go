@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/divergence"
 	"repro/internal/fault"
@@ -84,20 +83,23 @@ type CoordinatorOptions struct {
 	// Logf, when non-nil, receives coordinator lifecycle lines (lease
 	// grants, requeues, duplicates).
 	Logf func(format string, args ...any)
-	// MasksFor materializes the deterministic mask population of one
-	// campaign cell — required when the config arms sequential early
-	// stopping (stop_margin): the coordinator settles every mask beyond
-	// the stop point as a stopped-early provenance row, and those rows
-	// need the mask's sites and sampling weight even though no worker
-	// ever simulated them.
-	MasksFor func(campaign int) ([]fault.Mask, error)
+	// Cell materializes the deterministic mask population of one
+	// campaign cell and, when the config arms sequential early stopping
+	// (stop_margin), the cell's fresh core.StopRule over the masks its
+	// plan simulates (nil when it simulates none) — the rule a
+	// single-node run of the same config drives (see
+	// core.CampaignConfig.StopRules). Required with stop_margin: the
+	// coordinator feeds the rule and settles every mask it cancels as a
+	// stopped-early provenance row, and those rows need the mask's sites
+	// and sampling weight even though no worker ever simulated them.
+	Cell func(campaign int) ([]fault.Mask, *core.StopRule, error)
 
 	// Resume replays the campaign's durable run journals before serving
 	// any lease: journaled runs prefill the exactly-once ledger (and the
-	// adaptive estimators re-derive any stop decision from the real
+	// stopping rules re-derive any stop decision from the real
 	// completions, exactly like the single-node resume), fully-replayed
 	// shards never lease again, and the journals are never re-appended
-	// for replayed masks. Requires JournalFor and MasksFor.
+	// for replayed masks. Requires JournalFor and Cell.
 	Resume bool
 
 	// now is the clock; tests compress lease time.
@@ -157,18 +159,18 @@ type shardState struct {
 	retries  int
 }
 
-// cellControl feeds one campaign cell's stopping rule (adaptive.Rule,
-// the same rule the single-node scheduler drives) from the coordinator.
-// Workers always run their whole shard (RunShard disarms the local
-// rule); the coordinator owns the global decision and keeps the rule's
-// input order fixed: merged rows buffer in pend until every lower mask
-// index has merged, then commit in mask order, feeding the rule one
-// simulated run at a time. The decision therefore depends only on the
-// config, never on shard size, worker count, or merge timing — a 1-, 2-
-// and 4-worker fleet stop at the identical cutoff, and journals, records
-// and divergence files come out identical.
+// cellControl is the commit-order buffer through which the coordinator
+// drives one campaign cell's core.StopRule, the rule the single-node
+// scheduler drives. Workers always run their whole shard (RunShard
+// disarms the local rule); the coordinator owns the global decision and
+// keeps the rule's input order fixed: merged rows buffer in pend until
+// every lower mask index has merged, then commit in mask order, each
+// noted to the rule. The decision therefore depends only on the config,
+// never on shard size, worker count, or merge timing — a 1-, 2- and
+// 4-worker fleet stop at the identical cutoff, and journals, records and
+// divergence files come out identical to a single-node run's.
 type cellControl struct {
-	rule     *adaptive.Rule
+	rule     *core.StopRule
 	pend     []*core.ShardRun // merged-but-uncommitted rows, by mask index
 	frontier int              // mask indices [0, frontier) committed
 	settled  bool             // the stopped tail has been settled
@@ -198,8 +200,8 @@ type Coordinator struct {
 	records   [][]core.LogRecord
 	filled    [][]bool
 	replicas  []pendingReplica
-	adapt     []*cellControl // per-cell stopping rules, nil when disarmed
-	masks     [][]fault.Mask // memoized MasksFor results
+	adapt     []*cellControl // per-cell commit-order buffers, nil when the rule is off
+	masks     [][]fault.Mask // Cell populations of adaptive cells
 	// sinks are the per-cell destinations of every committed outcome:
 	// the merged collector and its campaign row, the cell's journal
 	// (opened at New) and the divergence sink.
@@ -222,8 +224,8 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 	if cfg.Exhaustive {
 		return nil, fmt.Errorf("dist: exhaustive campaigns have no fixed shard geometry (the census size is profile-derived); run them single-node")
 	}
-	if cfg.StopMargin > 0 && opt.MasksFor == nil {
-		return nil, fmt.Errorf("dist: adaptive campaigns (stop_margin) need CoordinatorOptions.MasksFor to settle cancelled masks")
+	if cfg.StopMargin > 0 && opt.Cell == nil {
+		return nil, fmt.Errorf("dist: adaptive campaigns (stop_margin) need CoordinatorOptions.Cell for their stopping rules")
 	}
 	if cfg.SchemaVersion == 0 {
 		// Stamp the lowest version that can express the config: configs
@@ -243,22 +245,16 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 		sinks:     make([]core.CellSinks, len(cfg.Campaigns)),
 		doneCh:    make(chan struct{}),
 	}
-	if opt.MasksFor != nil {
-		c.masks = make([][]fault.Mask, len(cfg.Campaigns))
-	}
 	if cfg.StopMargin > 0 {
 		c.adapt = make([]*cellControl, len(cfg.Campaigns))
+		c.masks = make([][]fault.Mask, len(cfg.Campaigns))
 		for i := range cfg.Campaigns {
-			rule, err := adaptive.NewRule(adaptive.Config{
-				Margin:     cfg.StopMargin,
-				Confidence: cfg.StopConfidence,
-				CheckEvery: cfg.StopCheckEvery,
-				Classes:    core.ClassStrings(),
-			})
+			masks, rule, err := c.cell(i)
 			if err != nil {
 				return nil, err
 			}
-			c.adapt[i] = &cellControl{rule: rule, pend: make([]*core.ShardRun, cfg.MaskCount(i))}
+			c.masks[i] = masks
+			c.adapt[i] = &cellControl{rule: rule, pend: make([]*core.ShardRun, len(masks))}
 		}
 	}
 	total := 0
@@ -335,25 +331,25 @@ func (c *Coordinator) resume() error {
 	if c.opt.JournalFor == nil {
 		return fmt.Errorf("dist: resume requires CoordinatorOptions.JournalFor")
 	}
-	if c.opt.MasksFor == nil {
-		return fmt.Errorf("dist: resume requires CoordinatorOptions.MasksFor to validate journaled masks")
+	if c.opt.Cell == nil {
+		return fmt.Errorf("dist: resume requires CoordinatorOptions.Cell to validate journaled masks")
 	}
 	for i := range c.cfg.Campaigns {
 		entries := c.sinks[i].Journal.Entries()
 		if len(entries) == 0 {
 			continue
 		}
-		masks, err := c.masksForLocked(i)
-		if err != nil {
+		var ctl *cellControl
+		var masks []fault.Mask
+		var err error
+		if c.adapt != nil {
+			ctl, masks = c.adapt[i], c.masks[i]
+		} else if masks, _, err = c.cell(i); err != nil {
 			return err
 		}
 		runs, err := core.ReplayJournal(c.keys[i], entries, masks)
 		if err != nil {
 			return err
-		}
-		var ctl *cellControl
-		if c.adapt != nil {
-			ctl = c.adapt[i]
 		}
 		// Mask order is commit order, whatever order the lines are in.
 		for idx := range masks {
@@ -741,48 +737,39 @@ func (c *Coordinator) commitRunLocked(i int, run core.ShardRun) error {
 }
 
 // advanceFrontierLocked commits the contiguous prefix of buffered rows
-// of one adaptive cell, feeding each simulated run to the cell's rule. A
-// decision with the whole population already committed is not a stop —
-// there is nothing left to cancel, matching the scheduler. (One
-// deliberate asymmetry: the coordinator cannot know whether the
-// not-yet-merged tail contains any simulated masks, so a decision
-// landing exactly on the cell's final simulated run while only pruned
-// masks remain unmerged settles that pruned tail as stopped rows, where
-// a single-node run would have settled them from the plan.)
+// of one adaptive cell, noting each to the cell's rule, and stops at the
+// row that fires it: the rule cancels everything past that row.
 func (c *Coordinator) advanceFrontierLocked(i int, ctl *cellControl) error {
-	n := len(ctl.pend)
-	for ctl.frontier < n && ctl.pend[ctl.frontier] != nil {
+	for ctl.frontier < len(ctl.pend) && ctl.pend[ctl.frontier] != nil {
 		run := *ctl.pend[ctl.frontier]
 		if err := c.commitRunLocked(i, run); err != nil {
 			return err
 		}
 		ctl.pend[ctl.frontier] = nil
 		ctl.frontier++
-		if run.Pruned == "" && ctl.rule.Add(string(run.Class()), ctl.frontier < n) {
+		ctl.rule.Note(run.Index, string(run.Class()))
+		if ctl.rule.Stopped() {
 			return nil
 		}
 	}
 	return nil
 }
 
-// masksForLocked memoizes the MasksFor population of one cell.
-func (c *Coordinator) masksForLocked(i int) ([]fault.Mask, error) {
-	if c.masks[i] != nil {
-		return c.masks[i], nil
-	}
-	m, err := c.opt.MasksFor(i)
+// cell calls the Cell hook for one cell and checks its population
+// against the config.
+func (c *Coordinator) cell(i int) ([]fault.Mask, *core.StopRule, error) {
+	m, rule, err := c.opt.Cell(i)
 	if err != nil {
-		return nil, fmt.Errorf("dist: materializing campaign %d's masks: %w", i, err)
+		return nil, nil, fmt.Errorf("dist: materializing campaign %d's masks: %w", i, err)
 	}
 	if n := c.cfg.MaskCount(i); len(m) != n {
-		return nil, fmt.Errorf("dist: campaign %d: MasksFor returned %d masks, config promises %d", i, len(m), n)
+		return nil, nil, fmt.Errorf("dist: campaign %d: Cell returned %d masks, config promises %d", i, len(m), n)
 	}
-	c.masks[i] = m
-	return m, nil
+	return m, rule, nil
 }
 
-// settleStopsLocked settles every undecided mask of a freshly stopped
-// cell as a stopped-early outcome — through the same constructor and
+// settleStopsLocked settles every mask a freshly stopped cell's rule
+// cancelled as a stopped-early outcome — through the same constructor and
 // commit as the single-node settle pass — and cancels the cell's
 // outstanding shards: queued ones never lease again, and a late
 // completion from a still-running worker is discarded as a duplicate by
@@ -793,15 +780,15 @@ func (c *Coordinator) settleStopsLocked() error {
 			continue
 		}
 		ctl.settled = true
-		masks, err := c.masksForLocked(i)
-		if err != nil {
-			return err
-		}
-		for idx := ctl.frontier; idx < len(masks); idx++ {
+		masks := c.masks[i]
+		for idx := range masks {
+			if !ctl.rule.Cancelled(idx) {
+				continue
+			}
 			run := core.StoppedRun(idx, masks[idx])
 			// A resumed coordinator may have replayed this stop row from
-			// the journal (nothing else leaves a stopped record beyond the
-			// frontier); the re-derived decision settles it again with
+			// the journal (nothing else leaves a stopped record past the
+			// cutoff); the re-derived decision settles it again with
 			// identical content, flagged Resumed like any replayed run.
 			run.Resumed = c.records[i][idx].Status == run.Record.Status
 			c.records[i][idx] = run.Record
@@ -811,8 +798,9 @@ func (c *Coordinator) settleStopsLocked() error {
 				return err
 			}
 		}
+		info := ctl.rule.Info()
 		if tel := c.opt.Telemetry; tel != nil {
-			tel.CellStopped(ctl.rule.Margin())
+			tel.CellStopped(info.EffectiveMargin)
 		}
 		// The cancellation sweep retires the cell's outstanding shards —
 		// except, on a resumed coordinator that has never heard from a
@@ -839,7 +827,7 @@ func (c *Coordinator) settleStopsLocked() error {
 			cancelled++
 		}
 		c.logf("dist: campaign %d stopped early after %d simulated runs (margin %.4f); %d shards cancelled",
-			i, ctl.rule.N(), ctl.rule.Margin(), cancelled)
+			i, info.SimulatedRuns, info.EffectiveMargin, cancelled)
 	}
 	return nil
 }
@@ -870,24 +858,11 @@ func (c *Coordinator) finalizeLocked() error {
 	c.results = make([]*core.CampaignResult, len(c.records))
 	for i := range c.records {
 		c.results[i] = &core.CampaignResult{Golden: c.goldens[i], Records: c.records[i]}
-		if c.adapt == nil || c.adapt[i].rule.N() == 0 {
+		if c.adapt == nil {
 			continue
 		}
-		rule := c.adapt[i].rule
-		// PlannedRuns: for a stopped cell the plan actions of the
-		// cancelled tail were never computed (no worker ran those masks),
-		// so the mask budget stands in for the simulated-run budget a
-		// single-node result reports.
-		info := &core.AdaptiveInfo{
-			StoppedEarly:    rule.Stopped(),
-			SimulatedRuns:   rule.N(),
-			PlannedRuns:     rule.N(),
-			EffectiveMargin: rule.Margin(),
-			Confidence:      c.cfg.StopConfidence,
-		}
-		if rule.Stopped() {
-			info.PlannedRuns = len(c.records[i])
-		} else if tel := c.opt.Telemetry; tel != nil {
+		info := c.adapt[i].rule.Info()
+		if tel := c.opt.Telemetry; tel != nil && info != nil && !info.StoppedEarly {
 			tel.ObserveCellMargin(info.EffectiveMargin)
 		}
 		c.results[i].Adaptive = info

@@ -176,7 +176,7 @@ func TestDistributedEventStreamMatchesSingleNode(t *testing.T) {
 		dsink := divergence.NewSink()
 		if fleet {
 			runFleet(t, cfg, dist.CoordinatorOptions{
-				ShardSize: 9, Telemetry: collector, Divergence: dsink, MasksFor: masksFor(cfg),
+				ShardSize: 9, Telemetry: collector, Divergence: dsink, Cell: cellFor(cfg),
 			}, 2)
 		} else if _, err := core.RunConfig(cfg, cli.Resolve, core.Attach{
 			Golden: core.NewGoldenCache(), Telemetry: collector, Divergence: dsink,

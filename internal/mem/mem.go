@@ -137,9 +137,6 @@ func Release(m *Memory) {
 // SetTextEnd marks [TextBase, end) as read-only text. The loader calls it.
 func (m *Memory) SetTextEnd(end uint64) { m.textEnd = end }
 
-// TextEnd returns the end of the read-only text segment.
-func (m *Memory) TextEnd() uint64 { return m.textEnd }
-
 // Reads returns the number of read accesses.
 func (m *Memory) Reads() uint64 { return m.reads }
 

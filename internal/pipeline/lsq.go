@@ -167,17 +167,11 @@ func (q *LSQ) SetAddr(idx int, addr uint64, size uint8) {
 	e.addr, e.size, e.addrValid = addr, size, true
 }
 
-// AddrValid reports whether the entry's address has been resolved.
-func (q *LSQ) AddrValid(idx int) bool { return q.entries[idx].addrValid }
-
 // Addr returns the resolved address and size of entry idx.
 func (q *LSQ) Addr(idx int) (uint64, uint8) { return q.entries[idx].addr, q.entries[idx].size }
 
 // IsStore reports whether the entry is a store.
 func (q *LSQ) IsStore(idx int) bool { return q.entries[idx].isStore }
-
-// RobIdx returns the ROB index of the entry.
-func (q *LSQ) RobIdx(idx int) int { return q.entries[idx].robIdx }
 
 // PutData deposits a value into the entry's data slot (store data at
 // execute; load results too in the unified organization).

@@ -38,9 +38,6 @@ type Option func(*Client)
 // WithToken sends the tenant API token as a Bearer credential.
 func WithToken(token string) Option { return func(c *Client) { c.token = token } }
 
-// WithHTTPClient substitutes the HTTP client (tests, custom timeouts).
-func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
-
 // WithRetry overrides the retry budget: attempts total tries with
 // exponential backoff starting at base (capped at 2s between tries).
 func WithRetry(attempts int, base time.Duration) Option {

@@ -529,22 +529,26 @@ func (s *Service) run(c *campaign) {
 		}
 	}
 
-	// The deterministic mask populations, built once on demand — an
-	// adaptive coordinator needs them to settle stopped tails, a
-	// resuming one to check journals for staleness.
+	// The deterministic mask populations and stopping rules, built once
+	// on demand — an adaptive coordinator drives the rules and settles
+	// the tails they cancel, a resuming one checks journals against the
+	// masks for staleness.
 	var (
 		specsOnce sync.Once
 		specs     []core.CampaignSpec
+		stops     []*core.StopRule
 		specsErr  error
 	)
-	masksFor := func(i int) ([]fault.Mask, error) {
+	cell := func(i int) ([]fault.Mask, *core.StopRule, error) {
 		specsOnce.Do(func() {
-			specs, specsErr = cfg.BuildSpecs(s.opt.Resolve, s.golden)
+			if specs, specsErr = cfg.BuildSpecs(s.opt.Resolve, s.golden); specsErr == nil {
+				stops, specsErr = cfg.StopRules(specs, s.golden)
+			}
 		})
 		if specsErr != nil {
-			return nil, specsErr
+			return nil, nil, specsErr
 		}
-		return specs[i].Masks, nil
+		return specs[i].Masks, stops[i], nil
 	}
 
 	copt := dist.CoordinatorOptions{
@@ -555,7 +559,7 @@ func (s *Service) run(c *campaign) {
 		Telemetry:    tel,
 		Tracer:       tracer,
 		Divergence:   dsink,
-		MasksFor:     masksFor,
+		Cell:         cell,
 		Logf: func(format string, args ...any) {
 			s.opt.Logf("campaign "+id+": "+format, args...)
 		},

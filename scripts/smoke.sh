@@ -12,7 +12,8 @@
 # node and distributed, with a live SSE subscription and the fleet-
 # aggregated snapshot cross-checked against the per-worker snapshots,
 # and finally an adaptive round: a sequentially-stopped campaign whose
-# stop point must survive kill/resume and distribution byte-for-byte —
+# stop point must survive kill/resume and distribution byte-for-byte,
+# with and without pruning —
 # all artifacts validated with scripts/smokecheck — and a campaign-
 # service round: an always-on multi-tenant faultcampd -service daemon
 # takes submissions over /v1, is SIGKILLed and restarted mid-campaign
@@ -332,7 +333,28 @@ cmp "$tmp/adaptref/${key}.trace.jsonl" "$tmp/adaptdist/${key}.trace.jsonl"
 "$tmp/smokecheck" \
     -logs "$tmp/adaptdist" -key "$key" -snapshot "$tmp/snap_adapt_dist.json" \
     -journal -adaptive
-echo "smoke: adaptive round OK — early stop deterministic across kill/resume and the distributed coordinator"
+
+# The pruned pair: with -prune most masks settle at plan time and the
+# rule counts only the simulated ones, so the coordinator must feed,
+# cancel and report the cell (the log's adaptive trailer) exactly as
+# faultcamp does.
+structure=l1d.data
+key="${tool}__${bench}__${structure}"
+"$tmp/faultcamp" \
+    -tool "$tool" -bench "$bench" -structure "$structure" \
+    -n 200 -seed 5 -prune -logs "$tmp/adaptpruned" \
+    -stop-margin 0.25 -stop-check-every 25 -trace -quiet
+"$tmp/faultcampd" \
+    -tool "$tool" -bench "$bench" -structure "$structure" \
+    -n 200 -seed 5 -prune -logs "$tmp/adaptpruneddist" \
+    -stop-margin 0.25 -stop-check-every 25 \
+    -shard-size 10 -addr-file "$tmp/adaptpruned.addr" -trace -quiet &
+apid=$!
+"$tmp/faultworker" -addr-file "$tmp/adaptpruned.addr" -id adapt-w2 -quiet
+wait "$apid"
+cmp "$tmp/adaptpruned/${key}.log.jsonl" "$tmp/adaptpruneddist/${key}.log.jsonl"
+cmp "$tmp/adaptpruned/${key}.trace.jsonl" "$tmp/adaptpruneddist/${key}.trace.jsonl"
+echo "smoke: adaptive round OK — early stop deterministic across kill/resume and the distributed coordinator, pruned or not"
 
 # Campaign-service round: an always-on faultcampd -service daemon takes
 # submissions from two tenants over the /v1 API, shares one fleet
