@@ -320,6 +320,20 @@ func (a *Array) ReadWordPair(entry int) (w0, w1 uint64) {
 	return w0, w1
 }
 
+// Quiet reports whether no fault is attached and no profile is
+// recording. A read of a quiet array can do nothing but return the
+// stored word and bump the read counter, so an owner that keeps its
+// own copy of what it wrote may serve the read from that copy and
+// account it with CountReads. Faults stay attached until the run ends
+// (Disarm is for tests) and checkpoints are taken from fault-free
+// machines, so while the array is quiet its storage is exactly what the
+// owner wrote or restored.
+func (a *Array) Quiet() bool { return len(a.faults) == 0 && a.prof == nil }
+
+// CountReads accounts n word reads that the owner served from its own
+// copy while the array was Quiet.
+func (a *Array) CountReads(n int) { a.reads += uint64(n) }
+
 // ReadUint64 reads word 0 of entry; convenience for register-file-like
 // arrays whose entries are at most 64 bits wide.
 func (a *Array) ReadUint64(entry int) uint64 { return a.ReadWord(entry, 0) }

@@ -78,8 +78,6 @@ type CPU struct {
 	fetchBlocked bool
 	fetchReady   uint64
 	inflight     []inflightOp
-	// cands is issue()'s candidate buffer, refilled every cycle.
-	cands []pipeline.IssueCand
 
 	cycle      uint64
 	lastCommit uint64
@@ -655,8 +653,7 @@ func (c *CPU) rename() {
 				}
 				e.LSQIdx = li
 			}
-			w0, w1 := pipeline.PackUop(u, dst, src1, src2)
-			ok := c.iq.Alloc(w0, w1, idx)
+			ok := c.iq.Alloc(pipeline.NewUop(u, dst, src1, src2), idx)
 			if c.t.DenseAsserts {
 				assert(ok, "iq: allocation failed after capacity check")
 			}
@@ -698,25 +695,24 @@ func actualNext(e *pipeline.ROBEntry) uint64 {
 func (c *CPU) issue() {
 	intBudget, fpBudget, memBudget := c.cfg.IntALUs, c.cfg.FPALUs, c.cfg.MemPorts
 	issued := 0
-	// Oldest-first selection over the occupied issue queue slots.
-	c.cands = c.iq.Candidates(c.cands)
 	// The loop visits every occupied slot every cycle and checks three
 	// assertions per slot; the trait is read once for all of them (the
 	// calls in between keep the compiler from doing it, and re-reading
 	// it per slot cost 4-7% of a golden run).
 	dense := c.t.DenseAsserts
-	for _, cd := range c.cands {
+	// Oldest-first selection over the occupied issue queue slots.
+	for slot, next := c.iq.Select(), 0; slot >= 0; slot = next {
+		next = c.iq.Younger(slot)
 		if issued >= c.cfg.IssueWidth {
 			return
 		}
 		// Wakeup reads the slot again; only a micro-op whose sources
-		// are ready is unpacked in full.
-		pl := c.iq.Payload(cd.Slot)
+		// are ready is copied out.
+		w := c.iq.Read(slot)
 		if dense {
-			assert(int(pl.Op()) < isa.NumOps, "iq: corrupted opcode in issue payload")
+			assert(int(w.Op) < isa.NumOps, "iq: corrupted opcode in issue payload")
 		}
-		src1, src2 := pl.Sources()
-		if !c.ready(src1, dense) || !c.ready(src2, dense) {
+		if !c.ready(w.Src1, dense) || !c.ready(w.Src2, dense) {
 			if c.cfg.InOrder {
 				// The Atom-like model issues strictly in program
 				// order: a stalled micro-op stalls everything younger.
@@ -724,7 +720,7 @@ func (c *CPU) issue() {
 			}
 			continue
 		}
-		p, robIdx := pl.Unpack(), cd.ROBIdx
+		p, robIdx := *w, c.iq.ROBIdx(slot)
 		if dense {
 			assert(robIdx >= 0 && robIdx < c.rob.Cap(), "iq: corrupted ROB link")
 		}
@@ -737,7 +733,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			if c.issueLoad(cd.Slot, p, robIdx, e) {
+			if c.issueLoad(slot, p, robIdx, e) {
 				memBudget--
 				issued++
 			} else if c.cfg.InOrder {
@@ -750,7 +746,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			c.issueStore(cd.Slot, p, e)
+			c.issueStore(slot, p, e)
 			memBudget--
 			issued++
 		case isFPUOp(p.Op):
@@ -760,7 +756,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			c.issueFP(cd.Slot, p, robIdx, e)
+			c.issueFP(slot, p, robIdx, e)
 			fpBudget--
 			issued++
 		default:
@@ -770,7 +766,7 @@ func (c *CPU) issue() {
 				}
 				continue
 			}
-			c.issueInt(cd.Slot, p, robIdx, e)
+			c.issueInt(slot, p, robIdx, e)
 			intBudget--
 			issued++
 		}

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"repro/internal/bitarray"
 	"repro/internal/isa"
 )
@@ -44,25 +46,8 @@ func unpackReg(v uint64) PhysReg {
 	return PhysReg{FP: v&0x800 != 0, Idx: uint16(v & 0x7ff)}
 }
 
-// PackUop packs a renamed micro-op into the two payload words.
-func PackUop(u isa.Uop, dst, src1, src2 PhysReg) (w0, w1 uint64) {
-	w0 = uint64(u.Imm)
-	w1 = uint64(u.Op) |
-		packReg(dst)<<8 |
-		packReg(src1)<<20 |
-		packReg(src2)<<32 |
-		uint64(u.Cond&0xf)<<44 |
-		uint64(u.Size&0xf)<<48
-	if u.SignExt {
-		w1 |= 1 << 52
-	}
-	if u.UsesImm {
-		w1 |= 1 << 53
-	}
-	return w0, w1
-}
-
-// PackedUop is the unpacked view of an issue queue payload.
+// PackedUop is the issue queue's view of a renamed micro-op: exactly
+// the fields the payload packs.
 type PackedUop struct {
 	Op              isa.Op
 	Dst, Src1, Src2 PhysReg
@@ -71,6 +56,44 @@ type PackedUop struct {
 	SignExt         bool
 	UsesImm         bool
 	Imm             int64
+}
+
+// NewUop builds the issue queue's view of a renamed micro-op, each field
+// cut to its packed width, so that it equals UnpackUop of its own Words:
+// rename builds it once, and the queue both keeps it as its copy of the
+// slot and packs it into the faultable array. The registers are the ones
+// rename hands out — PhysNone or a register of a file, whose index
+// NewRegFile keeps below 0x7ff — and pack as they are.
+func NewUop(u isa.Uop, dst, src1, src2 PhysReg) PackedUop {
+	return PackedUop{
+		Op:      u.Op,
+		Dst:     dst,
+		Src1:    src1,
+		Src2:    src2,
+		Cond:    u.Cond & 0xf,
+		Size:    u.Size & 0xf,
+		SignExt: u.SignExt,
+		UsesImm: u.UsesImm,
+		Imm:     u.Imm,
+	}
+}
+
+// Words packs the micro-op into the two payload words.
+func (p PackedUop) Words() (w0, w1 uint64) {
+	w0 = uint64(p.Imm)
+	w1 = uint64(p.Op) |
+		packReg(p.Dst)<<8 |
+		packReg(p.Src1)<<20 |
+		packReg(p.Src2)<<32 |
+		uint64(p.Cond&0xf)<<44 |
+		uint64(p.Size&0xf)<<48
+	if p.SignExt {
+		w1 |= 1 << 52
+	}
+	if p.UsesImm {
+		w1 |= 1 << 53
+	}
+	return w0, w1
 }
 
 // UnpackUop decodes the payload words. A corrupted payload can decode to
@@ -91,16 +114,29 @@ func UnpackUop(w0, w1 uint64) PackedUop {
 	}
 }
 
-// IQ is the issue queue.
+// IQ is the issue queue. Every read of a slot is a read of the faultable
+// array and is counted as one, but the bits are fetched only when an
+// armed fault or a recording profile could see the read: while the array
+// is Quiet, a read returns the slot's own copy of what Alloc wrote, which
+// is then exactly what the array holds.
 type IQ struct {
-	arr      *bitarray.Array
-	occupied []bool
-	robIdx   []int
-	// age lists the occupied slots oldest first. Micro-ops enter in
-	// program order (rename allocates the ROB entry and the slot
-	// together), so allocation order is ROB sequence order and age-
-	// ordered selection needs no sort.
-	age []int
+	arr *bitarray.Array
+	// uops is each occupied slot's micro-op as Alloc wrote it; fetched
+	// is the last one Read unpacked from the array's bits.
+	uops    []PackedUop
+	fetched PackedUop
+	robIdx  []int
+	// used has bit i set while slot i holds a micro-op; Alloc takes the
+	// lowest clear bit, which decides the entry an iq fault hits.
+	used []uint64
+	// The occupied slots form a list, oldest first, linked by next and
+	// prev from head to tail (-1 ends it). Micro-ops enter in program
+	// order (rename allocates the ROB entry and the slot together), so
+	// allocation order is ROB sequence order and age-ordered selection
+	// needs no sort.
+	next, prev []int
+	head, tail int
+	n          int
 }
 
 // NewIQ builds an issue queue of the given size.
@@ -109,12 +145,16 @@ func NewIQ(name string, size int) *IQ {
 		panic("pipeline: IQ size must be positive")
 	}
 	q := &IQ{
-		arr:      bitarray.New(name, size, 128),
-		occupied: make([]bool, size),
-		robIdx:   make([]int, size),
-		age:      make([]int, 0, size),
+		arr:    bitarray.New(name, size, 128),
+		uops:   make([]PackedUop, size),
+		robIdx: make([]int, size),
+		used:   make([]uint64, (size+63)/64),
+		next:   make([]int, size),
+		prev:   make([]int, size),
+		head:   -1,
+		tail:   -1,
 	}
-	q.arr.SetValidFunc(func(e int) bool { return q.occupied[e] })
+	q.arr.SetValidFunc(q.Occupied)
 	return q
 }
 
@@ -122,100 +162,116 @@ func NewIQ(name string, size int) *IQ {
 func (q *IQ) Array() *bitarray.Array { return q.arr }
 
 // Len returns the number of waiting micro-ops.
-func (q *IQ) Len() int { return len(q.age) }
+func (q *IQ) Len() int { return q.n }
 
 // Full reports whether the queue has no space.
-func (q *IQ) Full() bool { return len(q.age) == len(q.occupied) }
-
-// Alloc inserts a packed micro-op tied to the given ROB index, younger
-// than every micro-op already waiting, and reports whether space was
-// available.
-func (q *IQ) Alloc(w0, w1 uint64, robIdx int) bool {
-	for i := range q.occupied {
-		if !q.occupied[i] {
-			q.occupied[i] = true
-			q.robIdx[i] = robIdx
-			q.arr.WriteWord(i, 0, w0)
-			q.arr.WriteWord(i, 1, w1)
-			q.age = append(q.age, i)
-			return true
-		}
-	}
-	return false
-}
-
-// Payload is one slot's two payload words as the faultable array served
-// them. The issue stage unpacks the fields it needs when it needs them:
-// most waiting micro-ops are looked at every cycle and issued once.
-type Payload struct{ W0, W1 uint64 }
-
-// Op unpacks the opcode alone.
-func (p Payload) Op() isa.Op { return isa.Op(p.W1 & 0xff) }
-
-// Sources unpacks the two source registers alone — all wakeup needs.
-func (p Payload) Sources() (src1, src2 PhysReg) {
-	return unpackReg(p.W1 >> 20), unpackReg(p.W1 >> 32)
-}
-
-// Unpack decodes the whole payload.
-func (p Payload) Unpack() PackedUop { return UnpackUop(p.W0, p.W1) }
-
-// Payload reads slot i through the faultable array: two word reads.
-func (q *IQ) Payload(i int) Payload {
-	w0, w1 := q.arr.ReadWordPair(i)
-	return Payload{w0, w1}
-}
-
-// IssueCand is one waiting micro-op under age-ordered issue selection.
-type IssueCand struct {
-	Slot   int
-	ROBIdx int
-}
-
-// Candidates collects the waiting micro-ops into buf[:0], oldest first,
-// and returns the filled buffer for the caller to keep for the next
-// cycle (the caller releases slots while it walks the result, so it
-// cannot walk the queue's own list). Selection reads every occupied
-// slot through the faultable array, in slot order — the hardware's
-// wakeup scan; a fault in a waiting entry is consumed here — but
-// unpacks nothing.
-func (q *IQ) Candidates(buf []IssueCand) []IssueCand {
-	for i, occ := range q.occupied {
-		if occ {
-			q.arr.ReadWordPair(i)
-		}
-	}
-	buf = buf[:0]
-	for _, i := range q.age {
-		buf = append(buf, IssueCand{i, q.robIdx[i]})
-	}
-	return buf
-}
+func (q *IQ) Full() bool { return q.n == len(q.uops) }
 
 // Occupied reports whether slot i holds a waiting micro-op.
-func (q *IQ) Occupied(i int) bool { return q.occupied[i] }
+func (q *IQ) Occupied(i int) bool { return q.used[i>>6]&(1<<(i&63)) != 0 }
+
+// Alloc inserts a micro-op tied to the given ROB index into the lowest
+// free slot, younger than every micro-op already waiting, and reports
+// whether space was available.
+func (q *IQ) Alloc(p PackedUop, robIdx int) bool {
+	if q.Full() {
+		return false
+	}
+	i := 0
+	for w, word := range q.used {
+		if word != ^uint64(0) {
+			i = w<<6 | bits.TrailingZeros64(^word)
+			break
+		}
+	}
+	q.used[i>>6] |= 1 << (i & 63)
+	q.robIdx[i] = robIdx
+	w0, w1 := p.Words()
+	q.arr.WriteWord(i, 0, w0)
+	q.arr.WriteWord(i, 1, w1)
+	q.uops[i] = p
+	q.link(i)
+	return true
+}
+
+// link appends slot i to the age list as its youngest entry.
+func (q *IQ) link(i int) {
+	q.prev[i], q.next[i] = q.tail, -1
+	if q.tail >= 0 {
+		q.next[q.tail] = i
+	} else {
+		q.head = i
+	}
+	q.tail = i
+	q.n++
+}
+
+// Read returns slot i's micro-op through the faultable array: two word
+// reads, served from the slot's copy while the array is quiet. The
+// result is valid until the next Read.
+func (q *IQ) Read(i int) *PackedUop {
+	if q.arr.Quiet() {
+		q.arr.CountReads(2)
+		return &q.uops[i]
+	}
+	q.fetched = UnpackUop(q.arr.ReadWordPair(i))
+	return &q.fetched
+}
+
+// Select is the selection scan. It reads every occupied slot through
+// the faultable array, in slot order — the hardware's wakeup scan; a
+// fault in a waiting entry is consumed here — but unpacks nothing; on a
+// quiet array the reads are only counted. It returns the oldest waiting
+// slot, or -1 when none waits, and Younger walks on from there.
+func (q *IQ) Select() int {
+	if q.arr.Quiet() {
+		q.arr.CountReads(2 * q.n)
+	} else {
+		for w, word := range q.used {
+			for ; word != 0; word &= word - 1 {
+				q.arr.ReadWordPair(w<<6 | bits.TrailingZeros64(word))
+			}
+		}
+	}
+	return q.head
+}
+
+// Younger returns the waiting slot next younger than slot i, or -1.
+// Releasing i leaves this link in place, so the issue loop may release
+// the slot it stands on and step on from it; nothing may be allocated
+// during the walk.
+func (q *IQ) Younger(i int) int { return q.next[i] }
+
+// ROBIdx returns the ROB index slot i is tied to.
+func (q *IQ) ROBIdx(i int) int { return q.robIdx[i] }
 
 // Release frees slot i after issue.
 func (q *IQ) Release(i int) {
-	if !q.occupied[i] {
+	if !q.Occupied(i) {
 		return
 	}
-	q.occupied[i] = false
-	for k, s := range q.age {
-		if s == i {
-			q.age = append(q.age[:k], q.age[k+1:]...)
-			return
-		}
+	q.used[i>>6] &^= 1 << (i & 63)
+	p, n := q.prev[i], q.next[i]
+	if p >= 0 {
+		q.next[p] = n
+	} else {
+		q.head = n
 	}
+	if n >= 0 {
+		q.prev[n] = p
+	} else {
+		q.tail = p
+	}
+	q.n--
 }
 
 // FlushAll empties the queue (commit-point recovery).
 func (q *IQ) FlushAll() {
-	for i := range q.occupied {
-		if q.occupied[i] {
-			q.arr.InvalidateObserve(i)
-			q.occupied[i] = false
+	for w, word := range q.used {
+		for ; word != 0; word &= word - 1 {
+			q.arr.InvalidateObserve(w<<6 | bits.TrailingZeros64(word))
 		}
+		q.used[w] = 0
 	}
-	q.age = q.age[:0]
+	q.head, q.tail, q.n = -1, -1, 0
 }

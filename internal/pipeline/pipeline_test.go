@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +55,73 @@ func TestRegFileRenameCommitFlush(t *testing.T) {
 	}
 }
 
+// TestRegFileFlushShortcutIsExact drives a register file through random
+// renames, commits, writes, flushes and state restores beside a twin
+// that rebuilds on every flush, and requires the two to hold the same
+// state — rename tables, free-list order included — after every step.
+func TestRegFileFlushShortcutIsExact(t *testing.T) {
+	r, ref := NewRegFile("rf", 8, 20, false), NewRegFile("rf", 8, 20, false)
+	type inflight struct {
+		arch     int
+		dst, old PhysReg
+	}
+	var q []inflight
+	var saved *RegFileState
+	rng := uint32(7)
+	next := func(n int) int {
+		rng = rng*1664525 + 1013904223
+		return int(rng>>16) % n
+	}
+	for step := 0; step < 5000; step++ {
+		switch op := next(12); {
+		case op < 4:
+			arch := next(8)
+			d, o, ok := r.Rename(arch)
+			rd, ro, rok := ref.Rename(arch)
+			if ok != rok || d != rd || o != ro {
+				t.Fatalf("step %d: rename %v %v %v, twin %v %v %v", step, d, o, ok, rd, ro, rok)
+			}
+			if ok {
+				q = append(q, inflight{arch, d, o})
+			}
+		case op < 7:
+			if len(q) > 0 {
+				r.Commit(q[0].arch, q[0].dst, q[0].old)
+				ref.Commit(q[0].arch, q[0].dst, q[0].old)
+				q = q[1:]
+			}
+		case op < 9:
+			if len(q) > 0 {
+				p := q[next(len(q))].dst
+				r.Write(p, uint64(step))
+				ref.Write(p, uint64(step))
+			}
+		case op < 11:
+			r.Flush()
+			ref.dirty = true
+			ref.Flush()
+			// The core squashes everything in flight at a flush; keeping
+			// it here half the time also commits into a flushed file.
+			if next(2) == 0 {
+				q = q[:0]
+			}
+		default:
+			if saved == nil || next(2) == 0 {
+				saved = r.State()
+			} else {
+				r.SetState(saved)
+				ref.SetState(saved)
+				q = q[:0]
+			}
+		}
+		a, b := r.State(), ref.State()
+		a.Reads, a.Writes, b.Reads, b.Writes = 0, 0, 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("step %d: state %+v, a file that always rebuilds holds %+v", step, a, b)
+		}
+	}
+}
+
 func TestRegFileExhaustion(t *testing.T) {
 	rf := NewRegFile("rf", 4, 8, false)
 	for i := 0; i < 4; i++ {
@@ -71,12 +139,17 @@ func TestRegFileExhaustion(t *testing.T) {
 }
 
 func TestRegFilePanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewRegFile("rf", 8, 8, false)
+	for _, phys := range []int{8, 0x800} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d physical registers: no panic", phys)
+				}
+			}()
+			NewRegFile("rf", 8, phys, false)
+		}()
+	}
+	NewRegFile("rf", 8, 0x7ff, false) // the widest file the issue queue can name
 }
 
 func TestROBOrdering(t *testing.T) {
@@ -131,8 +204,7 @@ func TestPackUnpackUop(t *testing.T) {
 	u := isa.Uop{Op: isa.Load, Cond: isa.CondLE, Size: 4, SignExt: true, UsesImm: true, Imm: -123456789}
 	dst := PhysReg{FP: false, Idx: 200}
 	s1 := PhysReg{FP: true, Idx: 77}
-	w0, w1 := PackUop(u, dst, s1, PhysNone)
-	p := UnpackUop(w0, w1)
+	p := UnpackUop(NewUop(u, dst, s1, PhysNone).Words())
 	if p.Op != isa.Load || p.Dst != dst || p.Src1 != s1 || p.Src2 != PhysNone ||
 		p.Cond != isa.CondLE || p.Size != 4 || !p.SignExt || !p.UsesImm || p.Imm != -123456789 {
 		t.Fatalf("round trip: %+v", p)
@@ -147,8 +219,7 @@ func TestPropPackUnpackIdentity(t *testing.T) {
 			return PhysReg{FP: fp, Idx: idx % 0x7ff}
 		}
 		dst, s1, s2 := mk(dIdx, d8), mk(s1Idx, !d8), mk(s2Idx, false)
-		w0, w1 := PackUop(u, dst, s1, s2)
-		p := UnpackUop(w0, w1)
+		p := UnpackUop(NewUop(u, dst, s1, s2).Words())
 		return p.Op == u.Op && p.Cond == u.Cond && p.Size == u.Size%16 &&
 			p.SignExt == se && p.UsesImm == ui && p.Imm == imm &&
 			p.Dst == dst && p.Src1 == s1 && p.Src2 == s2
@@ -161,14 +232,14 @@ func TestPropPackUnpackIdentity(t *testing.T) {
 func TestIQAllocReleaseFlush(t *testing.T) {
 	q := NewIQ("iq", 4)
 	for i := 0; i < 4; i++ {
-		if !q.Alloc(uint64(i), uint64(i)<<8, i*10) {
+		if !q.Alloc(UnpackUop(uint64(i), uint64(i)<<8), i*10) {
 			t.Fatalf("alloc %d failed", i)
 		}
 	}
-	if !q.Full() || q.Alloc(0, 0, 0) {
+	if !q.Full() || q.Alloc(PackedUop{}, 0) {
 		t.Fatal("overfull")
 	}
-	if p := q.Payload(2).Unpack(); p.Imm != 2 {
+	if p := q.Read(2); p.Imm != 2 {
 		t.Fatalf("payload: %+v", p)
 	}
 	q.Release(2)

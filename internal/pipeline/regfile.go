@@ -48,6 +48,10 @@ type RegFile struct {
 	free      []uint16
 	rat       []uint16 // speculative arch → phys
 	commitRAT []uint16 // architectural arch → phys
+	// dirty is set by every change Flush would undo (Rename, Commit,
+	// SetState) and cleared by Flush: rebuilding a file nothing was
+	// renamed into since its last flush gives back what it holds.
+	dirty bool
 
 	reads  uint64
 	writes uint64
@@ -56,11 +60,16 @@ type RegFile struct {
 // NewRegFile builds a physical register file of physRegs registers
 // backing archRegs architectural names. It panics unless every
 // architectural register can be mapped with at least one register to
-// spare for renaming.
+// spare for renaming, and unless every register index fits the issue
+// queue payload's 11-bit field without meeting its none pattern.
 func NewRegFile(name string, archRegs, physRegs int, fp bool) *RegFile {
 	if physRegs <= archRegs {
 		panic(fmt.Sprintf("pipeline: %s: %d physical registers cannot back %d architectural",
 			name, physRegs, archRegs))
+	}
+	if physRegs > 0x7ff {
+		panic(fmt.Sprintf("pipeline: %s: %d physical registers, the issue queue names at most %d",
+			name, physRegs, 0x7ff))
 	}
 	r := &RegFile{
 		fp:        fp,
@@ -109,6 +118,7 @@ func (r *RegFile) Rename(arch int) (dst, old PhysReg, ok bool) {
 	r.rat[arch] = n
 	r.ready[n] = false
 	r.live[n] = true
+	r.dirty = true
 	return PhysReg{FP: r.fp, Idx: n}, old, true
 }
 
@@ -132,6 +142,7 @@ func (r *RegFile) Ready(p PhysReg) bool { return r.ready[p.Idx] }
 // physical register it displaced.
 func (r *RegFile) Commit(arch int, dst, old PhysReg) {
 	r.commitRAT[arch] = dst.Idx
+	r.dirty = true
 	if old.Valid() {
 		r.free = append(r.free, old.Idx)
 		r.live[old.Idx] = false
@@ -155,8 +166,13 @@ func (r *RegFile) WriteArch(arch int, v uint64) {
 
 // Flush rewinds the speculative state to the committed state: the RAT is
 // restored and the free list rebuilt from the registers not referenced
-// by the committed mapping.
+// by the committed mapping. A file built by NewRegFile already is its
+// committed state.
 func (r *RegFile) Flush() {
+	if !r.dirty {
+		return
+	}
+	r.dirty = false
 	copy(r.rat, r.commitRAT)
 	for i := range r.live {
 		r.live[i] = false

@@ -58,6 +58,7 @@ func (r *RegFile) SetState(s *RegFileState) {
 	copy(r.commitRAT, s.CommitRAT)
 	r.reads = s.Reads
 	r.writes = s.Writes
+	r.dirty = true
 }
 
 // ROBState is the reorder buffer's in-flight entries, kept at their
@@ -95,34 +96,43 @@ func (r *ROB) SetState(s *ROBState) {
 // IQState is the issue queue: the payload array and which slot holds
 // which micro-op, in age order.
 type IQState struct {
-	payload  []uint64
-	occupied []bool
-	robIdx   []int
-	age      []int
+	payload []uint64
+	robIdx  []int
+	age     []int // the occupied slots, oldest first
 }
 
 // SizeBytes is the heap the state retains.
 func (s *IQState) SizeBytes() int {
-	return int(unsafe.Sizeof(*s)) + 8*cap(s.payload) + cap(s.occupied) +
+	return int(unsafe.Sizeof(*s)) + 8*cap(s.payload) +
 		int(unsafe.Sizeof(0))*(cap(s.robIdx)+cap(s.age))
 }
 
 // State captures the issue queue.
 func (q *IQ) State() *IQState {
-	return &IQState{
-		payload:  q.arr.Snapshot(),
-		occupied: append([]bool(nil), q.occupied...),
-		robIdx:   append([]int(nil), q.robIdx...),
-		age:      append([]int(nil), q.age...),
+	s := &IQState{
+		payload: q.arr.Snapshot(),
+		robIdx:  append([]int(nil), q.robIdx...),
+		age:     make([]int, 0, q.n),
 	}
+	for i := q.head; i >= 0; i = q.next[i] {
+		s.age = append(s.age, i)
+	}
+	return s
 }
 
-// SetState restores a previously captured state.
+// SetState restores a previously captured state. Each slot's copy is
+// rebuilt from the restored payload.
 func (q *IQ) SetState(s *IQState) {
 	q.arr.RestoreSnapshot(s.payload)
-	copy(q.occupied, s.occupied)
 	copy(q.robIdx, s.robIdx)
-	q.age = append(q.age[:0], s.age...)
+	clear(q.used)
+	q.head, q.tail, q.n = -1, -1, 0
+	for _, i := range s.age {
+		q.used[i>>6] |= 1 << (i & 63)
+		pl := q.arr.Peek(i)
+		q.uops[i] = UnpackUop(pl[0], pl[1])
+		q.link(i)
+	}
 }
 
 // LSQState is the load/store queue: its entries and its data array.

@@ -69,8 +69,9 @@ func profileDigest(p *bitarray.Profile) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenStream runs one profiled golden run and records its pin.
-func goldenStream(t *testing.T, tool, bench string) streamPin {
+// goldenStream runs one golden run and records its pin. Unprofiled, the
+// pin has each array's counters but no events and no profile digest.
+func goldenStream(t *testing.T, tool, bench string, profiled bool) streamPin {
 	t.Helper()
 	w, err := workload.ByName(bench)
 	if err != nil {
@@ -84,7 +85,9 @@ func goldenStream(t *testing.T, tool, bench string) streamPin {
 	arrs := sim.Structures()
 	names := make([]string, 0, len(arrs))
 	for name, a := range arrs {
-		a.StartProfile(sim.(core.CycleSource).CurrentCycle)
+		if profiled {
+			a.StartProfile(sim.(core.CycleSource).CurrentCycle)
+		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -99,11 +102,12 @@ func goldenStream(t *testing.T, tool, bench string) streamPin {
 	}
 	for _, name := range names {
 		a := arrs[name]
-		p := a.StopProfile()
-		pin.Arrays[name] = arrayPin{
-			Reads: a.Reads(), Writes: a.Writes(),
-			Events: p.EventCount(), Profile: profileDigest(p),
+		ap := arrayPin{Reads: a.Reads(), Writes: a.Writes()}
+		if profiled {
+			p := a.StopProfile()
+			ap.Events, ap.Profile = p.EventCount(), profileDigest(p)
 		}
+		pin.Arrays[name] = ap
 	}
 	// The machine's storage goes back to the boot pools full of the
 	// run's content, so the next golden run (the next tool, or this one
@@ -124,7 +128,7 @@ func TestGoldenAccessStreamsPinned(t *testing.T) {
 	var got []streamPin
 	for _, tool := range Tools() {
 		for _, bench := range []string{"qsort", "sha"} {
-			got = append(got, goldenStream(t, tool, bench))
+			got = append(got, goldenStream(t, tool, bench, true))
 		}
 	}
 	enc, err := json.MarshalIndent(got, "", "  ")
@@ -173,4 +177,58 @@ func TestGoldenAccessStreamsPinned(t *testing.T) {
 		}
 	}
 	t.Fatalf("golden access streams differ from %s", accessStreamFile)
+}
+
+// TestGoldenAccessCountsPinnedUnprofiled is the pin's sibling for runs
+// nothing observes. The pin profiles every array, so every read there
+// fetches its bits; with no profile and no fault attached an array is
+// quiet, and its owner may serve reads from its own copy. The same golden
+// runs, unprofiled, must still count every access: run length,
+// statistics and every array's read and write counters equal the pinned
+// ones.
+func TestGoldenAccessCountsPinnedUnprofiled(t *testing.T) {
+	want, err := os.ReadFile(accessStreamFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned []streamPin
+	if err := json.Unmarshal(want, &pinned); err != nil {
+		t.Fatalf("%s: %v", accessStreamFile, err)
+	}
+	i := 0
+	for _, tool := range Tools() {
+		for _, bench := range []string{"qsort", "sha"} {
+			if i == len(pinned) {
+				t.Fatalf("%s pins %d runs, the test makes more", accessStreamFile, len(pinned))
+			}
+			g, w := goldenStream(t, tool, bench, false), pinned[i]
+			i++
+			id := g.Tool + "/" + g.Benchmark
+			if g.Tool != w.Tool || g.Benchmark != w.Benchmark {
+				t.Fatalf("%s: pinned run %d is %s/%s", id, i-1, w.Tool, w.Benchmark)
+			}
+			if g.Cycles != w.Cycles || g.Instructions != w.Instructions {
+				t.Errorf("%s: %d cycles / %d instructions, pinned %d / %d", id, g.Cycles, g.Instructions, w.Cycles, w.Instructions)
+			}
+			if len(g.Stats) != len(w.Stats) {
+				t.Errorf("%s: %d statistics, pinned %d", id, len(g.Stats), len(w.Stats))
+			}
+			for k, v := range g.Stats {
+				if w.Stats[k] != v {
+					t.Errorf("%s: stat %s = %d, pinned %d", id, k, v, w.Stats[k])
+				}
+			}
+			if len(g.Arrays) != len(w.Arrays) {
+				t.Errorf("%s: %d arrays, pinned %d", id, len(g.Arrays), len(w.Arrays))
+			}
+			for name, a := range g.Arrays {
+				if wa := w.Arrays[name]; a.Reads != wa.Reads || a.Writes != wa.Writes {
+					t.Errorf("%s: array %s: %d reads / %d writes, pinned %d / %d", id, name, a.Reads, a.Writes, wa.Reads, wa.Writes)
+				}
+			}
+		}
+	}
+	if i != len(pinned) {
+		t.Fatalf("%s pins %d runs, the test makes %d", accessStreamFile, len(pinned), i)
+	}
 }
