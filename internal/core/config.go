@@ -528,8 +528,11 @@ func RunConfig(cfg CampaignConfig, resolve Resolver, att Attach) ([]*CampaignRes
 	if err != nil {
 		return nil, err
 	}
-	results, _, err := runMatrix(cfg, specs, att, cache, nil)
-	return results, err
+	r, err := runMatrix(cfg, specs, att, cache, nil)
+	if err != nil {
+		return nil, err
+	}
+	return r.results()
 }
 
 // RunShard executes the mask window [lo, hi) of campaign cell `campaign`
@@ -584,9 +587,9 @@ func RunShard(cfg CampaignConfig, campaign, lo, hi int, resolve Resolver, att At
 	// caller as the scheduler built them, and whoever merges the shards
 	// commits them.
 	att = Attach{Tracer: att.Tracer, TraceParent: att.TraceParent, SpanWorker: att.SpanWorker}
-	results, kept, err := runMatrix(cfg, []CampaignSpec{spec}, att, cache, []maskWindow{{lo, hi}})
+	r, err := runMatrix(cfg, []CampaignSpec{spec}, att, cache, []maskWindow{{lo, hi}})
 	if err != nil {
 		return nil, err
 	}
-	return &ShardResult{Golden: results[0].Golden, Runs: kept[0]}, nil
+	return &ShardResult{Golden: r.plan.cells[0].golden, Runs: r.kept[0]}, nil
 }

@@ -59,8 +59,8 @@ type cellPlan struct {
 
 	win  maskWindow
 	disp []disposition // one per mask of the cell
-	// resumed holds the journaled outcomes of the masks disposed as
-	// resumed, in mask order.
+	// resumed holds, in mask order, the journaled outcomes of the masks
+	// disposed as resumed, and the journaled stopped rows of pruned ones.
 	resumed []ShardRun
 	// stop is the cell's stopping rule over every in-window mask the
 	// plan simulates; nil when the rule is off or nothing simulates.
@@ -235,9 +235,15 @@ func planDispositions(cfg CampaignConfig, masks []fault.Mask, journaled map[int]
 		switch d.Action {
 		case prune.Dead:
 			c.disp[m].kind = dispDead
-			continue
 		case prune.Replicate:
 			c.disp[m] = disposition{dispReplica, d.Rep}
+		}
+		if d.Action != prune.Simulate {
+			// The plan settles a pruned mask; a stop row the journal holds
+			// for it only tells the ledger the line is on disk.
+			if run, ok := journaled[m]; ok && run.Stopped() {
+				c.resumed = append(c.resumed, run)
+			}
 			continue
 		}
 		planned = append(planned, m)

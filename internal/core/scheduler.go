@@ -24,7 +24,7 @@ type scheduledRun struct {
 }
 
 // matrixRun is one pass of the scheduler over a planned matrix: the
-// queue and the tables execute fills and settle reads.
+// queue, and per cell the ledger execute and settle commit to.
 type matrixRun struct {
 	cfg   CampaignConfig
 	specs []CampaignSpec
@@ -45,8 +45,7 @@ type matrixRun struct {
 	// benchmark} row share it.
 	forks     []*forkRow
 	workers   int
-	sinks     []CellSinks
-	records   [][]LogRecord
+	ledgers   []*CellLedger
 	kept      [][]ShardRun
 	checkRecs [][]LogRecord
 	cellSpans []*telemetry.ActiveSpan
@@ -58,13 +57,13 @@ type matrixRun struct {
 // serialize behind long ones, in three stages. Plan (planMatrix) decides
 // how every mask will be settled from the golden cache and the journal's
 // past entries alone. Execute runs the masks disposed to simulate, plus
-// the guard checks, and commits each finished run before its worker
-// moves on. Settle commits what the stop decisions and the plan decided
-// without simulation, compares the guard checks and assembles the
-// results. Every in-window mask is settled exactly once, as the outcome
-// its provenance constructor builds (see ShardRun), through its cell's
-// CellSinks. windows, when non-nil, is the shard mode: one mask window
-// per spec, out-of-window records left zero.
+// the guard checks, and settles each finished run before its worker
+// moves on. Settle settles what the stop decisions and the plan decided
+// without simulation and compares the guard checks. Every in-window mask
+// is settled exactly once, as the outcome its provenance constructor
+// builds (see ShardRun), through its cell's CellLedger, which builds the
+// results (results). windows, when non-nil, is the shard mode: one mask
+// window per spec, its outcomes kept for the caller (kept).
 //
 // On a worker error the pool cancels promptly — in-flight runs finish,
 // queued runs are abandoned — and the error of the earliest queued run
@@ -72,7 +71,7 @@ type matrixRun struct {
 // boundary: a panic escaping the simulator or the fault-arming path is
 // converted into that run's error (surfaced through the same
 // deterministic first-error ordering) instead of aborting the process.
-func runMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) ([]*CampaignResult, [][]ShardRun, error) {
+func runMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) (*matrixRun, error) {
 	// Span tracing: the matrix is one campaign span; the whole plan stage
 	// is covered by one "golden" phase child, and each cell gets a span
 	// the run spans parent on.
@@ -84,7 +83,7 @@ func runMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gold
 	}
 	plan, err := planMatrix(cfg, specs, att, cache, windows)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r := newMatrixRun(cfg, specs, att, cache, plan, windows != nil)
 	if tr != nil {
@@ -95,10 +94,10 @@ func runMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gold
 		}
 	}
 	if err := r.execute(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := r.settle(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if tr != nil {
 		for i := range specs {
@@ -107,28 +106,34 @@ func runMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *Gold
 		}
 		matrixSpan.End()
 	}
-	return r.results(), r.kept, nil
+	return r, nil
 }
 
 // newMatrixRun lays a plan out for execution: the flattened queue, the
-// result tables, the plan's stopping rules prefed with the journaled
-// completions, and one CellSinks per cell, the campaign rows registered
-// up front so the run path never allocates or locks.
+// plan's stopping rules prefed with the journaled completions, and one
+// CellLedger per cell, its campaign row registered up front so the run
+// path never allocates or locks.
 func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, plan *matrixPlan, shard bool) *matrixRun {
 	n := len(specs)
 	r := &matrixRun{
 		cfg: cfg, specs: specs, att: att, plan: plan, shard: shard,
-		sinks:     make([]CellSinks, n),
-		records:   make([][]LogRecord, n),
+		ledgers:   make([]*CellLedger, n),
 		checkRecs: make([][]LogRecord, n),
 	}
 	if shard {
 		r.kept = make([][]ShardRun, n)
 	}
 	totalMasks := 0
-	for i := range specs {
+	tel := att.Telemetry
+	for i, spec := range specs {
 		c := &plan.cells[i]
-		r.records[i] = make([]LogRecord, len(specs[i].Masks))
+		// A shard attaches no sink but the tracer.
+		sinks := CellSinks{Key: c.key, Journal: att.Journal, Divergence: att.Divergence}
+		if tel != nil {
+			sinks.Telemetry, sinks.Row = tel, tel.Campaign(c.key, spec.Tool, spec.Benchmark, spec.Structure)
+		}
+		r.ledgers[i] = NewCellLedger(sinks, len(spec.Masks))
+		r.ledgers[i].lo, r.ledgers[i].hi = c.win.lo, c.win.hi
 		if shard {
 			r.kept[i] = make([]ShardRun, c.win.hi-c.win.lo)
 		}
@@ -193,20 +198,9 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
-	if r.workers > len(r.queue) {
-		r.workers = len(r.queue)
-	}
+	r.workers = min(r.workers, len(r.queue))
 
-	// A shard attaches no sink but the tracer; the snapshot pulls
-	// golden-cache statistics live.
-	tel := att.Telemetry
-	for i, spec := range specs {
-		r.sinks[i] = CellSinks{Key: plan.cells[i].key, Journal: att.Journal, Divergence: att.Divergence}
-		if tel != nil {
-			r.sinks[i].Telemetry = tel
-			r.sinks[i].Row = tel.Campaign(plan.cells[i].key, spec.Tool, spec.Benchmark, spec.Structure)
-		}
-	}
+	// The snapshot pulls golden-cache statistics live.
 	if tel != nil {
 		tel.SetCacheSource(cache.Observe)
 		tel.SetDecodeSource(interp.DecodeCacheStats)
@@ -228,30 +222,32 @@ func (r *matrixRun) window(q scheduledRun) *windowConfig {
 	return r.plan.win
 }
 
-// commit is the one exit of a mask from the scheduler: its record joins
-// the results and its outcome goes to the cell's sinks — or, in a shard,
-// back to the caller as it is.
-func (r *matrixRun) commit(cell int, run ShardRun, dispatched bool) error {
-	r.records[cell][run.Index] = run.Record
+// settleRun settles one outcome in its cell's ledger and, in a shard,
+// keeps it for the caller as it is: a replicated stub unresolved, since
+// its representative may live in another shard's window.
+func (r *matrixRun) settleRun(cell int, run ShardRun, dispatched bool) error {
 	if r.shard {
 		r.kept[cell][run.Index-r.plan.cells[cell].win.lo] = run
 	}
-	return r.sinks[cell].Commit(run, dispatched)
+	return r.ledgers[cell].Settle(run, dispatched)
 }
 
 // execute is the execute stage: the worker pool over the queue. Each
-// finished run is committed — journal line fsync'd first — before its
+// finished run is settled — journal line fsync'd first — before its
 // worker takes the next one.
 func (r *matrixRun) execute() error {
 	// Resumed runs completed in an earlier process: their outcomes carry
 	// the journaled record and trace provenance (so the trace sink
 	// reproduces the uninterrupted trace byte-for-byte) but no wall time,
 	// footprint or commit-stream verdict, and are flagged Resumed so the
-	// throughput gauges stay about this process's work. They commit
-	// before the pool starts.
+	// throughput gauges stay about this process's work. They settle
+	// before the pool starts; a journaled stopped row only waits for the
+	// re-derived stop decision (CellLedger.Journaled).
 	for i := range r.plan.cells {
 		for _, run := range r.plan.cells[i].resumed {
-			if err := r.commit(i, run, false); err != nil {
+			if run.Stopped() {
+				r.ledgers[i].Journaled(run)
+			} else if err := r.settleRun(i, run, false); err != nil {
 				return err
 			}
 		}
@@ -420,7 +416,7 @@ func (r *matrixRun) execute() error {
 					cond.Broadcast()
 					mu.Unlock()
 				}
-				if err := r.commit(q.cell, run, true); err != nil {
+				if err := r.settleRun(q.cell, run, true); err != nil {
 					fail(i, err)
 					return
 				}
@@ -434,42 +430,14 @@ func (r *matrixRun) execute() error {
 	return firstErr
 }
 
-// settle is the settle stage: it commits the masks execution did not —
+// settle is the settle stage: it settles the masks execution did not —
 // the tails the stop decisions cancelled and the masks the plan settled
 // without simulation — and compares the guard checks. It touches the
-// sinks and the record tables, never a simulator.
+// ledgers, never a simulator.
 func (r *matrixRun) settle() error {
-	tel := r.att.Telemetry
-	// Every in-window mask past a stopped cell's cutoff — queued,
-	// dead-pruned or replicated alike — becomes a synthetic stopped-early
-	// provenance row. Settling the whole tail uniformly (rather than only
-	// the queued entries) is what keeps single-node and distributed
-	// campaigns byte-identical: a coordinator cancelling a shard cannot
-	// know the shard's plan actions. Rows a resumed journal already
-	// settled keep their journaled record and get no duplicate telemetry
-	// or journal line.
 	for i := range r.plan.cells {
-		st := r.plan.cells[i].stop
-		if info := st.Info(); tel != nil && info != nil {
-			if info.StoppedEarly {
-				tel.CellStopped(info.EffectiveMargin)
-			} else {
-				tel.ObserveCellMargin(info.EffectiveMargin)
-			}
-		}
-		if !st.Stopped() {
-			continue
-		}
-		for m, mask := range r.specs[i].Masks {
-			if !r.plan.cells[i].win.holds(m) || !st.Cancelled(m) {
-				continue
-			}
-			if r.records[i][m].Status != "" {
-				continue // resumed stopped row, already settled
-			}
-			if err := r.commit(i, StoppedRun(m, mask), false); err != nil {
-				return err
-			}
+		if err := r.ledgers[i].SettleStopped(r.plan.cells[i].stop, r.specs[i].Masks); err != nil {
+			return err
 		}
 	}
 
@@ -477,32 +445,22 @@ func (r *matrixRun) settle() error {
 	// synthetic pruned outcome, replicas as their representative's verdict
 	// under their own identity. Telemetry sees one started/done pair per
 	// pruned mask (keeping queued == done) with the prune provenance on
-	// the event; the collector excludes them from throughput gauges.
+	// the event; the collector excludes them from throughput gauges. A
+	// shard hands a replica back as its stub and whoever merges the
+	// shards resolves it — even when the representative happens to be
+	// in-window, which keeps every shard's treatment of replicated rows
+	// identical.
 	for i := range r.plan.cells {
 		c := &r.plan.cells[i]
 		for m, d := range c.disp {
-			if d.kind != dispDead && d.kind != dispReplica {
-				continue
+			if d.kind != dispDead && d.kind != dispReplica || c.stop.Cancelled(m) {
+				continue // a cancelled mask was settled as a stopped-early row above
 			}
-			if c.stop.Cancelled(m) {
-				continue // settled as a stopped-early row above
+			run := dead(m, r.specs[i].Masks[m], c.golden)
+			if d.kind == dispReplica {
+				run = replicated(m, r.specs[i].Masks[m], d.rep)
 			}
-			mask := r.specs[i].Masks[m]
-			var err error
-			switch {
-			case d.kind == dispDead:
-				err = r.commit(i, dead(m, mask, c.golden), false)
-			case r.shard:
-				// The representative may live in another shard's window, so
-				// a shard hands the stub back unresolved and whoever merges
-				// the shards resolves it — even when the representative
-				// happens to be in-window, which keeps every shard's
-				// treatment of replicated rows identical.
-				r.kept[i][m-c.win.lo] = replicated(m, mask, d.rep)
-			default:
-				err = r.commit(i, replicated(m, mask, d.rep).Resolve(r.records[i][d.rep]), false)
-			}
-			if err != nil {
+			if err := r.settleRun(i, run, false); err != nil {
 				return err
 			}
 		}
@@ -520,7 +478,7 @@ func (r *matrixRun) settle() error {
 	for i := range r.plan.cells {
 		c := &r.plan.cells[i]
 		for j, k := range c.checks {
-			ref, got := r.records[i][k.ref], r.checkRecs[i][j]
+			ref, got := r.ledgers[i].records[k.ref], r.checkRecs[i][j]
 			if ref.Status == RunStopped.String() || got.Status == "" {
 				// The stop decision settled the reference (or cancelled
 				// the check before it dispatched): nothing to compare.
@@ -546,12 +504,16 @@ func (r *matrixRun) settle() error {
 	return nil
 }
 
-// results assembles the per-cell results once everything is settled.
-func (r *matrixRun) results() []*CampaignResult {
+// results is every cell's result, built by its ledger once everything
+// is settled.
+func (r *matrixRun) results() ([]*CampaignResult, error) {
 	out := make([]*CampaignResult, len(r.specs))
 	for i := range r.specs {
 		c := &r.plan.cells[i]
-		out[i] = &CampaignResult{Golden: c.golden, Records: r.records[i], Adaptive: c.stop.Info()}
+		var err error
+		if out[i], err = r.ledgers[i].Result(c.golden, c.stop); err != nil {
+			return nil, err
+		}
 		if r.cfg.Exhaustive {
 			// An exhaustive cell enumerated its collapsed mask space; its
 			// estimate is a census, not a sample: complete, zero margin.
@@ -559,14 +521,10 @@ func (r *matrixRun) results() []*CampaignResult {
 			if c.prune != nil {
 				sim = c.prune.Simulated
 			}
-			out[i].Adaptive = &AdaptiveInfo{
-				Complete:      true,
-				SimulatedRuns: sim,
-				PlannedRuns:   len(r.specs[i].Masks),
-			}
+			out[i].Adaptive = &AdaptiveInfo{Complete: true, SimulatedRuns: sim, PlannedRuns: len(r.specs[i].Masks)}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // emitRunSpans emits the span of one injection run plus its execution

@@ -72,7 +72,8 @@ type CoordinatorOptions struct {
 	// record per merged mask, projected from the outcome the worker
 	// shipped — so the sorted sink flushes byte-identical to a
 	// single-node -divergence run of the same config (replicated rows
-	// are resolved coordinator-side at finalize, like the plan settle).
+	// are resolved coordinator-side by the cell's core.CellLedger, like
+	// the plan settle).
 	Divergence *divergence.Sink
 	// Tracer, when non-nil, assembles the campaign's end-to-end span
 	// tree: a root campaign span, a pre-identified shard span per shard
@@ -95,7 +96,7 @@ type CoordinatorOptions struct {
 	Cell func(campaign int) ([]fault.Mask, *core.StopRule, error)
 
 	// Resume replays the campaign's durable run journals before serving
-	// any lease: journaled runs prefill the exactly-once ledger (and the
+	// any lease: journaled runs settle in the cells' ledgers (and the
 	// stopping rules re-derive any stop decision from the real
 	// completions, exactly like the single-node resume), fully-replayed
 	// shards never lease again, and the journals are never re-appended
@@ -159,29 +160,30 @@ type shardState struct {
 	retries  int
 }
 
-// cellControl is the commit-order buffer through which the coordinator
-// drives one campaign cell's core.StopRule, the rule the single-node
-// scheduler drives. Workers always run their whole shard (RunShard
-// disarms the local rule); the coordinator owns the global decision and
-// keeps the rule's input order fixed: merged rows buffer in pend until
-// every lower mask index has merged, then commit in mask order, each
-// noted to the rule. The decision therefore depends only on the config,
-// never on shard size, worker count, or merge timing — a 1-, 2- and
-// 4-worker fleet stop at the identical cutoff, and journals, records and
-// divergence files come out identical to a single-node run's.
-type cellControl struct {
+// cellState is one campaign cell as the coordinator settles it: its
+// core.CellLedger (the settle table a single-node run settles the cell
+// with), its journal, the golden header the first merged shard supplied
+// and, in an adaptive campaign, the commit-order buffer through which
+// the coordinator drives the cell's core.StopRule, the rule the
+// single-node scheduler drives. Workers always run their whole shard
+// (RunShard disarms the local rule); the coordinator owns the global
+// decision and keeps the rule's input order fixed: merged rows buffer in
+// pend until every lower mask index has merged, then commit in mask
+// order, each noted to the rule. The decision therefore depends only on
+// the config, never on shard size, worker count, or merge timing — a 1-,
+// 2- and 4-worker fleet stop at the identical cutoff, and journals,
+// records and divergence files come out identical to a single-node run's.
+type cellState struct {
+	ledger    *core.CellLedger
+	journal   *fault.Journal
+	golden    core.GoldenInfo // the header of the first shard merged
+	goldenSet bool
+	masks     []fault.Mask // the Cell population, once materialized
+
 	rule     *core.StopRule
-	pend     []*core.ShardRun // merged-but-uncommitted rows, by mask index
+	pend     []*core.ShardRun // merged-but-uncommitted rows, by mask index; nil unless adaptive
 	frontier int              // mask indices [0, frontier) committed
 	settled  bool             // the stopped tail has been settled
-}
-
-// pendingReplica is a replicated stub awaiting its representative's
-// merged record; resolved at finalize exactly like the single-node
-// plan settle.
-type pendingReplica struct {
-	campaign int
-	stub     core.ShardRun
 }
 
 // Coordinator is one campaign's shard ledger: it plans the config into
@@ -195,17 +197,10 @@ type Coordinator struct {
 	mu        sync.Mutex
 	shards    []*shardState
 	remaining int
-	goldens   []core.GoldenInfo
-	goldenSet []bool
-	records   [][]core.LogRecord
-	filled    [][]bool
-	replicas  []pendingReplica
-	adapt     []*cellControl // per-cell commit-order buffers, nil when the rule is off
-	masks     [][]fault.Mask // Cell populations of adaptive cells
-	// sinks are the per-cell destinations of every committed outcome:
-	// the merged collector and its campaign row, the cell's journal
-	// (opened at New) and the divergence sink.
-	sinks       []core.CellSinks
+	// cells settle every merged outcome of a cell through its ledger's
+	// sinks: the merged collector and its campaign row, the cell's
+	// journal (opened at New) and the divergence sink.
+	cells       []*cellState
 	resumedRuns int
 	rootSpan    *telemetry.ActiveSpan
 	stats       Stats
@@ -224,8 +219,11 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 	if cfg.Exhaustive {
 		return nil, fmt.Errorf("dist: exhaustive campaigns have no fixed shard geometry (the census size is profile-derived); run them single-node")
 	}
-	if cfg.StopMargin > 0 && opt.Cell == nil {
+	switch {
+	case cfg.StopMargin > 0 && opt.Cell == nil:
 		return nil, fmt.Errorf("dist: adaptive campaigns (stop_margin) need CoordinatorOptions.Cell for their stopping rules")
+	case opt.Resume && (opt.JournalFor == nil || opt.Cell == nil):
+		return nil, fmt.Errorf("dist: resume requires CoordinatorOptions.JournalFor, and Cell to validate journaled masks")
 	}
 	if cfg.SchemaVersion == 0 {
 		// Stamp the lowest version that can express the config: configs
@@ -236,42 +234,14 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 	if opt.now == nil {
 		opt.now = time.Now
 	}
-	c := &Coordinator{
-		cfg: cfg, opt: opt, keys: cfg.Keys(),
-		goldens:   make([]core.GoldenInfo, len(cfg.Campaigns)),
-		goldenSet: make([]bool, len(cfg.Campaigns)),
-		records:   make([][]core.LogRecord, len(cfg.Campaigns)),
-		filled:    make([][]bool, len(cfg.Campaigns)),
-		sinks:     make([]core.CellSinks, len(cfg.Campaigns)),
-		doneCh:    make(chan struct{}),
-	}
-	if cfg.StopMargin > 0 {
-		c.adapt = make([]*cellControl, len(cfg.Campaigns))
-		c.masks = make([][]fault.Mask, len(cfg.Campaigns))
-		for i := range cfg.Campaigns {
-			masks, rule, err := c.cell(i)
-			if err != nil {
-				return nil, err
-			}
-			c.masks[i] = masks
-			c.adapt[i] = &cellControl{rule: rule, pend: make([]*core.ShardRun, len(masks))}
-		}
-	}
+	c := &Coordinator{cfg: cfg, opt: opt, keys: cfg.Keys(), cells: make([]*cellState, len(cfg.Campaigns)), doneCh: make(chan struct{})}
 	total := 0
 	size := opt.shardSize()
 	for i := range cfg.Campaigns {
 		n := cfg.MaskCount(i)
 		total += n
-		c.records[i] = make([]core.LogRecord, n)
-		c.filled[i] = make([]bool, n)
 		for lo := 0; lo < n; lo += size {
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			c.shards = append(c.shards, &shardState{
-				shard: api.Shard{ID: len(c.shards), Campaign: i, MaskLo: lo, MaskHi: hi},
-			})
+			c.shards = append(c.shards, &shardState{shard: api.Shard{ID: len(c.shards), Campaign: i, MaskLo: lo, MaskHi: min(lo+size, n)}})
 		}
 	}
 	c.remaining = len(c.shards)
@@ -293,19 +263,28 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 		tel.AddQueued(total)
 	}
 	for i, cell := range cfg.Campaigns {
-		sk := &c.sinks[i]
-		sk.Key, sk.Divergence = c.keys[i], opt.Divergence
+		cl := &cellState{}
+		c.cells[i] = cl
+		sk := core.CellSinks{Key: c.keys[i], Divergence: opt.Divergence}
 		if tel := opt.Telemetry; tel != nil {
 			sk.Telemetry, sk.Row = tel, tel.Campaign(c.keys[i], cell.Tool, cell.Benchmark, cell.Structure)
 		}
-		if opt.JournalFor != nil {
-			jnl, err := opt.JournalFor(c.keys[i])
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("dist: opening journal for %s: %w", c.keys[i], err)
-			}
-			sk.Journal = jnl
+		var err error
+		if cfg.StopMargin > 0 {
+			cl.masks, cl.rule, err = c.cell(i)
+			cl.pend = make([]*core.ShardRun, len(cl.masks))
 		}
+		if err == nil && opt.JournalFor != nil {
+			if cl.journal, err = opt.JournalFor(c.keys[i]); err != nil {
+				err = fmt.Errorf("dist: opening journal for %s: %w", c.keys[i], err)
+			}
+			sk.Journal = cl.journal
+		}
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		cl.ledger = core.NewCellLedger(sk, cfg.MaskCount(i))
 	}
 	if opt.Resume {
 		if err := c.resume(); err != nil {
@@ -317,77 +296,58 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 }
 
 // resume replays the durable run journals of a previous coordinator
-// process into the exactly-once ledger. Journaled simulated runs commit
+// process into the cells' ledgers. Journaled simulated runs commit
 // through the same frontier machinery live merges use — so the adaptive
 // stop decision re-derives from the real completions alone, at the
 // identical boundary, regardless of where the crash fell — and journaled
-// stop rows prefill the ledger without feeding the estimators. Shards
-// whose whole window replayed never lease again, except that one shard
+// stop rows are only noted (CellLedger.Journaled): they never feed the
+// estimators, and the re-derived decision settles them flagged Resumed.
+// Shards whose whole window replayed never lease again, except that one shard
 // per cell is kept queued while the cell's golden header is unknown: the
 // journal carries no golden run, so one worker re-runs a shard (its rows
 // dedup against the ledger) purely to re-supply the fault-free
 // reference.
 func (c *Coordinator) resume() error {
-	if c.opt.JournalFor == nil {
-		return fmt.Errorf("dist: resume requires CoordinatorOptions.JournalFor")
-	}
-	if c.opt.Cell == nil {
-		return fmt.Errorf("dist: resume requires CoordinatorOptions.Cell to validate journaled masks")
-	}
-	for i := range c.cfg.Campaigns {
-		entries := c.sinks[i].Journal.Entries()
+	for i, cl := range c.cells {
+		entries := cl.journal.Entries()
 		if len(entries) == 0 {
 			continue
 		}
-		var ctl *cellControl
-		var masks []fault.Mask
 		var err error
-		if c.adapt != nil {
-			ctl, masks = c.adapt[i], c.masks[i]
-		} else if masks, _, err = c.cell(i); err != nil {
-			return err
+		if cl.masks == nil {
+			if cl.masks, _, err = c.cell(i); err != nil {
+				return err
+			}
 		}
-		runs, err := core.ReplayJournal(c.keys[i], entries, masks)
+		runs, err := core.ReplayJournal(c.keys[i], entries, cl.masks)
 		if err != nil {
 			return err
 		}
 		// Mask order is commit order, whatever order the lines are in.
-		for idx := range masks {
+		for idx := range cl.masks {
 			run, ok := runs[idx]
-			if !ok {
-				continue
-			}
-			c.filled[i][idx] = true
-			if run.Stopped() {
-				// Stop rows prefill the ledger but never feed the rule: if
-				// the decision re-derives, settleStopsLocked settles them
-				// again (flagged Resumed); trusting them directly could
-				// disagree with a re-derived decision.
-				c.records[i][idx] = run.Record
-				continue
-			}
-			c.resumedRuns++
-			if ctl != nil {
-				r := run
-				ctl.pend[idx] = &r
-				continue
-			}
-			if err := c.commitRunLocked(i, run); err != nil {
-				return err
+			switch {
+			case !ok:
+			case run.Stopped():
+				cl.ledger.Journaled(run)
+			case cl.pend != nil:
+				c.resumedRuns++
+				cl.pend[idx] = &run
+			default:
+				c.resumedRuns++
+				if err := cl.ledger.Settle(run, false); err != nil {
+					return err
+				}
 			}
 		}
-		if ctl != nil {
-			if err := c.advanceFrontierLocked(i, ctl); err != nil {
-				return err
-			}
-		}
-	}
-	if c.adapt != nil {
-		if err := c.settleStopsLocked(); err != nil {
+		if err := c.advanceFrontierLocked(cl); err != nil {
 			return err
 		}
 	}
-	for i := range c.cfg.Campaigns {
+	if err := c.settleStopsLocked(); err != nil {
+		return err
+	}
+	for i, cl := range c.cells {
 		var full []*shardState
 		partial := false
 		for _, s := range c.shards {
@@ -395,11 +355,8 @@ func (c *Coordinator) resume() error {
 				continue
 			}
 			f := true
-			for m := s.shard.MaskLo; m < s.shard.MaskHi; m++ {
-				if !c.filled[i][m] {
-					f = false
-					break
-				}
+			for m := s.shard.MaskLo; m < s.shard.MaskHi && f; m++ {
+				f = cl.merged(m)
 			}
 			if f {
 				full = append(full, s)
@@ -408,24 +365,17 @@ func (c *Coordinator) resume() error {
 			}
 		}
 		for k, s := range full {
-			if k == 0 && !partial && !c.goldenSet[i] {
+			if k == 0 && !partial && !cl.goldenSet {
 				continue // kept queued: a worker re-runs it for the golden header
 			}
-			s.state = shardCompleted
-			c.remaining--
+			c.retireLocked(s, "")
 			c.stats.Completed++
 		}
 	}
 	if c.resumedRuns > 0 {
 		c.logf("dist: resumed %d journaled runs; %d/%d shards already complete", c.resumedRuns, c.stats.Completed, c.stats.Shards)
 	}
-	if c.remaining == 0 && c.failure == nil {
-		if err := c.finalizeLocked(); err != nil {
-			c.failLocked(err)
-		} else {
-			c.finishLocked()
-		}
-	}
+	c.finalizeLocked()
 	return nil
 }
 
@@ -466,6 +416,13 @@ func (c *Coordinator) finishLocked() {
 		}
 		close(c.doneCh)
 	}
+}
+
+// retireLocked takes shard s off the queue for good, crediting worker
+// (empty for a shard no worker completed).
+func (c *Coordinator) retireLocked(s *shardState, worker string) {
+	s.state, s.worker = shardCompleted, worker
+	c.remaining--
 }
 
 // sweepLocked requeues the shards of workers that stopped heartbeating.
@@ -514,13 +471,10 @@ func (c *Coordinator) Cancel(reason string) {
 		reason = "cancelled"
 	}
 	for _, s := range c.shards {
-		if s.state == shardCompleted {
-			continue
+		if s.state != shardCompleted {
+			c.retireLocked(s, "")
+			c.stats.Cancelled++
 		}
-		s.state = shardCompleted
-		s.worker = ""
-		c.remaining--
-		c.stats.Cancelled++
 	}
 	c.failLocked(fmt.Errorf("%w: %s", ErrCancelled, reason))
 }
@@ -561,13 +515,7 @@ func (c *Coordinator) Lease(workerID string) api.LeaseResponse {
 	}
 	wait := time.Second
 	if !nearest.IsZero() {
-		wait = nearest.Sub(now)
-	}
-	if wait < 50*time.Millisecond {
-		wait = 50 * time.Millisecond
-	}
-	if wait > time.Second {
-		wait = time.Second
+		wait = min(max(nearest.Sub(now), 50*time.Millisecond), time.Second)
 	}
 	return api.LeaseResponse{Status: api.StatusWait, WaitMS: wait.Milliseconds()}
 }
@@ -627,9 +575,7 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 		c.failLocked(err)
 		return c.ackLocked(api.CompleteResponse{OK: true})
 	}
-	s.state = shardCompleted
-	s.worker = req.WorkerID
-	c.remaining--
+	c.retireLocked(s, req.WorkerID)
 	c.stats.Completed++
 	if tr := c.opt.Tracer; tr != nil {
 		// Worker spans first (they are the shard span's subtree), then
@@ -652,105 +598,70 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 		})
 	}
 	c.logf("dist: shard %d completed by %s (%d/%d)", s.shard.ID, req.WorkerID, c.stats.Completed, c.stats.Shards)
-	if c.adapt != nil {
-		// A merge may have fired a cell's stopping rule; settle the
-		// cancelled masks and shards after this shard's own bookkeeping so
-		// the cancellation sweep never double-counts it.
-		if err := c.settleStopsLocked(); err != nil {
-			c.failLocked(err)
-			return c.ackLocked(api.CompleteResponse{OK: true})
-		}
+	// A merge may have fired a cell's stopping rule; settle the cancelled
+	// masks and shards after this shard's own bookkeeping so the
+	// cancellation sweep never double-counts it.
+	if err := c.settleStopsLocked(); err != nil {
+		c.failLocked(err)
+		return c.ackLocked(api.CompleteResponse{OK: true})
 	}
-	if c.remaining == 0 && c.failure == nil {
-		if err := c.finalizeLocked(); err != nil {
-			c.failLocked(err)
-		} else {
-			c.finishLocked()
-		}
-	}
+	c.finalizeLocked()
 	return c.ackLocked(api.CompleteResponse{OK: true, Accepted: true})
 }
 
-// mergeLocked folds one shard result into the exactly-once ledger and
-// commits its outcomes — the ones the shard's scheduler built, through
-// the commit a single-node run settles its masks with.
+// mergeLocked checks one shard result and settles its outcomes — the
+// ones the shard's scheduler built — in the cell's ledger.
 func (c *Coordinator) mergeLocked(sh api.Shard, res *core.ShardResult) error {
 	if res == nil {
 		return fmt.Errorf("dist: shard %d completed without a result", sh.ID)
 	}
-	if len(res.Runs) != sh.MaskHi-sh.MaskLo {
-		return fmt.Errorf("dist: shard %d returned %d runs for window [%d,%d)", sh.ID, len(res.Runs), sh.MaskLo, sh.MaskHi)
+	cl := c.cells[sh.Campaign]
+	if err := cl.ledger.CheckRows(sh.MaskLo, sh.MaskHi, res.Runs); err != nil {
+		return fmt.Errorf("dist: shard %d: %w", sh.ID, err)
 	}
-	i := sh.Campaign
-	if !c.goldenSet[i] {
-		c.goldens[i] = res.Golden
-		c.goldenSet[i] = true
-	} else if !reflect.DeepEqual(c.goldens[i], res.Golden) {
+	if !cl.goldenSet {
+		cl.golden, cl.goldenSet = res.Golden, true
+	} else if !reflect.DeepEqual(cl.golden, res.Golden) {
 		// Deterministic simulators must agree on the fault-free reference;
 		// a mismatch means the fleet runs divergent builds.
-		return fmt.Errorf("dist: shard %d golden header disagrees with campaign %d's (mixed worker builds?)", sh.ID, i)
-	}
-	var ctl *cellControl
-	if c.adapt != nil {
-		ctl = c.adapt[i]
+		return fmt.Errorf("dist: shard %d golden header disagrees with campaign %d's (mixed worker builds?)", sh.ID, sh.Campaign)
 	}
 	for _, run := range res.Runs {
-		if run.Index < sh.MaskLo || run.Index >= sh.MaskHi {
-			return fmt.Errorf("dist: shard %d returned mask index %d outside window [%d,%d)", sh.ID, run.Index, sh.MaskLo, sh.MaskHi)
-		}
-		if c.filled[i][run.Index] {
-			continue // exactly-once ledger: an overlapping row merges once
-		}
-		c.filled[i][run.Index] = true
-		if ctl != nil && !ctl.settled {
+		if cl.pend == nil || cl.settled {
+			// The ledger keeps the first settle of an index; on a settled
+			// cell the only open masks left are pruned/replicated holes a
+			// resumed coordinator could not replay from the journal.
+			if err := cl.ledger.Settle(run, false); err != nil {
+				return err
+			}
+		} else if !cl.merged(run.Index) {
 			// Adaptive cells commit in mask order through the frontier
 			// below, never directly — merge order must not influence the
 			// stop decision or the artifact byte streams.
-			r := run
-			ctl.pend[run.Index] = &r
-			continue
-		}
-		// A settled cell's frontier is resolved: the only unfilled masks
-		// left are pruned/replicated holes a resumed coordinator could not
-		// replay from the journal, and they commit directly.
-		if err := c.commitRunLocked(i, run); err != nil {
-			return err
+			cl.pend[run.Index] = &run
 		}
 	}
-	if ctl != nil && !ctl.rule.Stopped() {
-		return c.advanceFrontierLocked(i, ctl)
-	}
-	return nil
+	return c.advanceFrontierLocked(cl)
 }
 
-// commitRunLocked folds one merged row into the ledger: a replicated
-// stub waits for finalize, every other outcome lands in the record
-// array and goes through the cell's sinks — the same core.CellSinks
-// commit that settles a single-node run's masks.
-func (c *Coordinator) commitRunLocked(i int, run core.ShardRun) error {
-	if run.Pruned == "replicated" {
-		c.replicas = append(c.replicas, pendingReplica{campaign: i, stub: run})
-		return nil
-	}
-	c.records[i][run.Index] = run.Record
-	return c.sinks[i].Commit(run, false)
+// merged reports whether mask m has merged: the ledger knows it, or it
+// is buffered for the frontier.
+func (cl *cellState) merged(m int) bool {
+	return cl.ledger.Known(m) || cl.pend != nil && cl.pend[m] != nil
 }
 
 // advanceFrontierLocked commits the contiguous prefix of buffered rows
-// of one adaptive cell, noting each to the cell's rule, and stops at the
+// of an adaptive cell, noting each to the cell's rule, and stops at the
 // row that fires it: the rule cancels everything past that row.
-func (c *Coordinator) advanceFrontierLocked(i int, ctl *cellControl) error {
-	for ctl.frontier < len(ctl.pend) && ctl.pend[ctl.frontier] != nil {
-		run := *ctl.pend[ctl.frontier]
-		if err := c.commitRunLocked(i, run); err != nil {
+func (c *Coordinator) advanceFrontierLocked(cl *cellState) error {
+	for !cl.rule.Stopped() && cl.frontier < len(cl.pend) && cl.pend[cl.frontier] != nil {
+		run := *cl.pend[cl.frontier]
+		if err := cl.ledger.Settle(run, false); err != nil {
 			return err
 		}
-		ctl.pend[ctl.frontier] = nil
-		ctl.frontier++
-		ctl.rule.Note(run.Index, string(run.Class()))
-		if ctl.rule.Stopped() {
-			return nil
-		}
+		cl.pend[cl.frontier] = nil
+		cl.frontier++
+		cl.rule.Note(run.Index, string(run.Class()))
 	}
 	return nil
 }
@@ -768,46 +679,27 @@ func (c *Coordinator) cell(i int) ([]fault.Mask, *core.StopRule, error) {
 	return m, rule, nil
 }
 
-// settleStopsLocked settles every mask a freshly stopped cell's rule
-// cancelled as a stopped-early outcome — through the same constructor and
-// commit as the single-node settle pass — and cancels the cell's
-// outstanding shards: queued ones never lease again, and a late
-// completion from a still-running worker is discarded as a duplicate by
-// the exactly-once ledger.
+// settleStopsLocked settles the cancelled tail of every freshly stopped
+// cell in its ledger — the settle a single-node run ends a stopped cell
+// with — and cancels the cell's outstanding shards: queued ones never
+// lease again, and a late completion from a still-running worker is
+// discarded as a duplicate.
 func (c *Coordinator) settleStopsLocked() error {
-	for i, ctl := range c.adapt {
-		if ctl == nil || !ctl.rule.Stopped() || ctl.settled {
+	for i, cl := range c.cells {
+		if !cl.rule.Stopped() || cl.settled {
 			continue
 		}
-		ctl.settled = true
-		masks := c.masks[i]
-		for idx := range masks {
-			if !ctl.rule.Cancelled(idx) {
-				continue
-			}
-			run := core.StoppedRun(idx, masks[idx])
-			// A resumed coordinator may have replayed this stop row from
-			// the journal (nothing else leaves a stopped record past the
-			// cutoff); the re-derived decision settles it again with
-			// identical content, flagged Resumed like any replayed run.
-			run.Resumed = c.records[i][idx].Status == run.Record.Status
-			c.records[i][idx] = run.Record
-			c.filled[i][idx] = true
-			ctl.pend[idx] = nil
-			if err := c.sinks[i].Commit(run, false); err != nil {
-				return err
-			}
-		}
-		info := ctl.rule.Info()
-		if tel := c.opt.Telemetry; tel != nil {
-			tel.CellStopped(info.EffectiveMargin)
+		cl.settled = true
+		clear(cl.pend) // every buffered row lies past the cutoff
+		if err := cl.ledger.SettleStopped(cl.rule, cl.masks); err != nil {
+			return err
 		}
 		// The cancellation sweep retires the cell's outstanding shards —
 		// except, on a resumed coordinator that has never heard from a
 		// worker for this cell, one shard stays queued so a worker can
 		// re-supply the golden header the journal does not carry.
 		keep := -1
-		if !c.goldenSet[i] {
+		if !cl.goldenSet {
 			for _, s := range c.shards {
 				if s.shard.Campaign == i && s.state != shardCompleted {
 					keep = s.shard.ID
@@ -820,54 +712,34 @@ func (c *Coordinator) settleStopsLocked() error {
 			if s.shard.Campaign != i || s.state == shardCompleted || s.shard.ID == keep {
 				continue
 			}
-			s.state = shardCompleted
-			s.worker = ""
-			c.remaining--
+			c.retireLocked(s, "")
 			c.stats.Cancelled++
 			cancelled++
 		}
+		info := cl.rule.Info()
 		c.logf("dist: campaign %d stopped early after %d simulated runs (margin %.4f); %d shards cancelled",
 			i, info.SimulatedRuns, info.EffectiveMargin, cancelled)
 	}
 	return nil
 }
 
-// finalizeLocked resolves replicated rows against their merged
-// representatives — copying the representative's record and restamping
-// the mask identity, exactly as the single-node plan fill-in does —
-// then checks the per-mask ledger is complete and builds the results.
-func (c *Coordinator) finalizeLocked() error {
-	for _, r := range c.replicas {
-		i, rep := r.campaign, r.stub.RepIndex
-		if !c.filled[i][rep] {
-			return fmt.Errorf("dist: campaign %d mask %d replicates mask %d, which never completed", i, r.stub.Index, rep)
-		}
-		run := r.stub.Resolve(c.records[i][rep])
-		c.records[i][run.Index] = run.Record
-		if err := c.sinks[i].Commit(run, false); err != nil {
-			return err
+// finalizeLocked ends the campaign once every shard is in and nothing
+// failed: each cell's ledger checks that every mask settled and builds
+// the cell's result.
+func (c *Coordinator) finalizeLocked() {
+	if c.remaining > 0 || c.failure != nil {
+		return
+	}
+	results := make([]*core.CampaignResult, len(c.cells))
+	for i, cl := range c.cells {
+		var err error
+		if results[i], err = cl.ledger.Result(cl.golden, cl.rule); err != nil {
+			c.failLocked(fmt.Errorf("dist: campaign %d: %w", i, err))
+			return
 		}
 	}
-	for i := range c.records {
-		for m, ok := range c.filled[i] {
-			if !ok {
-				return fmt.Errorf("dist: campaign %d mask %d never completed despite all shards reporting", i, m)
-			}
-		}
-	}
-	c.results = make([]*core.CampaignResult, len(c.records))
-	for i := range c.records {
-		c.results[i] = &core.CampaignResult{Golden: c.goldens[i], Records: c.records[i]}
-		if c.adapt == nil {
-			continue
-		}
-		info := c.adapt[i].rule.Info()
-		if tel := c.opt.Telemetry; tel != nil && info != nil && !info.StoppedEarly {
-			tel.ObserveCellMargin(info.EffectiveMargin)
-		}
-		c.results[i].Adaptive = info
-	}
-	return nil
+	c.results = results
+	c.finishLocked()
 }
 
 // Wait blocks until every shard has completed (returning the merged
@@ -905,9 +777,9 @@ func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var first error
-	for i := range c.sinks {
-		if j := c.sinks[i].Journal; j != nil {
-			if err := j.Close(); err != nil && first == nil {
+	for _, cl := range c.cells {
+		if cl != nil && cl.journal != nil {
+			if err := cl.journal.Close(); err != nil && first == nil {
 				first = err
 			}
 		}

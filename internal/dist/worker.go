@@ -305,7 +305,7 @@ func RunWorker(ctx context.Context, svcURL string, opt WorkerOptions) error {
 // foldShardResult commits one shard's outcomes to the worker's own
 // collector — the commit the coordinator's merge uses, with no journal
 // or divergence sink behind it. Replicated stubs are skipped: their
-// verdicts are resolved coordinator-side at finalize, and counting a
+// verdicts are resolved by the coordinator's ledger, and counting a
 // stub here would inflate the fleet totals relative to the merged view.
 func foldShardResult(tel *telemetry.Collector, wc *workerCampaign, campaign int, res *core.ShardResult) {
 	if res == nil {
@@ -318,15 +318,9 @@ func foldShardResult(tel *telemetry.Collector, wc *workerCampaign, campaign int,
 		sinks = &core.CellSinks{Key: key, Telemetry: tel, Row: tel.Campaign(key, cell.Tool, cell.Benchmark, cell.Structure)}
 		wc.sinks[campaign] = sinks
 	}
-	n := 0
 	for _, run := range res.Runs {
 		if run.Pruned != "replicated" {
-			n++
-		}
-	}
-	tel.AddQueued(n)
-	for _, run := range res.Runs {
-		if run.Pruned != "replicated" {
+			tel.AddQueued(1)
 			_ = sinks.Commit(run, false) // only a journal append can fail, and there is none
 		}
 	}
