@@ -320,6 +320,28 @@ func (a *Array) ReadWordPair(entry int) (w0, w1 uint64) {
 	return w0, w1
 }
 
+// WriteWordPair writes words 0 and 1 of entry: exactly two WriteWord
+// calls (same counters, same profile events in the same order, same
+// per-word fault observation) with the per-access overhead paid once —
+// ReadWordPair's counterpart for the issue queue's allocations.
+func (a *Array) WriteWordPair(entry int, w0, w1 uint64) {
+	a.checkEntry(entry)
+	a.writes += 2
+	if a.prof != nil {
+		a.profRecord(AccessWrite, entry, 0, 64)
+		a.profRecord(AccessWrite, entry, 64, 64)
+	}
+	if a.needObs {
+		w0 = a.observeWrite(entry, 0, 64, w0)
+	}
+	base := entry * a.wordsPerEnt
+	a.data[base] = w0
+	if a.needObs {
+		w1 = a.observeWrite(entry, 64, 64, w1)
+	}
+	a.data[base+1] = w1
+}
+
 // Quiet reports whether no fault is attached and no profile is
 // recording. A read of a quiet array can do nothing but return the
 // stored word and bump the read counter, so an owner that keeps its
@@ -331,8 +353,39 @@ func (a *Array) ReadWordPair(entry int) (w0, w1 uint64) {
 func (a *Array) Quiet() bool { return len(a.faults) == 0 && a.prof == nil }
 
 // CountReads accounts n word reads that the owner served from its own
-// copy while the array was Quiet.
+// copy, or through Stored, while the array was Quiet.
 func (a *Array) CountReads(n int) { a.reads += uint64(n) }
+
+// Stored returns word word of entry as it is stored, without an access:
+// nothing is counted, profiled or observed. On a Quiet array that is all
+// ReadWord would do besides counting, so an owner may search its storage
+// through Stored and account the words it looked at with CountReads.
+func (a *Array) Stored(entry, word int) uint64 { return a.data[entry*a.wordsPerEnt+word] }
+
+// HoldsBytes reports whether the bytes stored at byte offset off of
+// entry equal ref. It is not an access (see Peek).
+func (a *Array) HoldsBytes(entry, off int, ref []byte) bool {
+	a.checkEntry(entry)
+	words := a.data[entry*a.wordsPerEnt : (entry+1)*a.wordsPerEnt]
+	byteAt := func(at int) byte { return byte(words[at>>3] >> (uint(at&7) * 8)) }
+	i := 0
+	for ; i < len(ref) && (off+i)&7 != 0; i++ {
+		if byteAt(off+i) != ref[i] {
+			return false
+		}
+	}
+	for ; len(ref)-i >= 8; i += 8 {
+		if words[(off+i)>>3] != binary.LittleEndian.Uint64(ref[i:]) {
+			return false
+		}
+	}
+	for ; i < len(ref); i++ {
+		if byteAt(off+i) != ref[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // ReadUint64 reads word 0 of entry; convenience for register-file-like
 // arrays whose entries are at most 64 bits wide.
@@ -814,8 +867,17 @@ func (a *Array) observeWriteBytes(entry, off int, src []byte) []byte {
 // InvalidateObserve tells the array that entry was invalidated (its live
 // state discarded) by the structure that owns it. A live transient fault
 // in a discarded entry can never be read again, so it is equivalent to
-// overwritten-before-read.
+// overwritten-before-read. On a quiet array there is nothing to tell,
+// and the check stays inlinable: every commit and every flushed issue
+// queue slot calls it.
 func (a *Array) InvalidateObserve(entry int) {
+	if a.Quiet() {
+		return
+	}
+	a.invalidateObserve(entry)
+}
+
+func (a *Array) invalidateObserve(entry int) {
 	if a.prof != nil {
 		// Invalidation discards the entry's live state whatever the bit,
 		// so the event covers the whole entry.

@@ -1,6 +1,9 @@
 package bitarray
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // benchSink defeats dead-code elimination in the benchmarks.
 var benchSink uint64
@@ -279,5 +282,101 @@ func BenchmarkByteAccess(b *testing.B) {
 				a.WriteBytes(i&63, c.off, buf)
 			}
 		})
+	}
+}
+
+// The pair accessors are two word accesses with the overhead paid once:
+// under every fault model, on either word of the pair and with a profile
+// recording, ReadWordPair and WriteWordPair must leave what two
+// ReadWord/WriteWord calls leave — values, stored bits, counters,
+// observation counters, fault status, footprint and profile.
+func TestWordPairsAreTwoWordAccesses(t *testing.T) {
+	for _, f := range []Fault{
+		{Kind: Transient, Entry: 2, Bit: 5, Start: 3},
+		{Kind: Transient, Entry: 2, Bit: 70, Start: 9},
+		{Kind: Intermittent, Entry: 1, Bit: 64, StuckVal: 1, Start: 4, Duration: 20},
+		{Kind: Permanent, Entry: 2, Bit: 127, StuckVal: 0, Start: 0},
+	} {
+		pair, single := New("q", 4, 128), New("q", 4, 128)
+		var cycle uint64
+		for _, a := range []*Array{pair, single} {
+			a.Arm(f)
+			a.StartProfile(func() uint64 { return cycle })
+		}
+		for cycle = 0; cycle < 40; cycle++ {
+			pair.Tick(cycle)
+			single.Tick(cycle)
+			e := int(cycle*7) % 4
+			w0, w1 := cycle*0x9e3779b97f4a7c15, ^cycle<<3
+			if cycle%3 == 0 {
+				pair.WriteWordPair(e, w0, w1)
+				single.WriteWord(e, 0, w0)
+				single.WriteWord(e, 1, w1)
+			} else {
+				p0, p1 := pair.ReadWordPair(e)
+				s0, s1 := single.ReadWord(e, 0), single.ReadWord(e, 1)
+				if p0 != s0 || p1 != s1 {
+					t.Fatalf("%+v cycle %d: pair read %#x %#x, two reads %#x %#x", f, cycle, p0, p1, s0, s1)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				if pair.Stored(i, 0) != single.Stored(i, 0) || pair.Stored(i, 1) != single.Stored(i, 1) {
+					t.Fatalf("%+v cycle %d: entry %d stores differ", f, cycle, i)
+				}
+			}
+			pn, pl := pair.FaultTouches()
+			sn, sl := single.FaultTouches()
+			if pair.Reads() != single.Reads() || pair.Writes() != single.Writes() ||
+				pair.ObservedReads() != single.ObservedReads() || pair.ObservedWrites() != single.ObservedWrites() ||
+				pair.FaultStatus() != single.FaultStatus() || pn != sn || pl != sl {
+				t.Fatalf("%+v cycle %d: counters or fault state differ", f, cycle)
+			}
+		}
+		pp, sp := pair.StopProfile(), single.StopProfile()
+		for e := 0; e < 4; e++ {
+			pi, si := pp.Events(e), sp.Events(e)
+			for {
+				pe, pok := pi.Next()
+				se, sok := si.Next()
+				if pe != se || pok != sok {
+					t.Fatalf("%+v entry %d: profile event %+v, two accesses record %+v", f, e, pe, se)
+				}
+				if !pok {
+					break
+				}
+			}
+		}
+	}
+}
+
+// HoldsBytes compares stored bytes at any offset and length without an
+// access; Stored is the stored word, also without one.
+func TestHoldsBytesAndStoredAreNotAccesses(t *testing.T) {
+	a := New("l", 2, 512)
+	line := make([]byte, 64)
+	for i := range line {
+		line[i] = byte(i*37 + 1)
+	}
+	a.WriteBytes(1, 0, line)
+	r, w := a.Reads(), a.Writes()
+	for off := 0; off < 64; off++ {
+		for n := 0; off+n <= 64; n++ {
+			if !a.HoldsBytes(1, off, line[off:off+n]) {
+				t.Fatalf("HoldsBytes(1, %d, %d bytes) = false on equal bytes", off, n)
+			}
+			if n > 0 {
+				other := append([]byte(nil), line[off:off+n]...)
+				other[n-1] ^= 0x40
+				if a.HoldsBytes(1, off, other) {
+					t.Fatalf("HoldsBytes(1, %d, %d bytes) = true on a changed last byte", off, n)
+				}
+			}
+		}
+	}
+	if a.Stored(1, 1) != binary.LittleEndian.Uint64(line[8:]) {
+		t.Fatalf("Stored(1, 1) = %#x", a.Stored(1, 1))
+	}
+	if a.Reads() != r || a.Writes() != w {
+		t.Fatal("HoldsBytes or Stored counted an access")
 	}
 }

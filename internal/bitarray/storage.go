@@ -48,6 +48,19 @@ func takeWords(n int) []uint64 {
 	return make([]uint64, n)
 }
 
+// TakeWords returns n zeroed words from the boot pool, for the per-line
+// metadata an array's owner keeps beside it; ReleaseWords hands them
+// back when the machine dies.
+func TakeWords(n int) []uint64 { return takeWords(n) }
+
+// ReleaseWords hands words taken with TakeWords back to the boot pool.
+// The caller guarantees nothing uses them any more.
+func ReleaseWords(w []uint64) {
+	if w != nil {
+		poolFor(len(w), true).Put(&w)
+	}
+}
+
 // Release hands the array's backing storage to the boot pool. The
 // caller guarantees the machine owning the array is dead; any later
 // access panics on the nil storage rather than corrupt the machine the
@@ -56,9 +69,8 @@ func (a *Array) Release() {
 	if a.data == nil {
 		return
 	}
-	w := a.data
+	ReleaseWords(a.data)
 	a.data = nil
-	poolFor(len(w), true).Put(&w)
 }
 
 // Sparse is a copy of word storage that keeps only the groups holding a

@@ -107,19 +107,40 @@ type Stats struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg      Config
-	sets     int
-	offBits  uint
-	setBits  uint
-	tags     *bitarray.Array
-	valid    *bitarray.Array
-	data     *bitarray.Array
-	dirty    []bool
-	lruClock []uint64 // per line: last-use timestamp
+	cfg     Config
+	sets    int
+	offBits uint
+	setBits uint
+	tags    *bitarray.Array
+	valid   *bitarray.Array
+	data    *bitarray.Array
+	// dirty (one bit per line) and lruClock (per line: last-use
+	// timestamp) come from the boot pool with the arrays and go back to
+	// it with them.
+	dirty    []uint64
+	lruClock []uint64
 	clock    uint64
 	lower    Level
 	stats    Stats
 	lineBuf  []byte
+	// gen counts the changes to what the cache holds: every fill,
+	// eviction, write and SetState bumps it. While it stands still and
+	// the arrays are Quiet, a tag search repeats what it found last time
+	// (see Hit).
+	gen uint64
+	// hit is the footprint of the latest quiet search that hit.
+	hit Hit
+}
+
+// Hit is the footprint of one quiet tag search that hit: the line it
+// found and the valid and tag words it read on the way. While the
+// structure's generation stands still and its arrays stay Quiet, the
+// same search finds the same line the same way, so a caller that keeps
+// a Hit may replay the access instead of repeating the search (the
+// fetch stage's line buffer does).
+type Hit struct {
+	Line           int
+	validRd, tagRd int
 }
 
 // New builds a cache over the given lower level. It panics on a bad
@@ -142,8 +163,8 @@ func New(cfg Config, lower Level) *Cache {
 		tags:     bitarray.New(cfg.Name+".tag", lines, TagBits),
 		valid:    bitarray.New(cfg.Name+".valid", lines, 1),
 		data:     bitarray.New(cfg.Name+".data", lines, cfg.LineSize*8),
-		dirty:    make([]bool, lines),
-		lruClock: make([]uint64, lines),
+		dirty:    bitarray.TakeWords((lines + 63) / 64),
+		lruClock: bitarray.TakeWords(lines),
 		lower:    lower,
 		lineBuf:  make([]byte, cfg.LineSize),
 	}
@@ -161,6 +182,46 @@ func log2(v int) int {
 		n++
 	}
 	return n
+}
+
+func (c *Cache) isDirty(line int) bool { return c.dirty[line>>6]&(1<<(line&63)) != 0 }
+
+func (c *Cache) setDirty(line int, d bool) {
+	if d {
+		c.dirty[line>>6] |= 1 << (line & 63)
+	} else {
+		c.dirty[line>>6] &^= 1 << (line & 63)
+	}
+}
+
+// Quiet reports whether the tag, valid and data arrays are all
+// bitarray-Quiet: no fault attached, no profile recording.
+func (c *Cache) Quiet() bool { return c.valid.Quiet() && c.tags.Quiet() && c.data.Quiet() }
+
+// Gen returns the cache's generation (see Cache.gen).
+func (c *Cache) Gen() uint64 { return c.gen }
+
+// LastHit returns the footprint of the latest quiet search that hit.
+func (c *Cache) LastHit() Hit { return c.hit }
+
+// ReplayRead repeats a one-line read hit whose search left h, without
+// the search and without the copy: the same reads counted on the valid,
+// tag and data arrays, the same hit counted and the same LRU stamp. The
+// caller guarantees the generation has not moved since h was taken and
+// the arrays are Quiet.
+func (c *Cache) ReplayRead(h Hit) {
+	c.valid.CountReads(h.validRd)
+	c.tags.CountReads(h.tagRd)
+	c.data.CountReads(1)
+	c.stats.ReadHits++
+	c.clock++
+	c.lruClock[h.Line] = c.clock
+}
+
+// HoldsBytes reports whether line holds ref at byte offset off, without
+// an access.
+func (c *Cache) HoldsBytes(line, off int, ref []byte) bool {
+	return c.data.HoldsBytes(line, off, ref)
 }
 
 // Config returns the cache configuration.
@@ -193,11 +254,32 @@ func (c *Cache) lineAddr(addr uint64) uint64 {
 
 // lookup finds the way holding addr in its set, reading the tag and
 // valid arrays (so that faults in them are observed). It returns the
-// line index and whether it hit.
+// line index and whether it hit. While both arrays are Quiet a read can
+// only return the stored word, so the search reads storage directly and
+// counts the words it looked at in bulk.
 func (c *Cache) lookup(addr uint64) (int, bool) {
 	set := c.setOf(addr)
 	tag := c.tagOf(addr)
 	base := set * c.cfg.Ways
+	if c.valid.Quiet() && c.tags.Quiet() {
+		tagRd := 0
+		for w := 0; w < c.cfg.Ways; w++ {
+			line := base + w
+			if c.valid.Stored(line, 0)&1 == 0 {
+				continue
+			}
+			tagRd++
+			if c.tags.Stored(line, 0)&(1<<TagBits-1) == tag {
+				c.valid.CountReads(w + 1)
+				c.tags.CountReads(tagRd)
+				c.hit = Hit{Line: line, validRd: w + 1, tagRd: tagRd}
+				return line, true
+			}
+		}
+		c.valid.CountReads(c.cfg.Ways)
+		c.tags.CountReads(tagRd)
+		return -1, false
+	}
 	for w := 0; w < c.cfg.Ways; w++ {
 		line := base + w
 		if c.valid.ReadBit(line, 0) != 0 && c.tags.ReadWord(line, 0)&(1<<TagBits-1) == tag {
@@ -213,14 +295,23 @@ func (c *Cache) victim(addr uint64) int {
 	set := c.setOf(addr)
 	base := set * c.cfg.Ways
 	oldest, oldestClock := base, c.lruClock[base]
+	quiet := c.valid.Quiet()
 	for w := 0; w < c.cfg.Ways; w++ {
 		line := base + w
-		if c.valid.ReadBit(line, 0) == 0 {
+		if quiet {
+			if c.valid.Stored(line, 0)&1 == 0 {
+				c.valid.CountReads(w + 1)
+				return line
+			}
+		} else if c.valid.ReadBit(line, 0) == 0 {
 			return line
 		}
 		if c.lruClock[line] < oldestClock {
 			oldest, oldestClock = line, c.lruClock[line]
 		}
+	}
+	if quiet {
+		c.valid.CountReads(c.cfg.Ways)
 	}
 	return oldest
 }
@@ -231,7 +322,7 @@ func (c *Cache) evict(line int, lat *int) {
 		return
 	}
 	c.stats.Replacements++
-	if c.dirty[line] && !c.cfg.DualCopy {
+	if c.isDirty(line) && !c.cfg.DualCopy {
 		// Write-back: the array copy — faults included — goes down.
 		c.stats.Writebacks++
 		c.data.ReadBytes(line, 0, c.lineBuf)
@@ -244,7 +335,7 @@ func (c *Cache) evict(line int, lat *int) {
 		// fault in it is provably masked.
 		c.data.InvalidateObserve(line)
 	}
-	c.dirty[line] = false
+	c.setDirty(line, false)
 	c.valid.WriteBit(line, 0, 0)
 }
 
@@ -253,12 +344,13 @@ func (c *Cache) evict(line int, lat *int) {
 func (c *Cache) refill(addr uint64, lat *int) int {
 	la := c.lineAddr(addr)
 	line := c.victim(la)
+	c.gen++
 	c.evict(line, lat)
 	*lat += c.lower.ReadLine(la, c.lineBuf)
 	c.data.WriteBytes(line, 0, c.lineBuf)
 	c.tags.WriteWord(line, 0, c.tagOf(la))
 	c.valid.WriteBit(line, 0, 1)
-	c.dirty[line] = false
+	c.setDirty(line, false)
 	c.clock++
 	c.lruClock[line] = c.clock
 	return line
@@ -318,8 +410,9 @@ func (c *Cache) Write(addr uint64, src []byte) (lat int, hit bool) {
 		}
 		c.clock++
 		c.lruClock[line] = c.clock
+		c.gen++
 		c.data.WriteBytes(line, off, s[:n])
-		c.dirty[line] = true
+		c.setDirty(line, true)
 		s = s[n:]
 		a += uint64(n)
 	}
@@ -361,8 +454,8 @@ func (c *Cache) FlushDirty() {
 	if c.cfg.DualCopy {
 		return
 	}
-	for line := range c.dirty {
-		if !c.dirty[line] || c.valid.ReadBit(line, 0) == 0 {
+	for line := 0; line < c.sets*c.cfg.Ways; line++ {
+		if !c.isDirty(line) || c.valid.ReadBit(line, 0) == 0 {
 			continue
 		}
 		c.stats.Writebacks++
@@ -371,7 +464,7 @@ func (c *Cache) FlushDirty() {
 		set := line / c.cfg.Ways
 		addr := tag<<(c.offBits+c.setBits) | uint64(set)<<c.offBits
 		c.lower.WriteLine(addr, c.lineBuf)
-		c.dirty[line] = false
+		c.setDirty(line, false)
 	}
 }
 
@@ -415,9 +508,10 @@ func (c *Cache) Timing(addr uint64, n int, write bool) int {
 				c.stats.ReadMisses++
 			}
 			line = c.victim(la)
+			c.gen++
 			if c.valid.ReadBit(line, 0) != 0 {
 				c.stats.Replacements++
-				if c.dirty[line] && !c.cfg.DualCopy {
+				if c.isDirty(line) && !c.cfg.DualCopy {
 					c.stats.Writebacks++
 					lat += c.lower.Timing(la, c.cfg.LineSize, true)
 				}
@@ -425,10 +519,10 @@ func (c *Cache) Timing(addr uint64, n int, write bool) int {
 			lat += c.lower.Timing(la, c.cfg.LineSize, false)
 			c.tags.WriteWord(line, 0, c.tagOf(la))
 			c.valid.WriteBit(line, 0, 1)
-			c.dirty[line] = false
+			c.setDirty(line, false)
 		}
 		if write {
-			c.dirty[line] = true
+			c.setDirty(line, true)
 		}
 		c.clock++
 		c.lruClock[line] = c.clock
@@ -451,6 +545,7 @@ func (c *Cache) ShadowWrite(addr uint64, src []byte) {
 			n = len(s)
 		}
 		if line, ok := c.lookup(a); ok {
+			c.gen++
 			c.data.WriteBytes(line, off, s[:n])
 		}
 		s = s[n:]

@@ -95,7 +95,7 @@ func (h *Hierarchy) tlbOf(a *bitarray.Array) *TLB {
 // lineCaptureSafe applies the per-line rule of CaptureSafe to a fault
 // armed on array a, one of cache c's own, at the given line.
 func (h *Hierarchy) lineCaptureSafe(c *Cache, a *bitarray.Array, line int) bool {
-	if line < 0 || line >= len(c.dirty) || c.valid.Peek(line)[0]&1 == 0 {
+	if line < 0 || line >= len(c.lruClock) || c.valid.Peek(line)[0]&1 == 0 {
 		return true
 	}
 	if !c.cfg.DualCopy {
@@ -103,7 +103,7 @@ func (h *Hierarchy) lineCaptureSafe(c *Cache, a *bitarray.Array, line int) bool 
 		// outside RAM cannot be flushed; its eviction stops the simulator,
 		// which only the cycle-accurate run reproduces.
 		_, inRAM := c.storedAddr(line)
-		return c.dirty[line] && inRAM
+		return c.isDirty(line) && inRAM
 	}
 	if a != c.data || c.tags.FaultOn(line) || c.valid.FaultOn(line) {
 		return false

@@ -130,7 +130,7 @@ func TestTagValidAndWriteBackAnswerAsBefore(t *testing.T) {
 		if h.CaptureSafe(watch) {
 			t.Errorf("write-back, array %d, clean valid line: capture-safe, want resident", which)
 		}
-		l1.dirty[firstFaultEntry(arr)] = true // as a store hit would; the flush then carries the line down
+		l1.setDirty(firstFaultEntry(arr), true) // as a store hit would; the flush then carries the line down
 		if !h.CaptureSafe(watch) {
 			t.Errorf("write-back, array %d, dirty line: resident, want capture-safe", which)
 		}
@@ -169,7 +169,7 @@ func TestTagValidAndWriteBackAnswerAsBefore(t *testing.T) {
 		t.Errorf("same line, tag repaired, bytes equal RAM: resident, want capture-safe")
 	}
 
-	stale := (line + 8) % len(l1.dirty) // an invalid line: the flip 0→1 exposes it
+	stale := (line + 8) % len(l1.lruClock) // an invalid line: the flip 0→1 exposes it
 	flip(valid, stale, 0)
 	if h.CaptureSafe([]*bitarray.Array{valid}) {
 		t.Errorf("dual-copy valid-bit fault exposing a stale line: capture-safe, want resident")
@@ -274,7 +274,7 @@ func TestSparseStateEqualsDense(t *testing.T) {
 		// Invalidate some lines behind the cache's back, leaving their
 		// data and tags in place.
 		stale := 0
-		for line := 0; line < len(l1.dirty); line += 3 {
+		for line := 0; line < len(l1.lruClock); line += 3 {
 			if l1.valid.Peek(line)[0] != 0 {
 				l1.valid.WriteBit(line, 0, 0)
 				stale++
@@ -292,8 +292,9 @@ func TestSparseStateEqualsDense(t *testing.T) {
 					a.WriteWord(e, 0, ^uint64(0))
 				}
 			}
-			for i := range other.dirty {
-				other.dirty[i], other.lruClock[i] = true, 99
+			for i := range other.lruClock {
+				other.setDirty(i, true)
+				other.lruClock[i] = 99
 			}
 			other.SetState(st)
 			for i, a := range c.Arrays() {
@@ -306,8 +307,8 @@ func TestSparseStateEqualsDense(t *testing.T) {
 					}
 				}
 			}
-			for line := range c.dirty {
-				if other.dirty[line] != c.dirty[line] || other.lruClock[line] != c.lruClock[line] {
+			for line := range c.lruClock {
+				if other.isDirty(line) != c.isDirty(line) || other.lruClock[line] != c.lruClock[line] {
 					t.Fatalf("dual=%v %s line %d: dirty/LRU not restored", dual, c.cfg.Name, line)
 				}
 			}
@@ -315,7 +316,7 @@ func TestSparseStateEqualsDense(t *testing.T) {
 				t.Fatalf("dual=%v %s: clock/stats not restored", dual, c.cfg.Name)
 			}
 		}
-		lines := len(l2.dirty)
+		lines := len(l2.lruClock)
 		dense := 8*(lines+lines+lines*8+lines) + lines
 		if got := l2.State().SizeBytes(); got*100 > dense*15 {
 			t.Errorf("dual=%v: sparse L2 state is %d bytes, dense %d: want under 15%%", dual, got, dense)

@@ -35,8 +35,8 @@ func (c *Cache) State() *State {
 		Clock: c.clock,
 		Stats: c.stats,
 	}
-	for line, d := range c.dirty {
-		if d {
+	for line := 0; line < len(c.lruClock); line++ {
+		if c.isDirty(line) {
 			s.Dirty = append(s.Dirty, uint32(line))
 		}
 	}
@@ -53,18 +53,23 @@ func (c *Cache) SetState(s *State) {
 	s.LRU.Scatter(c.lruClock)
 	clear(c.dirty)
 	for _, line := range s.Dirty {
-		c.dirty[line] = true
+		c.setDirty(int(line), true)
 	}
 	c.clock = s.Clock
 	c.stats = s.Stats
+	c.gen++
 }
 
-// Release hands the storage of the cache's arrays to the boot pool
-// (bitarray.Release). The machine owning the cache must be dead.
+// Release hands the storage of the cache's arrays and its per-line
+// metadata to the boot pool (bitarray.Release). The machine owning the
+// cache must be dead.
 func (c *Cache) Release() {
 	c.tags.Release()
 	c.valid.Release()
 	c.data.Release()
+	bitarray.ReleaseWords(c.dirty)
+	bitarray.ReleaseWords(c.lruClock)
+	c.dirty, c.lruClock = nil, nil
 }
 
 // TLBState is a copy of a TLB, kept sparse like a cache's State: only
@@ -101,4 +106,5 @@ func (t *TLB) SetState(s *TLBState) {
 	s.LRU.Scatter(t.lru)
 	t.clock = s.Clock
 	t.stats = s.Stats
+	t.gen++
 }

@@ -43,6 +43,10 @@ type TLB struct {
 	lru   []uint64
 	clock uint64
 	stats TLBStats
+	// gen and hit are the cache's (see Cache.gen, Hit): every fill and
+	// SetState bumps gen, and hit is the latest quiet search that hit.
+	gen uint64
+	hit Hit
 }
 
 // NewTLB builds a TLB; it panics on bad geometry.
@@ -84,29 +88,84 @@ func (t *TLB) EntryValid(e int) bool {
 	return e >= 0 && e < t.cfg.Entries && t.valid.Peek(e)[0]&1 != 0
 }
 
+// Quiet reports whether the valid, tag and PPN arrays are all
+// bitarray-Quiet.
+func (t *TLB) Quiet() bool { return t.valid.Quiet() && t.tags.Quiet() && t.ppns.Quiet() }
+
+// Gen returns the TLB's generation.
+func (t *TLB) Gen() uint64 { return t.gen }
+
+// LastHit returns the footprint of the latest quiet search that hit.
+func (t *TLB) LastHit() Hit { return t.hit }
+
+// ReplayTranslate repeats a translation hit whose search left h, as
+// Cache.ReplayRead does a read: the same reads counted, the same hit
+// counted and the same LRU stamp. The caller guarantees the generation
+// has not moved since h was taken, the arrays are Quiet and vaddr lies
+// in the page h translated.
+func (t *TLB) ReplayTranslate(h Hit, vaddr uint64) uint64 {
+	t.valid.CountReads(h.validRd)
+	t.tags.CountReads(h.tagRd)
+	t.ppns.CountReads(1)
+	t.stats.Hits++
+	t.clock++
+	t.lru[h.Line] = t.clock
+	return t.ppns.Stored(h.Line, 0)&0xffff<<PageBits | vaddr&(1<<PageBits-1)
+}
+
 // Translate maps a virtual address to a physical address, returning the
-// added latency on a miss.
+// added latency on a miss. While the arrays are Quiet the searches read
+// storage directly and count the words they looked at, as the cache's
+// do.
 func (t *TLB) Translate(vaddr uint64) (paddr uint64, lat int) {
 	vpn := vaddr >> PageBits
 	set := int(vpn) & (t.sets - 1)
 	tag := vpn & 0xffff
 	base := set * t.cfg.Ways
-	for w := 0; w < t.cfg.Ways; w++ {
-		e := base + w
-		if t.valid.ReadBit(e, 0) != 0 && t.tags.ReadWord(e, 0)&0xffff == tag {
-			t.stats.Hits++
-			t.clock++
-			t.lru[e] = t.clock
-			ppn := t.ppns.ReadWord(e, 0) & 0xffff
-			return ppn<<PageBits | vaddr&(1<<PageBits-1), 0
+	quiet := t.Quiet()
+	if quiet {
+		tagRd := 0
+		for w := 0; w < t.cfg.Ways; w++ {
+			e := base + w
+			if t.valid.Stored(e, 0)&1 == 0 {
+				continue
+			}
+			tagRd++
+			if t.tags.Stored(e, 0)&0xffff == tag {
+				t.hit = Hit{Line: e, validRd: w + 1, tagRd: tagRd}
+				return t.ReplayTranslate(t.hit, vaddr), 0
+			}
+		}
+		t.valid.CountReads(t.cfg.Ways)
+		t.tags.CountReads(tagRd)
+	} else {
+		for w := 0; w < t.cfg.Ways; w++ {
+			e := base + w
+			if t.valid.ReadBit(e, 0) != 0 && t.tags.ReadWord(e, 0)&0xffff == tag {
+				t.stats.Hits++
+				t.clock++
+				t.lru[e] = t.clock
+				ppn := t.ppns.ReadWord(e, 0) & 0xffff
+				return ppn<<PageBits | vaddr&(1<<PageBits-1), 0
+			}
 		}
 	}
 	// Miss: walk (identity mapping) and fill the LRU way.
 	t.stats.Misses++
+	t.gen++
 	victim := base
 	for w := 0; w < t.cfg.Ways; w++ {
 		e := base + w
-		if t.valid.ReadBit(e, 0) == 0 {
+		if quiet {
+			if t.valid.Stored(e, 0)&1 == 0 {
+				t.valid.CountReads(w + 1)
+				victim = e
+				break
+			}
+			if w == t.cfg.Ways-1 {
+				t.valid.CountReads(t.cfg.Ways)
+			}
+		} else if t.valid.ReadBit(e, 0) == 0 {
 			victim = e
 			break
 		}

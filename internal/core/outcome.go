@@ -166,8 +166,8 @@ func StoppedRun(index int, m fault.Mask) ShardRun {
 }
 
 // ReplayJournal turns the journal lines of campaign key into resumed
-// outcomes, by mask index: the journaled record plus the trace
-// provenance the line carries, flagged Resumed. Lines of other
+// outcomes, by mask index: the journaled record plus the trace and
+// divergence provenance the line carries, flagged Resumed. Lines of other
 // campaigns are skipped and the last line of a mask wins. A line whose
 // mask is not in the population, or was taken with different fault
 // sites, means the journal belongs to another mask set and fails the
@@ -203,6 +203,8 @@ func ReplayJournal(key string, entries []fault.JournalEntry, masks []fault.Mask)
 		out[index] = ShardRun{
 			Index: index, Record: rec,
 			Observed: e.Observed, FirstObsCycle: e.FirstObsCycle, EarlyStop: e.EarlyStop,
+			FaultTouches: e.FaultTouches, LastTouchCycle: e.LastTouchCycle, CorruptStructures: e.CorruptStructures,
+			Diverged: e.Diverged, DivergeCycle: e.DivergeCycle, DivergeIndex: e.DivergeIndex,
 			Resumed: true,
 		}
 	}
@@ -240,6 +242,8 @@ func (s *CellSinks) Commit(run ShardRun, dispatched bool) error {
 			Campaign: s.Key, MaskID: rec.MaskID, Record: raw,
 			Observed: run.Observed, FirstObsCycle: run.FirstObsCycle, EarlyStop: run.EarlyStop,
 			StoppedEarly: run.Stopped(),
+			FaultTouches: run.FaultTouches, LastTouchCycle: run.LastTouchCycle, CorruptStructures: run.CorruptStructures,
+			Diverged: run.Diverged, DivergeCycle: run.DivergeCycle, DivergeIndex: run.DivergeIndex,
 		}); err != nil {
 			return err
 		}

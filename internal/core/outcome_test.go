@@ -77,9 +77,10 @@ func TestCommitProjections(t *testing.T) {
 		{
 			name: "simulated",
 			run:  func() ShardRun { return sim },
-			journal: `{"schema_version":1,"campaign":"gefin-x86/qsort/rf.int","mask_id":10,` +
+			journal: `{"schema_version":3,"campaign":"gefin-x86/qsort/rf.int","mask_id":10,` +
 				`"record":{"mask_id":10,"sites":[{"core":0,"structure":"rf.int","entry":1,"bit":3,"model":"transient","cycle":100}],"status":"early-masked","exit_code":0,"output_hash":"600d","output_match":true,"cycles":700,"committed":650,"weight":2},` +
-				`"observed":true,"first_obs_cycle":120,"early_stop":"overwritten"}`,
+				`"observed":true,"first_obs_cycle":120,"early_stop":"overwritten",` +
+				`"fault_touches":2,"last_touch_cycle":130,"corrupt_structures":["rf.int"],"diverged":true,"diverge_cycle":150,"diverge_index":41}`,
 			trace: `{"schema_version":1,"campaign":"gefin-x86/qsort/rf.int","mask_id":10,"sites":[{"core":0,"structure":"rf.int","entry":1,"bit":3,"model":"transient","cycle":100}],` +
 				`"status":"early-masked","class":"Masked","cycles":700,"observed":true,"first_obs_cycle":120,"early_stop":"overwritten"}`,
 			div: divergence.Record{
@@ -133,8 +134,9 @@ func TestCommitProjections(t *testing.T) {
 			},
 		},
 		{
-			// Replayed from the simulated case's journal line: the record and
-			// the trace provenance survive, the extras of the run do not.
+			// Replayed from the simulated case's journal line: the record,
+			// the trace and the divergence provenance survive, the extras of
+			// the run do not.
 			name: "resumed",
 			run: func() ShardRun {
 				entries, err := fault.ReadJournalFile(jpath)
@@ -154,11 +156,12 @@ func TestCommitProjections(t *testing.T) {
 				`"status":"early-masked","class":"Masked","cycles":700,"observed":true,"first_obs_cycle":120,"early_stop":"overwritten"}`,
 			div: divergence.Record{
 				Campaign: key, MaskID: 10, Status: "early-masked", Class: "Masked", Cycles: 700,
-				Observed: true, FirstObsCycle: 120, TimeToOutcome: 580, Resumed: true,
+				Observed: true, FirstObsCycle: 120, FaultTouches: 2, LastTouchCycle: 130, CorruptStructures: []string{"rf.int"},
+				Diverged: true, DivergeCycle: 150, DivergeIndex: 41, PropagationCycles: 30, TimeToOutcome: 580, Resumed: true,
 			},
 			event: telemetry.RunEvent{
 				MaskID: 10, Sites: masks[0].Sites, Status: "early-masked", Class: "Masked", Cycles: 700,
-				Observed: true, FirstObsCycle: 120, EarlyStop: "overwritten", RepMask: -1, Resumed: true,
+				Observed: true, FirstObsCycle: 120, EarlyStop: "overwritten", RepMask: -1, Resumed: true, Diverged: true,
 			},
 		},
 	}

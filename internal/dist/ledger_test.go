@@ -97,9 +97,8 @@ func TestMergeRejectsRepeatedIndex(t *testing.T) {
 // and resumes a coordinator over the cut journal with 1 and 2 workers.
 // Logs (adaptive trailer included) and trace must equal the
 // uninterrupted run's; the divergence file must too, except that a
-// resumed row is flagged and carries none of the footprint a journal
-// line does not store — and it must equal a single-node resume over the
-// same cut journal. The coordinator replays exactly the journaled
+// resumed row is flagged — and it must equal a single-node resume over
+// the same cut journal. The coordinator replays exactly the journaled
 // simulated rows, and the journal ends with every mask exactly once.
 func TestCoordinatorResume(t *testing.T) {
 	cfg := testConfig()
@@ -178,15 +177,12 @@ func TestCoordinatorResume(t *testing.T) {
 		return path
 	}
 
-	// A resumed divergence row is the uninterrupted row flagged resumed,
-	// with only what the journal line carries.
+	// A resumed divergence row is the uninterrupted row flagged resumed:
+	// the journal line carries its footprint and verdict.
 	wantResumedDiv := make([]divergence.Record, len(wantDiv))
 	for i, d := range wantDiv {
 		if journaled[d.MaskID] && d.Pruned == "" {
 			d.Resumed = true
-			d.FaultTouches, d.LastTouchCycle, d.CorruptStructures = 0, 0, nil
-			d.Diverged, d.DivergeCycle, d.DivergeIndex = false, 0, 0
-			d.Derive()
 		}
 		wantResumedDiv[i] = d
 	}

@@ -39,14 +39,33 @@ type JournalEntry struct {
 	// run. Resume recomputes the stop decision from the real entries and
 	// only uses this flag to avoid re-settling what is already durable.
 	StoppedEarly bool `json:"stopped_early,omitempty"`
+	// The divergence provenance of a simulated run (core.ShardRun's
+	// fields of the same names): the corruption footprint and the
+	// commit-stream verdict, so that a resumed run's divergence row is
+	// the row the run first wrote.
+	FaultTouches      uint64   `json:"fault_touches,omitempty"`
+	LastTouchCycle    uint64   `json:"last_touch_cycle,omitempty"`
+	CorruptStructures []string `json:"corrupt_structures,omitempty"`
+	Diverged          bool     `json:"diverged,omitempty"`
+	DivergeCycle      uint64   `json:"diverge_cycle,omitempty"`
+	DivergeIndex      uint64   `json:"diverge_index,omitempty"`
 }
 
 // JournalSchemaVersion is the journal format version this build writes
 // (see TraceSchemaVersion for the version history; the two formats
 // version independently). Version 2 adds the stopped_early flag of
-// adaptive campaigns; Append stamps it only on entries that carry the
-// flag, so fixed-budget journals keep writing version-1 lines.
-const JournalSchemaVersion = 2
+// adaptive campaigns, version 3 the divergence provenance; Append stamps
+// each only on entries that carry its fields, so a journal without them
+// keeps writing version-1 lines that older builds still resume from,
+// and a build that would drop the provenance refuses lines that carry
+// it.
+const JournalSchemaVersion = 3
+
+// provenance reports whether the entry carries version-3 fields.
+func (e *JournalEntry) provenance() bool {
+	return e.FaultTouches != 0 || e.LastTouchCycle != 0 || len(e.CorruptStructures) > 0 ||
+		e.Diverged || e.DivergeCycle != 0 || e.DivergeIndex != 0
+}
 
 // Journal is an append-only JSONL run journal. Append marshals one entry,
 // writes it as a single line and fsyncs before returning, so every
@@ -139,12 +158,16 @@ func (j *Journal) Appended() int {
 
 // Append writes one entry as a JSON line and fsyncs it, stamping
 // unstamped entries with the lowest schema version that can express
-// them (the current version for stopped-early provenance, 1 otherwise).
+// them (3 for divergence provenance, 2 for stopped-early provenance, 1
+// otherwise).
 func (j *Journal) Append(e JournalEntry) error {
 	if e.SchemaVersion == 0 {
-		if e.StoppedEarly {
-			e.SchemaVersion = JournalSchemaVersion
-		} else {
+		switch {
+		case e.provenance():
+			e.SchemaVersion = 3
+		case e.StoppedEarly:
+			e.SchemaVersion = 2
+		default:
 			e.SchemaVersion = 1
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -236,5 +237,38 @@ func BenchmarkJournalAppend(b *testing.B) {
 		if err := j.Append(e); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// A line carrying divergence provenance is stamped version 3, which a
+// build that would drop the provenance refuses; plain and stopped-early
+// lines keep versions 1 and 2. The provenance survives the round trip.
+func TestJournalStampsProvenanceVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.journal.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, stopped, prov := journalEntry("k", 1), journalEntry("k", 2), journalEntry("k", 3)
+	stopped.StoppedEarly = true
+	prov.FaultTouches, prov.LastTouchCycle, prov.CorruptStructures = 2, 130, []string{"rf.int"}
+	prov.Diverged, prov.DivergeCycle, prov.DivergeIndex = true, 150, 41
+	for _, e := range []JournalEntry{plain, stopped, prov} {
+		if err := j.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	entries, err := ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 || entries[0].SchemaVersion != 1 || entries[1].SchemaVersion != 2 || entries[2].SchemaVersion != 3 {
+		t.Fatalf("versions stamped: %+v", entries)
+	}
+	back := entries[2]
+	back.SchemaVersion = 0
+	if !reflect.DeepEqual(back, prov) {
+		t.Fatalf("provenance round trip: %+v, want %+v", back, prov)
 	}
 }

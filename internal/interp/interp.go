@@ -17,6 +17,7 @@ import (
 	"repro/internal/isa/risc"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/predecode"
 )
 
 // Outcome describes how a functional run ended.
@@ -88,7 +89,7 @@ type Machine struct {
 	// scratch Inst for slow-path decodes.
 	buf        []byte
 	alignCheck bool
-	cache      *decodeCache
+	cache      *predecode.Table
 	scratch    isa.Inst
 
 	// Per-machine decode-cache counters, flushed to the package totals
@@ -108,7 +109,7 @@ func newMachine(img *asm.Image) *Machine {
 	m.mem.SetTextEnd(img.TextBase + uint64(len(img.Text)))
 	m.buf = make([]byte, m.dec.MaxInstLen())
 	m.alignCheck = m.dec.Name() == "arm"
-	m.cache = cacheFor(img)
+	m.cache = predecode.For(img)
 	return m
 }
 
@@ -244,7 +245,7 @@ func (m *Machine) run(maxSteps uint64) Result {
 		}
 		var in *isa.Inst
 		if m.cache != nil {
-			in = m.cache.lookup(m.pc, m.dec)
+			in = m.cache.Lookup(m.pc, m.dec)
 		}
 		if in != nil {
 			m.decHits++

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
+	"repro/internal/predecode"
 )
 
 // inflightOp is an issued micro-op waiting for its completion cycle.
@@ -99,10 +101,37 @@ type CPU struct {
 	result   core.RunResult
 
 	textEnd uint64
-	fbuf    []byte
-	sbuf    [8]byte
+	// fbuf holds the bytes of one fetch, MaxInstLen of them.
+	fbuf []byte
+	sbuf [8]byte
 	// ibuf is fetch's decode scratch; see the Decode call site.
 	ibuf isa.Inst
+	// insts is the image's predecode table, shared with the functional
+	// tier; fetch takes an instruction from it whenever the bytes it
+	// fetched are the image's (see fetchInst).
+	insts *predecode.Table
+	// lines is fetch's line buffer, one fetchLine per slot, direct
+	// mapped by line address; lineBits is log2 of the L1I line size.
+	lines    [fetchLines]fetchLine
+	lineBits uint
+}
+
+// fetchLines is the number of L1I lines fetch's line buffer holds.
+const fetchLines = 8
+
+// fetchLine is one entry of the front end's line buffer: the ITLB and
+// L1I hits of a fetch that read one L1I line, kept so that a later fetch
+// from the same line can replay both accesses instead of repeating
+// them. It is only set up while every ITLB and L1I array is
+// bitarray-Quiet and the data arrays are modelled, and only over a line
+// certified to hold the image's text; it holds while pc stays in its
+// page and line and neither structure's generation (every fill,
+// eviction, write and SetState bumps it) has moved.
+type fetchLine struct {
+	ok         bool
+	page, base uint64 // virtual page number; virtual address of the line
+	tgen, cgen uint64 // ITLB and L1I generations when it was set up
+	tlb, l1i   cache.Hit
 }
 
 // assert is the dense MARSS-style internal check: it stops the simulator
@@ -157,7 +186,11 @@ func New(cfg Config, t Traits, img *asm.Image) *CPU {
 	c.mem.SetTextEnd(c.textEnd)
 	c.pc = img.Entry
 	c.intRF.WriteArch(int(isa.SP), mem.StackTop)
+	c.insts = predecode.For(img)
 	c.fbuf = make([]byte, c.dec.MaxInstLen())
+	for 1<<c.lineBits < cfg.L1I.LineSize {
+		c.lineBits++
+	}
 	c.rasSnaps = make([][2]int, cfg.ROBEntries)
 	c.instHeads = make([]bool, cfg.ROBEntries)
 	return c
@@ -438,7 +471,121 @@ func (c *CPU) poison(pc uint64, exc isa.Exception, info uint64) {
 	fu.Uop = isa.Uop{Op: isa.Nop, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
 	fu.PC, fu.NextPC, fu.InstFirst = pc, pc, true
 	fu.Exc, fu.ExcInfo = exc, info
+	fu.IsBranch = false
 	c.fetchBlocked = true
+}
+
+// buffered returns the line buffer's entry for the L1I line at virtual
+// address base when it holds for a fetch from the page of pc, nil
+// otherwise.
+func (c *CPU) buffered(pc, base uint64) *fetchLine {
+	lb := &c.lines[base>>c.lineBits%fetchLines]
+	if lb.ok && lb.base == base && lb.page == pc>>cache.PageBits &&
+		lb.tgen == c.itlb.Gen() && lb.cgen == c.l1i.Gen() {
+		return lb
+	}
+	return nil
+}
+
+// fetchInst reads and decodes the instruction at pc, a text address the
+// caller has checked: the ITLB translation, the L1I read (or the
+// tags-only timing access), the prefetch on a miss and the front-end
+// stall. ok is false when it poisoned the fetch instead.
+//
+// While the line buffer holds the line, or the two lines of one page,
+// that the fetch reads, the translation and the read are replayed (same
+// counts, hits, LRU stamps and latency) and the instruction comes from
+// the predecode table. Otherwise the accesses run, and the instruction
+// still comes from the table when the fetched bytes are the image's;
+// only bytes that differ from the image (a corrupted line) or that the
+// table cannot decode go through the decoder.
+func (c *CPU) fetchInst(pc uint64) (inst *isa.Inst, stall int, ok bool) {
+	need := len(c.fbuf)
+	if pc+uint64(need) > c.textEnd {
+		need = int(c.textEnd - pc)
+	}
+	lineSize := uint64(1) << c.lineBits
+	base := pc &^ (lineSize - 1)
+	end := pc + uint64(need)
+	if a := c.buffered(pc, base); a != nil && c.itlb.Quiet() && c.l1i.Quiet() {
+		var b *fetchLine
+		if end > base+lineSize {
+			b = c.buffered(pc, base+lineSize)
+		}
+		if end <= base+lineSize || b != nil && end <= base+2*lineSize {
+			if inst := c.insts.Lookup(pc, c.dec); inst != nil {
+				c.itlb.ReplayTranslate(a.tlb, pc)
+				c.l1i.ReplayRead(a.l1i)
+				if b != nil {
+					// A read over two lines pays the hit latency twice.
+					c.l1i.ReplayRead(b.l1i)
+					if stall = c.cfg.L1I.Latency; stall > 0 {
+						c.fetchReady = c.cycle + uint64(stall)
+					}
+				}
+				return inst, stall, true
+			}
+		}
+	}
+
+	tgen := c.itlb.Gen()
+	paddr, tlbLat := c.itlb.Translate(pc)
+	if paddr >= mem.KernelBase || paddr < mem.NullPageEnd {
+		// A corrupted TLB PPN redirected the fetch itself.
+		c.poison(pc, isa.ExcPageFault, paddr)
+		return nil, 0, false
+	}
+	var lat int
+	var hit bool
+	if c.cfg.ModelDataArrays {
+		lat, hit = c.l1i.Read(paddr, c.fbuf[:need])
+	} else {
+		lat = c.l1i.Timing(paddr, need, false)
+		hit = lat <= c.cfg.L1I.Latency
+		c.mem.RawRead(paddr, c.fbuf[:need])
+	}
+	if !hit && c.cfg.L1IPrefetch {
+		c.l1i.Prefetch(paddr + uint64(c.cfg.L1I.LineSize))
+	}
+	stall = lat - c.cfg.L1I.Latency + tlbLat
+	if stall > 0 {
+		c.fetchReady = c.cycle + uint64(stall)
+	}
+
+	if bytes.Equal(c.fbuf[:need], c.insts.Text(pc, need)) {
+		inst = c.insts.Lookup(pc, c.dec)
+	}
+	if inst == nil {
+		// Decode into the CPU-owned scratch instruction: a stack-local
+		// escapes through the interface call and heap-allocates on
+		// every fetch. Both decoders Reset the destination first, and
+		// the instruction is fully consumed before the next decode.
+		inst = &c.ibuf
+		if err := c.dec.Decode(c.fbuf[:need], pc, inst); err != nil {
+			// Invalid encodings flow to commit as poisoned uops; on the
+			// true path the commit stage decides between the assert and
+			// the undefined-instruction fault (Remark 8).
+			c.poison(pc, isa.ExcIllegalInstr, pc)
+			return nil, 0, false
+		}
+		return inst, stall, true
+	}
+
+	// A quiet one-line hit on both structures sets the line's buffer
+	// entry up, once the line is certified to hold the image's text
+	// wherever it overlaps it.
+	lb := &c.lines[base>>c.lineBits%fetchLines]
+	lb.ok = false
+	if c.cfg.ModelDataArrays && hit && tlbLat == 0 && c.itlb.Gen() == tgen &&
+		end <= base+lineSize && c.itlb.Quiet() && c.l1i.Quiet() {
+		lo, hi := max(base, c.img.TextBase), min(base+lineSize, c.textEnd)
+		h := c.l1i.LastHit()
+		if c.l1i.HoldsBytes(h.Line, int(lo-base), c.img.Text[lo-c.img.TextBase:hi-c.img.TextBase]) {
+			*lb = fetchLine{ok: true, page: pc >> cache.PageBits, base: base,
+				tgen: tgen, cgen: c.l1i.Gen(), tlb: c.itlb.LastHit(), l1i: h}
+		}
+	}
+	return inst, stall, true
 }
 
 func (c *CPU) fetch() {
@@ -463,43 +610,8 @@ func (c *CPU) fetch() {
 			c.poison(pc, isa.ExcPageFault, pc)
 			return
 		}
-		paddr, tlbLat := c.itlb.Translate(pc)
-		if paddr >= mem.KernelBase || paddr < mem.NullPageEnd {
-			// A corrupted TLB PPN redirected the fetch itself.
-			c.poison(pc, isa.ExcPageFault, paddr)
-			return
-		}
-		need := c.dec.MaxInstLen()
-		if pc+uint64(need) > c.textEnd {
-			need = int(c.textEnd - pc)
-		}
-		var lat int
-		var hit bool
-		if c.cfg.ModelDataArrays {
-			lat, hit = c.l1i.Read(paddr, c.fbuf[:need])
-		} else {
-			lat = c.l1i.Timing(paddr, need, false)
-			hit = lat <= c.cfg.L1I.Latency
-			c.mem.RawRead(paddr, c.fbuf[:need])
-		}
-		if !hit && c.cfg.L1IPrefetch {
-			c.l1i.Prefetch(paddr + uint64(c.cfg.L1I.LineSize))
-		}
-		stall := lat - c.cfg.L1I.Latency + tlbLat
-		if stall > 0 {
-			c.fetchReady = c.cycle + uint64(stall)
-		}
-
-		// Decode into the CPU-owned scratch instruction: a stack-local
-		// escapes through the interface call and heap-allocates on every
-		// fetch. Both decoders Reset the destination first, and the
-		// instruction is fully consumed before the next decode.
-		inst := &c.ibuf
-		if err := c.dec.Decode(c.fbuf[:need], pc, inst); err != nil {
-			// Invalid encodings flow to commit as poisoned uops; on the
-			// true path the commit stage decides between the assert and
-			// the undefined-instruction fault (Remark 8).
-			c.poison(pc, isa.ExcIllegalInstr, pc)
+		inst, stall, ok := c.fetchInst(pc)
+		if !ok {
 			return
 		}
 		nextPC := pc + uint64(inst.Len)
@@ -545,8 +657,9 @@ func (c *CPU) fetch() {
 		for i := 0; i < int(inst.NUops); i++ {
 			fu := c.fetchQ.Push()
 			fu.Uop, fu.PC, fu.NextPC, fu.InstFirst = inst.Uops[i], pc, nextPC, i == 0
-			if inst.Uops[i].IsBranch() {
-				fu.IsBranch = true
+			fu.Exc, fu.ExcInfo = isa.ExcNone, 0
+			fu.IsBranch = inst.Uops[i].IsBranch()
+			if fu.IsBranch {
 				fu.BranchInfo = b
 				fu.HasPred = hasPred
 				fu.Pred = pred
@@ -598,6 +711,9 @@ func (c *CPU) rename() {
 			}
 		}
 
+		// The ROB slot keeps its previous micro-op's fields: each is
+		// assigned here (the branch ones on a branch only, the only
+		// micro-op anything reads them on), or by the switch below.
 		idx := c.rob.Alloc()
 		e := c.rob.At(idx)
 		e.PC = fu.PC
@@ -606,6 +722,7 @@ func (c *CPU) rename() {
 		e.Dst, e.OldDst, e.Src1, e.Src2 = dst, old, src1, src2
 		e.ArchDst = u.Dst
 		e.Exc, e.ExcInfo = fu.Exc, fu.ExcInfo
+		e.Dispatched, e.Executed, e.Violated, e.IsSyscall = false, false, false, false
 		e.IsBranch = fu.IsBranch
 		if fu.IsBranch {
 			e.BranchInfo = fu.BranchInfo
@@ -613,8 +730,9 @@ func (c *CPU) rename() {
 			e.Pred = fu.Pred
 			e.PredTaken = fu.PredTaken
 			e.PredTarget = fu.PredTarget
+			e.ActualTaken, e.ActualTarget, e.Mispredicted = false, 0, false
+			c.rasSnaps[idx] = [2]int{fu.RASTop, fu.RASDepth}
 		}
-		c.rasSnaps[idx] = [2]int{fu.RASTop, fu.RASDepth}
 		c.instHeads[idx] = fu.InstFirst
 
 		switch {
@@ -653,7 +771,7 @@ func (c *CPU) rename() {
 				}
 				e.LSQIdx = li
 			}
-			ok := c.iq.Alloc(pipeline.NewUop(u, dst, src1, src2), idx)
+			ok := c.iq.Alloc(&u, dst, src1, src2, idx)
 			if c.t.DenseAsserts {
 				assert(ok, "iq: allocation failed after capacity check")
 			}
@@ -692,14 +810,21 @@ func actualNext(e *pipeline.ROBEntry) uint64 {
 
 // ---- Issue/execute -------------------------------------------------------------
 
+// units is what the issue stage has left to issue to in one cycle.
+type units struct{ intALU, fpALU, mem int }
+
 func (c *CPU) issue() {
-	intBudget, fpBudget, memBudget := c.cfg.IntALUs, c.cfg.FPALUs, c.cfg.MemPorts
-	issued := 0
+	u := units{c.cfg.IntALUs, c.cfg.FPALUs, c.cfg.MemPorts}
 	// The loop visits every occupied slot every cycle and checks three
 	// assertions per slot; the trait is read once for all of them (the
 	// calls in between keep the compiler from doing it, and re-reading
 	// it per slot cost 4-7% of a golden run).
 	dense := c.t.DenseAsserts
+	if c.iq.Array().Quiet() && !c.cfg.InOrder {
+		c.issueQuiet(&u, dense)
+		return
+	}
+	issued := 0
 	// Oldest-first selection over the occupied issue queue slots.
 	for slot, next := c.iq.Select(), 0; slot >= 0; slot = next {
 		next = c.iq.Younger(slot)
@@ -720,57 +845,73 @@ func (c *CPU) issue() {
 			}
 			continue
 		}
-		p, robIdx := *w, c.iq.ROBIdx(slot)
-		if dense {
-			assert(robIdx >= 0 && robIdx < c.rob.Cap(), "iq: corrupted ROB link")
-		}
-		e := c.rob.At(robIdx)
-		switch {
-		case p.Op == isa.Load || p.Op == isa.FLoad:
-			if memBudget == 0 {
-				if c.cfg.InOrder {
-					return
-				}
-				continue
-			}
-			if c.issueLoad(slot, p, robIdx, e) {
-				memBudget--
-				issued++
-			} else if c.cfg.InOrder {
-				return
-			}
-		case p.Op == isa.Store || p.Op == isa.FStore:
-			if memBudget == 0 {
-				if c.cfg.InOrder {
-					return
-				}
-				continue
-			}
-			c.issueStore(slot, p, e)
-			memBudget--
+		if c.issueSlot(slot, w, &u, dense) {
 			issued++
-		case isFPUOp(p.Op):
-			if fpBudget == 0 {
-				if c.cfg.InOrder {
-					return
-				}
-				continue
-			}
-			c.issueFP(slot, p, robIdx, e)
-			fpBudget--
-			issued++
-		default:
-			if intBudget == 0 {
-				if c.cfg.InOrder {
-					return
-				}
-				continue
-			}
-			c.issueInt(slot, p, robIdx, e)
-			intBudget--
-			issued++
+		} else if c.cfg.InOrder {
+			return
 		}
 	}
+}
+
+// issueQuiet is issue's walk while the queue's array is quiet: a read of
+// a slot would return the slot's copy, whose opcode is rename's, so the
+// queue probes the copies' sources itself and the walk goes from ready
+// slot to ready slot. The slots it visits on the way are only counted,
+// two reads each, once it stops.
+func (c *CPU) issueQuiet(u *units, dense bool) {
+	visited, issued := 0, 0
+	for slot := c.iq.Select(); ; {
+		s, waiting := c.iq.NextReady(slot, c.intRF, c.fpRF)
+		visited += waiting
+		if s < 0 {
+			break
+		}
+		visited++
+		slot = c.iq.Younger(s)
+		if c.issueSlot(s, c.iq.Copy(s), u, dense) {
+			if issued++; issued >= c.cfg.IssueWidth {
+				break
+			}
+		}
+	}
+	c.iq.CountReads(2 * visited)
+}
+
+// issueSlot issues the ready micro-op p of the slot, if a unit is left
+// for it and (a load) no older store blocks it, and reports whether it
+// did.
+func (c *CPU) issueSlot(slot int, p *pipeline.PackedUop, u *units, dense bool) bool {
+	robIdx := c.iq.ROBIdx(slot)
+	if dense {
+		assert(robIdx >= 0 && robIdx < c.rob.Cap(), "iq: corrupted ROB link")
+	}
+	e := c.rob.At(robIdx)
+	switch {
+	case p.Op == isa.Load || p.Op == isa.FLoad:
+		if u.mem == 0 || !c.issueLoad(slot, p, robIdx, e) {
+			return false
+		}
+		u.mem--
+	case p.Op == isa.Store || p.Op == isa.FStore:
+		if u.mem == 0 {
+			return false
+		}
+		c.issueStore(slot, p, e)
+		u.mem--
+	case isFPUOp(p.Op):
+		if u.fpALU == 0 {
+			return false
+		}
+		c.issueFP(slot, p, robIdx, e)
+		u.fpALU--
+	default:
+		if u.intALU == 0 {
+			return false
+		}
+		c.issueInt(slot, p, robIdx, e)
+		u.intALU--
+	}
+	return true
 }
 
 func isFPUOp(op isa.Op) bool {
@@ -782,7 +923,7 @@ func isFPUOp(op isa.Op) bool {
 	return false
 }
 
-func (c *CPU) operand(p pipeline.PackedUop) (a, b uint64) {
+func (c *CPU) operand(p *pipeline.PackedUop) (a, b uint64) {
 	if p.Src1.Valid() {
 		a = c.readPhys(p.Src1)
 	}
@@ -796,7 +937,7 @@ func (c *CPU) operand(p pipeline.PackedUop) (a, b uint64) {
 
 // agu computes and validates a data address. It returns ok=false when an
 // exception was recorded on the ROB entry.
-func (c *CPU) agu(p pipeline.PackedUop, e *pipeline.ROBEntry, write bool) (addr uint64, lat int, ok bool) {
+func (c *CPU) agu(p *pipeline.PackedUop, e *pipeline.ROBEntry, write bool) (addr uint64, lat int, ok bool) {
 	base := c.readPhys(p.Src1)
 	vaddr := base + uint64(p.Imm)
 	if c.t.DenseAsserts {
@@ -835,7 +976,7 @@ func (c *CPU) agu(p pipeline.PackedUop, e *pipeline.ROBEntry, write bool) (addr 
 // memory port. Under SpeculativeLoads unknown older store addresses do not
 // block it; otherwise the load refuses to issue while any older store
 // address is unresolved (the Remark 3 contrast).
-func (c *CPU) issueLoad(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) bool {
+func (c *CPU) issueLoad(slot int, p *pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) bool {
 	addr, tlbLat, ok := c.agu(p, e, false)
 	if !ok {
 		c.iq.Release(slot)
@@ -862,13 +1003,11 @@ func (c *CPU) issueLoad(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.
 	c.stats.IssuedLoads++
 	c.lsq.MarkExecuted(e.LSQIdx)
 	c.iq.Release(slot)
-	c.inflight = append(c.inflight, inflightOp{
-		robIdx: robIdx, seq: e.Seq, done: c.cycle + uint64(lat+tlbLat), value: raw, isLoad: true,
-	})
+	c.launch(robIdx, e.Seq, c.cycle+uint64(lat+tlbLat), raw, true)
 	return true
 }
 
-func (c *CPU) issueStore(slot int, p pipeline.PackedUop, e *pipeline.ROBEntry) {
+func (c *CPU) issueStore(slot int, p *pipeline.PackedUop, e *pipeline.ROBEntry) {
 	addr, _, ok := c.agu(p, e, true)
 	if !ok {
 		c.iq.Release(slot)
@@ -915,7 +1054,7 @@ func (c *CPU) storeResolved(e *pipeline.ROBEntry) {
 	}
 }
 
-func (c *CPU) issueInt(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
+func (c *CPU) issueInt(slot int, p *pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
 	c.iq.Release(slot)
 	switch p.Op {
 	case isa.BrFlags:
@@ -953,10 +1092,10 @@ func (c *CPU) issueInt(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.R
 	case isa.Div, isa.Rem:
 		lat = 20
 	}
-	c.inflight = append(c.inflight, inflightOp{robIdx: robIdx, seq: e.Seq, done: c.cycle + uint64(lat), value: r.Val})
+	c.launch(robIdx, e.Seq, c.cycle+uint64(lat), r.Val, false)
 }
 
-func (c *CPU) issueFP(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
+func (c *CPU) issueFP(slot int, p *pipeline.PackedUop, robIdx int, e *pipeline.ROBEntry) {
 	c.iq.Release(slot)
 	bits := func(p pipeline.PhysReg) float64 { return math.Float64frombits(c.readPhys(p)) }
 	var val uint64
@@ -979,7 +1118,21 @@ func (c *CPU) issueFP(slot int, p pipeline.PackedUop, robIdx int, e *pipeline.RO
 		val = isa.FCmpFlags(bits(p.Src1), bits(p.Src2))
 		lat = 2
 	}
-	c.inflight = append(c.inflight, inflightOp{robIdx: robIdx, seq: e.Seq, done: c.cycle + uint64(lat), value: val})
+	c.launch(robIdx, e.Seq, c.cycle+uint64(lat), val, false)
+}
+
+// launch puts an issued micro-op into execution until cycle done. The
+// entry is written field by field: appending a composite literal copies
+// it from the stack as a whole, stalling on the stores just made.
+func (c *CPU) launch(robIdx int, seq, done, value uint64, isLoad bool) {
+	n := len(c.inflight)
+	if n < cap(c.inflight) {
+		c.inflight = c.inflight[:n+1]
+	} else {
+		c.inflight = append(c.inflight, inflightOp{})
+	}
+	op := &c.inflight[n]
+	op.robIdx, op.seq, op.done, op.value, op.isLoad = robIdx, seq, done, value, isLoad
 }
 
 // ---- Completion ---------------------------------------------------------------

@@ -5,7 +5,10 @@ import (
 	"repro/internal/isa"
 )
 
-// FetchedUop is one decoded micro-op waiting for rename.
+// FetchedUop is one decoded micro-op waiting for rename. Queue slots are
+// reused without being cleared (see FetchQueue.Push): the branch fields
+// after IsBranch are written and read only on a branch-carrying
+// micro-op, every other field on every one.
 type FetchedUop struct {
 	Uop     isa.Uop
 	PC      uint64
@@ -40,18 +43,25 @@ type FetchQueue struct {
 // Len returns the number of queued micro-ops.
 func (q *FetchQueue) Len() int { return len(q.buf) - q.head }
 
-// Push appends a zero micro-op and returns it for the caller to fill in
+// Push appends a micro-op slot and returns it for the caller to fill in
 // place (a FetchedUop is 160 bytes; handing one over by value copies it
-// twice on the way in). A full backing array with a drained prefix is
-// compacted rather than grown, so capacity settles at the queue's peak
-// occupancy. The pointer is valid until the next Push.
+// twice on the way in, and zeroing it first was a measurable share of
+// the cycle loop). The slot holds whatever it held before: the caller
+// assigns every field the consumer reads (see FetchedUop). A full
+// backing array with a drained prefix is compacted rather than grown,
+// so capacity settles at the queue's peak occupancy. The pointer is
+// valid until the next Push.
 func (q *FetchQueue) Push() *FetchedUop {
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.buf = append(q.buf, FetchedUop{})
+	if len(q.buf) < cap(q.buf) {
+		q.buf = q.buf[:len(q.buf)+1]
+	} else {
+		q.buf = append(q.buf, FetchedUop{})
+	}
 	return &q.buf[len(q.buf)-1]
 }
 

@@ -12,8 +12,12 @@ func TestFetchQueueFIFOAcrossCompaction(t *testing.T) {
 	push := func(n int) {
 		for i := 0; i < n; i++ {
 			u := q.Push()
-			if *u != (FetchedUop{}) {
-				t.Fatalf("Push handed out a used slot: %+v", *u)
+			// Push does not clear the slot (the caller assigns every
+			// field); it must never hand out one still queued.
+			for j := q.head; j < len(q.buf)-1; j++ {
+				if &q.buf[j] == u {
+					t.Fatalf("Push handed out queued slot %d", j)
+				}
 			}
 			u.PC, u.ExcInfo, u.IsBranch = next, ^next, true
 			model = append(model, next)

@@ -65,32 +65,40 @@ type PackedUop struct {
 // rename hands out — PhysNone or a register of a file, whose index
 // NewRegFile keeps below 0x7ff — and pack as they are.
 func NewUop(u isa.Uop, dst, src1, src2 PhysReg) PackedUop {
-	return PackedUop{
-		Op:      u.Op,
-		Dst:     dst,
-		Src1:    src1,
-		Src2:    src2,
-		Cond:    u.Cond & 0xf,
-		Size:    u.Size & 0xf,
-		SignExt: u.SignExt,
-		UsesImm: u.UsesImm,
-		Imm:     u.Imm,
-	}
+	var p PackedUop
+	p.set(&u, dst, src1, src2)
+	return p
+}
+
+// set makes p NewUop(*u, dst, src1, src2), field by field: Alloc builds
+// the slot's copy in place (building it on the stack and copying it in
+// stalled the store-to-load forwarding of every rename).
+func (p *PackedUop) set(u *isa.Uop, dst, src1, src2 PhysReg) {
+	p.Op, p.Dst, p.Src1, p.Src2 = u.Op, dst, src1, src2
+	p.Cond, p.Size, p.SignExt, p.UsesImm = u.Cond&0xf, u.Size&0xf, u.SignExt, u.UsesImm
+	p.Imm = u.Imm
 }
 
 // Words packs the micro-op into the two payload words.
 func (p PackedUop) Words() (w0, w1 uint64) {
-	w0 = uint64(p.Imm)
-	w1 = uint64(p.Op) |
-		packReg(p.Dst)<<8 |
-		packReg(p.Src1)<<20 |
-		packReg(p.Src2)<<32 |
-		uint64(p.Cond&0xf)<<44 |
-		uint64(p.Size&0xf)<<48
-	if p.SignExt {
+	return pack(p.Op, p.Dst, p.Src1, p.Src2, p.Cond, p.Size, p.SignExt, p.UsesImm, p.Imm)
+}
+
+// pack is Words of the micro-op with the given fields. Alloc packs from
+// the renamed micro-op, not from the copy it has just written: reading
+// those fresh stores back stalls their forwarding.
+func pack(op isa.Op, dst, src1, src2 PhysReg, cond isa.Cond, size uint8, signExt, usesImm bool, imm int64) (w0, w1 uint64) {
+	w0 = uint64(imm)
+	w1 = uint64(op) |
+		packReg(dst)<<8 |
+		packReg(src1)<<20 |
+		packReg(src2)<<32 |
+		uint64(cond&0xf)<<44 |
+		uint64(size&0xf)<<48
+	if signExt {
 		w1 |= 1 << 52
 	}
-	if p.UsesImm {
+	if usesImm {
 		w1 |= 1 << 53
 	}
 	return w0, w1
@@ -158,6 +166,32 @@ func NewIQ(name string, size int) *IQ {
 	return q
 }
 
+// NextReady walks the age list from slot i, i included, to the first
+// slot whose copy's sources are both produced in the given register
+// files (an absent source counts as produced), and returns it (-1 when
+// the list ends first) with the number of slots it passed. It probes the
+// copies, not the array: on a quiet array that is what a read returns
+// (see Read), and the caller counts the reads.
+func (q *IQ) NextReady(i int, intRF, fpRF *RegFile) (slot, passed int) {
+	ir, fr := intRF.ready, fpRF.ready
+	produced := func(p PhysReg) bool {
+		switch {
+		case !p.Valid():
+			return true
+		case p.FP:
+			return fr[p.Idx]
+		}
+		return ir[p.Idx]
+	}
+	for ; i >= 0; i = q.next[i] {
+		if u := &q.uops[i]; produced(u.Src1) && produced(u.Src2) {
+			return i, passed
+		}
+		passed++
+	}
+	return -1, passed
+}
+
 // Array returns the injectable payload storage.
 func (q *IQ) Array() *bitarray.Array { return q.arr }
 
@@ -170,10 +204,10 @@ func (q *IQ) Full() bool { return q.n == len(q.uops) }
 // Occupied reports whether slot i holds a waiting micro-op.
 func (q *IQ) Occupied(i int) bool { return q.used[i>>6]&(1<<(i&63)) != 0 }
 
-// Alloc inserts a micro-op tied to the given ROB index into the lowest
-// free slot, younger than every micro-op already waiting, and reports
-// whether space was available.
-func (q *IQ) Alloc(p PackedUop, robIdx int) bool {
+// Alloc inserts the renamed micro-op NewUop(*u, dst, src1, src2), tied
+// to the given ROB index, into the lowest free slot, younger than every
+// micro-op already waiting, and reports whether space was available.
+func (q *IQ) Alloc(u *isa.Uop, dst, src1, src2 PhysReg, robIdx int) bool {
 	if q.Full() {
 		return false
 	}
@@ -186,10 +220,10 @@ func (q *IQ) Alloc(p PackedUop, robIdx int) bool {
 	}
 	q.used[i>>6] |= 1 << (i & 63)
 	q.robIdx[i] = robIdx
-	w0, w1 := p.Words()
-	q.arr.WriteWord(i, 0, w0)
-	q.arr.WriteWord(i, 1, w1)
-	q.uops[i] = p
+	p := &q.uops[i]
+	p.set(u, dst, src1, src2)
+	w0, w1 := pack(u.Op, dst, src1, src2, u.Cond, u.Size, u.SignExt, u.UsesImm, u.Imm)
+	q.arr.WriteWordPair(i, w0, w1)
 	q.link(i)
 	return true
 }
@@ -217,6 +251,14 @@ func (q *IQ) Read(i int) *PackedUop {
 	q.fetched = UnpackUop(q.arr.ReadWordPair(i))
 	return &q.fetched
 }
+
+// Copy returns slot i's own copy without an access; with CountReads it
+// is Read on a quiet array.
+func (q *IQ) Copy(i int) *PackedUop { return &q.uops[i] }
+
+// CountReads accounts n word reads served from the copies while the
+// array is quiet.
+func (q *IQ) CountReads(n int) { q.arr.CountReads(n) }
 
 // Select is the selection scan. It reads every occupied slot through
 // the faultable array, in slot order — the hardware's wakeup scan; a

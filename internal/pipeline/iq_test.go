@@ -62,7 +62,7 @@ func TestIQCandidatesOldestFirst(t *testing.T) {
 				continue
 			}
 			idx := rob.Alloc()
-			if !q.Alloc(NewUop(isa.Uop{Op: isa.Add, Imm: int64(rob.At(idx).Seq)}, PhysNone, PhysNone, PhysNone), idx) {
+			if !q.Alloc(&isa.Uop{Op: isa.Add, Imm: int64(rob.At(idx).Seq)}, PhysNone, PhysNone, PhysNone, idx) {
 				t.Fatal("alloc with space left")
 			}
 		case op < 8: // issue: each waiting micro-op leaves with odds 1/2
@@ -176,7 +176,7 @@ func FuzzIQMatchesArray(f *testing.F) {
 					return PhysNone
 				}
 				p := NewUop(u, reg(), reg(), reg())
-				if got := q.Alloc(p, int(seq)); got != (want >= 0) {
+				if got := q.Alloc(&u, p.Dst, p.Src1, p.Src2, int(seq)); got != (want >= 0) {
 					t.Fatalf("step %d: alloc %v with lowest free slot %d", step, got, want)
 				}
 				if want >= 0 {
@@ -253,4 +253,111 @@ func FuzzIQMatchesArray(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestIQNextReadyMatchesProbes: NextReady must find, and count its way
+// to, the slot the issue stage's probing walk finds — the oldest whose
+// sources the register files report produced, through Read and
+// RegFile.Ready — over random renames, allocations, writes, releases,
+// flushes and state round trips.
+func TestIQNextReadyMatchesProbes(t *testing.T) {
+	for seed := uint32(1); seed <= 20; seed++ {
+		intRF, fpRF := NewRegFile("rf.int", 8, 40, false), NewRegFile("rf.fp", 4, 20, true)
+		q := NewIQ("iq", 12)
+		rng := seed
+		next := func(n int) int {
+			rng = rng*1664525 + 1013904223
+			return int(rng>>16) % n
+		}
+		file := func(fp bool) *RegFile {
+			if fp {
+				return fpRF
+			}
+			return intRF
+		}
+		src := func() PhysReg {
+			switch next(4) {
+			case 0:
+				return PhysNone
+			case 1:
+				return fpRF.Lookup(next(4))
+			}
+			return intRF.Lookup(next(8))
+		}
+		var inflight []PhysReg
+		type saved struct {
+			i, f *RegFileState
+			q    *IQState
+		}
+		var snap *saved
+		for step := 0; step < 2000; step++ {
+			switch op := next(10); {
+			case op < 2: // rename: a fresh register, not produced yet
+				fp := next(3) == 0
+				arch := next(8)
+				if fp {
+					arch = next(4)
+				}
+				if d, _, ok := file(fp).Rename(arch); ok {
+					inflight = append(inflight, d)
+				}
+			case op < 5:
+				if !q.Full() {
+					q.Alloc(&isa.Uop{Op: isa.Add}, PhysNone, src(), src(), step)
+				}
+			case op < 7:
+				if len(inflight) > 0 {
+					k := next(len(inflight))
+					p := inflight[k]
+					file(p.FP).Write(p, uint64(step))
+					inflight = append(inflight[:k], inflight[k+1:]...)
+				}
+			case op < 9:
+				if q.Len() > 0 {
+					i := q.Select()
+					for n := next(q.Len()); n > 0; n-- {
+						i = q.Younger(i)
+					}
+					q.Release(i)
+				}
+			default:
+				switch {
+				case next(3) == 0:
+					q.FlushAll()
+					intRF.Flush()
+					fpRF.Flush()
+					inflight = inflight[:0]
+				case snap == nil || next(2) == 0:
+					snap = &saved{intRF.State(), fpRF.State(), q.State()}
+				default:
+					intRF.SetState(snap.i)
+					fpRF.SetState(snap.f)
+					q.SetState(snap.q)
+					inflight = inflight[:0]
+					for _, rf := range []*RegFile{intRF, fpRF} {
+						for p := range rf.ready {
+							if rf.isLive(p) && !rf.ready[p] {
+								inflight = append(inflight, PhysReg{FP: rf.fp, Idx: uint16(p)})
+							}
+						}
+					}
+				}
+			}
+			probe := func(p PhysReg) bool { return !p.Valid() || file(p.FP).Ready(p) }
+			for from := q.Select(); from >= 0; from = q.Younger(from) {
+				want, passed := -1, 0
+				for i := from; i >= 0; i = q.Younger(i) {
+					if u := q.Read(i); probe(u.Src1) && probe(u.Src2) {
+						want = i
+						break
+					}
+					passed++
+				}
+				if got, n := q.NextReady(from, intRF, fpRF); got != want || n != passed {
+					t.Fatalf("seed %d step %d: NextReady from %d: slot %d after %d, the probing walk finds %d after %d",
+						seed, step, from, got, n, want, passed)
+				}
+			}
+		}
+	}
 }

@@ -55,31 +55,107 @@ func TestRegFileRenameCommitFlush(t *testing.T) {
 	}
 }
 
-// TestRegFileFlushShortcutIsExact drives a register file through random
-// renames, commits, writes, flushes and state restores beside a twin
-// that rebuilds on every flush, and requires the two to hold the same
-// state — rename tables, free-list order included — after every step.
+// rebuildingRegFile is the register file's reference model: plain
+// slices, and a flush that rebuilds the live set and the free list from
+// scratch by a pass over every register, in descending index order, so
+// that the lowest free register is handed out first. Commits push the
+// displaced register on top.
+type rebuildingRegFile struct {
+	ready, live    []bool
+	free           []uint16
+	rat, commitRAT []uint16
+}
+
+func newRebuildingRegFile(archRegs, physRegs int) *rebuildingRegFile {
+	m := &rebuildingRegFile{
+		ready: make([]bool, physRegs), live: make([]bool, physRegs),
+		rat: make([]uint16, archRegs), commitRAT: make([]uint16, archRegs),
+	}
+	for i := range m.rat {
+		m.rat[i], m.commitRAT[i] = uint16(i), uint16(i)
+		m.ready[i] = true
+	}
+	m.flush()
+	return m
+}
+
+func (m *rebuildingRegFile) rename(arch int) (dst, old uint16, ok bool) {
+	if len(m.free) == 0 {
+		return 0, 0, false
+	}
+	n := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	old, m.rat[arch] = m.rat[arch], n
+	m.ready[n], m.live[n] = false, true
+	return n, old, true
+}
+
+func (m *rebuildingRegFile) commit(arch int, dst, old uint16) {
+	m.commitRAT[arch] = dst
+	m.free = append(m.free, old)
+	m.live[old] = false
+}
+
+func (m *rebuildingRegFile) flush() {
+	copy(m.rat, m.commitRAT)
+	clear(m.live)
+	for _, p := range m.commitRAT {
+		m.live[p], m.ready[p] = true, true
+	}
+	m.free = m.free[:0]
+	for i := len(m.live) - 1; i >= 0; i-- {
+		if !m.live[i] {
+			m.free = append(m.free, uint16(i))
+		}
+	}
+}
+
+func (m *rebuildingRegFile) setState(s *RegFileState) {
+	copy(m.ready, s.Ready)
+	copy(m.live, s.Live)
+	m.free = append(m.free[:0], s.Free...)
+	copy(m.rat, s.RAT)
+	copy(m.commitRAT, s.CommitRAT)
+}
+
+// TestRegFileFlushShortcutIsExact drives register files of several
+// geometries (one spanning more than one bitmap word) through random
+// renames, commits, writes, flushes and state restores beside the
+// rebuilding reference model, and requires the two to agree after every
+// step: each rename's registers, the rename tables, readiness, the live
+// set and the free list in the order it hands registers out. A file
+// flushes in a few words of work (a file nothing was renamed into since
+// its last flush not at all); the model pays a pass over every register.
 func TestRegFileFlushShortcutIsExact(t *testing.T) {
-	r, ref := NewRegFile("rf", 8, 20, false), NewRegFile("rf", 8, 20, false)
+	for _, g := range []struct{ arch, phys int }{{8, 20}, {16, 70}, {32, 256}} {
+		for seed := uint32(1); seed <= 12; seed++ {
+			regFileAgainstModel(t, g.arch, g.phys, seed)
+		}
+	}
+}
+
+func regFileAgainstModel(t *testing.T, archRegs, physRegs int, seed uint32) {
+	t.Helper()
+	r, m := NewRegFile("rf", archRegs, physRegs, false), newRebuildingRegFile(archRegs, physRegs)
 	type inflight struct {
 		arch     int
 		dst, old PhysReg
 	}
 	var q []inflight
 	var saved *RegFileState
-	rng := uint32(7)
+	rng := seed
 	next := func(n int) int {
 		rng = rng*1664525 + 1013904223
 		return int(rng>>16) % n
 	}
-	for step := 0; step < 5000; step++ {
+	for step := 0; step < 3000; step++ {
 		switch op := next(12); {
 		case op < 4:
-			arch := next(8)
+			arch := next(archRegs)
 			d, o, ok := r.Rename(arch)
-			rd, ro, rok := ref.Rename(arch)
-			if ok != rok || d != rd || o != ro {
-				t.Fatalf("step %d: rename %v %v %v, twin %v %v %v", step, d, o, ok, rd, ro, rok)
+			md, mo, mok := m.rename(arch)
+			if ok != mok || ok && (d.Idx != md || o.Idx != mo) {
+				t.Fatalf("%d/%d seed %d step %d: rename %v %v %v, model %v %v %v", archRegs, physRegs, seed, step, d, o, ok, md, mo, mok)
 			}
 			if ok {
 				q = append(q, inflight{arch, d, o})
@@ -87,19 +163,18 @@ func TestRegFileFlushShortcutIsExact(t *testing.T) {
 		case op < 7:
 			if len(q) > 0 {
 				r.Commit(q[0].arch, q[0].dst, q[0].old)
-				ref.Commit(q[0].arch, q[0].dst, q[0].old)
+				m.commit(q[0].arch, q[0].dst.Idx, q[0].old.Idx)
 				q = q[1:]
 			}
 		case op < 9:
 			if len(q) > 0 {
 				p := q[next(len(q))].dst
 				r.Write(p, uint64(step))
-				ref.Write(p, uint64(step))
+				m.ready[p.Idx] = true
 			}
 		case op < 11:
 			r.Flush()
-			ref.dirty = true
-			ref.Flush()
+			m.flush()
 			// The core squashes everything in flight at a flush; keeping
 			// it here half the time also commits into a flushed file.
 			if next(2) == 0 {
@@ -110,14 +185,18 @@ func TestRegFileFlushShortcutIsExact(t *testing.T) {
 				saved = r.State()
 			} else {
 				r.SetState(saved)
-				ref.SetState(saved)
+				m.setState(saved)
 				q = q[:0]
 			}
 		}
-		a, b := r.State(), ref.State()
-		a.Reads, a.Writes, b.Reads, b.Writes = 0, 0, 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("step %d: state %+v, a file that always rebuilds holds %+v", step, a, b)
+		s := r.State()
+		if !reflect.DeepEqual(s.Ready, m.ready) || !reflect.DeepEqual(s.Live, m.live) ||
+			!reflect.DeepEqual(s.RAT, m.rat) || !reflect.DeepEqual(s.CommitRAT, m.commitRAT) ||
+			!reflect.DeepEqual(s.Free, m.free) && (len(s.Free) > 0 || len(m.free) > 0) {
+			t.Fatalf("%d/%d seed %d step %d: state %+v, the rebuilding model holds %+v", archRegs, physRegs, seed, step, s, m)
+		}
+		if r.FreeCount() != len(m.free) {
+			t.Fatalf("%d/%d seed %d step %d: FreeCount %d, model %d", archRegs, physRegs, seed, step, r.FreeCount(), len(m.free))
 		}
 	}
 }
@@ -232,11 +311,11 @@ func TestPropPackUnpackIdentity(t *testing.T) {
 func TestIQAllocReleaseFlush(t *testing.T) {
 	q := NewIQ("iq", 4)
 	for i := 0; i < 4; i++ {
-		if !q.Alloc(UnpackUop(uint64(i), uint64(i)<<8), i*10) {
+		if !q.Alloc(&isa.Uop{Imm: int64(i)}, PhysNone, PhysNone, PhysNone, i*10) {
 			t.Fatalf("alloc %d failed", i)
 		}
 	}
-	if !q.Full() || q.Alloc(PackedUop{}, 0) {
+	if !q.Full() || q.Alloc(&isa.Uop{}, PhysNone, PhysNone, PhysNone, 0) {
 		t.Fatal("overfull")
 	}
 	if p := q.Read(2); p.Imm != 2 {

@@ -8,6 +8,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitarray"
 )
@@ -43,9 +44,17 @@ type RegFile struct {
 	fp    bool
 	arr   *bitarray.Array
 	ready []bool
-	live  []bool // allocated (mapped or in flight); dead registers
-	// are provably masked injection targets (§III.B optimization (i))
+	// live has bit p set while register p is allocated (mapped or in
+	// flight); dead registers are provably masked injection targets
+	// (§III.B optimization (i)).
+	live []uint64
+	// The free list, in the order Rename hands registers out: first the
+	// stack free (last in, first out: the registers commits recycled),
+	// then the registers of spare in ascending order. Flush empties the
+	// stack and makes spare every dead register, so a flush costs a few
+	// words per file, not a pass over every register.
 	free      []uint16
+	spare     []uint64
 	rat       []uint16 // speculative arch → phys
 	commitRAT []uint16 // architectural arch → phys
 	// dirty is set by every change Flush would undo (Rename, Commit,
@@ -71,11 +80,13 @@ func NewRegFile(name string, archRegs, physRegs int, fp bool) *RegFile {
 		panic(fmt.Sprintf("pipeline: %s: %d physical registers, the issue queue names at most %d",
 			name, physRegs, 0x7ff))
 	}
+	words := (physRegs + 63) / 64
 	r := &RegFile{
 		fp:        fp,
 		arr:       bitarray.New(name, physRegs, 64),
 		ready:     make([]bool, physRegs),
-		live:      make([]bool, physRegs),
+		live:      make([]uint64, words),
+		spare:     make([]uint64, words),
 		rat:       make([]uint16, archRegs),
 		commitRAT: make([]uint16, archRegs),
 	}
@@ -84,20 +95,42 @@ func NewRegFile(name string, archRegs, physRegs int, fp bool) *RegFile {
 		r.rat[i] = uint16(i)
 		r.commitRAT[i] = uint16(i)
 		r.ready[i] = true
-		r.live[i] = true
 	}
-	for i := physRegs - 1; i >= archRegs; i-- {
-		r.free = append(r.free, uint16(i))
-	}
-	r.arr.SetValidFunc(func(e int) bool { return r.live[e] })
+	r.spareDead()
+	r.arr.SetValidFunc(func(e int) bool { return r.isLive(e) })
 	return r
+}
+
+func (r *RegFile) isLive(p int) bool { return r.live[p>>6]&(1<<(p&63)) != 0 }
+
+// spareDead makes the committed mapping the live set and every other
+// register spare, with an empty stack: the state Flush rewinds to.
+func (r *RegFile) spareDead() {
+	clear(r.live)
+	for _, p := range r.commitRAT {
+		r.live[p>>6] |= 1 << (p & 63)
+	}
+	n := r.arr.Entries()
+	for w := range r.spare {
+		r.spare[w] = ^r.live[w]
+		if rest := n - w<<6; rest < 64 {
+			r.spare[w] &= 1<<rest - 1
+		}
+	}
+	r.free = r.free[:0]
 }
 
 // Array returns the injectable value storage.
 func (r *RegFile) Array() *bitarray.Array { return r.arr }
 
 // FreeCount returns the number of allocatable physical registers.
-func (r *RegFile) FreeCount() int { return len(r.free) }
+func (r *RegFile) FreeCount() int {
+	n := len(r.free)
+	for _, w := range r.spare {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Lookup returns the current speculative mapping of an architectural
 // register index.
@@ -109,15 +142,25 @@ func (r *RegFile) Lookup(arch int) PhysReg {
 // returning the new mapping and the previous one (to free at commit).
 // ok is false when the free list is empty (rename must stall).
 func (r *RegFile) Rename(arch int) (dst, old PhysReg, ok bool) {
-	if len(r.free) == 0 {
-		return PhysNone, PhysNone, false
+	var n uint16
+	if k := len(r.free); k > 0 {
+		n = r.free[k-1]
+		r.free = r.free[:k-1]
+	} else {
+		w := 0
+		for w < len(r.spare) && r.spare[w] == 0 {
+			w++
+		}
+		if w == len(r.spare) {
+			return PhysNone, PhysNone, false
+		}
+		n = uint16(w<<6 | bits.TrailingZeros64(r.spare[w]))
+		r.spare[w] &= r.spare[w] - 1
 	}
-	n := r.free[len(r.free)-1]
-	r.free = r.free[:len(r.free)-1]
 	old = PhysReg{FP: r.fp, Idx: r.rat[arch]}
 	r.rat[arch] = n
 	r.ready[n] = false
-	r.live[n] = true
+	r.live[n>>6] |= 1 << (n & 63)
 	r.dirty = true
 	return PhysReg{FP: r.fp, Idx: n}, old, true
 }
@@ -145,7 +188,7 @@ func (r *RegFile) Commit(arch int, dst, old PhysReg) {
 	r.dirty = true
 	if old.Valid() {
 		r.free = append(r.free, old.Idx)
-		r.live[old.Idx] = false
+		r.live[old.Idx>>6] &^= 1 << (old.Idx & 63)
 		r.arr.InvalidateObserve(int(old.Idx))
 	}
 }
@@ -165,28 +208,19 @@ func (r *RegFile) WriteArch(arch int, v uint64) {
 }
 
 // Flush rewinds the speculative state to the committed state: the RAT is
-// restored and the free list rebuilt from the registers not referenced
-// by the committed mapping. A file built by NewRegFile already is its
-// committed state.
+// restored and the free list becomes the registers not referenced by the
+// committed mapping, handed out in ascending order. A file built by
+// NewRegFile already is its committed state.
 func (r *RegFile) Flush() {
 	if !r.dirty {
 		return
 	}
 	r.dirty = false
 	copy(r.rat, r.commitRAT)
-	for i := range r.live {
-		r.live[i] = false
-	}
 	for _, p := range r.commitRAT {
-		r.live[p] = true
 		r.ready[p] = true
 	}
-	r.free = r.free[:0]
-	for i := r.arr.Entries() - 1; i >= 0; i-- {
-		if !r.live[i] {
-			r.free = append(r.free, uint16(i))
-		}
-	}
+	r.spareDead()
 }
 
 // Reads returns the number of physical register reads.

@@ -7,7 +7,9 @@ import (
 	"repro/internal/isa"
 )
 
-// ROBEntry is one in-flight micro-op.
+// ROBEntry is one in-flight micro-op. A ring slot is reused without
+// being cleared (see ROB.Alloc): the branch fields are written and read
+// only on the branch-carrying micro-op, every other field on every one.
 type ROBEntry struct {
 	Seq uint64
 	PC  uint64
@@ -78,16 +80,31 @@ func (r *ROB) Full() bool { return r.count == len(r.entries) }
 func (r *ROB) Empty() bool { return r.count == 0 }
 
 // Alloc appends a new entry at the tail and returns its index. It panics
-// when full — dispatch must check Full first.
+// when full — dispatch must check Full first. Only Seq and LSQIdx (-1)
+// are set; the slot keeps what its previous micro-op left in every other
+// field, and the caller assigns each field before anything reads it
+// (zeroing the whole entry on every allocation was a measurable share
+// of the cycle loop).
 func (r *ROB) Alloc() int {
 	if r.Full() {
 		panic("pipeline: ROB overflow")
 	}
-	idx := (r.head + r.count) % len(r.entries)
+	idx := r.wrap(r.head + r.count)
 	r.count++
 	r.seq++
-	r.entries[idx] = ROBEntry{Seq: r.seq, LSQIdx: -1}
+	e := &r.entries[idx]
+	e.Seq, e.LSQIdx = r.seq, -1
 	return idx
+}
+
+// wrap folds a ring position in [0, 2·Cap) into the ring with a compare:
+// a capacity that is not a power of two (GeFIN's 40) turns % into a
+// divide on every allocate and retire.
+func (r *ROB) wrap(i int) int {
+	if i >= len(r.entries) {
+		i -= len(r.entries)
+	}
+	return i
 }
 
 // At returns the entry at index idx.
@@ -106,7 +123,7 @@ func (r *ROB) PopHead() {
 	if r.Empty() {
 		panic("pipeline: ROB pop of empty buffer")
 	}
-	r.head = (r.head + 1) % len(r.entries)
+	r.head = r.wrap(r.head + 1)
 	r.count--
 }
 
@@ -114,7 +131,7 @@ func (r *ROB) PopHead() {
 // stopping early when fn returns false.
 func (r *ROB) Walk(fn func(idx int, e *ROBEntry) bool) {
 	for i := 0; i < r.count; i++ {
-		idx := (r.head + i) % len(r.entries)
+		idx := r.wrap(r.head + i)
 		if !fn(idx, &r.entries[idx]) {
 			return
 		}

@@ -30,19 +30,29 @@ func (s *RegFileState) SizeBytes() int {
 
 // State captures the register file.
 func (r *RegFile) State() *RegFileState {
+	n := len(r.ready)
 	s := &RegFileState{
 		Arr:       r.arr.Snapshot(),
-		Ready:     make([]bool, len(r.ready)),
-		Live:      make([]bool, len(r.live)),
-		Free:      make([]uint16, len(r.free)),
+		Ready:     make([]bool, n),
+		Live:      make([]bool, n),
+		Free:      make([]uint16, 0, r.FreeCount()),
 		RAT:       make([]uint16, len(r.rat)),
 		CommitRAT: make([]uint16, len(r.commitRAT)),
 		Reads:     r.reads,
 		Writes:    r.writes,
 	}
 	copy(s.Ready, r.ready)
-	copy(s.Live, r.live)
-	copy(s.Free, r.free)
+	for p := range s.Live {
+		s.Live[p] = r.isLive(p)
+	}
+	// The free list as one stack, bottom first: the spare registers
+	// (handed out last, lowest first) under the stack.
+	for p := n - 1; p >= 0; p-- {
+		if r.spare[p>>6]&(1<<(p&63)) != 0 {
+			s.Free = append(s.Free, uint16(p))
+		}
+	}
+	s.Free = append(s.Free, r.free...)
 	copy(s.RAT, r.rat)
 	copy(s.CommitRAT, r.commitRAT)
 	return s
@@ -52,7 +62,13 @@ func (r *RegFile) State() *RegFileState {
 func (r *RegFile) SetState(s *RegFileState) {
 	r.arr.RestoreSnapshot(s.Arr)
 	copy(r.ready, s.Ready)
-	copy(r.live, s.Live)
+	clear(r.live)
+	for p, l := range s.Live {
+		if l {
+			r.live[p>>6] |= 1 << (p & 63)
+		}
+	}
+	clear(r.spare)
 	r.free = append(r.free[:0], s.Free...)
 	copy(r.rat, s.RAT)
 	copy(r.commitRAT, s.CommitRAT)
