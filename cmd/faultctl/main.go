@@ -11,8 +11,10 @@
 //	faultctl -addr http://127.0.0.1:8400 -token tok-alice results c00000
 //
 // submit prints the new campaign's ID (and nothing else) on stdout;
-// status prints "id state done/shards masks"; wait blocks until the
-// campaign is terminal and prints the final state.
+// status prints "id state done/shards masks queue-wait=D", D being the
+// time from submission to the campaign's first shard lease ("-" before
+// it); wait blocks until the campaign is terminal and prints the final
+// state.
 package main
 
 import (
@@ -170,7 +172,11 @@ func cmdList(ctx context.Context, cl *client.Client) {
 }
 
 func printStatus(st api.CampaignStatus) {
-	fmt.Printf("%s %s %d/%d %d\n", st.ID, st.State, st.ShardsCompleted, st.Shards, st.Masks)
+	wait := "-"
+	if st.FirstLeaseUnixNS > 0 && st.SubmittedUnixNS > 0 {
+		wait = time.Duration(st.FirstLeaseUnixNS - st.SubmittedUnixNS).String()
+	}
+	fmt.Printf("%s %s %d/%d %d queue-wait=%s\n", st.ID, st.State, st.ShardsCompleted, st.Shards, st.Masks, wait)
 }
 
 func oneID(cmd string, args []string) string {

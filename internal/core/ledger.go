@@ -153,6 +153,10 @@ func (l *CellLedger) settle(run ShardRun, s slot, dispatched bool) error {
 	return l.sinks.Commit(run, dispatched)
 }
 
+// Flush appends the journal lines the ledger's sinks queued under
+// GroupCommit (see CellSinks.Flush).
+func (l *CellLedger) Flush() error { return l.sinks.Flush() }
+
 // Journaled notes that the journal holds a stopped-early row for run's
 // index. It settles nothing — a stop row never counts as a completion —
 // but when the re-derived stop decision cancels the index, its row is

@@ -220,13 +220,34 @@ type CellSinks struct {
 	Row        *telemetry.CampaignStats
 	Journal    *fault.Journal
 	Divergence *divergence.Sink
+	// GroupCommit makes Commit queue its journal lines, in commit order,
+	// instead of appending each; Flush appends the queue with one write
+	// and one fsync. The caller flushes before it acknowledges anything
+	// the queued runs decided — the coordinator, once per merged shard.
+	GroupCommit bool
+	queued      []fault.JournalEntry
+}
+
+// Flush appends the journal lines Commit queued under GroupCommit, in
+// one Journal.Append.
+func (s *CellSinks) Flush() error {
+	if len(s.queued) == 0 {
+		return nil
+	}
+	err := s.Journal.Append(s.queued...)
+	s.queued = s.queued[:0]
+	if err != nil {
+		return fmt.Errorf("core: journaling %s: %w", s.Key, err)
+	}
+	return nil
 }
 
 // Commit settles one outcome: it is the one place a mask becomes a
 // journal line, a divergence row and a run-end event (the trace row is
 // the trace sink's projection of that event). Simulated and stopped
 // outcomes journal — the line is fsync'd before anything else sees the
-// run, so a crash can only lose runs a resume will redo; pruned
+// run (under GroupCommit, before the caller acknowledges the batch), so
+// a crash can only lose runs a resume will redo; pruned
 // outcomes never do (the deterministic plan re-settles them) and
 // neither do resumed ones (their line is already on disk). dispatched
 // says the scheduler counted the run as started when it handed it to a
@@ -238,13 +259,16 @@ func (s *CellSinks) Commit(run ShardRun, dispatched bool) error {
 		if err != nil {
 			return fmt.Errorf("core: journaling %s mask %d: %w", s.Key, rec.MaskID, err)
 		}
-		if err := s.Journal.Append(fault.JournalEntry{
+		e := fault.JournalEntry{
 			Campaign: s.Key, MaskID: rec.MaskID, Record: raw,
 			Observed: run.Observed, FirstObsCycle: run.FirstObsCycle, EarlyStop: run.EarlyStop,
 			StoppedEarly: run.Stopped(),
 			FaultTouches: run.FaultTouches, LastTouchCycle: run.LastTouchCycle, CorruptStructures: run.CorruptStructures,
 			Diverged: run.Diverged, DivergeCycle: run.DivergeCycle, DivergeIndex: run.DivergeIndex,
-		}); err != nil {
+		}
+		if s.GroupCommit {
+			s.queued = append(s.queued, e)
+		} else if err := s.Journal.Append(e); err != nil {
 			return err
 		}
 	}

@@ -40,6 +40,52 @@ import (
 // failures.
 var ErrCancelled = errors.New("dist: campaign cancelled")
 
+// Signal is a broadcast edge: C returns a channel that the next Raise
+// closes, which wakes every goroutine waiting on it. It is how a worker
+// plane says it changed (see Coordinator.Changed): a waiter takes C
+// before it looks at the state, so no change after the look is missed.
+// The zero Signal is ready to use.
+type Signal struct {
+	mu     sync.Mutex
+	ch     chan struct{}
+	closed bool
+}
+
+// C returns the channel the next Raise closes, or nil once the signal is
+// closed (a nil channel never fires: there is nothing left to wait for).
+func (s *Signal) C() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	return s.ch
+}
+
+// Raise wakes every waiter on the current channel.
+func (s *Signal) Raise() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
+	}
+}
+
+// Close wakes every waiter for the last time: C answers nil from now on.
+func (s *Signal) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
+	}
+}
+
 // CoordinatorOptions parameterize shard planning, lease terms, and the
 // coordinator-side resources of a distributed campaign.
 type CoordinatorOptions struct {
@@ -208,6 +254,9 @@ type Coordinator struct {
 	finished    bool
 	doneCh      chan struct{}
 	results     []*core.CampaignResult
+	// changed is raised whenever a lease request could get a different
+	// answer: a shard completes or is requeued, the campaign ends.
+	changed Signal
 }
 
 // New validates the config, plans the shard queue, and registers the
@@ -265,7 +314,9 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 	for i, cell := range cfg.Campaigns {
 		cl := &cellState{}
 		c.cells[i] = cl
-		sk := core.CellSinks{Key: c.keys[i], Divergence: opt.Divergence}
+		// Group commit: a merge queues its journal lines and Complete
+		// writes them with one fsync before it acknowledges the shard.
+		sk := core.CellSinks{Key: c.keys[i], Divergence: opt.Divergence, GroupCommit: true}
 		if tel := opt.Telemetry; tel != nil {
 			sk.Telemetry, sk.Row = tel, tel.Campaign(c.keys[i], cell.Tool, cell.Benchmark, cell.Structure)
 		}
@@ -375,6 +426,9 @@ func (c *Coordinator) resume() error {
 	if c.resumedRuns > 0 {
 		c.logf("dist: resumed %d journaled runs; %d/%d shards already complete", c.resumedRuns, c.stats.Completed, c.stats.Shards)
 	}
+	if err := c.flushLocked(); err != nil {
+		return err
+	}
 	c.finalizeLocked()
 	return nil
 }
@@ -415,7 +469,24 @@ func (c *Coordinator) finishLocked() {
 			c.rootSpan.End()
 		}
 		close(c.doneCh)
+		c.changed.Raise()
 	}
+}
+
+// Changed returns a channel closed at the coordinator's next change — a
+// shard completes or is requeued, or the campaign ends — the wake-up of
+// a held lease request (svc.WorkerPlane).
+func (c *Coordinator) Changed() <-chan struct{} { return c.changed.C() }
+
+// flushLocked writes the journal lines the cells' ledgers queued, one
+// append and one fsync per cell that has any.
+func (c *Coordinator) flushLocked() error {
+	for _, cl := range c.cells {
+		if err := cl.ledger.Flush(); err != nil {
+			return fmt.Errorf("dist: %w", err)
+		}
+	}
+	return nil
 }
 
 // retireLocked takes shard s off the queue for good, crediting worker
@@ -444,6 +515,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		s.worker = ""
 		s.eligible = now.Add(time.Duration(s.retries) * c.opt.retryBackoff())
 		c.stats.Requeues++
+		c.changed.Raise()
 	}
 }
 
@@ -572,11 +644,28 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 	}
 	mergeStart := time.Now()
 	if err := c.mergeLocked(s.shard, req.Result); err != nil {
+		// Journal the rows settled before the rejected one, as before; the
+		// campaign fails with the merge's error whatever the flush says.
+		_ = c.flushLocked()
 		c.failLocked(err)
 		return c.ackLocked(api.CompleteResponse{OK: true})
 	}
 	c.retireLocked(s, req.WorkerID)
 	c.stats.Completed++
+	// A merge may have fired a cell's stopping rule; settle the cancelled
+	// masks and shards after this shard's own bookkeeping so the
+	// cancellation sweep never double-counts it. Then one write and one
+	// fsync journal every row the merge settled, before anything is
+	// acknowledged: a crash before it leaves the shard unacknowledged,
+	// and a resume leases it again.
+	err := c.settleStopsLocked()
+	if ferr := c.flushLocked(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		c.failLocked(err)
+		return c.ackLocked(api.CompleteResponse{OK: true})
+	}
 	if tr := c.opt.Tracer; tr != nil {
 		// Worker spans first (they are the shard span's subtree), then
 		// the coordinator-side merge phase, then the shard span itself —
@@ -598,13 +687,7 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 		})
 	}
 	c.logf("dist: shard %d completed by %s (%d/%d)", s.shard.ID, req.WorkerID, c.stats.Completed, c.stats.Shards)
-	// A merge may have fired a cell's stopping rule; settle the cancelled
-	// masks and shards after this shard's own bookkeeping so the
-	// cancellation sweep never double-counts it.
-	if err := c.settleStopsLocked(); err != nil {
-		c.failLocked(err)
-		return c.ackLocked(api.CompleteResponse{OK: true})
-	}
+	c.changed.Raise()
 	c.finalizeLocked()
 	return c.ackLocked(api.CompleteResponse{OK: true, Accepted: true})
 }

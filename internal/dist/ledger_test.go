@@ -94,7 +94,10 @@ func TestMergeRejectsRepeatedIndex(t *testing.T) {
 
 // TestCoordinatorResume runs an adaptive, pruned campaign single-node
 // with a journal, cuts the journal after some of its stopped-early rows,
-// and resumes a coordinator over the cut journal with 1 and 2 workers.
+// and resumes a coordinator over the cut journal with 1 and 2 workers —
+// and with 2 workers over the cut plus half of the next line, the tail a
+// crash in the middle of the coordinator's batch write leaves, which
+// must reopen at the cut.
 // Logs (adaptive trailer included) and trace must equal the
 // uninterrupted run's; the divergence file must too, except that a
 // resumed row is flagged — and it must equal a single-node resume over
@@ -137,6 +140,7 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cut bytes.Buffer
+	var next []byte // the first line past the cut
 	journaled := map[int]bool{}
 	simulatedLines, stoppedLines, stoppedTotal := 0, 0, 0
 	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
@@ -155,6 +159,7 @@ func TestCoordinatorResume(t *testing.T) {
 		}
 		if e.StoppedEarly {
 			if stoppedLines == stoppedTotal/2 {
+				next = line
 				break
 			}
 			stoppedLines++
@@ -169,9 +174,15 @@ func TestCoordinatorResume(t *testing.T) {
 			simulatedLines, stoppedLines, stoppedTotal)
 	}
 	t.Logf("the cut keeps %d simulated and %d of %d stopped-early lines", simulatedLines, stoppedLines, stoppedTotal)
-	cutJournal := func() string {
+	// torn adds half of the next line: a crash in the middle of the
+	// coordinator's batch write, which must reopen at the cut.
+	cutJournal := func(torn bool) string {
 		path := filepath.Join(t.TempDir(), key+".journal.jsonl")
-		if err := os.WriteFile(path, cut.Bytes(), 0o644); err != nil {
+		b := bytes.Clone(cut.Bytes())
+		if torn {
+			b = append(b, next[:len(next)/2]...)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -188,7 +199,7 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 
 	// The single-node resume over the same cut.
-	sj, err := fault.OpenJournal(cutJournal())
+	sj, err := fault.OpenJournal(cutJournal(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +212,13 @@ func TestCoordinatorResume(t *testing.T) {
 	sj.Close()
 	checkExactlyOnce(t, "single-node resume", sj.Path(), len(want[0].Records))
 
-	for _, workers := range []int{1, 2} {
-		name := fmt.Sprintf("workers=%d", workers)
-		path := cutJournal()
+	for _, tc := range []struct {
+		workers int
+		torn    bool
+	}{{1, false}, {2, false}, {2, true}} {
+		workers := tc.workers
+		name := fmt.Sprintf("workers=%d torn=%v", workers, tc.torn)
+		path := cutJournal(tc.torn)
 		collector, sink, dsink := traced()
 		coord, err := dist.New(cfg, dist.CoordinatorOptions{
 			ShardSize: 25, Telemetry: collector, Divergence: dsink, Cell: cellFor(cfg), Resume: true,

@@ -31,6 +31,17 @@ func (p plane) Lease(worker string) (resp api.LeaseResponse) {
 	}
 	return resp
 }
+
+// Changed wakes a held lease on the one campaign's changes; a plane of
+// several campaigns holds no lease.
+func (p plane) Changed() <-chan struct{} {
+	for _, c := range p {
+		if len(p) == 1 {
+			return c.Changed()
+		}
+	}
+	return nil
+}
 func (p plane) Heartbeat(r api.HeartbeatRequest) api.HeartbeatResponse {
 	return p[r.CampaignID].Heartbeat(r)
 }

@@ -30,7 +30,10 @@ type WorkerOptions struct {
 	// from the campaign's lease terms.
 	Heartbeat time.Duration
 	// Poll caps the wait between lease polls when the service has no
-	// runnable shard; 0 honors the service's wait hint as-is.
+	// runnable shard; 0 honors the service's wait hint as-is. A lease
+	// request asks the service to hold it open for the same time (Poll,
+	// or maxLeaseHold when 0), so a shard that becomes runnable meanwhile
+	// is granted at once rather than at the next poll.
 	Poll time.Duration
 	// Logf, when non-nil, receives worker lifecycle lines.
 	Logf func(format string, args ...any)
@@ -48,6 +51,10 @@ type WorkerOptions struct {
 	// instead of leasing more work.
 	Drain <-chan struct{}
 }
+
+// maxLeaseHold is the longest a worker asks the service to hold a lease
+// request: the longest wait hint a shard ledger gives.
+const maxLeaseHold = time.Second
 
 // maxWorkerCampaigns bounds the campaign configs a worker keeps: a
 // config is dropped when its campaign ends, and past the bound (a fleet
@@ -199,6 +206,10 @@ func RunWorker(ctx context.Context, svcURL string, opt WorkerOptions) error {
 		}
 	}
 
+	hold := opt.Poll
+	if hold <= 0 {
+		hold = maxLeaseHold
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -208,7 +219,7 @@ func RunWorker(ctx context.Context, svcURL string, opt WorkerOptions) error {
 			postFinal()
 			return nil
 		}
-		lease, err := cl.Lease(ctx, opt.ID)
+		lease, err := cl.LeaseHeld(ctx, opt.ID, hold)
 		if err != nil {
 			if !client.Retryable(err) {
 				return err
@@ -229,6 +240,9 @@ func RunWorker(ctx context.Context, svcURL string, opt WorkerOptions) error {
 		case api.StatusFailed:
 			return fmt.Errorf("dist: campaign failed: %s", lease.Error)
 		case api.StatusWait:
+			if lease.Held {
+				continue // the service already waited; ask again at once
+			}
 			if err := sleep(time.Duration(lease.WaitMS) * time.Millisecond); err != nil {
 				return err
 			}

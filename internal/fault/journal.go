@@ -67,46 +67,64 @@ func (e *JournalEntry) provenance() bool {
 		e.Diverged || e.DivergeCycle != 0 || e.DivergeIndex != 0
 }
 
-// Journal is an append-only JSONL run journal. Append marshals one entry,
-// writes it as a single line and fsyncs before returning, so every
-// acknowledged line survives a SIGKILL of the campaign process. Safe for
-// concurrent use by scheduler workers.
+// Journal is an append-only JSONL run journal. Append marshals its
+// entries, writes them as whole lines in one write and fsyncs once
+// before returning, so every acknowledged line survives a SIGKILL of the
+// campaign process. Safe for concurrent use by scheduler workers.
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	path     string
 	past     []JournalEntry
+	size     int64 // bytes of complete lines in the file
 	appended int
+	syncs    int
 }
 
-// parseJournal decodes the longest valid line-prefix of a journal file.
-// A crash can leave a torn (or, after power loss, corrupt) tail; entries
-// after the first undecodable line are dropped and validLen reports how
-// many bytes of the file are good, so OpenJournal can truncate the rest
-// away before appending. A line that parses but carries a schema version
-// newer than this build understands is a hard error — unlike a torn
-// tail, it means a newer build owns the journal, and truncating its
-// lines away would destroy acknowledged runs.
-func parseJournal(data []byte) (entries []JournalEntry, validLen int64, err error) {
+// DecodeLines decodes the longest valid prefix of complete JSON lines in
+// data — the torn-tail rule of every append-only log here. A crash can
+// leave a torn (or, after power loss, corrupt) tail; values after the
+// first undecodable line are dropped and validLen reports how many bytes
+// of data are good, so a writer can truncate the rest away before
+// appending. check, when non-nil, vets each decoded value: its error is
+// a hard error, not a torn tail (a line a newer build wrote, say, whose
+// truncation would destroy acknowledged state).
+func DecodeLines[T any](data []byte, check func(i int, v *T) error) (vals []T, validLen int64, err error) {
 	off := 0
 	for off < len(data) {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
 			break
 		}
-		var e JournalEntry
-		if err := json.Unmarshal(data[off:off+nl], &e); err != nil {
+		var v T
+		if err := json.Unmarshal(data[off:off+nl], &v); err != nil {
 			break
 		}
-		if e.SchemaVersion > JournalSchemaVersion {
-			return nil, 0, fmt.Errorf("fault: journal entry %d has schema version %d; this build reads versions <= %d",
-				len(entries), e.SchemaVersion, JournalSchemaVersion)
+		if check != nil {
+			if err := check(len(vals), &v); err != nil {
+				return nil, 0, err
+			}
 		}
-		entries = append(entries, e)
+		vals = append(vals, v)
 		off += nl + 1
 		validLen = int64(off)
 	}
-	return entries, validLen, nil
+	return vals, validLen, nil
+}
+
+// parseJournal decodes a journal file by DecodeLines. A line that parses
+// but carries a schema version newer than this build understands is a
+// hard error — unlike a torn tail, it means a newer build owns the
+// journal, and truncating its lines away would destroy acknowledged
+// runs.
+func parseJournal(data []byte) (entries []JournalEntry, validLen int64, err error) {
+	return DecodeLines(data, func(i int, e *JournalEntry) error {
+		if e.SchemaVersion > JournalSchemaVersion {
+			return fmt.Errorf("fault: journal entry %d has schema version %d; this build reads versions <= %d",
+				i, e.SchemaVersion, JournalSchemaVersion)
+		}
+		return nil
+	})
 }
 
 // OpenJournal opens (creating if needed) the journal at path for
@@ -137,7 +155,7 @@ func OpenJournal(path string) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("fault: seeking journal %s: %w", path, err)
 	}
-	return &Journal{f: f, path: path, past: entries}, nil
+	return &Journal{f: f, path: path, past: entries, size: validLen}, nil
 }
 
 // Path returns the journal file path.
@@ -156,39 +174,69 @@ func (j *Journal) Appended() int {
 	return j.appended
 }
 
-// Append writes one entry as a JSON line and fsyncs it, stamping
-// unstamped entries with the lowest schema version that can express
-// them (3 for divergence provenance, 2 for stopped-early provenance, 1
-// otherwise).
-func (j *Journal) Append(e JournalEntry) error {
-	if e.SchemaVersion == 0 {
-		switch {
-		case e.provenance():
-			e.SchemaVersion = 3
-		case e.StoppedEarly:
-			e.SchemaVersion = 2
-		default:
-			e.SchemaVersion = 1
+// Syncs reports how many fsyncs this process's appends have made.
+func (j *Journal) Syncs() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.syncs
+}
+
+// Append writes the entries as JSON lines, in order, with one write and
+// one fsync, stamping unstamped entries with the lowest schema version
+// that can express them (3 for divergence provenance, 2 for
+// stopped-early provenance, 1 otherwise). The lines are those one Append
+// per entry would write. A write or sync that fails truncates the file
+// back to its last complete line, so no acknowledged line is followed by
+// a torn one. Append() with no entries does nothing.
+func (j *Journal) Append(es ...JournalEntry) error {
+	if len(es) == 0 {
+		return nil
+	}
+	var b []byte
+	for _, e := range es {
+		if e.SchemaVersion == 0 {
+			switch {
+			case e.provenance():
+				e.SchemaVersion = 3
+			case e.StoppedEarly:
+				e.SchemaVersion = 2
+			default:
+				e.SchemaVersion = 1
+			}
 		}
+		line, err := json.Marshal(&e)
+		if err != nil {
+			return fmt.Errorf("fault: journal append for %s mask %d: %w", e.Campaign, e.MaskID, err)
+		}
+		b = append(append(b, line...), '\n')
 	}
-	b, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("fault: journal append for %s mask %d: %w", e.Campaign, e.MaskID, err)
-	}
-	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("fault: journal %s is closed", j.path)
 	}
 	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("fault: journal append: %w", err)
+		return j.tornLocked(fmt.Errorf("fault: journal append: %w", err))
 	}
+	j.syncs++
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("fault: journal sync: %w", err)
+		return j.tornLocked(fmt.Errorf("fault: journal sync: %w", err))
 	}
-	j.appended++
+	j.size += int64(len(b))
+	j.appended += len(es)
 	return nil
+}
+
+// tornLocked cuts a failed append back to the last complete line and
+// returns err.
+func (j *Journal) tornLocked(err error) error {
+	if terr := j.f.Truncate(j.size); terr != nil {
+		return fmt.Errorf("%w (truncating the torn tail: %v)", err, terr)
+	}
+	if _, serr := j.f.Seek(j.size, io.SeekStart); serr != nil {
+		return fmt.Errorf("%w (seeking past the last line: %v)", err, serr)
+	}
+	return err
 }
 
 // Close closes the journal file. Further Appends fail.

@@ -272,3 +272,50 @@ func TestJournalStampsProvenanceVersion(t *testing.T) {
 		t.Fatalf("provenance round trip: %+v, want %+v", back, prov)
 	}
 }
+
+// TestJournalAppendBatch appends the same entries as one batch and one
+// by one: the files are byte-identical, the batch took one fsync where
+// the singles took one each, and an empty batch writes nothing.
+func TestJournalAppendBatch(t *testing.T) {
+	dir := t.TempDir()
+	entries := []JournalEntry{journalEntry("k", 0), journalEntry("k", 1), journalEntry("k", 2)}
+	entries[1].StoppedEarly = true
+	entries[2].Diverged = true
+
+	batch, err := OpenJournal(filepath.Join(dir, "batch.journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Append(); err != nil || batch.Syncs() != 0 {
+		t.Fatalf("empty append: %v, %d fsyncs", err, batch.Syncs())
+	}
+	if err := batch.Append(entries...); err != nil {
+		t.Fatal(err)
+	}
+	one, err := OpenJournal(filepath.Join(dir, "one.journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := one.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if batch.Syncs() != 1 || one.Syncs() != 3 || batch.Appended() != 3 {
+		t.Fatalf("fsyncs: batch %d, singles %d; batch appended %d", batch.Syncs(), one.Syncs(), batch.Appended())
+	}
+	batch.Close()
+	one.Close()
+	a, _ := os.ReadFile(batch.Path())
+	b, _ := os.ReadFile(one.Path())
+	if len(a) == 0 || string(a) != string(b) {
+		t.Fatalf("batch-written journal differs from single appends:\n%s\n%s", a, b)
+	}
+	got, err := ReadJournalFile(batch.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0].SchemaVersion != 1 || got[1].SchemaVersion != 2 || got[2].SchemaVersion != 3 {
+		t.Fatalf("batch entries read back as %+v, want versions 1, 2, 3", got)
+	}
+}

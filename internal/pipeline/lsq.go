@@ -115,7 +115,9 @@ func (q *LSQ) CanAlloc(isStore bool) bool {
 	return q.loads < q.cfg.LoadEntries
 }
 
-// allocRange returns the index range to search for a free slot.
+// allocRange returns the index range to search for a free slot, which
+// is also the only range that can hold an entry of that kind: the whole
+// queue when unified, the kind's own half when split.
 func (q *LSQ) allocRange(isStore bool) (lo, hi int) {
 	if q.cfg.Unified {
 		return 0, q.cfg.LoadEntries
@@ -199,11 +201,14 @@ func (q *LSQ) MarkExecuted(idx int) { q.entries[idx].executed = true }
 
 // QueryLoad searches the older stores for the load at idx.
 func (q *LSQ) QueryLoad(idx int) FwdResult {
+	res := FwdResult{FwdIdx: -1}
+	if q.stores == 0 {
+		return res
+	}
 	le := &q.entries[idx]
-	var res FwdResult
-	res.FwdIdx = -1
 	var bestSeq uint64
-	for i := range q.entries {
+	lo, hi := q.allocRange(true)
+	for i := lo; i < hi; i++ {
 		se := &q.entries[i]
 		if !se.valid || !se.isStore || se.seq >= le.seq {
 			continue
@@ -239,7 +244,11 @@ func (q *LSQ) QueryLoad(idx int) FwdResult {
 func (q *LSQ) StoreResolved(idx int) []int {
 	se := &q.entries[idx]
 	violated := q.hits[:0]
-	for i := range q.entries {
+	lo, hi := q.allocRange(false)
+	if q.loads == 0 {
+		hi = lo
+	}
+	for i := lo; i < hi; i++ {
 		le := &q.entries[i]
 		if !le.valid || le.isStore || le.seq <= se.seq || !le.executed || !le.addrValid {
 			continue
@@ -262,7 +271,11 @@ func (q *LSQ) LineSharers(idx int, lineSize uint64) []int {
 	se := &q.entries[idx]
 	line := se.addr &^ (lineSize - 1)
 	out := q.hits[:0]
-	for i := range q.entries {
+	lo, hi := q.allocRange(false)
+	if q.loads == 0 {
+		hi = lo
+	}
+	for i := lo; i < hi; i++ {
 		le := &q.entries[i]
 		if !le.valid || le.isStore || le.seq <= se.seq || !le.executed || !le.addrValid {
 			continue

@@ -175,9 +175,15 @@ type ConfigResponse struct {
 	CampaignID      string              `json:"campaign_id,omitempty"`
 }
 
-// LeaseRequest is the body of POST /v1/lease.
+// LeaseRequest is the body of POST /v1/lease. HoldMS, when positive,
+// asks the service to hold the request open while nothing is runnable:
+// it answers as soon as its worker plane changes (a campaign starts, a
+// shard completes or is requeued, a campaign ends) or the hold runs out,
+// whichever is first, and never holds past the wait hint it would have
+// answered at once. Without it the request answers at once.
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
+	HoldMS   int64  `json:"hold_ms,omitempty"`
 }
 
 // Lease statuses.
@@ -201,10 +207,15 @@ const (
 // campaign a granted shard belongs to — the worker fetches that
 // campaign's config and echoes the ID on heartbeats and completions so
 // the service routes them to the right shard ledger.
+//
+// Held marks a wait answered after a hold: the wait already happened
+// on the service side, so the worker asks again at once instead of
+// sleeping WaitMS. A service that predates holds never sets it.
 type LeaseResponse struct {
 	Status     string `json:"status"`
 	Shard      *Shard `json:"shard,omitempty"`
 	WaitMS     int64  `json:"wait_ms,omitempty"`
+	Held       bool   `json:"held,omitempty"`
 	Error      string `json:"error,omitempty"`
 	CampaignID string `json:"campaign_id,omitempty"`
 }
@@ -364,9 +375,13 @@ type CampaignStatus struct {
 	Duplicates      int `json:"duplicates,omitempty"`
 	ShardsCancelled int `json:"shards_cancelled,omitempty"`
 	// Unix-nanosecond lifecycle timestamps (zero when not reached).
-	SubmittedUnixNS int64 `json:"submitted_unix_ns,omitempty"`
-	StartedUnixNS   int64 `json:"started_unix_ns,omitempty"`
-	FinishedUnixNS  int64 `json:"finished_unix_ns,omitempty"`
+	// FirstLeaseUnixNS is when a worker first leased one of the
+	// campaign's shards; minus SubmittedUnixNS it is the campaign's time
+	// in queue.
+	SubmittedUnixNS  int64 `json:"submitted_unix_ns,omitempty"`
+	StartedUnixNS    int64 `json:"started_unix_ns,omitempty"`
+	FirstLeaseUnixNS int64 `json:"first_lease_unix_ns,omitempty"`
+	FinishedUnixNS   int64 `json:"finished_unix_ns,omitempty"`
 
 	Options SubmitOptions `json:"options,omitempty"`
 }

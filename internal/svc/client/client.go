@@ -165,10 +165,18 @@ func (c *Client) CampaignConfig(ctx context.Context, id string) (api.ConfigRespo
 	return out, err
 }
 
-// Lease polls for a shard assignment.
+// Lease polls for a shard assignment; the service answers at once.
 func (c *Client) Lease(ctx context.Context, workerID string) (api.LeaseResponse, error) {
+	return c.LeaseHeld(ctx, workerID, 0)
+}
+
+// LeaseHeld asks for a shard assignment that the service may hold open
+// for up to hold while it has nothing runnable (api.LeaseRequest's
+// HoldMS; under a millisecond asks for no hold). A held wait comes back
+// flagged Held.
+func (c *Client) LeaseHeld(ctx context.Context, workerID string, hold time.Duration) (api.LeaseResponse, error) {
 	var out api.LeaseResponse
-	err := c.do(ctx, http.MethodPost, "/v1/lease", api.LeaseRequest{WorkerID: workerID}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/lease", api.LeaseRequest{WorkerID: workerID, HoldMS: hold.Milliseconds()}, &out)
 	return out, err
 }
 

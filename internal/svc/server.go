@@ -1,10 +1,12 @@
 package svc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/internal/svc/api"
 	"repro/internal/telemetry"
@@ -77,9 +79,13 @@ func (s *Service) observed(h func(http.ResponseWriter, *http.Request, *campaign)
 // WorkerPlane is what the worker protocol's five routes serve. The
 // Service is the one implementation in the product; the interface
 // exists so internal/dist's tests can put a bare shard ledger behind
-// the same route registration.
+// the same route registration. Changed returns a channel closed at the
+// plane's next change — anything that can turn a wait into a shard or
+// into done — or nil when the plane cannot promise one (closed): a held
+// lease request then answers at once.
 type WorkerPlane interface {
 	Lease(workerID string) api.LeaseResponse
+	Changed() <-chan struct{}
 	Heartbeat(api.HeartbeatRequest) api.HeartbeatResponse
 	Complete(api.CompleteRequest) api.CompleteResponse
 	PushSnapshot(api.SnapshotRequest) api.SnapshotResponse
@@ -99,7 +105,10 @@ func MountWorkerPlane(mux *http.ServeMux, p WorkerPlane) {
 			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "worker_id is required")
 			return
 		}
-		api.WriteJSON(w, p.Lease(req.WorkerID))
+		resp, ok := holdLease(r.Context(), p, req)
+		if ok {
+			api.WriteJSON(w, resp)
+		}
 	})
 	mux.HandleFunc("/v1/heartbeat", post(p.Heartbeat))
 	mux.HandleFunc("/v1/complete", post(p.Complete))
@@ -113,6 +122,42 @@ func MountWorkerPlane(mux *http.ServeMux, p WorkerPlane) {
 			}
 			api.WriteJSON(w, resp)
 		}))
+}
+
+// holdLease answers a lease request. One that asks for a hold and finds
+// nothing runnable waits — at most its hold, and never past the wait
+// hint it would have answered — for the plane to change, leasing again
+// at each change; a wait it answers after holding is flagged Held. The
+// change channel is taken before each lease, so a change that lands
+// between the two still wakes it. ok is false when the request ended
+// while held (the client is gone; there is nobody to answer).
+func holdLease(ctx context.Context, p WorkerPlane, req api.LeaseRequest) (resp api.LeaseResponse, ok bool) {
+	changed := p.Changed()
+	resp = p.Lease(req.WorkerID)
+	if req.HoldMS <= 0 || changed == nil || resp.Status != api.StatusWait {
+		return resp, true
+	}
+	hold := time.NewTimer(time.Duration(min(req.HoldMS, max(resp.WaitMS, 1))) * time.Millisecond)
+	defer hold.Stop()
+	for {
+		expired := false
+		select {
+		case <-changed:
+		case <-hold.C:
+			expired = true
+		case <-ctx.Done():
+			return resp, false
+		}
+		changed = p.Changed()
+		resp = p.Lease(req.WorkerID)
+		if resp.Status != api.StatusWait {
+			return resp, true
+		}
+		if expired || changed == nil {
+			resp.Held = true
+			return resp, true
+		}
+	}
 }
 
 // post serves a POST route whose whole job is body in, body out.

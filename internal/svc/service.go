@@ -133,6 +133,11 @@ type Service struct {
 	camps   map[string]*campaign
 	workers map[string]*workerView
 	closed  bool
+
+	// changed wakes held lease requests: it is raised when a coordinator
+	// is published, a running campaign's ledger changes (forwarded from
+	// its Coordinator.Changed), or a campaign ends or is cancelled.
+	changed dist.Signal
 }
 
 // New builds a Service, restoring the spool: terminal campaigns become
@@ -192,7 +197,7 @@ func New(opt Options) (*Service, error) {
 				requeued++
 			}
 			e.State = api.StateQueued
-			if err := opt.Spool.Put(e); err != nil {
+			if err := opt.Spool.PutState(e); err != nil {
 				return nil, err
 			}
 		}
@@ -220,6 +225,7 @@ func (s *Service) Close() {
 	s.closed = true
 	s.stop()
 	s.mu.Unlock()
+	s.changed.Close()
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -357,6 +363,7 @@ func (s *Service) Cancel(tenant, id string) (api.CampaignStatus, error) {
 		c.entry.FinishedUnixNS = s.opt.now().UnixNano()
 		s.put(c.entry)
 		s.opt.Logf("svc: campaign %s cancelled while queued", id)
+		s.changed.Raise()
 		s.scheduleLocked()
 	default:
 		c.cancelReason = "cancelled by " + orAnon(tenant)
@@ -409,20 +416,21 @@ func (s *Service) statusLocked(c *campaign) api.CampaignStatus {
 		masks += cfg.MaskCount(i)
 	}
 	st := api.CampaignStatus{
-		SchemaVersion:   api.SubmitSchemaVersion,
-		ID:              e.ID,
-		Tenant:          e.Tenant,
-		Name:            e.Name,
-		Priority:        e.Priority,
-		State:           e.State,
-		Error:           e.Error,
-		Resumed:         e.Resumed,
-		Keys:            cfg.Keys(),
-		Masks:           masks,
-		SubmittedUnixNS: e.SubmittedUnixNS,
-		StartedUnixNS:   e.StartedUnixNS,
-		FinishedUnixNS:  e.FinishedUnixNS,
-		Options:         e.Options,
+		SchemaVersion:    api.SubmitSchemaVersion,
+		ID:               e.ID,
+		Tenant:           e.Tenant,
+		Name:             e.Name,
+		Priority:         e.Priority,
+		State:            e.State,
+		Error:            e.Error,
+		Resumed:          e.Resumed,
+		Keys:             cfg.Keys(),
+		Masks:            masks,
+		SubmittedUnixNS:  e.SubmittedUnixNS,
+		StartedUnixNS:    e.StartedUnixNS,
+		FirstLeaseUnixNS: e.FirstLeaseUnixNS,
+		FinishedUnixNS:   e.FinishedUnixNS,
+		Options:          e.Options,
 	}
 	cs := c.shards
 	if c.coord != nil {
@@ -436,11 +444,11 @@ func (s *Service) statusLocked(c *campaign) api.CampaignStatus {
 	return st
 }
 
-// put persists a spool entry, logging (rather than failing the caller)
-// when the disk write fails — in-memory state stays authoritative for
-// this process either way.
+// put persists a spool entry's state change, logging (rather than
+// failing the caller) when the disk write fails — in-memory state stays
+// authoritative for this process either way.
 func (s *Service) put(e *SpoolEntry) {
-	if err := s.opt.Spool.Put(e); err != nil {
+	if err := s.opt.Spool.PutState(e); err != nil {
 		s.opt.Logf("svc: %v", err)
 	}
 }
@@ -587,7 +595,11 @@ func (s *Service) run(c *campaign) {
 	st := coord.Stats()
 	s.opt.Logf("svc: campaign %s running (%d shards, %d already merged from journal)", id, st.Shards, coord.ResumedRuns())
 
+	s.changed.Raise()
+	stopForward := make(chan struct{})
+	go s.forwardChanges(coord, stopForward)
 	results, err := coord.Wait(s.ctx)
+	close(stopForward)
 	if s.stopping() {
 		// Graceful shutdown mid-run: close the journals and leave the
 		// spool entry live, so the next daemon resumes the campaign.
@@ -610,15 +622,38 @@ func (s *Service) run(c *campaign) {
 	s.finish(c, ferr)
 }
 
+// forwardChanges raises the service's change signal at every change of
+// a running campaign's ledger until stop closes. It takes the ledger's
+// next channel before it raises, so a ledger change that lands while it
+// raises is forwarded too.
+func (s *Service) forwardChanges(coord *dist.Coordinator, stop <-chan struct{}) {
+	ch := coord.Changed()
+	for {
+		select {
+		case <-ch:
+		case <-stop:
+			return
+		}
+		ch = coord.Changed()
+		s.changed.Raise()
+	}
+}
+
+// Changed returns a channel closed at the service's next worker-plane
+// change, nil once the service is closed (see WorkerPlane).
+func (s *Service) Changed() <-chan struct{} { return s.changed.C() }
+
 // finalize merges a completed campaign's artifacts into the logs
-// repository and feeds the result index.
+// repository and feeds the result index. The per-cell logs and the
+// trace, divergence and span files are independent files, written
+// concurrently; the index is written last, once they all are, so an
+// indexed campaign always has its artifacts.
 func (s *Service) finalize(id string, cfg core.CampaignConfig, opts api.SubmitOptions, logs *core.LogsRepo,
 	results []*core.CampaignResult, traceSink *telemetry.TraceSink, spanBuf *telemetry.SpanBuffer, dsink *divergence.Sink) error {
 	keys := cfg.Keys()
+	var writes []func() error
 	for i, res := range results {
-		if err := logs.Store(keys[i], res); err != nil {
-			return err
-		}
+		writes = append(writes, func() error { return logs.Store(keys[i], res) })
 	}
 	akey := opts.ArtifactKey
 	if akey == "" {
@@ -628,17 +663,26 @@ func (s *Service) finalize(id string, cfg core.CampaignConfig, opts api.SubmitOp
 		}
 	}
 	if traceSink != nil {
-		if err := logs.WriteArtifact(logs.TracePath(akey), traceSink.Flush); err != nil {
-			return err
-		}
+		writes = append(writes, func() error { return logs.WriteArtifact(logs.TracePath(akey), traceSink.Flush) })
 	}
 	if dsink != nil {
-		if err := logs.WriteArtifact(logs.DivergencePath(akey), dsink.Flush); err != nil {
-			return err
-		}
+		writes = append(writes, func() error { return logs.WriteArtifact(logs.DivergencePath(akey), dsink.Flush) })
 	}
 	if spanBuf != nil {
-		if err := logs.WriteArtifact(logs.SpansPath(akey), spanBuf.Flush); err != nil {
+		writes = append(writes, func() error { return logs.WriteArtifact(logs.SpansPath(akey), spanBuf.Flush) })
+	}
+	errs := make([]error, len(writes))
+	var wg sync.WaitGroup
+	for i, write := range writes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = write()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
@@ -677,6 +721,7 @@ func (s *Service) finish(c *campaign, err error) {
 	}
 	s.put(e)
 	s.opt.Logf("svc: campaign %s %s", e.ID, e.State)
+	s.changed.Raise()
 	s.scheduleLocked()
 }
 
@@ -812,6 +857,11 @@ func (s *Service) Lease(workerID string) api.LeaseResponse {
 		switch resp.Status {
 		case api.StatusShard:
 			resp.CampaignID = c.entry.ID
+			if c.entry.FirstLeaseUnixNS == 0 {
+				// Time in queue ends here; it is spooled with the
+				// campaign's next state change, not on the lease path.
+				c.entry.FirstLeaseUnixNS = s.opt.now().UnixNano()
+			}
 			w.campaign, w.shard = c.entry.ID, resp.Shard.ID
 			if _, served := w.done[c.entry.ID]; !served {
 				w.done[c.entry.ID] = 0 // listed in the campaign's fleet view from its first lease
