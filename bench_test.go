@@ -787,8 +787,8 @@ func windowedCampaign(b *testing.B) (func() []core.CampaignSpec, *core.GoldenCac
 
 // BenchmarkDetailWindowDivergence measures the cost of divergence
 // provenance recording on top of the windowed campaign: the same matrix
-// as BenchmarkDetailWindow's windowed mode runs with and without a
-// divergence sink attached. The probe folds each committed PC into a
+// as BenchmarkDetailWindow's windowed mode runs with divergence off
+// and on, the rows written out as a divergence file would be. The probe folds each committed PC into a
 // 64-instruction FNV block hash and stops comparing at the first
 // mismatching block, so the acceptance bar is <5% overhead
 // (EXPERIMENTS.md quotes the measured pair).
@@ -800,13 +800,9 @@ func BenchmarkDetailWindowDivergence(b *testing.B) {
 			Workers: 4,
 			Prune:   true, CheckpointLadder: 3,
 			DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
+			Divergence: div,
 		}
 		att := core.Attach{Telemetry: telemetry.New(), Golden: cache}
-		var sink *divergence.Sink
-		if div {
-			sink = divergence.NewSink()
-			att.Divergence = sink
-		}
 		results, err := runSpecs(buildSpecs(), opt, att)
 		if err != nil {
 			b.Fatal(err)
@@ -815,7 +811,7 @@ func BenchmarkDetailWindowDivergence(b *testing.B) {
 			runs += uint64(len(res.Records))
 		}
 		if div {
-			if err := sink.Flush(io.Discard); err != nil {
+			if err := divergence.WriteRecords(io.Discard, core.DivergenceRows(results)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/divergence"
 	"repro/internal/fault"
 )
 
@@ -79,11 +78,6 @@ func main() {
 	defer obs.Close()
 	obs.StartReporter(tf, os.Stderr)
 	att.Telemetry = obs.Collector
-	var dsink *divergence.Sink
-	if cfg.Divergence {
-		dsink = divergence.NewSink()
-		att.Divergence = dsink
-	}
 	if obs.Tracer != nil {
 		att.Tracer = obs.Tracer
 		att.SpanWorker = "local"
@@ -96,19 +90,7 @@ func main() {
 		fatal(err)
 	}
 	res := results[0]
-	if err := logs.Store(key, res); err != nil {
-		fatal(err)
-	}
-	tracePath, err := obs.FlushTrace(logs, key)
-	if err != nil {
-		fatal(err)
-	}
-	divPath, err := cli.FlushDivergence(dsink, logs, key)
-	if err != nil {
-		fatal(err)
-	}
-	spansPath, err := obs.FlushSpans(logs, key)
-	if err != nil {
+	if err := logs.StoreCampaign(key, []string{key}, results, obs.Trace, obs.Spans); err != nil {
 		fatal(err)
 	}
 	snap, err := obs.Finish(tf)
@@ -137,14 +119,14 @@ func main() {
 		}
 	}
 	fmt.Printf("  logs stored in %s\n", logs.Dir())
-	if tracePath != "" {
-		fmt.Printf("  trace: %s (%d records)\n", tracePath, obs.Trace.Len())
+	if obs.Trace != nil {
+		fmt.Printf("  trace: %s (%d records)\n", logs.TracePath(key), obs.Trace.Len())
 	}
-	if divPath != "" {
-		fmt.Printf("  divergence: %s (%d records, %d diverged)\n", divPath, dsink.Len(), snap.DivergedRuns)
+	if res.Divergence != nil {
+		fmt.Printf("  divergence: %s (%d records, %d diverged)\n", logs.DivergencePath(key), len(res.Divergence), snap.DivergedRuns)
 	}
-	if spansPath != "" {
-		fmt.Printf("  spans: %s\n", spansPath)
+	if obs.Spans != nil {
+		fmt.Printf("  spans: %s\n", logs.SpansPath(key))
 	}
 	if snap.PrunedDead+snap.PrunedReplicated > 0 {
 		fmt.Printf("  pruned: %d dead + %d replicated of %d masks (%.1f%%), %d ladder restores\n",

@@ -97,7 +97,7 @@ func main() {
 		os.Stdout.Write(append(b, '\n'))
 	case "wait":
 		fs := flag.NewFlagSet("faultctl wait", flag.ExitOnError)
-		poll := fs.Duration("poll", 500*time.Millisecond, "status poll period")
+		poll := fs.Duration("poll", 500*time.Millisecond, "longest poll period (polls start a few milliseconds apart and back off to it)")
 		fs.Parse(rest)
 		if fs.NArg() != 1 {
 			fatal(fmt.Errorf("usage: faultctl wait [-poll D] <campaign-id>"))

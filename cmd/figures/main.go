@@ -165,19 +165,19 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		tracePath, err := obs.FlushTrace(opt.Logs, "matrix")
-		if err != nil {
-			fatal(err)
+		// The cells' logs and divergence files are stored as the matrix
+		// ran (report.Options.Logs); the trace and spans cover the whole
+		// matrix.
+		if opt.Logs != nil {
+			if err := opt.Logs.StoreCampaign("matrix", nil, nil, obs.Trace, obs.Spans); err != nil {
+				fatal(err)
+			}
 		}
-		if tracePath != "" {
-			fmt.Fprintf(os.Stderr, "trace: %s (%d records)\n", tracePath, obs.Trace.Len())
+		if obs.Trace != nil {
+			fmt.Fprintf(os.Stderr, "trace: %s (%d records)\n", opt.Logs.TracePath("matrix"), obs.Trace.Len())
 		}
-		spansPath, err := obs.FlushSpans(opt.Logs, "matrix")
-		if err != nil {
-			fatal(err)
-		}
-		if spansPath != "" {
-			fmt.Fprintf(os.Stderr, "spans: %s\n", spansPath)
+		if obs.Spans != nil {
+			fmt.Fprintf(os.Stderr, "spans: %s\n", opt.Logs.SpansPath("matrix"))
 		}
 	}
 	if _, err := obs.Finish(tf); err != nil {

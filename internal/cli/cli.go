@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/divergence"
 	"repro/internal/sims"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -135,10 +134,11 @@ type Observability struct {
 	Events *telemetry.EventStream
 	Trace  *telemetry.TraceSink
 	// Tracer is non-nil when -spans asked for span recording; attach it
-	// to the campaign (core.Attach.Tracer or the coordinator options)
-	// and flush the file with FlushSpans.
+	// to the campaign (core.Attach.Tracer or the coordinator options).
+	// Spans buffers what it records. Store both buffers with
+	// core.LogsRepo.StoreCampaign.
 	Tracer   *telemetry.Tracer
-	spanBuf  *telemetry.SpanBuffer
+	Spans    *telemetry.SpanBuffer
 	server   *telemetry.Server
 	reporter *telemetry.Reporter
 }
@@ -151,8 +151,8 @@ func (t *TelemetryFlags) Start(errw io.Writer) (*Observability, error) {
 	o.Collector.AddSink(o.Events)
 	if t.Spans {
 		o.Tracer = telemetry.NewTracer(fmt.Sprintf("t-%d-%d", os.Getpid(), time.Now().Unix()), "c")
-		o.spanBuf = telemetry.NewSpanBuffer()
-		o.Tracer.AddSink(o.spanBuf)
+		o.Spans = telemetry.NewSpanBuffer()
+		o.Tracer.AddSink(o.Spans)
 		o.Tracer.AddSink(o.Events)
 	}
 	if t.MetricsAddr != "" {
@@ -218,41 +218,4 @@ func (o *Observability) Finish(t *TelemetryFlags) (telemetry.Snapshot, error) {
 		}
 	}
 	return snap, nil
-}
-
-// FlushTrace writes the trace sink (when one is active) into the logs
-// repository under key, and reports the trace path for the summary
-// line; "" when tracing is off.
-func (o *Observability) FlushTrace(logs *core.LogsRepo, key string) (string, error) {
-	if o.Trace == nil {
-		return "", nil
-	}
-	return writeArtifact(logs, logs.TracePath(key), o.Trace.Flush)
-}
-
-// FlushSpans writes the buffered spans (when -spans is active) into the
-// logs repository under key, and reports the span file path; "" when
-// span tracing is off.
-func (o *Observability) FlushSpans(logs *core.LogsRepo, key string) (string, error) {
-	if o.spanBuf == nil {
-		return "", nil
-	}
-	return writeArtifact(logs, logs.SpansPath(key), o.spanBuf.Flush)
-}
-
-// FlushDivergence writes a divergence sink into the logs repository
-// under key, and reports the file path; "" when sink is nil.
-func FlushDivergence(sink *divergence.Sink, logs *core.LogsRepo, key string) (string, error) {
-	if sink == nil {
-		return "", nil
-	}
-	return writeArtifact(logs, logs.DivergencePath(key), sink.Flush)
-}
-
-// writeArtifact writes one artifact file and reports its path.
-func writeArtifact(logs *core.LogsRepo, path string, write func(io.Writer) error) (string, error) {
-	if err := logs.WriteArtifact(path, write); err != nil {
-		return "", err
-	}
-	return path, nil
 }

@@ -67,6 +67,10 @@ type CampaignResult struct {
 	// Adaptive summarizes the sequential-stopping outcome of the cell;
 	// nil for fixed-budget campaigns.
 	Adaptive *AdaptiveInfo
+	// Divergence holds one divergence-provenance row per record, in
+	// mask-index order, when the config measures divergence; nil
+	// otherwise. Logs do not carry it.
+	Divergence []divergence.Record
 }
 
 // AdaptiveInfo is the per-cell outcome of the adaptive control plane:

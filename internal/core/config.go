@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
@@ -360,9 +359,6 @@ type Attach struct {
 	// as the exactly-once completion ledger.
 	Journal *fault.Journal
 	Resume  bool
-	// Divergence receives the per-mask provenance records when the
-	// config's Divergence knob is on; nil drops them.
-	Divergence *divergence.Sink
 	// Tracer emits campaign/cell/run/phase spans parented under
 	// TraceParent; SpanWorker labels the emitting process on run and
 	// phase spans.

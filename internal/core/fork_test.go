@@ -137,13 +137,12 @@ func TestForkedDivergenceIsTheRungRun(t *testing.T) {
 		cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{Tool: tool, Benchmark: "qsort", Structure: "rf.int", Masks: masks})
 	}
 	cache := core.NewGoldenCache()
-	sink := divergence.NewSink()
-	res, err := core.RunConfig(cfg, resolve, core.Attach{Golden: cache, Divergence: sink})
+	res, err := core.RunConfig(cfg, resolve, core.Attach{Golden: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(map[string]divergence.Record)
-	for _, r := range sink.Records() {
+	for _, r := range core.DivergenceRows(res) {
 		got[fmt.Sprintf("%s/%d", r.Campaign, r.MaskID)] = r
 	}
 	diverged := 0

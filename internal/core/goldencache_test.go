@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/divergence"
 	"repro/internal/sims"
 	"repro/internal/telemetry"
 )
@@ -261,7 +260,7 @@ func TestColdPrunedRowRunsOneReplay(t *testing.T) {
 		Prune: true, Divergence: true,
 	}
 	cache := core.NewGoldenCache()
-	att := core.Attach{Golden: cache, Divergence: divergence.NewSink()}
+	att := core.Attach{Golden: cache}
 	if _, err := core.RunConfig(cfg, simsResolver(t), att); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/divergence"
 	"repro/internal/fault"
 )
 
@@ -26,7 +27,8 @@ const (
 )
 
 // CellLedger is the settle table of one campaign cell: the cell's
-// CellSinks and its records, and the one place the guarantee lives that
+// CellSinks, its records and — in a campaign that measures divergence —
+// its divergence rows, and the one place the guarantee lives that
 // a mask's record does not depend on how the campaign ran — one node, a
 // fleet or a resume. Both drivers of a cell drive it: the matrix
 // scheduler and the distributed coordinator. It settles every index
@@ -43,17 +45,25 @@ const (
 type CellLedger struct {
 	sinks   CellSinks
 	records []LogRecord
-	slots   []slot
-	lo, hi  int // the window of indices the ledger settles
+	// rows holds one divergence row per mask index, built at settle;
+	// nil when the ledger keeps none.
+	rows   []divergence.Record
+	slots  []slot
+	lo, hi int // the window of indices the ledger settles
 	// waiting holds replicated stubs by their representative's index.
 	waiting map[int][]ShardRun
 	stopped bool // the stopped tail has been settled
 }
 
 // NewCellLedger returns the ledger of a cell of n masks whose settled
-// outcomes go to sinks.
-func NewCellLedger(sinks CellSinks, n int) *CellLedger {
-	return &CellLedger{sinks: sinks, records: make([]LogRecord, n), slots: make([]slot, n), hi: n}
+// outcomes go to sinks; with rows it also keeps each mask's divergence
+// row, which its result carries.
+func NewCellLedger(sinks CellSinks, n int, rows bool) *CellLedger {
+	l := &CellLedger{sinks: sinks, records: make([]LogRecord, n), slots: make([]slot, n), hi: n}
+	if rows {
+		l.rows = make([]divergence.Record, n)
+	}
+	return l
 }
 
 // reject is a rejection naming the cell and the row.
@@ -150,6 +160,9 @@ func (l *CellLedger) resolve(stub ShardRun) error {
 func (l *CellLedger) settle(run ShardRun, s slot, dispatched bool) error {
 	l.records[run.Index] = run.Record
 	l.slots[run.Index] = s
+	if l.rows != nil {
+		l.rows[run.Index] = run.divergenceRow(l.sinks.Key)
+	}
 	return l.sinks.Commit(run, dispatched)
 }
 
@@ -210,5 +223,5 @@ func (l *CellLedger) Result(golden GoldenInfo, rule *StopRule) (*CampaignResult,
 	if tel := l.sinks.Telemetry; tel != nil && info != nil && !info.StoppedEarly {
 		tel.ObserveCellMargin(info.EffectiveMargin)
 	}
-	return &CampaignResult{Golden: golden, Records: l.records, Adaptive: info}, nil
+	return &CampaignResult{Golden: golden, Records: l.records, Adaptive: info, Divergence: l.rows}, nil
 }

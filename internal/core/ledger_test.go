@@ -27,6 +27,18 @@ func ledgerMasks(n int) []fault.Mask {
 	return masks
 }
 
+// settledRows is the divergence rows ledger l has built so far, in
+// mask-index order.
+func settledRows(l *CellLedger) []divergence.Record {
+	var rows []divergence.Record
+	for _, row := range l.rows {
+		if row.Campaign != "" {
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
 // ledgerRun is the simulated outcome of mask index i with the given status.
 func ledgerRun(masks []fault.Mask, i int, status RunStatus) ShardRun {
 	m := masks[i]
@@ -40,8 +52,7 @@ func ledgerRun(masks []fault.Mask, i int, status RunStatus) ShardRun {
 // nor what the sinks saw.
 func TestCellLedgerFirstSettleWins(t *testing.T) {
 	masks := ledgerMasks(2)
-	div := divergence.NewSink()
-	l := NewCellLedger(CellSinks{Key: "k", Divergence: div}, 2)
+	l := NewCellLedger(CellSinks{Key: "k"}, 2, true)
 	first := ledgerRun(masks, 0, RunCompleted)
 	second := ledgerRun(masks, 0, RunProcessCrash)
 	for _, run := range []ShardRun{first, second} {
@@ -52,7 +63,7 @@ func TestCellLedgerFirstSettleWins(t *testing.T) {
 	if got := l.records[0]; !reflect.DeepEqual(got, first.Record) {
 		t.Fatalf("record after a second settle: %+v, want the first %+v", got, first.Record)
 	}
-	if rows := div.Records(); len(rows) != 1 || rows[0].Status != first.Record.Status {
+	if rows := settledRows(l); len(rows) != 1 || rows[0].Status != first.Record.Status {
 		t.Fatalf("divergence rows %+v: want one row, the first settle's", rows)
 	}
 }
@@ -63,8 +74,7 @@ func TestCellLedgerFirstSettleWins(t *testing.T) {
 func TestCellLedgerConcurrentSettle(t *testing.T) {
 	const n = 64
 	masks := ledgerMasks(n)
-	div := divergence.NewSink()
-	l := NewCellLedger(CellSinks{Key: "k", Divergence: div}, n)
+	l := NewCellLedger(CellSinks{Key: "k"}, n, true)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -83,8 +93,8 @@ func TestCellLedgerConcurrentSettle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for m, rec := range res.Records {
-		if rec.MaskID != masks[m].ID || div.Len() != n {
-			t.Fatalf("mask index %d: record %+v, %d sink rows", m, rec, div.Len())
+		if rec.MaskID != masks[m].ID || len(res.Divergence) != n || res.Divergence[m].MaskID != rec.MaskID {
+			t.Fatalf("mask index %d: record %+v, %d divergence rows", m, rec, len(res.Divergence))
 		}
 	}
 }
@@ -95,16 +105,15 @@ func TestCellLedgerConcurrentSettle(t *testing.T) {
 // the representative's verdict under its own mask ID, sites and weight.
 func TestCellLedgerResolvesAHeldStub(t *testing.T) {
 	masks := ledgerMasks(3)
-	div := divergence.NewSink()
-	l := NewCellLedger(CellSinks{Key: "k", Divergence: div}, 3)
+	l := NewCellLedger(CellSinks{Key: "k"}, 3, true)
 	if err := l.Settle(replicated(0, masks[0], 2), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Settle(ledgerRun(masks, 1, RunCompleted), false); err != nil {
 		t.Fatal(err)
 	}
-	if l.slots[0] != slotHeld || div.Len() != 1 {
-		t.Fatalf("held stub: settled %v, %d sink rows; want held and only mask index 1's row", l.slots[0] == slotHeld, div.Len())
+	if l.slots[0] != slotHeld || len(settledRows(l)) != 1 {
+		t.Fatalf("held stub: settled %v, %d divergence rows; want held and only mask index 1's row", l.slots[0] == slotHeld, len(settledRows(l)))
 	}
 	if _, err := l.Result(GoldenInfo{}, nil); err == nil || !strings.Contains(err.Error(), "k mask index 0 never settled") {
 		t.Fatalf("result with a held stub: %v", err)
@@ -119,7 +128,7 @@ func TestCellLedgerResolvesAHeldStub(t *testing.T) {
 	if got := l.records[0]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("resolved stub record %+v, want %+v", got, want)
 	}
-	rows := div.Records()
+	rows := settledRows(l)
 	if len(rows) != 3 || rows[0].MaskID != masks[0].ID || rows[0].Pruned != "replicated" || rows[0].Status != rep.Record.Status {
 		t.Fatalf("divergence rows after resolution: %+v", rows)
 	}
@@ -152,12 +161,12 @@ func TestCellLedgerStoppedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	tel, div := telemetry.New(), divergence.NewSink()
-	sinks := CellSinks{Key: "k", Journal: jnl, Divergence: div, Telemetry: tel, Row: tel.Campaign("k", "t", "b", "s")}
-	l := NewCellLedger(sinks, n)
+	tel := telemetry.New()
+	sinks := CellSinks{Key: "k", Journal: jnl, Telemetry: tel, Row: tel.Campaign("k", "t", "b", "s")}
+	l := NewCellLedger(sinks, n, true)
 
-	if err := l.SettleStopped(rule, masks); err != nil || div.Len() != 0 {
-		t.Fatalf("a rule that has not stopped settled %d rows (%v)", div.Len(), err)
+	if err := l.SettleStopped(rule, masks); err != nil || len(settledRows(l)) != 0 {
+		t.Fatalf("a rule that has not stopped settled %d rows (%v)", len(settledRows(l)), err)
 	}
 	for m := 0; m < 10; m++ {
 		if err := l.Settle(ledgerRun(masks, m, RunCompleted), false); err != nil {
@@ -195,7 +204,7 @@ func TestCellLedgerStoppedTail(t *testing.T) {
 	if got := l.records[30]; got.MaskID != masks[30].ID || !reflect.DeepEqual(got.Sites, masks[30].Sites) || got.Weight != masks[30].Weight {
 		t.Fatalf("stopped row lost its mask's identity: %+v", got)
 	}
-	for _, row := range div.Records() {
+	for _, row := range settledRows(l) {
 		if want := row.MaskID == masks[20].ID; row.Resumed != want {
 			t.Fatalf("divergence row of mask %d resumed=%v, want %v", row.MaskID, row.Resumed, want)
 		}
@@ -233,7 +242,7 @@ func TestCellLedgerStoppedTail(t *testing.T) {
 // cancelled included — and a shard's ledger asks only for its window.
 func TestCellLedgerResultNeedsEveryIndex(t *testing.T) {
 	masks := ledgerMasks(4)
-	l := NewCellLedger(CellSinks{Key: "k"}, 4)
+	l := NewCellLedger(CellSinks{Key: "k"}, 4, false)
 	for _, m := range []int{0, 2, 3} {
 		if err := l.Settle(ledgerRun(masks, m, RunCompleted), false); err != nil {
 			t.Fatal(err)
@@ -244,7 +253,7 @@ func TestCellLedgerResultNeedsEveryIndex(t *testing.T) {
 		t.Fatalf("result with index 1 unsettled: %v", err)
 	}
 
-	shard := NewCellLedger(CellSinks{Key: "k"}, 4)
+	shard := NewCellLedger(CellSinks{Key: "k"}, 4, false)
 	shard.lo, shard.hi = 1, 3
 	for _, m := range []int{1, 2} {
 		if err := shard.Settle(ledgerRun(masks, m, RunCompleted), false); err != nil {
@@ -287,7 +296,7 @@ func TestCellLedgerRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := NewCellLedger(CellSinks{Key: "k"}, 3)
+			l := NewCellLedger(CellSinks{Key: "k"}, 3, false)
 			var err error
 			if tc.rows != nil {
 				err = l.CheckRows(0, 3, tc.rows)

@@ -2,14 +2,21 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
+	"repro/internal/divergence"
 	"repro/internal/fault"
+	"repro/internal/telemetry"
 )
 
 // LogsRepo is the on-disk "logs repository" of Fig. 1: one JSON-lines
@@ -59,6 +66,58 @@ func (r *LogsRepo) Store(key string, res *CampaignResult) error {
 		return fmt.Errorf("core: storing logs for %s: %w", key, err)
 	}
 	return nil
+}
+
+// StoreCampaign stores a campaign's artifacts in the repository: each
+// cell's log under its key (see Store) and, under name, the trace when
+// trace is non-nil, the divergence file when the results measured
+// divergence, and the spans when spans is non-nil. Every file is
+// written atomically and all of them concurrently; the error joins the
+// errors of the writes that failed, in that order.
+func (r *LogsRepo) StoreCampaign(name string, keys []string, results []*CampaignResult, trace *telemetry.TraceSink, spans *telemetry.SpanBuffer) error {
+	var writes []func() error
+	for i, res := range results {
+		writes = append(writes, func() error { return r.Store(keys[i], res) })
+	}
+	if trace != nil {
+		writes = append(writes, func() error { return r.WriteArtifact(r.TracePath(name), trace.Flush) })
+	}
+	if slices.ContainsFunc(results, func(res *CampaignResult) bool { return res.Divergence != nil }) {
+		writes = append(writes, func() error {
+			return r.WriteArtifact(r.DivergencePath(name), func(w io.Writer) error {
+				return divergence.WriteRecords(w, DivergenceRows(results))
+			})
+		})
+	}
+	if spans != nil {
+		writes = append(writes, func() error { return r.WriteArtifact(r.SpansPath(name), spans.Flush) })
+	}
+	errs := make([]error, len(writes))
+	var wg sync.WaitGroup
+	for i, write := range writes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = write()
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// DivergenceRows returns the divergence rows of results sorted by
+// (campaign, mask ID), the divergence file's order. A ledger holds its
+// rows in mask-index order, which an explicit mask file need not list
+// in mask-ID order.
+func DivergenceRows(results []*CampaignResult) []divergence.Record {
+	var rows []divergence.Record
+	for _, res := range results {
+		rows = append(rows, res.Divergence...)
+	}
+	slices.SortStableFunc(rows, func(a, b divergence.Record) int {
+		return cmp.Or(strings.Compare(a.Campaign, b.Campaign), cmp.Compare(a.MaskID, b.MaskID))
+	})
+	return rows
 }
 
 // logTrailer is the optional last line of a campaign log file, carrying

@@ -15,8 +15,8 @@ import (
 // trace provenance, telemetry extras and divergence footprint every
 // sink projects its row from. The scheduler builds one per mask through
 // the constructor of the mask's provenance (simulated, dead, replicated
-// + Resolve, StoppedRun, ReplayJournal) and settles it through
-// CellSinks.Commit; a shard executor returns its window of outcomes
+// + Resolve, StoppedRun, ReplayJournal) and settles it in the cell's
+// CellLedger; a shard executor returns its window of outcomes
 // uncommitted, which makes this the wire format too. A replicated row
 // travels as a stub carrying only its identity (the representative may
 // live in another shard) until Resolve gives it the representative's
@@ -152,6 +152,30 @@ func (r ShardRun) Resolve(rep LogRecord) ShardRun {
 	return r
 }
 
+// divergenceRow is the outcome's divergence-provenance row in campaign
+// key, depth fields derived.
+func (r ShardRun) divergenceRow(key string) divergence.Record {
+	d := divergence.Record{
+		Campaign:          key,
+		MaskID:            r.Record.MaskID,
+		Status:            r.Record.Status,
+		Class:             string(r.Class()),
+		Cycles:            r.Record.Cycles,
+		Observed:          r.Observed,
+		FirstObsCycle:     r.FirstObsCycle,
+		FaultTouches:      r.FaultTouches,
+		LastTouchCycle:    r.LastTouchCycle,
+		CorruptStructures: r.CorruptStructures,
+		Diverged:          r.Diverged,
+		DivergeCycle:      r.DivergeCycle,
+		DivergeIndex:      r.DivergeIndex,
+		Pruned:            r.Pruned,
+		Resumed:           r.Resumed,
+	}
+	d.Derive()
+	return d
+}
+
 // StoppedRun is the outcome of a mask the cell's stopping rule
 // cancelled: provenance only — no outcome, no cycles, no output hash.
 // The mask's coordinates and sampling weight are preserved so resume,
@@ -211,15 +235,15 @@ func ReplayJournal(key string, entries []fault.JournalEntry, masks []fault.Mask)
 	return out, nil
 }
 
-// CellSinks are the places the settled masks of one campaign cell go;
+// CellSinks are the places the settled masks of one campaign cell go
+// besides the cell's ledger, which holds the records and divergence rows;
 // every field but Key may be nil. Row is the cell's registered telemetry
 // row and is set whenever Telemetry is.
 type CellSinks struct {
-	Key        string
-	Telemetry  *telemetry.Collector
-	Row        *telemetry.CampaignStats
-	Journal    *fault.Journal
-	Divergence *divergence.Sink
+	Key       string
+	Telemetry *telemetry.Collector
+	Row       *telemetry.CampaignStats
+	Journal   *fault.Journal
 	// GroupCommit makes Commit queue its journal lines, in commit order,
 	// instead of appending each; Flush appends the queue with one write
 	// and one fsync. The caller flushes before it acknowledges anything
@@ -243,7 +267,7 @@ func (s *CellSinks) Flush() error {
 }
 
 // Commit settles one outcome: it is the one place a mask becomes a
-// journal line, a divergence row and a run-end event (the trace row is
+// journal line and a run-end event (the trace row is
 // the trace sink's projection of that event). Simulated and stopped
 // outcomes journal — the line is fsync'd before anything else sees the
 // run (under GroupCommit, before the caller acknowledges the batch), so
@@ -272,71 +296,47 @@ func (s *CellSinks) Commit(run ShardRun, dispatched bool) error {
 			return err
 		}
 	}
-	if s.Divergence == nil && s.Telemetry == nil {
+	if s.Telemetry == nil {
 		return nil
 	}
-	class := string(run.Class())
-	if s.Divergence != nil {
-		d := divergence.Record{
-			Campaign:          s.Key,
-			MaskID:            rec.MaskID,
-			Status:            rec.Status,
-			Class:             class,
-			Cycles:            rec.Cycles,
-			Observed:          run.Observed,
-			FirstObsCycle:     run.FirstObsCycle,
-			FaultTouches:      run.FaultTouches,
-			LastTouchCycle:    run.LastTouchCycle,
-			CorruptStructures: run.CorruptStructures,
-			Diverged:          run.Diverged,
-			DivergeCycle:      run.DivergeCycle,
-			DivergeIndex:      run.DivergeIndex,
-			Pruned:            run.Pruned,
-			Resumed:           run.Resumed,
-		}
-		d.Derive()
-		s.Divergence.Add(d)
+	repMask := -1
+	if run.Pruned == "replicated" {
+		repMask = run.RepMask
 	}
-	if s.Telemetry != nil {
-		repMask := -1
-		if run.Pruned == "replicated" {
-			repMask = run.RepMask
-		}
-		if !dispatched {
-			s.Telemetry.RunStarted()
-		}
-		s.Telemetry.RunDone(s.Row, telemetry.RunEvent{
-			Campaign:       s.Key,
-			Tool:           s.Row.Tool,
-			Benchmark:      s.Row.Benchmark,
-			Structure:      s.Row.Structure,
-			MaskID:         rec.MaskID,
-			Sites:          rec.Sites,
-			Status:         rec.Status,
-			Class:          class,
-			Cycles:         rec.Cycles,
-			Wall:           time.Duration(run.WallNS),
-			Observed:       run.Observed,
-			FirstObsCycle:  run.FirstObsCycle,
-			EarlyStop:      run.EarlyStop,
-			WatchedReads:   run.WatchedReads,
-			WatchedWrites:  run.WatchedWrites,
-			ObservedReads:  run.ObservedReads,
-			ObservedWrites: run.ObservedWrites,
-			Pruned:         run.Pruned,
-			RepMask:        repMask,
-			LadderRestored: run.LadderRestored,
-			RungCycle:      run.RungCycle,
-			Resumed:        run.Resumed,
-			Windowed:       run.Windowed,
-			WindowEntered:  run.WindowEntered,
-			WindowExited:   run.WindowExited,
-			WindowHeld:     run.windowHeld(),
-			FastSteps:      run.FastSteps,
-			DetailCycles:   run.DetailCycles,
-			Diverged:       run.Diverged,
-			Stopped:        run.Stopped(),
-		})
+	if !dispatched {
+		s.Telemetry.RunStarted()
 	}
+	s.Telemetry.RunDone(s.Row, telemetry.RunEvent{
+		Campaign:       s.Key,
+		Tool:           s.Row.Tool,
+		Benchmark:      s.Row.Benchmark,
+		Structure:      s.Row.Structure,
+		MaskID:         rec.MaskID,
+		Sites:          rec.Sites,
+		Status:         rec.Status,
+		Class:          string(run.Class()),
+		Cycles:         rec.Cycles,
+		Wall:           time.Duration(run.WallNS),
+		Observed:       run.Observed,
+		FirstObsCycle:  run.FirstObsCycle,
+		EarlyStop:      run.EarlyStop,
+		WatchedReads:   run.WatchedReads,
+		WatchedWrites:  run.WatchedWrites,
+		ObservedReads:  run.ObservedReads,
+		ObservedWrites: run.ObservedWrites,
+		Pruned:         run.Pruned,
+		RepMask:        repMask,
+		LadderRestored: run.LadderRestored,
+		RungCycle:      run.RungCycle,
+		Resumed:        run.Resumed,
+		Windowed:       run.Windowed,
+		WindowEntered:  run.WindowEntered,
+		WindowExited:   run.WindowExited,
+		WindowHeld:     run.windowHeld(),
+		FastSteps:      run.FastSteps,
+		DetailCycles:   run.DetailCycles,
+		Diverged:       run.Diverged,
+		Stopped:        run.Stopped(),
+	})
 	return nil
 }

@@ -20,10 +20,10 @@ type lastEvent struct{ evs []telemetry.RunEvent }
 
 func (l *lastEvent) RunEvent(ev telemetry.RunEvent) { l.evs = append(l.evs, ev) }
 
-// TestCommitProjections pins what CellSinks.Commit — the one place a
-// settled mask becomes a journal line, a trace row, a divergence row and
-// a run-end event — produces for each of the five provenances, built by
-// their constructors, with every sink attached.
+// TestCommitProjections pins what a settled mask becomes for each of
+// the five provenances, built by their constructors: the journal line,
+// trace row and run-end event of CellSinks.Commit, with every sink
+// attached, and the divergence row the cell's ledger keeps.
 func TestCommitProjections(t *testing.T) {
 	const key = "gefin-x86/qsort/rf.int"
 	site := func(entry int, cycle uint64) []fault.Site {
@@ -171,13 +171,13 @@ func TestCommitProjections(t *testing.T) {
 		events := &lastEvent{}
 		col.AddSink(trace)
 		col.AddSink(events)
-		dsink := divergence.NewSink()
 		sinks := CellSinks{
 			Key: key, Telemetry: col, Row: col.Campaign(key, "gefin-x86", "qsort", "rf.int"),
-			Journal: jnl, Divergence: dsink,
+			Journal: jnl,
 		}
 		before := len(journalLines())
-		if err := sinks.Commit(tc.run(), false); err != nil {
+		run := tc.run()
+		if err := sinks.Commit(run, false); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		after := journalLines()
@@ -195,7 +195,7 @@ func TestCommitProjections(t *testing.T) {
 		if got := strings.TrimSuffix(tb.String(), "\n"); got != tc.trace {
 			t.Errorf("%s: trace row\n got  %s\n want %s", tc.name, got, tc.trace)
 		}
-		if got := dsink.Records(); len(got) != 1 || !reflect.DeepEqual(got[0], tc.div) {
+		if got := run.divergenceRow(key); !reflect.DeepEqual(got, tc.div) {
 			t.Errorf("%s: divergence row\n got  %+v\n want %+v", tc.name, got, tc.div)
 		}
 		want := tc.event

@@ -87,8 +87,6 @@ type matrixPlan struct {
 	// win is the detail-window policy of the real runs; nil when
 	// windowing is off.
 	win *windowConfig
-	// probe: measure divergence provenance on every run.
-	probe bool
 }
 
 // defaultCheckpointRungs is the ladder K of a campaign that names none.
@@ -108,11 +106,7 @@ const defaultCheckpointRungs = 4
 func planMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) (*matrixPlan, error) {
 	pool := newPlanPool(cfg.Workers)
 	p := &matrixPlan{cells: make([]cellPlan, len(specs))}
-	// Divergence provenance needs the golden commit signature. A shard
-	// has no sink to ask, so its config decides.
-	p.probe = att.Divergence != nil || (windows != nil && cfg.Divergence)
 	want := cfg.want()
-	want.sig = p.probe
 	// Per cell, in one task: the golden reference, the masks checked
 	// against its geometry, then the row's derived artifacts in one
 	// lookup (a hit when BuildSpecs asked already; otherwise one replay

@@ -29,8 +29,8 @@ func TestResumedDivergenceRowsAreTheRunsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := divergence.NewSink()
-	if _, err := core.RunConfig(cfg, simsResolver(t), core.Attach{Golden: cache, Journal: j, Divergence: want}); err != nil {
+	want, err := core.RunConfig(cfg, simsResolver(t), core.Attach{Golden: cache, Journal: j})
+	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -60,12 +60,12 @@ func TestResumedDivergenceRowsAreTheRunsRows(t *testing.T) {
 	if footprints == 0 {
 		t.Fatalf("none of the %d journaled runs touched its fault; the cut shows nothing", len(journaled))
 	}
-	got := divergence.NewSink()
-	if _, err := core.RunConfig(cfg, simsResolver(t), core.Attach{Golden: cache, Journal: j, Divergence: got, Resume: true}); err != nil {
+	got, err := core.RunConfig(cfg, simsResolver(t), core.Attach{Golden: cache, Journal: j, Resume: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	wantRows, gotRows := want.Records(), got.Records()
+	wantRows, gotRows := core.DivergenceRows(want), core.DivergenceRows(got)
 	if len(gotRows) != len(wantRows) {
 		t.Fatalf("resume wrote %d divergence rows, the run %d", len(gotRows), len(wantRows))
 	}

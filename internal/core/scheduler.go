@@ -127,12 +127,13 @@ func newMatrixRun(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *G
 	tel := att.Telemetry
 	for i, spec := range specs {
 		c := &plan.cells[i]
-		// A shard attaches no sink but the tracer.
-		sinks := CellSinks{Key: c.key, Journal: att.Journal, Divergence: att.Divergence}
+		// A shard attaches no sink but the tracer and keeps no divergence
+		// rows: its outcomes carry the provenance to the coordinator.
+		sinks := CellSinks{Key: c.key, Journal: att.Journal}
 		if tel != nil {
 			sinks.Telemetry, sinks.Row = tel, tel.Campaign(c.key, spec.Tool, spec.Benchmark, spec.Structure)
 		}
-		r.ledgers[i] = NewCellLedger(sinks, len(spec.Masks))
+		r.ledgers[i] = NewCellLedger(sinks, len(spec.Masks), cfg.Divergence && !shard)
 		r.ledgers[i].lo, r.ledgers[i].hi = c.win.lo, c.win.hi
 		if shard {
 			r.kept[i] = make([]ShardRun, c.win.hi-c.win.lo)
@@ -382,12 +383,12 @@ func (r *matrixRun) execute() error {
 					continue
 				}
 				// The extras cost a little per run, so they are gathered only
-				// when something reads them: a sink, the tracer, or the
-				// coordinator a shard's outcomes travel to.
+				// when something reads them: a sink, the divergence rows, the
+				// tracer, or the coordinator a shard's outcomes travel to.
 				var stats *runStats
 				var runStart time.Time
-				if tel != nil || r.att.Journal != nil || plan.probe || tr != nil || r.shard {
-					stats = &runStats{footprint: plan.probe}
+				if tel != nil || r.att.Journal != nil || cfg.Divergence || tr != nil || r.shard {
+					stats = &runStats{footprint: cfg.Divergence}
 					if c.sig != nil {
 						stats.div = divergence.NewProbe(c.sig)
 					}

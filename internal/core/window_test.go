@@ -307,9 +307,8 @@ func TestTurboTierIsTheReference(t *testing.T) {
 		col := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
-		div := divergence.NewSink()
 		res, err := core.RunConfig(cfg, simsResolver(t), core.Attach{
-			Telemetry: col, Journal: j, Divergence: div, Golden: cache,
+			Telemetry: col, Journal: j, Golden: cache,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -321,7 +320,7 @@ func TestTurboTierIsTheReference(t *testing.T) {
 		if err := trace.Flush(&tb); err != nil {
 			t.Fatal(err)
 		}
-		if err := div.Flush(&db); err != nil {
+		if err := divergence.WriteRecords(&db, core.DivergenceRows(res)); err != nil {
 			t.Fatal(err)
 		}
 		journal, err := os.ReadFile(path)

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/svc/api"
 	"repro/internal/telemetry"
@@ -114,13 +113,6 @@ type CoordinatorOptions struct {
 	// exactly-once completion ledger of the distributed campaign
 	// (workers never journal).
 	JournalFor func(key string) (*fault.Journal, error)
-	// Divergence, when non-nil, accumulates one divergence-provenance
-	// record per merged mask, projected from the outcome the worker
-	// shipped — so the sorted sink flushes byte-identical to a
-	// single-node -divergence run of the same config (replicated rows
-	// are resolved coordinator-side by the cell's core.CellLedger, like
-	// the plan settle).
-	Divergence *divergence.Sink
 	// Tracer, when non-nil, assembles the campaign's end-to-end span
 	// tree: a root campaign span, a pre-identified shard span per shard
 	// (workers parent their matrix spans under it via Shard.SpanID), a
@@ -153,32 +145,13 @@ type CoordinatorOptions struct {
 	now func() time.Time
 }
 
-func (o CoordinatorOptions) shardSize() int {
-	if o.ShardSize > 0 {
-		return o.ShardSize
+// orDefault is v when it is positive, else def: the coordinator's knobs
+// take their defaults from zero or negative values.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return 50
-}
-
-func (o CoordinatorOptions) leaseTTL() time.Duration {
-	if o.LeaseTTL > 0 {
-		return o.LeaseTTL
-	}
-	return 10 * time.Second
-}
-
-func (o CoordinatorOptions) maxRetries() int {
-	if o.MaxRetries > 0 {
-		return o.MaxRetries
-	}
-	return 3
-}
-
-func (o CoordinatorOptions) retryBackoff() time.Duration {
-	if o.RetryBackoff > 0 {
-		return o.RetryBackoff
-	}
-	return time.Second
+	return def
 }
 
 // Stats is a point-in-time view of the coordinator's shard accounting.
@@ -243,9 +216,10 @@ type Coordinator struct {
 	mu        sync.Mutex
 	shards    []*shardState
 	remaining int
-	// cells settle every merged outcome of a cell through its ledger's
-	// sinks: the merged collector and its campaign row, the cell's
-	// journal (opened at New) and the divergence sink.
+	// cells settle every merged outcome of a cell through its ledger,
+	// which keeps the divergence rows when the config measures
+	// divergence, and its sinks: the merged collector and its campaign
+	// row and the cell's journal (opened at New).
 	cells       []*cellState
 	resumedRuns int
 	rootSpan    *telemetry.ActiveSpan
@@ -280,12 +254,16 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 		// workers keep accepting them.
 		cfg.SchemaVersion = cfg.WireSchemaVersion()
 	}
+	opt.ShardSize = orDefault(opt.ShardSize, 50)
+	opt.LeaseTTL = orDefault(opt.LeaseTTL, 10*time.Second)
+	opt.MaxRetries = orDefault(opt.MaxRetries, 3)
+	opt.RetryBackoff = orDefault(opt.RetryBackoff, time.Second)
 	if opt.now == nil {
 		opt.now = time.Now
 	}
 	c := &Coordinator{cfg: cfg, opt: opt, keys: cfg.Keys(), cells: make([]*cellState, len(cfg.Campaigns)), doneCh: make(chan struct{})}
 	total := 0
-	size := opt.shardSize()
+	size := opt.ShardSize
 	for i := range cfg.Campaigns {
 		n := cfg.MaskCount(i)
 		total += n
@@ -316,7 +294,7 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 		c.cells[i] = cl
 		// Group commit: a merge queues its journal lines and Complete
 		// writes them with one fsync before it acknowledges the shard.
-		sk := core.CellSinks{Key: c.keys[i], Divergence: opt.Divergence, GroupCommit: true}
+		sk := core.CellSinks{Key: c.keys[i], GroupCommit: true}
 		if tel := opt.Telemetry; tel != nil {
 			sk.Telemetry, sk.Row = tel, tel.Campaign(c.keys[i], cell.Tool, cell.Benchmark, cell.Structure)
 		}
@@ -335,7 +313,11 @@ func New(cfg core.CampaignConfig, opt CoordinatorOptions) (*Coordinator, error) 
 			c.Close()
 			return nil, err
 		}
-		cl.ledger = core.NewCellLedger(sk, cfg.MaskCount(i))
+		// With divergence on, the ledger keeps each merged mask's row,
+		// projected from the outcome the worker shipped (a replicated row
+		// from its resolution), so the results carry the rows a
+		// single-node run of the same config does.
+		cl.ledger = core.NewCellLedger(sk, cfg.MaskCount(i), cfg.Divergence)
 	}
 	if opt.Resume {
 		if err := c.resume(); err != nil {
@@ -505,7 +487,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			continue
 		}
 		s.retries++
-		if s.retries > c.opt.maxRetries() {
+		if s.retries > c.opt.MaxRetries {
 			c.failLocked(fmt.Errorf("dist: shard %d (campaign %d masks [%d,%d)) lost its lease %d times; giving up",
 				s.shard.ID, s.shard.Campaign, s.shard.MaskLo, s.shard.MaskHi, s.retries))
 			return
@@ -513,7 +495,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		c.logf("dist: shard %d lease by %s expired; requeued (retry %d)", s.shard.ID, s.worker, s.retries)
 		s.state = shardQueued
 		s.worker = ""
-		s.eligible = now.Add(time.Duration(s.retries) * c.opt.retryBackoff())
+		s.eligible = now.Add(time.Duration(s.retries) * c.opt.RetryBackoff)
 		c.stats.Requeues++
 		c.changed.Raise()
 	}
@@ -525,7 +507,7 @@ func (c *Coordinator) Config() api.ConfigResponse {
 	return api.ConfigResponse{
 		ProtocolVersion: api.ProtocolVersion,
 		Config:          c.cfg,
-		LeaseTTLMS:      c.opt.leaseTTL().Milliseconds(),
+		LeaseTTLMS:      c.opt.LeaseTTL.Milliseconds(),
 	}
 }
 
@@ -570,7 +552,7 @@ func (c *Coordinator) Lease(workerID string) api.LeaseResponse {
 			if !s.eligible.After(now) {
 				s.state = shardLeased
 				s.worker = workerID
-				s.expiry = now.Add(c.opt.leaseTTL())
+				s.expiry = now.Add(c.opt.LeaseTTL)
 				s.leased = now
 				c.logf("dist: shard %d leased to %s", s.shard.ID, workerID)
 				sh := s.shard
@@ -604,7 +586,7 @@ func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) api.HeartbeatResponse 
 	if s.state != shardLeased || s.worker != req.WorkerID || !s.expiry.After(now) {
 		return api.HeartbeatResponse{}
 	}
-	s.expiry = now.Add(c.opt.leaseTTL())
+	s.expiry = now.Add(c.opt.LeaseTTL)
 	return api.HeartbeatResponse{OK: true}
 }
 
@@ -830,7 +812,7 @@ func (c *Coordinator) finalizeLocked() {
 // It also drives the lease sweep, so dead workers are requeued even
 // when no live worker is polling.
 func (c *Coordinator) Wait(ctx context.Context) ([]*core.CampaignResult, error) {
-	tick := c.opt.leaseTTL() / 2
+	tick := c.opt.LeaseTTL / 2
 	if tick < 5*time.Millisecond {
 		tick = 5 * time.Millisecond
 	}

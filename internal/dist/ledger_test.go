@@ -112,26 +112,26 @@ func TestCoordinatorResume(t *testing.T) {
 	cfg.StopMargin, cfg.StopConfidence, cfg.StopCheckEvery = 0.25, 0.99, 10
 	key := cfg.Keys()[0]
 
-	traced := func() (*telemetry.Collector, *telemetry.TraceSink, *divergence.Sink) {
+	traced := func() (*telemetry.Collector, *telemetry.TraceSink) {
 		collector, sink := telemetry.New(), telemetry.NewTraceSink()
 		collector.AddSink(sink)
-		return collector, sink, divergence.NewSink()
+		return collector, sink
 	}
 	refDir := t.TempDir()
 	jnl, err := fault.OpenJournal(filepath.Join(refDir, "ref.journal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	collector, sink, dsink := traced()
+	collector, sink := traced()
 	want, err := core.RunConfig(cfg, cli.Resolve, core.Attach{
-		Golden: core.NewGoldenCache(), Telemetry: collector, Divergence: dsink, Journal: jnl,
+		Golden: core.NewGoldenCache(), Telemetry: collector, Journal: jnl,
 	})
 	jnl.Close()
 	if err != nil {
 		t.Fatalf("single-node run: %v", err)
 	}
 	wantLogs, wantTrace := storeAndRead(t, cfg, want, sink)
-	wantDiv := dsink.Records()
+	wantDiv := core.DivergenceRows(want)
 
 	// The cut: every simulated line (they all precede the stop rows),
 	// then the first half of the stopped-early lines.
@@ -203,12 +203,14 @@ func TestCoordinatorResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collector, _, singleDiv := traced()
-	if _, err := core.RunConfig(cfg, cli.Resolve, core.Attach{
-		Golden: core.NewGoldenCache(), Telemetry: collector, Divergence: singleDiv, Journal: sj, Resume: true,
-	}); err != nil {
+	collector, _ = traced()
+	single, err := core.RunConfig(cfg, cli.Resolve, core.Attach{
+		Golden: core.NewGoldenCache(), Telemetry: collector, Journal: sj, Resume: true,
+	})
+	if err != nil {
 		t.Fatalf("single-node resume: %v", err)
 	}
+	singleDiv := core.DivergenceRows(single)
 	sj.Close()
 	checkExactlyOnce(t, "single-node resume", sj.Path(), len(want[0].Records))
 
@@ -219,9 +221,9 @@ func TestCoordinatorResume(t *testing.T) {
 		workers := tc.workers
 		name := fmt.Sprintf("workers=%d torn=%v", workers, tc.torn)
 		path := cutJournal(tc.torn)
-		collector, sink, dsink := traced()
+		collector, sink := traced()
 		coord, err := dist.New(cfg, dist.CoordinatorOptions{
-			ShardSize: 25, Telemetry: collector, Divergence: dsink, Cell: cellFor(cfg), Resume: true,
+			ShardSize: 25, Telemetry: collector, Cell: cellFor(cfg), Resume: true,
 			JournalFor: func(string) (*fault.Journal, error) { return fault.OpenJournal(path) },
 		})
 		if err != nil {
@@ -260,11 +262,11 @@ func TestCoordinatorResume(t *testing.T) {
 		if !bytes.Equal(gotTrace, wantTrace) {
 			t.Fatalf("%s: resumed trace differs from the uninterrupted run", name)
 		}
-		gotDiv := dsink.Records()
+		gotDiv := core.DivergenceRows(got)
 		if !reflect.DeepEqual(gotDiv, wantResumedDiv) {
 			t.Fatalf("%s: resumed divergence rows differ from the uninterrupted run's\n resumed:       %+v\n uninterrupted: %+v", name, gotDiv, wantResumedDiv)
 		}
-		if !reflect.DeepEqual(gotDiv, singleDiv.Records()) {
+		if !reflect.DeepEqual(gotDiv, singleDiv) {
 			t.Fatalf("%s: fleet and single-node resumes over one journal differ in their divergence rows", name)
 		}
 		checkExactlyOnce(t, name, path, len(got[0].Records))

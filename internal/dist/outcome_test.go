@@ -173,17 +173,20 @@ func TestDistributedEventStreamMatchesSingleNode(t *testing.T) {
 		events := &eventLog{}
 		collector := telemetry.New()
 		collector.AddSink(events)
-		dsink := divergence.NewSink()
+		var results []*core.CampaignResult
 		if fleet {
-			runFleet(t, cfg, dist.CoordinatorOptions{
-				ShardSize: 9, Telemetry: collector, Divergence: dsink, Cell: cellFor(cfg),
+			results = runFleet(t, cfg, dist.CoordinatorOptions{
+				ShardSize: 9, Telemetry: collector, Cell: cellFor(cfg),
 			}, 2)
-		} else if _, err := core.RunConfig(cfg, cli.Resolve, core.Attach{
-			Golden: core.NewGoldenCache(), Telemetry: collector, Divergence: dsink,
-		}); err != nil {
-			t.Fatalf("single-node run: %v", err)
+		} else {
+			var err error
+			if results, err = core.RunConfig(cfg, cli.Resolve, core.Attach{
+				Golden: core.NewGoldenCache(), Telemetry: collector,
+			}); err != nil {
+				t.Fatalf("single-node run: %v", err)
+			}
 		}
-		return events.sorted(), dsink.Records()
+		return events.sorted(), core.DivergenceRows(results)
 	}
 	want, wantDiv := run(false)
 	got, gotDiv := run(true)

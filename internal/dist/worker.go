@@ -318,7 +318,7 @@ func RunWorker(ctx context.Context, svcURL string, opt WorkerOptions) error {
 
 // foldShardResult commits one shard's outcomes to the worker's own
 // collector — the commit the coordinator's merge uses, with no journal
-// or divergence sink behind it. Replicated stubs are skipped: their
+// behind it. Replicated stubs are skipped: their
 // verdicts are resolved by the coordinator's ledger, and counting a
 // stub here would inflate the fleet totals relative to the merged view.
 func foldShardResult(tel *telemetry.Collector, wc *workerCampaign, campaign int, res *core.ShardResult) {

@@ -13,6 +13,13 @@
 // produce into per-block FNV-1a hashes compared against a memoized
 // golden signature (see Probe), and touch counting piggybacks on the
 // bitarray observation slow path that only armed runs ever take.
+//
+// The package holds no records itself. A campaign that measures
+// divergence keeps one Record per mask in its cell's settle ledger
+// (core.CellLedger), built once when the mask settles, and the campaign
+// result carries them in mask-index order; core's LogsRepo.StoreCampaign
+// sorts them once by (campaign, mask ID) and writes them with
+// WriteRecords.
 package divergence
 
 import (

@@ -3,7 +3,6 @@ package divergence
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -195,55 +194,6 @@ func TestWriteReadRecords(t *testing.T) {
 	}
 	if _, err := ReadRecords(strings.NewReader(`{"schema_version":99,"campaign":"a","mask_id":0}` + "\n")); err == nil {
 		t.Fatal("record from a newer schema accepted")
-	}
-}
-
-// TestSinkByteStable inserts records concurrently in scrambled order
-// and checks the flushed bytes equal a serial in-order flush — the
-// worker-count independence property the distributed differential
-// relies on.
-func TestSinkByteStable(t *testing.T) {
-	mk := func(camp string, id int) Record {
-		return Record{Campaign: camp, MaskID: id, Status: "completed", Class: "Masked", Cycles: uint64(100 + id)}
-	}
-	serial := NewSink()
-	for _, camp := range []string{"a", "b"} {
-		for id := 0; id < 40; id++ {
-			serial.Add(mk(camp, id))
-		}
-	}
-	var want bytes.Buffer
-	if err := serial.Flush(&want); err != nil {
-		t.Fatal(err)
-	}
-
-	scrambled := NewSink()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			camp := "a"
-			if g >= 2 {
-				camp = "b"
-			}
-			for i := 39; i >= 0; i-- {
-				if i%2 == g%2 {
-					scrambled.Add(mk(camp, i))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if scrambled.Len() != 80 {
-		t.Fatalf("scrambled sink has %d records, want 80", scrambled.Len())
-	}
-	var got bytes.Buffer
-	if err := scrambled.Flush(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatal("divergence bytes depend on insertion order")
 	}
 }
 

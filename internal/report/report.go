@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/sims"
 	"repro/internal/telemetry"
@@ -70,7 +69,7 @@ type Options struct {
 	Tools []string
 	// Logs, when non-nil, persists every campaign to the repository —
 	// and, with Campaign.Divergence on, each cell's divergence records
-	// beside its log (without Logs they are dropped).
+	// beside its log (without Logs they are only measured).
 	Logs *core.LogsRepo
 	// Parser configures the classification.
 	Parser core.Parser
@@ -161,38 +160,18 @@ func (o Options) cell(tool, bench, structure string) core.CampaignCell {
 }
 
 // runCells runs the cells as one campaign config through core.RunConfig
-// and persists every result to o.Logs.
+// and stores every cell's log, and its divergence file when the config
+// measures divergence, in o.Logs.
 func (o Options) runCells(cells []core.CampaignCell, cache *core.GoldenCache, collector *telemetry.Collector) ([]*core.CampaignResult, error) {
 	cfg := o.Campaign
 	cfg.Campaigns, cfg.Injections = cells, o.injections()
-	att := core.Attach{Golden: cache, Telemetry: collector, Tracer: o.Tracer}
-	if cfg.Divergence && o.Logs != nil {
-		att.Divergence = divergence.NewSink()
-	}
-	results, err := core.RunConfig(cfg, cli.Resolve, att)
+	results, err := core.RunConfig(cfg, cli.Resolve, core.Attach{Golden: cache, Telemetry: collector, Tracer: o.Tracer})
 	if err != nil || o.Logs == nil {
 		return results, err
 	}
-	keys := cfg.Keys()
-	for i, res := range results {
-		if err := o.Logs.Store(keys[i], res); err != nil {
+	for i, key := range cfg.Keys() {
+		if err := o.Logs.StoreCampaign(key, []string{key}, results[i:i+1], nil, nil); err != nil {
 			return nil, err
-		}
-	}
-	if att.Divergence != nil {
-		// One divergence file per cell, as faultcamp writes them: the
-		// sink's records come sorted by (campaign, mask).
-		perCell := make(map[string]*divergence.Sink, len(keys))
-		for _, rec := range att.Divergence.Records() {
-			if perCell[rec.Campaign] == nil {
-				perCell[rec.Campaign] = divergence.NewSink()
-			}
-			perCell[rec.Campaign].Add(rec)
-		}
-		for _, key := range keys {
-			if _, err := cli.FlushDivergence(perCell[key], o.Logs, key); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return results, nil

@@ -69,40 +69,29 @@ func New(base string, opts ...Option) *Client {
 // Base returns the service base URL.
 func (c *Client) Base() string { return c.base }
 
-// do runs one JSON round trip with the retry policy: connection errors
-// and 5xx envelopes retry with exponential backoff; 4xx envelopes and
-// context cancellation return immediately. out may be nil.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// call runs one JSON round trip with the retry policy and decodes the
+// answer into a T: connection errors and 5xx envelopes retry with
+// exponential backoff; 4xx envelopes and context cancellation return
+// immediately.
+func call[T any](ctx context.Context, c *Client, method, path string, in any) (out T, err error) {
 	var body []byte
 	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("client: encoding %s %s: %w", method, path, err)
+		if body, err = json.Marshal(in); err != nil {
+			return out, fmt.Errorf("client: encoding %s %s: %w", method, path, err)
 		}
-		body = b
 	}
 	var lastErr error
 	for attempt := 0; attempt < c.attempts; attempt++ {
 		if attempt > 0 {
-			delay := c.backoff << (attempt - 1)
-			if delay > c.maxBackoff {
-				delay = c.maxBackoff
-			}
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(delay):
+				return out, ctx.Err()
+			case <-time.After(min(c.backoff<<(attempt-1), c.maxBackoff)):
 			}
 		}
-		var rd *bytes.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		} else {
-			rd = bytes.NewReader(nil)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 		if err != nil {
-			return err
+			return out, err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
@@ -113,7 +102,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
-				return ctx.Err()
+				return out, ctx.Err()
 			}
 			lastErr = err // connection refused, reset, timeout: retryable
 			continue
@@ -125,20 +114,16 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				lastErr = apiErr
 				continue
 			}
-			return apiErr
+			return out, apiErr
 		}
-		if out == nil {
-			resp.Body.Close()
-			return nil
-		}
-		err = json.NewDecoder(resp.Body).Decode(out)
+		err = json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
 		if err != nil {
-			return fmt.Errorf("client: decoding %s %s: %w", method, path, err)
+			return out, fmt.Errorf("client: decoding %s %s: %w", method, path, err)
 		}
-		return nil
+		return out, nil
 	}
-	return fmt.Errorf("client: %s %s%s: %w", method, c.base, path, lastErr)
+	return out, fmt.Errorf("client: %s %s%s: %w", method, c.base, path, lastErr)
 }
 
 // Retryable reports whether an error from this client is transient —
@@ -160,9 +145,7 @@ func Retryable(err error) bool {
 
 // CampaignConfig fetches one campaign's config by ID.
 func (c *Client) CampaignConfig(ctx context.Context, id string) (api.ConfigResponse, error) {
-	var out api.ConfigResponse
-	err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/config", nil, &out)
-	return out, err
+	return call[api.ConfigResponse](ctx, c, http.MethodGet, "/v1/campaigns/"+id+"/config", nil)
 }
 
 // Lease polls for a shard assignment; the service answers at once.
@@ -175,30 +158,22 @@ func (c *Client) Lease(ctx context.Context, workerID string) (api.LeaseResponse,
 // HoldMS; under a millisecond asks for no hold). A held wait comes back
 // flagged Held.
 func (c *Client) LeaseHeld(ctx context.Context, workerID string, hold time.Duration) (api.LeaseResponse, error) {
-	var out api.LeaseResponse
-	err := c.do(ctx, http.MethodPost, "/v1/lease", api.LeaseRequest{WorkerID: workerID, HoldMS: hold.Milliseconds()}, &out)
-	return out, err
+	return call[api.LeaseResponse](ctx, c, http.MethodPost, "/v1/lease", api.LeaseRequest{WorkerID: workerID, HoldMS: hold.Milliseconds()})
 }
 
 // Heartbeat extends a shard lease.
 func (c *Client) Heartbeat(ctx context.Context, req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
-	var out api.HeartbeatResponse
-	err := c.do(ctx, http.MethodPost, "/v1/heartbeat", req, &out)
-	return out, err
+	return call[api.HeartbeatResponse](ctx, c, http.MethodPost, "/v1/heartbeat", req)
 }
 
 // Complete delivers a shard result.
 func (c *Client) Complete(ctx context.Context, req api.CompleteRequest) (api.CompleteResponse, error) {
-	var out api.CompleteResponse
-	err := c.do(ctx, http.MethodPost, "/v1/complete", req, &out)
-	return out, err
+	return call[api.CompleteResponse](ctx, c, http.MethodPost, "/v1/complete", req)
 }
 
 // PushSnapshot pushes a worker telemetry snapshot to the fleet plane.
 func (c *Client) PushSnapshot(ctx context.Context, req api.SnapshotRequest) (api.SnapshotResponse, error) {
-	var out api.SnapshotResponse
-	err := c.do(ctx, http.MethodPost, "/v1/snapshot", req, &out)
-	return out, err
+	return call[api.SnapshotResponse](ctx, c, http.MethodPost, "/v1/snapshot", req)
 }
 
 // ----- campaign service -----
@@ -208,69 +183,62 @@ func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.Campaig
 	if req.SchemaVersion == 0 {
 		req.SchemaVersion = api.SubmitSchemaVersion
 	}
-	var out api.CampaignStatus
-	err := c.do(ctx, http.MethodPost, "/v1/campaigns", req, &out)
-	return out, err
+	return call[api.CampaignStatus](ctx, c, http.MethodPost, "/v1/campaigns", req)
 }
 
 // Get fetches one campaign's status.
 func (c *Client) Get(ctx context.Context, id string) (api.CampaignStatus, error) {
-	var out api.CampaignStatus
-	err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id, nil, &out)
-	return out, err
+	return call[api.CampaignStatus](ctx, c, http.MethodGet, "/v1/campaigns/"+id, nil)
 }
 
 // List fetches every campaign visible to the caller's tenant.
 func (c *Client) List(ctx context.Context) (api.CampaignList, error) {
-	var out api.CampaignList
-	err := c.do(ctx, http.MethodGet, "/v1/campaigns", nil, &out)
-	return out, err
+	return call[api.CampaignList](ctx, c, http.MethodGet, "/v1/campaigns", nil)
 }
 
 // Cancel requests cancellation and returns the resulting status.
 func (c *Client) Cancel(ctx context.Context, id string) (api.CampaignStatus, error) {
-	var out api.CampaignStatus
-	err := c.do(ctx, http.MethodPost, "/v1/campaigns/"+id+"/cancel", nil, &out)
-	return out, err
+	return call[api.CampaignStatus](ctx, c, http.MethodPost, "/v1/campaigns/"+id+"/cancel", nil)
 }
 
 // Results fetches the indexed per-cell outcome breakdowns.
 func (c *Client) Results(ctx context.Context, id string) (api.ResultsResponse, error) {
-	var out api.ResultsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/results", nil, &out)
-	return out, err
+	return call[api.ResultsResponse](ctx, c, http.MethodGet, "/v1/campaigns/"+id+"/results", nil)
 }
 
 // Snapshot fetches one campaign's merged telemetry snapshot — the
 // single-node-equivalent collector view.
 func (c *Client) Snapshot(ctx context.Context, id string) (telemetry.Snapshot, error) {
-	var out telemetry.Snapshot
-	err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/snapshot.json", nil, &out)
-	return out, err
+	return call[telemetry.Snapshot](ctx, c, http.MethodGet, "/v1/campaigns/"+id+"/snapshot.json", nil)
 }
 
 // FleetSnapshot fetches the service-wide fleet aggregation (the
 // /v1/snapshot.json view).
 func (c *Client) FleetSnapshot(ctx context.Context) (telemetry.Snapshot, error) {
-	var out telemetry.Snapshot
-	err := c.do(ctx, http.MethodGet, "/v1/snapshot.json", nil, &out)
-	return out, err
+	return call[telemetry.Snapshot](ctx, c, http.MethodGet, "/v1/snapshot.json", nil)
 }
 
 // Fleet fetches the service-wide per-worker accounting.
 func (c *Client) Fleet(ctx context.Context) ([]api.WorkerStatus, error) {
-	var out []api.WorkerStatus
-	err := c.do(ctx, http.MethodGet, "/v1/fleet.json", nil, &out)
-	return out, err
+	return call[[]api.WorkerStatus](ctx, c, http.MethodGet, "/v1/fleet.json", nil)
 }
 
-// Wait polls a campaign until it reaches a terminal state. Transient
+// firstPoll is the delay before Wait's second status poll; each later
+// delay doubles up to Wait's poll cap.
+const firstPoll = 5 * time.Millisecond
+
+// Wait polls a campaign until it reaches a terminal state. The first
+// poll is immediate and the delays between polls double from a few
+// milliseconds up to poll (500 ms when poll is not positive), so a
+// short campaign is seen done about when it ends, not up to a period
+// later, and a long one is polled at most once per poll. Transient
 // errors (the daemon restarting) keep polling; definitive 4xx answers
 // abort.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (api.CampaignStatus, error) {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
+	delay := min(firstPoll, poll)
 	for {
 		st, err := c.Get(ctx, id)
 		if err != nil {
@@ -283,7 +251,8 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (api.C
 		select {
 		case <-ctx.Done():
 			return api.CampaignStatus{}, ctx.Err()
-		case <-time.After(poll):
+		case <-time.After(delay):
 		}
+		delay = min(2*delay, poll)
 	}
 }

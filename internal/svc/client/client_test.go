@@ -124,3 +124,36 @@ func TestCancelEndsBackoff(t *testing.T) {
 		t.Fatalf("Wait on a cancelled context: %v, want context.Canceled", err)
 	}
 }
+
+// TestWaitBacksOffToItsCap: a campaign that is done about 30 ms after
+// submit is seen done within a few polls of that, not a whole poll
+// period later — the first polls come milliseconds apart and the
+// period is only their cap. A retryable error on the way keeps Wait
+// polling.
+func TestWaitBacksOffToItsCap(t *testing.T) {
+	var gets atomic.Int64
+	submitted := time.Now()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch n := gets.Add(1); {
+		case n == 2:
+			api.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, "restarting")
+		case time.Since(submitted) < 30*time.Millisecond:
+			api.WriteJSON(w, api.CampaignStatus{ID: "c1", State: api.StateRunning})
+		default:
+			api.WriteJSON(w, api.CampaignStatus{ID: "c1", State: api.StateDone})
+		}
+	}))
+	defer srv.Close()
+	cl := client.New(srv.URL, client.WithRetry(1, time.Millisecond))
+	st, err := cl.Wait(context.Background(), "c1", 500*time.Millisecond)
+	took := time.Since(submitted)
+	if err != nil || st.State != api.StateDone {
+		t.Fatalf("Wait: %+v, %v; want the done status", st, err)
+	}
+	if took >= 300*time.Millisecond {
+		t.Fatalf("Wait returned %s after submit for a campaign done after 30ms", took)
+	}
+	if n := gets.Load(); n < 3 || n > 10 {
+		t.Fatalf("Wait made %d status requests, want 3 to 10", n)
+	}
+}

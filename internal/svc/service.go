@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/svc/api"
 	"repro/internal/telemetry"
@@ -466,21 +465,14 @@ func (s *Service) scheduleLocked() {
 	running := 0
 	perTenant := make(map[string]int)
 	var queued []*campaign
-	for _, c := range s.camps {
-		switch c.entry.State {
-		case api.StatePlanning, api.StateRunning, api.StateFinalizing:
+	for _, c := range s.runnableLocked() {
+		if c.entry.State == api.StateQueued {
+			queued = append(queued, c)
+		} else {
 			running++
 			perTenant[c.entry.Tenant]++
-		case api.StateQueued:
-			queued = append(queued, c)
 		}
 	}
-	sort.Slice(queued, func(i, j int) bool {
-		if queued[i].entry.Priority != queued[j].entry.Priority {
-			return queued[i].entry.Priority > queued[j].entry.Priority
-		}
-		return queued[i].entry.Seq < queued[j].entry.Seq
-	})
 	for _, c := range queued {
 		if running >= s.opt.MaxActive {
 			return
@@ -524,10 +516,6 @@ func (s *Service) run(c *campaign) {
 		tracer.AddSink(spanBuf)
 		tracer.AddSink(events)
 	}
-	var dsink *divergence.Sink
-	if cfg.Divergence {
-		dsink = divergence.NewSink()
-	}
 	logs := s.opt.Logs
 	if !opts.Flat {
 		var err error
@@ -566,7 +554,6 @@ func (s *Service) run(c *campaign) {
 		RetryBackoff: s.opt.RetryBackoff,
 		Telemetry:    tel,
 		Tracer:       tracer,
-		Divergence:   dsink,
 		Cell:         cell,
 		Logf: func(format string, args ...any) {
 			s.opt.Logf("campaign "+id+": "+format, args...)
@@ -617,7 +604,7 @@ func (s *Service) run(c *campaign) {
 	s.put(e)
 	s.mu.Unlock()
 
-	ferr := s.finalize(id, cfg, opts, logs, results, traceSink, spanBuf, dsink)
+	ferr := s.finalize(id, cfg, opts, logs, results, traceSink, spanBuf)
 	coord.Close()
 	s.finish(c, ferr)
 }
@@ -643,18 +630,14 @@ func (s *Service) forwardChanges(coord *dist.Coordinator, stop <-chan struct{}) 
 // change, nil once the service is closed (see WorkerPlane).
 func (s *Service) Changed() <-chan struct{} { return s.changed.C() }
 
-// finalize merges a completed campaign's artifacts into the logs
-// repository and feeds the result index. The per-cell logs and the
-// trace, divergence and span files are independent files, written
-// concurrently; the index is written last, once they all are, so an
-// indexed campaign always has its artifacts.
+// finalize stores a completed campaign's artifacts in the logs
+// repository (core.LogsRepo.StoreCampaign: the per-cell logs and the
+// trace, divergence and span files, written concurrently) and then
+// feeds the result index, so an indexed campaign always has its
+// artifacts.
 func (s *Service) finalize(id string, cfg core.CampaignConfig, opts api.SubmitOptions, logs *core.LogsRepo,
-	results []*core.CampaignResult, traceSink *telemetry.TraceSink, spanBuf *telemetry.SpanBuffer, dsink *divergence.Sink) error {
+	results []*core.CampaignResult, traceSink *telemetry.TraceSink, spanBuf *telemetry.SpanBuffer) error {
 	keys := cfg.Keys()
-	var writes []func() error
-	for i, res := range results {
-		writes = append(writes, func() error { return logs.Store(keys[i], res) })
-	}
 	akey := opts.ArtifactKey
 	if akey == "" {
 		akey = "matrix"
@@ -662,31 +645,10 @@ func (s *Service) finalize(id string, cfg core.CampaignConfig, opts api.SubmitOp
 			akey = keys[0]
 		}
 	}
-	if traceSink != nil {
-		writes = append(writes, func() error { return logs.WriteArtifact(logs.TracePath(akey), traceSink.Flush) })
+	if err := logs.StoreCampaign(akey, keys, results, traceSink, spanBuf); err != nil {
+		return err
 	}
-	if dsink != nil {
-		writes = append(writes, func() error { return logs.WriteArtifact(logs.DivergencePath(akey), dsink.Flush) })
-	}
-	if spanBuf != nil {
-		writes = append(writes, func() error { return logs.WriteArtifact(logs.SpansPath(akey), spanBuf.Flush) })
-	}
-	errs := make([]error, len(writes))
-	var wg sync.WaitGroup
-	for i, write := range writes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = write()
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return s.opt.Index.Store(id, outcomeCells(cfg, keys, results, dsink))
+	return s.opt.Index.Store(id, outcomeCells(cfg, keys, results))
 }
 
 // finish moves a campaign to its terminal state and persists it. On a
@@ -727,14 +689,7 @@ func (s *Service) finish(c *campaign, err error) {
 
 // outcomeCells computes the indexed per-cell outcome breakdowns served
 // by GET /v1/campaigns/{id}/results.
-func outcomeCells(cfg core.CampaignConfig, keys []string, results []*core.CampaignResult, dsink *divergence.Sink) []fault.OutcomeIndex {
-	var divByKey map[string][]divergence.Record
-	if dsink != nil {
-		divByKey = make(map[string][]divergence.Record)
-		for _, rec := range dsink.Records() {
-			divByKey[rec.Campaign] = append(divByKey[rec.Campaign], rec)
-		}
-	}
+func outcomeCells(cfg core.CampaignConfig, keys []string, results []*core.CampaignResult) []fault.OutcomeIndex {
 	cells := make([]fault.OutcomeIndex, len(results))
 	for i, res := range results {
 		cell := cfg.Campaigns[i]
@@ -777,7 +732,7 @@ func outcomeCells(cfg core.CampaignConfig, keys []string, results []*core.Campai
 				Confidence:      res.Adaptive.Confidence,
 			}
 		}
-		if recs := divByKey[keys[i]]; len(recs) > 0 {
+		if recs := res.Divergence; len(recs) > 0 {
 			sum := &fault.DivergenceIndexSummary{Records: len(recs)}
 			var propSum, timeSum float64
 			var propN, timeN int
